@@ -190,11 +190,11 @@ func BenchmarkShardScale(b *testing.B) {
 			h := experiments.NewHarness()
 			h.Scale = 1.0
 			defer h.Close()
-			measure := func(iters int, warm bool) experiments.ShardMeasurement {
+			measure := func(iters int, warm bool) experiments.ClusterMeasurement {
 				best, err := experiments.BestOf(3,
-					func(m experiments.ShardMeasurement) float64 { return m.Throughput },
-					func() (experiments.ShardMeasurement, error) {
-						return h.MeasureSharded(apps.RUBiS(), server.SYS1(), 50, iters, warm, 16, shards)
+					func(m experiments.ClusterMeasurement) float64 { return m.Throughput },
+					func() (experiments.ClusterMeasurement, error) {
+						return h.MeasureCluster(apps.RUBiS(), server.SYS1(), 50, iters, warm, 16, shards, 0)
 					})
 				if err != nil {
 					b.Fatal(err)
@@ -207,7 +207,7 @@ func BenchmarkShardScale(b *testing.B) {
 				b.ReportMetric(cold.Throughput, "cold-q/s")
 				b.ReportMetric(cold.Speedup(), "cold-speedup")
 				b.ReportMetric(warm.Throughput, "warm-q/s")
-				b.ReportMetric(float64(cold.NetRequestsSharded), "cold-rtt")
+				b.ReportMetric(float64(cold.NetRequestsCluster), "cold-rtt")
 			}
 		})
 	}
@@ -229,9 +229,9 @@ func BenchmarkShardScaleTraced(b *testing.B) {
 	defer h.Close()
 	for i := 0; i < b.N; i++ {
 		best, err := experiments.BestOf(3,
-			func(m experiments.ShardMeasurement) float64 { return m.Throughput },
-			func() (experiments.ShardMeasurement, error) {
-				return h.MeasureSharded(apps.RUBiS(), server.SYS1(), 50, 2000, true, 16, 4)
+			func(m experiments.ClusterMeasurement) float64 { return m.Throughput },
+			func() (experiments.ClusterMeasurement, error) {
+				return h.MeasureCluster(apps.RUBiS(), server.SYS1(), 50, 2000, true, 16, 4, 0)
 			})
 		if err != nil {
 			b.Fatal(err)
@@ -258,11 +258,11 @@ func BenchmarkReplicaScale(b *testing.B) {
 			h := experiments.NewHarness()
 			h.Scale = 1.0
 			defer h.Close()
-			measure := func(iters int) experiments.ReplicaMeasurement {
+			measure := func(iters int) experiments.ClusterMeasurement {
 				best, err := experiments.BestOf(3,
-					func(m experiments.ReplicaMeasurement) float64 { return m.Throughput },
-					func() (experiments.ReplicaMeasurement, error) {
-						return h.MeasureReplicated(apps.RUBiS(), server.SYS1(), 50, iters, false, 16, 1, replicas)
+					func(m experiments.ClusterMeasurement) float64 { return m.Throughput },
+					func() (experiments.ClusterMeasurement, error) {
+						return h.MeasureCluster(apps.RUBiS(), server.SYS1(), 50, iters, false, 16, 1, replicas)
 					})
 				if err != nil {
 					b.Fatal(err)

@@ -5,45 +5,31 @@
 //
 // Usage:
 //
-//	asyncq [-analyze] [-ddg] [-flat] [-run] [-threads N] [-batch N] [-shards N] [-replicas N]
-//	       [-reshard N] [-durability off|group|strict] [-stats] [-slowlog 5ms] file.mq
+//	asyncq [-analyze] [-ddg] [-flat] [-run] [-threads N] [-batch N] [-stats] [-slowlog 5ms] file.mq
+//	asyncq -serve [-addr host:port] [-rows N] [-inflight N] [-replicas N] [-durability off|group|strict] [-scale F] [-stats]
 //
 // With no flags the transformed program is printed (readable form, §V).
-// With -run -batch N the transformed program's submissions are coalesced
-// into batches of up to N requests (0 = batching off) and the batch
-// statistics are reported. With -run -shards N each request is additionally
-// routed across N partitions by its first argument (internal/shard's hash
-// partitioner) and the per-shard request distribution is reported —
-// results are unchanged, since the deterministic test service is a pure
-// function of the request. With -replicas R each shard's reads additionally
-// rotate round-robin over R read replicas (internal/replica's balancing
-// policy) and the per-shard, per-replica distribution is reported. With
-// -durability each modeled shard additionally runs a write-ahead log
-// (internal/wal) in the given commit mode and every submission is logged and
-// acknowledged per that mode; the per-shard record/fsync counts show how
-// group commit amortizes durability exactly as batching amortizes round
-// trips. With -reshard N the modeled cluster routes by a live hash-range
-// ownership map (internal/shard's Ranges) instead of the static partitioner:
-// the last shard starts rangeless, and after N routed requests the hottest
-// shard's range is split onto it — a modeled copy window follows during
-// which requests landing in the moving range are counted as double-writes,
-// then routing flips to the new generation. The migration counters
-// (generation, splits, ranges moved, rows copied, double-writes) appear in
-// the unified -stats registry dump.
+// With -run the original program runs blocking and the transformed program
+// runs on a worker pool against the deterministic test service
+// (internal/testsvc), and the two results are compared. With -run -batch N
+// the transformed program's submissions are coalesced into batches of up to
+// N requests (0 = batching off) and the batch statistics are reported. The
+// test service is a pure function of the request, so -run shows what the
+// rewrite does to a program, not how a cluster behaves: sharding,
+// replication, durability and re-sharding are measured on the real stack by
+// cmd/experiments (-fig shard-scale|replica-scale|durability|reshard) and
+// `go run ./bench`.
 //
 // With -stats the run's observability registry — request/queue/batch-wait
-// span histograms, executor counters, and (with -durability) per-shard WAL
-// state — is dumped to stderr in one unified report, replacing the ad-hoc
-// per-shard record/fsync printout. With -slowlog every request slower than
-// the threshold has its span tree rendered to stderr as it completes.
+// span histograms and executor counters — is dumped to stderr. With -slowlog
+// every request slower than the threshold has its span tree rendered to
+// stderr as it completes.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/batch"
 	"repro/internal/core"
@@ -53,10 +39,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/minilang"
 	"repro/internal/obs"
-	"repro/internal/query"
-	"repro/internal/shard"
 	"repro/internal/testsvc"
-	"repro/internal/wal"
 )
 
 func main() {
@@ -66,16 +49,14 @@ func main() {
 	run := flag.Bool("run", false, "run original and transformed against a deterministic service and compare")
 	threads := flag.Int("threads", 8, "worker threads for -run")
 	batchSize := flag.Int("batch", 0, "coalesce submissions into batches of up to N requests for -run (0 = off)")
-	shards := flag.Int("shards", 1, "partition -run requests across N shards by first argument (1 = off)")
-	replicas := flag.Int("replicas", 1, "rotate each shard's -run reads over N read replicas (1 = off)")
-	reshardAt := flag.Int64("reshard", 0, "with -run -shards N: route by a live hash-range map and split the hottest shard after this many routed requests (0 = off)")
-	durability := flag.String("durability", "", "log each modeled shard's -run submissions through a WAL in this commit mode (off|group|strict; empty = no WAL)")
-	stats := flag.Bool("stats", false, "after -run, dump the unified metrics registry (span histograms, executor counters, WAL state) to stderr")
+	stats := flag.Bool("stats", false, "after -run (or at -serve shutdown), dump the metrics registry to stderr")
 	slowlog := flag.Duration("slowlog", 0, "render -run requests slower than this wall-clock threshold as span trees on stderr (0 = off)")
 	doServe := flag.Bool("serve", false, "serve the simulated database over the wire protocol (internal/net) instead of transforming a program")
 	addr := flag.String("addr", "127.0.0.1:7474", "-serve listen address")
 	rows := flag.Int("rows", 10000, "-serve: rows preloaded into the `load` table")
 	inflight := flag.Int("inflight", 64, "-serve: admission budget (max concurrently executing request units; 0 = unlimited)")
+	replicas := flag.Int("replicas", 1, "-serve: read replicas behind the primary")
+	durability := flag.String("durability", "", "-serve: WAL commit mode (off|group|strict; empty = group)")
 	scale := flag.Float64("scale", 0.02, "-serve: simulated-time scale factor for the backing server")
 	flag.Parse()
 
@@ -141,139 +122,18 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("run original: %w", err))
 		}
-		// With -shards the deterministic backend is treated as N partitions:
-		// every request is routed by its first argument through the shard
-		// package's hash partitioner and counted, so the reported
-		// distribution shows how the transformed program's submissions
-		// would spread across a sharded cluster. With -replicas each
-		// partition's reads additionally rotate round-robin across R read
-		// replicas, modelling the replica group's balancing: a whole batch
-		// (or rather, its per-shard sub-batch) rides to ONE replica, exactly
-		// as internal/replica routes read batches.
-		run := testsvc.Runner()
-		runBatch := testsvc.BatchRunner()
-		var perShard []int64
-		var perReplica [][]int64
-		var rr []atomic.Int64
-		var mig *reshardModel
-		if *reshardAt > 0 {
-			if *shards < 2 {
-				fatal(fmt.Errorf("-reshard requires -shards >= 2 (the last shard is the split target)"))
-			}
-			mig = newReshardModel(*shards, *reshardAt)
-		}
-		if *shards > 1 || *replicas > 1 {
-			perShard = make([]int64, max(*shards, 1))
-			if *replicas > 1 {
-				perReplica = make([][]int64, len(perShard))
-				for i := range perReplica {
-					perReplica[i] = make([]int64, *replicas)
-				}
-				rr = make([]atomic.Int64, len(perShard))
-			}
-			shardOf := func(args []any) int {
-				if len(args) > 0 {
-					if mig != nil {
-						return mig.route(args[0])
-					}
-					return shard.Partition(args[0], len(perShard))
-				}
-				return 0
-			}
-			// countReads books n reads on the next replica of shard s's
-			// rotation: n == 1 for a single request, n == the sub-batch size
-			// for a batch, which visits one replica per round trip.
-			countReads := func(s, n int) {
-				if perReplica != nil {
-					r := int(rr[s].Add(1)-1) % *replicas
-					atomic.AddInt64(&perReplica[s][r], int64(n))
-				}
-			}
-			baseRun, baseBatch := run, runBatch
-			run = func(req query.Request) query.Result {
-				s := shardOf(req.Args)
-				atomic.AddInt64(&perShard[s], 1)
-				countReads(s, 1)
-				return baseRun(req)
-			}
-			runBatch = func(req query.BatchRequest) query.BatchResult {
-				subBatch := make(map[int]int, len(perShard))
-				for _, args := range req.ArgSets {
-					s := shardOf(args)
-					atomic.AddInt64(&perShard[s], 1)
-					subBatch[s]++
-				}
-				for s := 0; s < len(perShard); s++ {
-					if n := subBatch[s]; n > 0 {
-						countReads(s, n)
-					}
-				}
-				return baseBatch(req)
-			}
-		}
-		// With -durability every successful submission is appended to its
-		// modeled shard's write-ahead log and acknowledged per the chosen
-		// commit mode before the runner returns, so the reported fsync
-		// counts show the group-commit amortization: a coalesced batch's
-		// per-shard sub-batch becomes one append of many records, and
-		// concurrent commits share fsyncs.
-		var walLogs []*wal.Log
-		if *durability != "" {
-			mode, err := wal.ParseMode(*durability)
-			if err != nil {
-				fatal(err)
-			}
-			walLogs = make([]*wal.Log, max(*shards, 1))
-			for i := range walLogs {
-				walLogs[i] = wal.New(wal.Options{Mode: mode})
-			}
-			logOf := func(args []any) *wal.Log {
-				if len(args) > 0 {
-					if mig != nil {
-						// Follow the live range map so a record lands on the
-						// shard that owns its key at commit time.
-						return walLogs[mig.owner(args[0])]
-					}
-					return walLogs[shard.Partition(args[0], len(walLogs))]
-				}
-				return walLogs[0]
-			}
-			baseRun, baseBatch := run, runBatch
-			run = func(req query.Request) query.Result {
-				res := baseRun(req)
-				if res.Err == nil {
-					l := logOf(req.Args)
-					l.Commit(l.Append(req.Name, req.SQL, [][]any{req.Args}))
-				}
-				return res
-			}
-			runBatch = func(req query.BatchRequest) query.BatchResult {
-				br := baseBatch(req)
-				sub := make(map[*wal.Log][][]any, len(walLogs))
-				for i, args := range req.ArgSets {
-					if br.Errs == nil || br.Errs[i] == nil {
-						l := logOf(args)
-						sub[l] = append(sub[l], args)
-					}
-				}
-				for l, sets := range sub {
-					l.Commit(l.Append(req.Name, req.SQL, sets))
-				}
-				return br
-			}
-		}
 		var svc *exec.Service
 		if *batchSize > 1 {
-			svc = batch.NewService(*threads, run, runBatch,
+			svc = batch.NewService(*threads, testsvc.Runner(), testsvc.BatchRunner(),
 				batch.Options{MaxBatch: *batchSize})
 		} else {
-			svc = exec.NewService(*threads, run)
+			svc = exec.NewService(*threads, testsvc.Runner())
 		}
 		defer svc.Close()
 		// -stats / -slowlog turn on the observability stack: one root span
 		// per submission (the deterministic test runner needs no span
 		// runners — queue wait and batch coalescing are still measured),
-		// with WAL state and executor counters pulled into one registry.
+		// with the executor counters pulled into the same registry.
 		var obsReg *obs.Registry
 		if *stats || *slowlog > 0 {
 			obsReg = obs.NewRegistry()
@@ -292,28 +152,11 @@ func main() {
 					"batch.avg": avg,
 				}
 			})
-			for i, l := range walLogs {
-				l := l
-				l.SetMetrics(obsReg)
-				obsReg.RegisterSource(fmt.Sprintf("shard%d.wal", i), func() map[string]float64 {
-					return l.Stats().Metrics()
-				})
-			}
-			if mig != nil {
-				// Migration counters ride the unified dump like every other
-				// subsystem, not a side-channel printout.
-				obsReg.RegisterSource("shard.migrations", mig.metrics)
-			}
 		}
 		in2 := interp.New(reg, svc)
 		r2, err := in2.Run(trans, args)
 		if err != nil {
 			fatal(fmt.Errorf("run transformed: %w", err))
-		}
-		if mig != nil {
-			// The request stream is over: a copy window still open completes
-			// and flips now, so the reports see the final generation.
-			mig.finish()
 		}
 		same := r1.Output == r2.Output && len(r1.Returned) == len(r2.Returned)
 		for i := range r1.Returned {
@@ -327,47 +170,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "-- batch: %d submissions coalesced into %d batches (avg size %.1f)\n",
 				submitted, batches, avg)
 		}
-		if *shards > 1 {
-			fmt.Fprintf(os.Stderr, "-- shards: requests per shard: %v\n", perShard)
-		}
-		if mig != nil && !*stats {
-			// The unified -stats dump carries these counters when requested.
-			fmt.Fprintf(os.Stderr, "-- reshard: %s\n", mig.report())
-		}
-		if perReplica != nil {
-			fmt.Fprintf(os.Stderr, "-- replicas: reads per shard/replica: %v\n", perReplica)
-		}
-		// Drain the pool before reading final WAL/span state: every pending
+		// Drain the pool before reading final span state: every pending
 		// handle completes (ending its request span) before the dump.
 		svc.Close()
-		if walLogs != nil {
-			var recs, syncs int64
-			perLog := make([]int64, len(walLogs))
-			for i, l := range walLogs {
-				l.SyncTo(l.LastLSN())
-				st := l.Stats()
-				perLog[i] = st.Appends
-				recs += st.SyncedRecords
-				syncs += st.Syncs
-			}
-			if !*stats {
-				// The unified -stats dump below subsumes this ad-hoc report.
-				avg := 0.0
-				if syncs > 0 {
-					avg = float64(recs) / float64(syncs)
-				}
-				fmt.Fprintf(os.Stderr, "-- durability %s: %d records durable in %d fsyncs (%.1f records/fsync); records per shard: %v\n",
-					*durability, recs, syncs, avg, perLog)
-			}
-		}
 		if *stats && obsReg != nil {
 			fmt.Fprintln(os.Stderr, "\n-- stats:")
 			if err := obsReg.Dump(os.Stderr); err != nil {
 				fatal(err)
 			}
-		}
-		for _, l := range walLogs {
-			l.Close()
 		}
 	}
 }
@@ -415,144 +225,6 @@ func printDDGs(proc *ir.Proc) {
 	if n == 0 {
 		fmt.Fprintln(os.Stderr, "asyncq: no loops found")
 	}
-}
-
-// reshardModel routes -run requests by a live hash-range ownership map and
-// walks one split through the migration protocol's phases in miniature:
-// after `trigger` routed requests the hottest shard's widest range is
-// halved onto the reserved last shard, a copy window of copyWindow further
-// requests follows during which requests landing in the moving range still
-// route to the old owner but are counted as double-writes, and then the
-// routing flips to the new generation. "Rows copied" is the number of
-// distinct keys seen so far that the flip hands to the new owner — the
-// modeled population of the moved range.
-type reshardModel struct {
-	mu                                            sync.Mutex
-	rg                                            *shard.Ranges
-	pending                                       *shard.Ranges // built at trigger, installed at flip
-	phase                                         int           // 0 before trigger, 1 copy window, 2 flipped
-	trigger                                       int64
-	flipAt                                        int64
-	routed                                        int64
-	hot                                           int
-	newIdx                                        int
-	counts                                        []int64
-	seen                                          map[uint64]struct{}
-	splits, rangesMoved, rowsCopied, doubleWrites int64
-}
-
-// copyWindow is the modeled length of the copy phase, in routed requests.
-const copyWindow = 32
-
-func newReshardModel(shards int, trigger int64) *reshardModel {
-	// The last shard starts rangeless: it is the split's target, so the
-	// per-shard accounting arrays sized for `shards` stay index-stable
-	// across the migration.
-	return &reshardModel{
-		rg:      shard.NewRanges(shards - 1),
-		trigger: trigger,
-		newIdx:  shards - 1,
-		counts:  make([]int64, shards),
-		seen:    make(map[uint64]struct{}),
-	}
-}
-
-// route returns the owner of arg under the live map, advancing the modeled
-// migration as the request stream crosses its phase boundaries.
-func (m *reshardModel) route(arg any) int {
-	h := shard.Hash64(arg)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.routed++
-	switch m.phase {
-	case 0:
-		if m.routed >= m.trigger {
-			m.begin()
-		}
-	case 1:
-		if m.routed >= m.flipAt {
-			m.flip()
-		}
-	}
-	s := m.rg.Owner(h)
-	m.counts[s]++
-	m.seen[h] = struct{}{}
-	if m.phase == 1 && m.pending.Owner(h) == m.newIdx {
-		// In the copy window a request whose key is moving still executes
-		// on the old owner and is mirrored to the new one.
-		m.doubleWrites++
-	}
-	return s
-}
-
-// owner reports arg's owner under the live map without accounting it.
-func (m *reshardModel) owner(arg any) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rg.Owner(shard.Hash64(arg))
-}
-
-// begin picks the hottest current owner and stages the split.
-func (m *reshardModel) begin() {
-	hot := 0
-	for _, s := range m.rg.Owners() {
-		if m.counts[s] > m.counts[hot] {
-			hot = s
-		}
-	}
-	next, _, err := m.rg.Split(hot, m.newIdx)
-	if err != nil {
-		m.phase = 2 // unsplittable (degenerate map): stay put
-		return
-	}
-	m.hot, m.pending = hot, next
-	m.flipAt = m.routed + copyWindow
-	m.phase = 1
-}
-
-// flip installs the new generation and books the copy.
-func (m *reshardModel) flip() {
-	for h := range m.seen {
-		if m.pending.Owner(h) == m.newIdx {
-			m.rowsCopied++
-		}
-	}
-	m.rg = m.pending
-	m.pending = nil
-	m.splits++
-	m.rangesMoved++
-	m.phase = 2
-}
-
-// finish completes a copy window left open when the request stream ended.
-func (m *reshardModel) finish() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.phase == 1 {
-		m.flip()
-	}
-}
-
-func (m *reshardModel) metrics() map[string]float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return map[string]float64{
-		"generation":    float64(m.rg.Generation()),
-		"splits":        float64(m.splits),
-		"ranges.moved":  float64(m.rangesMoved),
-		"rows.copied":   float64(m.rowsCopied),
-		"double.writes": float64(m.doubleWrites),
-	}
-}
-
-func (m *reshardModel) report() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.splits == 0 {
-		return fmt.Sprintf("no split: %d requests routed, trigger %d", m.routed, m.trigger)
-	}
-	return fmt.Sprintf("split shard %d onto %d (generation %d): %d ranges moved, %d rows copied, %d double-writes",
-		m.hot, m.newIdx, m.rg.Generation(), m.rangesMoved, m.rowsCopied, m.doubleWrites)
 }
 
 func fatal(err error) {

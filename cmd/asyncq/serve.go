@@ -6,11 +6,11 @@ import (
 	"os/signal"
 	"syscall"
 
+	"repro/internal/experiments"
 	"repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/server"
-	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -45,20 +45,7 @@ func serve(o serveOptions) error {
 		Durability: mode,
 	})
 	defer g.Close()
-	schema := storage.NewSchema(
-		storage.Column{Name: "id", Type: storage.TInt},
-		storage.Column{Name: "val", Type: storage.TString},
-	)
-	if err := g.CreateTable("load", schema, 0); err != nil {
-		return err
-	}
-	for i := 1; i <= o.rows; i++ {
-		if err := g.InsertRow("load", []any{int64(i), fmt.Sprintf("v%d", i)}); err != nil {
-			return err
-		}
-	}
-	g.FinishLoad()
-	if err := g.AddIndex("load", "id", true); err != nil {
+	if err := experiments.LoadPointTable(g, "load", o.rows); err != nil {
 		return err
 	}
 	g.Warm()

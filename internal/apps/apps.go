@@ -11,7 +11,6 @@
 package apps
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/interp"
@@ -53,16 +52,6 @@ func (a *App) Registry() *ir.Registry {
 		reg.Register(s)
 	}
 	return reg
-}
-
-// ByName returns a registered app.
-func ByName(name string) (*App, error) {
-	for _, a := range All() {
-		if a.Name == name {
-			return a, nil
-		}
-	}
-	return nil, fmt.Errorf("apps: unknown app %q", name)
 }
 
 // All lists the five applications.

@@ -262,33 +262,6 @@ func PairEdges(a, b ir.Stmt, reg *ir.Registry) []Edge {
 	return out
 }
 
-// EdgesFrom returns the edges leaving node id.
-func (g *Graph) EdgesFrom(id int) []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if e.From == id {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// EdgesBetween returns the intra-iteration edges from node a to node b.
-func (g *Graph) EdgesBetween(a, b int) []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if e.From == a && e.To == b && !e.Kind.IsCarried() {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// HasIntraDep reports any intra-iteration dependence (FD/AD/OD) from a to b.
-func (g *Graph) HasIntraDep(a, b int) bool {
-	return len(g.EdgesBetween(a, b)) > 0
-}
-
 // TrueDepPath reports whether a path of FD/LCFD edges leads from node a to
 // node b (Definition 4.1). a == b asks for a cycle through a.
 func (g *Graph) TrueDepPath(a, b int) bool {

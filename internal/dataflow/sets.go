@@ -7,8 +7,6 @@
 package dataflow
 
 import (
-	"sort"
-
 	"repro/internal/ir"
 )
 
@@ -54,21 +52,6 @@ func add(m map[string]bool, locs ...string) {
 			m[l] = true
 		}
 	}
-}
-
-// SortedReads returns the read set in deterministic order (for tests/dumps).
-func (s *Sets) SortedReads() []string { return sorted(s.Reads) }
-
-// SortedWrites returns the write set in deterministic order.
-func (s *Sets) SortedWrites() []string { return sorted(s.Writes) }
-
-func sorted(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // StmtSets computes the dataflow sets of a single statement. Compound
@@ -219,20 +202,6 @@ func collectExpr(e ir.Expr, reg *ir.Registry, out *Sets, mayOnly bool) {
 			}
 		}
 	}
-}
-
-// ExprReads returns the variables read by an expression (no externals).
-func ExprReads(e ir.Expr, reg *ir.Registry) []string {
-	s := newSets()
-	collectExpr(e, reg, s, true)
-	var out []string
-	for v := range s.Reads {
-		if !IsExternal(v) {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // MutatesInPlace reports whether the statement mutates any variable in place

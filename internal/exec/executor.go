@@ -69,12 +69,6 @@ func NewPendingHandle(sp *obs.Span, dl query.Deadline) *Handle {
 	return h
 }
 
-// Span returns the request's root span (nil when untraced).
-func (h *Handle) Span() *obs.Span { return h.span }
-
-// Deadline returns the request deadline carried by the handle.
-func (h *Handle) Deadline() query.Deadline { return h.dl }
-
 // Complete publishes the result and wakes all fetchers. It is exported for
 // demultiplexing layers that own pending handles (see NewPendingHandle); it
 // must be called at most once per handle.
@@ -177,19 +171,17 @@ type Executor struct {
 	run      Runner
 	runBatch BatchRunner // optional set-oriented path for batch jobs
 
-	mu      sync.Mutex
-	cond    sync.Cond
-	queue   jobRing
-	closed  bool
-	workers int
-	wg      sync.WaitGroup
-	jobs    sync.Pool
+	mu     sync.Mutex
+	cond   sync.Cond
+	queue  jobRing
+	closed bool
+	wg     sync.WaitGroup
+	jobs   sync.Pool
 
 	submitted atomic.Int64
-	completed atomic.Int64
+	completed atomic.Int64 // bumped before the handle resolves: a caller that fetched every handle reads them all here
 	batches   atomic.Int64 // batch jobs issued
 	batched   atomic.Int64 // individual requests carried by batch jobs
-	abandoned atomic.Int64 // requests dropped unexecuted: deadline expired in queue
 }
 
 // NewExecutor starts a pool of the given size. workers is the paper's
@@ -206,7 +198,7 @@ func NewBatchExecutor(workers int, run Runner, runBatch BatchRunner) *Executor {
 	if workers < 1 {
 		workers = 1
 	}
-	e := &Executor{run: run, runBatch: runBatch, workers: workers}
+	e := &Executor{run: run, runBatch: runBatch}
 	e.cond.L = &e.mu
 	e.jobs.New = func() any { return new(job) }
 	e.wg.Add(workers)
@@ -215,9 +207,6 @@ func NewBatchExecutor(workers int, run Runner, runBatch BatchRunner) *Executor {
 	}
 	return e
 }
-
-// Workers returns the pool size.
-func (e *Executor) Workers() int { return e.workers }
 
 // Submit enqueues a request and returns its handle immediately. The handle
 // adopts the request's span (completion ends it) and deadline (a worker that
@@ -303,11 +292,6 @@ func (e *Executor) BatchStats() (batchesIssued int64, avgBatchSize float64) {
 	return b, float64(n) / float64(b)
 }
 
-// Abandoned reports how many requests a worker dropped unexecuted because
-// their deadline expired while they sat in the queue. Abandoned requests
-// still count as completed (their handles resolve with ErrDeadlineExceeded).
-func (e *Executor) Abandoned() int64 { return e.abandoned.Load() }
-
 // Close drains the queue: pending requests still execute, then workers exit.
 // It blocks until all workers have stopped.
 func (e *Executor) Close() {
@@ -348,14 +332,13 @@ func (e *Executor) worker() {
 		if req.Deadline.Expired() {
 			// The request aged out in the queue: abandon it rather than
 			// spend backend work on an answer nobody is waiting for.
-			e.abandoned.Add(1)
-			h.complete(nil, query.ErrDeadlineExceeded)
 			e.completed.Add(1)
+			h.complete(nil, query.ErrDeadlineExceeded)
 			continue
 		}
 		res := e.run(req)
-		h.complete(res.Value, res.Err)
 		e.completed.Add(1)
+		h.complete(res.Value, res.Err)
 	}
 }
 
@@ -376,9 +359,8 @@ func (e *Executor) runBatchJob(j *job) {
 	live := make([]int, 0, len(hs))
 	for i, h := range hs {
 		if h.dl.Expired() {
-			e.abandoned.Add(1)
-			h.complete(nil, query.ErrDeadlineExceeded)
 			e.completed.Add(1)
+			h.complete(nil, query.ErrDeadlineExceeded)
 			continue
 		}
 		live = append(live, i)
@@ -425,8 +407,8 @@ func (e *Executor) runBatchJob(j *job) {
 				WithSpan(hs[i].span).WithSession(req.Session).WithDeadline(hs[i].dl)
 			r.Consistency = req.Consistency
 			res := e.run(r)
-			hs[i].complete(res.Value, res.Err)
 			e.completed.Add(1)
+			hs[i].complete(res.Value, res.Err)
 		}
 		return
 	}
@@ -444,7 +426,7 @@ func (e *Executor) runBatchJob(j *job) {
 		if err == nil && k >= len(br.Values) {
 			err = errors.New("exec: batch runner returned too few results")
 		}
-		hs[i].complete(v, err)
 		e.completed.Add(1)
+		hs[i].complete(v, err)
 	}
 }

@@ -86,9 +86,6 @@ func (s *Service) EnableTracing(tr *obs.Tracer) {
 	s.tracer.Store(tr)
 }
 
-// Tracer returns the tracer installed by EnableTracing, or nil.
-func (s *Service) Tracer() *obs.Tracer { return s.tracer.Load() }
-
 // Exec implements interp.QueryService.
 func (s *Service) Exec(name, sql string, args []interp.Value) (interp.Value, error) {
 	return s.sync(query.Req(name, sql, args)).Pair()

@@ -23,34 +23,6 @@ type ChaosMeasurement struct {
 	Fired      map[string]int64
 }
 
-// startChaos is startFrontdoor with the resilience layer armed: a 2-replica
-// group over a fault-wrapped store with hedged reads and circuit breakers,
-// its reads subject to injected replica crashes.
-func (h *Harness) startChaos(rows int, inj *fault.Injector) (*frontdoorFixture, *obs.Registry, error) {
-	reg := obs.NewRegistry()
-	g := replica.NewGroup(server.SYS1(), h.Scale, replica.Options{
-		Replicas:   2,
-		Durability: wal.Group,
-		Store:      fault.NewStore(wal.NewMemStore(), inj),
-		Hedge:      5 * time.Millisecond,
-		Breaker:    replica.BreakerOptions{Enabled: true, Cooldown: 2 * time.Millisecond},
-		Fault:      inj,
-	})
-	if err := loadPointTable(g, rows); err != nil {
-		g.Close()
-		return nil, nil, err
-	}
-	g.Warm()
-	g.SetMetrics(reg)
-
-	fd := net.NewServer(g, net.ServerOptions{Metrics: reg})
-	if err := fd.Listen("127.0.0.1:0"); err != nil {
-		g.Close()
-		return nil, nil, err
-	}
-	return &frontdoorFixture{g: g, fd: fd}, reg, nil
-}
-
 // FigChaos — client-observed latency percentiles and goodput vs injected
 // fault rate. A closed-loop read workload drives the full resilient stack —
 // retrying TCP client, hedged reads, per-replica circuit breakers, flaky
@@ -96,7 +68,18 @@ func (h *Harness) FigChaos() (*Figure, error) {
 			Rate(fault.SyncStall, p).Delay(fault.SyncStall, 200*time.Microsecond).
 			Rate(fault.ReplicaCrash, p)
 
-		fx, _, err := h.startChaos(rows, inj)
+		// The resilience layer armed: a 2-replica group over a fault-wrapped
+		// store with hedged reads and circuit breakers, its reads subject to
+		// injected replica crashes.
+		reg := obs.NewRegistry()
+		fx, err := h.startFrontdoor(rows, replica.Options{
+			Replicas:   2,
+			Durability: wal.Group,
+			Store:      fault.NewStore(wal.NewMemStore(), inj),
+			Hedge:      5 * time.Millisecond,
+			Breaker:    replica.BreakerOptions{Enabled: true, Cooldown: 2 * time.Millisecond},
+			Fault:      inj,
+		}, reg, net.ServerOptions{Metrics: reg})
 		if err != nil {
 			return nil, fmt.Errorf("chaos %d%%: %w", pct, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/replica"
 	"repro/internal/server"
-	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -32,15 +32,14 @@ type DurabilityMeasurement struct {
 // speedScore ranks repeated measurements for BestOf.
 func (m DurabilityMeasurement) speedScore() float64 { return m.Throughput }
 
-// MeasureDurability times `inserts` acknowledged single-row inserts issued
-// by `threads` concurrent clients against a one-replica group whose WAL runs
-// in `mode`. Every acknowledgement honors the mode's contract — strict and
-// group return only after the record's fsync, off returns immediately — so
-// the throughput spread is exactly the price of the durability guarantee.
-func (h *Harness) MeasureDurability(prof server.Profile, mode wal.Mode,
-	threads, inserts int) (DurabilityMeasurement, error) {
+// insertSQL is the storm's statement: one acknowledged row into
+// events(id, val).
+const insertSQL = "insert into events values (?, ?)"
 
-	m := DurabilityMeasurement{Mode: mode.String(), Threads: threads, Inserts: inserts}
+// eventsGroup is the durability and tail-latency figures' shared fixture: a
+// one-replica synchronous group whose WAL runs in mode, holding an empty,
+// warmed events(id, val) table indexed on id.
+func (h *Harness) eventsGroup(prof server.Profile, mode wal.Mode) (*replica.Group, error) {
 	// The seek-only disk model underprices fsync: a real log write also
 	// waits for the platter to bring the target sector under the head
 	// (~4ms on the paper-era drives), and that rotational settle is the
@@ -49,24 +48,22 @@ func (h *Harness) MeasureDurability(prof server.Profile, mode wal.Mode,
 	// the settle-free device.
 	prof.Disk.WriteSettle = 4 * time.Millisecond
 	g := replica.NewGroup(prof, h.Scale, replica.Options{Replicas: 1, Durability: mode})
-	defer g.Close()
-	schema := storage.NewSchema(
-		storage.Column{Name: "id", Type: storage.TInt},
-		storage.Column{Name: "val", Type: storage.TString},
-	)
-	if err := g.CreateTable("events", schema, 0); err != nil {
-		return m, err
-	}
-	g.FinishLoad()
-	if err := g.AddIndex("events", "id", true); err != nil {
-		return m, err
+	if err := LoadPointTable(g, "events", 0); err != nil {
+		g.Close()
+		return nil, err
 	}
 	g.Warm()
+	return g, nil
+}
 
+// insertStorm is the figures' shared driver: `threads` concurrent clients
+// draw ids 1..inserts from one counter and each waits for its own insert's
+// acknowledgement before drawing the next; a client stops at its first
+// error, and the clients' errors come back joined.
+func insertStorm(threads, inserts int, insert func(args []any) error) error {
 	var next atomic.Int64
 	errs := make([]error, threads)
 	var wg sync.WaitGroup
-	start := time.Now()
 	for w := 0; w < threads; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -76,20 +73,38 @@ func (h *Harness) MeasureDurability(prof server.Profile, mode wal.Mode,
 				if id > int64(inserts) {
 					return
 				}
-				if res := g.Exec(query.Req("d", "insert into events values (?, ?)",
-					[]any{id, fmt.Sprintf("e%d", id)})); res.Err != nil {
-					errs[w] = res.Err
+				if errs[w] = insert([]any{id, fmt.Sprintf("e%d", id)}); errs[w] != nil {
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// MeasureDurability times `inserts` acknowledged single-row inserts issued
+// by `threads` concurrent clients against a one-replica group whose WAL runs
+// in `mode`. Every acknowledgement honors the mode's contract — strict and
+// group return only after the record's fsync, off returns immediately — so
+// the throughput spread is exactly the price of the durability guarantee.
+func (h *Harness) MeasureDurability(prof server.Profile, mode wal.Mode,
+	threads, inserts int) (DurabilityMeasurement, error) {
+
+	m := DurabilityMeasurement{Mode: mode.String(), Threads: threads, Inserts: inserts}
+	g, err := h.eventsGroup(prof, mode)
+	if err != nil {
+		return m, err
+	}
+	defer g.Close()
+
+	start := time.Now()
+	err = insertStorm(threads, inserts, func(args []any) error {
+		return g.Exec(query.Req("d", insertSQL, args)).Err
+	})
 	elapsed := time.Since(start).Seconds()
-	for _, err := range errs {
-		if err != nil {
-			return m, err
-		}
+	if err != nil {
+		return m, err
 	}
 	if h.Scale > 0 {
 		elapsed /= h.Scale
@@ -101,6 +116,16 @@ func (h *Harness) MeasureDurability(prof server.Profile, mode wal.Mode,
 	st := g.WALStats()
 	m.Syncs, m.AvgGroup = st.Syncs, st.AvgGroup()
 	return m, nil
+}
+
+// walModes is the fsync-policy sweep of the durability and tail-latency
+// figures: all three commit modes, or only Harness.Durability when set.
+func (h *Harness) walModes() ([]wal.Mode, error) {
+	if h.Durability == "" {
+		return []wal.Mode{wal.Off, wal.Group, wal.Strict}, nil
+	}
+	m, err := wal.ParseMode(h.Durability)
+	return []wal.Mode{m}, err
 }
 
 // FigDurability — acknowledged insert throughput vs fsync policy as client
@@ -120,13 +145,9 @@ func (h *Harness) FigDurability() (*Figure, error) {
 		XLabel: "Number of client threads",
 		YLabel: "Throughput (inserts/sec)",
 	}
-	modes := []wal.Mode{wal.Off, wal.Group, wal.Strict}
-	if h.Durability != "" {
-		m, err := wal.ParseMode(h.Durability)
-		if err != nil {
-			return nil, err
-		}
-		modes = []wal.Mode{m}
+	modes, err := h.walModes()
+	if err != nil {
+		return nil, err
 	}
 	var lastGroup DurabilityMeasurement
 	for _, mode := range modes {

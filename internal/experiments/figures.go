@@ -281,8 +281,8 @@ func (h *Harness) FigShardScale() (*Figure, error) {
 		var tput Series
 		tput.Label = fmt.Sprintf("Batched throughput (%s)", cacheName)
 		for _, n := range shards {
-			best, err := BestOf(3, ShardMeasurement.speedScore, func() (ShardMeasurement, error) {
-				return h.MeasureSharded(apps.RUBiS(), server.SYS1(), threads, iters, warm, maxBatch, n)
+			best, err := BestOf(3, ClusterMeasurement.speedScore, func() (ClusterMeasurement, error) {
+				return h.MeasureCluster(apps.RUBiS(), server.SYS1(), threads, iters, warm, maxBatch, n, 0)
 			})
 			if err != nil {
 				return nil, fmt.Errorf("shard-scale %s n=%d: %w", cacheName, n, err)
@@ -324,8 +324,8 @@ func (h *Harness) FigReplicaScale() (*Figure, error) {
 	tput.Label = "Batched read throughput (Cold Cache, 1 shard)"
 	var lastBalance [][]int64
 	for _, nrep := range replicas {
-		best, err := BestOf(5, ReplicaMeasurement.speedScore, func() (ReplicaMeasurement, error) {
-			return h.MeasureReplicated(apps.RUBiS(), server.SYS1(), threads, iters, false, maxBatch, 1, nrep)
+		best, err := BestOf(5, ClusterMeasurement.speedScore, func() (ClusterMeasurement, error) {
+			return h.MeasureCluster(apps.RUBiS(), server.SYS1(), threads, iters, false, maxBatch, 1, nrep)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("replica-scale r=%d: %w", nrep, err)
@@ -369,20 +369,4 @@ func Table1() []TableRow {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// AllFigures runs every figure in order.
-func (h *Harness) AllFigures() ([]*Figure, error) {
-	funcs := []func() (*Figure, error){
-		h.Fig08, h.Fig09, h.Fig10, h.Fig11, h.Fig12, h.Fig13, h.Fig14, h.Fig15,
-	}
-	var out []*Figure
-	for _, f := range funcs {
-		fig, err := f()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, fig)
-	}
-	return out, nil
 }

@@ -31,38 +31,39 @@ type frontdoorFixture struct {
 	fd *net.Server
 }
 
-// loadPointTable creates and fills the point-read "load" table the load
-// generator drives (shared by the frontdoor and chaos fixtures).
-func loadPointTable(g *replica.Group, rows int) error {
+// LoadPointTable creates table(id int, val string) on every copy of g, fills
+// it with rows 1..rows ("v<id>") and indexes id uniquely: the point-read
+// "load" table the load generator drives (cmd/asyncq -serve, the frontdoor
+// and chaos fixtures) and, empty, the insert storms' "events" table.
+func LoadPointTable(g *replica.Group, table string, rows int) error {
 	schema := storage.NewSchema(
 		storage.Column{Name: "id", Type: storage.TInt},
 		storage.Column{Name: "val", Type: storage.TString},
 	)
-	if err := g.CreateTable("load", schema, 0); err != nil {
+	if err := g.CreateTable(table, schema, 0); err != nil {
 		return err
 	}
 	for i := 1; i <= rows; i++ {
-		if err := g.InsertRow("load", []any{int64(i), fmt.Sprintf("v%d", i)}); err != nil {
+		if err := g.InsertRow(table, []any{int64(i), fmt.Sprintf("v%d", i)}); err != nil {
 			return err
 		}
 	}
 	g.FinishLoad()
-	return g.AddIndex("load", "id", true)
+	return g.AddIndex(table, "id", true)
 }
 
-func (h *Harness) startFrontdoor(rows, inflight int) (*frontdoorFixture, error) {
-	g := replica.NewGroup(server.SYS1(), h.Scale, replica.Options{
-		Replicas:   1,
-		Durability: wal.Group,
-	})
-	if err := loadPointTable(g, rows); err != nil {
+// startFrontdoor brings up the fixture: a group built from opts, loaded,
+// warmed and pointed at reg, behind a front door listening on loopback.
+func (h *Harness) startFrontdoor(rows int, opts replica.Options, reg *obs.Registry, so net.ServerOptions) (*frontdoorFixture, error) {
+	g := replica.NewGroup(server.SYS1(), h.Scale, opts)
+	if err := LoadPointTable(g, "load", rows); err != nil {
 		g.Close()
 		return nil, err
 	}
 	g.Warm()
-	g.SetMetrics(obs.NewRegistry())
+	g.SetMetrics(reg)
 
-	fd := net.NewServer(g, net.ServerOptions{MaxInflight: inflight})
+	fd := net.NewServer(g, so)
 	if err := fd.Listen("127.0.0.1:0"); err != nil {
 		g.Close()
 		return nil, err
@@ -110,7 +111,8 @@ func (h *Harness) FigFrontdoor() (*Figure, error) {
 	}
 	percents := h.pick([]int{50, 75, 100, 125, 150, 200}, []int{50, 100, 200})
 
-	fx, err := h.startFrontdoor(rows, inflight)
+	fx, err := h.startFrontdoor(rows, replica.Options{Replicas: 1, Durability: wal.Group},
+		obs.NewRegistry(), net.ServerOptions{MaxInflight: inflight})
 	if err != nil {
 		return nil, fmt.Errorf("frontdoor: %w", err)
 	}

@@ -99,14 +99,6 @@ type Measurement struct {
 	Transformed float64
 }
 
-// Speedup is Original/Transformed.
-func (m Measurement) Speedup() float64 {
-	if m.Transformed == 0 {
-		return 0
-	}
-	return m.Original / m.Transformed
-}
-
 func (h *Harness) proc(app *apps.App) (*procPair, error) {
 	if p, ok := h.procs[app.Name]; ok {
 		return p, nil
@@ -264,6 +256,35 @@ func (h *Harness) runOn(app *apps.App, tgt target, p *interp.Program,
 	return res, elapsed, ri, nil
 }
 
+// measureAsync times the original kernel blocking and the transformed kernel
+// on a pool of `threads` workers, verifying that both produce identical
+// results: the comparison every submission-mode measurement starts from.
+func (h *Harness) measureAsync(app *apps.App, prof server.Profile, threads, iterations int, warm bool) (
+	pp *procPair, asyncRes *interp.Result, syncSec, asyncSec float64, asyncInfo runInfo, err error) {
+
+	if pp, err = h.proc(app); err != nil {
+		return
+	}
+	syncRes, syncSec, _, err := h.runKernel(app, prof, pp.origProg, iterations, warm,
+		func(srv *server.Server) *exec.Service {
+			return h.trace(exec.NewService(0, srv.Exec))
+		})
+	if err != nil {
+		return
+	}
+	asyncRes, asyncSec, asyncInfo, err = h.runKernel(app, prof, pp.transProg, iterations, warm,
+		func(srv *server.Server) *exec.Service {
+			return h.trace(exec.NewService(threads, srv.Exec))
+		})
+	if err != nil {
+		return
+	}
+	if err = sameResult(syncRes, asyncRes); err != nil {
+		err = fmt.Errorf("%s: transformed program produced different results: %w", app.Name, err)
+	}
+	return
+}
+
 // Measure times the original and transformed kernels under one
 // configuration, verifying that both produce identical results.
 func (h *Harness) Measure(app *apps.App, prof server.Profile, threads, iterations int, warm bool) (Measurement, error) {
@@ -271,30 +292,9 @@ func (h *Harness) Measure(app *apps.App, prof server.Profile, threads, iteration
 		App: app.Name, Profile: prof.Name,
 		Threads: threads, Warm: warm, Iterations: iterations,
 	}
-	pp, err := h.proc(app)
-	if err != nil {
-		return m, err
-	}
-
-	origRes, origSec, _, err := h.runKernel(app, prof, pp.origProg, iterations, warm,
-		func(srv *server.Server) *exec.Service {
-			return h.trace(exec.NewService(0, srv.Exec))
-		})
-	if err != nil {
-		return m, err
-	}
-	transRes, transSec, _, err := h.runKernel(app, prof, pp.transProg, iterations, warm,
-		func(srv *server.Server) *exec.Service {
-			return h.trace(exec.NewService(threads, srv.Exec))
-		})
-	if err != nil {
-		return m, err
-	}
-	if err := sameResult(origRes, transRes); err != nil {
-		return m, fmt.Errorf("%s: transformed program produced different results: %w", app.Name, err)
-	}
-	m.Original, m.Transformed = origSec, transSec
-	return m, nil
+	var err error
+	_, _, m.Original, m.Transformed, _, err = h.measureAsync(app, prof, threads, iterations, warm)
+	return m, err
 }
 
 // BatchMeasurement is one (app, config) data point comparing synchronous
@@ -330,22 +330,7 @@ func (h *Harness) MeasureBatched(app *apps.App, prof server.Profile, threads, it
 		App: app.Name, Profile: prof.Name,
 		Threads: threads, Warm: warm, Iterations: iterations, MaxBatch: maxBatch,
 	}
-	pp, err := h.proc(app)
-	if err != nil {
-		return m, err
-	}
-
-	syncRes, syncSec, _, err := h.runKernel(app, prof, pp.origProg, iterations, warm,
-		func(srv *server.Server) *exec.Service {
-			return h.trace(exec.NewService(0, srv.Exec))
-		})
-	if err != nil {
-		return m, err
-	}
-	asyncRes, asyncSec, asyncInfo, err := h.runKernel(app, prof, pp.transProg, iterations, warm,
-		func(srv *server.Server) *exec.Service {
-			return h.trace(exec.NewService(threads, srv.Exec))
-		})
+	pp, asyncRes, syncSec, asyncSec, asyncInfo, err := h.measureAsync(app, prof, threads, iterations, warm)
 	if err != nil {
 		return m, err
 	}
@@ -363,9 +348,6 @@ func (h *Harness) MeasureBatched(app *apps.App, prof server.Profile, threads, it
 	m.NetRequestsAsync = asyncInfo.NetRequests
 	m.NetRequestsBatched = batchInfo.NetRequests
 	m.BatchesIssued, m.AvgBatchSize = batchInfo.BatchesIssued, batchInfo.AvgBatchSize
-	if err := sameResult(syncRes, asyncRes); err != nil {
-		return m, fmt.Errorf("%s: async results diverge from sync: %w", app.Name, err)
-	}
 	if err := sameResult(asyncRes, batchRes); err != nil {
 		return m, fmt.Errorf("%s: batched results diverge from async: %w", app.Name, err)
 	}
@@ -389,114 +371,11 @@ func sameResult(a, b *interp.Result) error {
 	return nil
 }
 
-// ShardMeasurement is one (app, config) data point comparing single-server
-// batched execution against a sharded cluster running the same batched
-// workload.
-type ShardMeasurement struct {
-	App        string
-	Profile    string
-	Threads    int
-	Warm       bool
-	Iterations int
-	MaxBatch   int
-	Shards     int
-	// Single and Sharded are simulated seconds for the transformed, batched
-	// kernel on one server vs the N-shard cluster.
-	Single  float64
-	Sharded float64
-	// Throughput is Iterations/Sharded: logical queries per simulated second
-	// on the cluster (the shard-scale figure's y axis).
-	Throughput float64
-	// NetRequestsSingle / NetRequestsSharded count client-visible round
-	// trips; sharding splits batches, so the sharded count is higher while
-	// the trips run in parallel.
-	NetRequestsSingle  int64
-	NetRequestsSharded int64
-	// ShardQueries is the per-shard logical statement count of the sharded
-	// run — the routing balance.
-	ShardQueries []int64
-}
-
-// Speedup is Single/Sharded.
-func (m ShardMeasurement) Speedup() float64 {
-	if m.Sharded == 0 {
-		return 0
-	}
-	return m.Single / m.Sharded
-}
-
-// speedScore ranks repeated measurements for BestOf.
-func (m ShardMeasurement) speedScore() float64 { return m.Throughput }
-
-// MeasureSharded times the transformed kernel with batched submission on a
-// single server and on a cluster of `shards` backends, verifying that both
-// produce identical results.
-func (h *Harness) MeasureSharded(app *apps.App, prof server.Profile,
-	threads, iterations int, warm bool, maxBatch, shards int) (ShardMeasurement, error) {
-
-	m := ShardMeasurement{
-		App: app.Name, Profile: prof.Name,
-		Threads: threads, Warm: warm, Iterations: iterations,
-		MaxBatch: maxBatch, Shards: shards,
-	}
-	pp, err := h.proc(app)
-	if err != nil {
-		return m, err
-	}
-	// The linger window is wall time; scale it like every simulated latency.
-	linger := time.Duration(float64(batch.DefaultLinger) * h.Scale)
-	opts := batch.Options{MaxBatch: maxBatch, Linger: linger}
-
-	singleRes, singleSec, singleInfo, err := h.runKernel(app, prof, pp.transProg, iterations, warm,
-		func(srv *server.Server) *exec.Service {
-			return h.trace(batch.NewService(threads, srv.Exec, srv.ExecBatch, opts))
-		})
-	if err != nil {
-		return m, err
-	}
-
-	rt, err := h.router(app, prof, shards, 0)
-	if err != nil {
-		return m, err
-	}
-	if app.MutatesData {
-		defer rt.Close()
-	}
-	// Shard-aware coalescing: batches form per target shard, so the cluster
-	// pays the same number of round trips as the single server.
-	shOpts := opts
-	shOpts.GroupFn = rt.BatchGroup
-	beforeShard := rt.ShardStats()
-	shardRes, shardSec, shardInfo, err := h.runOn(app, rt, pp.transProg, iterations, warm,
-		func() *exec.Service {
-			return h.trace(batch.NewService(threads, rt.Exec, rt.ExecBatch, shOpts))
-		})
-	if err != nil {
-		return m, err
-	}
-	if err := sameResult(singleRes, shardRes); err != nil {
-		return m, fmt.Errorf("%s: sharded results diverge from single-server: %w", app.Name, err)
-	}
-	m.Single, m.Sharded = singleSec, shardSec
-	if shardSec > 0 {
-		m.Throughput = float64(iterations) / shardSec
-	}
-	m.NetRequestsSingle = singleInfo.NetRequests
-	m.NetRequestsSharded = shardInfo.NetRequests
-	for i, s := range rt.ShardStats() {
-		q := s.Queries
-		if i < len(beforeShard) {
-			q -= beforeShard[i].Queries
-		}
-		m.ShardQueries = append(m.ShardQueries, q)
-	}
-	return m, nil
-}
-
-// ReplicaMeasurement is one (app, config) data point comparing single-server
-// batched execution against a sharded cluster whose shards are replica
-// groups (one primary + Replicas read copies each).
-type ReplicaMeasurement struct {
+// ClusterMeasurement is one (app, topology) data point comparing
+// single-server batched execution against the same batched workload on a
+// cluster of Shards backends, each a bare server (Replicas == 0) or a replica
+// group of one primary plus Replicas read copies.
+type ClusterMeasurement struct {
 	App        string
 	Profile    string
 	Threads    int
@@ -505,42 +384,46 @@ type ReplicaMeasurement struct {
 	MaxBatch   int
 	Shards     int
 	Replicas   int
-	// Single and Replicated are simulated seconds for the transformed,
-	// batched kernel on one server vs the replicated cluster.
-	Single     float64
-	Replicated float64
-	// Throughput is Iterations/Replicated: logical queries per simulated
-	// second on the replicated cluster (the replica-scale figure's y axis).
+	// Single and Cluster are simulated seconds for the transformed, batched
+	// kernel on one server vs the cluster.
+	Single  float64
+	Cluster float64
+	// Throughput is Iterations/Cluster: logical queries per simulated second
+	// on the cluster (the scale figures' y axis).
 	Throughput float64
-	// NetRequestsSingle / NetRequestsReplicated count client-visible round
-	// trips. Read batches ride one trip to one replica, so a read-dominated
-	// workload pays the single-server count; only write replication fans
-	// out.
-	NetRequestsSingle     int64
-	NetRequestsReplicated int64
+	// NetRequestsSingle / NetRequestsCluster count client-visible round
+	// trips. Sharding splits batches, so the cluster count is higher while
+	// the trips run in parallel; read batches ride one trip to one replica,
+	// so only write replication fans out further.
+	NetRequestsSingle  int64
+	NetRequestsCluster int64
+	// ShardQueries is the per-shard logical statement count of the cluster
+	// run — the routing balance.
+	ShardQueries []int64
 	// ReplicaReads is, per shard, the reads each replica served during the
-	// run — the load-balancing evidence.
+	// run — the load-balancing evidence (nil over bare servers).
 	ReplicaReads [][]int64
 }
 
-// Speedup is Single/Replicated.
-func (m ReplicaMeasurement) Speedup() float64 {
-	if m.Replicated == 0 {
+// Speedup is Single/Cluster.
+func (m ClusterMeasurement) Speedup() float64 {
+	if m.Cluster == 0 {
 		return 0
 	}
-	return m.Single / m.Replicated
+	return m.Single / m.Cluster
 }
 
 // speedScore ranks repeated measurements for BestOf.
-func (m ReplicaMeasurement) speedScore() float64 { return m.Throughput }
+func (m ClusterMeasurement) speedScore() float64 { return m.Throughput }
 
-// MeasureReplicated times the transformed kernel with batched submission on
-// a single server and on a cluster of `shards` replica groups of `replicas`
-// read copies each, verifying that both produce identical results.
-func (h *Harness) MeasureReplicated(app *apps.App, prof server.Profile,
-	threads, iterations int, warm bool, maxBatch, shards, replicas int) (ReplicaMeasurement, error) {
+// MeasureCluster times the transformed kernel with batched submission on a
+// single server and on a cluster of `shards` backends fronted by `replicas`
+// read copies each (0 = bare servers), verifying that both produce
+// identical results.
+func (h *Harness) MeasureCluster(app *apps.App, prof server.Profile,
+	threads, iterations int, warm bool, maxBatch, shards, replicas int) (ClusterMeasurement, error) {
 
-	m := ReplicaMeasurement{
+	m := ClusterMeasurement{
 		App: app.Name, Profile: prof.Name,
 		Threads: threads, Warm: warm, Iterations: iterations,
 		MaxBatch: maxBatch, Shards: shards, Replicas: replicas,
@@ -549,6 +432,7 @@ func (h *Harness) MeasureReplicated(app *apps.App, prof server.Profile,
 	if err != nil {
 		return m, err
 	}
+	// The linger window is wall time; scale it like every simulated latency.
 	linger := time.Duration(float64(batch.DefaultLinger) * h.Scale)
 	opts := batch.Options{MaxBatch: maxBatch, Linger: linger}
 
@@ -567,34 +451,35 @@ func (h *Harness) MeasureReplicated(app *apps.App, prof server.Profile,
 	if app.MutatesData {
 		defer rt.Close()
 	}
+	// Shard-aware coalescing: batches form per target shard, so the cluster
+	// pays the same number of round trips as the single server.
 	shOpts := opts
 	shOpts.GroupFn = rt.BatchGroup
-	beforeReads := rt.ReplicaReads()
-	replRes, replSec, replInfo, err := h.runOn(app, rt, pp.transProg, iterations, warm,
+	beforeShard, beforeReads := rt.ShardStats(), rt.ReplicaReads()
+	res, sec, info, err := h.runOn(app, rt, pp.transProg, iterations, warm,
 		func() *exec.Service {
 			return h.trace(batch.NewService(threads, rt.Exec, rt.ExecBatch, shOpts))
 		})
 	if err != nil {
 		return m, err
 	}
-	if err := sameResult(singleRes, replRes); err != nil {
-		return m, fmt.Errorf("%s: replicated results diverge from single-server: %w", app.Name, err)
+	if err := sameResult(singleRes, res); err != nil {
+		return m, fmt.Errorf("%s: cluster results diverge from single-server: %w", app.Name, err)
 	}
-	m.Single, m.Replicated = singleSec, replSec
-	if replSec > 0 {
-		m.Throughput = float64(iterations) / replSec
+	m.Single, m.Cluster = singleSec, sec
+	if sec > 0 {
+		m.Throughput = float64(iterations) / sec
 	}
 	m.NetRequestsSingle = singleInfo.NetRequests
-	m.NetRequestsReplicated = replInfo.NetRequests
+	m.NetRequestsCluster = info.NetRequests
+	for i, s := range rt.ShardStats() {
+		m.ShardQueries = append(m.ShardQueries, s.Queries-beforeShard[i].Queries)
+	}
 	for s, reads := range rt.ReplicaReads() {
-		row := make([]int64, len(reads))
-		copy(row, reads)
-		if beforeReads != nil && s < len(beforeReads) {
-			for i := range row {
-				row[i] -= beforeReads[s][i]
-			}
+		for i := range reads {
+			reads[i] -= beforeReads[s][i]
 		}
-		m.ReplicaReads = append(m.ReplicaReads, row)
+		m.ReplicaReads = append(m.ReplicaReads, reads)
 	}
 	return m, nil
 }

@@ -126,32 +126,47 @@ func TestShardedExecutionMatchesSingleServerOnApps(t *testing.T) {
 	}
 }
 
-// TestMeasureReplicatedSmall drives the replicated harness path (replicated
-// router caching, warm-up, result verification, read-balance accounting) at
-// zero scale, including the mutating forms app, which rebuilds its cluster
-// per run.
-func TestMeasureReplicatedSmall(t *testing.T) {
+// TestMeasureClusterSmall drives the cluster harness path (router caching,
+// warm-up, result verification, routing- and read-balance accounting) at
+// zero scale over bare-server and replicated topologies, including the
+// mutating forms app, which rebuilds its cluster per run.
+func TestMeasureClusterSmall(t *testing.T) {
 	h := NewHarness()
 	h.Scale = 0 // logic only
 	defer h.Close()
+	topologies := []struct{ shards, replicas int }{{1, 0}, {2, 0}, {4, 0}, {2, 1}, {2, 2}}
 	for _, app := range []*apps.App{apps.RUBiS(), apps.Forms()} {
-		for _, replicas := range []int{1, 2} {
-			m, err := h.MeasureReplicated(app, server.SYS1(), 4, 25, true, 8, 2, replicas)
+		for _, tp := range topologies {
+			m, err := h.MeasureCluster(app, server.SYS1(), 4, 25, true, 8, tp.shards, tp.replicas)
 			if err != nil {
-				t.Errorf("%s replicas=%d: %v", app.Name, replicas, err)
+				t.Errorf("%s %+v: %v", app.Name, tp, err)
 				continue
 			}
-			if m.Shards != 2 || m.Replicas != replicas || m.Iterations != 25 {
-				t.Errorf("%s: bad measurement %+v", app.Name, m)
+			if m.Shards != tp.shards || m.Replicas != tp.replicas || m.Iterations != 25 {
+				t.Errorf("%s %+v: bad measurement %+v", app.Name, tp, m)
 			}
-			if len(m.ReplicaReads) != 2 {
-				t.Errorf("%s: want read balance for 2 shards, got %v", app.Name, m.ReplicaReads)
+			var q int64
+			for _, c := range m.ShardQueries {
+				q += c
+			}
+			if len(m.ShardQueries) != tp.shards || q < 25 {
+				t.Errorf("%s %+v: cluster answered %v queries, want >= 25 over %d shards",
+					app.Name, tp, m.ShardQueries, tp.shards)
+			}
+			if tp.replicas == 0 {
+				if m.ReplicaReads != nil {
+					t.Errorf("%s %+v: read balance %v over bare servers", app.Name, tp, m.ReplicaReads)
+				}
+				continue
+			}
+			if len(m.ReplicaReads) != tp.shards {
+				t.Errorf("%s %+v: want read balance per shard, got %v", app.Name, tp, m.ReplicaReads)
 				continue
 			}
 			var reads int64
 			for _, shardReads := range m.ReplicaReads {
-				if len(shardReads) != replicas {
-					t.Errorf("%s: want %d replicas in balance row, got %v", app.Name, replicas, shardReads)
+				if len(shardReads) != tp.replicas {
+					t.Errorf("%s %+v: want %d replicas in balance row, got %v", app.Name, tp, tp.replicas, shardReads)
 				}
 				for _, r := range shardReads {
 					reads += r
@@ -159,35 +174,7 @@ func TestMeasureReplicatedSmall(t *testing.T) {
 			}
 			// The read-only kernel's queries were all served by replicas.
 			if app.Name == "rubis" && reads < 25 {
-				t.Errorf("%s replicas=%d: replicas served %d reads, want >= 25", app.Name, replicas, reads)
-			}
-		}
-	}
-}
-
-// TestMeasureShardedSmall drives the harness path (router caching, warm-up,
-// verification) at zero scale for a fast logic check, including the
-// mutating forms app, which rebuilds its cluster per run.
-func TestMeasureShardedSmall(t *testing.T) {
-	h := NewHarness()
-	h.Scale = 0 // logic only
-	defer h.Close()
-	for _, app := range []*apps.App{apps.RUBiS(), apps.Forms()} {
-		for _, shards := range []int{1, 2, 4} {
-			m, err := h.MeasureSharded(app, server.SYS1(), 4, 25, true, 8, shards)
-			if err != nil {
-				t.Errorf("%s shards=%d: %v", app.Name, shards, err)
-				continue
-			}
-			if m.Shards != shards || m.Iterations != 25 {
-				t.Errorf("%s: bad measurement %+v", app.Name, m)
-			}
-			var q int64
-			for _, c := range m.ShardQueries {
-				q += c
-			}
-			if q < int64(25) {
-				t.Errorf("%s shards=%d: cluster answered %d queries, want >= 25", app.Name, shards, q)
+				t.Errorf("%s %+v: replicas served %d reads, want >= 25", app.Name, tp, reads)
 			}
 		}
 	}

@@ -2,15 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/replica"
 	"repro/internal/server"
-	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -47,21 +43,11 @@ func (h *Harness) MeasureTail(prof server.Profile, mode wal.Mode,
 	threads, inserts int) (TailMeasurement, error) {
 
 	m := TailMeasurement{Mode: mode.String(), Threads: threads, Inserts: inserts}
-	prof.Disk.WriteSettle = 4 * time.Millisecond
-	g := replica.NewGroup(prof, h.Scale, replica.Options{Replicas: 1, Durability: mode})
+	g, err := h.eventsGroup(prof, mode)
+	if err != nil {
+		return m, err
+	}
 	defer g.Close()
-	schema := storage.NewSchema(
-		storage.Column{Name: "id", Type: storage.TInt},
-		storage.Column{Name: "val", Type: storage.TString},
-	)
-	if err := g.CreateTable("events", schema, 0); err != nil {
-		return m, err
-	}
-	g.FinishLoad()
-	if err := g.AddIndex("events", "id", true); err != nil {
-		return m, err
-	}
-	g.Warm()
 
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(reg)
@@ -72,40 +58,20 @@ func (h *Harness) MeasureTail(prof server.Profile, mode wal.Mode,
 	svc := exec.NewService(threads, g.Exec)
 	svc.EnableTracing(tr)
 
-	var next atomic.Int64
-	errs := make([]error, threads)
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				id := next.Add(1)
-				if id > int64(inserts) {
-					return
-				}
-				hd, err := svc.Submit("t", "insert into events values (?, ?)",
-					[]any{id, fmt.Sprintf("e%d", id)})
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				// Fetch per submission: each client waits for its own
-				// acknowledgement, so the root span's wall time is exactly
-				// the latency that client observed.
-				if _, err := hd.Fetch(); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	svc.Close()
-	for _, err := range errs {
+	// Fetch per submission: each client waits for its own acknowledgement,
+	// so the root span's wall time is exactly the latency that client
+	// observed.
+	err = insertStorm(threads, inserts, func(args []any) error {
+		hd, err := svc.Submit("t", insertSQL, args)
 		if err != nil {
-			return m, err
+			return err
 		}
+		_, err = hd.Fetch()
+		return err
+	})
+	svc.Close()
+	if err != nil {
+		return m, err
 	}
 	if open := tr.Open(); open != 0 {
 		return m, fmt.Errorf("tail: %d spans left open after drain", open)
@@ -144,13 +110,9 @@ func (h *Harness) FigTailLatency() (*Figure, error) {
 		XLabel: "Number of client threads",
 		YLabel: "Latency (ms, simulated)",
 	}
-	modes := []wal.Mode{wal.Off, wal.Group, wal.Strict}
-	if h.Durability != "" {
-		m, err := wal.ParseMode(h.Durability)
-		if err != nil {
-			return nil, err
-		}
-		modes = []wal.Mode{m}
+	modes, err := h.walModes()
+	if err != nil {
+		return nil, err
 	}
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	for _, mode := range modes {

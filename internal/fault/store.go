@@ -23,9 +23,6 @@ func NewStore(inner wal.Store, inj *Injector) *Store {
 	return &Store{inner: inner, inj: inj}
 }
 
-// Inner exposes the wrapped store (tests inspect its durable contents).
-func (s *Store) Inner() wal.Store { return s.inner }
-
 // AppendRecords forwards to the inner store.
 func (s *Store) AppendRecords(recs []wal.Record) (int, error) {
 	return s.inner.AppendRecords(recs)

@@ -1,7 +1,5 @@
 package ir
 
-import "fmt"
-
 // External identifies effects on state outside program variables. The paper
 // (§III-A, "External data dependencies") models the whole database and the
 // output stream conservatively as single locations; we do the same with the
@@ -71,15 +69,6 @@ func (r *Registry) Register(s *FuncSig) {
 // Lookup returns the signature for name, or nil.
 func (r *Registry) Lookup(name string) *FuncSig {
 	return r.sigs[name]
-}
-
-// MustLookup returns the signature or panics with a helpful message.
-func (r *Registry) MustLookup(name string) *FuncSig {
-	s := r.sigs[name]
-	if s == nil {
-		panic(fmt.Sprintf("ir: function %q not registered", name))
-	}
-	return s
 }
 
 // StdSigs returns the standard function signatures: pure helpers, mutating

@@ -66,9 +66,6 @@ func (a *Admission) Release(n int) {
 	a.inflight.Add(int64(-n))
 }
 
-// Limit returns the configured budget (0 = unlimited).
-func (a *Admission) Limit() int { return int(a.limit) }
-
 // Inflight returns the currently claimed units.
 func (a *Admission) Inflight() int64 { return a.inflight.Load() }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/sqlmini"
 )
@@ -471,46 +472,37 @@ func (c *Client) backoff(attempt int, dl query.Deadline) bool {
 	return !dl.Expired()
 }
 
-// execOnce performs one attempt: acquire a connection (firing any
-// scheduled connection reset first), register, encode, send, await.
-func (c *Client) execOnce(req query.Request, isWrite bool) query.Result {
+// roundTrip performs one attempt for a request of either shape: acquire a
+// connection (firing any scheduled connection reset first), register, stamp
+// the request id into the payload, send, await, decode. The payload is
+// encoded once per call, by the caller, and re-stamped per attempt.
+func (c *Client) roundTrip(msgType byte, payload []byte, isWrite bool, sp *obs.Span, dl query.Deadline) (query.Reply, error) {
 	cc, err := c.conn()
 	if err != nil {
-		return query.Fail(err)
+		return query.Reply{}, err
 	}
 	if c.opts.Fault.Should(fault.ConnReset) {
 		cc.injectReset()
 		if cc, err = c.conn(); err != nil {
-			return query.Fail(err)
+			return query.Reply{}, err
 		}
 	}
 	id, ch, err := cc.register(isWrite)
 	if err != nil {
-		return query.Fail(preSend(err))
+		return query.Reply{}, preSend(err)
 	}
-	payload, err := EncodeExec(id, req)
-	if err != nil {
+	binary.BigEndian.PutUint64(payload, id) // every request payload leads with its id
+	rt := sp.Child("net.roundtrip")         // nil-safe
+	defer rt.End()
+	if err := cc.send(msgType, payload, isWrite); err != nil {
 		cc.abandon(id)
-		return query.Fail(err)
+		return query.Reply{}, err
 	}
-	sp := req.Span.Child("net.roundtrip") // nil-safe
-	defer sp.End()
-	if err := cc.send(MsgExec, payload, isWrite); err != nil {
-		cc.abandon(id)
-		return query.Fail(err)
-	}
-	resp, err := cc.await(id, ch, req.Deadline)
+	resp, err := cc.await(id, ch, dl)
 	if err != nil {
-		return query.Fail(err)
+		return query.Reply{}, err
 	}
-	if resp.msgType != MsgResult {
-		return query.Fail(fmt.Errorf("%w: batch response to Exec", ErrBadFrame))
-	}
-	_, res, err := DecodeResult(resp.payload)
-	if err != nil {
-		return query.Fail(err)
-	}
-	return res
+	return decodeReply(resp.msgType, resp.payload)
 }
 
 // preSend reclassifies a registration failure: the generation was already
@@ -522,111 +514,84 @@ func preSend(err error) error {
 	return err
 }
 
+// do runs one encoded request under the retry contract: attempts that die
+// with the connection are re-sent on a fresh one when the contract allows
+// (reads always; writes only unsent), within the attempt and lifetime
+// budgets and the request deadline. The decision reads the reply's first
+// error — a transport failure fails every binding of a batch with one error,
+// so for a batch it is uniform and the batch is re-sent whole. The returned
+// error is a failure of the call as a whole; statement errors come back
+// inside the reply.
+func (c *Client) do(msgType byte, payload []byte, sql string, sp *obs.Span, dl query.Deadline) (query.Reply, error) {
+	if dl.Expired() {
+		return query.Reply{}, query.ErrDeadlineExceeded
+	}
+	isWrite := c.isWrite(sql)
+	attempts := c.opts.Retry.attempts()
+	for attempt := 0; ; attempt++ {
+		rep, err := c.roundTrip(msgType, payload, isWrite, sp, dl)
+		failure := err
+		if failure == nil {
+			failure = rep.FirstErr()
+		}
+		if failure == nil || attempt+1 >= attempts || !c.retryable(failure, isWrite) || !c.takeBudget() {
+			return rep, err
+		}
+		if !c.backoff(attempt, dl) {
+			return query.Reply{}, query.ErrDeadlineExceeded
+		}
+		c.retries.Add(1)
+	}
+}
+
+// otherShape is what a call makes of a reply of the other shape: the reply's
+// own error when it carries one — a server that cannot decode a request
+// answers with a scalar error whatever the request was — else a protocol
+// violation.
+func otherShape(rep query.Reply, what string) error {
+	if err := rep.FirstErr(); err != nil {
+		return err
+	}
+	return fmt.Errorf("%w: %s", ErrBadFrame, what)
+}
+
 // Exec implements query.Executor over the wire. The request's Span and
 // Session stay client-side (the server binds its own per-connection
-// session); Name, SQL, Args, Consistency and Deadline cross. Under a
-// RetryPolicy, attempts that die with the connection are re-sent on a
-// fresh one when the contract allows (reads always; writes only unsent).
+// session); Name, SQL, Args, Consistency and Deadline cross.
 func (c *Client) Exec(req query.Request) query.Result {
-	if req.Deadline.Expired() {
-		return query.Fail(query.ErrDeadlineExceeded)
+	payload, err := EncodeExec(0, req)
+	var rep query.Reply
+	if err == nil {
+		rep, err = c.do(MsgExec, payload, req.SQL, req.Span, req.Deadline)
 	}
-	isWrite := c.isWrite(req.SQL)
-	attempts := c.opts.Retry.attempts()
-	for attempt := 0; ; attempt++ {
-		res := c.execOnce(req, isWrite)
-		if res.Err == nil || attempt+1 >= attempts || !c.retryable(res.Err, isWrite) {
-			return res
-		}
-		if !c.takeBudget() {
-			return res
-		}
-		if !c.backoff(attempt, req.Deadline) {
-			return query.Fail(query.ErrDeadlineExceeded)
-		}
-		c.retries.Add(1)
+	if err == nil && rep.Errs != nil {
+		err = otherShape(rep, "batch response to Exec")
 	}
+	if err != nil {
+		return query.Fail(err)
+	}
+	return rep.Result()
 }
 
-// execBatchOnce is execOnce for a binding set.
-func (c *Client) execBatchOnce(req query.BatchRequest, isWrite bool) query.BatchResult {
-	n := len(req.ArgSets)
-	cc, err := c.conn()
-	if err != nil {
-		return query.FailAll(n, err)
-	}
-	if c.opts.Fault.Should(fault.ConnReset) {
-		cc.injectReset()
-		if cc, err = c.conn(); err != nil {
-			return query.FailAll(n, err)
-		}
-	}
-	id, ch, err := cc.register(isWrite)
-	if err != nil {
-		return query.FailAll(n, preSend(err))
-	}
-	payload, err := EncodeExecBatch(id, req)
-	if err != nil {
-		cc.abandon(id)
-		return query.FailAll(n, err)
-	}
-	sp := req.Span.Child("net.roundtrip")
-	defer sp.End()
-	if err := cc.send(MsgExecBatch, payload, isWrite); err != nil {
-		cc.abandon(id)
-		return query.FailAll(n, err)
-	}
-	resp, err := cc.await(id, ch, req.Deadline)
-	if err != nil {
-		return query.FailAll(n, err)
-	}
-	if resp.msgType != MsgBatchResult {
-		return query.FailAll(n, fmt.Errorf("%w: scalar response to ExecBatch", ErrBadFrame))
-	}
-	_, res, err := DecodeBatchResult(resp.payload)
-	if err != nil {
-		return query.FailAll(n, err)
-	}
-	if len(res.Errs) != n {
-		return query.FailAll(n, fmt.Errorf("%w: batch result arity %d, want %d", ErrBadFrame, len(res.Errs), n))
-	}
-	return res
-}
-
-// ExecBatch implements the set-oriented half of query.Executor, with the
-// same retry contract as Exec applied batch-wide: a batch that died with
-// the connection is re-sent whole (transport failures fail every binding
-// with one error, so the decision is uniform).
+// ExecBatch implements the set-oriented half of query.Executor; a failure of
+// the call as a whole fails every binding with the one error.
 func (c *Client) ExecBatch(req query.BatchRequest) query.BatchResult {
 	n := len(req.ArgSets)
-	if req.Deadline.Expired() {
-		return query.FailAll(n, query.ErrDeadlineExceeded)
+	payload, err := EncodeExecBatch(0, req)
+	var rep query.Reply
+	if err == nil {
+		rep, err = c.do(MsgExecBatch, payload, req.SQL, req.Span, req.Deadline)
 	}
-	isWrite := c.isWrite(req.SQL)
-	attempts := c.opts.Retry.attempts()
-	for attempt := 0; ; attempt++ {
-		res := c.execBatchOnce(req, isWrite)
-		err := firstBatchErr(res.Errs)
-		if err == nil || attempt+1 >= attempts || !c.retryable(err, isWrite) {
-			return res
-		}
-		if !c.takeBudget() {
-			return res
-		}
-		if !c.backoff(attempt, req.Deadline) {
-			return query.FailAll(n, query.ErrDeadlineExceeded)
-		}
-		c.retries.Add(1)
+	switch {
+	case err != nil:
+	case rep.Errs == nil:
+		err = otherShape(rep, "scalar response to ExecBatch")
+	case len(rep.Errs) != n:
+		err = fmt.Errorf("%w: batch result arity %d, want %d", ErrBadFrame, len(rep.Errs), n)
+	default:
+		return rep.BatchResult()
 	}
-}
-
-func firstBatchErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return query.FailAll(n, err)
 }
 
 // Close tears down the connection; in-flight requests fail with

@@ -201,122 +201,83 @@ func (s *Server) serveConn(c stdnet.Conn) {
 		if err != nil {
 			return // peer closed (io.EOF) or connection torn down
 		}
-		switch msgType {
-		case MsgExec:
-			id, req, err := DecodeExec(payload)
-			if err != nil {
-				s.sendResult(sc, id, query.Fail(fmt.Errorf("net: bad request: %w", err)))
-				continue
-			}
-			if !s.admit(sc, id, req.Deadline, 1, false) {
-				continue
-			}
-			handlers.Add(1)
-			go func() {
-				defer handlers.Done()
-				res := s.handleExec(sc, req)
-				// Release before the response write: the unit's work is done,
-				// and a client that fires its next request the instant the
-				// response lands must find the slot free (a closed loop with
-				// conns == budget must never shed).
-				s.admission.Release(1)
-				s.sendResult(sc, id, res)
-			}()
-		case MsgExecBatch:
-			id, req, err := DecodeExecBatch(payload)
-			if err != nil {
-				s.sendResult(sc, id, query.Fail(fmt.Errorf("net: bad request: %w", err)))
-				continue
-			}
-			n := len(req.ArgSets)
-			if !s.admit(sc, id, req.Deadline, n, true) {
-				continue
-			}
-			handlers.Add(1)
-			go func() {
-				defer handlers.Done()
-				res := s.handleExecBatch(sc, req)
-				s.admission.Release(n)
-				s.sendBatchResult(sc, id, res)
-			}()
-		default:
+		if msgType != MsgExec && msgType != MsgExecBatch {
 			return // protocol violation: unknown frame kills the connection
 		}
-	}
-}
-
-// admit applies the deadline-and-budget gate shared by both request kinds.
-// A request past its deadline or beyond the budget is answered immediately
-// (on the read loop — rejection must not cost a goroutine) and never
-// reaches the backend.
-func (s *Server) admit(sc *srvConn, id uint64, dl query.Deadline, units int, batch bool) bool {
-	var err error
-	switch {
-	case dl.Expired():
-		s.expired.Add(1)
-		err = query.ErrDeadlineExceeded
-	case !s.admission.TryAcquire(units):
-		err = query.ErrOverloaded
-	default:
-		if batch {
-			s.batches.Add(1)
-		} else {
-			s.requests.Add(1)
+		id, call, err := decodeCall(msgType, payload)
+		if err != nil {
+			// How many bindings the frame meant to carry is unknowable, so the
+			// answer is a scalar error; the client surfaces it on either call.
+			s.send(sc, id, false, &query.Reply{Err: fmt.Errorf("net: bad request: %w", err)})
+			continue
 		}
-		return true
+		// A request past its deadline or beyond the budget is answered on the
+		// read loop — rejection must not cost a goroutine — and never reaches
+		// the backend.
+		if err := s.admit(call); err != nil {
+			rejected, rep := call, query.Reply{} // a copy: call itself stays capturable by value
+			rejected.Fail(err, &rep)
+			s.send(sc, id, call.Batch(), &rep)
+			continue
+		}
+		handlers.Add(1)
+		go func() {
+			defer handlers.Done()
+			query.GrowStack()
+			s.serve(sc, id, call)
+		}()
 	}
-	if batch {
-		s.sendBatchResult(sc, id, query.FailAll(units, err))
-	} else {
-		s.sendResult(sc, id, query.Fail(err))
+}
+
+// admit applies the deadline-and-budget gate, counting what it lets through.
+func (s *Server) admit(c query.Call) error {
+	switch {
+	case c.Deadline.Expired():
+		s.expired.Add(1)
+		return query.ErrDeadlineExceeded
+	case !s.admission.TryAcquire(c.Units()):
+		return query.ErrOverloaded
+	case c.Batch():
+		s.batches.Add(1)
+	default:
+		s.requests.Add(1)
 	}
-	return false
+	return nil
 }
 
-func (s *Server) handleExec(sc *srvConn, req query.Request) query.Result {
-	sp := s.opts.Tracer.Start("net.request") // nil-safe: nil tracer mints nil span
-	sp.SetDetail(req.SQL)
-	req.Span = sp
-	req.Session = sc.sess
-	res := s.backend.Exec(req)
+// serve executes one admitted call against the backend under a root span
+// and the connection's session, and answers it.
+func (s *Server) serve(sc *srvConn, id uint64, c query.Call) {
+	name := "net.request"
+	if c.Batch() {
+		name = "net.batch"
+	}
+	sp := s.opts.Tracer.Start(name) // nil-safe: nil tracer mints nil span
+	sp.SetDetail(c.SQL)
+	c.Span, c.Session = sp, sc.sess
+	var rep query.Reply
+	c.On(s.backend, &rep)
 	sp.End()
-	return res
+	// Release before the response write: the units' work is done, and a
+	// client that fires its next request the instant the response lands must
+	// find the slot free (a closed loop with conns == budget must never shed).
+	s.admission.Release(c.Units())
+	s.send(sc, id, c.Batch(), &rep)
 }
 
-func (s *Server) handleExecBatch(sc *srvConn, req query.BatchRequest) query.BatchResult {
-	sp := s.opts.Tracer.Start("net.batch")
-	sp.SetDetail(req.SQL)
-	req.Span = sp
-	req.Session = sc.sess
-	res := s.backend.ExecBatch(req)
-	sp.End()
-	return res
-}
-
-func (s *Server) sendResult(sc *srvConn, id uint64, res query.Result) {
-	payload, err := EncodeResult(id, res)
+// send writes the response frame for a call of the given shape.
+func (s *Server) send(sc *srvConn, id uint64, batch bool, rep *query.Reply) {
+	msgType, payload, err := encodeReply(id, batch, rep)
 	if err != nil {
 		// The value could not cross the wire; the client still gets an
 		// answer (an error) rather than a hung request id.
-		payload, err = EncodeResult(id, query.Fail(err))
-		if err != nil {
+		fail := query.FailAll(len(rep.Errs), err)
+		rep = &query.Reply{Err: err, Values: fail.Values, Errs: fail.Errs}
+		if msgType, payload, err = encodeReply(id, batch, rep); err != nil {
 			return
 		}
 	}
-	if sc.writeFrame(MsgResult, payload) != nil {
+	if sc.writeFrame(msgType, payload) != nil {
 		sc.c.Close() // writer failed: kill the conn so the read loop exits
-	}
-}
-
-func (s *Server) sendBatchResult(sc *srvConn, id uint64, res query.BatchResult) {
-	payload, err := EncodeBatchResult(id, res)
-	if err != nil {
-		payload, err = EncodeBatchResult(id, query.FailAll(len(res.Errs), err))
-		if err != nil {
-			return
-		}
-	}
-	if sc.writeFrame(MsgBatchResult, payload) != nil {
-		sc.c.Close()
 	}
 }

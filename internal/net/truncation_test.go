@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	stdnet "net"
+	"strings"
 	"testing"
 
 	"repro/internal/interp"
@@ -145,4 +147,64 @@ func FuzzTruncatedFrame(f *testing.F) {
 		// even if the fuzzer spliced garbage that happens to frame cleanly.
 		_ = decodePayload(msgType, payload)
 	})
+}
+
+// A batch request the server cannot decode is answered with a scalar error
+// frame (how many bindings it meant to carry is unknowable). The client must
+// surface that error — the server's "bad request" text — on every binding,
+// not a protocol violation of its own, and the connection must stay usable.
+// The damage is done by a relay that forwards frames both ways over raw
+// connections, cutting the last byte off every MsgExecBatch payload.
+func TestUndecodableBatchSurfacesServerError(t *testing.T) {
+	s := startServer(t, echoBackend(), ServerOptions{})
+	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay := func(dst, src stdnet.Conn, cut byte) {
+		defer dst.Close()
+		for {
+			msgType, payload, err := ReadFrame(src)
+			if err != nil {
+				return
+			}
+			if msgType == cut {
+				payload = payload[:len(payload)-1]
+			}
+			if WriteFrame(dst, msgType, payload) != nil {
+				return
+			}
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		down, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		up, err := stdnet.Dial("tcp", s.Addr())
+		if err != nil {
+			down.Close()
+			return
+		}
+		go relay(down, up, 0)
+		relay(up, down, MsgExecBatch)
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := c.ExecBatch(query.BatchReq("b", "double", [][]any{{int64(1)}, {int64(2)}}))
+	for i, err := range br.Errs {
+		if err == nil || !strings.Contains(err.Error(), "net: bad request") || errors.Is(err, ErrBadFrame) {
+			t.Errorf("binding %d: %v, want the server's bad-request error", i, err)
+		}
+	}
+	if v, err := c.Exec(query.Req("q", "double", []any{int64(21)})).Pair(); err != nil || v != int64(42) {
+		t.Errorf("Exec after the bad batch: (%v, %v)", v, err)
+	}
+	c.Close()
+	ln.Close()
+	<-done
 }

@@ -442,21 +442,25 @@ func DecodeHelloAck(b []byte) (uint16, error) {
 	return binary.BigEndian.Uint16(b), nil
 }
 
-// EncodeExec encodes a Request under reqID. Span and Session do not cross
-// the wire: tracing is per-process, and the session is the connection (the
-// server binds one session to each accepted conn). The deadline crosses as
-// an absolute unix-nanosecond instant (0 = none), so it keeps meaning
-// regardless of queueing on either side.
-func EncodeExec(reqID uint64, req query.Request) ([]byte, error) {
-	b := make([]byte, 0, 64)
+// appendHeader starts a request payload with what both request kinds share:
+// the request id, then deadline, consistency, name and statement. Span and
+// Session do not cross the wire: tracing is per-process, and the session is
+// the connection (the server binds one session to each accepted conn). The
+// deadline crosses as an absolute unix-nanosecond instant (0 = none), so it
+// keeps meaning regardless of queueing on either side.
+func appendHeader(b []byte, reqID uint64, dl query.Deadline, c query.Consistency, name, sql string) []byte {
 	b = binary.BigEndian.AppendUint64(b, reqID)
-	b = putVarint(b, req.Deadline.UnixNanos())
-	b = append(b, byte(req.Consistency))
-	b = putString(b, req.Name)
-	b = putString(b, req.SQL)
-	b = putUvarint(b, uint64(len(req.Args)))
+	b = putVarint(b, dl.UnixNanos())
+	b = append(b, byte(c))
+	b = putString(b, name)
+	return putString(b, sql)
+}
+
+// appendArgs writes one binding: a count, then the values.
+func appendArgs(b []byte, args []any) ([]byte, error) {
+	b = putUvarint(b, uint64(len(args)))
 	var err error
-	for _, a := range req.Args {
+	for _, a := range args {
 		if b, err = AppendValue(b, a); err != nil {
 			return nil, err
 		}
@@ -464,9 +468,8 @@ func EncodeExec(reqID uint64, req query.Request) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeExec decodes a MsgExec payload.
-func DecodeExec(b []byte) (uint64, query.Request, error) {
-	r := &reader{b: b}
+// header reads what appendHeader wrote.
+func (r *reader) header() (uint64, query.Request) {
 	id := r.u64()
 	req := query.Request{
 		Deadline:    query.FromUnixNanos(r.varint()),
@@ -474,32 +477,44 @@ func DecodeExec(b []byte) (uint64, query.Request, error) {
 	}
 	req.Name = r.string()
 	req.SQL = r.string()
-	n := r.count("args")
-	if n > 0 {
-		req.Args = make([]any, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			req.Args = append(req.Args, r.value())
-		}
+	return id, req
+}
+
+// args reads one binding (nil when empty).
+func (r *reader) args(what string) []any {
+	n := r.count(what)
+	if n == 0 {
+		return nil
 	}
+	args := make([]any, 0, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		args = append(args, r.value())
+	}
+	return args
+}
+
+// EncodeExec encodes a Request under reqID.
+func EncodeExec(reqID uint64, req query.Request) ([]byte, error) {
+	b := appendHeader(make([]byte, 0, 64), reqID, req.Deadline, req.Consistency, req.Name, req.SQL)
+	return appendArgs(b, req.Args)
+}
+
+// DecodeExec decodes a MsgExec payload.
+func DecodeExec(b []byte) (uint64, query.Request, error) {
+	r := &reader{b: b}
+	id, req := r.header()
+	req.Args = r.args("args")
 	return id, req, r.err
 }
 
 // EncodeExecBatch encodes a BatchRequest under reqID.
 func EncodeExecBatch(reqID uint64, req query.BatchRequest) ([]byte, error) {
-	b := make([]byte, 0, 128)
-	b = binary.BigEndian.AppendUint64(b, reqID)
-	b = putVarint(b, req.Deadline.UnixNanos())
-	b = append(b, byte(req.Consistency))
-	b = putString(b, req.Name)
-	b = putString(b, req.SQL)
+	b := appendHeader(make([]byte, 0, 128), reqID, req.Deadline, req.Consistency, req.Name, req.SQL)
 	b = putUvarint(b, uint64(len(req.ArgSets)))
 	var err error
 	for _, set := range req.ArgSets {
-		b = putUvarint(b, uint64(len(set)))
-		for _, a := range set {
-			if b, err = AppendValue(b, a); err != nil {
-				return nil, err
-			}
+		if b, err = appendArgs(b, set); err != nil {
+			return nil, err
 		}
 	}
 	return b, nil
@@ -508,22 +523,15 @@ func EncodeExecBatch(reqID uint64, req query.BatchRequest) ([]byte, error) {
 // DecodeExecBatch decodes a MsgExecBatch payload.
 func DecodeExecBatch(b []byte) (uint64, query.BatchRequest, error) {
 	r := &reader{b: b}
-	id := r.u64()
+	id, h := r.header()
 	req := query.BatchRequest{
-		Deadline:    query.FromUnixNanos(r.varint()),
-		Consistency: query.Consistency(r.byte()),
+		Name: h.Name, SQL: h.SQL,
+		Consistency: h.Consistency, Deadline: h.Deadline,
 	}
-	req.Name = r.string()
-	req.SQL = r.string()
 	n := r.count("argsets")
 	req.ArgSets = make([][]any, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		m := r.count("argset")
-		set := make([]any, 0, m)
-		for j := 0; j < m && r.err == nil; j++ {
-			set = append(set, r.value())
-		}
-		req.ArgSets = append(req.ArgSets, set)
+		req.ArgSets = append(req.ArgSets, r.args("argset"))
 	}
 	return id, req, r.err
 }
@@ -626,4 +634,37 @@ func DecodeBatchResult(b []byte) (uint64, query.BatchResult, error) {
 		}
 	}
 	return id, res, r.err
+}
+
+// decodeReply decodes a response frame of either kind. A batch reply's Errs
+// is never nil (DecodeBatchResult allocates it), which is how callers tell
+// the two kinds apart.
+func decodeReply(msgType byte, payload []byte) (query.Reply, error) {
+	if msgType == MsgResult {
+		_, res, err := DecodeResult(payload)
+		return query.Reply{Value: res.Value, Err: res.Err}, err
+	}
+	_, res, err := DecodeBatchResult(payload)
+	return query.Reply{Values: res.Values, Errs: res.Errs}, err
+}
+
+// encodeReply encodes rep as the response frame answering a call of the
+// given shape.
+func encodeReply(reqID uint64, batch bool, rep *query.Reply) (msgType byte, payload []byte, err error) {
+	if batch {
+		payload, err = EncodeBatchResult(reqID, rep.BatchResult())
+		return MsgBatchResult, payload, err
+	}
+	payload, err = EncodeResult(reqID, rep.Result())
+	return MsgResult, payload, err
+}
+
+// decodeCall decodes a request frame of either kind.
+func decodeCall(msgType byte, payload []byte) (uint64, query.Call, error) {
+	if msgType == MsgExec {
+		id, req, err := DecodeExec(payload)
+		return id, query.Call{Request: req}, err
+	}
+	id, req, err := DecodeExecBatch(payload)
+	return id, query.BatchCall(req), err
 }

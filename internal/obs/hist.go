@@ -94,9 +94,6 @@ func (h *Histogram) Record(v int64) {
 // RecordDuration records a duration in nanoseconds.
 func (h *Histogram) RecordDuration(d time.Duration) { h.Record(int64(d)) }
 
-// Name returns the registry name the histogram was created under.
-func (h *Histogram) Name() string { return h.name }
-
 // HistSnapshot is a point-in-time copy of a histogram. Snapshots are plain
 // values: mergeable (associatively and commutatively) across shards,
 // replicas, or time windows, and queryable for quantiles.

@@ -15,9 +15,6 @@ type Deadline struct {
 // already-expired deadline, not a zero one.
 func After(d time.Duration) Deadline { return Deadline{t: time.Now().Add(d)} }
 
-// At returns a deadline at the absolute time t (zero t = no deadline).
-func At(t time.Time) Deadline { return Deadline{t: t} }
-
 // IsZero reports whether no deadline is set.
 func (d Deadline) IsZero() bool { return d.t.IsZero() }
 
@@ -38,21 +35,6 @@ func (d Deadline) Remaining() time.Duration {
 
 // Time returns the absolute deadline and whether one is set.
 func (d Deadline) Time() (time.Time, bool) { return d.t, !d.t.IsZero() }
-
-// Earlier returns the sooner of d and o, treating "no deadline" as
-// infinitely late.
-func (d Deadline) Earlier(o Deadline) Deadline {
-	switch {
-	case d.t.IsZero():
-		return o
-	case o.t.IsZero():
-		return d
-	case o.t.Before(d.t):
-		return o
-	default:
-		return d
-	}
-}
 
 // UnixNanos encodes the deadline for the wire: absolute Unix nanoseconds,
 // 0 when unset.

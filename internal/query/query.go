@@ -136,9 +136,6 @@ func (r BatchRequest) WithSpan(sp *obs.Span) BatchRequest { r.Span = sp; return 
 // WithSession returns a copy of the batch request bound to sess.
 func (r BatchRequest) WithSession(sess *Session) BatchRequest { r.Session = sess; return r }
 
-// WithDeadline returns a copy of the batch request carrying dl.
-func (r BatchRequest) WithDeadline(dl Deadline) BatchRequest { r.Deadline = dl; return r }
-
 // Result is the outcome of one Exec. Exactly one of Value/Err is
 // meaningful; Info carries the executor's page/row accounting when the
 // backend produces it (zero otherwise).
@@ -184,3 +181,128 @@ type Executor interface {
 	Exec(req Request) Result
 	ExecBatch(req BatchRequest) BatchResult
 }
+
+// Call is one submission of either shape, so that a layer can state each
+// request-path decision once and have both Exec and ExecBatch run it. A
+// single call binds Args; a batch call binds ArgSets, which is non-nil even
+// when empty — that is what tells the two apart, so batch calls are built
+// only by BatchCall. Everything else (statement, span, session, consistency,
+// deadline) is common to both shapes.
+//
+// Two costs shape how calls travel. A Call is 128 bytes, the most a closure
+// captures by value without a heap allocation (the front door's handler
+// goroutine, the replica group's read attempt). And the layers pass a Call
+// and its Reply down by pointer: by value, every hop would put both structs
+// in every frame, and request handlers run on fresh goroutines whose stacks
+// grow by copying (see GrowStack).
+type Call struct {
+	Request
+	ArgSets [][]any
+}
+
+// BatchCall is the Call form of a BatchRequest.
+func BatchCall(req BatchRequest) Call {
+	c := Call{
+		Request: Request{
+			Name: req.Name, SQL: req.SQL,
+			Span: req.Span, Session: req.Session,
+			Consistency: req.Consistency, Deadline: req.Deadline,
+		},
+		ArgSets: req.ArgSets,
+	}
+	if c.ArgSets == nil {
+		c.ArgSets = [][]any{}
+	}
+	return c
+}
+
+// Batch reports whether the call is set-oriented.
+func (c Call) Batch() bool { return c.ArgSets != nil }
+
+// Units is the number of bindings the call executes.
+func (c Call) Units() int {
+	if c.Batch() {
+		return len(c.ArgSets)
+	}
+	return 1
+}
+
+// On submits the call to e through the entry point matching its shape and
+// stores the outcome in rep.
+func (c *Call) On(e Executor, rep *Reply) {
+	if !c.Batch() {
+		res := e.Exec(c.Request)
+		*rep = Reply{Value: res.Value, Err: res.Err, Info: res.Info}
+		return
+	}
+	res := e.ExecBatch(BatchRequest{
+		Name: c.Name, SQL: c.SQL, ArgSets: c.ArgSets,
+		Span: c.Span, Session: c.Session,
+		Consistency: c.Consistency, Deadline: c.Deadline,
+	})
+	*rep = Reply{Values: res.Values, Errs: res.Errs, Info: res.Info}
+}
+
+// Fail makes rep the reply that fails every binding of the call with err.
+func (c *Call) Fail(err error, rep *Reply) {
+	if !c.Batch() {
+		*rep = Reply{Err: err}
+		return
+	}
+	res := FailAll(len(c.ArgSets), err)
+	*rep = Reply{Values: res.Values, Errs: res.Errs}
+}
+
+// Reply is the outcome of a Call: Value/Err answer a single call,
+// Values/Errs (one slot per binding) a batch call; Info is the backend's
+// accounting for either.
+type Reply struct {
+	Value  any
+	Err    error
+	Values []any
+	Errs   []error
+	Info   sqlmini.ExecInfo
+}
+
+// Result is the reply to a single call in the public Exec shape.
+func (r *Reply) Result() Result { return Result{Value: r.Value, Err: r.Err, Info: r.Info} }
+
+// BatchResult is the reply to a batch call in the public ExecBatch shape.
+func (r *Reply) BatchResult() BatchResult {
+	return BatchResult{Values: r.Values, Errs: r.Errs, Info: r.Info}
+}
+
+// FirstErr returns the reply's first error in binding order, or nil.
+func (r *Reply) FirstErr() error {
+	if r.Err != nil {
+		return r.Err
+	}
+	for _, err := range r.Errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// requestStack is comfortably more than the deepest request path uses below
+// a fresh goroutine: front door → router → group → server → sqlmini is about
+// 8 KB of frames.
+const requestStack = 12 << 10
+
+// GrowStack sizes the calling goroutine's stack for a request in one step.
+// A goroutine starts with 2 KB and doubles by copying every time a call
+// finds no room, so a request handler born per request (the front door's, a
+// fan-out leg) would copy its stack at 2, 4 and 8 KB of depth — the last copy
+// alone costs microseconds. Asking for the whole depth while the stack is
+// still nearly empty makes that one cheap copy. (Not inlined: the reserve
+// must be gone from the stack again by the time the request runs.)
+//
+//go:noinline
+func GrowStack() {
+	var reserve [requestStack]byte
+	keepStack(&reserve)
+}
+
+//go:noinline
+func keepStack(*[requestStack]byte) {}

@@ -110,3 +110,37 @@ func TestExpiredDeadlineOnStalledCommitSingleError(t *testing.T) {
 		t.Fatalf("write after restart: %v", res.Err)
 	}
 }
+
+// A commit wait that fails takes the acknowledgement away only from the
+// bindings that had committed: a binding the primary rejected keeps its own
+// error, exactly as the per-binding Exec calls report it.
+func TestFailedCommitWaitKeepsValidationErrors(t *testing.T) {
+	st := &stallStore{MemStore: wal.NewMemStore(), gate: make(chan struct{})}
+	g := NewGroup(server.SYS1(), 0, Options{Replicas: 1, Durability: wal.Group, Store: st})
+	defer g.Close()
+	defer close(st.gate)
+	schema := storage.NewSchema(
+		storage.Column{Name: "id", Type: storage.TInt},
+		storage.Column{Name: "val", Type: storage.TString},
+	)
+	if err := g.CreateTable("events", schema, 0); err != nil {
+		t.Fatal(err)
+	}
+	g.FinishLoad()
+
+	const stmt = "insert into events values (?, ?)"
+	sets := [][]any{{int64(1), "a"}, {int64(2)}}
+	req := query.BatchReq("w", stmt, sets)
+	req.Deadline = query.After(40 * time.Millisecond)
+	br := g.ExecBatch(req)
+	if !errors.Is(br.Errs[0], query.ErrDeadlineExceeded) || br.Values[0] != nil {
+		t.Errorf("committed binding: (%v, %v), want deadline exceeded", br.Values[0], br.Errs[0])
+	}
+	one := g.Exec(query.Req("w", stmt, sets[1]).WithDeadline(query.After(40 * time.Millisecond)))
+	if one.Err == nil || errors.Is(one.Err, query.ErrDeadlineExceeded) {
+		t.Fatalf("Exec of the short binding: %v, want its arity error", one.Err)
+	}
+	if br.Errs[1] == nil || br.Errs[1].Error() != one.Err.Error() {
+		t.Errorf("rejected binding: %v, want what Exec reports: %v", br.Errs[1], one.Err)
+	}
+}

@@ -166,9 +166,8 @@ type Session = query.Session
 type Group struct {
 	policy Policy
 
-	prof       server.Profile
-	scale      float64
-	canRebuild bool // NewGroup-built: profile known, crashed copies can be rebuilt
+	prof  server.Profile // crashed copies are rebuilt from this
+	scale float64
 
 	log *wal.Log
 
@@ -227,40 +226,13 @@ func NewGroup(prof server.Profile, scale float64, opts Options) *Group {
 	if n < 1 {
 		n = 1
 	}
-	replicas := make([]*server.Server, n)
-	for i := range replicas {
-		replicas[i] = server.New(prof, scale)
-	}
-	g := buildGroup(server.New(prof, scale), replicas, opts)
-	g.prof, g.scale, g.canRebuild = prof, scale, true
-	g.start()
-	return g
-}
-
-// NewGroupWithServers wraps existing servers (tests, heterogeneous copies)
-// in a synchronous group with default durability. Crashed copies cannot be
-// rebuilt from scratch (the group does not know how to construct servers),
-// so RestartPrimary and checkpoint-truncation resync are unavailable.
-func NewGroupWithServers(primary *server.Server, replicas []*server.Server, policy Policy) *Group {
-	g := buildGroup(primary, replicas, Options{Policy: policy})
-	g.start()
-	return g
-}
-
-// NewGroupWithOptions is NewGroupWithServers with full Options (tests that
-// need async shipping or explicit durability over existing servers).
-func NewGroupWithOptions(primary *server.Server, replicas []*server.Server, opts Options) *Group {
-	g := buildGroup(primary, replicas, opts)
-	g.start()
-	return g
-}
-
-func buildGroup(primary *server.Server, replicas []*server.Server, opts Options) *Group {
 	g := &Group{
 		policy:        opts.Policy,
-		primary:       primary,
-		replicas:      replicas,
-		states:        make([]*state, len(replicas)),
+		prof:          prof,
+		scale:         scale,
+		primary:       server.New(prof, scale),
+		replicas:      make([]*server.Server, n),
+		states:        make([]*state, n),
 		async:         opts.Async,
 		consistency:   opts.Consistency,
 		bound:         opts.Bound,
@@ -271,23 +243,19 @@ func buildGroup(primary *server.Server, replicas []*server.Server, opts Options)
 		stop:          make(chan struct{}),
 	}
 	for i := range g.states {
+		g.replicas[i] = server.New(prof, scale)
 		g.states[i] = &state{}
 		g.states[i].cond = sync.NewCond(&g.states[i].mu)
 		g.states[i].healthy.Store(true)
 	}
 	g.log = wal.New(wal.Options{Mode: opts.Durability, Store: opts.Store, Syncer: groupSyncer{g}})
+	if g.async {
+		for i := range g.replicas {
+			g.wg.Add(1)
+			go g.applier(i)
+		}
+	}
 	return g
-}
-
-// start launches the async appliers (no-op for synchronous groups).
-func (g *Group) start() {
-	if !g.async {
-		return
-	}
-	for i := range g.replicas {
-		g.wg.Add(1)
-		go g.applier(i)
-	}
 }
 
 // groupSyncer charges the log's fsyncs to the current primary's disk; while
@@ -328,17 +296,14 @@ func (g *Group) replica(i int) *server.Server {
 // Log exposes the group's write-ahead log (tests, stats).
 func (g *Group) Log() *wal.Log { return g.log }
 
-// SetMetrics points the group's log and every copy at an obs registry
-// (fsync histograms; future server-side histograms).
+// SetMetrics points the group's log (fsync histograms) and resilience
+// counters at an obs registry.
 func (g *Group) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	g.reg.Store(reg)
 	g.log.SetMetrics(reg)
-	for _, s := range g.copies() {
-		s.SetMetrics(reg)
-	}
 }
 
 // RegisterMetrics registers the group's aggregate stats and its WAL's as
@@ -428,9 +393,8 @@ func (g *Group) NewSession() *Session { return query.NewSession() }
 // fault keeps it down, suffix intact); an async group readmits immediately
 // and lets the applier catch up. If a checkpoint truncated the log past the
 // replica's applied prefix, the replica is rebuilt from the snapshot (full
-// resync) — only possible for NewGroup-built groups. Recovering a healthy
-// replica is a no-op. Safe to call concurrently; calls serialize on the
-// group write lock.
+// resync). Recovering a healthy replica is a no-op. Safe to call
+// concurrently; calls serialize on the group write lock.
 func (g *Group) Recover(i int) error {
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
@@ -467,19 +431,25 @@ func (g *Group) Recover(i int) error {
 	return nil
 }
 
-// resyncReplica rebuilds replica i from the latest checkpoint (caller holds
-// wmu; the replica must be out of rotation or its applier parked).
-func (g *Group) resyncReplica(i int) error {
-	if !g.canRebuild {
-		return errors.New("replica: log truncated past replica state and group cannot rebuild servers")
-	}
+// restore builds a fresh copy from the latest checkpoint (caller holds wmu).
+func (g *Group) restore() (*server.Server, *wal.Snapshot, error) {
 	snap := g.log.Snapshot()
 	if snap == nil {
-		return errors.New("replica: log truncated but no snapshot exists")
+		return nil, nil, errors.New("replica: no snapshot to rebuild a copy from")
 	}
 	s := server.New(g.prof, g.scale)
 	if err := snap.RestoreTo(s); err != nil {
 		s.Close()
+		return nil, nil, err
+	}
+	return s, snap, nil
+}
+
+// resyncReplica rebuilds replica i from the latest checkpoint (caller holds
+// wmu; the replica must be out of rotation or its applier parked).
+func (g *Group) resyncReplica(i int) error {
+	s, snap, err := g.restore()
+	if err != nil {
 		return err
 	}
 	g.rmu.Lock()
@@ -556,16 +526,8 @@ func (g *Group) RestartPrimary() error {
 	if !down {
 		return nil
 	}
-	if !g.canRebuild {
-		return errors.New("replica: cannot rebuild a primary the group did not construct")
-	}
-	snap := g.log.Snapshot()
-	if snap == nil {
-		return errors.New("replica: no snapshot to restart from")
-	}
-	s := server.New(g.prof, g.scale)
-	if err := snap.RestoreTo(s); err != nil {
-		s.Close()
+	s, snap, err := g.restore()
+	if err != nil {
 		return err
 	}
 	recs, ok := g.log.RecordsAfter(snap.LSN)
@@ -750,16 +712,9 @@ func (g *Group) bumpServed(lsn int64) {
 // the primary for a write (row ids agree across copies by the
 // ordered-apply contract).
 func (g *Group) Exec(req query.Request) query.Result {
-	if st, err := g.prep.Prepare(req.SQL); err == nil && st.Insert {
-		res, info, lsn, err := g.write(req)
-		if err == nil && lsn > 0 {
-			req.Session.NoteWrite(lsn)
-		}
-		return query.Result{Value: res, Err: err, Info: info}
-	}
-	// Reads — and malformed statements, whose error text is identical on
-	// every copy.
-	return g.read(req, g.minLSN(req.Session, req.Consistency))
+	c, rep := query.Call{Request: req}, query.Reply{}
+	g.do(&c, &rep)
+	return rep.Result()
 }
 
 // ExecBatch is the set-oriented path: a write batch commits as one log
@@ -767,119 +722,85 @@ func (g *Group) Exec(req query.Request) query.Result {
 // round trip to one qualifying copy. Request context is honoured as in
 // Exec, batch-wide. For write batches the result's Info.InsertRids is the
 // primary's trace (the shard router's insertion-order bookkeeping consumes
-// it); read batches return a zero Info — the router never needs one.
+// it).
 func (g *Group) ExecBatch(req query.BatchRequest) query.BatchResult {
-	if st, err := g.prep.Prepare(req.SQL); err == nil && st.Insert {
-		vals, errs, info, lsn := g.writeBatch(req)
-		if lsn > 0 {
-			req.Session.NoteWrite(lsn)
-		}
-		return query.BatchResult{Values: vals, Errs: errs, Info: info}
-	}
-	vals, errs := g.readBatch(req, g.minLSN(req.Session, req.Consistency))
-	return query.BatchResult{Values: vals, Errs: errs}
+	c, rep := query.BatchCall(req), query.Reply{}
+	g.do(&c, &rep)
+	return rep.BatchResult()
 }
 
-// read serves one read with failover: injected faults fail the replica out
-// (tripping its breaker when one is configured) and retry on a surviving
+// do splits reads from writes for a call of either shape. Malformed
+// statements take the read path: their error text is identical on every copy.
+func (g *Group) do(c *query.Call, rep *query.Reply) {
+	if st, err := g.prep.Prepare(c.SQL); err == nil && st.Insert {
+		g.write(c, rep)
+		return
+	}
+	g.read(c, g.minLSN(c.Session, c.Consistency), rep)
+}
+
+// read serves one read call with failover: injected faults fail the replica
+// out (tripping its breaker when one is configured) and retry on a surviving
 // copy; statement errors return immediately (every copy reproduces them
 // identically). With Options.Hedge set, a slow attempt races a delayed
 // second attempt on another copy (see resilience.go). The effective floor
 // is the maximum of the consistency requirement and the group's served
 // floor, so reads are monotonic. When no replica qualifies the primary
-// (always newest) serves.
-func (g *Group) read(req query.Request, min int64) query.Result {
+// (always newest) serves. A batch rides one round trip to one copy.
+func (g *Group) read(c *query.Call, min int64, rep *query.Reply) {
 	if s := g.served.Load(); s > min {
 		min = s
 	}
-	// The copy's request carries only the statement, the span child and the
+	// The copy's call carries only the statement, the attempt's span and the
 	// deadline — session bookkeeping belongs to this layer.
-	sub := query.Req(req.Name, req.SQL, req.Args).WithDeadline(req.Deadline)
+	sp, units := c.Span, int64(c.Units())
+	sub := query.Call{
+		Request: query.Request{Name: c.Name, SQL: c.SQL, Args: c.Args, Deadline: c.Deadline},
+		ArgSets: c.ArgSets,
+	}
 	run := func(i int, hedged bool) attempt {
 		st := g.states[i]
 		at := st.applied.Load()
 		st.inflight.Add(1)
-		rd := req.Span.Child("replica.read")
+		rd := sp.Child("replica.read")
 		rd.SetDetail(obs.ReplicaLabel(i))
 		g.crashMaybe(i)
-		res := g.replica(i).Exec(sub.WithSpan(rd))
+		a := attempt{at: at, hedged: hedged}
+		leg := sub // a copy: hedge lanes run concurrently, each with its own span
+		leg.Span = rd
+		leg.On(g.replica(i), &a.rep)
 		rd.End()
 		st.inflight.Add(-1)
-		a := attempt{res: res, at: at, hedged: hedged}
-		if res.Err != nil && server.IsFault(res.Err) {
+		// The server fails a whole call before executing any binding, so a
+		// faulted attempt is safe to retry elsewhere.
+		if server.IsFault(a.rep.FirstErr()) {
 			a.faulted = true
 			g.failOut(i)
 		} else {
-			st.reads.Add(1)
+			st.reads.Add(units)
 		}
 		return a
 	}
 	if a, ok := g.readLoop(min, run); ok {
-		g.noteServed(req.Session, a.at)
-		return a.res
+		g.noteServed(c.Session, a.at)
+		*rep = a.rep
+		return
 	}
 	g.pmu.RLock()
 	p, down := g.primary, g.primaryDown
 	g.pmu.RUnlock()
 	if down {
-		return query.Fail(ErrPrimaryDown)
+		c.Fail(ErrPrimaryDown, rep)
+		return
 	}
 	at := g.commit.Load()
-	rd := req.Span.Child("replica.read")
+	rd := sp.Child("replica.read")
 	rd.SetDetail("primary")
-	res := p.Exec(sub.WithSpan(rd))
+	leg := sub // sub itself stays unassigned, so the attempt closure holds it by value
+	leg.Span = rd
+	leg.On(p, rep)
 	rd.End()
-	g.noteServed(req.Session, at)
-	return res
-}
-
-// readBatch is read for a whole binding set: one copy, one round trip.
-func (g *Group) readBatch(req query.BatchRequest, min int64) ([]any, []error) {
-	if s := g.served.Load(); s > min {
-		min = s
-	}
-	sub := query.BatchReq(req.Name, req.SQL, req.ArgSets)
-	sub.Deadline = req.Deadline
-	run := func(i int, hedged bool) attempt {
-		st := g.states[i]
-		at := st.applied.Load()
-		st.inflight.Add(1)
-		rd := req.Span.Child("replica.read")
-		rd.SetDetail(obs.ReplicaLabel(i))
-		b := sub // copy: hedge lanes run concurrently, each with its own span
-		b.Span = rd
-		g.crashMaybe(i)
-		vals, errs := g.replica(i).ExecBatch(b).Pair()
-		rd.End()
-		st.inflight.Add(-1)
-		a := attempt{vals: vals, errs: errs, at: at, hedged: hedged}
-		if batchFaulted(errs) {
-			a.faulted = true
-			g.failOut(i)
-		} else {
-			st.reads.Add(int64(len(req.ArgSets)))
-		}
-		return a
-	}
-	if a, ok := g.readLoop(min, run); ok {
-		g.noteServed(req.Session, a.at)
-		return a.vals, a.errs
-	}
-	g.pmu.RLock()
-	p, down := g.primary, g.primaryDown
-	g.pmu.RUnlock()
-	if down {
-		br := query.FailAll(len(req.ArgSets), ErrPrimaryDown)
-		return br.Values, br.Errs
-	}
-	at := g.commit.Load()
-	rd := req.Span.Child("replica.read")
-	rd.SetDetail("primary")
-	sub.Span = rd
-	vals, errs := p.ExecBatch(sub).Pair()
-	rd.End()
-	g.noteServed(req.Session, at)
-	return vals, errs
+	g.noteServed(c.Session, at)
 }
 
 func (g *Group) noteServed(sess *Session, at int64) {
@@ -887,105 +808,72 @@ func (g *Group) noteServed(sess *Session, at int64) {
 	sess.NoteServed(at)
 }
 
-// batchFaulted reports whether a batch died of an injected transport fault
-// (the server fails the whole call before executing any binding, so a
-// faulted batch is safe to retry elsewhere).
-func batchFaulted(errs []error) bool {
-	for _, err := range errs {
-		if err != nil && server.IsFault(err) {
-			return true
-		}
-	}
-	return false
-}
-
-// write commits one statement: primary execution, WAL append, durability
-// wait, synchronous replication (sync groups). A primary error — fault or
-// validation — aborts before the log or any replica is touched, as does a
-// deadline already expired when the write acquires the group write lock
-// (a clean rejection: nothing executed, nothing logged).
-func (g *Group) write(req query.Request) (any, sqlmini.ExecInfo, int64, error) {
-	sp := req.Span
+// write commits one call: primary execution, WAL append, durability wait,
+// synchronous replication (sync groups). The bindings the primary accepted
+// become one log record and share one durability wait; a primary error —
+// transport fault or per-binding validation — never enters the log (only
+// acknowledged rows replicate or replay), and neither does a call whose
+// deadline already expired when it acquires the group write lock (a clean
+// rejection: nothing executed, nothing logged).
+func (g *Group) write(c *query.Call, rep *query.Reply) {
+	sp := c.Span
 	lock := sp.Child("write.lock") // group write-order serialization wait
 	g.wmu.Lock()
 	lock.End()
-	if req.Deadline.Expired() {
+	if c.Deadline.Expired() {
 		g.wmu.Unlock()
-		return nil, sqlmini.ExecInfo{}, 0, query.ErrDeadlineExceeded
+		c.Fail(query.ErrDeadlineExceeded, rep)
+		return
 	}
 	g.pmu.RLock()
 	p, down := g.primary, g.primaryDown
 	g.pmu.RUnlock()
 	if down {
 		g.wmu.Unlock()
-		return nil, sqlmini.ExecInfo{}, 0, ErrPrimaryDown
+		c.Fail(ErrPrimaryDown, rep)
+		return
 	}
 	g.ensureBaseSnapshot(p)
 	// The primary call carries no deadline: once execution starts the write
 	// is in the log's order, and the deadline is enforced at the commit
 	// wait below instead — abandoned, never half-acked.
-	res := p.Exec(query.Req(req.Name, req.SQL, req.Args).WithSpan(sp))
-	if res.Err != nil {
-		g.wmu.Unlock()
-		return nil, res.Info, 0, res.Err
+	sub := query.Call{
+		Request: query.Request{Name: c.Name, SQL: c.SQL, Args: c.Args, Span: sp},
+		ArgSets: c.ArgSets,
 	}
-	lsn := g.stageRecord(sp, req.Name, req.SQL, [][]any{req.Args})
-	g.wmu.Unlock()
-	if err := g.awaitCommit(sp, lsn, req.Deadline); err != nil {
-		return nil, res.Info, 0, err
-	}
-	return res.Value, res.Info, lsn, nil
-}
-
-// writeBatch commits a binding set: the primary executes it, the committed
-// bindings become one log record, and the whole batch shares one durability
-// wait. A transport fault on the primary aborts the batch (no log, no
-// replica); per-binding validation errors return with the batch and never
-// enter the log (only acknowledged rows replicate or replay).
-func (g *Group) writeBatch(req query.BatchRequest) ([]any, []error, sqlmini.ExecInfo, int64) {
-	sp, argSets := req.Span, req.ArgSets
-	lock := sp.Child("write.lock")
-	g.wmu.Lock()
-	lock.End()
-	if req.Deadline.Expired() {
-		g.wmu.Unlock()
-		br := query.FailAll(len(argSets), query.ErrDeadlineExceeded)
-		return br.Values, br.Errs, sqlmini.ExecInfo{}, 0
-	}
-	g.pmu.RLock()
-	p, down := g.primary, g.primaryDown
-	g.pmu.RUnlock()
-	if down {
-		g.wmu.Unlock()
-		br := query.FailAll(len(argSets), ErrPrimaryDown)
-		return br.Values, br.Errs, sqlmini.ExecInfo{}, 0
-	}
-	g.ensureBaseSnapshot(p)
-	sub := query.BatchReq(req.Name, req.SQL, argSets)
-	sub.Span = sp
-	pres := p.ExecBatch(sub)
-	vals, errs, info := pres.Values, pres.Errs, pres.Info
-	if batchFaulted(errs) {
-		g.wmu.Unlock()
-		return vals, errs, info, 0
-	}
-	var okSets [][]any
-	for i, e := range errs {
-		if e == nil {
-			okSets = append(okSets, argSets[i])
+	sub.On(p, rep)
+	var committed [][]any
+	if !c.Batch() {
+		if rep.Err == nil {
+			committed = [][]any{c.Args}
+		}
+	} else {
+		for i, e := range rep.Errs {
+			if e == nil {
+				committed = append(committed, c.ArgSets[i])
+			}
 		}
 	}
-	if len(okSets) == 0 {
+	if len(committed) == 0 {
 		g.wmu.Unlock()
-		return vals, errs, info, 0
+		return
 	}
-	lsn := g.stageRecord(sp, req.Name, req.SQL, okSets)
+	lsn := g.stageRecord(sp, c.Name, c.SQL, committed)
 	g.wmu.Unlock()
-	if err := g.awaitCommit(sp, lsn, req.Deadline); err != nil {
-		br := query.FailAll(len(argSets), err)
-		return br.Values, br.Errs, info, 0
+	if err := g.awaitCommit(sp, lsn, c.Deadline); err != nil {
+		// Only the bindings that had committed lose their acknowledgement;
+		// a binding the primary rejected keeps its own error.
+		if !c.Batch() {
+			rep.Value, rep.Err = nil, err
+		}
+		for i, e := range rep.Errs {
+			if e == nil {
+				rep.Values[i], rep.Errs[i] = nil, err
+			}
+		}
+		return
 	}
-	return vals, errs, info, lsn
+	c.Session.NoteWrite(lsn)
 }
 
 // stageRecord logs one committed write and replicates it synchronously (sync
@@ -1196,31 +1084,11 @@ func (g *Group) CopyStats() []server.Stats {
 	return out
 }
 
-// Stats aggregates the group's counters: sums of the per-copy counts (a
-// replicated write is real work on every copy and counts per copy) with
-// VirtualTime the maximum, since copies burn simulated time in parallel.
+// Stats aggregates the group's per-copy counters (server.Stats.Add).
 func (g *Group) Stats() server.Stats {
 	var agg server.Stats
 	for _, s := range g.CopyStats() {
-		agg.Queries += s.Queries
-		agg.Inserts += s.Inserts
-		agg.RowsRead += s.RowsRead
-		agg.NetRequests += s.NetRequests
-		agg.Batches += s.Batches
-		agg.BufferHits += s.BufferHits
-		agg.BufferMiss += s.BufferMiss
-		agg.Disk.Requests += s.Disk.Requests
-		agg.Disk.PagesRead += s.Disk.PagesRead
-		agg.Disk.Writes += s.Disk.Writes
-		agg.Disk.PagesWritten += s.Disk.PagesWritten
-		agg.Disk.SeekTime += s.Disk.SeekTime
-		agg.Disk.BusyTime += s.Disk.BusyTime
-		if s.Disk.MaxQueue > agg.Disk.MaxQueue {
-			agg.Disk.MaxQueue = s.Disk.MaxQueue
-		}
-		if s.VirtualTime > agg.VirtualTime {
-			agg.VirtualTime = s.VirtualTime
-		}
+		agg.Add(s)
 	}
 	return agg
 }

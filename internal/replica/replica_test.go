@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"math"
 	"repro/internal/query"
 	"sync"
 	"testing"
@@ -371,5 +372,33 @@ func TestConcurrentReadsWritesAndFailover(t *testing.T) {
 		if n := rows("kv", rep); n != want {
 			t.Fatalf("replica %d has %d rows, primary %d", i, n, want)
 		}
+	}
+}
+
+// The aggregate carries the disks' mean queue depth as the request-weighted
+// mean over the copies (it used to be dropped, so the registry's
+// "group: disk.avg.queue" was always 0).
+func TestStatsCarriesRequestWeightedAvgQueue(t *testing.T) {
+	g := newGroup(t, 2, RoundRobin)
+	g.ColdStart()
+	for i := int64(0); i < 40; i++ {
+		if res := g.Exec(query.Req("q", sel, []any{i})); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	var depth, requests float64
+	for _, s := range g.CopyStats() {
+		depth += s.Disk.AvgQueue * float64(s.Disk.Requests)
+		requests += float64(s.Disk.Requests)
+	}
+	if requests == 0 {
+		t.Fatal("cold reads reached no disk")
+	}
+	got, want := g.Stats().Disk.AvgQueue, depth/requests
+	if got <= 0 || math.Abs(got-want) > 1e-9 {
+		t.Fatalf("aggregate AvgQueue = %v, want the request-weighted mean %v", got, want)
+	}
+	if m := g.Stats().Metrics()["disk.avg.queue"]; m != got {
+		t.Fatalf("registry source reports disk.avg.queue = %v, want %v", m, got)
 	}
 }

@@ -185,11 +185,9 @@ func (g *Group) probe(i int) {
 	g.setOpenGauge()
 }
 
-// attempt is the outcome of one replica read attempt (single or batch).
+// attempt is the outcome of one replica read attempt.
 type attempt struct {
-	res     query.Result
-	vals    []any
-	errs    []error
+	rep     query.Reply
 	at      int64 // the replica's applied LSN when the attempt started
 	hedged  bool  // this was the delayed second attempt
 	faulted bool  // the attempt died to an injected fault (replica failed out)
@@ -211,8 +209,7 @@ func (g *Group) pickExcept(min int64, except int) int {
 	return -1
 }
 
-// readLoop drives the pick / hedge / failover loop shared by read and
-// readBatch. run executes one attempt against replica i; ok=false means no
+// readLoop drives read's pick / hedge / failover loop. run executes one attempt against replica i; ok=false means no
 // replica could serve (the caller falls back to the primary).
 func (g *Group) readLoop(min int64, run func(i int, hedged bool) attempt) (attempt, bool) {
 	for {

@@ -19,7 +19,7 @@ func TestHedgedAttemptSecondLaneWins(t *testing.T) {
 		if !hedged {
 			time.Sleep(50 * time.Millisecond) // the lane the hedge rescues
 		}
-		return attempt{res: query.Ok(int64(i)), hedged: hedged}
+		return attempt{rep: query.Reply{Value: int64(i)}, hedged: hedged}
 	}
 	a, ok := g.hedgedAttempt(0, 0, run)
 	if !ok {
@@ -39,7 +39,7 @@ func TestHedgedAttemptSecondLaneWins(t *testing.T) {
 func TestHedgedAttemptFirstLaneWinsWithoutHedge(t *testing.T) {
 	g := newGroupOpts(t, Options{Replicas: 2, Hedge: 50 * time.Millisecond})
 	run := func(i int, hedged bool) attempt {
-		return attempt{res: query.Ok(int64(i)), hedged: hedged}
+		return attempt{rep: query.Reply{Value: int64(i)}, hedged: hedged}
 	}
 	a, ok := g.hedgedAttempt(0, 0, run)
 	if !ok || a.hedged {

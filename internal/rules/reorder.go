@@ -359,15 +359,6 @@ func writerStub(body *ir.Block, next, t, sq ir.Stmt, v string, reg *ir.Registry,
 	return moveAfter(body, stub, t, sq, reg, gen, budget)
 }
 
-func hasEdge(g *dataflow.Graph, from, to int, kind dataflow.EdgeKind, loc string) bool {
-	for _, e := range g.Edges {
-		if e.From == from && e.To == to && e.Kind == kind && e.Loc == loc {
-			return true
-		}
-	}
-	return false
-}
-
 func readsVar(s ir.Stmt, v string, reg *ir.Registry) bool {
 	return dataflow.StmtSets(s, reg).Reads[v]
 }

@@ -32,16 +32,6 @@ func Flatten(body *ir.Block, gen *ir.NameGen) error {
 	return nil
 }
 
-// NeedsFlatten reports whether the block contains any if statements.
-func NeedsFlatten(body *ir.Block) bool {
-	for _, s := range body.Stmts {
-		if _, ok := s.(*ir.If); ok {
-			return true
-		}
-	}
-	return false
-}
-
 // flattenStmts linearizes stmts under the given outer guard. topLevel allows
 // loops to remain (they are handled by the nested-loop rule); under a guard
 // they are an error.

@@ -29,7 +29,6 @@ import (
 	"repro/internal/simclock"
 	"repro/internal/sqlmini"
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // ErrInjected is the transport-level fault FailNext injects: the request
@@ -127,15 +126,6 @@ type Server struct {
 	// extents tracks (extent -> page count) for warming.
 	extMu   sync.Mutex
 	extents map[int]int
-
-	// wlog, when set by EnableWAL, makes every committed insert durable
-	// before Exec/ExecBatch acknowledges it (per the log's mode).
-	wlog atomic.Pointer[wal.Log]
-
-	// metrics, when set, feeds the WAL's fsync histograms (and any future
-	// server-side histograms). Counters stay as the atomics above; the
-	// registry reaches them through RegisterMetrics' pull source.
-	metrics atomic.Pointer[obs.Registry]
 }
 
 // New starts a server with the given profile; scale is the wall-clock
@@ -155,61 +145,19 @@ func New(p Profile, scale float64) *Server {
 	return s
 }
 
-// Close stops the WAL flusher (if any) and the disk goroutine.
-func (s *Server) Close() {
-	if l := s.wlog.Swap(nil); l != nil {
-		l.Close()
-	}
-	s.disk.Close()
+// Close stops the disk goroutine.
+func (s *Server) Close() { s.disk.Close() }
+
+// RegisterMetrics registers the server's stats as a pull source under prefix.
+func (s *Server) RegisterMetrics(reg *obs.Registry, prefix string) {
+	reg.RegisterSource(prefix+"server", func() map[string]float64 {
+		return s.Stats().Metrics()
+	})
 }
 
 // walPageBytes is the modelled page size of log writes: one group commit of
 // n encoded bytes is one batched disk write of ceil(n/walPageBytes) pages.
 const walPageBytes = 8 << 10
-
-// EnableWAL attaches a write-ahead log: from now on every committed insert
-// is appended, and Exec/ExecBatch acknowledge only once the record is
-// durable under mode (Group amortizes the fsync across concurrent commits;
-// Off acknowledges immediately and risks losing the unsynced tail). A nil
-// store defaults to an in-memory one.
-func (s *Server) EnableWAL(mode wal.Mode, store wal.Store) *wal.Log {
-	l := wal.New(wal.Options{Mode: mode, Store: store, Syncer: walSyncer{s}})
-	if reg := s.metrics.Load(); reg != nil {
-		l.SetMetrics(reg)
-	}
-	s.wlog.Store(l)
-	return l
-}
-
-// SetMetrics points the server (and its WAL, present or future) at an obs
-// registry for histogram recording.
-func (s *Server) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	s.metrics.Store(reg)
-	if l := s.wlog.Load(); l != nil {
-		l.SetMetrics(reg)
-	}
-}
-
-// RegisterMetrics registers the server's stats (and its WAL's, if any) as
-// pull sources under prefix, and points histogram recording at reg.
-func (s *Server) RegisterMetrics(reg *obs.Registry, prefix string) {
-	s.SetMetrics(reg)
-	reg.RegisterSource(prefix+"server", func() map[string]float64 {
-		return s.Stats().Metrics()
-	})
-	reg.RegisterSource(prefix+"wal", func() map[string]float64 {
-		if l := s.wlog.Load(); l != nil {
-			return l.Stats().Metrics()
-		}
-		return nil
-	})
-}
-
-// WAL returns the attached log, or nil.
-func (s *Server) WAL() *wal.Log { return s.wlog.Load() }
 
 // SyncWAL charges one fsync of n encoded bytes: a batched write at the
 // disk's dedicated log track. Sequential log writes always land on the same
@@ -223,20 +171,11 @@ func (s *Server) SyncWAL(bytes int) {
 	s.disk.Write(s.Profile.Disk.Tracks-1, pages)
 }
 
-// walSyncer adapts a server as a wal.Syncer (replica groups reuse SyncWAL
-// directly through their own forwarding syncer).
-type walSyncer struct{ s *Server }
-
-func (w walSyncer) Sync(bytes int) { w.s.SyncWAL(bytes) }
-
 // Catalog exposes the table catalog for data loading.
 func (s *Server) Catalog() *storage.Catalog { return s.cat }
 
 // Pool exposes the buffer pool (tests).
 func (s *Server) Pool() *buffer.Pool { return s.pool }
-
-// Disk exposes the disk (tests, stats).
-func (s *Server) Disk() *disk.Disk { return s.disk }
 
 // RegisterExtent lays an extent out on disk and remembers its size for
 // warming. Extents are spread across the disk surface so different tables'
@@ -365,65 +304,18 @@ func (s *Server) ColdStart() { s.pool.Reset() }
 // It implements query.Executor and is safe for concurrent use — the
 // concurrency benefits of asynchronous submission arise precisely because
 // multiple Execs can be in flight. The request's optional context rides the
-// struct: its Span grows a "server.exec" child (with io / cpu / wal.commit
-// sub-spans; a nil span costs a few nil checks and nothing else), its
-// Deadline is checked on arrival — an expired request is rejected after the
-// round trip, before execution — and again at the WAL commit wait, where an
-// expiring deadline abandons the acknowledgement with
-// query.ErrDeadlineExceeded rather than blocking past it.
+// struct: its Span grows a "server.exec" child (with io / cpu sub-spans; a
+// nil span costs a few nil checks and nothing else) and its Deadline is
+// checked on arrival — an expired request is rejected after the round trip,
+// before execution.
 //
 // The result carries the execution trace (sqlmini.ExecInfo, including the
 // matched row ids); the shard router's scatter-gather merge consumes it to
 // restore the global row order.
 func (s *Server) Exec(req query.Request) query.Result {
-	ex := req.Span.Child("server.exec")
-	defer ex.End()
-	s.Clock.Sleep(s.Profile.RTT)
-	ex.Charge(s.Profile.RTT)
-	s.netReqs.Add(1) // the round trip is paid whether or not the statement succeeds
-	if req.Deadline.Expired() {
-		return query.Fail(query.ErrDeadlineExceeded)
-	}
-	if s.takeFault() {
-		return query.Fail(ErrInjected)
-	}
-	st, err := s.prep.Prepare(req.SQL)
-	if err != nil {
-		return query.Fail(err)
-	}
-	// IO phase: page faults ride the disk queue without holding a core.
-	io := ex.Child("server.io")
-	res, info, err := sqlmini.Execute(st, s.cat, s.pool, req.Args)
-	io.End()
-	if err != nil {
-		return query.Result{Err: err, Info: info}
-	}
-	// CPU phase: hold one of the K cores.
-	cpu := s.Profile.CPUFixed + time.Duration(info.RowsExamined)*s.Profile.CPUPerRow
-	cpuSp := ex.Child("server.cpu")
-	s.cores <- struct{}{}
-	s.Clock.Sleep(cpu)
-	<-s.cores
-	cpuSp.Charge(cpu)
-	cpuSp.End()
-
-	// Durability: a committed insert is appended to the WAL and the ack
-	// waits out its fsync (amortized across concurrent commits in Group
-	// mode) before the client sees success.
-	if st.Insert {
-		if l := s.wlog.Load(); l != nil {
-			if err := l.CommitWait(ex, l.Append(req.Name, req.SQL, [][]any{req.Args}), req.Deadline); err != nil {
-				return query.Result{Err: err, Info: info}
-			}
-		}
-	}
-
-	s.queries.Add(1)
-	if st.Insert {
-		s.inserts.Add(1)
-	}
-	s.rows.Add(int64(info.RowsExamined))
-	return query.Result{Value: res, Info: info}
+	c, rep := query.Call{Request: req}, query.Reply{}
+	s.exec(&c, &rep)
+	return rep.Result()
 }
 
 // ExecBatch is the set-oriented query path (batched submission): one network
@@ -437,85 +329,74 @@ func (s *Server) Exec(req query.Request) query.Result {
 // the whole binding set, mirroring how one round trip and one planning
 // charge do; the deadline semantics match Exec, applied batch-wide.
 func (s *Server) ExecBatch(req query.BatchRequest) query.BatchResult {
-	argSets := req.ArgSets
-	ex := req.Span.Child("server.execbatch")
+	c, rep := query.BatchCall(req), query.Reply{}
+	s.exec(&c, &rep)
+	return rep.BatchResult()
+}
+
+// exec is the one admission-execute-charge sequence behind both shapes:
+// round trip (paid and counted whether or not the statement succeeds),
+// deadline, injected fault, prepare; the IO phase on the shape's sqlmini
+// kernel; then the CPU charge and the activity counters. A call none of
+// whose bindings succeeded charges no CPU and counts nothing beyond its
+// round trip, like that many failing per-query calls.
+func (s *Server) exec(c *query.Call, rep *query.Reply) {
+	name := "server.exec"
+	if c.Batch() {
+		name = "server.execbatch"
+		s.batches.Add(1)
+	}
+	ex := c.Span.Child(name)
 	defer ex.End()
 	s.Clock.Sleep(s.Profile.RTT)
 	ex.Charge(s.Profile.RTT)
-	s.netReqs.Add(1) // one round trip per batch, paid whether or not it succeeds
-	s.batches.Add(1)
-	if req.Deadline.Expired() {
-		return query.FailAll(len(argSets), query.ErrDeadlineExceeded)
+	s.netReqs.Add(1)
+	if c.Deadline.Expired() {
+		c.Fail(query.ErrDeadlineExceeded, rep)
+		return
 	}
 	if s.takeFault() {
-		return query.FailAll(len(argSets), ErrInjected)
+		c.Fail(ErrInjected, rep)
+		return
 	}
-	st, err := s.prep.Prepare(req.SQL)
+	st, err := s.prep.Prepare(c.SQL)
 	if err != nil {
-		return query.FailAll(len(argSets), err)
+		c.Fail(err, rep)
+		return
 	}
-	// IO phase: page faults ride the disk queue without holding a core; the
+	// IO phase: page faults ride the disk queue without holding a core; a
 	// batch dedupes page accesses across bindings before touching the pool.
-	io := ex.Child("server.io")
-	results, errs, info := sqlmini.ExecuteBatch(st, s.cat, s.pool, argSets)
-	io.End()
-	// CPU phase: one fixed planning charge for the whole batch, then the
-	// per-row work, holding one of the K cores. A batch whose bindings all
-	// failed validation charges nothing, like N failing per-query calls.
-	anyLive := false
-	for _, e := range errs {
-		if e == nil {
-			anyLive = true
-			break
-		}
-	}
-	if anyLive {
-		cpu := s.Profile.CPUFixed + time.Duration(info.RowsExamined)*s.Profile.CPUPerRow
-		cpuSp := ex.Child("server.cpu")
-		s.cores <- struct{}{}
-		s.Clock.Sleep(cpu)
-		<-s.cores
-		cpuSp.Charge(cpu)
-		cpuSp.End()
-	}
-
-	// Durability: the batch's committed inserts become one WAL record (the
-	// whole batch shares one commit wait, like it shared one round trip). A
-	// deadline expiring during the wait abandons the acknowledgement for
-	// every committed binding — never a half-acked batch.
-	if st.Insert {
-		if l := s.wlog.Load(); l != nil {
-			var okSets [][]any
-			for i, e := range errs {
-				if e == nil {
-					okSets = append(okSets, argSets[i])
-				}
-			}
-			if len(okSets) > 0 {
-				if werr := l.CommitWait(ex, l.Append(req.Name, req.SQL, okSets), req.Deadline); werr != nil {
-					for i, e := range errs {
-						if e == nil {
-							results[i], errs[i] = nil, werr
-						}
-					}
-					return query.BatchResult{Values: results, Errs: errs, Info: info}
-				}
-			}
-		}
-	}
-
 	var ok int64
-	for i := range argSets {
-		if errs[i] == nil {
-			ok++
+	io := ex.Child("server.io")
+	if c.Batch() {
+		rep.Values, rep.Errs, rep.Info = sqlmini.ExecuteBatch(st, s.cat, s.pool, c.ArgSets)
+		for _, e := range rep.Errs {
+			if e == nil {
+				ok++
+			}
 		}
+	} else if rep.Value, rep.Info, rep.Err = sqlmini.Execute(st, s.cat, s.pool, c.Args); rep.Err == nil {
+		ok = 1
 	}
+	io.End()
+	if ok == 0 {
+		return
+	}
+	// CPU phase: one fixed planning charge for the whole call, then the
+	// per-row work, holding one of the K cores.
+	cpu := s.Profile.CPUFixed + time.Duration(rep.Info.RowsExamined)*s.Profile.CPUPerRow
+	cpuSp := ex.Child("server.cpu")
+	s.cores <- struct{}{}
+	s.Clock.Sleep(cpu)
+	<-s.cores
+	cpuSp.Charge(cpu)
+	cpuSp.End()
+
 	s.queries.Add(ok)
 	if st.Insert {
 		s.inserts.Add(ok)
 	}
-	s.rows.Add(int64(info.RowsExamined))
-	return query.BatchResult{Values: results, Errs: errs, Info: info}
+	s.rows.Add(int64(rep.Info.RowsExamined))
 }
 
 // Stats summarizes server activity. NetRequests counts client-visible round
@@ -549,6 +430,33 @@ func (s Stats) Metrics() map[string]float64 {
 		"disk.avg.queue":  s.Disk.AvgQueue,
 		"virtual.seconds": s.VirtualTime.Seconds(),
 	}
+}
+
+// Add folds another copy's or shard's counters into s, the one aggregation
+// replica groups and shard routers share: counts sum (a replicated write is
+// real work on every copy), MaxQueue and VirtualTime take the maximum
+// (copies burn simulated time in parallel), and AvgQueue is the
+// request-weighted mean.
+func (s *Stats) Add(o Stats) {
+	s.Queries += o.Queries
+	s.Inserts += o.Inserts
+	s.RowsRead += o.RowsRead
+	s.NetRequests += o.NetRequests
+	s.Batches += o.Batches
+	s.BufferHits += o.BufferHits
+	s.BufferMiss += o.BufferMiss
+	if n := s.Disk.Requests + o.Disk.Requests; n > 0 {
+		s.Disk.AvgQueue = (s.Disk.AvgQueue*float64(s.Disk.Requests) +
+			o.Disk.AvgQueue*float64(o.Disk.Requests)) / float64(n)
+	}
+	s.Disk.Requests += o.Disk.Requests
+	s.Disk.PagesRead += o.Disk.PagesRead
+	s.Disk.Writes += o.Disk.Writes
+	s.Disk.PagesWritten += o.Disk.PagesWritten
+	s.Disk.SeekTime += o.Disk.SeekTime
+	s.Disk.BusyTime += o.Disk.BusyTime
+	s.Disk.MaxQueue = max(s.Disk.MaxQueue, o.Disk.MaxQueue)
+	s.VirtualTime = max(s.VirtualTime, o.VirtualTime)
 }
 
 // Stats returns a snapshot.

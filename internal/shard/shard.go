@@ -64,7 +64,6 @@ type Backend interface {
 	Close()
 	Stats() server.Stats
 
-	SetMetrics(reg *obs.Registry)
 	RegisterMetrics(reg *obs.Registry, prefix string)
 }
 
@@ -225,10 +224,9 @@ type Router struct {
 type pendingWrite struct {
 	table  string
 	row    []any
-	src    int    // source slot the insert landed on
-	srcRid int    // local row id on the source (merge-order key)
-	h      uint64 // shard-key hash (routing between split halves)
-	repl   bool   // replicated-table broadcast: apply to every new backend
+	src    int  // source slot the insert landed on
+	srcRid int  // local row id on the source (merge-order key)
+	repl   bool // replicated-table broadcast: apply to every new backend
 }
 
 // New starts a router over n fresh backends of the given profile; scale is
@@ -314,20 +312,6 @@ func (r *Router) Groups() []*replica.Group {
 			return nil
 		}
 		out = append(out, g)
-	}
-	return out
-}
-
-// ReplicaStats returns per-shard, per-copy server counters (primary first)
-// for replicated backends, or nil for bare servers.
-func (r *Router) ReplicaStats() [][]server.Stats {
-	groups := r.Groups()
-	if groups == nil {
-		return nil
-	}
-	out := make([][]server.Stats, len(groups))
-	for i, g := range groups {
-		out[i] = g.CopyStats()
 	}
 	return out
 }
@@ -425,41 +409,145 @@ func (r *Router) table(name string) *tableInfo {
 	return r.tables[name]
 }
 
-// NewSession starts a client session. The router derives one child session
-// per shard (query.Session.Sub) as requests fan out, so ReadYourWrites
-// floors (the LSNs of the session's own acknowledged writes) and
-// served-state bookkeeping follow the client through point, scatter and
-// batched submissions alike — each shard's replica group has its own LSN
-// space, hence its own child. Over bare (unreplicated) backends the tokens
-// are simply never consulted.
-func (r *Router) NewSession() *query.Session { return query.NewSession() }
-
-// shardSpan opens the per-shard fan-out child: one leg of a scatter, a
-// routed point statement, or a per-shard sub-batch. Nil in, nil out.
-func shardSpan(sp *obs.Span, what string, i int) *obs.Span {
-	c := sp.Child(what)
-	c.SetDetail(obs.ShardLabel(i))
-	return c
+// lookup resolves a statement for routing: its parse and its table's routing
+// metadata. ti is nil for a malformed statement or an unknown table.
+func (r *Router) lookup(sql string) (st *sqlmini.Stmt, ti *tableInfo) {
+	st, err := r.prep.Prepare(sql)
+	if err != nil {
+		return nil, nil
+	}
+	return st, r.table(st.Table)
 }
 
-// bexec dispatches one statement to shard i: the request is re-scoped with
-// the shard's span child and the session's per-shard child, everything else
-// (deadline, consistency) passes through verbatim.
-func (r *Router) bexec(req query.Request, i int) query.Result {
-	c := shardSpan(req.Span, "shard.exec", i)
-	defer c.End()
-	req.Span = c
-	req.Session = req.Session.Sub(i)
-	return r.backends[i].Exec(req)
+// Destinations route returns besides a shard index.
+const (
+	destBroadcast = -1 - iota // replicated-table write: every shard, so the copies stay identical
+	destScatter               // no shard-key value bound: every owning shard, results merged
+)
+
+// route is the routing rule, stated once for Exec, ExecBatch and BatchGroup:
+// where a statement (resolved by lookup) executes under one binding. keyed
+// reports that the binding's shard-key value chose the shard.
+func (r *Router) route(st *sqlmini.Stmt, ti *tableInfo, args []any) (dest int, keyed bool) {
+	switch {
+	case ti == nil:
+		// Malformed statement or unknown table: ship it to a real backend so
+		// the round trip and the error text match the single-server path.
+		return 0, false
+	case ti.key == "" && st.Insert:
+		return destBroadcast, false
+	case ti.key == "":
+		// Replicated table: every shard holds the full data; read one.
+		return 0, false
+	}
+	var v any
+	var ok bool
+	if st.Insert {
+		v, ok = st.InsertValue(ti.keyPos, args)
+	} else {
+		v, ok = st.WhereEqValue(ti.key, args)
+	}
+	switch {
+	case ok:
+		return r.ranges.Load().OwnerOf(v), true
+	case st.Insert:
+		// Arity/parameter errors surface identically on any backend.
+		return 0, false
+	default:
+		return destScatter, false
+	}
 }
 
-// bexecBatch is bexec for a per-shard sub-batch.
-func (r *Router) bexecBatch(req query.BatchRequest, i int) query.BatchResult {
-	c := shardSpan(req.Span, "shard.batch", i)
-	defer c.End()
-	req.Span = c
-	req.Session = req.Session.Sub(i)
-	return r.backends[i].ExecBatch(req)
+// dispatch sends one call to shard i: the call is re-scoped with the shard's
+// span child ("shard.exec" / "shard.batch", labelled with the shard) and the
+// session's per-shard child; deadline and consistency pass through verbatim.
+func (r *Router) dispatch(c *query.Call, i int, rep *query.Reply) {
+	what := "shard.exec"
+	if c.Batch() {
+		what = "shard.batch"
+	}
+	sp := c.Span.Child(what)
+	sp.SetDetail(obs.ShardLabel(i))
+	defer sp.End()
+	leg := *c
+	leg.Span = sp
+	leg.Session = c.Session.Sub(i)
+	leg.On(r.backends[i], rep)
+}
+
+// fanout dispatches one call to several shards in parallel: leg k goes to
+// shard targets[k], carrying subs[k] in place of the call's own bindings
+// when subs is given (ExecBatch's per-shard sub-batches). Span.Child is
+// concurrency-safe, so each leg hangs its own child off the call's span.
+func (r *Router) fanout(c *query.Call, targets []int, subs [][][]any) []query.Reply {
+	out := make([]query.Reply, len(targets))
+	var wg sync.WaitGroup
+	for k, s := range targets {
+		wg.Add(1)
+		// The call rides to its goroutine as an argument, by value: a
+		// captured pointer would move the caller's Call to the heap.
+		go func(k, s int, leg query.Call) {
+			defer wg.Done()
+			query.GrowStack()
+			if subs != nil {
+				leg.ArgSets = subs[k]
+			}
+			r.dispatch(&leg, s, &out[k])
+		}(k, s, *c)
+	}
+	wg.Wait()
+	return out
+}
+
+// broadcast runs a replicated-table write on every shard so the copies stay
+// identical. Shard 0's reply speaks for all, except that a binding any shard
+// failed reports that shard's error. Acknowledged bindings are staged for
+// double-writing (in binding order) while a migration's copy phase runs.
+func (r *Router) broadcast(c *query.Call, table string, rep *query.Reply) {
+	all := make([]int, len(r.backends))
+	for i := range all {
+		all[i] = i
+	}
+	out := r.fanout(c, all, nil)
+	*rep = out[0]
+	for _, o := range out[1:] {
+		if rep.Err == nil && o.Err != nil {
+			rep.Value, rep.Err = nil, o.Err
+		}
+		for j, e := range o.Errs {
+			if e != nil && j < len(rep.Errs) && rep.Errs[j] == nil {
+				rep.Values[j], rep.Errs[j] = nil, e
+			}
+		}
+	}
+	for j, n := 0, c.Units(); j < n; j++ {
+		if rid, ok := insertedRid(rep, j); ok {
+			r.stagePending(table, 0, rid, true)
+		}
+	}
+}
+
+// insertedRid reports the local row id binding j of an acknowledged insert
+// landed on: Info.Matched for a single call, Info.InsertRids for a batch.
+func insertedRid(rep *query.Reply, j int) (int, bool) {
+	if rep.Errs == nil {
+		if rep.Err != nil || len(rep.Info.Matched) != 1 {
+			return 0, false
+		}
+		return rep.Info.Matched[0], true
+	}
+	if rids := rep.Info.InsertRids; j < len(rids) && rids[j] >= 0 {
+		return rids[j], true
+	}
+	return 0, false
+}
+
+// noteInsert records where a routed insert landed, so scatter merges keep
+// the exact single-server insertion order, and stages it for double-writing
+// while a migration's copy phase runs.
+func (r *Router) noteInsert(ti *tableInfo, table string, s, rid int) {
+	ti.notePos(s, rid)
+	r.stagePending(table, s, rid, false)
 }
 
 // Exec routes one statement: to the owning shard (per the live hash-range
@@ -473,52 +561,26 @@ func (r *Router) bexecBatch(req query.BatchRequest, i int) query.BatchResult {
 func (r *Router) Exec(req query.Request) query.Result {
 	r.mig.RLock()
 	defer r.mig.RUnlock()
-	return r.exec(req)
+	c, rep := query.Call{Request: req}, query.Reply{}
+	r.exec(&c, &rep)
+	return rep.Result()
 }
 
-func (r *Router) exec(req query.Request) query.Result {
-	st, err := r.prep.Prepare(req.SQL)
-	if err != nil {
-		// Ship the malformed statement to a real backend so the round trip
-		// and the error text match the single-server path exactly.
-		return r.bexec(req, 0)
-	}
-	ti := r.table(st.Table)
-	if ti == nil {
-		// Unknown table: identical "no table" error from any backend.
-		return r.bexec(req, 0)
-	}
-	if st.Insert {
-		if ti.key == "" {
-			res := r.broadcast(req)
-			if res.Err == nil && len(res.Info.Matched) == 1 {
-				r.stagePending(st.Table, 0, res.Info.Matched[0], 0, true)
+func (r *Router) exec(c *query.Call, rep *query.Reply) {
+	st, ti := r.lookup(c.SQL)
+	switch dest, keyed := r.route(st, ti, c.Args); dest {
+	case destBroadcast:
+		r.broadcast(c, st.Table, rep)
+	case destScatter:
+		rep.Value, rep.Err = r.scatter(c, st, ti)
+	default:
+		r.dispatch(c, dest, rep)
+		if keyed && st.Insert {
+			if rid, ok := insertedRid(rep, 0); ok {
+				r.noteInsert(ti, st.Table, dest, rid)
 			}
-			return res
 		}
-		if v, ok := st.InsertValue(ti.keyPos, req.Args); ok {
-			h := Hash64(v)
-			s := r.ranges.Load().Owner(h)
-			res := r.bexec(req, s)
-			if res.Err == nil && len(res.Info.Matched) == 1 {
-				// Record where the row landed so scatter merges keep the
-				// exact single-server insertion order.
-				ti.notePos(s, res.Info.Matched[0])
-				r.stagePending(st.Table, s, res.Info.Matched[0], h, false)
-			}
-			return res
-		}
-		// Arity/parameter errors surface identically on any backend.
-		return r.bexec(req, 0)
 	}
-	if ti.key != "" {
-		if v, ok := st.WhereEqValue(ti.key, req.Args); ok {
-			return r.bexec(req, r.ranges.Load().OwnerOf(v))
-		}
-		return r.scatter(req, st, ti)
-	}
-	// Replicated table: every shard holds the full data; read one.
-	return r.bexec(req, 0)
 }
 
 // stagePending captures one acknowledged insert while a migration's copy
@@ -527,38 +589,17 @@ func (r *Router) exec(req query.Request) query.Result {
 // capture order. Only acknowledged inserts are staged — a failed insert
 // never reaches the buffer, so the flip cannot manufacture writes. Callers
 // hold the migration read lock, so migActive/migSources are stable.
-func (r *Router) stagePending(table string, src, rid int, h uint64, repl bool) {
+func (r *Router) stagePending(table string, src, rid int, repl bool) {
 	if !r.migActive || (!repl && !r.migSources[src]) {
 		return
 	}
 	row := r.backends[src].TableRow(table, rid)
 	r.pendingMu.Lock()
 	r.pending = append(r.pending, pendingWrite{
-		table: table, row: row, src: src, srcRid: rid, h: h, repl: repl,
+		table: table, row: row, src: src, srcRid: rid, repl: repl,
 	})
 	r.pendingMu.Unlock()
 	r.doubleWrites.Add(1)
-}
-
-// broadcast runs a replicated-table write on every shard in parallel so the
-// replicas stay identical, returning one representative result.
-func (r *Router) broadcast(req query.Request) query.Result {
-	res := make([]query.Result, len(r.backends))
-	var wg sync.WaitGroup
-	for i := range r.backends {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res[i] = r.bexec(req, i)
-		}(i)
-	}
-	wg.Wait()
-	for _, re := range res {
-		if re.Err != nil {
-			return query.Fail(re.Err)
-		}
-	}
-	return res[0]
 }
 
 // pruneTargets is the scatter planner's cheap fast path: a statement with a
@@ -614,44 +655,31 @@ func (r *Router) ScatterPruned() int64 { return r.pruned.Load() }
 // runs. Shards the index statistics prove empty for the predicate are
 // skipped (pruneTargets); an empty shard's contribution to every merge is
 // the identity, so pruning is invisible in the results.
-func (r *Router) scatter(req query.Request, st *sqlmini.Stmt, ti *tableInfo) query.Result {
+func (r *Router) scatter(c *query.Call, st *sqlmini.Stmt, ti *tableInfo) (any, error) {
 	owners := r.ranges.Load().Owners()
-	targets := r.pruneTargets(st, req.Args, owners)
+	targets := r.pruneTargets(st, c.Args, owners)
 	if targets == nil {
 		targets = owners
 	} else if skipped := len(owners) - len(targets); skipped > 0 {
 		r.pruned.Add(int64(skipped))
 	}
-	n := len(targets)
-	res := make([]query.Result, n)
-	var wg sync.WaitGroup
-	for k, s := range targets {
-		wg.Add(1)
-		go func(k, s int) {
-			defer wg.Done()
-			// Span.Child is concurrency-safe, so each leg hangs its own
-			// "shard.exec" child off the request span from inside the fan-out.
-			res[k] = r.bexec(req, s)
-		}(k, s)
-	}
-	wg.Wait()
+	res := r.fanout(c, targets, nil)
 	// Validation errors are schema-determined and the schema is identical on
 	// every shard, so all shards fail alike; data-dependent errors (bad
 	// aggregate column type) fire on whichever shard holds a matching row.
 	// Either way any non-nil error is the single-server error.
-	vals := make([]any, n)
-	infos := make([]sqlmini.ExecInfo, n)
+	vals := make([]any, len(res))
+	infos := make([]sqlmini.ExecInfo, len(res))
 	for k, re := range res {
 		if re.Err != nil {
-			return query.Fail(re.Err)
+			return nil, re.Err
 		}
 		vals[k], infos[k] = re.Value, re.Info
 	}
 	if st.Agg != sqlmini.AggNone {
-		v, err := mergeAgg(st.Agg, vals)
-		return query.Result{Value: v, Err: err}
+		return mergeAgg(st.Agg, vals)
 	}
-	return query.Ok(mergeRows(ti, targets, vals, infos))
+	return mergeRows(ti, targets, vals, infos), nil
 }
 
 // mergeAgg combines per-shard aggregates. COUNT and SUM add (both are 0 on
@@ -743,189 +771,104 @@ func mergeRows(ti *tableInfo, targets []int, vals []any, infos []sqlmini.ExecInf
 func (r *Router) ExecBatch(req query.BatchRequest) query.BatchResult {
 	r.mig.RLock()
 	defer r.mig.RUnlock()
-	vals, errs := r.execBatch(req)
-	return query.BatchResult{Values: vals, Errs: errs}
+	c, rep := query.BatchCall(req), query.Reply{}
+	r.execBatch(&c, &rep)
+	return rep.BatchResult()
 }
 
-func (r *Router) execBatch(req query.BatchRequest) ([]any, []error) {
-	argSets := req.ArgSets
-	st, err := r.prep.Prepare(req.SQL)
-	if err != nil {
-		return r.bexecBatch(req, 0).Pair()
-	}
-	ti := r.table(st.Table)
-	if ti == nil {
-		return r.bexecBatch(req, 0).Pair()
-	}
-	if ti.key == "" {
-		if st.Insert {
-			return r.broadcastBatch(req, st.Table)
+func (r *Router) execBatch(c *query.Call, rep *query.Reply) {
+	st, ti := r.lookup(c.SQL)
+	n := len(c.ArgSets)
+	// Route every binding, counting what each shard receives.
+	dests := make([]int, n)
+	counts := make([]int, len(r.backends))
+	for i, args := range c.ArgSets {
+		dest, _ := r.route(st, ti, args)
+		if dest == destBroadcast {
+			// Decided by the statement alone: the whole batch broadcasts.
+			r.broadcast(c, st.Table, rep)
+			return
 		}
-		return r.bexecBatch(req, 0).Pair()
-	}
-
-	rg := r.ranges.Load()
-	n := len(argSets)
-	results := make([]any, n)
-	errs := make([]error, n)
-	groups := make([][]int, len(r.backends)) // binding indices per shard
-	var scatterIdx []int
-	var hashes []uint64 // per-binding key hash (insert double-write routing)
-	if st.Insert {
-		hashes = make([]uint64, n)
-	}
-	for i, args := range argSets {
-		var v any
-		var ok bool
-		if st.Insert {
-			if v, ok = st.InsertValue(ti.keyPos, args); !ok {
-				// Failing bindings execute (and fail identically) anywhere.
-				groups[0] = append(groups[0], i)
-				continue
-			}
-		} else if v, ok = st.WhereEqValue(ti.key, args); !ok {
-			scatterIdx = append(scatterIdx, i)
-			continue
-		}
-		h := Hash64(v)
-		if hashes != nil {
-			hashes[i] = h
-		}
-		groups[rg.Owner(h)] = append(groups[rg.Owner(h)], i)
-	}
-
-	// landed records, per binding of an insert batch, the shard and local
-	// row id the insert produced, so the positions can be noted in exact
-	// binding order after the parallel sub-batches drain — a single server
-	// applies the bindings in that order.
-	var landed [][2]int
-	if st.Insert && ti.key != "" {
-		landed = make([][2]int, n)
-		for i := range landed {
-			landed[i] = [2]int{-1, -1}
+		if dests[i] = dest; dest >= 0 {
+			counts[dest]++
 		}
 	}
-
+	// Carve one backing array into the per-shard sub-batches, each in
+	// binding order.
+	leg := make([]int, len(counts)) // shard -> its leg of the fan-out
+	targets := make([]int, 0, len(counts))
+	subs := make([][][]any, 0, len(counts))
+	backing := make([][]any, n)
+	for s, cnt := range counts {
+		if cnt > 0 {
+			leg[s] = len(targets)
+			targets = append(targets, s)
+			subs = append(subs, backing[:0:cnt])
+			backing = backing[cnt:]
+		}
+	}
+	vals, errs := make([]any, n), make([]error, n)
+	rep.Values, rep.Errs = vals, errs
 	var wg sync.WaitGroup
-	for s, idxs := range groups {
-		if len(idxs) == 0 {
+	for i, d := range dests {
+		if d >= 0 {
+			subs[leg[d]] = append(subs[leg[d]], c.ArgSets[i])
 			continue
 		}
 		wg.Add(1)
-		go func(s int, idxs []int) {
+		go func(i int, one query.Call) {
 			defer wg.Done()
-			sub := make([][]any, len(idxs))
-			for j, i := range idxs {
-				sub[j] = argSets[i]
-			}
-			sreq := req
-			sreq.ArgSets = sub
-			br := r.bexecBatch(sreq, s)
-			for j, i := range idxs {
-				if j < len(br.Values) {
-					results[i] = br.Values[j]
-				}
-				if j < len(br.Errs) {
-					errs[i] = br.Errs[j]
-				}
-				if landed != nil && j < len(br.Info.InsertRids) && br.Info.InsertRids[j] >= 0 {
-					landed[i] = [2]int{s, br.Info.InsertRids[j]}
-				}
-			}
-		}(s, idxs)
+			one.Args, one.ArgSets = one.ArgSets[i], nil
+			vals[i], errs[i] = r.scatter(&one, st, ti)
+		}(i, *c)
 	}
-	for _, i := range scatterIdx {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sub := query.Request{
-				Name: req.Name, SQL: req.SQL, Args: argSets[i],
-				Span: req.Span, Session: req.Session,
-				Consistency: req.Consistency, Deadline: req.Deadline,
-			}
-			res := r.scatter(sub, st, ti)
-			results[i], errs[i] = res.Value, res.Err
-		}(i)
-	}
+	out := r.fanout(c, targets, subs)
 	wg.Wait()
-	for i := range landed {
-		if landed[i][0] >= 0 {
-			ti.notePos(landed[i][0], landed[i][1])
-			r.stagePending(st.Table, landed[i][0], landed[i][1], hashes[i], false)
-		}
-	}
-	return results, errs
-}
 
-// broadcastBatch applies a replicated-table write batch to every shard in
-// parallel and returns shard 0's per-binding results. Acknowledged bindings
-// are staged for double-writing (in binding order) while a migration's copy
-// phase runs.
-func (r *Router) broadcastBatch(req query.BatchRequest, table string) ([]any, []error) {
-	out := make([]query.BatchResult, len(r.backends))
-	var wg sync.WaitGroup
-	for i := range r.backends {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i] = r.bexecBatch(req, i)
-		}(i)
-	}
-	wg.Wait()
-	for _, rid := range out[0].Info.InsertRids {
-		if rid >= 0 {
-			r.stagePending(table, 0, rid, 0, true)
+	// Demultiplex in binding order. A single server applies an insert
+	// batch's bindings in that order, so that is also the order their
+	// positions are noted in, now that the parallel sub-batches have drained.
+	clear(counts) // from here on: each shard's next sub-batch slot
+	for i, d := range dests {
+		if d < 0 {
+			continue
+		}
+		o, j := &out[leg[d]], counts[d]
+		counts[d]++
+		if j < len(o.Values) {
+			vals[i] = o.Values[j]
+		}
+		if j < len(o.Errs) {
+			errs[i] = o.Errs[j]
+		}
+		if rid, ok := insertedRid(o, j); ok {
+			r.noteInsert(ti, st.Table, d, rid)
 		}
 	}
-	return out[0].Pair()
 }
 
 // BatchGroup is the coalescing refinement for batched submission
 // (batch.Options.GroupFn): it returns the shard a request would route to,
-// or len(backends) for statements that scatter or fail, so the coalescer
-// forms single-shard batches that ExecBatch never has to split. Grouping is
-// an optimization only — ExecBatch re-derives the routing per binding, so a
-// mixed batch still executes correctly.
+// or len(backends) for statements that broadcast, scatter or fail, so the
+// coalescer forms single-shard batches that ExecBatch never has to split.
+// Grouping is an optimization only — ExecBatch re-derives the routing per
+// binding, so a mixed batch still executes correctly.
 func (r *Router) BatchGroup(name, sql string, args []any) int {
 	r.mig.RLock()
 	defer r.mig.RUnlock()
-	st, err := r.prep.Prepare(sql)
-	if err != nil {
-		return len(r.backends)
+	st, ti := r.lookup(sql)
+	if dest, keyed := r.route(st, ti, args); keyed {
+		return dest
 	}
-	ti := r.table(st.Table)
-	if ti == nil || ti.key == "" {
-		return len(r.backends)
-	}
-	var v any
-	var ok bool
-	if st.Insert {
-		v, ok = st.InsertValue(ti.keyPos, args)
-	} else {
-		v, ok = st.WhereEqValue(ti.key, args)
-	}
-	if !ok {
-		return len(r.backends)
-	}
-	return r.ranges.Load().OwnerOf(v)
-}
-
-// SetMetrics points every shard's passive instrumentation (WAL fsync
-// histograms) at reg. Safe to call at any time; a nil registry detaches.
-func (r *Router) SetMetrics(reg *obs.Registry) {
-	r.mig.RLock()
-	defer r.mig.RUnlock()
-	for _, b := range r.backends {
-		b.SetMetrics(reg)
-	}
+	return len(r.backends)
 }
 
 // RegisterMetrics hooks the whole cluster's counters into reg as pull
 // sources: one "shard<i>." subtree per backend (server or replica-group
 // stats plus WAL state), a router-level source for the scatter planner, and
 // a "shard.migrations" source for the re-sharding machinery (generation,
-// splits, merges, ranges moved, rows copied, double-writes). It also calls
-// SetMetrics so fsync histograms land in the same registry. The hookup is
+// splits, merges, ranges moved, rows copied, double-writes); replica-group
+// backends also land their fsync histograms in reg. The hookup is
 // remembered: a migration re-registers swapped and appended backends under
 // their shard index on flip.
 func (r *Router) RegisterMetrics(reg *obs.Registry, prefix string) {
@@ -943,7 +886,6 @@ func (r *Router) registerMetricsLocked() {
 		return
 	}
 	for i, b := range r.backends {
-		b.SetMetrics(reg)
 		b.RegisterMetrics(reg, fmt.Sprintf("%sshard%d.", prefix, i))
 	}
 	reg.RegisterSource(prefix+"router", func() map[string]float64 {
@@ -1009,31 +951,12 @@ func (r *Router) ShardStats() []server.Stats {
 	return out
 }
 
-// Stats returns cluster-aggregate counters: sums of the per-shard counts
-// (round trips, batches, buffer and disk activity); VirtualTime is the
-// maximum across shards, since shards burn simulated time in parallel.
+// Stats returns cluster-aggregate counters over the shards
+// (server.Stats.Add).
 func (r *Router) Stats() server.Stats {
 	var agg server.Stats
 	for _, s := range r.ShardStats() {
-		agg.Queries += s.Queries
-		agg.Inserts += s.Inserts
-		agg.RowsRead += s.RowsRead
-		agg.NetRequests += s.NetRequests
-		agg.Batches += s.Batches
-		agg.BufferHits += s.BufferHits
-		agg.BufferMiss += s.BufferMiss
-		agg.Disk.Requests += s.Disk.Requests
-		agg.Disk.PagesRead += s.Disk.PagesRead
-		agg.Disk.Writes += s.Disk.Writes
-		agg.Disk.PagesWritten += s.Disk.PagesWritten
-		agg.Disk.SeekTime += s.Disk.SeekTime
-		agg.Disk.BusyTime += s.Disk.BusyTime
-		if s.Disk.MaxQueue > agg.Disk.MaxQueue {
-			agg.Disk.MaxQueue = s.Disk.MaxQueue
-		}
-		if s.VirtualTime > agg.VirtualTime {
-			agg.VirtualTime = s.VirtualTime
-		}
+		agg.Add(s)
 	}
 	return agg
 }

@@ -92,9 +92,10 @@ func same(t *testing.T, label string, want, got any, wantErr, gotErr error) {
 
 func TestPartitionIsDeterministicAndSpreads(t *testing.T) {
 	counts := make([]int, 4)
+	rg := NewRanges(4)
 	for i := int64(0); i < 1000; i++ {
-		s := Partition(i, 4)
-		if s != Partition(i, 4) {
+		s := rg.OwnerOf(i)
+		if s != NewRanges(4).OwnerOf(i) {
 			t.Fatalf("unstable partition for %d", i)
 		}
 		if s < 0 || s >= 4 {
@@ -107,10 +108,10 @@ func TestPartitionIsDeterministicAndSpreads(t *testing.T) {
 			t.Fatalf("shard %d received no keys: %v", s, counts)
 		}
 	}
-	if Partition("abc", 3) != Partition("abc", 3) {
+	if NewRanges(3).OwnerOf("abc") != NewRanges(3).OwnerOf("abc") {
 		t.Fatal("unstable string partition")
 	}
-	if Partition(int64(42), 1) != 0 {
+	if NewRanges(1).OwnerOf(int64(42)) != 0 {
 		t.Fatal("single shard must own everything")
 	}
 }
@@ -451,8 +452,8 @@ func TestReplicatedBackendsMatchSingleServer(t *testing.T) {
 	if len(groups) != 3 {
 		t.Fatalf("expected 3 replica groups, got %v", groups)
 	}
-	if rs := r.ReplicaStats(); len(rs) != 3 || len(rs[0]) != 3 {
-		t.Fatalf("ReplicaStats shape: %d shards x %d copies", len(rs), len(rs[0]))
+	if cs := groups[0].CopyStats(); len(cs) != 3 {
+		t.Fatalf("CopyStats shape: %d copies per shard, want primary + 2 replicas", len(cs))
 	}
 
 	battery := func(label string) {
@@ -521,7 +522,7 @@ func TestScatterPrunesBySecondaryIndexStats(t *testing.T) {
 	// Create a group that lives on exactly one shard: uids owned by shard 2.
 	var uids []int64
 	for i := int64(10000); len(uids) < 3; i++ {
-		if Partition(i, 4) == 2 {
+		if r.Ranges().OwnerOf(i) == 2 {
 			uids = append(uids, i)
 		}
 	}

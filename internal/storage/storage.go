@@ -360,13 +360,6 @@ func (t *Table) ViewInto(v *View) {
 	}
 }
 
-// View returns a fresh snapshot (convenience for callers without a pool).
-func (t *Table) View() *View {
-	v := &View{}
-	t.ViewInto(v)
-	return v
-}
-
 // NumRows returns the row count.
 func (t *Table) NumRows() int {
 	t.mu.RLock()

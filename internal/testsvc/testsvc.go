@@ -6,9 +6,7 @@
 package testsvc
 
 import (
-	"fmt"
 	"strconv"
-	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/interp"
@@ -66,32 +64,6 @@ func fnvBytes(h int64, s []byte) int64 {
 	return h
 }
 
-// LoggingRunner wraps Runner, recording every execution (name plus formatted
-// args) in submission order. Safe for concurrent use.
-type LoggingRunner struct {
-	mu  sync.Mutex
-	log []string
-}
-
-// Run is the exec.Runner method value to pass to services.
-func (l *LoggingRunner) Run(req query.Request) query.Result {
-	l.mu.Lock()
-	entry := req.Name
-	for _, a := range req.Args {
-		entry += "|" + interp.Format(a)
-	}
-	l.log = append(l.log, entry)
-	l.mu.Unlock()
-	return query.Ok(Hash(req.Name, req.Args))
-}
-
-// Log returns a copy of the executions so far.
-func (l *LoggingRunner) Log() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]string(nil), l.log...)
-}
-
 // BatchRunner returns the set-oriented sibling of Runner: every binding
 // yields the same deterministic Hash value a per-query execution would.
 func BatchRunner() exec.BatchRunner {
@@ -109,18 +81,3 @@ func NewSync() *exec.Service { return exec.NewService(0, Runner()) }
 
 // NewAsync returns a service with a worker pool (transformed programs).
 func NewAsync(workers int) *exec.Service { return exec.NewService(workers, Runner()) }
-
-// FailingRunner returns a runner that fails every query whose name is in
-// bad, for failure-injection tests.
-func FailingRunner(bad ...string) exec.Runner {
-	set := map[string]bool{}
-	for _, b := range bad {
-		set[b] = true
-	}
-	return func(req query.Request) query.Result {
-		if set[req.Name] {
-			return query.Fail(fmt.Errorf("injected failure for %s", req.Name))
-		}
-		return query.Ok(Hash(req.Name, req.Args))
-	}
-}
