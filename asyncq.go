@@ -37,8 +37,9 @@
 // merge, and batched submissions split into per-shard sub-batches that
 // execute in parallel. Because the router exposes the same Runner and
 // BatchRunner shapes as a single server, a transformed program moves from
-// one server to an N-shard cluster by swapping the functions handed to
-// NewPool or NewBatchedPool — and still produces identical results.
+// one server to an N-shard cluster by handing NewPool or NewBatchedPool the
+// router's Exec and ExecBatch instead of the server's — and still produces
+// identical results.
 package asyncq
 
 import (
@@ -252,12 +253,14 @@ func Fail(err error) Result { return query.Fail(err) }
 // Runner executes a single query; used to build services and pools.
 type Runner = exec.Runner
 
-// NewService builds a QueryService from a Runner with a worker pool of the
-// given size (0 = blocking only). Close it to drain the pool.
+// Service is the QueryService NewPool and NewBatchedPool return: Submit
+// goes through the worker pool, Exec runs on the calling goroutine. Close it
+// to drain the pool.
 type Service = exec.Service
 
 // NewPool returns a QueryService backed by `workers` concurrent executors of
-// run — the runtime the transformed programs use.
+// run — the runtime the transformed programs use. With workers 0 submissions
+// execute synchronously, like the original program's blocking calls.
 func NewPool(workers int, run Runner) *Service {
 	return exec.NewService(workers, run)
 }
@@ -270,9 +273,10 @@ type BatchRunner = exec.BatchRunner
 // additionally coalesced into set-oriented batches of up to maxBatch
 // requests per prepared statement, executed through runBatch; a partial
 // batch flushes after the linger window (0 = default). maxBatch 0 uses the
-// default batch size, any other maxBatch below 2 turns batching off, and
-// workers 0 degrades to synchronous execution exactly like NewPool. Transformed programs need
-// no changes and produce results identical to the per-query pool.
+// default batch size; any other maxBatch below 2, a nil runBatch, or workers
+// 0 (synchronous execution) leaves nothing to coalesce and the service is
+// exactly NewPool's. Transformed programs need no changes and produce
+// results identical to the per-query pool.
 func NewBatchedPool(workers int, run Runner, runBatch BatchRunner, maxBatch int, linger time.Duration) *Service {
 	return batch.NewService(workers, run, runBatch, batch.Options{MaxBatch: maxBatch, Linger: linger})
 }

@@ -3,8 +3,8 @@ package asyncq
 // Benchmarks regenerating the paper's evaluation artifacts. One benchmark
 // per table/figure runs the corresponding experiment in quick mode (reduced
 // sweeps, small latency scale) and reports original vs transformed times as
-// custom metrics; `go run ./cmd/experiments` produces the full-size series
-// recorded in EXPERIMENTS.md. Micro-benchmarks for the transformation
+// custom metrics; `go run ./cmd/experiments` produces the full-size series.
+// Micro-benchmarks for the transformation
 // machinery itself follow.
 
 import (
@@ -94,7 +94,7 @@ func BenchmarkTable1Applicability(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §7) ---
+// --- Ablations ---
 
 // BenchmarkAblationNoReorder measures how much of Table I's applicability
 // the reordering algorithm provides: transforming the corpus with reordering
@@ -470,12 +470,12 @@ func BenchmarkCompile(b *testing.B) {
 }
 
 func BenchmarkExecutorThroughput(b *testing.B) {
-	e := exec.NewExecutor(8, testsvc.Runner())
-	defer e.Close()
+	svc := exec.NewService(8, testsvc.Runner())
+	defer svc.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h, err := e.Submit(query.Req("q", "select 1", []any{int64(i)}))
+		h, err := svc.Submit("q", "select 1", []any{int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -34,7 +34,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/minilang"
@@ -122,13 +121,10 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("run original: %w", err))
 		}
-		var svc *exec.Service
-		if *batchSize > 1 {
-			svc = batch.NewService(*threads, testsvc.Runner(), testsvc.BatchRunner(),
-				batch.Options{MaxBatch: *batchSize})
-		} else {
-			svc = exec.NewService(*threads, testsvc.Runner())
-		}
+		// -batch below 2 (0 is the flag's default) asks for no coalescing,
+		// which batch.NewService spells MaxBatch 1; its 0 means the default.
+		svc := batch.NewService(*threads, testsvc.Runner(), testsvc.BatchRunner(),
+			batch.Options{MaxBatch: max(*batchSize, 1)})
 		defer svc.Close()
 		// -stats / -slowlog turn on the observability stack: one root span
 		// per submission (the deterministic test runner needs no span
@@ -164,9 +160,8 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "\n-- run: results identical: %v; returns: %v\n",
 			same, formatVals(r1.Returned))
-		if *batchSize > 1 {
+		if batches, avg := svc.BatchStats(); batches > 0 {
 			submitted, _ := svc.Stats()
-			batches, avg := svc.BatchStats()
 			fmt.Fprintf(os.Stderr, "-- batch: %d submissions coalesced into %d batches (avg size %.1f)\n",
 				submitted, batches, avg)
 		}

@@ -3,9 +3,9 @@
 // generators (sized-down versions of the paper's datasets, same
 // distributions), and the Table I applicability corpus.
 //
-// Substitutions relative to the paper (see DESIGN.md §2): RUBiS and RUBBoS
-// are represented by the specific query-in-loop kernels the paper measures;
-// the category-traversal and value-range-expansion programs are from [3] as
+// Substitutions relative to the paper: RUBiS and RUBBoS are represented by
+// the specific query-in-loop kernels the paper measures; the
+// category-traversal and value-range-expansion programs are from [3] as
 // in the paper; the Freebase web service of Experiment 5 is a high-RTT
 // profile of the same simulated server.
 package apps

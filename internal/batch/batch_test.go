@@ -37,14 +37,12 @@ func countingBatchRunner(calls *atomic.Int64) exec.BatchRunner {
 
 func TestCoalescesFullBatches(t *testing.T) {
 	var calls atomic.Int64
-	ex := exec.NewBatchExecutor(2, nil, countingBatchRunner(&calls))
-	defer ex.Close()
-	c := New(ex, Options{MaxBatch: 8, Linger: time.Second})
-	defer c.Close()
+	svc := NewService(2, nil, countingBatchRunner(&calls), Options{MaxBatch: 8, Linger: time.Second})
+	defer svc.Close()
 
-	var hs []*exec.Handle
+	var hs []interp.Handle
 	for i := int64(0); i < 32; i++ {
-		h, err := c.Submit(query.Req("q", "select ?", []any{i}))
+		h, err := svc.Submit("q", "select ?", []any{i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +60,7 @@ func TestCoalescesFullBatches(t *testing.T) {
 	if got := calls.Load(); got != 4 {
 		t.Fatalf("batch runner called %d times, want 4", got)
 	}
-	b, avg := ex.BatchStats()
+	b, avg := svc.BatchStats()
 	if b != 4 || avg != 8 {
 		t.Fatalf("BatchStats = %d batches, avg %.1f; want 4, 8", b, avg)
 	}
@@ -70,12 +68,10 @@ func TestCoalescesFullBatches(t *testing.T) {
 
 func TestLingerFlushesPartialBatch(t *testing.T) {
 	var calls atomic.Int64
-	ex := exec.NewBatchExecutor(1, nil, countingBatchRunner(&calls))
-	defer ex.Close()
-	c := New(ex, Options{MaxBatch: 100, Linger: 5 * time.Millisecond})
-	defer c.Close()
+	svc := NewService(1, nil, countingBatchRunner(&calls), Options{MaxBatch: 100, Linger: 5 * time.Millisecond})
+	defer svc.Close()
 
-	h, err := c.Submit(query.Req("q", "select ?", []any{int64(3)}))
+	h, err := svc.Submit("q", "select ?", []any{int64(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,19 +99,17 @@ func TestStatementsDoNotCrossCoalesce(t *testing.T) {
 		n    int
 	}
 	var batches []call // appended by the single worker, so no lock needed
-	ex := exec.NewBatchExecutor(1, nil, func(req query.BatchRequest) query.BatchResult {
+	svc := NewService(1, nil, func(req query.BatchRequest) query.BatchResult {
 		batches = append(batches, call{req.Name, len(req.ArgSets)})
 		return query.BatchResult{Values: make([]any, len(req.ArgSets)), Errs: make([]error, len(req.ArgSets))}
-	})
-	defer ex.Close()
-	c := New(ex, Options{MaxBatch: 4, Linger: time.Second})
-	var hs []*exec.Handle
+	}, Options{MaxBatch: 4, Linger: time.Second})
+	var hs []interp.Handle
 	for i := 0; i < 4; i++ {
-		h1, _ := c.Submit(query.Req("a", "select a", nil))
-		h2, _ := c.Submit(query.Req("b", "select b", nil))
+		h1, _ := svc.Submit("a", "select a", nil)
+		h2, _ := svc.Submit("b", "select b", nil)
 		hs = append(hs, h1, h2)
 	}
-	c.Flush()
+	svc.Close()
 	for _, h := range hs {
 		if _, err := h.Fetch(); err != nil {
 			t.Fatal(err)
@@ -133,13 +127,11 @@ func TestStatementsDoNotCrossCoalesce(t *testing.T) {
 
 func TestPerBindingErrorsDemux(t *testing.T) {
 	var calls atomic.Int64
-	ex := exec.NewBatchExecutor(1, nil, countingBatchRunner(&calls))
-	defer ex.Close()
-	c := New(ex, Options{MaxBatch: 2, Linger: time.Second})
-	defer c.Close()
+	svc := NewService(1, nil, countingBatchRunner(&calls), Options{MaxBatch: 2, Linger: time.Second})
+	defer svc.Close()
 
-	good, _ := c.Submit(query.Req("q", "select ?", []any{int64(5)}))
-	bad, _ := c.Submit(query.Req("q", "select ?", []any{"not-an-int"}))
+	good, _ := svc.Submit("q", "select ?", []any{int64(5)})
+	bad, _ := svc.Submit("q", "select ?", []any{"not-an-int"})
 	if v, err := good.Fetch(); err != nil || v != int64(50) {
 		t.Fatalf("good binding: %v %v", v, err)
 	}
@@ -150,108 +142,15 @@ func TestPerBindingErrorsDemux(t *testing.T) {
 
 func TestCloseFlushesAndRejects(t *testing.T) {
 	var calls atomic.Int64
-	ex := exec.NewBatchExecutor(1, nil, countingBatchRunner(&calls))
-	defer ex.Close()
-	c := New(ex, Options{MaxBatch: 100, Linger: time.Hour})
+	svc := NewService(1, nil, countingBatchRunner(&calls), Options{MaxBatch: 100, Linger: time.Hour})
 
-	h, _ := c.Submit(query.Req("q", "select ?", []any{int64(1)}))
-	c.Close()
+	h, _ := svc.Submit("q", "select ?", []any{int64(1)})
+	svc.Close()
 	if v, err := h.Fetch(); err != nil || v != int64(10) {
 		t.Fatalf("fetch after close: %v %v", v, err)
 	}
-	if _, err := c.Submit(query.Req("q", "select ?", []any{int64(2)})); !errors.Is(err, exec.ErrClosed) {
+	if _, err := svc.Submit("q", "select ?", []any{int64(2)}); !errors.Is(err, exec.ErrClosed) {
 		t.Fatalf("submit after close: %v", err)
-	}
-}
-
-func TestExecutorClosedFailsPendingHandles(t *testing.T) {
-	ex := exec.NewBatchExecutor(1, nil, func(req query.BatchRequest) query.BatchResult {
-		return query.BatchResult{Values: make([]any, len(req.ArgSets)), Errs: make([]error, len(req.ArgSets))}
-	})
-	c := New(ex, Options{MaxBatch: 100, Linger: time.Hour})
-	h, _ := c.Submit(query.Req("q", "select ?", []any{int64(1)}))
-	ex.Close() // wrong order on purpose: executor gone while a group lingers
-	c.Close()  // flush dispatches into the closed executor
-	if _, err := h.Fetch(); !errors.Is(err, exec.ErrClosed) {
-		t.Fatalf("fetch after executor close: %v (want ErrClosed)", err)
-	}
-}
-
-func TestNoBatchRunnerDegradesToPerBinding(t *testing.T) {
-	// An executor without a BatchRunner must still execute batch jobs
-	// correctly, one binding at a time.
-	var runs atomic.Int64
-	ex := exec.NewBatchExecutor(1, func(req query.Request) query.Result {
-		runs.Add(1)
-		return query.Ok(req.Args[0].(int64) + 1)
-	}, nil)
-	defer ex.Close()
-	c := New(ex, Options{MaxBatch: 4, Linger: time.Second})
-	defer c.Close()
-	var hs []*exec.Handle
-	for i := int64(0); i < 4; i++ {
-		h, _ := c.Submit(query.Req("q", "select ?", []any{i}))
-		hs = append(hs, h)
-	}
-	for i, h := range hs {
-		v, err := h.Fetch()
-		if err != nil || v != int64(i+1) {
-			t.Fatalf("handle %d: %v %v", i, v, err)
-		}
-	}
-	if runs.Load() != 4 {
-		t.Fatalf("runs = %d, want 4", runs.Load())
-	}
-	if b, _ := ex.BatchStats(); b != 1 {
-		t.Fatalf("batches = %d, want 1", b)
-	}
-}
-
-func TestServiceDegradedModeBatchingNoop(t *testing.T) {
-	// workers == 0: NewService degrades to synchronous fallback and the
-	// batching toggle is a no-op.
-	var syncRuns atomic.Int64
-	svc := NewService(0, func(req query.Request) query.Result {
-		syncRuns.Add(1)
-		return query.Ok(int64(7))
-	}, func(req query.BatchRequest) query.BatchResult {
-		t.Error("batch runner must not be called in degraded mode")
-		return query.BatchResult{}
-	}, Options{})
-	defer svc.Close()
-
-	h, err := svc.Submit("q", "select 1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := h.Fetch(); err != nil || v != int64(7) {
-		t.Fatalf("degraded submit: %v %v", v, err)
-	}
-	if syncRuns.Load() != 1 {
-		t.Fatalf("sync runs = %d, want 1", syncRuns.Load())
-	}
-	if b, avg := svc.BatchStats(); b != 0 || avg != 0 {
-		t.Fatalf("degraded BatchStats = %d, %.1f; want zeros", b, avg)
-	}
-}
-
-func TestEnableMaxBatchOneIsOff(t *testing.T) {
-	svc := exec.NewBatchService(2, func(req query.Request) query.Result {
-		return query.Ok(int64(1))
-	}, nil)
-	defer svc.Close()
-	if c := Enable(svc, Options{MaxBatch: 1}); c != nil {
-		t.Fatal("MaxBatch 1 must disable coalescing")
-	}
-	h, err := svc.Submit("q", "select 1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := h.Fetch(); err != nil || v != int64(1) {
-		t.Fatalf("fetch: %v %v", v, err)
-	}
-	if b, _ := svc.BatchStats(); b != 0 {
-		t.Fatalf("batches = %d, want 0 (batching off)", b)
 	}
 }
 
@@ -282,23 +181,6 @@ func TestCloseDrainContractUnderLingerRace(t *testing.T) {
 				t.Fatalf("round %d handle %d: (%v, %v) — pre-Close submission lost", round, i, v, err)
 			}
 		}
-	}
-}
-
-func TestNegativeMaxBatchIsOff(t *testing.T) {
-	svc := NewService(2, func(req query.Request) query.Result {
-		return query.Ok(int64(2))
-	}, nil, Options{MaxBatch: -3})
-	defer svc.Close()
-	h, err := svc.Submit("q", "select 1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := h.Fetch(); err != nil || v != int64(2) {
-		t.Fatalf("fetch: %v %v", v, err)
-	}
-	if b, _ := svc.BatchStats(); b != 0 {
-		t.Fatalf("batches = %d, want 0 (negative MaxBatch must disable batching)", b)
 	}
 }
 

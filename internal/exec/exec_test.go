@@ -12,14 +12,24 @@ import (
 	"repro/internal/query"
 )
 
+// submit is Executor.Submit with the handle made for the caller, the way
+// Service.Submit does it.
+func submit(e *Executor, req query.Request) (*Handle, error) {
+	h := newHandle(req.Span)
+	if err := e.Submit(req, h); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
 func TestSubmitFetch(t *testing.T) {
 	e := NewExecutor(4, func(req query.Request) query.Result {
 		return query.Ok(req.Args[0].(int64) * 2)
-	})
+	}, nil)
 	defer e.Close()
 	var handles []*Handle
 	for i := int64(0); i < 100; i++ {
-		h, err := e.Submit(query.Req("q", "", []any{i}))
+		h, err := submit(e, query.Req("q", "", []any{i}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,9 +51,9 @@ func TestSubmitFetch(t *testing.T) {
 }
 
 func TestFetchIdempotent(t *testing.T) {
-	e := NewExecutor(1, func(req query.Request) query.Result { return query.Ok(int64(7)) })
+	e := NewExecutor(1, func(req query.Request) query.Result { return query.Ok(int64(7)) }, nil)
 	defer e.Close()
-	h, _ := e.Submit(query.Req("q", "", nil))
+	h, _ := submit(e, query.Req("q", "", nil))
 	for i := 0; i < 3; i++ {
 		v, err := h.Fetch()
 		if err != nil || v != int64(7) {
@@ -54,9 +64,9 @@ func TestFetchIdempotent(t *testing.T) {
 
 func TestErrorsPropagate(t *testing.T) {
 	want := errors.New("boom")
-	e := NewExecutor(2, func(req query.Request) query.Result { return query.Fail(want) })
+	e := NewExecutor(2, func(req query.Request) query.Result { return query.Fail(want) }, nil)
 	defer e.Close()
-	h, _ := e.Submit(query.Req("q", "", nil))
+	h, _ := submit(e, query.Req("q", "", nil))
 	if _, err := h.Fetch(); !errors.Is(err, want) {
 		t.Fatalf("got %v", err)
 	}
@@ -76,10 +86,10 @@ func TestConcurrencyBound(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		cur.Add(-1)
 		return query.Ok(nil)
-	})
+	}, nil)
 	var hs []*Handle
 	for i := 0; i < 30; i++ {
-		h, _ := e.Submit(query.Req("q", "", nil))
+		h, _ := submit(e, query.Req("q", "", nil))
 		hs = append(hs, h)
 	}
 	for _, h := range hs {
@@ -99,11 +109,11 @@ func TestSubmitNeverBlocks(t *testing.T) {
 	e := NewExecutor(1, func(req query.Request) query.Result {
 		<-block
 		return query.Ok(nil)
-	})
+	}, nil)
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 10_000; i++ {
-			if _, err := e.Submit(query.Req("q", "", nil)); err != nil {
+			if _, err := submit(e, query.Req("q", "", nil)); err != nil {
 				t.Error(err)
 				break
 			}
@@ -125,15 +135,15 @@ func TestCloseDrains(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		completed.Add(1)
 		return query.Ok(nil)
-	})
+	}, nil)
 	for i := 0; i < 20; i++ {
-		e.Submit(query.Req("q", "", nil))
+		submit(e, query.Req("q", "", nil))
 	}
 	e.Close()
 	if completed.Load() != 20 {
 		t.Fatalf("close did not drain: %d/20", completed.Load())
 	}
-	if _, err := e.Submit(query.Req("q", "", nil)); !errors.Is(err, ErrClosed) {
+	if _, err := submit(e, query.Req("q", "", nil)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v", err)
 	}
 }
@@ -143,9 +153,9 @@ func TestDone(t *testing.T) {
 	e := NewExecutor(1, func(req query.Request) query.Result {
 		<-block
 		return query.Ok(int64(1))
-	})
+	}, nil)
 	defer e.Close()
-	h, _ := e.Submit(query.Req("q", "", nil))
+	h, _ := submit(e, query.Req("q", "", nil))
 	if h.Done() {
 		t.Fatal("done before completion")
 	}
@@ -164,10 +174,10 @@ func TestFIFOOrder(t *testing.T) {
 		order = append(order, req.Args[0].(int64))
 		mu.Unlock()
 		return query.Ok(nil)
-	})
+	}, nil)
 	var hs []*Handle
 	for i := int64(0); i < 50; i++ {
-		h, _ := e.Submit(query.Req("q", "", []any{i}))
+		h, _ := submit(e, query.Req("q", "", []any{i}))
 		hs = append(hs, h)
 	}
 	for _, h := range hs {
@@ -214,10 +224,10 @@ func TestClosePendingHandlesComplete(t *testing.T) {
 	e := NewExecutor(2, func(req query.Request) query.Result {
 		time.Sleep(200 * time.Microsecond)
 		return query.Ok(req.Args[0])
-	})
+	}, nil)
 	var hs []*Handle
 	for i := int64(0); i < 200; i++ {
-		h, err := e.Submit(query.Req("q", "", []any{i}))
+		h, err := submit(e, query.Req("q", "", []any{i}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +265,7 @@ func TestClosePendingHandlesComplete(t *testing.T) {
 // TestConcurrentCloseIdempotent: racing Closes and Submits never deadlock;
 // every successfully submitted handle completes.
 func TestConcurrentCloseIdempotent(t *testing.T) {
-	e := NewExecutor(3, func(req query.Request) query.Result { return query.Ok(int64(1)) })
+	e := NewExecutor(3, func(req query.Request) query.Result { return query.Ok(int64(1)) }, nil)
 	var wg sync.WaitGroup
 	results := make(chan *Handle, 1000)
 	for g := 0; g < 4; g++ {
@@ -263,7 +273,7 @@ func TestConcurrentCloseIdempotent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				h, err := e.Submit(query.Req("q", "", nil))
+				h, err := submit(e, query.Req("q", "", nil))
 				if err != nil {
 					if !errors.Is(err, ErrClosed) {
 						t.Errorf("unexpected submit error: %v", err)
@@ -300,9 +310,9 @@ func TestConcurrentCloseIdempotent(t *testing.T) {
 func TestCloseNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 10; round++ {
-		e := NewExecutor(8, func(req query.Request) query.Result { return query.Ok(nil) })
+		e := NewExecutor(8, func(req query.Request) query.Result { return query.Ok(nil) }, nil)
 		for i := 0; i < 50; i++ {
-			e.Submit(query.Req("q", "", nil))
+			submit(e, query.Req("q", "", nil))
 		}
 		e.Close()
 	}
@@ -320,100 +330,84 @@ func TestCloseNoGoroutineLeak(t *testing.T) {
 	t.Fatalf("goroutines grew from %d to %d after closing 10 pools", before, after)
 }
 
-// TestSubmitBatchAfterClose: batch submissions are rejected once closed and
-// the caller keeps ownership of the (uncompleted) handles.
-func TestSubmitBatchAfterClose(t *testing.T) {
-	e := NewExecutor(1, func(req query.Request) query.Result { return query.Ok(nil) })
+// TestEnqueueAfterCloseFailsHandles: a closed pool refuses a call of either
+// shape and fails every handle that came with it, so a Fetch on a handle the
+// coalescer already handed out cannot block.
+func TestEnqueueAfterCloseFailsHandles(t *testing.T) {
+	e := NewExecutor(1, func(req query.Request) query.Result { return query.Ok(nil) }, nil)
 	e.Close()
-	h := NewPendingHandle(nil, query.Deadline{})
-	err := e.SubmitBatch(query.BatchReq("q", "", [][]any{{int64(1)}}), []*Handle{h})
-	if !errors.Is(err, ErrClosed) {
+	hs := []*Handle{newHandle(nil), newHandle(nil)}
+	call := query.BatchCall(query.BatchReq("q", "", [][]any{{int64(1)}, {int64(2)}}))
+	if err := e.Enqueue(&call, hs...); !errors.Is(err, ErrClosed) {
 		t.Fatalf("got %v, want ErrClosed", err)
-	}
-	if h.Done() {
-		t.Fatal("rejected batch must not complete the caller's handles")
-	}
-}
-
-// TestCloseDrainsBatchJobs: batch jobs queued before Close still execute.
-func TestCloseDrainsBatchJobs(t *testing.T) {
-	var ran atomic.Int64
-	e := NewBatchExecutor(1, nil, func(req query.BatchRequest) query.BatchResult {
-		time.Sleep(time.Millisecond)
-		ran.Add(int64(len(req.ArgSets)))
-		return query.BatchResult{Values: make([]any, len(req.ArgSets)), Errs: make([]error, len(req.ArgSets))}
-	})
-	var hs []*Handle
-	for b := 0; b < 5; b++ {
-		pair := []*Handle{NewPendingHandle(nil, query.Deadline{}), NewPendingHandle(nil, query.Deadline{})}
-		if err := e.SubmitBatch(query.BatchReq("q", "", [][]any{{int64(b)}, {int64(b)}}), pair); err != nil {
-			t.Fatal(err)
-		}
-		hs = append(hs, pair...)
-	}
-	e.Close()
-	if ran.Load() != 10 {
-		t.Fatalf("close did not drain batch jobs: %d/10", ran.Load())
 	}
 	for i, h := range hs {
 		if !h.Done() {
-			t.Fatalf("handle %d not completed by drain", i)
+			t.Fatalf("handle %d of a refused call left pending", i)
+		}
+		if _, err := h.Fetch(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("handle %d: %v, want ErrClosed", i, err)
 		}
 	}
-	sub, comp := e.Stats()
-	if sub != 10 || comp != 10 {
-		t.Fatalf("stats %d/%d, want 10/10", sub, comp)
+	if sub, comp := e.Stats(); sub != 0 || comp != 0 {
+		t.Fatalf("a refused call was counted: %d/%d", sub, comp)
 	}
 }
 
-// --- Degraded mode (workers == 0) ---
+// --- Synchronous mode (workers == 0) ---
 
-// panicBatcher fails the test if the service ever routes through it.
-type panicBatcher struct{ t *testing.T }
-
-func (p panicBatcher) Submit(req query.Request) (*Handle, error) {
-	p.t.Error("degraded service must not use the batcher")
-	return nil, ErrClosed
-}
-func (p panicBatcher) Close() {}
-
-// TestServiceDegradedModeSyncFallback: with no pool, Submit executes
-// synchronously via an already-done handle, and the batching toggle is a
-// no-op.
-func TestServiceDegradedModeSyncFallback(t *testing.T) {
+// TestServiceSyncModeRunsInline: with no workers, Submit executes on the
+// calling goroutine and hands back an already-done handle.
+func TestServiceSyncModeRunsInline(t *testing.T) {
 	var calls atomic.Int64
 	s := NewService(0, func(req query.Request) query.Result {
 		calls.Add(1)
 		return query.Ok(req.Args[0].(int64) * 3)
 	})
 	defer s.Close()
-	s.SetBatcher(panicBatcher{t}) // must be ignored: no pool
 
 	h, err := s.Submit("q", "", []any{int64(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The handle must already be complete: degraded Submit runs inline.
 	if !h.(*Handle).Done() {
-		t.Fatal("degraded submit returned a pending handle")
+		t.Fatal("synchronous submit returned a pending handle")
 	}
 	if v, err := h.Fetch(); err != nil || v != int64(15) {
 		t.Fatalf("fetch: %v %v", v, err)
 	}
 	if calls.Load() != 1 {
-		t.Fatalf("sync runner ran %d times, want 1", calls.Load())
-	}
-	if s.Executor() != nil {
-		t.Fatal("degraded service must have no pool")
+		t.Fatalf("runner ran %d times, want 1", calls.Load())
 	}
 	if b, avg := s.BatchStats(); b != 0 || avg != 0 {
-		t.Fatalf("degraded BatchStats = %d, %.2f", b, avg)
+		t.Fatalf("synchronous BatchStats = %d, %.2f", b, avg)
 	}
 }
 
-// TestServiceDegradedModeErrorPropagates: the synchronous fallback carries
-// the runner's error through the handle, like the pooled path.
-func TestServiceDegradedModeErrorPropagates(t *testing.T) {
+// TestServiceStatsEveryMode: Stats counts what went through Submit whether
+// or not there is a pool behind it.
+func TestServiceStatsEveryMode(t *testing.T) {
+	for _, workers := range []int{0, 1, 4} {
+		s := NewService(workers, func(req query.Request) query.Result { return query.Ok(nil) })
+		for i := 0; i < 20; i++ {
+			h, err := s.Submit("q", "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Fetch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sub, comp := s.Stats(); sub != 20 || comp != 20 {
+			t.Errorf("workers=%d: Stats = %d submitted / %d completed, want 20 / 20", workers, sub, comp)
+		}
+		s.Close()
+	}
+}
+
+// TestServiceSyncModeErrorPropagates: synchronous execution carries the
+// runner's error through the handle, like the pooled path.
+func TestServiceSyncModeErrorPropagates(t *testing.T) {
 	want := errors.New("kaput")
 	s := NewService(0, func(req query.Request) query.Result { return query.Fail(want) })
 	defer s.Close()
@@ -426,9 +420,8 @@ func TestServiceDegradedModeErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestServiceConcurrentClose: racing Service.Close calls must serialize —
-// the second caller waits for the full shutdown instead of closing the
-// executor under a batcher that is still flushing.
+// TestServiceConcurrentClose: racing Service.Close calls all return after
+// the full shutdown, and a pre-Close submission still executes.
 func TestServiceConcurrentClose(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		s := NewService(2, func(req query.Request) query.Result { return query.Ok(int64(1)) })

@@ -4,8 +4,8 @@
 // by the pool; Fetch blocks on the per-query handle (the observer model of
 // §II).
 //
-// The hot path is allocation-lean: one allocation per Submit (the Handle the
-// caller keeps). Job structs are pooled, the FIFO queue is a growable ring
+// The hot path is allocation-lean: one allocation per submission (the Handle
+// the caller keeps). Job structs are pooled, the FIFO queue is a growable ring
 // buffer instead of an append+reslice slice, handles signal completion
 // through an embedded mutex/cond pair instead of a dedicated channel, and
 // the statistics counters are atomics folded into the enqueue/dequeue path
@@ -37,6 +37,17 @@ type Runner func(req query.Request) query.Result
 // error per binding, in binding order.
 type BatchRunner func(req query.BatchRequest) query.BatchResult
 
+// runners presents the caller's two functions as a query.Executor, so a
+// worker hands a Call to the backend through Call.On like every layer below.
+type runners struct {
+	run      Runner
+	runBatch BatchRunner
+}
+
+func (r *runners) Exec(req query.Request) query.Result { return r.run(req) }
+
+func (r *runners) ExecBatch(req query.BatchRequest) query.BatchResult { return r.runBatch(req) }
+
 // Handle is a pending asynchronous request.
 type Handle struct {
 	mu   sync.Mutex
@@ -47,38 +58,11 @@ type Handle struct {
 	// span, when tracing is on, is the request's root span; complete()
 	// ends it, so the root's wall time is exactly submit→completion.
 	span *obs.Span
-	// dl is the request deadline: workers abandon jobs whose deadline
-	// expired while queued instead of running them.
-	dl query.Deadline
 }
 
-func newHandle() *Handle {
-	h := &Handle{}
+func newHandle(sp *obs.Span) *Handle {
+	h := &Handle{span: sp}
 	h.cond.L = &h.mu
-	return h
-}
-
-// NewPendingHandle returns an incomplete handle for front-ends (the batching
-// coalescer) that hand out handles at enqueue time and complete them later
-// via Complete. sp is the request's root span (nil when untraced) —
-// completing the handle ends it; dl is the request deadline (zero for none).
-func NewPendingHandle(sp *obs.Span, dl query.Deadline) *Handle {
-	h := newHandle()
-	h.span = sp
-	h.dl = dl
-	return h
-}
-
-// Complete publishes the result and wakes all fetchers. It is exported for
-// demultiplexing layers that own pending handles (see NewPendingHandle); it
-// must be called at most once per handle.
-func (h *Handle) Complete(v any, err error) { h.complete(v, err) }
-
-// newDoneHandle returns an already-completed handle (used by the degraded
-// poolless service mode).
-func newDoneHandle(v any, err error) *Handle {
-	h := newHandle()
-	h.complete(v, err)
 	return h
 }
 
@@ -112,16 +96,16 @@ func (h *Handle) Fetch() (any, error) {
 // polling side of the observer model.
 func (h *Handle) Done() bool { return h.done.Load() }
 
+// job is the one queue entry: a call and the handles its reply completes,
+// one per binding. A pooled job keeps the storage of hs from one use to the
+// next — it starts as the inline one, which is all a single submission needs
+// — so neither shape allocates per job.
 type job struct {
-	req query.Request
-	h   *Handle
-	// Batch jobs carry a BatchRequest and one pending handle per binding
-	// set instead of req/h; hs non-nil marks the job as a batch.
-	breq query.BatchRequest
+	call query.Call
 	hs   []*Handle
+	one  [1]*Handle
 	// queue, when tracing is on, measures time spent waiting in the ring
-	// (opened at enqueue, ended when a worker pops the job). For batch
-	// jobs it hangs off the batch leader's span.
+	// (opened at enqueue, ended when a worker pops the job).
 	queue *obs.Span
 }
 
@@ -166,10 +150,13 @@ func (q *jobRing) grow() {
 
 // Executor is a fixed-size worker pool with an unbounded FIFO submission
 // queue, so that submit loops never block regardless of the number of
-// iterations (memory for pending state is the documented cost, §VII).
+// iterations (memory for pending state is the documented cost, §VII). With
+// no workers it is synchronous: the submitting goroutine executes its own
+// job before Enqueue returns, modelling an untransformed program's
+// environment.
 type Executor struct {
-	run      Runner
-	runBatch BatchRunner // optional set-oriented path for batch jobs
+	backend runners
+	workers int
 
 	mu     sync.Mutex
 	cond   sync.Cond
@@ -180,27 +167,25 @@ type Executor struct {
 
 	submitted atomic.Int64
 	completed atomic.Int64 // bumped before the handle resolves: a caller that fetched every handle reads them all here
-	batches   atomic.Int64 // batch jobs issued
-	batched   atomic.Int64 // individual requests carried by batch jobs
+	batches   atomic.Int64 // batch calls issued
+	batched   atomic.Int64 // individual requests carried by batch calls
 }
 
 // NewExecutor starts a pool of the given size. workers is the paper's
-// "number of threads" experimental parameter.
-func NewExecutor(workers int, run Runner) *Executor {
-	return NewBatchExecutor(workers, run, nil)
-}
-
-// NewBatchExecutor starts a pool whose batch jobs (SubmitBatch) execute
-// through runBatch in a single call. A nil runBatch degrades batch jobs to
-// per-binding run calls on the worker, preserving semantics without the
-// set-oriented saving.
-func NewBatchExecutor(workers int, run Runner, runBatch BatchRunner) *Executor {
-	if workers < 1 {
-		workers = 1
+// "number of threads" experimental parameter; below 1 the pool is
+// synchronous. runBatch executes batch calls and may be nil for a pool that
+// is only ever handed single ones.
+func NewExecutor(workers int, run Runner, runBatch BatchRunner) *Executor {
+	if workers < 0 {
+		workers = 0
 	}
-	e := &Executor{run: run, runBatch: runBatch}
+	e := &Executor{backend: runners{run, runBatch}, workers: workers}
 	e.cond.L = &e.mu
-	e.jobs.New = func() any { return new(job) }
+	e.jobs.New = func() any {
+		j := new(job)
+		j.hs = j.one[:0]
+		return j
+	}
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go e.worker()
@@ -208,68 +193,54 @@ func NewBatchExecutor(workers int, run Runner, runBatch BatchRunner) *Executor {
 	return e
 }
 
-// Submit enqueues a request and returns its handle immediately. The handle
-// adopts the request's span (completion ends it) and deadline (a worker that
-// pops the job past its deadline abandons it with ErrDeadlineExceeded
-// instead of executing). The submitted counter is incremented inside the
-// queue critical section, before any worker can see the job, so Stats never
-// observes completed > submitted.
-func (e *Executor) Submit(req query.Request) (*Handle, error) {
-	h := newHandle()
-	h.span = req.Span
-	h.dl = req.Deadline
-	j := e.jobs.Get().(*job)
-	j.req, j.h = req, h
-	j.queue = req.Span.Child("exec.queue")
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		j.queue.End()
-		*j = job{}
-		e.jobs.Put(j)
-		return nil, ErrClosed
-	}
-	e.queue.push(j)
-	e.submitted.Add(1)
-	e.mu.Unlock()
-	e.cond.Signal()
-	return h, nil
+// Submit enqueues a single request (implementing Front).
+func (e *Executor) Submit(req query.Request, h *Handle) error {
+	return e.Enqueue(&query.Call{Request: req}, h)
 }
 
-// SubmitBatch enqueues one batch job covering len(req.ArgSets) requests. The
-// handles must have been created with NewPendingHandle, one per binding set;
-// a worker completes each of them after the set-oriented call. On ErrClosed
-// the handles are NOT completed — the caller owns failing them.
-func (e *Executor) SubmitBatch(req query.BatchRequest, hs []*Handle) error {
-	if len(req.ArgSets) != len(hs) {
-		return errors.New("exec: SubmitBatch: len(argSets) != len(handles)")
-	}
-	if len(hs) == 0 {
-		return nil
-	}
+// Enqueue queues one call of either shape with the handles its reply will
+// complete, one per binding in binding order. c.Span is the span of the
+// handle that leads the call: the queue wait and the backend's subtree hang
+// off it. A closed pool refuses with ErrClosed and fails every handle with
+// it, so a Fetch on a handle already handed out never blocks. The submitted
+// counter is incremented inside the queue critical section, before any
+// worker can see the job, so Stats never observes completed > submitted.
+func (e *Executor) Enqueue(c *query.Call, hs ...*Handle) error {
 	j := e.jobs.Get().(*job)
-	j.breq, j.hs = req, hs
-	// The batch leader (first traced member) owns the queue-wait span,
-	// like it will own the execution subtree.
-	for _, h := range hs {
-		if h.span != nil {
-			j.queue = h.span.Child("exec.queue")
-			break
-		}
+	j.call = *c
+	j.hs = append(j.hs, hs...)
+	if e.workers > 0 { // a synchronous pool has no queue to wait in
+		j.queue = c.Span.Child("exec.queue")
 	}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		j.queue.End()
-		*j = job{}
-		e.jobs.Put(j)
+		e.release(j)
+		for _, h := range hs {
+			h.complete(nil, ErrClosed)
+		}
 		return ErrClosed
 	}
-	e.queue.push(j)
 	e.submitted.Add(int64(len(hs)))
+	if e.workers == 0 {
+		e.wg.Add(1) // Close waits for this inline run as it does for a worker
+		e.mu.Unlock()
+		e.execute(j)
+		e.wg.Done()
+		return nil
+	}
+	e.queue.push(j)
 	e.mu.Unlock()
 	e.cond.Signal()
 	return nil
+}
+
+// release returns a job to the pool holding no reference but its storage.
+func (e *Executor) release(j *job) {
+	clear(j.hs)
+	*j = job{hs: j.hs[:0]}
+	e.jobs.Put(j)
 }
 
 // Stats returns the total submitted and completed request counts. The
@@ -281,7 +252,7 @@ func (e *Executor) Stats() (submitted, completed int64) {
 	return s, c
 }
 
-// BatchStats reports the batching activity: how many batch jobs were issued
+// BatchStats reports the batching activity: how many batch calls were issued
 // and the mean number of requests per batch (0 when no batch was issued).
 func (e *Executor) BatchStats() (batchesIssued int64, avgBatchSize float64) {
 	b := e.batches.Load()
@@ -296,11 +267,6 @@ func (e *Executor) BatchStats() (batchesIssued int64, avgBatchSize float64) {
 // It blocks until all workers have stopped.
 func (e *Executor) Close() {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		e.wg.Wait()
-		return
-	}
 	e.closed = true
 	e.cond.Broadcast()
 	e.mu.Unlock()
@@ -320,113 +286,56 @@ func (e *Executor) worker() {
 		}
 		j := e.queue.pop()
 		e.mu.Unlock()
-		j.queue.End() // queue wait is over; execution starts
-
-		if j.hs != nil {
-			e.runBatchJob(j)
-			continue
-		}
-		req, h := j.req, j.h
-		*j = job{} // drop references before pooling
-		e.jobs.Put(j)
-		if req.Deadline.Expired() {
-			// The request aged out in the queue: abandon it rather than
-			// spend backend work on an answer nobody is waiting for.
-			e.completed.Add(1)
-			h.complete(nil, query.ErrDeadlineExceeded)
-			continue
-		}
-		res := e.run(req)
-		e.completed.Add(1)
-		h.complete(res.Value, res.Err)
+		e.execute(j)
 	}
 }
 
-// runBatchJob executes one batch job and demultiplexes the per-binding
-// results onto the pending handles. Members whose deadline expired in the
-// queue are abandoned up front (completed with ErrDeadlineExceeded) and the
-// set-oriented call covers only the survivors. When tracing is on, the first
-// traced surviving member is the batch leader: the execution subtree parents
-// under its span (every span gets exactly one parent), and every other
-// traced member gets a leaf "batch.exec" child covering the shared execution
-// window.
-func (e *Executor) runBatchJob(j *job) {
-	req, hs := j.breq, j.hs
-	*j = job{}
-	e.jobs.Put(j)
-
-	// Partition out members that aged past their deadline in the queue.
-	live := make([]int, 0, len(hs))
-	for i, h := range hs {
-		if h.dl.Expired() {
-			e.completed.Add(1)
-			h.complete(nil, query.ErrDeadlineExceeded)
-			continue
-		}
-		live = append(live, i)
+// execute runs one job: the call goes to the backend in its own shape and
+// the reply is demultiplexed onto the handles. When tracing is on, the
+// execution subtree parents under the leader's span (every span gets exactly
+// one parent) and every other traced handle gets a leaf "batch.exec" child
+// covering the shared execution window.
+func (e *Executor) execute(j *job) {
+	j.queue.End() // queue wait is over; execution starts
+	c, hs := &j.call, j.hs
+	if c.Batch() {
+		e.batches.Add(1)
+		e.batched.Add(int64(len(hs)))
 	}
-	if len(live) == 0 {
-		return
-	}
-	if len(live) < len(hs) {
-		sub := make([][]any, len(live))
-		for k, i := range live {
-			sub[k] = req.ArgSets[i]
-		}
-		req.ArgSets = sub
-	}
-
-	e.batches.Add(1)
-	e.batched.Add(int64(len(live)))
-	var leader *obs.Span
 	var members []*obs.Span
-	for _, i := range live {
-		h := hs[i]
-		if h.span == nil {
-			continue
+	for _, h := range hs {
+		if h.span != nil && h.span != c.Span {
+			if members == nil {
+				members = make([]*obs.Span, 0, len(hs)-1)
+			}
+			members = append(members, h.span.Child("batch.exec"))
 		}
-		if leader == nil {
-			leader = h.span
-			continue
-		}
-		if members == nil {
-			members = make([]*obs.Span, 0, len(live)-1)
-		}
-		members = append(members, h.span.Child("batch.exec"))
 	}
-	defer func() {
-		for _, m := range members {
-			m.End()
-		}
-	}()
-	if e.runBatch == nil {
-		// No set-oriented path configured: preserve semantics by running the
-		// bindings one by one on this worker.
-		for k, i := range live {
-			r := query.Req(req.Name, req.SQL, req.ArgSets[k]).
-				WithSpan(hs[i].span).WithSession(req.Session).WithDeadline(hs[i].dl)
-			r.Consistency = req.Consistency
-			res := e.run(r)
-			e.completed.Add(1)
-			hs[i].complete(res.Value, res.Err)
-		}
-		return
+	var rep query.Reply
+	c.On(&e.backend, &rep)
+	for _, m := range members {
+		m.End()
 	}
-	req.Span = leader
-	br := e.runBatch(req)
-	for k, i := range live {
+	vals, errs := rep.Values, rep.Errs
+	if !c.Batch() {
+		vals, errs = []any{rep.Value}, []error{rep.Err}
+	}
+	for k, h := range hs {
 		var v any
 		var err error
-		if k < len(br.Values) {
-			v = br.Values[k]
+		if k < len(vals) {
+			v = vals[k]
 		}
-		if k < len(br.Errs) {
-			err = br.Errs[k]
+		if k < len(errs) {
+			err = errs[k]
 		}
-		if err == nil && k >= len(br.Values) {
+		if err == nil && k >= len(vals) {
+			// The runner is caller-supplied: a short reply fails the
+			// bindings it left out instead of completing them with nil.
 			err = errors.New("exec: batch runner returned too few results")
 		}
 		e.completed.Add(1)
-		hs[i].complete(v, err)
+		h.complete(v, err)
 	}
+	e.release(j)
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/interp"
@@ -9,68 +8,44 @@ import (
 	"repro/internal/query"
 )
 
-// Batcher is a coalescing submission front-end (see internal/batch): Submit
-// hands back a pending handle immediately and groups requests into batch
-// jobs behind the scenes; Close flushes anything still buffered and must
-// complete every outstanding handle. The request's span rides the pending
-// handle (picking up a "batch.wait" child covering fill + linger time) and
-// its deadline bounds how long the request may linger.
-type Batcher interface {
-	Submit(req query.Request) (*Handle, error)
+// Front is where a Service's submissions enter: the pool itself, or a
+// coalescer (see internal/batch) that groups them into batch calls and
+// enqueues those on the pool.
+type Front interface {
+	// Submit takes one request and the pending handle its result will
+	// complete. An error means the request was refused and the caller
+	// drops the handle.
+	Submit(req query.Request, h *Handle) error
+	// Close hands everything still held to the pool; later Submits fail
+	// with ErrClosed. Concurrent and repeated calls are safe, and each
+	// returns only once the pool has it all.
 	Close()
 }
 
-// Service adapts an Executor (plus a synchronous runner for blocking calls)
-// to the interpreter's QueryService. Blocking executeQuery calls run on the
-// calling goroutine — exactly like the original JDBC programs — while
-// submitQuery goes through the pool, optionally via a coalescing Batcher
-// that turns bursts of submissions into set-oriented batch calls.
+// Service adapts an Executor to the interpreter's QueryService. Blocking
+// executeQuery calls run on the calling goroutine — exactly like the
+// original JDBC programs — while submitQuery goes through the front end
+// fixed at construction.
 type Service struct {
-	exec *Executor
-	sync Runner
-
-	bmu     sync.Mutex // guards batcher: Submit may race SetBatcher/Close
-	batcher Batcher
+	pool  *Executor
+	front Front
 
 	// tracer, when set by EnableTracing, mints one root span per Submit.
 	tracer atomic.Pointer[obs.Tracer]
-
-	closeOnce sync.Once
 }
 
-// NewService builds a query service. If workers is 0 the service supports
-// only blocking execution (submissions fall back to synchronous runs),
-// modelling an untransformed program's environment.
+// NewService builds a query service over a pool of the given size. If
+// workers is 0 submissions run synchronously, modelling an untransformed
+// program's environment.
 func NewService(workers int, run Runner) *Service {
-	return NewBatchService(workers, run, nil)
+	pool := NewExecutor(workers, run, nil)
+	return NewServiceOn(pool, pool)
 }
 
-// NewBatchService is NewService with a set-oriented batch path: batch jobs
-// submitted through the executor (via a Batcher front-end, see SetBatcher)
-// execute through runBatch in one call.
-func NewBatchService(workers int, run Runner, runBatch BatchRunner) *Service {
-	s := &Service{sync: run}
-	if workers > 0 {
-		s.exec = NewBatchExecutor(workers, run, runBatch)
-	}
-	return s
-}
-
-// Executor exposes the underlying pool (nil in degraded mode) so batching
-// front-ends can enqueue batch jobs on it.
-func (s *Service) Executor() *Executor { return s.exec }
-
-// SetBatcher installs a coalescing front-end: subsequent Submit calls route
-// through it. In degraded mode (no pool) the toggle is a no-op — submissions
-// keep falling back to synchronous execution. Passing nil turns batching
-// off again (without closing the previous batcher).
-func (s *Service) SetBatcher(b Batcher) {
-	if s.exec == nil {
-		return
-	}
-	s.bmu.Lock()
-	s.batcher = b
-	s.bmu.Unlock()
+// NewServiceOn builds a query service that submits to front and owns both
+// front and the pool behind it (batch.NewService puts its coalescer here).
+func NewServiceOn(pool *Executor, front Front) *Service {
+	return &Service{pool: pool, front: front}
 }
 
 // EnableTracing turns on per-request trace spans: every Submit opens a
@@ -88,74 +63,36 @@ func (s *Service) EnableTracing(tr *obs.Tracer) {
 
 // Exec implements interp.QueryService.
 func (s *Service) Exec(name, sql string, args []interp.Value) (interp.Value, error) {
-	return s.sync(query.Req(name, sql, args)).Pair()
+	return s.pool.backend.run(query.Req(name, sql, args)).Pair()
 }
 
 // Submit implements interp.QueryService.
 func (s *Service) Submit(name, sql string, args []interp.Value) (interp.Handle, error) {
-	tr := s.tracer.Load()
 	req := query.Req(name, sql, args)
-	if s.exec == nil {
-		// Degraded mode: run synchronously and wrap the result, so programs
-		// transformed for asynchrony still run correctly with no pool.
-		sp := tr.Start("request") // nil-safe: nil tracer mints nil span
-		res := s.sync(req.WithSpan(sp))
-		sp.End()
-		return newDoneHandle(res.Value, res.Err), nil
+	if tr := s.tracer.Load(); tr != nil {
+		req.Span = tr.Start("request")
+		req.Span.SetDetail(sql)
 	}
-	if tr != nil {
-		sp := tr.Start("request")
-		sp.SetDetail(sql)
-		req = req.WithSpan(sp)
-	}
-	s.bmu.Lock()
-	b := s.batcher
-	s.bmu.Unlock()
-	var h *Handle
-	var err error
-	if b != nil {
-		h, err = b.Submit(req)
-	} else {
-		h, err = s.exec.Submit(req)
-	}
-	if err != nil {
+	h := newHandle(req.Span)
+	if err := s.front.Submit(req, h); err != nil {
 		req.Span.End() // the request never got a handle; close its root here
 		return nil, err
 	}
 	return h, nil
 }
 
-// Close shuts down the batcher (flushing buffered submissions) and then the
-// pool (if any), waiting for pending requests. Concurrent and repeated
-// calls are safe: the batcher always finishes flushing before the executor
-// closes, so pre-Close submissions still execute.
+// Close shuts down the front end (flushing buffered submissions) and then
+// the pool, waiting for pending requests, so pre-Close submissions still
+// execute. Concurrent and repeated calls are safe.
 func (s *Service) Close() {
-	s.closeOnce.Do(func() {
-		s.bmu.Lock()
-		b := s.batcher
-		s.batcher = nil
-		s.bmu.Unlock()
-		if b != nil {
-			b.Close()
-		}
-		if s.exec != nil {
-			s.exec.Close()
-		}
-	})
+	s.front.Close()
+	s.pool.Close()
 }
 
-// Stats proxies Executor.Stats; zero values when no pool exists.
-func (s *Service) Stats() (submitted, completed int64) {
-	if s.exec == nil {
-		return 0, 0
-	}
-	return s.exec.Stats()
-}
+// Stats returns the total submitted and completed request counts.
+func (s *Service) Stats() (submitted, completed int64) { return s.pool.Stats() }
 
-// BatchStats proxies Executor.BatchStats; zero values when no pool exists.
+// BatchStats reports how many batch calls were issued and their mean size.
 func (s *Service) BatchStats() (batchesIssued int64, avgBatchSize float64) {
-	if s.exec == nil {
-		return 0, 0
-	}
-	return s.exec.BatchStats()
+	return s.pool.BatchStats()
 }

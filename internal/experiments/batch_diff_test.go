@@ -7,7 +7,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/batch"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/server"
 )
@@ -37,7 +36,7 @@ func TestBatchedExecutionMatchesAsyncOnApps(t *testing.T) {
 			}
 
 			// run executes the transformed kernel against a fresh server;
-			// maxBatch 0 selects the plain per-query async service.
+			// maxBatch 1 is the plain per-query async service.
 			run := func(maxBatch int) (*interp.Result, string) {
 				t.Helper()
 				srv := server.New(prof, 0.02)
@@ -46,13 +45,8 @@ func TestBatchedExecutionMatchesAsyncOnApps(t *testing.T) {
 					t.Fatalf("setup: %v", err)
 				}
 				srv.ColdStart() // cold cache: the batched fast path does real page sharing
-				var svc *exec.Service
-				if maxBatch > 0 {
-					svc = batch.NewService(workers, srv.Exec, srv.ExecBatch,
-						batch.Options{MaxBatch: maxBatch})
-				} else {
-					svc = exec.NewService(workers, srv.Exec)
-				}
+				svc := batch.NewService(workers, srv.Exec, srv.ExecBatch,
+					batch.Options{MaxBatch: maxBatch})
 				svc.EnableTracing(testTracer(t))
 				defer svc.Close()
 				in := interp.New(app.Registry(), svc)
@@ -67,7 +61,7 @@ func TestBatchedExecutionMatchesAsyncOnApps(t *testing.T) {
 				return res, ""
 			}
 
-			asyncRes, asyncErr := run(0)
+			asyncRes, asyncErr := run(1)
 			for _, maxBatch := range []int{2, 16, 64} {
 				batchRes, batchErr := run(maxBatch)
 				if asyncErr != batchErr {
@@ -92,19 +86,14 @@ func TestBatchedExecutionMatchesAsyncOnApps(t *testing.T) {
 // submission paths and asserts the error text survives batching unchanged.
 func TestBatchedErrorTextMatchesAsync(t *testing.T) {
 	prof := server.SYS1()
-	errText := func(batched bool) string {
+	errText := func(maxBatch int) string {
 		srv := server.New(prof, 0)
 		defer srv.Close()
 		app := apps.Category()
 		if err := app.Setup(srv, apps.SeededRand()); err != nil {
 			t.Fatalf("setup: %v", err)
 		}
-		var svc *exec.Service
-		if batched {
-			svc = batch.NewService(2, srv.Exec, srv.ExecBatch, batch.Options{MaxBatch: 4})
-		} else {
-			svc = exec.NewService(2, srv.Exec)
-		}
+		svc := batch.NewService(2, srv.Exec, srv.ExecBatch, batch.Options{MaxBatch: maxBatch})
 		defer svc.Close()
 		h, err := svc.Submit("q", "select max(psize) from nosuch where category_id = ?", []any{int64(1)})
 		if err != nil {
@@ -116,7 +105,7 @@ func TestBatchedErrorTextMatchesAsync(t *testing.T) {
 		}
 		return err.Error()
 	}
-	async, batched := errText(false), errText(true)
+	async, batched := errText(1), errText(4)
 	if async != batched {
 		t.Fatalf("error text differs: async %q, batched %q", async, batched)
 	}

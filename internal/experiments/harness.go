@@ -2,9 +2,8 @@
 // evaluation (§VI): Figures 8–15 and Table I. Each figure function returns
 // the measured series in the paper's coordinates; Render prints them as
 // aligned text tables. Absolute times differ from the paper (the substrate
-// is a simulator, see DESIGN.md), but the shapes — who wins, crossover
-// points, saturation behaviour — are the reproduction targets recorded in
-// EXPERIMENTS.md.
+// is a simulator), but the shapes — who wins, crossover points, saturation
+// behaviour — are the reproduction targets; PERF.md keeps the measured ones.
 package experiments
 
 import (
@@ -19,6 +18,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/shard"
 )
@@ -59,6 +59,7 @@ type loadedServer struct {
 // a shard router. Both expose cache control and the aggregate counters the
 // measurements read.
 type target interface {
+	query.Executor
 	Warm()
 	ColdStart()
 	Stats() server.Stats
@@ -192,10 +193,26 @@ type runInfo struct {
 	AvgBatchSize  float64
 }
 
-// trace wires the harness tracer (if any) into a measurement service: a
-// no-op pass-through when h.Obs is nil. Spans ride the requests themselves,
-// so the service's configured runners carry them into the backend.
-func (h *Harness) trace(svc *exec.Service) *exec.Service {
+// submission is how one kernel run reaches its backend: threads 0 is an
+// original program's blocking environment, maxBatch 1 a plain pool, and
+// anything larger a coalescing pool whose key groupFn refines (nil: the
+// statement alone).
+type submission struct {
+	threads, maxBatch int
+	groupFn           func(name, sql string, args []any) int
+}
+
+// service builds a run's query service over its target. The linger window
+// is wall time, so it is scaled like every simulated latency and batched
+// series stay comparable across -scale. The harness tracer, if any, is
+// wired in: spans ride the requests themselves, so the target's own
+// Exec/ExecBatch carry them into the backend.
+func (h *Harness) service(tgt target, sub submission) *exec.Service {
+	svc := batch.NewService(sub.threads, tgt.Exec, tgt.ExecBatch, batch.Options{
+		MaxBatch: sub.maxBatch,
+		Linger:   time.Duration(float64(batch.DefaultLinger) * h.Scale),
+		GroupFn:  sub.groupFn,
+	})
 	if h.Obs != nil {
 		svc.EnableTracing(h.Obs)
 	}
@@ -203,13 +220,12 @@ func (h *Harness) trace(svc *exec.Service) *exec.Service {
 }
 
 // runKernel executes one compiled kernel against a freshly warmed (or
-// cooled) server, with a query service built by mkSvc, and returns the
-// result, the elapsed simulated seconds, and the run's counters. It is the
-// single measurement path shared by Measure and MeasureBatched, so every
-// configuration (seeding, warm-up, scale handling) stays identical across
-// submission modes.
+// cooled) server and returns the result, the elapsed simulated seconds, and
+// the run's counters. It is the single measurement path shared by Measure
+// and MeasureBatched, so every configuration (seeding, warm-up, scale
+// handling) stays identical across submission modes.
 func (h *Harness) runKernel(app *apps.App, prof server.Profile, p *interp.Program,
-	iterations int, warm bool, mkSvc func(srv *server.Server) *exec.Service) (*interp.Result, float64, runInfo, error) {
+	iterations int, warm bool, sub submission) (*interp.Result, float64, runInfo, error) {
 
 	srv, err := h.server(app, prof)
 	if err != nil {
@@ -218,14 +234,14 @@ func (h *Harness) runKernel(app *apps.App, prof server.Profile, p *interp.Progra
 	if app.MutatesData {
 		defer srv.Close()
 	}
-	return h.runOn(app, srv, p, iterations, warm, func() *exec.Service { return mkSvc(srv) })
+	return h.runOn(app, srv, p, iterations, warm, sub)
 }
 
 // runOn is runKernel against an already-acquired target (single server or
-// shard router); mkSvc builds the query service after the cache state is
-// set, exactly as the single-server path always did.
+// shard router); the query service is built after the cache state is set,
+// exactly as the single-server path always did.
 func (h *Harness) runOn(app *apps.App, tgt target, p *interp.Program,
-	iterations int, warm bool, mkSvc func() *exec.Service) (*interp.Result, float64, runInfo, error) {
+	iterations int, warm bool, sub submission) (*interp.Result, float64, runInfo, error) {
 
 	var ri runInfo
 	if warm {
@@ -233,7 +249,7 @@ func (h *Harness) runOn(app *apps.App, tgt target, p *interp.Program,
 	} else {
 		tgt.ColdStart()
 	}
-	svc := mkSvc()
+	svc := h.service(tgt, sub)
 	defer svc.Close()
 	in := interp.New(app.Registry(), svc)
 	if app.Bind != nil {
@@ -266,16 +282,12 @@ func (h *Harness) measureAsync(app *apps.App, prof server.Profile, threads, iter
 		return
 	}
 	syncRes, syncSec, _, err := h.runKernel(app, prof, pp.origProg, iterations, warm,
-		func(srv *server.Server) *exec.Service {
-			return h.trace(exec.NewService(0, srv.Exec))
-		})
+		submission{threads: 0, maxBatch: 1})
 	if err != nil {
 		return
 	}
 	asyncRes, asyncSec, asyncInfo, err = h.runKernel(app, prof, pp.transProg, iterations, warm,
-		func(srv *server.Server) *exec.Service {
-			return h.trace(exec.NewService(threads, srv.Exec))
-		})
+		submission{threads: threads, maxBatch: 1})
 	if err != nil {
 		return
 	}
@@ -335,13 +347,7 @@ func (h *Harness) MeasureBatched(app *apps.App, prof server.Profile, threads, it
 		return m, err
 	}
 	batchRes, batchSec, batchInfo, err := h.runKernel(app, prof, pp.transProg, iterations, warm,
-		func(srv *server.Server) *exec.Service {
-			// The linger window is wall time; scale it like every simulated
-			// latency so batched series stay comparable across -scale.
-			linger := time.Duration(float64(batch.DefaultLinger) * h.Scale)
-			return h.trace(batch.NewService(threads, srv.Exec, srv.ExecBatch,
-				batch.Options{MaxBatch: maxBatch, Linger: linger}))
-		})
+		submission{threads: threads, maxBatch: maxBatch})
 	if err != nil {
 		return m, err
 	}
@@ -432,14 +438,8 @@ func (h *Harness) MeasureCluster(app *apps.App, prof server.Profile,
 	if err != nil {
 		return m, err
 	}
-	// The linger window is wall time; scale it like every simulated latency.
-	linger := time.Duration(float64(batch.DefaultLinger) * h.Scale)
-	opts := batch.Options{MaxBatch: maxBatch, Linger: linger}
-
 	singleRes, singleSec, singleInfo, err := h.runKernel(app, prof, pp.transProg, iterations, warm,
-		func(srv *server.Server) *exec.Service {
-			return h.trace(batch.NewService(threads, srv.Exec, srv.ExecBatch, opts))
-		})
+		submission{threads: threads, maxBatch: maxBatch})
 	if err != nil {
 		return m, err
 	}
@@ -453,13 +453,9 @@ func (h *Harness) MeasureCluster(app *apps.App, prof server.Profile,
 	}
 	// Shard-aware coalescing: batches form per target shard, so the cluster
 	// pays the same number of round trips as the single server.
-	shOpts := opts
-	shOpts.GroupFn = rt.BatchGroup
 	beforeShard, beforeReads := rt.ShardStats(), rt.ReplicaReads()
 	res, sec, info, err := h.runOn(app, rt, pp.transProg, iterations, warm,
-		func() *exec.Service {
-			return h.trace(batch.NewService(threads, rt.Exec, rt.ExecBatch, shOpts))
-		})
+		submission{threads: threads, maxBatch: maxBatch, groupFn: rt.BatchGroup})
 	if err != nil {
 		return m, err
 	}

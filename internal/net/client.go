@@ -43,7 +43,7 @@ type ClientOptions struct {
 }
 
 // Client is one logical wire-protocol peer. It implements query.Executor,
-// so the whole client runtime — exec.Service, batch.Coalescer, the
+// so the whole client runtime — exec.Service, the batch coalescer, the
 // interpreter — runs against a remote server by handing it a Client where
 // it previously took a server.Exec closure. Requests are pipelined: many
 // goroutines may call Exec/ExecBatch concurrently, each response matched

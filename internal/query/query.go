@@ -112,8 +112,7 @@ func (r Request) WithDeadline(dl Deadline) Request { r.Deadline = dl; return r }
 
 // BatchRequest is one set-oriented execution: the same statement over
 // ArgSets, submitted in a single round trip. Context fields mirror
-// Request and apply to the batch as a whole (Deadline is the earliest
-// deadline among the coalesced members).
+// Request and apply to the batch as a whole.
 type BatchRequest struct {
 	Name    string
 	SQL     string
