@@ -1,9 +1,11 @@
 package net
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	stdnet "net"
 	"sync"
@@ -75,14 +77,35 @@ type Client struct {
 	rng   *rand.Rand // backoff jitter
 }
 
+// call is what one Exec/ExecBatch holds for its duration, pooled: the encoded
+// request frame (header included; encoded once, its id re-stamped per
+// attempt) and the slot its response arrives on. A call goes back to the pool
+// only when nothing can still send on ch: every registration ends in a receive
+// from ch, or in an abandon that found the entry still pending (see await).
+type call struct {
+	frame []byte
+	ch    chan response // capacity 1: the read loop never blocks on a caller
+}
+
+var callPool = sync.Pool{New: func() any { return &call{ch: make(chan response, 1)} }}
+
+func putCall(cl *call) {
+	cl.frame = retain(cl.frame)
+	callPool.Put(cl)
+}
+
+// response is what a registration's slot receives, exactly once: a response
+// frame's payload in a pooled buffer the receiver owns (and returns after
+// decoding), or the connection's terminal error.
 type response struct {
 	msgType byte
-	payload []byte
+	payload *buffer
+	err     error
 }
 
 // pendingReq is one in-flight request slot on a connection.
 type pendingReq struct {
-	ch    chan response
+	call  *call
 	write bool
 }
 
@@ -92,7 +115,7 @@ type clientConn struct {
 	conn stdnet.Conn
 	inj  *fault.Injector
 
-	wmu sync.Mutex // serializes request frames
+	w frameWriter // request frames, flush-combined
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -136,7 +159,10 @@ func dialConn(addr string, inj *fault.Injector) (*clientConn, error) {
 		conn.Close()
 		return nil, err
 	}
-	msgType, payload, err := ReadFrame(conn)
+	// One buffered reader for the life of the connection: a response, or a
+	// burst of pipelined responses, costs one read of the socket.
+	br := bufio.NewReader(conn)
+	msgType, payload, err := readFrame(br, nil)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("%w: handshake refused", ErrVersionMismatch)
@@ -160,7 +186,8 @@ func dialConn(addr string, inj *fault.Injector) (*clientConn, error) {
 		pending:    map[uint64]pendingReq{},
 		readerDone: make(chan struct{}),
 	}
-	go cc.readLoop()
+	cc.w.init(conn)
+	go cc.readLoop(br)
 	return cc, nil
 }
 
@@ -211,29 +238,31 @@ func (c *Client) Retries() int64 { return c.retries.Load() }
 // Reconnects reports how many replacement connections this client dialed.
 func (c *Client) Reconnects() int64 { return c.reconnects.Load() }
 
-// readLoop dispatches response frames to their waiting requests. On any
-// read error it fails every pending request: a dead connection never
-// leaves a caller blocked.
-func (cc *clientConn) readLoop() {
+// readLoop dispatches response frames to their waiting requests. Each payload
+// is read into a pooled buffer and handed, buffer and all, to the caller that
+// decodes it; the loop takes a fresh one only then. On any read error it fails
+// every pending request: a dead connection never leaves a caller blocked.
+func (cc *clientConn) readLoop(br *bufio.Reader) {
 	defer close(cc.readerDone)
+	fb := getBuf()
+	defer func() { putBuf(fb) }()
 	for {
-		msgType, payload, err := ReadFrame(cc.conn)
+		msgType, payload, err := readFrame(br, fb.b)
 		if err != nil {
 			// User Close set cc.err first; an uninvited death is conn-lost.
-			cc.failAll(query.ErrConnLost)
+			cc.die(query.ErrConnLost)
 			return
 		}
+		fb.b = payload
 		if msgType != MsgResult && msgType != MsgBatchResult {
-			cc.failAll(fmt.Errorf("%w: unexpected frame %d", ErrBadFrame, msgType))
-			cc.conn.Close()
+			cc.die(fmt.Errorf("%w: unexpected frame %d", ErrBadFrame, msgType))
 			return
 		}
 		if len(payload) < 8 {
-			cc.failAll(ErrBadFrame)
-			cc.conn.Close()
+			cc.die(ErrBadFrame)
 			return
 		}
-		id := (&reader{b: payload}).u64()
+		id := binary.BigEndian.Uint64(payload)
 		cc.mu.Lock()
 		pr, ok := cc.pending[id]
 		if ok {
@@ -244,26 +273,30 @@ func (cc *clientConn) readLoop() {
 		}
 		cc.mu.Unlock()
 		if ok {
-			pr.ch <- response{msgType, payload} // buffered: never blocks the loop
+			pr.call.ch <- response{msgType: msgType, payload: fb}
+			fb = getBuf()
 		}
 		// Unknown ids are responses to requests the caller abandoned at
 		// their deadline; the frame is simply dropped.
 	}
 }
 
-// failAll terminates the generation: the first error wins, every pending
-// request's channel closes (a closed channel reads as the terminal error).
-func (cc *clientConn) failAll(err error) {
+// die terminates the generation: the first error wins, and every pending
+// request receives it. The socket closes first, which ends any flush in
+// progress, so that a failed request can settle whether its frame was sent.
+func (cc *clientConn) die(err error) {
+	cc.conn.Close()
 	cc.mu.Lock()
 	if cc.err == nil {
 		cc.err = err
 	}
+	err = cc.err
 	pend := cc.pending
 	cc.pending = map[uint64]pendingReq{}
 	cc.writes = 0
 	cc.mu.Unlock()
 	for _, pr := range pend {
-		close(pr.ch)
+		pr.call.ch <- response{err: err}
 	}
 }
 
@@ -272,16 +305,6 @@ func (cc *clientConn) dead() bool {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	return cc.err != nil
-}
-
-// termErr is the error a pending request observes when its channel closed.
-func (cc *clientConn) termErr() error {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.err != nil {
-		return cc.err
-	}
-	return query.ErrConnLost
 }
 
 // poison marks the generation dead (first error wins) and closes the
@@ -301,34 +324,38 @@ func (cc *clientConn) shutdown(err error) {
 	<-cc.readerDone
 }
 
-// register allocates a request id and its response slot.
-func (cc *clientConn) register(isWrite bool) (uint64, chan response, error) {
+// register allocates a request id and makes cl the slot its response arrives
+// on.
+func (cc *clientConn) register(cl *call, isWrite bool) (uint64, error) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.err != nil {
-		return 0, nil, cc.err
+		return 0, cc.err
 	}
 	cc.nextID++
 	id := cc.nextID
-	ch := make(chan response, 1)
-	cc.pending[id] = pendingReq{ch: ch, write: isWrite}
+	cc.pending[id] = pendingReq{call: cl, write: isWrite}
 	if isWrite {
 		cc.writes++
 	}
-	return id, ch, nil
+	return id, nil
 }
 
-// abandon forgets a request the caller gave up on (deadline expiry). The
-// server's eventual response frame is dropped by the read loop.
-func (cc *clientConn) abandon(id uint64) {
+// abandon forgets a request the caller gave up on (deadline expiry); the
+// server's eventual response frame is dropped by the read loop. It reports
+// false when the entry is already gone: the read loop took it,
+// and its send on the slot has happened or is about to.
+func (cc *clientConn) abandon(id uint64) bool {
 	cc.mu.Lock()
-	if pr, ok := cc.pending[id]; ok {
+	defer cc.mu.Unlock()
+	pr, ok := cc.pending[id]
+	if ok {
 		delete(cc.pending, id)
 		if pr.write {
 			cc.writes--
 		}
 	}
-	cc.mu.Unlock()
+	return ok
 }
 
 // injectReset simulates the peer (or a middlebox) resetting the
@@ -363,42 +390,48 @@ func (cc *clientConn) canTear(isWrite bool) bool {
 	return cc.writes <= own && cc.err == nil
 }
 
-// tear writes a deliberately incomplete frame and kills the connection —
-// the mid-write failure mode (process death, RST mid-send). The peer's
-// ReadFrame blocks on the missing bytes until the close, then discards.
-func (cc *clientConn) tear(msgType byte, payload []byte) {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = msgType
-	if _, err := cc.conn.Write(hdr[:]); err == nil && len(payload) > 1 {
-		_, _ = cc.conn.Write(payload[:len(payload)/2])
+// tear writes a deliberately incomplete frame and kills the connection — the
+// mid-write failure mode (process death, RST mid-send) — when that is inside
+// the retry contract (canTear). It is the one frame encoder's output cut at an
+// offset drawn from the injector's seed, anywhere from inside the header to one
+// byte short; the peer's reader blocks on the missing bytes until the close,
+// then discards. canTear is asked with the writer idle: every earlier frame is
+// on the wire and every later one still waits for the writer's lock, so
+// cc.writes counts exactly the writes the kill would strand.
+func (cc *clientConn) tear(frame []byte, isWrite bool) bool {
+	nth := cc.inj.Fired(fault.TornWrite)
+	cut := 1 + rand.New(rand.NewSource(cc.inj.Seed()+nth)).Intn(len(frame)-1)
+	if !cc.w.cut(frame[:cut], func() bool { return cc.canTear(isWrite) }) {
+		return false
 	}
 	cc.poison(fmt.Errorf("%w: injected torn frame", query.ErrConnLost))
+	return true
 }
 
-// send writes one request frame. Any write error — including a torn frame
-// part-way through — poisons the connection immediately: the stream is
-// desynchronized and no later request may be written to it. The returned
-// error is unsent-class: this request's frame never completed, so the
-// server cannot have executed it.
-func (cc *clientConn) send(msgType byte, payload []byte, isWrite bool) error {
-	cc.wmu.Lock()
-	defer cc.wmu.Unlock()
-	if cc.inj.Should(fault.TornWrite) && cc.canTear(isWrite) {
-		cc.tear(msgType, payload)
-		return fmt.Errorf("%w: injected torn frame", errUnsent)
+// send queues one request frame on the connection and returns the stream
+// offset it ends at. Any write error — including a torn frame part-way
+// through — poisons the connection immediately: the stream is desynchronized
+// and no later request may be written to it. The request itself then fails
+// with the connection like every other pending one, and roundTrip settles from
+// the offset whether its frame ever left.
+func (cc *clientConn) send(frame []byte, isWrite bool) uint64 {
+	if cc.inj.Should(fault.TornWrite) && cc.tear(frame, isWrite) {
+		return math.MaxUint64 // beyond anything the connection will ever write
 	}
-	if err := WriteFrame(cc.conn, msgType, payload); err != nil {
+	end, err := cc.w.send(frame)
+	if err != nil {
 		cc.poison(fmt.Errorf("%w: send failed: %v", query.ErrConnLost, err))
-		return fmt.Errorf("%w: %v", errUnsent, err)
 	}
-	return nil
+	return end
 }
 
 // await blocks for the response, bounded by the request deadline. At the
 // deadline the request is abandoned locally — the server may still execute
-// it, but this caller gets exactly one answer: ErrDeadlineExceeded.
-func (cc *clientConn) await(id uint64, ch chan response, dl query.Deadline) (response, error) {
+// it, but this caller gets exactly one answer: ErrDeadlineExceeded, unless the
+// response won the race to the pending table, in which case its send is
+// already on the way and it is the answer. Either way the slot is empty, and
+// will stay so, when await returns.
+func (cc *clientConn) await(id uint64, cl *call, dl query.Deadline) response {
 	var timeout <-chan time.Time
 	if t, ok := dl.Time(); ok {
 		timer := time.NewTimer(time.Until(t))
@@ -406,22 +439,13 @@ func (cc *clientConn) await(id uint64, ch chan response, dl query.Deadline) (res
 		timeout = timer.C
 	}
 	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return response{}, cc.termErr()
-		}
-		return resp, nil
+	case resp := <-cl.ch:
+		return resp
 	case <-timeout:
-		cc.abandon(id)
-		// The response may have raced the timer; prefer it if already here.
-		select {
-		case resp, ok := <-ch:
-			if ok {
-				return resp, nil
-			}
-		default:
+		if cc.abandon(id) {
+			return response{err: query.ErrDeadlineExceeded}
 		}
-		return response{}, query.ErrDeadlineExceeded
+		return <-cl.ch
 	}
 }
 
@@ -474,9 +498,10 @@ func (c *Client) backoff(attempt int, dl query.Deadline) bool {
 
 // roundTrip performs one attempt for a request of either shape: acquire a
 // connection (firing any scheduled connection reset first), register, stamp
-// the request id into the payload, send, await, decode. The payload is
-// encoded once per call, by the caller, and re-stamped per attempt.
-func (c *Client) roundTrip(msgType byte, payload []byte, isWrite bool, sp *obs.Span, dl query.Deadline) (query.Reply, error) {
+// the request id into the frame, send, await, decode. The frame is encoded
+// once per call, by the caller, and re-stamped per attempt. cl's slot is empty
+// again on every return.
+func (c *Client) roundTrip(cl *call, isWrite bool, sp *obs.Span, dl query.Deadline) (query.Reply, error) {
 	cc, err := c.conn()
 	if err != nil {
 		return query.Reply{}, err
@@ -487,22 +512,27 @@ func (c *Client) roundTrip(msgType byte, payload []byte, isWrite bool, sp *obs.S
 			return query.Reply{}, err
 		}
 	}
-	id, ch, err := cc.register(isWrite)
+	id, err := cc.register(cl, isWrite)
 	if err != nil {
 		return query.Reply{}, preSend(err)
 	}
-	binary.BigEndian.PutUint64(payload, id) // every request payload leads with its id
-	rt := sp.Child("net.roundtrip")         // nil-safe
+	binary.BigEndian.PutUint64(cl.frame[frameHeader:], id) // every request payload leads with its id
+	rt := sp.Child("net.roundtrip")                        // nil-safe
 	defer rt.End()
-	if err := cc.send(msgType, payload, isWrite); err != nil {
-		cc.abandon(id)
+	end := cc.send(cl.frame, isWrite)
+	resp := cc.await(id, cl, dl)
+	if err := resp.err; err != nil {
+		// A frame torn, cut short by a failed write, or still queued behind
+		// one when the connection died never left whole: the server cannot
+		// have executed the request, and the loss is unsent-class.
+		if errors.Is(err, query.ErrConnLost) && !cc.w.sent(end) {
+			err = fmt.Errorf("%w: %v", errUnsent, err)
+		}
 		return query.Reply{}, err
 	}
-	resp, err := cc.await(id, ch, dl)
-	if err != nil {
-		return query.Reply{}, err
-	}
-	return decodeReply(resp.msgType, resp.payload)
+	rep, err := decodeReply(resp.msgType, resp.payload.b)
+	putBuf(resp.payload)
+	return rep, err
 }
 
 // preSend reclassifies a registration failure: the generation was already
@@ -522,14 +552,18 @@ func preSend(err error) error {
 // so for a batch it is uniform and the batch is re-sent whole. The returned
 // error is a failure of the call as a whole; statement errors come back
 // inside the reply.
-func (c *Client) do(msgType byte, payload []byte, sql string, sp *obs.Span, dl query.Deadline) (query.Reply, error) {
+func (c *Client) do(cl *call, frame []byte, sql string, sp *obs.Span, dl query.Deadline) (query.Reply, error) {
 	if dl.Expired() {
 		return query.Reply{}, query.ErrDeadlineExceeded
+	}
+	var err error
+	if cl.frame, err = finishFrame(frame); err != nil {
+		return query.Reply{}, err
 	}
 	isWrite := c.isWrite(sql)
 	attempts := c.opts.Retry.attempts()
 	for attempt := 0; ; attempt++ {
-		rep, err := c.roundTrip(msgType, payload, isWrite, sp, dl)
+		rep, err := c.roundTrip(cl, isWrite, sp, dl)
 		failure := err
 		if failure == nil {
 			failure = rep.FirstErr()
@@ -559,10 +593,12 @@ func otherShape(rep query.Reply, what string) error {
 // Session stay client-side (the server binds its own per-connection
 // session); Name, SQL, Args, Consistency and Deadline cross.
 func (c *Client) Exec(req query.Request) query.Result {
-	payload, err := EncodeExec(0, req)
+	cl := callPool.Get().(*call)
+	defer putCall(cl)
+	frame, err := appendExec(beginFrame(cl.frame, MsgExec), 0, req)
 	var rep query.Reply
 	if err == nil {
-		rep, err = c.do(MsgExec, payload, req.SQL, req.Span, req.Deadline)
+		rep, err = c.do(cl, frame, req.SQL, req.Span, req.Deadline)
 	}
 	if err == nil && rep.Errs != nil {
 		err = otherShape(rep, "batch response to Exec")
@@ -577,10 +613,12 @@ func (c *Client) Exec(req query.Request) query.Result {
 // the call as a whole fails every binding with the one error.
 func (c *Client) ExecBatch(req query.BatchRequest) query.BatchResult {
 	n := len(req.ArgSets)
-	payload, err := EncodeExecBatch(0, req)
+	cl := callPool.Get().(*call)
+	defer putCall(cl)
+	frame, err := appendExecBatch(beginFrame(cl.frame, MsgExecBatch), 0, req)
 	var rep query.Reply
 	if err == nil {
-		rep, err = c.do(MsgExecBatch, payload, req.SQL, req.Span, req.Deadline)
+		rep, err = c.do(cl, frame, req.SQL, req.Span, req.Deadline)
 	}
 	switch {
 	case err != nil:

@@ -1,10 +1,12 @@
 package net
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	stdnet "net"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -152,18 +154,31 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// conn is the per-connection state: a write lock serializing response
-// frames (request handlers run concurrently) and the connection session.
+// idleWorkers is how many of a connection's workers stay parked between
+// requests. It covers the pipelining depth the client runtime produces by
+// default (a pool of four) without a goroutine being started per request;
+// whatever a deeper burst adds exits as the burst drains.
+const idleWorkers = 4
+
+// srvConn is the per-connection state: the flush-combining reply writer, the
+// connection session, and the worker set that executes the connection's
+// requests.
 type srvConn struct {
 	c    stdnet.Conn
-	wmu  sync.Mutex
+	w    frameWriter
 	sess *query.Session
+
+	// jobs is unbuffered: the read loop's send succeeds only into a worker
+	// that is already waiting, so a request never queues behind a busy one.
+	jobs    chan job
+	idle    atomic.Int32 // workers waiting on jobs, or about to
+	workers sync.WaitGroup
 }
 
-func (sc *srvConn) writeFrame(msgType byte, payload []byte) error {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	return WriteFrame(sc.c, msgType, payload)
+// job is one admitted request on its way to a worker.
+type job struct {
+	id   uint64
+	call query.Call
 }
 
 func (s *Server) serveConn(c stdnet.Conn) {
@@ -175,9 +190,13 @@ func (s *Server) serveConn(c stdnet.Conn) {
 		s.mu.Unlock()
 	}()
 
+	// One buffered reader for the life of the connection: a frame, or a burst
+	// of pipelined frames, costs one read of the socket.
+	br := bufio.NewReader(c)
+
 	// Handshake: hello in, helloAck out. A peer speaking another version
 	// (or not this protocol at all) is cut off before any request decodes.
-	msgType, payload, err := ReadFrame(c)
+	msgType, payload, err := readFrame(br, nil)
 	if err != nil || msgType != MsgHello {
 		return
 	}
@@ -185,19 +204,22 @@ func (s *Server) serveConn(c stdnet.Conn) {
 	if err != nil || ver != Version {
 		return
 	}
-	sc := &srvConn{c: c, sess: query.NewSession()}
-	if sc.writeFrame(MsgHelloAck, EncodeHelloAck()) != nil {
+	sc := &srvConn{c: c, sess: query.NewSession(), jobs: make(chan job)}
+	sc.w.init(c)
+	if WriteFrame(c, MsgHelloAck, EncodeHelloAck()) != nil {
 		return
 	}
 
-	// Request loop: decode, admit, execute in a per-request goroutine.
-	// The loop goroutine owns reads; handler goroutines own their response
-	// write (serialized by sc.wmu); the deferred conn close unblocks the
-	// read on server shutdown.
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
+	// Request loop: decode, admit, hand to a worker. The loop goroutine owns
+	// reads; workers own their response (queued on sc.w); the deferred conn
+	// close unblocks the read on server shutdown, and closing jobs releases
+	// the parked workers.
+	defer sc.workers.Wait()
+	defer close(sc.jobs)
 	for {
-		msgType, payload, err := ReadFrame(c)
+		// The payload storage is reused frame to frame: every decoder copies
+		// what it keeps.
+		msgType, payload, err = readFrame(br, retain(payload))
 		if err != nil {
 			return // peer closed (io.EOF) or connection torn down
 		}
@@ -212,20 +234,47 @@ func (s *Server) serveConn(c stdnet.Conn) {
 			continue
 		}
 		// A request past its deadline or beyond the budget is answered on the
-		// read loop — rejection must not cost a goroutine — and never reaches
-		// the backend.
+		// read loop — rejection must not cost a worker — and never reaches the
+		// backend.
 		if err := s.admit(call); err != nil {
-			rejected, rep := call, query.Reply{} // a copy: call itself stays capturable by value
-			rejected.Fail(err, &rep)
+			var rep query.Reply
+			call.Fail(err, &rep)
 			s.send(sc, id, call.Batch(), &rep)
 			continue
 		}
-		handlers.Add(1)
-		go func() {
-			defer handlers.Done()
-			query.GrowStack()
-			s.serve(sc, id, call)
-		}()
+		s.dispatch(sc, job{id, call})
+	}
+}
+
+// dispatch hands j to a parked worker, or starts one when none is waiting: the
+// set grows with the number of requests in flight, so a slow request never
+// holds up the one behind it. (A worker between finishing and parking is
+// missed and a spare one started; it exits again below.)
+func (s *Server) dispatch(sc *srvConn, j job) {
+	select {
+	case sc.jobs <- j:
+	default:
+		sc.workers.Add(1)
+		go s.work(sc, j)
+	}
+}
+
+// work runs one worker: j, then whatever the read loop hands it while it is
+// parked. It parks only while fewer than idleWorkers others do — which is how
+// the set shrinks when a burst ends — and exits when the connection closes.
+// The stack is sized once per worker, not per request.
+func (s *Server) work(sc *srvConn, j job) {
+	defer sc.workers.Done()
+	query.GrowStack()
+	for ok := true; ok; {
+		s.serve(sc, j.id, &j.call)
+		j = job{} // a parked worker must not pin its last request's bindings
+		if sc.idle.Add(1) > idleWorkers {
+			sc.idle.Add(-1)
+			return
+		}
+		j, ok = <-sc.jobs
+		sc.idle.Add(-1)
 	}
 }
 
@@ -247,7 +296,7 @@ func (s *Server) admit(c query.Call) error {
 
 // serve executes one admitted call against the backend under a root span
 // and the connection's session, and answers it.
-func (s *Server) serve(sc *srvConn, id uint64, c query.Call) {
+func (s *Server) serve(sc *srvConn, id uint64, c *query.Call) {
 	name := "net.request"
 	if c.Batch() {
 		name = "net.batch"
@@ -265,19 +314,24 @@ func (s *Server) serve(sc *srvConn, id uint64, c query.Call) {
 	s.send(sc, id, c.Batch(), &rep)
 }
 
-// send writes the response frame for a call of the given shape.
+// send encodes the response frame for a call of the given shape into a pooled
+// buffer and queues it on the connection's writer, which copies it: the buffer
+// goes straight back to the pool.
 func (s *Server) send(sc *srvConn, id uint64, batch bool, rep *query.Reply) {
-	msgType, payload, err := encodeReply(id, batch, rep)
+	fb := getBuf()
+	defer putBuf(fb)
+	frame, err := appendReply(fb.b, id, batch, rep)
 	if err != nil {
 		// The value could not cross the wire; the client still gets an
 		// answer (an error) rather than a hung request id.
 		fail := query.FailAll(len(rep.Errs), err)
 		rep = &query.Reply{Err: err, Values: fail.Values, Errs: fail.Errs}
-		if msgType, payload, err = encodeReply(id, batch, rep); err != nil {
+		if frame, err = appendReply(fb.b, id, batch, rep); err != nil {
 			return
 		}
 	}
-	if sc.writeFrame(msgType, payload) != nil {
+	fb.b = frame
+	if _, err := sc.w.send(frame); err != nil {
 		sc.c.Close() // writer failed: kill the conn so the read loop exits
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/interp"
@@ -86,38 +85,6 @@ var ErrBadFrame = errors.New("net: malformed frame")
 
 // ErrVersionMismatch reports a failed handshake.
 var ErrVersionMismatch = errors.New("net: protocol version mismatch")
-
-// WriteFrame writes one [u32 length][type byte][payload] frame.
-func WriteFrame(w io.Writer, msgType byte, payload []byte) error {
-	if len(payload)+1 > MaxFrame {
-		return fmt.Errorf("%w: %d byte payload exceeds MaxFrame", ErrBadFrame, len(payload))
-	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = msgType
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// ReadFrame reads one frame, returning its type and payload.
-func ReadFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n < 1 || n > MaxFrame {
-		return 0, nil, fmt.Errorf("%w: length %d", ErrBadFrame, n)
-	}
-	payload := make([]byte, n-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[4], payload, nil
-}
 
 // --- primitive encoders on a byte buffer ---
 
@@ -493,10 +460,20 @@ func (r *reader) args(what string) []any {
 	return args
 }
 
+// The message codecs come in two forms. appendX appends the payload to a
+// buffer the caller owns — on the connections that is a pooled frame buffer
+// already holding the frame header, so a message is encoded in place and
+// leaves in one Write. EncodeX is the same payload in a fresh slice.
+
+// appendExec appends the MsgExec payload for req under reqID.
+func appendExec(b []byte, reqID uint64, req query.Request) ([]byte, error) {
+	b = appendHeader(b, reqID, req.Deadline, req.Consistency, req.Name, req.SQL)
+	return appendArgs(b, req.Args)
+}
+
 // EncodeExec encodes a Request under reqID.
 func EncodeExec(reqID uint64, req query.Request) ([]byte, error) {
-	b := appendHeader(make([]byte, 0, 64), reqID, req.Deadline, req.Consistency, req.Name, req.SQL)
-	return appendArgs(b, req.Args)
+	return appendExec(make([]byte, 0, 64), reqID, req)
 }
 
 // DecodeExec decodes a MsgExec payload.
@@ -507,9 +484,9 @@ func DecodeExec(b []byte) (uint64, query.Request, error) {
 	return id, req, r.err
 }
 
-// EncodeExecBatch encodes a BatchRequest under reqID.
-func EncodeExecBatch(reqID uint64, req query.BatchRequest) ([]byte, error) {
-	b := appendHeader(make([]byte, 0, 128), reqID, req.Deadline, req.Consistency, req.Name, req.SQL)
+// appendExecBatch appends the MsgExecBatch payload for req under reqID.
+func appendExecBatch(b []byte, reqID uint64, req query.BatchRequest) ([]byte, error) {
+	b = appendHeader(b, reqID, req.Deadline, req.Consistency, req.Name, req.SQL)
 	b = putUvarint(b, uint64(len(req.ArgSets)))
 	var err error
 	for _, set := range req.ArgSets {
@@ -518,6 +495,11 @@ func EncodeExecBatch(reqID uint64, req query.BatchRequest) ([]byte, error) {
 		}
 	}
 	return b, nil
+}
+
+// EncodeExecBatch encodes a BatchRequest under reqID.
+func EncodeExecBatch(reqID uint64, req query.BatchRequest) ([]byte, error) {
+	return appendExecBatch(make([]byte, 0, 128), reqID, req)
 }
 
 // DecodeExecBatch decodes a MsgExecBatch payload.
@@ -575,17 +557,21 @@ func (r *reader) errSlot() error {
 	}
 }
 
-// EncodeResult encodes one Result under reqID. Info stays server-side: the
-// page/row accounting belongs to the execution stack, not the client API
-// (the front door's observable surface is value + error).
-func EncodeResult(reqID uint64, res query.Result) ([]byte, error) {
-	b := make([]byte, 0, 32)
+// appendResult appends the MsgResult payload for res under reqID. Info stays
+// server-side: the page/row accounting belongs to the execution stack, not
+// the client API (the front door's observable surface is value + error).
+func appendResult(b []byte, reqID uint64, res query.Result) ([]byte, error) {
 	b = binary.BigEndian.AppendUint64(b, reqID)
 	b = appendErr(b, res.Err)
 	if res.Err != nil {
 		return b, nil
 	}
 	return AppendValue(b, res.Value)
+}
+
+// EncodeResult encodes one Result under reqID.
+func EncodeResult(reqID uint64, res query.Result) ([]byte, error) {
+	return appendResult(make([]byte, 0, 32), reqID, res)
 }
 
 // DecodeResult decodes a MsgResult payload.
@@ -599,13 +585,12 @@ func DecodeResult(b []byte) (uint64, query.Result, error) {
 	return id, res, r.err
 }
 
-// EncodeBatchResult encodes one BatchResult under reqID.
-func EncodeBatchResult(reqID uint64, res query.BatchResult) ([]byte, error) {
+// appendBatchResult appends the MsgBatchResult payload for res under reqID.
+func appendBatchResult(b []byte, reqID uint64, res query.BatchResult) ([]byte, error) {
 	if len(res.Values) != len(res.Errs) {
 		return nil, fmt.Errorf("net: batch result shape: %d values, %d errs",
 			len(res.Values), len(res.Errs))
 	}
-	b := make([]byte, 0, 64)
 	b = binary.BigEndian.AppendUint64(b, reqID)
 	b = putUvarint(b, uint64(len(res.Values)))
 	var err error
@@ -619,6 +604,11 @@ func EncodeBatchResult(reqID uint64, res query.BatchResult) ([]byte, error) {
 		}
 	}
 	return b, nil
+}
+
+// EncodeBatchResult encodes one BatchResult under reqID.
+func EncodeBatchResult(reqID uint64, res query.BatchResult) ([]byte, error) {
+	return appendBatchResult(make([]byte, 0, 64), reqID, res)
 }
 
 // DecodeBatchResult decodes a MsgBatchResult payload.
@@ -648,15 +638,19 @@ func decodeReply(msgType byte, payload []byte) (query.Reply, error) {
 	return query.Reply{Values: res.Values, Errs: res.Errs}, err
 }
 
-// encodeReply encodes rep as the response frame answering a call of the
-// given shape.
-func encodeReply(reqID uint64, batch bool, rep *query.Reply) (msgType byte, payload []byte, err error) {
+// appendReply builds, in b's storage, the whole response frame answering a
+// call of the given shape with rep.
+func appendReply(b []byte, reqID uint64, batch bool, rep *query.Reply) ([]byte, error) {
+	var err error
 	if batch {
-		payload, err = EncodeBatchResult(reqID, rep.BatchResult())
-		return MsgBatchResult, payload, err
+		b, err = appendBatchResult(beginFrame(b, MsgBatchResult), reqID, rep.BatchResult())
+	} else {
+		b, err = appendResult(beginFrame(b, MsgResult), reqID, rep.Result())
 	}
-	payload, err = EncodeResult(reqID, rep.Result())
-	return MsgResult, payload, err
+	if err != nil {
+		return nil, err
+	}
+	return finishFrame(b)
 }
 
 // decodeCall decodes a request frame of either kind.

@@ -189,11 +189,10 @@ type Executor interface {
 // deadline) is common to both shapes.
 //
 // Two costs shape how calls travel. A Call is 128 bytes, the most a closure
-// captures by value without a heap allocation (the front door's handler
-// goroutine, the replica group's read attempt). And the layers pass a Call
-// and its Reply down by pointer: by value, every hop would put both structs
-// in every frame, and request handlers run on fresh goroutines whose stacks
-// grow by copying (see GrowStack).
+// captures by value without a heap allocation (the replica group's read
+// attempt). And the layers pass a Call and its Reply down by pointer: by
+// value, every hop would put both structs in every frame, and requests run on
+// goroutines whose stacks grow by copying (see GrowStack).
 type Call struct {
 	Request
 	ArgSets [][]any
@@ -291,7 +290,7 @@ const requestStack = 12 << 10
 
 // GrowStack sizes the calling goroutine's stack for a request in one step.
 // A goroutine starts with 2 KB and doubles by copying every time a call
-// finds no room, so a request handler born per request (the front door's, a
+// finds no room, so a goroutine that runs requests (a front-door worker, a
 // fan-out leg) would copy its stack at 2, 4 and 8 KB of depth — the last copy
 // alone costs microseconds. Asking for the whole depth while the stack is
 // still nearly empty makes that one cheap copy. (Not inlined: the reserve
