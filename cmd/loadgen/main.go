@@ -6,20 +6,20 @@
 //
 //	asyncq -serve -addr 127.0.0.1:7474 &
 //	loadgen -addr 127.0.0.1:7474 -conns 64 -dur 5s                  # closed loop
-//	loadgen -addr 127.0.0.1:7474 -conns 256 -rate 20000 -dur 5s \
-//	        -deadline 50ms -json LOAD_8.json                         # open loop
+//	loadgen -addr 127.0.0.1:7474 -conns 256 -rate 20000 -dur 5s -deadline 50ms   # open loop
 //
 // Closed loop (-rate 0) self-throttles to the server's capacity and
 // measures best-case service latency. Open loop (-rate N) keeps offering
 // load regardless of completions — the mode that exposes overload: with
 // the offered rate above the admission budget, the report should show
 // bounded p999 on admitted requests, a nonzero shed count, and zero hung
-// connections. -json writes the report as one JSON object (the LOAD_<n>
-// CI artifact; validate with `benchjson -load`).
+// connections. The exit code is net.LoadReport.Check's verdict: non-zero
+// when a request hung or failed, the outcome counters do not account for
+// every request sent, the percentiles are out of order, or retries exceeded
+// -retry-budget. Sheds and deadline misses are reported, not failed on.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -42,7 +42,6 @@ func main() {
 	retries := flag.Int("retries", 0, "max attempts per request (0 or 1 = no retries, the historical client)")
 	backoff := flag.Duration("backoff", time.Millisecond, "base retry backoff (doubles per retry)")
 	budget := flag.Int64("retry-budget", 0, "lifetime retry cap per connection (0 = unlimited)")
-	jsonOut := flag.String("json", "", "also write the report as JSON to `file`")
 	flag.Parse()
 
 	opts := net.LoadOptions{
@@ -103,19 +102,8 @@ func main() {
 	}
 	fmt.Println()
 
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-	}
-	if rep.Hung > 0 || rep.Failed > 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: FAIL: %d hung, %d failed requests\n", rep.Hung, rep.Failed)
+	if err := rep.Check(); err != nil {
+		fmt.Fprintln(os.Stderr, "loadgen: FAIL:", err)
 		os.Exit(1)
 	}
 }

@@ -22,6 +22,30 @@ func TestTable1(t *testing.T) {
 	if rows[1].Opportunities != 8 || rows[1].Transformed != 6 {
 		t.Errorf("bulletin: got %d/%d, want 6/8", rows[1].Transformed, rows[1].Opportunities)
 	}
+
+	// The reordering ablation: how much of the table statement reordering
+	// provides. Of the corpus procedures with a transformed site, those none
+	// of whose sites needed a reorder would transform without it.
+	transformed, withoutReorder := 0, 0
+	for _, c := range []*apps.CorpusApp{apps.AuctionCorpus(), apps.BulletinCorpus()} {
+		for _, p := range c.Procs {
+			rep := core.Analyze(p, core.Options{SplitNested: true})
+			if rep.TransformedCount() == 0 {
+				continue
+			}
+			transformed++
+			reordered := false
+			for _, s := range rep.Sites {
+				reordered = reordered || s.UsedReorder
+			}
+			if !reordered {
+				withoutReorder++
+			}
+		}
+	}
+	if transformed != 15 || withoutReorder != 11 {
+		t.Errorf("procedures transformed: %d, %d of them without reordering; want 15, 11", transformed, withoutReorder)
+	}
 }
 
 // TestAllAppsTransform checks that each evaluation app's kernel transforms.

@@ -228,9 +228,7 @@ func (h *Harness) FigBatchRUBiS() (*Figure, error) {
 // GC mark phase over the loaded tables cannot land mid-measurement — and
 // returns the run with the highest score. On an oversubscribed host a
 // single run of a few milliseconds is scheduler-noise-bound, so the max is
-// the stable signal. The scale figures and their benchmark twins
-// (BenchmarkShardScale, BenchmarkReplicaScale) share this so figures and
-// benchmarks cannot drift onto different methodologies.
+// the stable signal; every sleep-dominated figure shares it.
 func BestOf[T any](reps int, score func(T) float64, measure func() (T, error)) (T, error) {
 	var best T
 	have := false

@@ -3,7 +3,8 @@
 // the measured series in the paper's coordinates; Render prints them as
 // aligned text tables. Absolute times differ from the paper (the substrate
 // is a simulator), but the shapes — who wins, crossover points, saturation
-// behaviour — are the reproduction targets; PERF.md keeps the measured ones.
+// behaviour — are the reproduction targets; PERF.md lists the command that
+// regenerates each.
 package experiments
 
 import (
@@ -17,7 +18,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -28,8 +28,8 @@ import (
 type Harness struct {
 	// Scale is the wall-clock scale factor for simulated latencies.
 	Scale float64
-	// Quick shrinks the sweeps (used by `go test -bench` so a full bench
-	// run stays tractable); the full sweeps match the paper's axes.
+	// Quick shrinks the sweeps (cmd/experiments -quick, CI's figure gate);
+	// the full sweeps match the paper's axes.
 	Quick bool
 	// Seed offsets the per-run workload argument generator (cmd/experiments
 	// -seed / ASYNCQ_SEED). Zero keeps the historical fixed seeding, so
@@ -38,12 +38,6 @@ type Harness struct {
 	// Durability restricts FigDurability's fsync-policy sweep to one WAL
 	// commit mode ("off", "group" or "strict"); empty sweeps all three.
 	Durability string
-	// Obs, when set, traces every measured kernel run: each submission
-	// opens a request root span (queue wait, batch coalescing, per-shard
-	// fan-out, WAL commit) recorded into the tracer's registry. The record
-	// path is designed to stay on in benchmarks; BenchmarkShardScaleTraced
-	// holds it to a <5% budget against the untraced run.
-	Obs *obs.Tracer
 
 	servers map[string]*loadedServer
 	routers map[string]*shard.Router
@@ -204,19 +198,13 @@ type submission struct {
 
 // service builds a run's query service over its target. The linger window
 // is wall time, so it is scaled like every simulated latency and batched
-// series stay comparable across -scale. The harness tracer, if any, is
-// wired in: spans ride the requests themselves, so the target's own
-// Exec/ExecBatch carry them into the backend.
+// series stay comparable across -scale.
 func (h *Harness) service(tgt target, sub submission) *exec.Service {
-	svc := batch.NewService(sub.threads, tgt.Exec, tgt.ExecBatch, batch.Options{
+	return batch.NewService(sub.threads, tgt.Exec, tgt.ExecBatch, batch.Options{
 		MaxBatch: sub.maxBatch,
 		Linger:   time.Duration(float64(batch.DefaultLinger) * h.Scale),
 		GroupFn:  sub.groupFn,
 	})
-	if h.Obs != nil {
-		svc.EnableTracing(h.Obs)
-	}
-	return svc
 }
 
 // runKernel executes one compiled kernel against a freshly warmed (or
@@ -409,14 +397,6 @@ type ClusterMeasurement struct {
 	// ReplicaReads is, per shard, the reads each replica served during the
 	// run — the load-balancing evidence (nil over bare servers).
 	ReplicaReads [][]int64
-}
-
-// Speedup is Single/Cluster.
-func (m ClusterMeasurement) Speedup() float64 {
-	if m.Cluster == 0 {
-		return 0
-	}
-	return m.Single / m.Cluster
 }
 
 // speedScore ranks repeated measurements for BestOf.

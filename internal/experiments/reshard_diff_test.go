@@ -14,7 +14,6 @@ package experiments
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -54,19 +53,13 @@ type reshardChunker struct {
 	opNo int
 }
 
-// run executes n freshly generated ops on both sides. It returns true when
-// at least one op in the chunk was an insert, so callers can tell whether a
-// migration window really saw writes.
-func (c *reshardChunker) run(label string, n int) bool {
+// run executes n freshly generated ops on both sides.
+func (c *reshardChunker) run(label string, n int) {
 	c.t.Helper()
-	sawInsert := false
 	// Generate against the current reference state: later chunks chase rows
 	// this workload inserted, across whatever ranges have moved since.
 	for _, op := range apps.RandomWorkload(c.ref, n, c.rng) {
 		c.opNo++
-		if strings.HasPrefix(strings.ToLower(strings.TrimSpace(op.SQL)), "insert") {
-			sawInsert = true
-		}
 		if op.Batch() {
 			wantVals, wantErrs := c.ref.ExecBatch(query.BatchReq("w", op.SQL, op.ArgSets)).Pair()
 			gotVals, gotErrs := c.rt.ExecBatch(query.BatchReq("w", op.SQL, op.ArgSets)).Pair()
@@ -88,7 +81,6 @@ func (c *reshardChunker) run(label string, n int) bool {
 				c.seed, c.opNo, label, op.SQL, got, want)
 		}
 	}
-	return sawInsert
 }
 
 // orchestrate runs mig on a goroutine and pauses it at each phase boundary
@@ -136,7 +128,7 @@ func TestReshardDifferential(t *testing.T) {
 	if testing.Short() {
 		nOps = 96
 	}
-	var totalDoubleWrites, totalRowsCopied int64
+	var totalStaged, totalRowsCopied int64
 	for ai, app := range apps.All() {
 		app, ai := app, ai
 		t.Run(app.Name, func(t *testing.T) {
@@ -154,13 +146,46 @@ func TestReshardDifferential(t *testing.T) {
 			c := &reshardChunker{t: t, seed: seed, ref: ref, rt: rt,
 				rng: rand.New(rand.NewSource(seed + int64(ai)*1_000_003))}
 
+			// migrate runs mig with a chunk of traffic in each phase and holds
+			// the double-write counter to the router's contract: one staged
+			// write per insert a migrating source (srcs) acknowledged between
+			// the barrier and the flip — not an insert routed to another
+			// shard, not one the source rejected. With one source (Split) that
+			// is an equality. With two (Merge) a replicated-table insert is
+			// staged once but acknowledged by both, so the staged count can
+			// fall short of the sources' sum by the number of such inserts,
+			// never below the busier source's own count. (No app has a
+			// replicated table today, so the sum is what is seen.)
+			migrate := func(label string, mig func() error, srcs ...int) {
+				sources := rt.Backends() // retired at the flip: read them while they are live
+				before := make([]int64, len(srcs))
+				for i, s := range srcs {
+					before[i] = sources[s].Stats().Inserts
+				}
+				stagedBefore := rt.MigrationStats().DoubleWrites
+				var lo, hi int64
+				orchestrate(t, rt, mig, func(phase string) {
+					c.run("during "+label+" "+phase, nOps/16)
+					if phase == "flip" {
+						for i, s := range srcs {
+							acked := sources[s].Stats().Inserts - before[i]
+							lo, hi = max(lo, acked), hi+acked
+						}
+					}
+				})
+				staged := rt.MigrationStats().DoubleWrites - stagedBefore
+				if staged < lo || staged > hi {
+					t.Fatalf("seed %d %s: %d inserts double-written, but the migrating sources %v acknowledged between %d (busiest) and %d (all) during the window",
+						seed, label, staged, srcs, lo, hi)
+				}
+				totalStaged += staged
+			}
+
 			c.run("pre-split", nOps/4)
 
 			// Split shard 0 mid-workload: backend 3 appears and takes over
 			// the upper half of 0's widest range.
-			orchestrate(t, rt, func() error { return rt.Split(0) }, func(phase string) {
-				c.run("during split "+phase, nOps/16)
-			})
+			migrate("split", func() error { return rt.Split(0) }, 0)
 			if got := rt.Shards(); got != 4 {
 				t.Fatalf("shards after split: %d, want 4", got)
 			}
@@ -172,9 +197,7 @@ func TestReshardDifferential(t *testing.T) {
 
 			// Merge the new shard back into 0 mid-workload: its range moves
 			// home and slot 3 drops out of ownership.
-			orchestrate(t, rt, func() error { return rt.Merge(0, 3) }, func(phase string) {
-				c.run("during merge "+phase, nOps/16)
-			})
+			migrate("merge", func() error { return rt.Merge(0, 3) }, 0, 3)
 			if rt.Ranges().Owns(3) {
 				t.Fatal("merged-away shard still owns a range")
 			}
@@ -191,17 +214,17 @@ func TestReshardDifferential(t *testing.T) {
 			if st.RowsCopied == 0 {
 				t.Fatalf("migration stats %+v: no row was copied; migration untested", st)
 			}
-			totalDoubleWrites += st.DoubleWrites
 			totalRowsCopied += st.RowsCopied
 		})
 	}
-	// Across all apps the workload must really have written during a
-	// migration window — otherwise the double-write path went untested.
 	if totalRowsCopied == 0 {
 		t.Fatalf("seed %d: no rows copied across any app", seed)
 	}
-	if totalDoubleWrites == 0 {
-		t.Fatalf("seed %d: no insert was double-written during a migration window", seed)
+	// Whether any insert lands on a migrating source inside a window is the
+	// seed's doing, not the router's: say so instead of passing or failing
+	// the double-write claim on a run that never exercised it.
+	if totalStaged == 0 {
+		t.Logf("seed %d: no migrating source took an insert in any window; double-write replay ran empty", seed)
 	}
 }
 
@@ -241,16 +264,22 @@ func TestReshardDifferentialCrashMidMigration(t *testing.T) {
 
 	c.run("pre-split", nOps/4)
 
-	// Writes acked during the copy phase are the ones at risk: they exist on
-	// the source primary (about to crash) and in the staged double-write
-	// buffer (which must carry them through the flip).
-	wroteInCopy := false
+	// Writes the source acknowledges during the copy phase are the ones at
+	// risk: they exist on the source primary (about to crash) and in the
+	// staged double-write buffer (which must carry them through the flip).
+	// Exactly those are staged — not inserts routed to the other shard, not
+	// rejected ones — so the counter must equal the source primary's own
+	// insert count over the window (Group.Stats would sum both copies), read
+	// before the crash takes the primary away.
+	srcBefore := groups[0].Primary().Stats().Inserts
+	var srcAcked int64
 	orchestrate(t, rt, func() error { return rt.Split(0) }, func(phase string) {
 		switch phase {
 		case "copy":
-			wroteInCopy = c.run("during copy", nOps/4)
+			c.run("during copy", nOps/4)
 		case "flip":
 			// Copy done, routing not yet flipped: kill the source primary.
+			srcAcked = groups[0].Primary().Stats().Inserts - srcBefore
 			groups[0].CrashPrimary()
 		}
 	})
@@ -267,10 +296,11 @@ func TestReshardDifferentialCrashMidMigration(t *testing.T) {
 	if st.Splits != 1 || st.RowsCopied == 0 {
 		t.Fatalf("migration stats %+v: split did not move data", st)
 	}
-	if wroteInCopy && st.DoubleWrites == 0 {
-		t.Fatalf("seed %d: inserts ran during the copy phase but none was double-written", seed)
+	if st.DoubleWrites != srcAcked {
+		t.Fatalf("seed %d: %d inserts double-written, but the source primary acknowledged %d during the copy phase",
+			seed, st.DoubleWrites, srcAcked)
 	}
-	if !wroteInCopy {
-		t.Logf("seed %d: no insert landed in the copy window; crash case ran without staged writes", seed)
+	if srcAcked == 0 {
+		t.Logf("seed %d: no insert landed on the migrating source in the copy window; crash case ran without staged writes", seed)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/shard"
-	"repro/internal/wal"
 )
 
 // testTracer returns a live tracer when ASYNCQ_TRACE is set — the
@@ -76,7 +75,7 @@ func TestTraceCompleteness(t *testing.T) {
 	}
 	rt := shard.New(server.SYS1(), 0, shard.Options{
 		Shards: 3, Keys: app.ShardKeys,
-		Replicas: 2, Durability: wal.Group,
+		Replicas: 2,
 	})
 	defer rt.Close()
 	if err := rt.LoadFrom(ref); err != nil {

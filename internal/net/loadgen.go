@@ -43,41 +43,40 @@ type LoadOptions struct {
 }
 
 // LoadReport is the result of one load run — the front-door triple the
-// figure plots (p50/p99/p999), plus the shed and error accounting the
-// acceptance gate checks.
+// figure plots (p50/p99/p999), plus the shed and error accounting Check
+// gates on.
 type LoadReport struct {
-	Mode     string  `json:"mode"` // "closed" or "open"
-	Conns    int     `json:"conns"`
-	Rate     float64 `json:"offered_rate,omitempty"` // open loop only
-	Duration float64 `json:"duration_s"`
+	Mode     string // "closed" or "open"
+	Conns    int
+	Rate     float64 // offered rate, open loop only
+	Duration float64 // seconds
 
-	Sent      int64 `json:"sent"`
-	Completed int64 `json:"completed"` // successful responses
-	Shed      int64 `json:"shed"`      // query.ErrOverloaded
-	Deadlined int64 `json:"deadlined"` // query.ErrDeadlineExceeded
-	Failed    int64 `json:"failed"`    // any other error
-	Hung      int64 `json:"hung"`      // requests never answered by run end
+	Sent      int64
+	Completed int64 // successful responses
+	Shed      int64 // query.ErrOverloaded
+	Deadlined int64 // query.ErrDeadlineExceeded
+	Failed    int64 // any other error
+	Hung      int64 // requests never answered by run end
 
-	ThroughputRPS float64 `json:"throughput_rps"`
+	ThroughputRPS float64
 
 	// Resilience accounting. Retries/Reconnects aggregate over the pool's
 	// clients; RetryBudget echoes the per-client lifetime cap (0 =
-	// unlimited) so the validator can check retries stayed within it.
-	// Hedges/BreakerTrips are server-side counters the caller fills in when
-	// it owns the backend (see the chaos figure); a plain remote loadgen run
-	// leaves them zero.
-	Retries      int64 `json:"retries"`
-	Reconnects   int64 `json:"reconnects"`
-	RetryBudget  int64 `json:"retry_budget,omitempty"`
-	Hedges       int64 `json:"hedges,omitempty"`
-	BreakerTrips int64 `json:"breaker_trips,omitempty"`
+	// unlimited) so Check can hold retries to it. Hedges/BreakerTrips are
+	// server-side counters the caller fills in when it owns the backend
+	// (see the chaos figure); a plain remote loadgen run leaves them zero.
+	Retries      int64
+	Reconnects   int64
+	RetryBudget  int64
+	Hedges       int64
+	BreakerTrips int64
 
 	// Latency percentiles over successful requests, milliseconds.
-	P50Ms  float64 `json:"p50_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	P999Ms float64 `json:"p999_ms"`
-	MeanMs float64 `json:"mean_ms"`
-	MaxMs  float64 `json:"max_ms"`
+	P50Ms  float64
+	P99Ms  float64
+	P999Ms float64
+	MeanMs float64
+	MaxMs  float64
 }
 
 // ShedRate is the fraction of sent requests shed by admission control.
@@ -86,6 +85,41 @@ func (r LoadReport) ShedRate() float64 {
 		return 0
 	}
 	return float64(r.Shed) / float64(r.Sent)
+}
+
+// Check reports the first invariant of a healthy run that the report
+// breaks: work was sent, the per-outcome counters account for every sent
+// request, nothing hung or failed, the percentiles are ordered, and retries
+// stayed inside the budget. Sheds and deadline misses are not failures —
+// they are what admission control is for. cmd/loadgen exits on it.
+func (r LoadReport) Check() error {
+	if r.Sent <= 0 {
+		return fmt.Errorf("load report: no requests sent")
+	}
+	if sum := r.Completed + r.Shed + r.Deadlined + r.Failed + r.Hung; sum != r.Sent {
+		return fmt.Errorf("load report: outcomes (%d completed + %d shed + %d deadlined + %d failed + %d hung = %d) do not account for %d sent",
+			r.Completed, r.Shed, r.Deadlined, r.Failed, r.Hung, sum, r.Sent)
+	}
+	if r.Hung > 0 {
+		return fmt.Errorf("load report: %d hung requests (never answered)", r.Hung)
+	}
+	if r.Failed > 0 {
+		return fmt.Errorf("load report: %d failed requests", r.Failed)
+	}
+	if r.Completed > 0 {
+		if r.P50Ms <= 0 {
+			return fmt.Errorf("load report: completed %d requests but p50 is %v ms", r.Completed, r.P50Ms)
+		}
+		if r.P50Ms > r.P99Ms || r.P99Ms > r.P999Ms || r.P999Ms > r.MaxMs {
+			return fmt.Errorf("load report: percentiles out of order: p50 %v > p99 %v > p999 %v > max %v (ms)",
+				r.P50Ms, r.P99Ms, r.P999Ms, r.MaxMs)
+		}
+	}
+	if r.RetryBudget > 0 && r.Retries > r.RetryBudget*int64(r.Conns) {
+		return fmt.Errorf("load report: %d retries exceed the budget (%d per connection × %d conns)",
+			r.Retries, r.RetryBudget, r.Conns)
+	}
+	return nil
 }
 
 // RunLoad drives a front door with Conns connections for Duration and

@@ -27,9 +27,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/fault"
 	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -37,7 +35,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/sqlmini"
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // Backend is one shard's execution engine: a bare server.Server, or a
@@ -77,35 +74,10 @@ type Options struct {
 	// Replicas, when positive, fronts every shard with a replica.Group of
 	// one primary plus Replicas read replicas: reads load-balance across
 	// healthy replicas with failover, writes replicate synchronously
-	// (internal/replica). Zero keeps bare single-server shards.
+	// (internal/replica) under replica.Options' defaults. Zero keeps bare
+	// single-server shards. A cluster of tuned groups is built from the
+	// groups themselves: NewWithBackends plus SetBackendFactory.
 	Replicas int
-	// ReadPolicy selects the replica read load-balancing policy (only
-	// meaningful with Replicas > 0).
-	ReadPolicy replica.Policy
-	// Durability is each shard group's WAL commit mode (zero: wal.Group —
-	// acknowledged writes are durable; only meaningful with Replicas > 0).
-	Durability wal.Mode
-	// Async switches shard replicas to background log shipping; reads then
-	// follow Consistency/Bound (see replica.Options).
-	Async bool
-	// Consistency is the read consistency of Async shard groups.
-	Consistency replica.Consistency
-	// Bound is the BoundedStaleness lag, in acknowledged writes per shard.
-	Bound int64
-	// SnapshotEvery checkpoints each shard's log every N retained records.
-	SnapshotEvery int64
-	// Hedge arms hedged reads on every shard group: a replica read that has
-	// not answered within this delay races a second attempt on another copy
-	// (only meaningful with Replicas > 0; see replica.Options.Hedge).
-	Hedge time.Duration
-	// Breaker configures each shard group's per-replica circuit breaker
-	// (only meaningful with Replicas > 0; see replica.BreakerOptions).
-	Breaker replica.BreakerOptions
-	// Fault, when set, is shared by every shard group for ReplicaCrash
-	// injection ahead of replica reads (see replica.Options.Fault). The
-	// injector serializes its own decisions, so sharing keeps one global
-	// deterministic decision sequence across shards.
-	Fault *fault.Injector
 }
 
 // tableInfo is the router's routing metadata for one table.
@@ -241,15 +213,7 @@ func New(prof server.Profile, scale float64, opts Options) *Router {
 	}
 	mk := func() Backend {
 		if opts.Replicas > 0 {
-			return replica.NewGroup(prof, scale, replica.Options{
-				Replicas: opts.Replicas, Policy: opts.ReadPolicy,
-				Durability: opts.Durability, Async: opts.Async,
-				Consistency: opts.Consistency, Bound: opts.Bound,
-				SnapshotEvery: opts.SnapshotEvery,
-				Hedge:         opts.Hedge,
-				Breaker:       opts.Breaker,
-				Fault:         opts.Fault,
-			})
+			return replica.NewGroup(prof, scale, replica.Options{Replicas: opts.Replicas})
 		}
 		return server.New(prof, scale)
 	}
