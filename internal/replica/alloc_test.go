@@ -1,0 +1,55 @@
+// The race detector makes sync.Pool drop a quarter of what is Put and adds
+// its own allocations, so the count below does not hold under it.
+
+//go:build !race
+
+package replica
+
+import (
+	"testing"
+
+	"repro/internal/query"
+	"repro/internal/server"
+	"repro/internal/storage"
+	"repro/internal/wal"
+)
+
+// TestReplicatedInsertAllocations pins what one acknowledged write costs the
+// heap in the posture every benchmark and differential suite runs: one
+// synchronous replica, group commit, a single-row insert into a three-column
+// table through Group.Exec — primary execution, WAL append, the flusher's
+// encode and commit, and the replica apply, all counted (AllocsPerRun counts
+// every goroutine). It was 27 while the flusher copied its batch out of the
+// tail, the record encoder went through encoding/json and every apply had a
+// goroutine and a WaitGroup of its own; the bound is what it measures now,
+// so none of those can quietly come back.
+func TestReplicatedInsertAllocations(t *testing.T) {
+	g := NewGroup(server.SYS1(), 0, Options{Replicas: 1, Durability: wal.Group})
+	t.Cleanup(g.Close)
+	schema := storage.NewSchema(
+		storage.Column{Name: "eid", Type: storage.TInt},
+		storage.Column{Name: "uid", Type: storage.TInt},
+		storage.Column{Name: "note", Type: storage.TString},
+	)
+	if err := g.CreateTable("events", schema, 0); err != nil {
+		t.Fatal(err)
+	}
+	g.FinishLoad()
+	if err := g.AddIndex("events", "eid", true); err != nil {
+		t.Fatal(err)
+	}
+	const insert = "insert into events values (?, ?, ?)"
+	eid := int64(0)
+	write := func() {
+		eid++
+		if err := g.Exec(query.Req("event", insert, []any{eid, eid % 97, "note"})).Err; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2000; i++ { // past the first growth steps of table, index and log tail
+		write()
+	}
+	if got := testing.AllocsPerRun(2000, write); got > 14 {
+		t.Errorf("replicated single-row insert: %.2f allocations, want at most 14", got)
+	}
+}

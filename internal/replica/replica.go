@@ -896,10 +896,11 @@ func (g *Group) stageRecord(sp *obs.Span, name, sql string, argSets [][]any) int
 // query.ErrDeadlineExceeded instead — whichever condition the waiter
 // observes first wins, so the client sees exactly one error either way.
 func (g *Group) awaitCommit(sp *obs.Span, lsn int64, dl query.Deadline) error {
-	if err := g.log.CommitWait(sp, lsn, dl); err != nil {
+	durable, tailStart, err := g.log.CommitWait(sp, lsn, dl)
+	if err != nil {
 		return err
 	}
-	if g.log.Mode() != wal.Off && g.log.DurableLSN() < lsn {
+	if g.log.Mode() != wal.Off && durable < lsn {
 		return ErrPrimaryDown
 	}
 	for {
@@ -908,7 +909,7 @@ func (g *Group) awaitCommit(sp *obs.Span, lsn int64, dl query.Deadline) error {
 			break
 		}
 	}
-	if g.snapshotEvery > 0 && lsn-g.log.TailStart() >= g.snapshotEvery {
+	if g.snapshotEvery > 0 && lsn-tailStart >= g.snapshotEvery {
 		_ = g.Checkpoint()
 	}
 	return nil
@@ -916,40 +917,55 @@ func (g *Group) awaitCommit(sp *obs.Span, lsn int64, dl query.Deadline) error {
 
 // replicate applies one committed record to every healthy replica — in
 // parallel, but under the group write lock, so the per-replica order equals
-// the primary's. A replica that faults mid-apply is failed out with its
-// applied watermark unchanged, so Recover replays exactly what it missed.
+// the primary's. The last healthy replica is applied on the caller's
+// goroutine and only the others are spawned: a group with one synchronous
+// replica starts no goroutine per write. A replica that faults mid-apply is
+// failed out with its applied watermark unchanged, so Recover replays
+// exactly what it missed.
 func (g *Group) replicate(sp *obs.Span, rec wal.Record) {
-	faulted := make([]bool, len(g.states))
-	var wg sync.WaitGroup
-	for i := range g.states {
-		st := g.states[i]
+	var wg *sync.WaitGroup // allocated with the first spawn, so never for one replica
+	inline := -1
+	for i, st := range g.states {
 		if !st.healthy.Load() {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, st *state) {
-			defer wg.Done()
-			ap := sp.Child("replica.apply")
-			ap.SetDetail(obs.ReplicaLabel(i))
-			sub := query.BatchReq(rec.Name, rec.SQL, rec.ArgSets)
-			sub.Span = ap
-			br := g.replica(i).ExecBatch(sub)
-			ap.End()
-			if err := firstErr(br.Errs); err != nil {
-				faulted[i] = true
-				return
+		if inline >= 0 {
+			if wg == nil {
+				wg = new(sync.WaitGroup)
 			}
-			st.setApplied(rec.LSN)
-		}(i, st)
-	}
-	wg.Wait()
-	for i, f := range faulted {
-		if f {
-			st := g.states[i]
-			st.faults.Add(1)
-			st.healthy.Store(false)
+			wg.Add(1)
+			go func(i int, wg *sync.WaitGroup) {
+				defer wg.Done()
+				g.applyTo(sp, rec, i)
+			}(inline, wg)
 		}
+		inline = i
 	}
+	if inline < 0 {
+		return
+	}
+	g.applyTo(sp, rec, inline)
+	if wg != nil {
+		wg.Wait()
+	}
+}
+
+// applyTo runs one record on replica i and advances its applied watermark,
+// or fails the replica out when the apply faults.
+func (g *Group) applyTo(sp *obs.Span, rec wal.Record, i int) {
+	st := g.states[i]
+	ap := sp.Child("replica.apply")
+	ap.SetDetail(obs.ReplicaLabel(i))
+	sub := query.BatchReq(rec.Name, rec.SQL, rec.ArgSets)
+	sub.Span = ap
+	br := g.replica(i).ExecBatch(sub)
+	ap.End()
+	if firstErr(br.Errs) != nil {
+		st.faults.Add(1)
+		st.healthy.Store(false)
+		return
+	}
+	st.setApplied(rec.LSN)
 }
 
 // ---- bulk load, cache and clock control (shard.Backend) ----

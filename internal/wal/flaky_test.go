@@ -1,7 +1,9 @@
 package wal_test
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/fault"
@@ -58,5 +60,56 @@ func TestFlakySyncNoDuplicateRecords(t *testing.T) {
 	}
 	if int64(len(recs)) != total {
 		t.Fatalf("store holds %d records, want %d", len(recs), total)
+	}
+}
+
+// deadStore never syncs. It counts its Sync attempts, and separately those
+// made once the test has started closing the log.
+type deadStore struct {
+	wal.Store
+	attempted              chan struct{} // one token per attempt, dropped when nobody listens
+	closing                atomic.Bool
+	attempts, whileClosing atomic.Int64
+}
+
+func (s *deadStore) Sync() error {
+	s.attempts.Add(1)
+	if s.closing.Load() {
+		s.whileClosing.Add(1)
+	}
+	select {
+	case s.attempted <- struct{}{}:
+	default:
+	}
+	return errors.New("dead store: fsync failed")
+}
+
+// Close must not sit out the flusher's retry back-off on a store that keeps
+// failing: it signals the flush condition the back-off waits on, the flusher
+// makes its one last attempt and abandons the pending records. Asserted on
+// attempt counts, not on elapsed time: at most one attempt once Close has
+// begun, none after it returned, and nothing pretended durable.
+func TestCloseInterruptsFailedSyncBackoff(t *testing.T) {
+	store := &deadStore{Store: wal.NewMemStore(), attempted: make(chan struct{})}
+	log := wal.New(wal.Options{Mode: wal.Group, Store: store})
+	log.Append("q", "insert into t (id) values (?)", [][]any{{int64(1)}})
+	<-store.attempted // the store has failed the flusher twice: it is retrying,
+	<-store.attempted // backing off between attempts
+
+	store.closing.Store(true)
+	log.Close()
+	atClose := store.attempts.Load()
+	if n := store.whileClosing.Load(); n > 1 {
+		t.Fatalf("%d fsync attempts after Close began, want at most the one final retry", n)
+	}
+	if got := log.DurableLSN(); got != 0 {
+		t.Fatalf("durable LSN %d on a store that never synced, want 0", got)
+	}
+	if st := log.Stats(); st.SyncErrors != atClose || st.Syncs != 0 {
+		t.Fatalf("stats %+v, want %d sync errors and no syncs", st, atClose)
+	}
+	log.Close() // idempotent, and the flusher is gone: no further attempt
+	if got := store.attempts.Load(); got != atClose {
+		t.Fatalf("fsync attempts went %d -> %d after Close returned", atClose, got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/query"
 )
 
 // TestRatioHelpersZeroGuard pins the division-by-zero guards: before any
@@ -65,8 +66,9 @@ func TestLogMetrics(t *testing.T) {
 	}
 }
 
-// TestCommitSpan pins that CommitSpan opens and closes a wal.commit child
-// and still honors the durability contract.
+// TestCommitSpan pins that CommitWait opens and closes a wal.commit child,
+// still honors the durability contract, and reports the durable LSN and tail
+// start it saw.
 func TestCommitSpan(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(reg)
@@ -75,7 +77,9 @@ func TestCommitSpan(t *testing.T) {
 
 	sp := tr.Start("request")
 	lsn := l.Append("w", "insert into t values (?)", [][]any{{int64(1)}})
-	l.CommitSpan(sp, lsn)
+	if durable, tailStart, err := l.CommitWait(sp, lsn, query.Deadline{}); err != nil || durable != lsn || tailStart != 0 {
+		t.Fatalf("CommitWait = %d, %d, %v; want %d, 0, nil", durable, tailStart, err, lsn)
+	}
 	sp.End()
 
 	if got := l.DurableLSN(); got != lsn {
@@ -89,7 +93,9 @@ func TestCommitSpan(t *testing.T) {
 	}
 	// Nil span: plain commit path.
 	lsn = l.Append("w", "insert into t values (?)", [][]any{{int64(2)}})
-	l.CommitSpan(nil, lsn)
+	if _, _, err := l.CommitWait(nil, lsn, query.Deadline{}); err != nil {
+		t.Fatal(err)
+	}
 	if got := l.DurableLSN(); got != lsn {
 		t.Fatalf("DurableLSN = %d, want %d", got, lsn)
 	}

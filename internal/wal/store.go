@@ -2,18 +2,21 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"strconv"
+	"unicode/utf8"
 )
 
 // Store is the log's persistence backend. AppendRecords stages encoded
-// records; Sync makes everything staged so far durable (the fsync whose cost
-// the Syncer charges); WriteSnapshot atomically replaces the checkpoint and
-// drops the records it covers. Load returns the durable state — what a
-// process restart would find.
+// records — recs is a range of the log's own tail, lent for the call: read
+// it, keep and change nothing of it; Sync makes everything staged so far
+// durable (the fsync whose cost the Syncer charges); WriteSnapshot atomically
+// replaces the checkpoint and drops the records it covers. Load returns the
+// durable state — what a process restart would find.
 type Store interface {
 	AppendRecords(recs []Record) (bytes int, err error)
 	Sync() error
@@ -65,22 +68,99 @@ func decodeVals(ws []wireVal) []any {
 	return out
 }
 
-// EncodeRecord renders one record as a JSON line (shared by both stores so
-// MemStore's byte accounting matches what FileStore would have written).
-func EncodeRecord(r Record) ([]byte, error) {
-	w := wireRecord{LSN: r.LSN, Name: r.Name, SQL: r.SQL, Args: make([][]wireVal, len(r.ArgSets))}
+// EncodeRecord appends one record's JSON line to dst and returns the
+// extended slice (shared by both stores so MemStore's byte accounting matches
+// what FileStore would have written). The line is byte for byte what
+// json.Marshal renders for wireRecord — DecodeRecord, which still goes through
+// encoding/json, and every wal.log already on disk read it unchanged — but it
+// is written straight into the caller's buffer: no reflection, no per-value
+// pointers, and no garbage when dst has room. On error dst comes back at its
+// original length.
+func EncodeRecord(dst []byte, r Record) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, `{"lsn":`...)
+	dst = strconv.AppendInt(dst, r.LSN, 10)
+	dst = append(dst, `,"name":`...)
+	dst = appendJSONString(dst, r.Name)
+	dst = append(dst, `,"sql":`...)
+	dst = appendJSONString(dst, r.SQL)
+	dst = append(dst, `,"args":[`...)
 	for i, set := range r.ArgSets {
-		vs, err := encodeVals(set)
-		if err != nil {
-			return nil, err
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		w.Args[i] = vs
+		dst = append(dst, '[')
+		for j, v := range set {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			switch x := v.(type) {
+			case int64:
+				dst = append(dst, `{"i":`...)
+				dst = strconv.AppendInt(dst, x, 10)
+			case string:
+				dst = append(dst, `{"s":`...)
+				dst = appendJSONString(dst, x)
+			default:
+				return dst[:start], fmt.Errorf("wal: cannot encode %T value", v)
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
 	}
-	b, err := json.Marshal(w)
-	if err != nil {
-		return nil, err
+	return append(dst, "]}\n"...), nil
+}
+
+// appendJSONString appends s as json.Marshal quotes it: the two-character
+// escapes for `"`, `\` and \b \f \n \r \t, \u00XX for the other control
+// bytes and for < > & (Marshal's HTML-safe default), \u2028 and \u2029
+// escaped, and each invalid UTF-8 byte replaced by \ufffd.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xf])
+			start = i + size
+		}
+		i += size
 	}
-	return append(b, '\n'), nil
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // DecodeRecord parses one EncodeRecord line.
@@ -102,21 +182,29 @@ func DecodeRecord(line []byte) (Record, error) {
 // itself only exposes the synced prefix.
 type MemStore struct {
 	snap *Snapshot
-	recs []Record
+	recs []Record // LSN-dense, like the log's tail
+	buf  []byte   // encode scratch, reused: only the encoded length is kept
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{} }
 
-// AppendRecords stages deep copies and reports their encoded size.
+// AppendRecords stages the records as handed over — Log.Append already took
+// the copy that detaches them from the caller's arguments — and reports their
+// encoded size. A batch that starts at or below the last staged LSN re-issues
+// LSNs a Crash took back from a tail that was staged but never synced; it
+// replaces that tail, as recovery's truncation would have on disk.
 func (m *MemStore) AppendRecords(recs []Record) (int, error) {
+	if n := len(m.recs); n > 0 && len(recs) > 0 && recs[0].LSN <= m.recs[n-1].LSN {
+		m.recs = m.recs[:recs[0].LSN-m.recs[0].LSN]
+	}
 	bytes := 0
 	for _, r := range recs {
-		b, err := EncodeRecord(r)
-		if err != nil {
+		var err error
+		if m.buf, err = EncodeRecord(m.buf[:0], r); err != nil {
 			return bytes, err
 		}
-		bytes += len(b)
+		bytes += len(m.buf)
 		m.recs = append(m.recs, r)
 	}
 	return bytes, nil
@@ -128,13 +216,10 @@ func (m *MemStore) Sync() error { return nil }
 // WriteSnapshot replaces the checkpoint and truncates covered records.
 func (m *MemStore) WriteSnapshot(snap *Snapshot) error {
 	m.snap = snap
-	kept := m.recs[:0]
-	for _, r := range m.recs {
-		if r.LSN > snap.LSN {
-			kept = append(kept, r)
-		}
+	if len(m.recs) > 0 {
+		covered := min(max(snap.LSN+1-m.recs[0].LSN, 0), int64(len(m.recs)))
+		m.recs = append([]Record(nil), m.recs[covered:]...)
 	}
-	m.recs = append([]Record(nil), kept...)
 	return nil
 }
 
@@ -153,6 +238,7 @@ type FileStore struct {
 	dir string
 	f   *os.File
 	w   *bufio.Writer
+	buf []byte // encode scratch, reused across records
 }
 
 // NewFileStore opens (creating if needed) a file-backed store in dir.
@@ -171,17 +257,21 @@ func NewFileStore(dir string) (*FileStore, error) {
 func (s *FileStore) AppendRecords(recs []Record) (int, error) {
 	bytes := 0
 	for _, r := range recs {
-		b, err := EncodeRecord(r)
-		if err != nil {
-			return bytes, err
-		}
-		n, err := s.w.Write(b)
+		n, err := s.writeRecord(r)
 		bytes += n
 		if err != nil {
 			return bytes, err
 		}
 	}
 	return bytes, nil
+}
+
+func (s *FileStore) writeRecord(r Record) (int, error) {
+	var err error
+	if s.buf, err = EncodeRecord(s.buf[:0], r); err != nil {
+		return 0, err
+	}
+	return s.w.Write(s.buf)
 }
 
 // Sync flushes the buffer and fsyncs the log file.
@@ -230,19 +320,21 @@ func (s *FileStore) WriteSnapshot(snap *Snapshot) error {
 		if r.LSN <= snap.LSN {
 			continue
 		}
-		b, err := EncodeRecord(r)
-		if err != nil {
-			return err
-		}
-		if _, err := s.w.Write(b); err != nil {
+		if _, err := s.writeRecord(r); err != nil {
 			return err
 		}
 	}
 	return s.Sync()
 }
 
-// Load reads the durable snapshot and records from disk. Only fully synced
-// state is visible because AppendRecords buffers until Sync.
+// Load reads the durable snapshot and records from disk. A process that died
+// between AppendRecords and Sync can leave part of a record behind (the write
+// buffer spills to the file whenever it fills): a final segment with no
+// newline after it was never synced, so never acknowledged, and is not a
+// record — a record's newline leaves in the same write as its last byte. Load
+// drops it and truncates wal.log back to the last whole line, so the next
+// append does not land behind the garbage. A newline-terminated line that
+// does not decode is corruption inside the durable prefix and stays an error.
 func (s *FileStore) Load() (*Snapshot, []Record, error) {
 	var snap *Snapshot
 	if b, err := os.ReadFile(filepath.Join(s.dir, "snapshot.json")); err == nil {
@@ -265,12 +357,20 @@ func (s *FileStore) Load() (*Snapshot, []Record, error) {
 		}
 		return nil, nil, err
 	}
+	if whole := bytes.LastIndexByte(data, '\n') + 1; whole < len(data) {
+		if err := s.f.Truncate(int64(whole)); err != nil {
+			return nil, nil, fmt.Errorf("wal: drop torn final record: %w", err)
+		}
+		data = data[:whole]
+	}
 	var recs []Record
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(line) == "" {
+	for len(data) > 0 {
+		line, rest, _ := bytes.Cut(data, []byte{'\n'})
+		data = rest
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		r, err := DecodeRecord([]byte(line))
+		r, err := DecodeRecord(line)
 		if err != nil {
 			return nil, nil, err
 		}

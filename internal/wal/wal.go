@@ -23,6 +23,8 @@ package wal
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,11 +155,12 @@ type Log struct {
 	flush    sync.Cond // wakes the flusher when unsynced records exist
 	durable  sync.Cond // wakes commit waiters / shipping tails / Crash
 	snap     *Snapshot // latest checkpoint; nil before the first
-	tail     []Record  // records with LSN > snapshot LSN, synced and not
+	tail     []Record  // records with LSN > snapshot LSN, synced and not; LSN-dense (see span)
 	next     int64     // next LSN to assign
 	synced   int64     // highest durable LSN
 	syncing  bool      // a flusher fsync is in flight (Crash waits it out)
 	crashing bool      // Crash in progress: the flusher must not start a new fsync
+	backoff  bool      // the flusher is waiting out a failed fsync (Close and Crash cut it short)
 	closed   bool
 	done     chan struct{}
 
@@ -186,47 +189,31 @@ func (l *Log) SetMetrics(reg *obs.Registry) {
 	l.metrics.Store(reg)
 }
 
-// CommitSpan is Commit with the wait recorded as a "wal.commit" child
-// span — the group-commit latency a write pays for its durability mode.
-func (l *Log) CommitSpan(sp *obs.Span, lsn int64) {
-	if sp == nil {
-		l.Commit(lsn)
-		return
+// CommitWait is Commit recorded as a "wal.commit" child span of sp — the
+// group-commit latency a write pays for its durability mode — and bounded by
+// dl: the wait gives up when dl expires before the record becomes durable,
+// returning query.ErrDeadlineExceeded. The record itself stays in the log
+// and will still be fsynced — only the acknowledgement is abandoned, so the
+// caller must report the write as "never acknowledged", not as lost. Like
+// SyncTo, a crash that truncates the record away also releases the wait
+// (with a nil error); the caller must then compare the returned durable LSN
+// with lsn to discover the loss. durable and tailStart are DurableLSN() and
+// TailStart() as of the lock hold that ended the wait, so the commit path
+// reads all it needs from the log in one acquisition. A nil span and a zero
+// deadline are both fine (no span, no bound); Off mode does not wait at all.
+func (l *Log) CommitWait(sp *obs.Span, lsn int64, dl query.Deadline) (durable, tailStart int64, err error) {
+	var c *obs.Span
+	if l.mode != Off {
+		c = sp.Child("wal.commit")
 	}
-	c := sp.Child("wal.commit")
-	l.Commit(lsn)
-	c.End()
-}
-
-// CommitWait is CommitSpan with a deadline: the wait gives up when dl
-// expires before the record becomes durable, returning
-// query.ErrDeadlineExceeded. The record itself stays in the log and will
-// still be fsynced — only the acknowledgement is abandoned, so the caller
-// must report the write as "never acknowledged", not as lost. Like SyncTo,
-// a crash that truncates the record away also releases the wait (with a
-// nil error); the caller must then check DurableLSN to discover the loss.
-// A zero deadline waits exactly like CommitSpan.
-func (l *Log) CommitWait(sp *obs.Span, lsn int64, dl query.Deadline) error {
-	if l.mode == Off {
-		return nil
-	}
-	if dl.IsZero() {
-		l.CommitSpan(sp, lsn)
-		return nil
-	}
-	c := sp.Child("wal.commit")
-	defer c.End()
 	var timer *time.Timer
 	l.mu.Lock()
-	for l.synced < lsn && !l.closed && lsn < l.next {
+	for l.mode != Off && l.synced < lsn && !l.closed && lsn < l.next {
 		if dl.Expired() {
-			l.mu.Unlock()
-			if timer != nil {
-				timer.Stop()
-			}
-			return query.ErrDeadlineExceeded
+			err = query.ErrDeadlineExceeded
+			break
 		}
-		if timer == nil {
+		if timer == nil && !dl.IsZero() {
 			// One shot at the deadline wakes this waiter (Broadcast: cond has
 			// no directed signal) so an idle log cannot strand it past dl.
 			timer = time.AfterFunc(dl.Remaining(), func() {
@@ -237,11 +224,13 @@ func (l *Log) CommitWait(sp *obs.Span, lsn int64, dl query.Deadline) error {
 		}
 		l.durable.Wait()
 	}
+	durable, tailStart = l.synced, l.tailStartLocked()
 	l.mu.Unlock()
 	if timer != nil {
 		timer.Stop()
 	}
-	return nil
+	c.End()
+	return durable, tailStart, err
 }
 
 // New starts a log and its flusher goroutine.
@@ -285,6 +274,13 @@ func Open(opts Options) (*Log, error) {
 	if snap != nil {
 		l.synced = snap.LSN
 		l.next = snap.LSN + 1
+	}
+	// Every walk over the tail is offset arithmetic (see span), so a store
+	// that hands back a gapped or repeated suffix must be refused here.
+	for i, r := range recs {
+		if want := l.next + int64(i); r.LSN != want {
+			return nil, fmt.Errorf("wal: loaded record %d has LSN %d, want %d: the log is not LSN-dense", i, r.LSN, want)
+		}
 	}
 	if n := len(recs); n > 0 {
 		l.synced = recs[n-1].LSN
@@ -364,10 +360,33 @@ func (l *Log) Snapshot() *Snapshot {
 func (l *Log) TailStart() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.tailStartLocked()
+}
+
+func (l *Log) tailStartLocked() int64 {
 	if l.snap == nil {
 		return 0
 	}
 	return l.snap.LSN
+}
+
+// span returns the retained records with LSN in (after, upto]. The tail is
+// LSN-dense — tail[i].LSN == tail[0].LSN+i — so the range is two offsets
+// from tail[0].LSN, never a scan. The result aliases the tail's storage:
+// the flusher reads its batch through it with the lock released, which is
+// why no truncation may move records within that storage (see
+// WriteSnapshot and Crash). Caller holds mu.
+func (l *Log) span(after, upto int64) []Record {
+	if len(l.tail) == 0 {
+		return nil
+	}
+	first := l.tail[0].LSN
+	lo := max(after+1-first, 0)
+	hi := min(upto+1-first, int64(len(l.tail)))
+	if lo >= hi {
+		return nil
+	}
+	return l.tail[lo:hi]
 }
 
 // RecordsAfter returns copies of the durable records with LSN in
@@ -405,13 +424,7 @@ func (l *Log) recordsAfterLocked(after int64) ([]Record, bool) {
 	if l.snap != nil && after < l.snap.LSN {
 		return nil, false
 	}
-	var out []Record
-	for _, r := range l.tail {
-		if r.LSN > after && r.LSN <= l.synced {
-			out = append(out, r)
-		}
-	}
-	return out, true
+	return append([]Record(nil), l.span(after, l.synced)...), true
 }
 
 // WriteSnapshot installs a checkpoint and truncates the records it covers.
@@ -430,13 +443,9 @@ func (l *Log) WriteSnapshot(snap *Snapshot) error {
 	}
 	l.mu.Lock()
 	l.snap = snap
-	kept := l.tail[:0]
-	for _, r := range l.tail {
-		if r.LSN > snap.LSN {
-			kept = append(kept, r)
-		}
-	}
-	l.tail = append([]Record(nil), kept...)
+	// A fresh array, never a compaction of the old one: the flusher may be
+	// reading its batch out of the old storage right now.
+	l.tail = append([]Record(nil), l.span(snap.LSN, l.next-1)...)
 	l.durable.Broadcast() // truncation is visible to shipping tails
 	l.mu.Unlock()
 	return nil
@@ -454,13 +463,9 @@ func (l *Log) Crash() {
 	for l.syncing {
 		l.durable.Wait()
 	}
-	kept := l.tail[:0]
-	for _, r := range l.tail {
-		if r.LSN <= l.synced {
-			kept = append(kept, r)
-		}
-	}
-	l.tail = append([]Record(nil), kept...)
+	// Capacity clipped to the kept prefix: the next Append reallocates
+	// instead of writing over the dropped records' slots.
+	l.tail = slices.Clip(l.span(0, l.synced))
 	l.next = l.synced + 1
 	// Records appended to the store but never fsynced are part of the torn
 	// tail a real crash leaves behind; reset the watermark so re-assigned
@@ -468,6 +473,7 @@ func (l *Log) Crash() {
 	l.appended = l.synced
 	l.appendedBytes = 0
 	l.crashing = false
+	l.backoff = false // the machine restarted: retry the store at once
 	l.flush.Signal()
 	// Wake commit waiters stranded on truncated records; they observe
 	// DurableLSN < their lsn and report the loss.
@@ -525,20 +531,17 @@ func (l *Log) flusher() {
 			l.mu.Unlock()
 			return
 		}
-		batch, _ := l.pendingLocked()
+		// The batch is every unsynced record (one under Strict); the store is
+		// handed only the part it has not staged yet (LSN > appended), so a
+		// retry after a failed fsync re-runs the Sync without duplicating
+		// records. Both are ranges of the tail, read below with the lock
+		// released: see span.
+		upto := l.next - 1
 		if l.mode == Strict {
-			batch = batch[:1]
+			upto = l.synced + 1
 		}
-		// Retry after a failed fsync only re-appends records the store has
-		// not staged yet (LSN > appended); records already handed to
-		// AppendRecords just need the Sync retried. Without the watermark a
-		// flaky fsync would duplicate every record of the batch.
-		var toAppend []Record
-		for _, r := range batch {
-			if r.LSN > l.appended {
-				toAppend = append(toAppend, r)
-			}
-		}
+		records := upto - l.synced
+		toAppend := l.span(l.appended, upto)
 		l.syncing = true
 		l.mu.Unlock()
 
@@ -550,7 +553,7 @@ func (l *Log) flusher() {
 		}
 		appended := int64(0)
 		if err == nil {
-			appended = batch[len(batch)-1].LSN
+			appended = upto
 			err = l.store.Sync()
 		}
 		if l.syncer != nil {
@@ -558,7 +561,7 @@ func (l *Log) flusher() {
 		}
 		if reg := l.metrics.Load(); reg != nil {
 			reg.Histogram("wal.fsync.wall").RecordDuration(time.Since(fsyncStart))
-			reg.Histogram("wal.fsync.records").Record(int64(len(batch)))
+			reg.Histogram("wal.fsync.records").Record(records)
 			if err != nil {
 				reg.Counter("wal.fsync.errors").Add(1)
 			}
@@ -571,38 +574,44 @@ func (l *Log) flusher() {
 		}
 		l.appendedBytes += int64(bytes)
 		if err == nil {
-			l.synced = batch[len(batch)-1].LSN
+			l.synced = upto
 			l.syncs++
-			l.syncedRecs += int64(len(batch))
+			l.syncedRecs += records
 			l.syncedBytes += l.appendedBytes
 			l.appendedBytes = 0
 		} else {
 			l.syncErrs++
+		}
+		l.durable.Broadcast()
+		if err != nil {
 			if l.closed {
 				// Shutdown with a store that will not sync: abandon the
 				// pending records rather than retrying forever.
-				l.durable.Broadcast()
 				l.mu.Unlock()
 				return
 			}
-			// Back off briefly before retrying so a persistently failing
-			// store does not spin the flusher hot. Crash/Close still win:
-			// the loop re-checks both flags after the sleep.
-			l.mu.Unlock()
-			time.Sleep(500 * time.Microsecond)
-			l.mu.Lock()
+			l.backoffLocked()
 		}
-		l.durable.Broadcast()
 	}
 }
 
-// pendingLocked returns the unsynced records (synced, next).
-func (l *Log) pendingLocked() ([]Record, bool) {
-	var out []Record
-	for _, r := range l.tail {
-		if r.LSN > l.synced {
-			out = append(out, r)
-		}
+// syncRetryDelay spaces the flusher's retries of a failing store, so a
+// persistent failure does not spin it hot.
+const syncRetryDelay = 500 * time.Microsecond
+
+// backoffLocked waits out syncRetryDelay on the flush condition, so Close
+// and Crash (which signal it) end the wait at once instead of sitting
+// through it. Caller holds mu.
+func (l *Log) backoffLocked() {
+	l.backoff = true
+	t := time.AfterFunc(syncRetryDelay, func() {
+		l.mu.Lock()
+		l.backoff = false
+		l.flush.Signal()
+		l.mu.Unlock()
+	})
+	for l.backoff && !l.closed {
+		l.flush.Wait()
 	}
-	return out, len(out) > 0
+	t.Stop() // a callback already running ends a later back-off early: harmless
 }

@@ -2,6 +2,9 @@ package wal_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"repro/internal/query"
 	"sync"
 	"testing"
@@ -127,7 +130,7 @@ func TestCrashKeepsAcknowledgedUnderGroup(t *testing.T) {
 func TestRecordRoundTripPreservesTypes(t *testing.T) {
 	r := wal.Record{LSN: 7, Name: "w", SQL: "INSERT INTO kv VALUES (?, ?)",
 		ArgSets: [][]any{{int64(42), "hello"}, {int64(-1), ""}}}
-	b, err := wal.EncodeRecord(r)
+	b, err := wal.EncodeRecord(nil, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,6 +282,72 @@ func TestFileStoreSurvivesReopen(t *testing.T) {
 	// appending continues after the reopened tail
 	if lsn := l2.Append("w", "INSERT INTO kv VALUES (?, ?)", [][]any{{int64(8), "v8"}}); lsn != 6 {
 		t.Fatalf("post-reopen LSN = %d, want 6", lsn)
+	}
+}
+
+// A process that died between AppendRecords and Sync leaves half a line at
+// the end of wal.log. It was never synced, so never acknowledged: recovery
+// drops it — and truncates it away, or the next record would land behind it.
+func TestFileStoreDropsTornFinalRecord(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *wal.Log {
+		t.Helper()
+		st, err := wal.NewFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := wal.Open(wal.Options{Store: st})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		return l
+	}
+	appendRaw := func(b string) {
+		t.Helper()
+		f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteString(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	l := open()
+	for i := 1; i <= 3; i++ {
+		l.Commit(l.Append("w", "INSERT INTO kv VALUES (?, ?)", [][]any{{int64(i), "v"}}))
+	}
+	l.Close()
+	appendRaw(`{"lsn":4,"name":"w","sql":"INSERT INTO kv VAL`)
+
+	l = open()
+	if recs, ok := l.RecordsAfter(0); !ok || len(recs) != 3 || l.LastLSN() != 3 {
+		t.Fatalf("after a torn tail: %d records, ok=%v, last LSN %d; want 3, true, 3", len(recs), ok, l.LastLSN())
+	}
+	if lsn := l.Append("w", "INSERT INTO kv VALUES (?, ?)", [][]any{{int64(4), "v"}}); lsn != 4 {
+		t.Fatalf("append after a torn tail got LSN %d, want 4", lsn)
+	}
+	l.Commit(4)
+	l.Close()
+
+	l = open()
+	recs, ok := l.RecordsAfter(0)
+	if !ok || len(recs) != 4 || recs[3].LSN != 4 || !reflect.DeepEqual(recs[3].ArgSets, [][]any{{int64(4), "v"}}) {
+		t.Fatalf("after appending past the torn tail: %+v, ok=%v; want LSNs 1..4", recs, ok)
+	}
+	l.Close()
+
+	// Garbage with a newline after it sits inside the durable prefix: that
+	// is corruption, not a torn tail, and recovery must refuse it.
+	appendRaw("{\"lsn\":5,\"name\n")
+	st, err := wal.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := wal.Open(wal.Options{Store: st}); err == nil {
+		t.Fatal("Open accepted a newline-terminated line that does not decode")
 	}
 }
 
