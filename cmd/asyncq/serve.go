@@ -45,7 +45,7 @@ func serve(o serveOptions) error {
 		Durability: mode,
 	})
 	defer g.Close()
-	if err := experiments.LoadPointTable(g, "load", o.rows); err != nil {
+	if err := experiments.LoadPointTable(g.Copies(), "load", o.rows); err != nil {
 		return err
 	}
 	g.Warm()

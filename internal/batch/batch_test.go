@@ -194,25 +194,21 @@ func TestReplicatedBackendRoundTripsMatchSingleServer(t *testing.T) {
 		storage.Column{Name: "k", Type: storage.TInt},
 		storage.Column{Name: "v", Type: storage.TInt},
 	)
-	load := func(create func(name string, schema *storage.Schema, rowsPerPage int) error,
-		insert func(table string, row []any) error) {
-		if err := create("t", schema, 8); err != nil {
+	single := server.New(server.SYS1(), 0)
+	defer single.Close()
+	group := replica.NewGroup(server.SYS1(), 0, replica.Options{Replicas: 2})
+	defer group.Close()
+	for _, s := range append(group.Copies(), single) {
+		if err := s.CreateTable("t", schema, 8); err != nil {
 			t.Fatal(err)
 		}
 		for i := int64(0); i < 64; i++ {
-			if err := insert("t", []any{i, i * 7}); err != nil {
+			if err := s.InsertRow("t", []any{i, i * 7}); err != nil {
 				t.Fatal(err)
 			}
 		}
+		s.FinishLoad()
 	}
-	single := server.New(server.SYS1(), 0)
-	defer single.Close()
-	load(single.CreateTable, single.InsertRow)
-	single.FinishLoad()
-	group := replica.NewGroup(server.SYS1(), 0, replica.Options{Replicas: 2})
-	defer group.Close()
-	load(group.CreateTable, group.InsertRow)
-	group.FinishLoad()
 
 	// 16 submissions at MaxBatch 4: exactly 4 full batches on either
 	// backend, no linger dependence.

@@ -48,7 +48,7 @@ func (h *Harness) eventsGroup(prof server.Profile, mode wal.Mode) (*replica.Grou
 	// the settle-free device.
 	prof.Disk.WriteSettle = 4 * time.Millisecond
 	g := replica.NewGroup(prof, h.Scale, replica.Options{Replicas: 1, Durability: mode})
-	if err := LoadPointTable(g, "events", 0); err != nil {
+	if err := LoadPointTable(g.Copies(), "events", 0); err != nil {
 		g.Close()
 		return nil, err
 	}

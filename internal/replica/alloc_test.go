@@ -26,18 +26,15 @@ import (
 func TestReplicatedInsertAllocations(t *testing.T) {
 	g := NewGroup(server.SYS1(), 0, Options{Replicas: 1, Durability: wal.Group})
 	t.Cleanup(g.Close)
-	schema := storage.NewSchema(
-		storage.Column{Name: "eid", Type: storage.TInt},
-		storage.Column{Name: "uid", Type: storage.TInt},
-		storage.Column{Name: "note", Type: storage.TString},
-	)
-	if err := g.CreateTable("events", schema, 0); err != nil {
-		t.Fatal(err)
-	}
-	g.FinishLoad()
-	if err := g.AddIndex("events", "eid", true); err != nil {
-		t.Fatal(err)
-	}
+	loadTable(t, g, wal.TableSource{
+		Name: "events",
+		Schema: storage.NewSchema(
+			storage.Column{Name: "eid", Type: storage.TInt},
+			storage.Column{Name: "uid", Type: storage.TInt},
+			storage.Column{Name: "note", Type: storage.TString},
+		),
+		Indexes: []wal.IndexDef{{Column: "eid", Unique: true}},
+	})
 	const insert = "insert into events values (?, ?, ?)"
 	eid := int64(0)
 	write := func() {

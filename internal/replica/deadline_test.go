@@ -40,14 +40,10 @@ func TestExpiredDeadlineOnStalledCommitSingleError(t *testing.T) {
 		Store:      st,
 	})
 	defer g.Close()
-	schema := storage.NewSchema(
+	loadTable(t, g, wal.TableSource{Name: "events", Schema: storage.NewSchema(
 		storage.Column{Name: "id", Type: storage.TInt},
 		storage.Column{Name: "val", Type: storage.TString},
-	)
-	if err := g.CreateTable("events", schema, 0); err != nil {
-		t.Fatal(err)
-	}
-	g.FinishLoad()
+	)})
 	g.Warm()
 
 	baseline := runtime.NumGoroutine()
@@ -119,14 +115,10 @@ func TestFailedCommitWaitKeepsValidationErrors(t *testing.T) {
 	g := NewGroup(server.SYS1(), 0, Options{Replicas: 1, Durability: wal.Group, Store: st})
 	defer g.Close()
 	defer close(st.gate)
-	schema := storage.NewSchema(
+	loadTable(t, g, wal.TableSource{Name: "events", Schema: storage.NewSchema(
 		storage.Column{Name: "id", Type: storage.TInt},
 		storage.Column{Name: "val", Type: storage.TString},
-	)
-	if err := g.CreateTable("events", schema, 0); err != nil {
-		t.Fatal(err)
-	}
-	g.FinishLoad()
+	)})
 
 	const stmt = "insert into events values (?, ?)"
 	sets := [][]any{{int64(1), "a"}, {int64(2)}}

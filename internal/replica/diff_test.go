@@ -256,13 +256,23 @@ func TestRandomWorkloadIsDeterministic(t *testing.T) {
 // byte-identity with the single reference server across the crash proves no
 // acknowledged write was lost.
 func TestDifferentialPrimaryCrashRecovery(t *testing.T) {
+	runPrimaryCrashRecovery(t, apps.All(), func(t *testing.T, shards int, keys map[string]string) *shard.Router {
+		return shard.New(server.SYS1(), 0, shard.Options{Shards: shards, Keys: keys, Replicas: 1})
+	}, nil)
+}
+
+// runPrimaryCrashRecovery is the crash-recovery differential for the given
+// apps over whatever replicated cluster mkRouter builds (one replica per
+// group); after, when set, inspects each app's groups once its workload is
+// done.
+func runPrimaryCrashRecovery(t *testing.T, all []*apps.App, mkRouter func(t *testing.T, shards int, keys map[string]string) *shard.Router, after func(t *testing.T, groups []*replica.Group)) {
 	seed := workloadSeed(t)
 	nOps := 240
 	if testing.Short() {
 		nOps = 96
 	}
 	const shards = 3
-	for ai, app := range apps.All() {
+	for ai, app := range all {
 		app, ai := app, ai
 		t.Run(app.Name, func(t *testing.T) {
 			ref := server.New(server.SYS1(), 0)
@@ -270,9 +280,7 @@ func TestDifferentialPrimaryCrashRecovery(t *testing.T) {
 			if err := app.Setup(ref, apps.SeededRand()); err != nil {
 				t.Fatalf("setup: %v", err)
 			}
-			rt := shard.New(server.SYS1(), 0, shard.Options{
-				Shards: shards, Keys: app.ShardKeys, Replicas: 1,
-			})
+			rt := mkRouter(t, shards, app.ShardKeys)
 			t.Cleanup(rt.Close)
 			if err := rt.LoadFrom(ref); err != nil {
 				t.Fatalf("load: %v", err)
@@ -351,6 +359,9 @@ func TestDifferentialPrimaryCrashRecovery(t *testing.T) {
 					t.Fatalf("shard %d: workload never exercised the WAL: %+v", i, st)
 				}
 			}
+			if after != nil {
+				after(t, groups)
+			}
 		})
 	}
 }
@@ -388,13 +399,10 @@ func runStalenessDifferential(t *testing.T, cons replica.Consistency, bound int6
 		Replicas: 2, Async: true, Consistency: cons, Bound: bound,
 	})
 	t.Cleanup(g.Close)
-	if err := wal.Capture(ref.Catalog(), 0).RestoreTo(g); err != nil {
-		t.Fatalf("load group: %v", err)
-	}
 	checker := server.New(server.SYS1(), 0)
 	t.Cleanup(checker.Close)
-	if err := wal.Capture(ref.Catalog(), 0).RestoreTo(checker); err != nil {
-		t.Fatalf("load checker: %v", err)
+	if _, err := wal.Copy([][]*server.Server{g.Copies(), {checker}}, wal.LiveTables(ref.Catalog()), nil); err != nil {
+		t.Fatalf("load group and checker: %v", err)
 	}
 
 	rng := rand.New(rand.NewSource(seed + 31_337))

@@ -10,34 +10,8 @@ import (
 
 	"repro/internal/interp"
 	"repro/internal/server"
-	"repro/internal/storage"
 	"repro/internal/wal"
 )
-
-// newGroupOpts is newGroup with full Options control (async groups,
-// durability modes, consistency levels).
-func newGroupOpts(t *testing.T, opts Options) *Group {
-	t.Helper()
-	g := NewGroup(server.SYS1(), 0, opts)
-	t.Cleanup(g.Close)
-	schema := storage.NewSchema(
-		storage.Column{Name: "id", Type: storage.TInt},
-		storage.Column{Name: "val", Type: storage.TString},
-	)
-	if err := g.CreateTable("kv", schema, 8); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := g.InsertRow("kv", []any{int64(i), fmt.Sprintf("v%d", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g.FinishLoad()
-	if err := g.AddIndex("kv", "id", true); err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
 
 // mustInsert acknowledges one row through the group write path.
 func mustInsert(t *testing.T, g *Group, id int64) {

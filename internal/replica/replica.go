@@ -44,7 +44,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/sqlmini"
-	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -127,7 +126,7 @@ type state struct {
 	healthy  atomic.Bool
 	inflight atomic.Int64 // reads in flight (least-loaded policy)
 	reads    atomic.Int64 // read statements served
-	faults   atomic.Int64 // injected faults observed
+	faults   atomic.Int64 // times failOut took this replica out of rotation
 	applied  atomic.Int64 // highest log record applied to this replica
 
 	// tainted marks a replica that applied records a primary crash then
@@ -220,7 +219,7 @@ type Group struct {
 
 // NewGroup starts a primary and opts.Replicas fresh replicas of the given
 // profile; scale is the wall-clock factor for simulated latencies (as in
-// server.New). Load data with the bulk-load methods before executing.
+// server.New). Load data onto Copies() before executing.
 func NewGroup(prof server.Profile, scale float64, opts Options) *Group {
 	n := opts.Replicas
 	if n < 1 {
@@ -349,8 +348,9 @@ func (g *Group) ReadCounts() []int64 {
 	return out
 }
 
-// Faults reports how many injected faults each replica has been failed out
-// for.
+// Faults reports how many times the health tracker has failed each replica
+// out (failOut: a faulted read, a failed apply, a checkpoint that overran
+// its applier). Administrative FailOut and crash taints are not counted.
 func (g *Group) Faults() []int64 {
 	out := make([]int64, len(g.states))
 	for i, st := range g.states {
@@ -388,76 +388,90 @@ func (g *Group) WaitApplied(i int, lsn int64) {
 // NewSession starts a client session (ReadYourWrites token carrier).
 func (g *Group) NewSession() *Session { return query.NewSession() }
 
-// Recover brings replica i back into the read rotation. A synchronous group
-// replays the log suffix the replica missed before readmitting it (a replay
-// fault keeps it down, suffix intact); an async group readmits immediately
-// and lets the applier catch up. If a checkpoint truncated the log past the
-// replica's applied prefix, the replica is rebuilt from the snapshot (full
-// resync). Recovering a healthy replica is a no-op. Safe to call
-// concurrently; calls serialize on the group write lock.
+// Recover brings replica i back into the read rotation (catchUp): a
+// synchronous group replays the log suffix the replica missed before
+// readmitting it (a replay fault keeps it down, suffix intact); an async
+// group readmits at once and lets the applier catch up. Recovering a healthy
+// replica is a no-op. Safe to call concurrently; calls serialize on the
+// group write lock.
 func (g *Group) Recover(i int) error {
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
-	st := g.states[i]
-	// Force everything acknowledged into the durable log so replay sees it
-	// even under wal.Off.
-	g.log.SyncTo(g.log.LastLSN())
-
-	if _, ok := g.log.RecordsAfter(st.applied.Load()); !ok || st.tainted.Load() {
-		// The log's memory starts after this replica's prefix — or a crash
-		// invalidated the prefix itself: full resync.
-		if err := g.resyncReplica(i); err != nil {
-			return err
-		}
-		st.tainted.Store(false)
-	}
-	if g.async {
-		st.mu.Lock()
-		st.healthy.Store(true)
-		st.cond.Broadcast()
-		st.mu.Unlock()
+	if g.states[i].healthy.Load() {
 		return nil
 	}
-	recs, _ := g.log.RecordsAfter(st.applied.Load())
-	rep := g.replica(i)
-	for _, r := range recs {
-		br := rep.ExecBatch(query.BatchReq(r.Name, r.SQL, r.ArgSets))
-		if err := firstErr(br.Errs); err != nil {
+	return g.catchUp(i)
+}
+
+// primaryCopy names the primary to catchUp and apply; replicas go by index.
+const primaryCopy = -1
+
+// catchUp is the one way a copy comes back (caller holds wmu; a replica is
+// out of rotation, so its applier is parked): if the copy is a crashed
+// primary, is tainted, or the log's memory starts after its applied LSN,
+// rebuild it from the latest snapshot; then — unless it is an async replica,
+// whose applier does this — replay the durable suffix; then readmit it. A
+// rebuilt replica takes its slot before the replay, so a replay fault leaves
+// its watermark on what its server really holds; a rebuilt primary takes
+// over only after it, so the crashed one's catalog (index statistics,
+// migration cutoffs) stays readable until the new one is whole.
+func (g *Group) catchUp(i int) error {
+	g.log.SyncTo(g.log.LastLSN()) // replay must see every acknowledged write, even under wal.Off
+	primary := i == primaryCopy
+	var st *state
+	var s *server.Server
+	var at int64
+	if !primary {
+		st, s = g.states[i], g.replica(i)
+		at = st.applied.Load()
+	}
+	if primary || st.tainted.Load() || at < g.log.TailStart() {
+		snap := g.log.Snapshot()
+		if snap == nil {
+			return errors.New("replica: no snapshot to rebuild a copy from")
+		}
+		s, at = server.New(g.prof, g.scale), snap.LSN
+		if err := snap.RestoreTo(s); err != nil {
+			s.Close()
 			return err
 		}
-		st.setApplied(r.LSN)
+		if !primary {
+			g.rmu.Lock()
+			g.zombies = append(g.zombies, g.replicas[i])
+			g.replicas[i] = s
+			g.rmu.Unlock()
+			st.setApplied(at)
+			st.tainted.Store(false)
+		}
 	}
+	if primary || !g.async {
+		fail := func(err error) error {
+			if primary {
+				s.Close() // never installed; a replica's copy is already in its slot
+			}
+			return err
+		}
+		recs, ok := g.log.RecordsAfter(at)
+		if !ok {
+			return fail(errors.New("replica: snapshot older than log memory"))
+		}
+		for _, r := range recs {
+			if err := g.apply(nil, i, s, r); err != nil {
+				return fail(err)
+			}
+		}
+	}
+	if primary {
+		g.pmu.Lock()
+		g.primary, g.primaryDown = s, false
+		g.pmu.Unlock()
+		g.commit.Store(g.log.DurableLSN())
+		return nil
+	}
+	st.mu.Lock()
 	st.healthy.Store(true)
-	return nil
-}
-
-// restore builds a fresh copy from the latest checkpoint (caller holds wmu).
-func (g *Group) restore() (*server.Server, *wal.Snapshot, error) {
-	snap := g.log.Snapshot()
-	if snap == nil {
-		return nil, nil, errors.New("replica: no snapshot to rebuild a copy from")
-	}
-	s := server.New(g.prof, g.scale)
-	if err := snap.RestoreTo(s); err != nil {
-		s.Close()
-		return nil, nil, err
-	}
-	return s, snap, nil
-}
-
-// resyncReplica rebuilds replica i from the latest checkpoint (caller holds
-// wmu; the replica must be out of rotation or its applier parked).
-func (g *Group) resyncReplica(i int) error {
-	s, snap, err := g.restore()
-	if err != nil {
-		return err
-	}
-	g.rmu.Lock()
-	old := g.replicas[i]
-	g.replicas[i] = s
-	g.rmu.Unlock()
-	g.zombies = append(g.zombies, old)
-	g.states[i].setApplied(snap.LSN)
+	st.cond.Broadcast() // wakes the parked applier
+	st.mu.Unlock()
 	return nil
 }
 
@@ -514,37 +528,16 @@ func (g *Group) PrimaryDown() bool {
 }
 
 // RestartPrimary rebuilds a crashed primary from the latest snapshot plus
-// the durable log suffix — the crash-recovery path. The restored server is
-// byte-identical to the durable prefix: tables restore in creation order,
-// rows on their original ids, and replay re-executes records in LSN order.
+// the durable log suffix (catchUp). The restored server is byte-identical to
+// the durable prefix: tables restore in creation order, rows on their
+// original ids, and replay re-executes records in LSN order.
 func (g *Group) RestartPrimary() error {
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
-	g.pmu.RLock()
-	down := g.primaryDown
-	g.pmu.RUnlock()
-	if !down {
+	if !g.PrimaryDown() {
 		return nil
 	}
-	s, snap, err := g.restore()
-	if err != nil {
-		return err
-	}
-	recs, ok := g.log.RecordsAfter(snap.LSN)
-	if !ok {
-		s.Close()
-		return errors.New("replica: snapshot older than log memory")
-	}
-	if err := wal.Replay(s, recs); err != nil {
-		s.Close()
-		return err
-	}
-	g.pmu.Lock()
-	g.primary = s
-	g.primaryDown = false
-	g.pmu.Unlock()
-	g.commit.Store(g.log.DurableLSN())
-	return nil
+	return g.catchUp(primaryCopy)
 }
 
 // Checkpoint captures the primary's state as a snapshot at the newest LSN
@@ -553,10 +546,6 @@ func (g *Group) RestartPrimary() error {
 func (g *Group) Checkpoint() error {
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
-	return g.checkpointLocked()
-}
-
-func (g *Group) checkpointLocked() error {
 	g.pmu.RLock()
 	p, down := g.primary, g.primaryDown
 	g.pmu.RUnlock()
@@ -601,27 +590,17 @@ func (g *Group) applier(i int) {
 		}
 		if !ok {
 			// A checkpoint truncated past this replica: it cannot catch up
-			// from the log. Fail out; Recover performs the full resync.
-			st.healthy.Store(false)
+			// from the log. Fail out; Recover rebuilds it from the snapshot.
+			g.failOut(i)
 			continue
 		}
 		for _, r := range recs {
 			st.mu.Lock()
 			parked := st.held || !st.healthy.Load()
 			st.mu.Unlock()
-			if parked || g.closed.Load() {
+			if parked || g.closed.Load() || g.apply(nil, i, g.replica(i), r) != nil {
 				break
 			}
-			rep := g.replica(i)
-			br := rep.ExecBatch(query.BatchReq(r.Name, r.SQL, r.ArgSets))
-			if err := firstErr(br.Errs); err != nil {
-				if server.IsFault(err) {
-					st.faults.Add(1)
-				}
-				st.healthy.Store(false)
-				break
-			}
-			st.setApplied(r.LSN)
 		}
 	}
 }
@@ -936,7 +915,7 @@ func (g *Group) replicate(sp *obs.Span, rec wal.Record) {
 			wg.Add(1)
 			go func(i int, wg *sync.WaitGroup) {
 				defer wg.Done()
-				g.applyTo(sp, rec, i)
+				g.apply(sp, i, g.replica(i), rec)
 			}(inline, wg)
 		}
 		inline = i
@@ -944,76 +923,47 @@ func (g *Group) replicate(sp *obs.Span, rec wal.Record) {
 	if inline < 0 {
 		return
 	}
-	g.applyTo(sp, rec, inline)
+	g.apply(sp, inline, g.replica(inline), rec)
 	if wg != nil {
 		wg.Wait()
 	}
 }
 
-// applyTo runs one record on replica i and advances its applied watermark,
-// or fails the replica out when the apply faults.
-func (g *Group) applyTo(sp *obs.Span, rec wal.Record, i int) {
-	st := g.states[i]
+// apply is the one way a log record reaches a copy — synchronous
+// replication, the async applier, suffix replay and primary restart alike:
+// rec re-executes on s as one ExecBatch. When s is replica i, the first error
+// fails it out with its watermark unchanged, so a later catch-up replays
+// exactly what it missed, and success advances the watermark; the primary
+// (primaryCopy) has neither.
+func (g *Group) apply(sp *obs.Span, i int, s *server.Server, rec wal.Record) error {
 	ap := sp.Child("replica.apply")
-	ap.SetDetail(obs.ReplicaLabel(i))
-	sub := query.BatchReq(rec.Name, rec.SQL, rec.ArgSets)
-	sub.Span = ap
-	br := g.replica(i).ExecBatch(sub)
-	ap.End()
-	if firstErr(br.Errs) != nil {
-		st.faults.Add(1)
-		st.healthy.Store(false)
-		return
+	if ap != nil {
+		ap.SetDetail(obs.ReplicaLabel(i))
 	}
-	st.setApplied(rec.LSN)
-}
-
-// ---- bulk load, cache and clock control (shard.Backend) ----
-
-// everyCopy visits the primary and all replicas, stopping on error.
-func (g *Group) everyCopy(f func(s *server.Server) error) error {
-	if err := f(g.Primary()); err != nil {
+	sub := rec.Request()
+	sub.Span = ap
+	err := firstErr(s.ExecBatch(sub).Errs)
+	ap.End()
+	if i == primaryCopy {
 		return err
 	}
-	for _, rep := range g.Replicas() {
-		if err := f(rep); err != nil {
-			return err
-		}
+	if err != nil {
+		g.failOut(i)
+		return err
 	}
+	g.states[i].setApplied(rec.LSN)
 	return nil
 }
 
-// copies returns every live copy, primary first.
-func (g *Group) copies() []*server.Server {
+// ---- copies, cache and clock control (shard.Backend) ----
+
+// Copies returns every live copy, primary first: the set a bulk load fills
+// (wal.Copy) and, through the primary's catalog, the source a migration
+// reads. A crashed primary stays listed until RestartPrimary replaces it, its
+// catalog readable as the crash left it — rows of writes the crash
+// un-acknowledged included; nothing clamps it to the durable prefix.
+func (g *Group) Copies() []*server.Server {
 	return append([]*server.Server{g.Primary()}, g.Replicas()...)
-}
-
-// CreateTable creates the table on every copy.
-func (g *Group) CreateTable(name string, schema *storage.Schema, rowsPerPage int) error {
-	return g.everyCopy(func(s *server.Server) error {
-		return s.CreateTable(name, schema, rowsPerPage)
-	})
-}
-
-// InsertRow bulk-loads one row into every copy.
-func (g *Group) InsertRow(table string, row []any) error {
-	return g.everyCopy(func(s *server.Server) error {
-		return s.InsertRow(table, row)
-	})
-}
-
-// FinishLoad registers the loaded extents on every copy.
-func (g *Group) FinishLoad() {
-	for _, s := range g.copies() {
-		s.FinishLoad()
-	}
-}
-
-// AddIndex builds the index on every copy.
-func (g *Group) AddIndex(table, column string, unique bool) error {
-	return g.everyCopy(func(s *server.Server) error {
-		return s.AddIndex(table, column, unique)
-	})
 }
 
 // IndexKeyCount reads the primary's index statistics (every copy holds the
@@ -1022,36 +972,23 @@ func (g *Group) IndexKeyCount(table, col string, v any) (int, bool) {
 	return g.Primary().IndexKeyCount(table, col, v)
 }
 
-// NumTableRows returns the primary's row count for a table — the migration
-// copier's cutoff read (see shard.Backend). A crashed primary's catalog
-// stays readable, clamped to its durable prefix.
-func (g *Group) NumTableRows(table string) int {
-	return g.Primary().NumTableRows(table)
-}
-
-// TableRow materializes one row from the primary by local row id — the
-// migration copier's row read (see shard.Backend).
-func (g *Group) TableRow(table string, rid int) []any {
-	return g.Primary().TableRow(table, rid)
-}
-
 // Warm preloads every copy's registered extents.
 func (g *Group) Warm() {
-	for _, s := range g.copies() {
+	for _, s := range g.Copies() {
 		s.Warm()
 	}
 }
 
 // ColdStart empties every copy's buffer pool.
 func (g *Group) ColdStart() {
-	for _, s := range g.copies() {
+	for _, s := range g.Copies() {
 		s.ColdStart()
 	}
 }
 
 // SetScale updates the latency scale on every copy's clock.
 func (g *Group) SetScale(scale float64) {
-	for _, s := range g.copies() {
+	for _, s := range g.Copies() {
 		s.SetScale(scale)
 	}
 }
@@ -1076,7 +1013,7 @@ func (g *Group) Close() {
 		st.mu.Unlock()
 	}
 	g.wg.Wait()
-	for _, s := range g.copies() {
+	for _, s := range g.Copies() {
 		s.Close()
 	}
 	g.wmu.Lock()
@@ -1094,7 +1031,7 @@ func (g *Group) WALStats() wal.Stats { return g.log.Stats() }
 // CopyStats returns per-copy counters, primary first.
 func (g *Group) CopyStats() []server.Stats {
 	out := make([]server.Stats, 0, 1+len(g.states))
-	for _, s := range g.copies() {
+	for _, s := range g.Copies() {
 		out = append(out, s.Stats())
 	}
 	return out

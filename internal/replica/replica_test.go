@@ -10,31 +10,41 @@ import (
 	"repro/internal/interp"
 	"repro/internal/server"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
-// newGroup builds a group over scale-0 servers with a small kv table loaded
-// on every copy: 100 rows (id, val), unique index on id.
+// loadTable bulk-loads one table onto every copy of g through the copier.
+func loadTable(t *testing.T, g *Group, src wal.TableSource) {
+	t.Helper()
+	if _, err := wal.Copy([][]*server.Server{g.Copies()}, []wal.TableSource{src}, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// newGroupOpts builds a group over scale-0 servers with a small kv table
+// loaded on every copy: 100 rows (id, val), unique index on id.
+func newGroupOpts(t *testing.T, opts Options) *Group {
+	t.Helper()
+	g := NewGroup(server.SYS1(), 0, opts)
+	t.Cleanup(g.Close)
+	loadTable(t, g, wal.TableSource{
+		Name: "kv",
+		Schema: storage.NewSchema(
+			storage.Column{Name: "id", Type: storage.TInt},
+			storage.Column{Name: "val", Type: storage.TString},
+		),
+		RowsPerPage: 8,
+		Indexes:     []wal.IndexDef{{Column: "id", Unique: true}},
+		N:           100,
+		Row:         func(i int) []any { return []any{int64(i), fmt.Sprintf("v%d", i)} },
+	})
+	return g
+}
+
+// newGroup is newGroupOpts for a synchronous group under a read policy.
 func newGroup(t *testing.T, replicas int, policy Policy) *Group {
 	t.Helper()
-	g := NewGroup(server.SYS1(), 0, Options{Replicas: replicas, Policy: policy})
-	t.Cleanup(g.Close)
-	schema := storage.NewSchema(
-		storage.Column{Name: "id", Type: storage.TInt},
-		storage.Column{Name: "val", Type: storage.TString},
-	)
-	if err := g.CreateTable("kv", schema, 8); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := g.InsertRow("kv", []any{int64(i), fmt.Sprintf("v%d", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g.FinishLoad()
-	if err := g.AddIndex("kv", "id", true); err != nil {
-		t.Fatal(err)
-	}
-	return g
+	return newGroupOpts(t, Options{Replicas: replicas, Policy: policy})
 }
 
 const sel = "select val from kv where id = ?"

@@ -10,10 +10,11 @@ import (
 )
 
 // BreakerOptions configure the per-replica circuit breaker. A breaker wraps
-// the existing fail-out mechanism: a read fault still removes the replica
-// from rotation immediately (the breaker "trips" open), but instead of
-// waiting for a manual Recover, the group schedules a half-open probe after
-// Cooldown. The probe IS a Recover call — it replays the log suffix the
+// the fail-out mechanism: whatever fails a replica out — a faulted read, a
+// failed write apply, an applier fault, a checkpoint that overran the applier
+// — still removes it from rotation immediately (the breaker "trips" open),
+// but instead of waiting for a manual Recover, the group schedules a
+// half-open probe after Cooldown. The probe IS a Recover call — it replays the log suffix the
 // replica missed — so a probe that succeeds readmits a byte-identical copy,
 // never a stale one. A probe that fails reopens the breaker and tries again
 // after another cooldown.
@@ -115,10 +116,13 @@ func (g *Group) crashMaybe(i int) {
 	}
 }
 
-// failOut removes replica i from the read rotation after a fault and, when
-// the breaker is enabled, trips its breaker and schedules the half-open
-// probe. Only a closed breaker trips (and counts); an open or half-open one
-// already has a probe in flight.
+// failOut is the one way the health tracker takes replica i out of rotation
+// — read's faulted attempt, apply's first error and the applier's overrun by
+// a checkpoint all land here — so Faults counts every one and, when the
+// breaker is enabled, every one trips it and schedules the half-open probe.
+// Only a closed breaker trips (and counts); an open or half-open one already
+// has a probe in flight. (Administrative FailOut and CrashPrimary's taint are
+// operator decisions, not observations: they store the flag themselves.)
 func (g *Group) failOut(i int) {
 	st := g.states[i]
 	st.faults.Add(1)

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/wal"
 )
 
 // A slow first lane loses to the delayed hedge: the second attempt launches
@@ -182,5 +184,75 @@ func TestBreakerDisabledKeepsReplicaDown(t *testing.T) {
 	}
 	if h := g.Healthy(); !h[0] {
 		t.Fatal("manual Recover must readmit the replica")
+	}
+}
+
+// A replica failed out off the read path — by a synchronous write apply, by
+// the async applier, or by a checkpoint overrunning a held applier — trips
+// its breaker like a faulted read does and is probed back in byte-identical.
+// At the parent commit only read faults reached the breaker: with it enabled
+// these replicas stayed down forever. With it disabled the historical
+// contract holds for every one of them: out, no breaker activity, until
+// Recover.
+func TestBreakerSeesEveryFailOut(t *testing.T) {
+	faultNextApply := func(t *testing.T, g *Group) {
+		g.Replicas()[0].FailNext(1)
+		mustInsert(t, g, 100)
+	}
+	cases := []struct {
+		name    string
+		async   bool
+		failOut func(t *testing.T, g *Group)
+	}{
+		{"sync write apply", false, faultNextApply},
+		{"async applier", true, faultNextApply},
+		{"applier overrun by a checkpoint", true, func(t *testing.T, g *Group) {
+			g.HoldApply(0, true)
+			for i := int64(100); i < 110; i++ {
+				mustInsert(t, g, i)
+			}
+			if err := g.Checkpoint(); err != nil { // truncates past applied = 0
+				t.Fatal(err)
+			}
+			g.HoldApply(0, false)
+		}},
+	}
+	// await polls cond: the fail-out and the probe run on other goroutines.
+	await := func(t *testing.T, what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(200 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	for _, c := range cases {
+		for _, enabled := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/breaker=%v", c.name, enabled), func(t *testing.T) {
+				g := newGroupOpts(t, Options{
+					Replicas: 2, Async: c.async,
+					Breaker: BreakerOptions{Enabled: enabled, Cooldown: time.Millisecond},
+				})
+				c.failOut(t, g)
+				await(t, "the fail-out", func() bool { return g.Faults()[0] == 1 })
+				if !enabled {
+					if st := g.Resilience(); st.BreakerTrips != 0 || st.BreakerProbes != 0 || g.Healthy()[0] {
+						t.Fatalf("without a breaker the replica stays out until Recover: healthy=%v %+v", g.Healthy(), st)
+					}
+					if err := g.Recover(0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				await(t, "readmission", func() bool { return g.Healthy()[0] && g.Resilience().OpenBreakers == 0 })
+				if st := g.Resilience(); enabled && st.BreakerTrips < 1 {
+					t.Fatalf("fail-out never tripped the breaker: %+v", st)
+				}
+				g.WaitApplied(0, g.CommitLSN())
+				got := wal.Capture(g.Replicas()[0].Catalog(), 0)
+				if want := wal.Capture(g.Primary().Catalog(), 0); !reflect.DeepEqual(got, want) {
+					t.Fatalf("readmitted replica differs from the primary:\n got %+v\nwant %+v", got, want)
+				}
+			})
+		}
 	}
 }

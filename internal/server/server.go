@@ -231,8 +231,8 @@ func (s *Server) takeFault() bool {
 }
 
 // CreateTable creates an empty table with the given schema and page fanout —
-// the bulk-load path used by shard routers to partition a reference load
-// (no simulated cost; see shard.Backend).
+// the bulk-load path a copy is built through (no simulated cost; see
+// wal.Loader).
 func (s *Server) CreateTable(name string, schema *storage.Schema, rowsPerPage int) error {
 	t := s.cat.CreateTable(name, schema)
 	t.SetRowsPerPage(rowsPerPage)
@@ -240,7 +240,7 @@ func (s *Server) CreateTable(name string, schema *storage.Schema, rowsPerPage in
 }
 
 // InsertRow appends one row directly through storage (bulk-load path, no
-// simulated cost; see shard.Backend).
+// simulated cost; see wal.Loader).
 func (s *Server) InsertRow(table string, row []any) error {
 	t := s.cat.Table(table)
 	if t == nil {
@@ -250,27 +250,9 @@ func (s *Server) InsertRow(table string, row []any) error {
 	return err
 }
 
-// NumTableRows returns the table's current row count, or 0 when the table
-// does not exist — the migration copier's cutoff read (no simulated cost;
-// see shard.Backend).
-func (s *Server) NumTableRows(table string) int {
-	t := s.cat.Table(table)
-	if t == nil {
-		return 0
-	}
-	return t.NumRows()
-}
-
-// TableRow materializes one row by local row id — the migration copier's
-// row read (no simulated cost; see shard.Backend). Storage is append-only,
-// so rows below a cutoff taken earlier are stable under concurrent inserts.
-func (s *Server) TableRow(table string, rid int) []any {
-	t := s.cat.Table(table)
-	if t == nil {
-		return nil
-	}
-	return t.Row(rid)
-}
+// Copies returns the servers holding this backend's data, the authoritative
+// one first: a bare server is its own only copy (see shard.Backend).
+func (s *Server) Copies() []*Server { return []*Server{s} }
 
 // IndexKeyCount reports how many rows of table hold value v in the indexed
 // column col; ok is false when the table or index does not exist (no

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/replica"
+	"repro/internal/server"
+	"repro/internal/wal"
 )
 
 // This file implements online re-sharding: Router.Split and Router.Merge
@@ -20,16 +21,17 @@ import (
 //     row; every insert acknowledged after the barrier is captured, with
 //     its row materialized, in the pending buffer.
 //  2. Copy (no router locks, traffic flowing): build the replacement
-//     backends from the cutoff prefixes — tables in original DDL order,
-//     rows filtered by the next-generation range map, indexes, warm
-//     buffer pools. New backends are invisible to routing.
+//     backends from the cutoff prefixes in one wal.Copy — the sources' DDL
+//     order, every row to its owner under the next-generation range map,
+//     indexes — then warm them. New backends are invisible to routing.
 //  3. Flip (mig write lock again): apply the pending double-writes to the
 //     replacements in capture order, splice the replacements into the
 //     backend set, install the next-generation range map, disarm capture.
 //     Readers drain before the lock and re-route after it, so no statement
 //     ever observes a partial move.
-//  4. Retire: close the old backends; checkpoint replacement replica
-//     groups so their bulk-loaded state is crash-recoverable.
+//  4. Retire: close the old backends. (A replacement replica group needs no
+//     checkpoint: like any bulk-loaded group it snapshots its base state
+//     before its first logged write and inside CrashPrimary.)
 //
 // The flip never reads the source backends — pending rows were
 // materialized at capture — so a source primary crash between copy and
@@ -86,10 +88,7 @@ func (r *Router) Split(s int) error {
 	if err != nil {
 		return err
 	}
-	return r.migrate("split", next, &r.splits, 1, []rebuild{
-		{slot: s, srcs: []int{s}, replSrc: s},
-		{slot: newIdx, srcs: []int{s}, replSrc: s},
-	})
+	return r.migrate("split", next, &r.splits, 1, []int{s, newIdx}, []int{s})
 }
 
 // Merge folds shard b into shard a: a rebuilt shard a takes ownership of
@@ -108,43 +107,49 @@ func (r *Router) Merge(a, b int) error {
 	if err != nil {
 		return err
 	}
-	return r.migrate("merge", next, &r.merges, moved, []rebuild{
-		{slot: a, srcs: []int{a, b}, replSrc: a},
-		{slot: b, replSrc: b},
-	})
-}
-
-// rebuild describes one replacement backend of a migration.
-type rebuild struct {
-	slot    int   // backend slot it takes; len(backends) appends a shard
-	srcs    []int // slots whose sharded rows it inherits: those it owns under the next map
-	replSrc int   // slot its replicated tables are copied from
+	return r.migrate("merge", next, &r.merges, moved, []int{a, b}, []int{min(a, b), max(a, b)})
 }
 
 // migrate runs the protocol at the top of this file for one Split or Merge:
-// plan lists the replacement backends, next is the range map the flip
-// installs, and count / moved are the operation's counters. Callers hold
-// migMu.
-func (r *Router) migrate(op string, next *Ranges, count *atomic.Int64, moved int, plan []rebuild) error {
+// slots are the backend slots it rebuilds (len(backends) appends a shard),
+// srcs — ascending — the slots whose rows the replacements inherit, next the
+// range map the flip installs, and count / moved the operation's counters.
+// Every sharded row of a source goes to the slot that owns it under next;
+// replicated tables are copied to every replacement from the lowest source
+// (shard 0 serves all replicated-table reads, so whenever it is rebuilt its
+// replacement keeps its own row order). Callers hold migMu.
+func (r *Router) migrate(op string, next *Ranges, count *atomic.Int64, moved int, slots, srcs []int) error {
 	if r.mk == nil {
 		return fmt.Errorf("shard: %s: no backend factory (router wraps external backends; call SetBackendFactory)", op)
 	}
-	order := r.ddlOrder()
-	fresh := make([]Backend, len(plan))
-	dsts := map[int]Backend{}
-	sources := map[int]bool{}
-	for k, p := range plan {
-		fresh[k] = r.mk()
-		dsts[p.slot] = fresh[k]
-		for _, s := range p.srcs {
-			sources[s] = true
+	fresh := make([]Backend, len(slots))
+	globs := make([]map[string][]int, len(slots)) // per replacement: table -> global positions in rid order
+	dstOf := map[int]int{}                        // slot -> its replacement's index in fresh
+	for k, slot := range slots {
+		fresh[k], globs[k], dstOf[slot] = r.mk(), map[string][]int{}, k
+	}
+	dsts := copySets(fresh)
+	// place is the ownership rule of both the copy and the flip.
+	place := func(ti *tableInfo, row []any) int {
+		if ti.key == "" {
+			return wal.All
 		}
+		if d, ok := dstOf[next.OwnerOf(row[ti.keyPos])]; ok {
+			return d
+		}
+		return len(fresh) // a slot this migration does not rebuild: the copier refuses it
 	}
 
-	// Barrier: arm double-write capture and take the copy cutoffs with no
-	// statement in flight.
+	// Barrier: arm double-write capture and take the copy cutoffs — each
+	// source's own tables as they stand — with no statement in flight, so
+	// every row below a cutoff is fully acknowledged and position-mapped, and
+	// every insert acknowledged afterward lands in the double-write buffer.
 	r.mig.Lock()
-	cut := r.cutoffs(order)
+	live := make([][]wal.TableSource, len(srcs))
+	sources := map[int]bool{}
+	for k, s := range srcs {
+		live[k], sources[s] = wal.LiveTables(catalog(r.backends[s])), true
+	}
 	r.migActive, r.migSources, r.pending = true, sources, nil
 	hook := r.migHook
 	r.mig.Unlock()
@@ -152,50 +157,77 @@ func (r *Router) migrate(op string, next *Ranges, count *atomic.Int64, moved int
 	if hook != nil {
 		hook("copy")
 	}
-	globs := map[int]map[string][]int{}
-	var copied int64
-	var err error
-	for k, p := range plan {
-		var n int64
-		if globs[p.slot], n, err = r.buildBackend(fresh[k], order, p, next, cut); err != nil {
-			r.abortMigration(fresh)
-			return err
+	// The copy runs with traffic flowing: storage is append-only, so the rows
+	// below the barrier's cutoffs are immutable.
+	var list []wal.TableSource
+	var from []int // list[i]'s source slot
+	var tis []*tableInfo
+	for t, src := range live[0] {
+		ti, n := r.table(src.Name), len(srcs)
+		if ti.key == "" {
+			n = 1
 		}
-		copied += n
+		for k := 0; k < n; k++ {
+			if src = live[k][t]; k > 0 {
+				src.Schema, src.Indexes = nil, nil // the table's second source: rows only
+			}
+			list, from, tis = append(list, src), append(from, srcs[k]), append(tis, ti)
+		}
+	}
+	kept, err := wal.Copy(dsts, list, func(src, _ int, row []any) int { return place(tis[src], row) })
+	if err != nil {
+		r.abortMigration(fresh)
+		return fmt.Errorf("shard: migrate: %w", err)
+	}
+	var copied int64
+	for i, src := range list {
+		if tis[i].key == "" {
+			copied += int64(src.N * len(fresh))
+		}
+		for d, rids := range kept[i] {
+			for _, rid := range rids {
+				globs[d][src.Name] = append(globs[d][src.Name], tis[i].globalPos(from[i], rid))
+			}
+			copied += int64(len(rids))
+		}
+	}
+	for _, b := range fresh {
+		b.Warm()
 	}
 	if hook != nil {
 		hook("flip")
 	}
 
 	r.mig.Lock()
-	if err := r.applyPending(next, dsts, globs); err != nil {
+	if err := r.applyPending(dsts, place, globs); err != nil {
 		r.mig.Unlock()
 		r.abortMigration(fresh)
 		return err
 	}
 	nb := append([]Backend(nil), r.backends...)
 	var retired []Backend
-	for k, p := range plan {
-		if p.slot == len(nb) {
+	for k, slot := range slots {
+		if slot == len(nb) {
 			nb = append(nb, nil)
 		} else {
-			retired = append(retired, nb[p.slot])
+			retired = append(retired, nb[slot])
 		}
-		nb[p.slot] = fresh[k]
+		nb[slot] = fresh[k]
 	}
-	for _, name := range order {
-		ti := r.table(name)
+	r.tmu.RLock()
+	for name, ti := range r.tables {
 		ti.mu.Lock()
 		for len(ti.global) < len(nb) {
 			ti.global = append(ti.global, nil)
 		}
 		if ti.key != "" {
-			for _, p := range plan {
-				ti.global[p.slot] = globs[p.slot][name]
+			for k, slot := range slots {
+				ti.global[slot] = globs[k][name]
 			}
 		}
 		ti.mu.Unlock()
 	}
+	r.tmu.RUnlock()
 	r.backends = nb
 	r.ranges.Store(next)
 	r.migActive, r.migSources, r.pending = false, nil, nil
@@ -205,127 +237,36 @@ func (r *Router) migrate(op string, next *Ranges, count *atomic.Int64, moved int
 	r.registerMetricsLocked()
 	r.mig.Unlock()
 
-	// Retire the old backends; checkpoint replacement replica groups so their
-	// bulk-loaded base state (copy plus applied double-writes) is recoverable:
-	// a later primary crash restores from this snapshot plus the WAL tail
-	// written since. Bare server backends have no log and need nothing.
 	for _, b := range retired {
 		b.Close()
-	}
-	for _, b := range fresh {
-		if g, ok := b.(*replica.Group); ok {
-			if err := g.Checkpoint(); err != nil {
-				return fmt.Errorf("shard: migrate: checkpoint: %w", err)
-			}
-		}
 	}
 	return nil
 }
 
-// ddlOrder snapshots the tables in original DDL (reference extent) order so
-// replacement backends reproduce identical extent numbering.
-func (r *Router) ddlOrder() []string {
-	r.tmu.RLock()
-	defer r.tmu.RUnlock()
-	return append([]string(nil), r.tableOrder...)
-}
-
-// cutoffs snapshots every slot's per-table row counts. Called under the mig
-// write lock with no statement in flight, so every row below a cutoff is
-// fully acknowledged and position-mapped, and every insert acknowledged
-// afterward lands in the double-write buffer instead.
-func (r *Router) cutoffs(order []string) []map[string]int {
-	out := make([]map[string]int, len(r.backends))
-	for s, b := range r.backends {
-		out[s] = map[string]int{}
-		for _, name := range order {
-			out[s][name] = b.NumTableRows(name)
-		}
-	}
-	return out
-}
-
-// buildBackend constructs one replacement backend from cutoff prefixes:
-// every table in DDL order, replicated tables copied whole from p.replSrc,
-// sharded tables copied from each of p.srcs keeping the rows p.slot owns
-// under the next map, then FinishLoad, the original indexes, and a warm
-// buffer pool. It runs with traffic flowing — storage is append-only, so the
-// rows below the barrier's cutoffs are immutable. Returns the global row
-// positions of the copied sharded rows (per table, in destination rid order)
-// and the total rows copied.
-func (r *Router) buildBackend(dst Backend, order []string, p rebuild, next *Ranges, cut []map[string]int) (map[string][]int, int64, error) {
-	glob := map[string][]int{}
-	var copied int64
-	for _, name := range order {
-		ti := r.table(name)
-		if err := dst.CreateTable(name, ti.schema, ti.rowsPerPage); err != nil {
-			return nil, 0, fmt.Errorf("shard: migrate: create %s: %w", name, err)
-		}
-		srcs := p.srcs
-		if ti.key == "" {
-			srcs = []int{p.replSrc}
-		}
-		for _, s := range srcs {
-			src := r.backends[s]
-			for rid, n := 0, cut[s][name]; rid < n; rid++ {
-				row := src.TableRow(name, rid)
-				if ti.key != "" {
-					if next.OwnerOf(row[ti.keyPos]) != p.slot {
-						continue
-					}
-					glob[name] = append(glob[name], ti.globalPos(s, rid))
-				}
-				if err := dst.InsertRow(name, row); err != nil {
-					return nil, 0, fmt.Errorf("shard: migrate: copy %s: %w", name, err)
-				}
-				copied++
-			}
-		}
-	}
-	dst.FinishLoad()
-	for _, name := range order {
-		ti := r.table(name)
-		for _, ix := range ti.indexes {
-			if err := dst.AddIndex(name, ix.Column, ix.Unique); err != nil {
-				return nil, 0, fmt.Errorf("shard: migrate: index %s(%s): %w", name, ix.Column, err)
-			}
-		}
-	}
-	dst.Warm()
-	return glob, copied, nil
-}
-
-// applyPending replays the double-write buffer onto the replacement
-// backends in capture order: replicated-table rows to every replacement,
-// sharded rows to the next-generation owner. Called under the mig write
-// lock — the barrier guarantees every captured insert's position map entry
-// is complete — and never reads a source backend (rows were materialized at
-// capture), so it tolerates a source primary crash during the copy phase.
-// glob accumulates the applied rows' global positions per destination.
-func (r *Router) applyPending(next *Ranges, dsts map[int]Backend, glob map[int]map[string][]int) error {
+// applyPending replays the double-write buffer onto the replacements in
+// capture order — through the copier, one rows-only source per captured row.
+// Called under the mig write lock — the barrier guarantees every captured
+// insert's position map entry is complete — and never reads a source backend
+// (rows were materialized at capture), so it tolerates a source primary crash
+// during the copy phase. globs gains the applied rows' global positions.
+func (r *Router) applyPending(dsts [][]*server.Server, place func(*tableInfo, []any) int, globs []map[string][]int) error {
 	r.pendingMu.Lock()
 	pending := r.pending
 	r.pendingMu.Unlock()
-	for _, p := range pending {
-		if p.repl {
-			for _, dst := range dsts {
-				if err := dst.InsertRow(p.table, p.row); err != nil {
-					return fmt.Errorf("shard: migrate: double-write %s: %w", p.table, err)
-				}
+	list := make([]wal.TableSource, len(pending))
+	for i, p := range pending {
+		list[i] = wal.TableSource{Name: p.table, N: 1, Row: func(int) []any { return p.row }}
+	}
+	kept, err := wal.Copy(dsts, list, func(i, _ int, row []any) int { return place(r.table(pending[i].table), row) })
+	if err != nil {
+		return fmt.Errorf("shard: migrate: double-write: %w", err)
+	}
+	for i, p := range pending {
+		for d, ks := range kept[i] {
+			if len(ks) > 0 {
+				globs[d][p.table] = append(globs[d][p.table], r.table(p.table).globalPos(p.src, p.srcRid))
 			}
-			continue
 		}
-		ti := r.table(p.table)
-		owner := next.OwnerOf(p.row[ti.keyPos])
-		dst, ok := dsts[owner]
-		if !ok {
-			return fmt.Errorf("shard: migrate: double-write %s routed to unmigrated shard %d", p.table, owner)
-		}
-		if err := dst.InsertRow(p.table, p.row); err != nil {
-			return fmt.Errorf("shard: migrate: double-write %s: %w", p.table, err)
-		}
-		g := glob[owner]
-		g[p.table] = append(g[p.table], ti.globalPos(p.src, p.srcRid))
 	}
 	return nil
 }

@@ -41,6 +41,9 @@ func compareAll(t *testing.T, ref *server.Server, r *Router, label string) {
 	applyBoth(t, ref, r, label+" empty table", "select count(eid) from empty", nil)
 }
 
+// numRows is a backend's (authoritative copy's) row count for a table.
+func numRows(b Backend, table string) int { return catalog(b).Table(table).NumRows() }
+
 // assertConservation checks the anti-loss/anti-duplication ledger: summed
 // across every backend, each sharded table holds exactly the reference row
 // count (a lost write sums low, a duplicated one sums high), and every
@@ -48,10 +51,10 @@ func compareAll(t *testing.T, ref *server.Server, r *Router, label string) {
 func assertConservation(t *testing.T, ref *server.Server, r *Router, label string) {
 	t.Helper()
 	for _, tbl := range []string{"users", "empty"} {
-		want := ref.NumTableRows(tbl)
+		want := numRows(ref, tbl)
 		got := 0
 		for _, b := range r.Backends() {
-			got += b.NumTableRows(tbl)
+			got += numRows(b, tbl)
 		}
 		if got != want {
 			t.Fatalf("%s: %s rows across shards = %d, reference has %d (lost or duplicated writes)",
@@ -59,7 +62,7 @@ func assertConservation(t *testing.T, ref *server.Server, r *Router, label strin
 		}
 	}
 	for i, b := range r.Backends() {
-		if got, want := b.NumTableRows("logs"), ref.NumTableRows("logs"); got != want {
+		if got, want := numRows(b, "logs"), numRows(ref, "logs"); got != want {
 			t.Fatalf("%s: backend %d holds %d logs rows, want %d", label, i, got, want)
 		}
 	}
@@ -214,7 +217,7 @@ func TestMergeUnderTrafficMatchesSingleServer(t *testing.T) {
 	}
 	// The retired slot keeps the replicated tables (it still serves
 	// broadcasts) but holds no sharded rows.
-	if got := r.Backends()[1].NumTableRows("users"); got != 0 {
+	if got := numRows(r.Backends()[1], "users"); got != 0 {
 		t.Fatalf("merged-away shard still holds %d users rows", got)
 	}
 	assertConservation(t, ref, r, "post-merge")
@@ -288,9 +291,9 @@ func assertEmptyConservation(t *testing.T, ref *server.Server, r *Router) {
 	t.Helper()
 	got := 0
 	for _, b := range r.Backends() {
-		got += b.NumTableRows("empty")
+		got += numRows(b, "empty")
 	}
-	if want := ref.NumTableRows("empty"); got != want {
+	if want := numRows(ref, "empty"); got != want {
 		t.Fatalf("empty rows across shards = %d, reference has %d", got, want)
 	}
 }
@@ -370,10 +373,10 @@ func TestCrashMidMigrationKeepsAcknowledgedWrites(t *testing.T) {
 		t.Fatalf("expected ≥%d double-writes, got %+v", len(copyKeys), ms)
 	}
 	for _, tbl := range []string{"users"} {
-		want := ref.NumTableRows(tbl)
+		want := numRows(ref, tbl)
 		got := 0
 		for _, b := range r.Backends() {
-			got += b.NumTableRows(tbl)
+			got += numRows(b, tbl)
 		}
 		if got != want {
 			t.Fatalf("%s rows across shards = %d, reference has %d (lost or duplicated writes)", tbl, got, want)

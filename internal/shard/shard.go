@@ -35,6 +35,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/sqlmini"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // Backend is one shard's execution engine: a bare server.Server, or a
@@ -42,18 +43,16 @@ import (
 // One interface covers everything the router needs: Request-based statement
 // execution (query.Executor — span, session, consistency and deadline all
 // ride the request; the result's Info feeds the scatter-gather merge), the
-// bulk-load path, the planner's index statistics, cache / clock / lifecycle
-// control, and the obs metrics hookup.
+// servers that hold its data, the planner's index statistics, cache / clock
+// / lifecycle control, and the obs metrics hookup.
 type Backend interface {
 	query.Executor
 
-	CreateTable(name string, schema *storage.Schema, rowsPerPage int) error
-	InsertRow(table string, row []any) error
-	FinishLoad()
-	AddIndex(table, column string, unique bool) error
+	// Copies returns the servers holding the shard's data, the authoritative
+	// one (a group's primary) first: together the destination set wal.Copy
+	// fills, and the first one's catalog the source a migration reads.
+	Copies() []*server.Server
 	IndexKeyCount(table, col string, v any) (int, bool)
-	NumTableRows(table string) int
-	TableRow(table string, rid int) []any
 
 	Warm()
 	ColdStart()
@@ -84,12 +83,6 @@ type Options struct {
 type tableInfo struct {
 	key    string // shard key column; "" = replicated
 	keyPos int    // schema position of key (INSERT routing); -1 when replicated
-
-	// DDL captured at LoadFrom so migrations can recreate the table on
-	// fresh backends without the reference server.
-	schema      *storage.Schema
-	rowsPerPage int
-	indexes     []*storage.Index
 
 	mu sync.RWMutex
 	// global maps, per shard, local row id -> global row position: rows
@@ -147,9 +140,6 @@ type Router struct {
 
 	tmu    sync.RWMutex
 	tables map[string]*tableInfo
-	// tableOrder replays LoadFrom's DDL order (reference extent order) so
-	// migrations recreate tables with identical extent numbering.
-	tableOrder []string
 
 	// pruned counts shard executions skipped by the scatter planner's
 	// index-statistics fast path (see pruneTargets).
@@ -196,9 +186,8 @@ type Router struct {
 type pendingWrite struct {
 	table  string
 	row    []any
-	src    int  // source slot the insert landed on
-	srcRid int  // local row id on the source (merge-order key)
-	repl   bool // replicated-table broadcast: apply to every new backend
+	src    int // source slot the insert landed on
+	srcRid int // local row id on the source (merge-order key)
 }
 
 // New starts a router over n fresh backends of the given profile; scale is
@@ -295,77 +284,56 @@ func (r *Router) ReplicaReads() [][]int64 {
 	return out
 }
 
-// LoadFrom partitions a fully loaded reference server across the backends:
-// every table is recreated with the same schema, page fanout and indexes;
-// sharded tables send each row to its key's owner (remembering the global
-// row order for scatter-gather merges) and replicated tables copy every row
-// to every shard. Call once, after the reference load, before queries.
+// LoadFrom partitions a fully loaded reference server across the backends —
+// wal.Copy with the ownership rule: every table is recreated with the same
+// schema, page fanout and indexes; sharded tables send each row to its key's
+// owner (the kept rids are the global row order scatter-gather merges by)
+// and replicated tables copy every row to every shard. The reference is
+// streamed, never materialized. Call once, after the reference load, before
+// queries.
 func (r *Router) LoadFrom(ref *server.Server) error {
-	tables := ref.Catalog().Tables()
-	// Catalog.Tables is map-ordered; extent ids are assigned in creation
-	// order, so sorting by extent replays the original DDL order and keeps
-	// extent numbering identical on every shard.
-	sort.Slice(tables, func(i, j int) bool { return tables[i].Extent < tables[j].Extent })
-
+	srcs := wal.LiveTables(ref.Catalog())
+	infos := make([]*tableInfo, len(srcs))
+	for i, t := range srcs {
+		ti := &tableInfo{key: r.keys[t.Name], keyPos: -1, loaded: t.N}
+		if ti.key != "" {
+			if ti.keyPos = t.Schema.ColIndex(ti.key); ti.keyPos < 0 {
+				return fmt.Errorf("shard: table %s has no shard key column %q", t.Name, ti.key)
+			}
+		}
+		infos[i] = ti
+	}
 	rg := r.ranges.Load()
-	for _, t := range tables {
-		key := r.keys[t.Name]
-		ti := &tableInfo{
-			key: key, keyPos: -1, global: make([][]int, len(r.backends)),
-			schema: t.Schema, rowsPerPage: t.RowsPerPage(),
+	kept, err := wal.Copy(copySets(r.backends), srcs, func(src, _ int, row []any) int {
+		if ti := infos[src]; ti.keyPos >= 0 {
+			return rg.OwnerOf(row[ti.keyPos])
 		}
-		if key != "" {
-			ti.keyPos = t.Schema.ColIndex(key)
-			if ti.keyPos < 0 {
-				return fmt.Errorf("shard: table %s has no shard key column %q", t.Name, key)
-			}
-		}
-		for _, b := range r.backends {
-			if err := b.CreateTable(t.Name, t.Schema, t.RowsPerPage()); err != nil {
-				return fmt.Errorf("shard: create %s: %w", t.Name, err)
-			}
-		}
-		n := t.NumRows()
-		for rid := 0; rid < n; rid++ {
-			row := t.Row(rid)
-			if key == "" {
-				for _, b := range r.backends {
-					if err := b.InsertRow(t.Name, row); err != nil {
-						return fmt.Errorf("shard: replicate %s: %w", t.Name, err)
-					}
-				}
-				continue
-			}
-			s := rg.OwnerOf(row[ti.keyPos])
-			if err := r.backends[s].InsertRow(t.Name, row); err != nil {
-				return fmt.Errorf("shard: distribute %s: %w", t.Name, err)
-			}
-			ti.global[s] = append(ti.global[s], rid)
-		}
-		ti.loaded = n
-		r.tmu.Lock()
-		r.tables[t.Name] = ti
-		r.tableOrder = append(r.tableOrder, t.Name)
-		r.tmu.Unlock()
+		return wal.All
+	})
+	if err != nil {
+		return fmt.Errorf("shard: load: %w", err)
 	}
-	for _, b := range r.backends {
-		b.FinishLoad()
+	r.tmu.Lock()
+	for i, t := range srcs {
+		infos[i].global = kept[i] // per shard, the reference rids it holds
+		r.tables[t.Name] = infos[i]
 	}
-	for _, t := range tables {
-		ixs := t.Indexes()
-		r.tmu.RLock()
-		r.tables[t.Name].indexes = ixs
-		r.tmu.RUnlock()
-		for _, ix := range ixs {
-			for _, b := range r.backends {
-				if err := b.AddIndex(t.Name, ix.Column, ix.Unique); err != nil {
-					return fmt.Errorf("shard: index %s(%s): %w", t.Name, ix.Column, err)
-				}
-			}
-		}
-	}
+	r.tmu.Unlock()
 	return nil
 }
+
+// copySets lists each backend's copies: the destination sets wal.Copy fills.
+func copySets(backends []Backend) [][]*server.Server {
+	sets := make([][]*server.Server, len(backends))
+	for i, b := range backends {
+		sets[i] = b.Copies()
+	}
+	return sets
+}
+
+// catalog is the authoritative copy's table catalog: what a migration reads
+// a source backend through.
+func catalog(b Backend) *storage.Catalog { return b.Copies()[0].Catalog() }
 
 func (r *Router) table(name string) *tableInfo {
 	r.tmu.RLock()
@@ -557,11 +525,9 @@ func (r *Router) stagePending(table string, src, rid int, repl bool) {
 	if !r.migActive || (!repl && !r.migSources[src]) {
 		return
 	}
-	row := r.backends[src].TableRow(table, rid)
+	row := catalog(r.backends[src]).Table(table).Row(rid)
 	r.pendingMu.Lock()
-	r.pending = append(r.pending, pendingWrite{
-		table: table, row: row, src: src, srcRid: rid, repl: repl,
-	})
+	r.pending = append(r.pending, pendingWrite{table: table, row: row, src: src, srcRid: rid})
 	r.pendingMu.Unlock()
 	r.doubleWrites.Add(1)
 }

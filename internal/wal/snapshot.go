@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/query"
 	"repro/internal/storage"
 )
 
@@ -38,33 +37,26 @@ type IndexDef struct {
 // guarantee no writes are in flight (internal/replica holds its group write
 // lock) and that every record ≤ lsn is applied to cat.
 func Capture(cat *storage.Catalog, lsn int64) *Snapshot {
-	tables := cat.Tables()
-	sort.Slice(tables, func(i, j int) bool { return tables[i].Extent < tables[j].Extent })
 	snap := &Snapshot{LSN: lsn}
-	for _, t := range tables {
+	for _, src := range LiveTables(cat) {
 		ts := TableSnap{
-			Name:        t.Name,
-			Cols:        append([]storage.Column(nil), t.Schema.Cols...),
-			RowsPerPage: t.RowsPerPage(),
-			Extent:      t.Extent,
+			Name:        src.Name,
+			Cols:        append([]storage.Column(nil), src.Schema.Cols...),
+			RowsPerPage: src.RowsPerPage,
+			Extent:      cat.Table(src.Name).Extent,
+			Rows:        make([][]any, src.N),
+			Indexes:     src.Indexes,
 		}
-		n := t.NumRows()
-		ts.Rows = make([][]any, n)
-		for rid := 0; rid < n; rid++ {
-			ts.Rows[rid] = t.Row(rid)
-		}
-		for _, ix := range t.Indexes() {
-			ts.Indexes = append(ts.Indexes, IndexDef{Column: ix.Column, Unique: ix.Unique})
+		for rid := range ts.Rows {
+			ts.Rows[rid] = src.Row(rid)
 		}
 		snap.Tables = append(snap.Tables, ts)
 	}
 	return snap
 }
 
-// Loader is the bulk-load surface a snapshot restores through —
-// server.Server implements it. Tables are created in capture order (extent
-// order), rows inserted in rid order, indexes added after FinishLoad, so
-// the restored server is laid out like the original.
+// Loader is the bulk-load surface a copy is built through — server.Server
+// implements it, Copy drives it.
 type Loader interface {
 	CreateTable(name string, schema *storage.Schema, rowsPerPage int) error
 	InsertRow(table string, row []any) error
@@ -72,48 +64,114 @@ type Loader interface {
 	AddIndex(table, column string, unique bool) error
 }
 
-// RestoreTo loads the snapshot into an empty server.
+// TableSource is one table as the copier reads it: its DDL and the rows
+// [0, N) by row id, fetched one at a time — a live table is never
+// materialized. A source with a nil Schema only adds rows, to a table the
+// destinations already hold: the second source of a table two shards feed (a
+// merge), a migration's captured double-writes.
+type TableSource struct {
+	Name        string
+	Schema      *storage.Schema
+	RowsPerPage int
+	Indexes     []IndexDef
+	N           int
+	Row         func(rid int) []any
+}
+
+// LiveTables lists cat's tables as copy sources in extent order — creation
+// order, so a copy numbers its extents identically — each cut off at its
+// current row count. Storage is append-only: rows below the cutoff stay
+// unchanged while inserts continue, which lets a migration copy under traffic.
+func LiveTables(cat *storage.Catalog) []TableSource {
+	tables := cat.Tables()
+	sort.Slice(tables, func(i, j int) bool { return tables[i].Extent < tables[j].Extent })
+	srcs := make([]TableSource, len(tables))
+	for i, t := range tables {
+		srcs[i] = TableSource{Name: t.Name, Schema: t.Schema, RowsPerPage: t.RowsPerPage(), N: t.NumRows(), Row: t.Row}
+		for _, ix := range t.Indexes() {
+			srcs[i].Indexes = append(srcs[i].Indexes, IndexDef{Column: ix.Column, Unique: ix.Unique})
+		}
+	}
+	return srcs
+}
+
+// All is the pick result that hands a row to every destination.
+const All = -1
+
+// Copy is the one way a copy of a shard's data comes to exist. Each
+// destination is a set of loaders that receive the same calls (the copies of
+// one replica group; a bare server is a set of one). Every destination gets
+// every table, created in srcs order; each source is read once in rid order
+// and pick names the destination of each row — All, or a nil pick, meaning
+// every one; then FinishLoad and the indexes. kept[src][d] lists the rids of
+// source src that destination d was picked for, in landing order; All rows
+// are not listed.
+func Copy[L Loader](dsts [][]L, srcs []TableSource, pick func(src, rid int, row []any) int) ([][][]int, error) {
+	each := func(f func(L) error) error {
+		for _, set := range dsts {
+			for _, l := range set {
+				if err := f(l); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	built := false
+	for _, s := range srcs {
+		if s.Schema == nil {
+			continue
+		}
+		built = true
+		if err := each(func(l L) error { return l.CreateTable(s.Name, s.Schema, s.RowsPerPage) }); err != nil {
+			return nil, fmt.Errorf("wal: copy: create %s: %w", s.Name, err)
+		}
+	}
+	kept := make([][][]int, len(srcs))
+	for i, s := range srcs {
+		kept[i] = make([][]int, len(dsts))
+		for rid := 0; rid < s.N; rid++ {
+			row, to := s.Row(rid), dsts
+			if pick != nil {
+				if d := pick(i, rid, row); d < All || d >= len(dsts) {
+					return nil, fmt.Errorf("wal: copy %s: row %d picked destination %d of %d", s.Name, rid, d, len(dsts))
+				} else if d != All {
+					to, kept[i][d] = dsts[d:d+1], append(kept[i][d], rid)
+				}
+			}
+			for _, set := range to {
+				for _, l := range set {
+					if err := l.InsertRow(s.Name, row); err != nil {
+						return nil, fmt.Errorf("wal: copy %s: %w", s.Name, err)
+					}
+				}
+			}
+		}
+	}
+	if built {
+		each(func(l L) error { l.FinishLoad(); return nil })
+	}
+	for _, s := range srcs {
+		for _, ix := range s.Indexes {
+			if err := each(func(l L) error { return l.AddIndex(s.Name, ix.Column, ix.Unique) }); err != nil {
+				return nil, fmt.Errorf("wal: copy: index %s(%s): %w", s.Name, ix.Column, err)
+			}
+		}
+	}
+	return kept, nil
+}
+
+// RestoreTo loads the snapshot into an empty server: Copy, keeping every row.
 func (s *Snapshot) RestoreTo(l Loader) error {
-	for _, ts := range s.Tables {
-		if err := l.CreateTable(ts.Name, storage.NewSchema(ts.Cols...), ts.RowsPerPage); err != nil {
-			return err
-		}
-		for _, row := range ts.Rows {
-			if err := l.InsertRow(ts.Name, row); err != nil {
-				return err
-			}
+	srcs := make([]TableSource, len(s.Tables))
+	for i, ts := range s.Tables {
+		srcs[i] = TableSource{
+			Name: ts.Name, Schema: storage.NewSchema(ts.Cols...), RowsPerPage: ts.RowsPerPage,
+			Indexes: ts.Indexes, N: len(ts.Rows), Row: func(rid int) []any { return ts.Rows[rid] },
 		}
 	}
-	l.FinishLoad()
-	for _, ts := range s.Tables {
-		for _, ix := range ts.Indexes {
-			if err := l.AddIndex(ts.Name, ix.Column, ix.Unique); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Execer is the statement surface replay drives — server.Server implements
-// it via ExecBatch.
-type Execer interface {
-	ExecBatch(req query.BatchRequest) query.BatchResult
-}
-
-// Replay applies records in LSN order through e. Only acknowledged
-// (successful) writes are logged, so any replay error means divergence or a
-// transport fault — the first one aborts and is returned.
-func Replay(e Execer, recs []Record) error {
-	for _, r := range recs {
-		br := e.ExecBatch(query.BatchReq(r.Name, r.SQL, r.ArgSets))
-		for _, err := range br.Errs {
-			if err != nil {
-				return fmt.Errorf("wal: replay lsn %d: %w", r.LSN, err)
-			}
-		}
-	}
-	return nil
+	_, err := Copy([][]Loader{{l}}, srcs, nil)
+	return err
 }
 
 // wire encoding for FileStore snapshots: values tagged like records.

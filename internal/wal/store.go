@@ -232,8 +232,8 @@ func (m *MemStore) Load() (*Snapshot, []Record, error) {
 func (m *MemStore) Close() error { return nil }
 
 // FileStore persists the log under a directory: records as JSON lines in
-// wal.log, the checkpoint in snapshot.json (written to a temp file and
-// renamed, so a torn snapshot write never corrupts recovery).
+// wal.log, the checkpoint in snapshot.json. Both are only ever replaced
+// whole (replaceFile), so a torn checkpoint never corrupts recovery.
 type FileStore struct {
 	dir string
 	f   *os.File
@@ -257,7 +257,7 @@ func NewFileStore(dir string) (*FileStore, error) {
 func (s *FileStore) AppendRecords(recs []Record) (int, error) {
 	bytes := 0
 	for _, r := range recs {
-		n, err := s.writeRecord(r)
+		n, err := s.writeRecord(s.w, r)
 		bytes += n
 		if err != nil {
 			return bytes, err
@@ -266,12 +266,12 @@ func (s *FileStore) AppendRecords(recs []Record) (int, error) {
 	return bytes, nil
 }
 
-func (s *FileStore) writeRecord(r Record) (int, error) {
+func (s *FileStore) writeRecord(w *bufio.Writer, r Record) (int, error) {
 	var err error
 	if s.buf, err = EncodeRecord(s.buf[:0], r); err != nil {
 		return 0, err
 	}
-	return s.w.Write(s.buf)
+	return w.Write(s.buf)
 }
 
 // Sync flushes the buffer and fsyncs the log file.
@@ -282,8 +282,36 @@ func (s *FileStore) Sync() error {
 	return s.f.Sync()
 }
 
-// WriteSnapshot writes the checkpoint atomically, then rewrites wal.log with
-// only the records past it.
+// replaceFile puts new contents under name crash-atomically: write
+// name.tmp, fsync it, rename it over name. A process that dies at any point
+// leaves either the old file or the new one, whole.
+func (s *FileStore) replaceFile(name string, write func(w *bufio.Writer) error) error {
+	tmp := filepath.Join(s.dir, name+".tmp")
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	if err = write(w); err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(tmp, filepath.Join(s.dir, name))
+}
+
+// WriteSnapshot replaces the checkpoint, then rewrites wal.log with only the
+// records past it — each through replaceFile, snapshot first. Load skips
+// records at or below the snapshot, so whichever step a crash (or an error)
+// interrupts, the directory holds a loadable pair with every synced record
+// past the snapshot in it, and the store keeps appending to the log it has.
 func (s *FileStore) WriteSnapshot(snap *Snapshot) error {
 	w, err := snap.wire()
 	if err != nil {
@@ -293,38 +321,39 @@ func (s *FileStore) WriteSnapshot(snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, "snapshot.json.tmp")
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	err = s.replaceFile("snapshot.json", func(w *bufio.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, "snapshot.json")); err != nil {
-		return err
-	}
-	// Truncate the log: keep only records past the snapshot.
 	if err := s.Sync(); err != nil {
 		return err
 	}
-	_, recs, err := s.Load()
+	_, recs, err := s.Load() // the suffix past the snapshot just installed
 	if err != nil {
 		return err
 	}
-	if err := s.f.Close(); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(filepath.Join(s.dir, "wal.log"), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	err = s.replaceFile("wal.log", func(w *bufio.Writer) error {
+		for _, r := range recs {
+			if _, err := s.writeRecord(w, r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
+	// The append handle still names the file the rename just unlinked.
+	f, err := os.OpenFile(filepath.Join(s.dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	s.f.Close() // flushed and synced above; nothing reads the unlinked file
 	s.f, s.w = f, bufio.NewWriter(f)
-	for _, r := range recs {
-		if r.LSN <= snap.LSN {
-			continue
-		}
-		if _, err := s.writeRecord(r); err != nil {
-			return err
-		}
-	}
-	return s.Sync()
+	return nil
 }
 
 // Load reads the durable snapshot and records from disk. A process that died

@@ -83,6 +83,13 @@ type Record struct {
 	ArgSets [][]any
 }
 
+// Request is the record as the one ExecBatch that re-executes it on a copy.
+// Only acknowledged (successful) writes are logged, so an error from
+// replaying it means divergence or a transport fault.
+func (r Record) Request() query.BatchRequest {
+	return query.BatchReq(r.Name, r.SQL, r.ArgSets)
+}
+
 // Syncer charges the cost of one fsync of n encoded bytes — the server
 // implements it by riding a batched write on its simulated disk.
 type Syncer interface {

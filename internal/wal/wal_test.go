@@ -51,6 +51,20 @@ func dump(t *testing.T, s *server.Server, n int) string {
 	return out
 }
 
+// replay re-executes records in LSN order on s, stopping at the first error —
+// the test-side form of internal/replica's apply, which owns replay outside
+// tests.
+func replay(s *server.Server, recs []wal.Record) error {
+	for _, r := range recs {
+		for _, err := range s.ExecBatch(r.Request()).Errs {
+			if err != nil {
+				return fmt.Errorf("replay lsn %d: %w", r.LSN, err)
+			}
+		}
+	}
+	return nil
+}
+
 func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	// Hold the first fsync open until every append is buffered, so the
 	// stragglers all share the second one — the amortization is then exact
@@ -193,7 +207,7 @@ func TestReplayAfterSnapshotRebuildsState(t *testing.T) {
 	if !ok || len(recs) != 10 {
 		t.Fatalf("records after snapshot: %d ok=%v", len(recs), ok)
 	}
-	if err := wal.Replay(dst, recs); err != nil {
+	if err := replay(dst, recs); err != nil {
 		t.Fatal(err)
 	}
 	if want, got := dump(t, src, 20), dump(t, dst, 20); want != got {
@@ -227,7 +241,7 @@ func TestCheckpointTruncatesAndInvalidatesOldTails(t *testing.T) {
 func TestReplayReportsInjectedFault(t *testing.T) {
 	dst := newKVServer(t, 1)
 	dst.FailNext(1)
-	err := wal.Replay(dst, []wal.Record{{LSN: 1, Name: "w",
+	err := replay(dst, []wal.Record{{LSN: 1, Name: "w",
 		SQL: "INSERT INTO kv VALUES (?, ?)", ArgSets: [][]any{{int64(99), "x"}}}})
 	if err == nil || !server.IsFault(err) {
 		t.Fatalf("want injected fault through replay, got %v", err)
@@ -276,12 +290,76 @@ func TestFileStoreSurvivesReopen(t *testing.T) {
 	if !ok {
 		t.Fatal("reopened tail invalid")
 	}
-	if err := wal.Replay(dst, recs); err != nil {
+	if err := replay(dst, recs); err != nil {
 		t.Fatal(err)
 	}
 	// appending continues after the reopened tail
 	if lsn := l2.Append("w", "INSERT INTO kv VALUES (?, ?)", [][]any{{int64(8), "v8"}}); lsn != 6 {
 		t.Fatalf("post-reopen LSN = %d, want 6", lsn)
+	}
+}
+
+// A checkpoint that dies part-way must not take durable records with it: the
+// log rewrite is made to fail (wal.log.tmp exists as a directory, so it cannot
+// be opened as a file) and both the live log and a reopen of the directory
+// still hold every synced record past the snapshot. At the parent commit the
+// rewrite truncated wal.log in place first, and those records were gone.
+func TestFileStoreCheckpointIsCrashAtomic(t *testing.T) {
+	dir := t.TempDir()
+	src := newKVServer(t, 3)
+	st, err := wal.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := wal.New(wal.Options{Store: st})
+	for i := 3; i < 13; i++ {
+		l.Commit(l.Append("w", "INSERT INTO kv VALUES (?, ?)", [][]any{{int64(i), fmt.Sprintf("v%d", i)}}))
+	}
+	if err := os.Mkdir(filepath.Join(dir, "wal.log.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WriteSnapshot(wal.Capture(src.Catalog(), 4)); err == nil {
+		t.Fatal("checkpoint with an unwritable wal.log.tmp reported success")
+	}
+	// The failed checkpoint left the running log whole and appendable.
+	l.Commit(l.Append("w", "INSERT INTO kv VALUES (?, ?)", [][]any{{int64(13), "v13"}}))
+	l.Close()
+
+	st2, err := wal.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := wal.Open(wal.Options{Store: st2})
+	if err != nil {
+		t.Fatalf("reopen after a failed checkpoint: %v", err)
+	}
+	defer l2.Close()
+	snap := l2.Snapshot()
+	if snap == nil || snap.LSN != 4 {
+		t.Fatalf("reopened snapshot = %+v, want the one at LSN 4 (it was renamed into place)", snap)
+	}
+	recs, ok := l2.RecordsAfter(snap.LSN)
+	if !ok || len(recs) != 7 {
+		t.Fatalf("records past the snapshot after reopen: %d ok=%v, want 7 (LSN 5..11)", len(recs), ok)
+	}
+	for i, r := range recs {
+		if r.LSN != int64(5+i) {
+			t.Fatalf("record %d has LSN %d, want %d", i, r.LSN, 5+i)
+		}
+	}
+	// With the obstacle gone the same checkpoint completes and truncates.
+	if err := os.Remove(filepath.Join(dir, "wal.log.tmp")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.WriteSnapshot(wal.Capture(src.Catalog(), 8)); err != nil {
+		t.Fatal(err)
+	}
+	if lsn := l2.Append("w", "INSERT INTO kv VALUES (?, ?)", [][]any{{int64(14), "v14"}}); lsn != 12 {
+		t.Fatalf("post-checkpoint LSN = %d, want 12", lsn)
+	}
+	l2.Commit(12)
+	if _, recs, err := st2.Load(); err != nil || len(recs) != 4 || recs[0].LSN != 9 || recs[3].LSN != 12 {
+		t.Fatalf("rewritten log holds %d records (err %v), want LSN 9..12", len(recs), err)
 	}
 }
 
