@@ -102,6 +102,7 @@ func (h *Handle) Done() bool { return h.done.Load() }
 // — so neither shape allocates per job.
 type job struct {
 	call query.Call
+	rep  query.Reply // in the job, not the worker's frame: Call.On makes it escape
 	hs   []*Handle
 	one  [1]*Handle
 	// queue, when tracing is on, measures time spent waiting in the ring
@@ -311,8 +312,8 @@ func (e *Executor) execute(j *job) {
 			members = append(members, h.span.Child("batch.exec"))
 		}
 	}
-	var rep query.Reply
-	c.On(&e.backend, &rep)
+	rep := &j.rep
+	c.On(&e.backend, rep)
 	for _, m := range members {
 		m.End()
 	}

@@ -1,0 +1,102 @@
+package interp
+
+import "sort"
+
+// RowHeader is the column list of a row result. It is computed once per
+// prepared statement and shared by every result of that statement.
+type RowHeader struct {
+	// Names are the distinct column names, in column order.
+	Names []string
+	// Wire lists the column positions in ascending name order: the order in
+	// which Format and the wire codec list a row's keys.
+	Wire []int
+}
+
+// NewRowHeader builds the header over names, which must be distinct.
+func NewRowHeader(names []string) *RowHeader {
+	h := &RowHeader{Names: names, Wire: make([]int, len(names))}
+	for i := range h.Wire {
+		h.Wire[i] = i
+	}
+	sort.Slice(h.Wire, func(a, b int) bool { return names[h.Wire[a]] < names[h.Wire[b]] })
+	return h
+}
+
+// RowCol is one column of a RowSet: a typed vector, or boxed cells for a
+// column whose values are not all of one type (the only form that can hold
+// null). At most one of the three is non-nil.
+type RowCol struct {
+	Ints []int64
+	Strs []string
+	Anys []any
+}
+
+// Cell returns cell i as a Value.
+func (c *RowCol) Cell(i int) Value {
+	switch {
+	case c.Anys != nil:
+		return c.Anys[i]
+	case c.Ints != nil:
+		return boxInt(c.Ints[i])
+	default:
+		return c.Strs[i]
+	}
+}
+
+// RowSet is a row result in columnar form: what the execution layers hand to
+// each other in place of Rows, from the statement executor through the replica
+// group, the shard merge and the wire encoder. Row i of the set is cell Lo+i
+// of every column, so the bindings of one batch are views of one shared block.
+// A RowSet is immutable once built. It is not part of the interpreter's value
+// vocabulary: Rows turns it into one, and the execution layers' public
+// Exec/ExecBatch do that for every result they return (query.Reply).
+type RowSet struct {
+	Header *RowHeader
+	Cols   []RowCol // Cols[k] holds column Header.Names[k]
+	Lo, N  int
+}
+
+// Rows boxes the set into the interpreter's row vocabulary.
+func (rs *RowSet) Rows() Rows {
+	out := make(Rows, rs.N)
+	for i := range out {
+		row := make(Row, len(rs.Cols))
+		for k := range rs.Cols {
+			row[rs.Header.Names[k]] = rs.Cols[k].Cell(rs.Lo + i)
+		}
+		out[i] = row
+	}
+	return out
+}
+
+// LiftRows is the inverse of RowSet.Rows, for a result that arrives boxed:
+// every column holds the boxed cells, in ascending name order. It reports
+// false when the rows do not all have the same columns.
+func LiftRows(rows Rows) (*RowSet, bool) {
+	if len(rows) == 0 {
+		return &RowSet{Header: &RowHeader{}}, true
+	}
+	names := make([]string, 0, len(rows[0]))
+	for name := range rows[0] {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	cells := make([]any, len(names)*len(rows))
+	cols := make([]RowCol, len(names))
+	for k := range cols {
+		cols[k].Anys = cells[k*len(rows) : (k+1)*len(rows)]
+	}
+	for i, row := range rows {
+		if len(row) != len(names) {
+			return nil, false
+		}
+		for k, name := range names {
+			v, ok := row[name]
+			if !ok {
+				return nil, false
+			}
+			cols[k].Anys[i] = v
+		}
+	}
+	return &RowSet{Header: NewRowHeader(names), Cols: cols, N: len(rows)}, true
+}

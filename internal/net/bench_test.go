@@ -92,6 +92,7 @@ func BenchmarkFrameWriteRead(b *testing.B) {
 	var frame, payload []byte
 	b.ReportAllocs()
 	b.ResetTimer()
+	var last stmtNames
 	for i := 0; i < b.N; i++ {
 		var err error
 		if frame, err = appendExec(beginFrame(frame, MsgExec), uint64(i), req); err != nil {
@@ -107,7 +108,7 @@ func BenchmarkFrameWriteRead(b *testing.B) {
 		if msgType, payload, err = readFrame(br, payload); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err = decodeCall(msgType, payload); err != nil {
+		if _, _, err = decodeCall(msgType, payload, &last); err != nil {
 			b.Fatal(err)
 		}
 	}

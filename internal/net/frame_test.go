@@ -115,6 +115,10 @@ func TestReadFrameLargePayload(t *testing.T) {
 // reuse payload storage: decode, scribble over the source, and the decoded
 // value must not have changed.
 func TestDecodedValuesDoNotAliasPayload(t *testing.T) {
+	// One memory of the last statement across every decode, as on a
+	// connection: a request repeating the statement before it gets the
+	// remembered strings, which must be copies too.
+	var last stmtNames
 	for name, frame := range validFrames(t) {
 		msgType, payload, err := ReadFrame(bytes.NewReader(frame))
 		if err != nil {
@@ -123,7 +127,7 @@ func TestDecodedValuesDoNotAliasPayload(t *testing.T) {
 		decode := func(b []byte) any {
 			switch msgType {
 			case MsgExec, MsgExecBatch:
-				id, c, err := decodeCall(msgType, b)
+				id, c, err := decodeCall(msgType, b, &last)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -143,6 +147,25 @@ func TestDecodedValuesDoNotAliasPayload(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: decoded value changed when its payload was overwritten:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+
+	// A statement string that is reused must not be a view of the payload it
+	// was first read from, nor of the one that repeated it.
+	req := query.Req("q", "select val from t where id = ?", []any{int64(1)})
+	last = stmtNames{}
+	for round := 0; round < 3; round++ {
+		payload := must(t)(EncodeExec(uint64(round), req))
+		_, c, err := decodeCall(MsgExec, payload, &last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range payload {
+			payload[i] = 0xff
+		}
+		if c.Name != req.Name || c.SQL != req.SQL || last.name != req.Name || last.sql != req.SQL {
+			t.Fatalf("round %d: statement %q %q (remembered %q %q) after its payload was overwritten",
+				round, c.Name, c.SQL, last.name, last.sql)
 		}
 	}
 }

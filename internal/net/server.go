@@ -216,6 +216,7 @@ func (s *Server) serveConn(c stdnet.Conn) {
 	// the parked workers.
 	defer sc.workers.Wait()
 	defer close(sc.jobs)
+	var last stmtNames
 	for {
 		// The payload storage is reused frame to frame: every decoder copies
 		// what it keeps.
@@ -226,7 +227,7 @@ func (s *Server) serveConn(c stdnet.Conn) {
 		if msgType != MsgExec && msgType != MsgExecBatch {
 			return // protocol violation: unknown frame kills the connection
 		}
-		id, call, err := decodeCall(msgType, payload)
+		id, call, err := decodeCall(msgType, payload, &last)
 		if err != nil {
 			// How many bindings the frame meant to carry is unknowable, so the
 			// answer is a scalar error; the client surfaces it on either call.
@@ -262,13 +263,17 @@ func (s *Server) dispatch(sc *srvConn, j job) {
 // work runs one worker: j, then whatever the read loop hands it while it is
 // parked. It parks only while fewer than idleWorkers others do — which is how
 // the set shrinks when a burst ends — and exits when the connection closes.
-// The stack is sized once per worker, not per request.
+// The stack is sized once per worker, not per request, and so are the call and
+// the reply: the backend takes them by pointer through an interface, which
+// puts them on the heap.
 func (s *Server) work(sc *srvConn, j job) {
 	defer sc.workers.Done()
 	query.GrowStack()
+	var rep query.Reply
 	for ok := true; ok; {
-		s.serve(sc, j.id, &j.call)
-		j = job{} // a parked worker must not pin its last request's bindings
+		s.serve(sc, j.id, &j.call, &rep)
+		// A parked worker must not pin its last request's bindings or results.
+		j, rep = job{}, query.Reply{}
 		if sc.idle.Add(1) > idleWorkers {
 			sc.idle.Add(-1)
 			return
@@ -295,8 +300,8 @@ func (s *Server) admit(c query.Call) error {
 }
 
 // serve executes one admitted call against the backend under a root span
-// and the connection's session, and answers it.
-func (s *Server) serve(sc *srvConn, id uint64, c *query.Call) {
+// and the connection's session, and answers it from rep (zero on entry).
+func (s *Server) serve(sc *srvConn, id uint64, c *query.Call, rep *query.Reply) {
 	name := "net.request"
 	if c.Batch() {
 		name = "net.batch"
@@ -304,14 +309,13 @@ func (s *Server) serve(sc *srvConn, id uint64, c *query.Call) {
 	sp := s.opts.Tracer.Start(name) // nil-safe: nil tracer mints nil span
 	sp.SetDetail(c.SQL)
 	c.Span, c.Session = sp, sc.sess
-	var rep query.Reply
-	c.On(s.backend, &rep)
+	c.On(s.backend, rep)
 	sp.End()
 	// Release before the response write: the units' work is done, and a
 	// client that fires its next request the instant the response lands must
 	// find the slot free (a closed loop with conns == budget must never shed).
 	s.admission.Release(c.Units())
-	s.send(sc, id, c.Batch(), &rep)
+	s.send(sc, id, c.Batch(), rep)
 }
 
 // send encodes the response frame for a call of the given shape into a pooled

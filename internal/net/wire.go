@@ -108,6 +108,13 @@ func putBool(b []byte, v bool) []byte {
 type reader struct {
 	b   []byte
 	err error
+
+	// What the results of one reply repeat: the column names of the last row
+	// set decoded (see columns), and the storage its row sets' headers are
+	// carved from (see rowSlab), sized for the results still to come.
+	keys []string
+	slab interp.Rows
+	left int
 }
 
 func (r *reader) fail(what string) {
@@ -143,17 +150,27 @@ func (r *reader) varint() int64 {
 }
 
 func (r *reader) string() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if uint64(len(r.b)) < n {
-		r.fail("string")
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
+	var s string
+	r.stringInto(&s)
 	return s
+}
+
+// stringInto reads a string into *last, which it leaves as it is when the
+// bytes on the wire equal it: a value the stream repeats is allocated once.
+// What *last holds is always a copy, never a view of the payload.
+func (r *reader) stringInto(last *string) {
+	n := r.uvarint()
+	if r.err == nil && uint64(len(r.b)) < n {
+		r.fail("string")
+	}
+	if r.err != nil {
+		*last = ""
+		return
+	}
+	if string(r.b[:n]) != *last {
+		*last = string(r.b[:n])
+	}
+	r.b = r.b[n:]
 }
 
 func (r *reader) byte() byte {
@@ -203,8 +220,10 @@ func (r *reader) count(what string) int {
 
 // AppendValue encodes one runtime value. The value domain is the
 // mini-language's: nil, int64, string, bool, *interp.List, interp.Row,
-// interp.Rows. Anything else is an encoding error — the front door refuses
-// to silently stringify a value the other side could not reconstruct.
+// interp.Rows — and *interp.RowSet, the columnar form a row result has inside
+// the server process, whose bytes are those of its boxed interp.Rows. Anything
+// else is an encoding error — the front door refuses to silently stringify a
+// value the other side could not reconstruct.
 func AppendValue(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
@@ -228,6 +247,8 @@ func AppendValue(b []byte, v any) ([]byte, error) {
 		return appendRow(append(b, tagRow), x)
 	case interp.Rows:
 		return appendRows(append(b, tagRows), x)
+	case *interp.RowSet:
+		return appendRowSet(append(b, tagRows), x)
 	default:
 		return nil, fmt.Errorf("net: cannot encode %T", v)
 	}
@@ -287,6 +308,37 @@ func appendRows(b []byte, rows interp.Rows) ([]byte, error) {
 	for _, row := range rows {
 		if b, err = appendRow(b, row); err != nil {
 			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// appendRowSet writes a columnar result as appendRows writes its boxed form:
+// always the shared-key-set encoding, the names in the header's precomputed
+// order, the cells straight from the typed vectors.
+func appendRowSet(b []byte, rs *interp.RowSet) ([]byte, error) {
+	b = putUvarint(b, uint64(rs.N))
+	if rs.N == 0 {
+		return b, nil
+	}
+	wire := rs.Header.Wire
+	b = putUvarint(append(b, 1), uint64(len(wire)))
+	for _, k := range wire {
+		b = putString(b, rs.Header.Names[k])
+	}
+	var err error
+	for i := rs.Lo; i < rs.Lo+rs.N; i++ {
+		for _, k := range wire {
+			switch c := &rs.Cols[k]; {
+			case c.Anys != nil:
+				if b, err = AppendValue(b, c.Anys[i]); err != nil {
+					return nil, err
+				}
+			case c.Ints != nil:
+				b = putVarint(append(b, tagInt), c.Ints[i])
+			default:
+				b = putString(append(b, tagString), c.Strs[i])
+			}
 		}
 	}
 	return b, nil
@@ -357,15 +409,11 @@ func (r *reader) rows() interp.Rows {
 	if n == 0 {
 		return interp.Rows{}
 	}
-	rows := make(interp.Rows, 0, n)
+	rows := r.rowSlab(n)
 	if r.bool() { // columnar
-		nk := r.count("columns")
-		keys := make([]string, nk)
-		for i := range keys {
-			keys[i] = r.string()
-		}
+		keys := r.columns()
 		for i := 0; i < n && r.err == nil; i++ {
-			row := make(interp.Row, nk)
+			row := make(interp.Row, len(keys))
 			for _, k := range keys {
 				row[k] = r.value()
 			}
@@ -377,6 +425,33 @@ func (r *reader) rows() interp.Rows {
 		rows = append(rows, r.row())
 	}
 	return rows
+}
+
+// columns reads a row set's column names. The bindings of a batch reply carry
+// the same names one after the other, so the slice and every name that reads
+// the same as last time are reused; no result holds the slice (a row map holds
+// the strings, which do not change).
+func (r *reader) columns() []string {
+	if nk := r.count("columns"); nk != len(r.keys) {
+		r.keys = make([]string, nk)
+	}
+	for i := range r.keys {
+		r.stringInto(&r.keys[i])
+	}
+	return r.keys
+}
+
+// rowSlab returns an empty row set with room for n rows, carved from storage
+// the reply's row sets share. A new slab is sized for the results the reply
+// still has to deliver (left, this one included) if they are all like this
+// one, but not beyond what the bytes that remain could hold.
+func (r *reader) rowSlab(n int) interp.Rows {
+	if cap(r.slab)-len(r.slab) < n {
+		r.slab = make(interp.Rows, 0, max(n, min(n*r.left, len(r.b))))
+	}
+	lo := len(r.slab)
+	r.slab = r.slab[:lo+n]
+	return r.slab[lo : lo : lo+n]
 }
 
 // --- request / response codecs ---
@@ -435,15 +510,21 @@ func appendArgs(b []byte, args []any) ([]byte, error) {
 	return b, nil
 }
 
-// header reads what appendHeader wrote.
-func (r *reader) header() (uint64, query.Request) {
+// stmtNames is the statement name and text of the last request a connection's
+// read loop decoded. A client sends the same few statements over and over, so
+// a request that repeats the last one reuses its strings.
+type stmtNames struct{ name, sql string }
+
+// header reads what appendHeader wrote, through last.
+func (r *reader) header(last *stmtNames) (uint64, query.Request) {
 	id := r.u64()
 	req := query.Request{
 		Deadline:    query.FromUnixNanos(r.varint()),
 		Consistency: query.Consistency(r.byte()),
 	}
-	req.Name = r.string()
-	req.SQL = r.string()
+	r.stringInto(&last.name)
+	r.stringInto(&last.sql)
+	req.Name, req.SQL = last.name, last.sql
 	return id, req
 }
 
@@ -478,8 +559,13 @@ func EncodeExec(reqID uint64, req query.Request) ([]byte, error) {
 
 // DecodeExec decodes a MsgExec payload.
 func DecodeExec(b []byte) (uint64, query.Request, error) {
+	var last stmtNames
+	return decodeExec(b, &last)
+}
+
+func decodeExec(b []byte, last *stmtNames) (uint64, query.Request, error) {
 	r := &reader{b: b}
-	id, req := r.header()
+	id, req := r.header(last)
 	req.Args = r.args("args")
 	return id, req, r.err
 }
@@ -504,8 +590,13 @@ func EncodeExecBatch(reqID uint64, req query.BatchRequest) ([]byte, error) {
 
 // DecodeExecBatch decodes a MsgExecBatch payload.
 func DecodeExecBatch(b []byte) (uint64, query.BatchRequest, error) {
+	var last stmtNames
+	return decodeExecBatch(b, &last)
+}
+
+func decodeExecBatch(b []byte, last *stmtNames) (uint64, query.BatchRequest, error) {
 	r := &reader{b: b}
-	id, h := r.header()
+	id, h := r.header(last)
 	req := query.BatchRequest{
 		Name: h.Name, SQL: h.SQL,
 		Consistency: h.Consistency, Deadline: h.Deadline,
@@ -557,21 +648,22 @@ func (r *reader) errSlot() error {
 	}
 }
 
-// appendResult appends the MsgResult payload for res under reqID. Info stays
-// server-side: the page/row accounting belongs to the execution stack, not
-// the client API (the front door's observable surface is value + error).
-func appendResult(b []byte, reqID uint64, res query.Result) ([]byte, error) {
+// appendResult appends the MsgResult payload for one value or error under
+// reqID. Info stays server-side: the page/row accounting belongs to the
+// execution stack, not the client API (the front door's observable surface is
+// value + error).
+func appendResult(b []byte, reqID uint64, v any, err error) ([]byte, error) {
 	b = binary.BigEndian.AppendUint64(b, reqID)
-	b = appendErr(b, res.Err)
-	if res.Err != nil {
+	b = appendErr(b, err)
+	if err != nil {
 		return b, nil
 	}
-	return AppendValue(b, res.Value)
+	return AppendValue(b, v)
 }
 
 // EncodeResult encodes one Result under reqID.
 func EncodeResult(reqID uint64, res query.Result) ([]byte, error) {
-	return appendResult(make([]byte, 0, 32), reqID, res)
+	return appendResult(make([]byte, 0, 32), reqID, res.Value, res.Err)
 }
 
 // DecodeResult decodes a MsgResult payload.
@@ -585,21 +677,21 @@ func DecodeResult(b []byte) (uint64, query.Result, error) {
 	return id, res, r.err
 }
 
-// appendBatchResult appends the MsgBatchResult payload for res under reqID.
-func appendBatchResult(b []byte, reqID uint64, res query.BatchResult) ([]byte, error) {
-	if len(res.Values) != len(res.Errs) {
-		return nil, fmt.Errorf("net: batch result shape: %d values, %d errs",
-			len(res.Values), len(res.Errs))
+// appendBatchResult appends the MsgBatchResult payload for one value or error
+// per binding under reqID.
+func appendBatchResult(b []byte, reqID uint64, values []any, errs []error) ([]byte, error) {
+	if len(values) != len(errs) {
+		return nil, fmt.Errorf("net: batch result shape: %d values, %d errs", len(values), len(errs))
 	}
 	b = binary.BigEndian.AppendUint64(b, reqID)
-	b = putUvarint(b, uint64(len(res.Values)))
+	b = putUvarint(b, uint64(len(values)))
 	var err error
-	for i := range res.Values {
-		b = appendErr(b, res.Errs[i])
-		if res.Errs[i] != nil {
+	for i := range values {
+		b = appendErr(b, errs[i])
+		if errs[i] != nil {
 			continue
 		}
-		if b, err = AppendValue(b, res.Values[i]); err != nil {
+		if b, err = AppendValue(b, values[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -608,7 +700,7 @@ func appendBatchResult(b []byte, reqID uint64, res query.BatchResult) ([]byte, e
 
 // EncodeBatchResult encodes one BatchResult under reqID.
 func EncodeBatchResult(reqID uint64, res query.BatchResult) ([]byte, error) {
-	return appendBatchResult(make([]byte, 0, 64), reqID, res)
+	return appendBatchResult(make([]byte, 0, 64), reqID, res.Values, res.Errs)
 }
 
 // DecodeBatchResult decodes a MsgBatchResult payload.
@@ -618,6 +710,7 @@ func DecodeBatchResult(b []byte) (uint64, query.BatchResult, error) {
 	n := r.count("batch result")
 	res := query.BatchResult{Values: make([]any, n), Errs: make([]error, n)}
 	for i := 0; i < n && r.err == nil; i++ {
+		r.left = n - i
 		res.Errs[i] = r.errSlot()
 		if res.Errs[i] == nil && r.err == nil {
 			res.Values[i] = r.value()
@@ -639,13 +732,14 @@ func decodeReply(msgType byte, payload []byte) (query.Reply, error) {
 }
 
 // appendReply builds, in b's storage, the whole response frame answering a
-// call of the given shape with rep.
+// call of the given shape with rep, whose row results are encoded as they are:
+// columnar from a backend that is a query.Doer, never boxed on the way.
 func appendReply(b []byte, reqID uint64, batch bool, rep *query.Reply) ([]byte, error) {
 	var err error
 	if batch {
-		b, err = appendBatchResult(beginFrame(b, MsgBatchResult), reqID, rep.BatchResult())
+		b, err = appendBatchResult(beginFrame(b, MsgBatchResult), reqID, rep.Values, rep.Errs)
 	} else {
-		b, err = appendResult(beginFrame(b, MsgResult), reqID, rep.Result())
+		b, err = appendResult(beginFrame(b, MsgResult), reqID, rep.Value, rep.Err)
 	}
 	if err != nil {
 		return nil, err
@@ -653,12 +747,13 @@ func appendReply(b []byte, reqID uint64, batch bool, rep *query.Reply) ([]byte, 
 	return finishFrame(b)
 }
 
-// decodeCall decodes a request frame of either kind.
-func decodeCall(msgType byte, payload []byte) (uint64, query.Call, error) {
+// decodeCall decodes a request frame of either kind; last is the read loop's
+// memory of the previous request's statement.
+func decodeCall(msgType byte, payload []byte, last *stmtNames) (uint64, query.Call, error) {
 	if msgType == MsgExec {
-		id, req, err := DecodeExec(payload)
+		id, req, err := decodeExec(payload, last)
 		return id, query.Call{Request: req}, err
 	}
-	id, req, err := DecodeExecBatch(payload)
+	id, req, err := decodeExecBatch(payload, last)
 	return id, query.BatchCall(req), err
 }

@@ -178,6 +178,49 @@ func TestBatchResultRoundTrip(t *testing.T) {
 	}
 }
 
+// The decoder reuses, within one reply, the column names a row set repeats and
+// carves the row sets from shared storage. Neither may show in the values:
+// row sets of differing columns and lengths, an empty one and an error in
+// between, come back as they were sent, each with exactly its own rows.
+func TestBatchResultRowSetsAreIndependent(t *testing.T) {
+	ab := func(i int) interp.Row { return interp.Row{"a": int64(i), "b": "s"} }
+	res := query.BatchResult{
+		Values: []any{
+			interp.Rows{ab(1), ab(2)},
+			interp.Rows{ab(3)},
+			interp.Rows{{"a": int64(4), "c": "other name"}},
+			nil,
+			interp.Rows{},
+			interp.Rows{ab(5), ab(6), ab(7), ab(8), ab(9)}, // outgrows the first slab
+			interp.Rows{{"z": nil}},
+			interp.Rows{{"a": int64(1)}, {"b": int64(2)}}, // row-major fallback
+			interp.Rows{ab(10)},
+		},
+		Errs: make([]error, 9),
+	}
+	res.Errs[3] = errors.New("boom")
+	payload, err := EncodeBatchResult(1, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := DecodeBatchResult(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range res.Values {
+		if !interp.Equal(got.Values[i], want) {
+			t.Errorf("binding %d: %s, want %s", i, interp.Format(got.Values[i]), interp.Format(want))
+		}
+		// Appending to one binding's rows must not reach into the next one's.
+		if rows, ok := got.Values[i].(interp.Rows); ok && cap(rows) != len(rows) {
+			t.Errorf("binding %d: %d rows with room for %d", i, len(rows), cap(rows))
+		}
+	}
+	if got.Errs[3] == nil || got.Errs[3].Error() != "boom" {
+		t.Errorf("binding 3: error %v, want boom", got.Errs[3])
+	}
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, MsgExec, []byte("payload")); err != nil {

@@ -13,13 +13,15 @@
 // cross-cutting field (deadlines were the forcing case) costs one struct
 // field instead of doubling an Exec* surface.
 //
-// The package is a leaf: it depends only on obs (spans) and sqlmini
-// (ExecInfo), so every layer can import it without cycles.
+// The package is a leaf: it depends only on obs (spans), sqlmini (ExecInfo)
+// and interp (the value vocabulary), so every layer can import it without
+// cycles.
 package query
 
 import (
 	"errors"
 
+	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/sqlmini"
 )
@@ -181,6 +183,15 @@ type Executor interface {
 	ExecBatch(req BatchRequest) BatchResult
 }
 
+// Doer is the form in which the execution layers call each other: the call
+// and its reply by pointer, either shape, and a row result left columnar
+// (*interp.RowSet) on its way to the wire. rep must be the zero Reply. The
+// server, the replica group and the shard router implement it behind their
+// Exec/ExecBatch, which are Do followed by the reply's Result/BatchResult.
+type Doer interface {
+	Do(c *Call, rep *Reply)
+}
+
 // Call is one submission of either shape, so that a layer can state each
 // request-path decision once and have both Exec and ExecBatch run it. A
 // single call binds Args; a batch call binds ArgSets, which is non-nil even
@@ -225,9 +236,14 @@ func (c Call) Units() int {
 	return 1
 }
 
-// On submits the call to e through the entry point matching its shape and
-// stores the outcome in rep.
+// On submits the call to e and stores the outcome in rep: through Do when e
+// has it, else through the public entry point matching the call's shape (a
+// test fake or a tracing shim wraps only those).
 func (c *Call) On(e Executor, rep *Reply) {
+	if d, ok := e.(Doer); ok {
+		d.Do(c, rep)
+		return
+	}
 	if !c.Batch() {
 		res := e.Exec(c.Request)
 		*rep = Reply{Value: res.Value, Err: res.Err, Info: res.Info}
@@ -253,7 +269,8 @@ func (c *Call) Fail(err error, rep *Reply) {
 
 // Reply is the outcome of a Call: Value/Err answer a single call,
 // Values/Errs (one slot per binding) a batch call; Info is the backend's
-// accounting for either.
+// accounting for either. A row result is a *interp.RowSet when the call was
+// served by a Doer, interp.Rows when it came through Exec/ExecBatch.
 type Reply struct {
 	Value  any
 	Err    error
@@ -262,12 +279,27 @@ type Reply struct {
 	Info   sqlmini.ExecInfo
 }
 
-// Result is the reply to a single call in the public Exec shape.
-func (r *Reply) Result() Result { return Result{Value: r.Value, Err: r.Err, Info: r.Info} }
+// Result is the reply to a single call in the public Exec shape. Together
+// with BatchResult it is the one place a columnar row result is boxed into the
+// interpreter's interp.Rows.
+func (r *Reply) Result() Result {
+	return Result{Value: boxed(r.Value), Err: r.Err, Info: r.Info}
+}
 
-// BatchResult is the reply to a batch call in the public ExecBatch shape.
+// BatchResult is the reply to a batch call in the public ExecBatch shape; it
+// boxes the reply's row results in place.
 func (r *Reply) BatchResult() BatchResult {
+	for i, v := range r.Values {
+		r.Values[i] = boxed(v)
+	}
 	return BatchResult{Values: r.Values, Errs: r.Errs, Info: r.Info}
+}
+
+func boxed(v any) any {
+	if rs, ok := v.(*interp.RowSet); ok {
+		return rs.Rows()
+	}
+	return v
 }
 
 // FirstErr returns the reply's first error in binding order, or nil.

@@ -692,7 +692,7 @@ func (g *Group) bumpServed(lsn int64) {
 // ordered-apply contract).
 func (g *Group) Exec(req query.Request) query.Result {
 	c, rep := query.Call{Request: req}, query.Reply{}
-	g.do(&c, &rep)
+	g.Do(&c, &rep)
 	return rep.Result()
 }
 
@@ -704,13 +704,14 @@ func (g *Group) Exec(req query.Request) query.Result {
 // it).
 func (g *Group) ExecBatch(req query.BatchRequest) query.BatchResult {
 	c, rep := query.BatchCall(req), query.Reply{}
-	g.do(&c, &rep)
+	g.Do(&c, &rep)
 	return rep.BatchResult()
 }
 
-// do splits reads from writes for a call of either shape. Malformed
+// Do splits reads from writes for a call of either shape (query.Doer: the
+// serving copy's reply is handed up as it is, row results columnar). Malformed
 // statements take the read path: their error text is identical on every copy.
-func (g *Group) do(c *query.Call, rep *query.Reply) {
+func (g *Group) Do(c *query.Call, rep *query.Reply) {
 	if st, err := g.prep.Prepare(c.SQL); err == nil && st.Insert {
 		g.write(c, rep)
 		return
@@ -747,7 +748,7 @@ func (g *Group) read(c *query.Call, min int64, rep *query.Reply) {
 		a := attempt{at: at, hedged: hedged}
 		leg := sub // a copy: hedge lanes run concurrently, each with its own span
 		leg.Span = rd
-		leg.On(g.replica(i), &a.rep)
+		g.replica(i).Do(&leg, &a.rep)
 		rd.End()
 		st.inflight.Add(-1)
 		// The server fails a whole call before executing any binding, so a
@@ -777,7 +778,7 @@ func (g *Group) read(c *query.Call, min int64, rep *query.Reply) {
 	rd.SetDetail("primary")
 	leg := sub // sub itself stays unassigned, so the attempt closure holds it by value
 	leg.Span = rd
-	leg.On(p, rep)
+	p.Do(&leg, rep)
 	rd.End()
 	g.noteServed(c.Session, at)
 }
@@ -820,7 +821,7 @@ func (g *Group) write(c *query.Call, rep *query.Reply) {
 		Request: query.Request{Name: c.Name, SQL: c.SQL, Args: c.Args, Span: sp},
 		ArgSets: c.ArgSets,
 	}
-	sub.On(p, rep)
+	p.Do(&sub, rep)
 	var committed [][]any
 	if !c.Batch() {
 		if rep.Err == nil {

@@ -1,0 +1,58 @@
+// The race detector makes sync.Pool drop a quarter of what is Put, so the
+// executor's pooled scratch is reallocated and the count below does not hold
+// under it.
+
+//go:build !race
+
+package server
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/interp"
+	"repro/internal/query"
+	"repro/internal/storage"
+)
+
+// TestBatchAllocations pins what a 64-binding point-select sub-batch costs the
+// heap on one server: the result and error slots, and one columnar block for
+// the whole batch — its column list, a vector per column, and the 64 views the
+// bindings' results are: six objects. (With a row map per binding and a box
+// per cell it was 449, seven a binding.)
+func TestBatchAllocations(t *testing.T) {
+	s := New(SYS1(), 0)
+	t.Cleanup(s.Close)
+	users := s.Catalog().CreateTable("users", storage.NewSchema(
+		storage.Column{Name: "uid", Type: storage.TInt},
+		storage.Column{Name: "nickname", Type: storage.TString},
+		storage.Column{Name: "rating", Type: storage.TInt},
+	))
+	for i := int64(0); i < 1000; i++ {
+		if _, err := users.Insert([]any{i, fmt.Sprintf("user%d", i), 10000 + i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.FinishLoad()
+	if err := s.AddIndex("users", "uid", true); err != nil {
+		t.Fatal(err)
+	}
+	sets := make([][]any, 64)
+	for i := range sets {
+		sets[i] = []any{int64(i * 13)}
+	}
+	call := query.BatchCall(query.BatchReq("point", "select nickname, rating from users where uid = ?", sets))
+	c, rep := &call, new(query.Reply)
+	got := testing.AllocsPerRun(200, func() {
+		*rep = query.Reply{}
+		s.Do(c, rep)
+	})
+	for i, v := range rep.Values {
+		if rs, ok := v.(*interp.RowSet); rep.Errs[i] != nil || !ok || rs.N != 1 {
+			t.Fatalf("binding %d answered %v, %v; want a 1-row *interp.RowSet", i, v, rep.Errs[i])
+		}
+	}
+	if got > 6 {
+		t.Errorf("a 64-binding batch allocates %.2f objects, want at most 6", got)
+	}
+}

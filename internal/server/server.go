@@ -296,7 +296,7 @@ func (s *Server) ColdStart() { s.pool.Reset() }
 // restore the global row order.
 func (s *Server) Exec(req query.Request) query.Result {
 	c, rep := query.Call{Request: req}, query.Reply{}
-	s.exec(&c, &rep)
+	s.Do(&c, &rep)
 	return rep.Result()
 }
 
@@ -312,17 +312,18 @@ func (s *Server) Exec(req query.Request) query.Result {
 // charge do; the deadline semantics match Exec, applied batch-wide.
 func (s *Server) ExecBatch(req query.BatchRequest) query.BatchResult {
 	c, rep := query.BatchCall(req), query.Reply{}
-	s.exec(&c, &rep)
+	s.Do(&c, &rep)
 	return rep.BatchResult()
 }
 
-// exec is the one admission-execute-charge sequence behind both shapes:
+// Do is the one admission-execute-charge sequence behind both shapes
+// (query.Doer; a row result stays a *interp.RowSet, which Exec/ExecBatch box):
 // round trip (paid and counted whether or not the statement succeeds),
 // deadline, injected fault, prepare; the IO phase on the shape's sqlmini
 // kernel; then the CPU charge and the activity counters. A call none of
 // whose bindings succeeded charges no CPU and counts nothing beyond its
 // round trip, like that many failing per-query calls.
-func (s *Server) exec(c *query.Call, rep *query.Reply) {
+func (s *Server) Do(c *query.Call, rep *query.Reply) {
 	name := "server.exec"
 	if c.Batch() {
 		name = "server.execbatch"

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -66,6 +67,17 @@ type RangeEntry struct {
 type Ranges struct {
 	entries []RangeEntry
 	gen     int64
+	owners  []int // sorted distinct owners, computed when the snapshot is built
+}
+
+// newRanges builds the snapshot over entries at generation gen.
+func newRanges(entries []RangeEntry, gen int64) *Ranges {
+	owners := make([]int, 0, len(entries))
+	for _, e := range entries {
+		owners = append(owners, e.Owner)
+	}
+	slices.Sort(owners)
+	return &Ranges{entries: entries, gen: gen, owners: slices.Compact(owners)}
 }
 
 // NewRanges builds the generation-0 map of a fresh n-way cluster: shard i
@@ -79,7 +91,7 @@ func NewRanges(n int) *Ranges {
 	for i := range entries {
 		entries[i] = RangeEntry{Start: rangeBoundary(i, n), Owner: i}
 	}
-	return &Ranges{entries: entries}
+	return newRanges(entries, 0)
 }
 
 // Generation returns the number of Split/Merge steps this map is away from
@@ -105,19 +117,9 @@ func (rg *Ranges) Owner(h uint64) int {
 func (rg *Ranges) OwnerOf(v any) int { return rg.Owner(Hash64(v)) }
 
 // Owners returns the sorted distinct backend indices that own at least one
-// range — the scatter target set.
-func (rg *Ranges) Owners() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, e := range rg.entries {
-		if !seen[e.Owner] {
-			seen[e.Owner] = true
-			out = append(out, e.Owner)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
+// range — the scatter target set. The slice belongs to the snapshot: callers
+// must not modify it.
+func (rg *Ranges) Owners() []int { return rg.owners }
 
 // Owns reports whether backend s owns at least one range.
 func (rg *Ranges) Owns(s int) bool {
@@ -172,7 +174,7 @@ func (rg *Ranges) Split(owner, newOwner int) (*Ranges, uint64, error) {
 	entries = append(entries, rg.entries[:widest+1]...)
 	entries = append(entries, RangeEntry{Start: mid, Owner: newOwner})
 	entries = append(entries, rg.entries[widest+1:]...)
-	return &Ranges{entries: entries, gen: rg.gen + 1}, mid, nil
+	return newRanges(entries, rg.gen+1), mid, nil
 }
 
 // Merge reassigns every range owned by b to a, coalescing adjacent
@@ -197,7 +199,7 @@ func (rg *Ranges) Merge(a, b int) (*Ranges, int, error) {
 	if moved == 0 {
 		return nil, 0, fmt.Errorf("shard: merge: shard %d owns no range", b)
 	}
-	return &Ranges{entries: entries, gen: rg.gen + 1}, moved, nil
+	return newRanges(entries, rg.gen+1), moved, nil
 }
 
 // Validate checks the structural invariants the router depends on: a

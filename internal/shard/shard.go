@@ -23,8 +23,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -390,45 +391,52 @@ func (r *Router) route(st *sqlmini.Stmt, ti *tableInfo, args []any) (dest int, k
 	}
 }
 
-// dispatch sends one call to shard i: the call is re-scoped with the shard's
+// dispatch sends one call to shard i, re-scoped for the leg with the shard's
 // span child ("shard.exec" / "shard.batch", labelled with the shard) and the
 // session's per-shard child; deadline and consistency pass through verbatim.
+// The call is re-scoped in place and put back: a copy would have to live on
+// the heap, because the backend is called through an interface.
 func (r *Router) dispatch(c *query.Call, i int, rep *query.Reply) {
 	what := "shard.exec"
 	if c.Batch() {
 		what = "shard.batch"
 	}
-	sp := c.Span.Child(what)
+	span, sess := c.Span, c.Session
+	sp := span.Child(what)
 	sp.SetDetail(obs.ShardLabel(i))
-	defer sp.End()
-	leg := *c
-	leg.Span = sp
-	leg.Session = c.Session.Sub(i)
-	leg.On(r.backends[i], rep)
+	c.Span, c.Session = sp, sess.Sub(i)
+	c.On(r.backends[i], rep)
+	c.Span, c.Session = span, sess
+	sp.End()
+}
+
+// fanLeg is one leg of a fan-out: its own copy of the call, and its reply.
+type fanLeg struct {
+	call query.Call
+	rep  query.Reply
 }
 
 // fanout dispatches one call to several shards in parallel: leg k goes to
 // shard targets[k], carrying subs[k] in place of the call's own bindings
 // when subs is given (ExecBatch's per-shard sub-batches). Span.Child is
 // concurrency-safe, so each leg hangs its own child off the call's span.
-func (r *Router) fanout(c *query.Call, targets []int, subs [][][]any) []query.Reply {
-	out := make([]query.Reply, len(targets))
+func (r *Router) fanout(c *query.Call, targets []int, subs [][][]any) []fanLeg {
+	legs := make([]fanLeg, len(targets))
 	var wg sync.WaitGroup
 	for k, s := range targets {
+		legs[k].call = *c
+		if subs != nil {
+			legs[k].call.ArgSets = subs[k]
+		}
 		wg.Add(1)
-		// The call rides to its goroutine as an argument, by value: a
-		// captured pointer would move the caller's Call to the heap.
-		go func(k, s int, leg query.Call) {
+		go func(leg *fanLeg, s int) {
 			defer wg.Done()
 			query.GrowStack()
-			if subs != nil {
-				leg.ArgSets = subs[k]
-			}
-			r.dispatch(&leg, s, &out[k])
-		}(k, s, *c)
+			r.dispatch(&leg.call, s, &leg.rep)
+		}(&legs[k], s)
 	}
 	wg.Wait()
-	return out
+	return legs
 }
 
 // broadcast runs a replicated-table write on every shard so the copies stay
@@ -440,9 +448,10 @@ func (r *Router) broadcast(c *query.Call, table string, rep *query.Reply) {
 	for i := range all {
 		all[i] = i
 	}
-	out := r.fanout(c, all, nil)
-	*rep = out[0]
-	for _, o := range out[1:] {
+	legs := r.fanout(c, all, nil)
+	*rep = legs[0].rep
+	for k := range legs[1:] {
+		o := &legs[1+k].rep
 		if rep.Err == nil && o.Err != nil {
 			rep.Value, rep.Err = nil, o.Err
 		}
@@ -491,11 +500,21 @@ func (r *Router) noteInsert(ti *tableInfo, table string, s, rid int) {
 // to RTT, I/O, CPU and WAL commit. The whole call holds the migration read
 // lock, so a routing flip never lands mid-statement.
 func (r *Router) Exec(req query.Request) query.Result {
+	c, rep := query.Call{Request: req}, query.Reply{}
+	r.Do(&c, &rep)
+	return rep.Result()
+}
+
+// Do routes a call of either shape (query.Doer): what Exec and ExecBatch do,
+// with row results — a shard's own, or the scatter merge's — left columnar.
+func (r *Router) Do(c *query.Call, rep *query.Reply) {
 	r.mig.RLock()
 	defer r.mig.RUnlock()
-	c, rep := query.Call{Request: req}, query.Reply{}
-	r.exec(&c, &rep)
-	return rep.Result()
+	if c.Batch() {
+		r.execBatch(c, rep)
+	} else {
+		r.exec(c, rep)
+	}
 }
 
 func (r *Router) exec(c *query.Call, rep *query.Reply) {
@@ -593,34 +612,32 @@ func (r *Router) scatter(c *query.Call, st *sqlmini.Stmt, ti *tableInfo) (any, e
 	} else if skipped := len(owners) - len(targets); skipped > 0 {
 		r.pruned.Add(int64(skipped))
 	}
-	res := r.fanout(c, targets, nil)
+	legs := r.fanout(c, targets, nil)
 	// Validation errors are schema-determined and the schema is identical on
 	// every shard, so all shards fail alike; data-dependent errors (bad
 	// aggregate column type) fire on whichever shard holds a matching row.
 	// Either way any non-nil error is the single-server error.
-	vals := make([]any, len(res))
-	infos := make([]sqlmini.ExecInfo, len(res))
-	for k, re := range res {
-		if re.Err != nil {
-			return nil, re.Err
+	for k := range legs {
+		if err := legs[k].rep.Err; err != nil {
+			return nil, err
 		}
-		vals[k], infos[k] = re.Value, re.Info
 	}
 	if st.Agg != sqlmini.AggNone {
-		return mergeAgg(st.Agg, vals)
+		return mergeAgg(st.Agg, legs)
 	}
-	return mergeRows(ti, targets, vals, infos), nil
+	return mergeRows(ti, targets, legs)
 }
 
 // mergeAgg combines per-shard aggregates. COUNT and SUM add (both are 0 on
 // an empty shard, the single-server empty result); MAX and MIN compare the
 // non-nil partials and return nil — the single-server no-match result — when
 // every shard came up empty.
-func mergeAgg(kind sqlmini.AggKind, vals []any) (any, error) {
+func mergeAgg(kind sqlmini.AggKind, legs []fanLeg) (any, error) {
 	switch kind {
 	case sqlmini.AggCount, sqlmini.AggSum:
 		var total int64
-		for _, v := range vals {
+		for k := range legs {
+			v := legs[k].rep.Value
 			n, ok := v.(int64)
 			if !ok {
 				return nil, fmt.Errorf("shard: aggregate merge: unexpected partial %T", v)
@@ -631,7 +648,8 @@ func mergeAgg(kind sqlmini.AggKind, vals []any) (any, error) {
 	case sqlmini.AggMax, sqlmini.AggMin:
 		var best int64
 		have := false
-		for _, v := range vals {
+		for k := range legs {
+			v := legs[k].rep.Value
 			if v == nil {
 				continue
 			}
@@ -655,39 +673,100 @@ func mergeAgg(kind sqlmini.AggKind, vals []any) (any, error) {
 // mergeRows interleaves per-shard row results back into global row order.
 // Each shard returns its matches in ascending local rid order; the table's
 // global map translates (shard, local rid) into the original load order, so
-// the merged slice is byte-identical to the single-server result. targets
-// names the shard each partial came from (a pruned scatter visits a subset).
-func mergeRows(ti *tableInfo, targets []int, vals []any, infos []sqlmini.ExecInfo) interp.Rows {
-	type tagged struct {
-		pos, shard int
-		row        interp.Row
-	}
-	var all []tagged
-	for k, v := range vals {
-		s := targets[k]
-		rows, _ := v.(interp.Rows)
-		matched := infos[k].Matched
-		for j, row := range rows {
-			// finish() guarantees one matched rid per returned row; the
+// the merged result is byte-identical to the single-server result. targets
+// names the shard each leg went to (a pruned scatter visits a subset), in
+// ascending order. The merge is a typed gather: the legs' columnar results are
+// read in place, (leg, row) pairs are sorted by global position, and every
+// cell is copied once into the merged columns. A backend that only has the
+// public Exec answers in interp.Rows, which is lifted first: there is one merge.
+func mergeRows(ti *tableInfo, targets []int, legs []fanLeg) (any, error) {
+	type ref struct{ pos, leg, row int }
+	var buf [32]ref // the usual merge is a few rows: sort it on the stack
+	order := buf[:0]
+	part := func(leg int) *interp.RowSet { return legs[leg].rep.Value.(*interp.RowSet) }
+	var shape *interp.RowSet // the first leg with rows: the result has its columns
+	for k := range legs {
+		rep := &legs[k].rep
+		if rows, ok := rep.Value.(interp.Rows); ok {
+			if rep.Value, ok = interp.LiftRows(rows); !ok {
+				return nil, fmt.Errorf("shard: row merge: shard %d returned rows of differing columns", targets[k])
+			}
+		}
+		rs, ok := rep.Value.(*interp.RowSet)
+		if !ok {
+			return nil, fmt.Errorf("shard: row merge: unexpected partial %T", rep.Value)
+		}
+		if rs.N == 0 {
+			continue
+		}
+		if shape == nil {
+			shape = rs
+		}
+		// Legs run one statement on one schema, so they agree on the columns;
+		// a lifted leg may list them in another order, so columns are paired
+		// through the headers' name order.
+		if rs.Header != shape.Header && !slices.EqualFunc(rs.Header.Wire, shape.Header.Wire, func(a, b int) bool {
+			return rs.Header.Names[a] == shape.Header.Names[b]
+		}) {
+			return nil, fmt.Errorf("shard: row merge: shard %d returned columns %v, want %v",
+				targets[k], rs.Header.Names, shape.Header.Names)
+		}
+		for j := 0; j < rs.N; j++ {
+			// The executor reports one matched rid per returned row; the
 			// defensive branch keeps a malformed trace deterministic.
 			rid := j
-			if j < len(matched) {
+			if matched := rep.Info.Matched; j < len(matched) {
 				rid = matched[j]
 			}
-			all = append(all, tagged{pos: ti.globalPos(s, rid), shard: s, row: row})
+			order = append(order, ref{pos: ti.globalPos(targets[k], rid), leg: k, row: rs.Lo + j})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].pos != all[j].pos {
-			return all[i].pos < all[j].pos
+	if shape == nil {
+		return part(0), nil
+	}
+	slices.SortFunc(order, func(a, b ref) int {
+		if a.pos != b.pos {
+			return cmp.Compare(a.pos, b.pos)
 		}
-		return all[i].shard < all[j].shard
+		return cmp.Compare(a.leg, b.leg)
 	})
-	out := make(interp.Rows, len(all))
-	for i, t := range all {
-		out[i] = t.row
+
+	n := len(order)
+	cols := make([]interp.RowCol, len(shape.Cols))
+	var sbuf [8]*interp.RowCol
+	for w, k := range shape.Header.Wire {
+		// The column in each leg that has rows. The merged column keeps a
+		// typed vector when all of them have it in that form, and holds boxed
+		// cells otherwise.
+		src := sbuf[:0]
+		ints, strs := true, true
+		for leg := range legs {
+			var c *interp.RowCol
+			if rs := part(leg); rs.N > 0 {
+				c = &rs.Cols[rs.Header.Wire[w]]
+				ints, strs = ints && c.Ints != nil, strs && c.Strs != nil
+			}
+			src = append(src, c)
+		}
+		switch {
+		case ints:
+			cols[k].Ints = make([]int64, n)
+			for i, o := range order {
+				cols[k].Ints[i] = src[o.leg].Ints[o.row]
+			}
+		case strs:
+			cols[k].Strs = make([]string, n)
+			for i, o := range order {
+				cols[k].Strs[i] = src[o.leg].Strs[o.row]
+			}
+		default:
+			cols[k].Anys = make([]any, n)
+			for i, o := range order {
+				cols[k].Anys[i] = src[o.leg].Cell(o.row)
+			}
+		}
 	}
-	return out
+	return &interp.RowSet{Header: shape.Header, Cols: cols, N: n}, nil
 }
 
 // ExecBatch splits a set-oriented submission into per-shard sub-batches that
@@ -699,10 +778,8 @@ func mergeRows(ti *tableInfo, targets []int, vals []any, infos []sqlmini.ExecInf
 // request's span, scatter fallbacks hang "shard.exec" legs; session,
 // deadline and consistency fan out with them.
 func (r *Router) ExecBatch(req query.BatchRequest) query.BatchResult {
-	r.mig.RLock()
-	defer r.mig.RUnlock()
 	c, rep := query.BatchCall(req), query.Reply{}
-	r.execBatch(&c, &rep)
+	r.Do(&c, &rep)
 	return rep.BatchResult()
 }
 
@@ -763,7 +840,7 @@ func (r *Router) execBatch(c *query.Call, rep *query.Reply) {
 		if d < 0 {
 			continue
 		}
-		o, j := &out[leg[d]], counts[d]
+		o, j := &out[leg[d]].rep, counts[d]
 		counts[d]++
 		if j < len(o.Values) {
 			vals[i] = o.Values[j]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"repro/internal/query"
+	"slices"
 	"testing"
 
 	"repro/internal/interp"
@@ -597,5 +598,83 @@ func TestScatterPrunesBySecondaryIndexStats(t *testing.T) {
 
 	if r.ScatterPruned() == 0 {
 		t.Fatal("planner recorded no pruned executions")
+	}
+}
+
+// TestPrunedScatterLeavesOwnersAlone: the owner list is computed once per
+// range snapshot and shared by every scatter; pruning narrows a copy. Scatters
+// that prune to a subset, to one representative and not at all must leave the
+// snapshot's list as it was.
+func TestPrunedScatterLeavesOwnersAlone(t *testing.T) {
+	ref, r := newFixture(t, 4)
+	rg := r.Ranges()
+	before := slices.Clone(rg.Owners())
+	if !slices.Equal(before, []int{0, 1, 2, 3}) {
+		t.Fatalf("owners of a fresh 4-way map: %v", before)
+	}
+	for _, q := range []struct {
+		sql  string
+		args []any
+	}{
+		{"select uid from users where grp = ?", []any{int64(3)}},   // prunes to the shards holding grp 3
+		{"select uid from users where grp = ?", []any{int64(888)}}, // prunes to one representative
+		{"select uid from users where name = ?", []any{"u1"}},      // no statistics: no pruning
+		{"select uid from users where grp = ? and uid = ?", []any{int64(3), int64(-1)}},
+	} {
+		want, wantErr := ref.Exec(query.Req("q", q.sql, q.args)).Pair()
+		got, gotErr := r.Exec(query.Req("q", q.sql, q.args)).Pair()
+		same(t, q.sql, want, got, wantErr, gotErr)
+		if after := rg.Owners(); !slices.Equal(after, before) {
+			t.Fatalf("%s: snapshot owners %v, were %v", q.sql, after, before)
+		}
+	}
+	if a, b := rg.Owners(), rg.Owners(); &a[0] != &b[0] {
+		t.Fatal("Owners must hand out the snapshot's list, not build one per call")
+	}
+}
+
+// publicOnly is a backend that offers the router only the public Exec and
+// ExecBatch, as a tracing shim or a test fake does (embedding the interface
+// hides the server's Do): its row results arrive boxed.
+type publicOnly struct{ Backend }
+
+// TestScatterMergesBoxedAndColumnarLegs: a leg that answers in interp.Rows is
+// lifted into the one merge, next to legs that answer columnar — whose column
+// order (the select list's) differs from a lifted leg's (by name).
+func TestScatterMergesBoxedAndColumnarLegs(t *testing.T) {
+	ref, _ := newFixture(t, 1)
+	backends := []Backend{
+		publicOnly{server.New(server.SYS1(), 0)},
+		server.New(server.SYS1(), 0),
+		publicOnly{server.New(server.SYS1(), 0)},
+	}
+	r := NewWithBackends(backends, fixtureKeys())
+	t.Cleanup(r.Close)
+	if err := r.LoadFrom(ref); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		sql  string
+		args []any
+	}{
+		{"select uid, name from users where grp = ?", []any{int64(5)}},
+		{"select name, uid, name from users where grp = ?", []any{int64(5)}},
+		{"select * from users where grp = ?", []any{int64(11)}},
+		{"select * from users", nil},
+		{"select uid from users where grp = ?", []any{int64(999)}},
+		{"select eid, tag from empty", nil},
+		{"select count(uid) from users where grp = ?", []any{int64(5)}},
+		{"select nosuch from users where grp = ?", []any{int64(5)}},
+	} {
+		want, wantErr := ref.Exec(query.Req("q", q.sql, q.args)).Pair()
+		got, gotErr := r.Exec(query.Req("q", q.sql, q.args)).Pair()
+		same(t, q.sql, want, got, wantErr, gotErr)
+	}
+	argSets := [][]any{{int64(5)}, {int64(999)}, {int64(0)}}
+	const q = "select name, uid from users where grp = ?"
+	wantVals, wantErrs := ref.ExecBatch(query.BatchReq("q", q, argSets)).Pair()
+	gotVals, gotErrs := r.ExecBatch(query.BatchReq("q", q, argSets)).Pair()
+	for i := range argSets {
+		same(t, fmt.Sprintf("batch binding %d", i), wantVals[i], gotVals[i], wantErrs[i], gotErrs[i])
 	}
 }

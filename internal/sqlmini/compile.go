@@ -11,20 +11,29 @@ package sqlmini
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/interp"
 	"repro/internal/storage"
 )
 
 // stmtPlan is the per-(Stmt, Table) schema resolution: column positions for
-// the WHERE predicates, the select list, and the aggregate argument.
-// Unknown columns resolve to -1 and surface the same errors, at the same
-// points, as the uncompiled evaluator did.
+// the WHERE predicates, the projection, and the aggregate argument. Unknown
+// columns resolve to -1 and surface the same errors, at the same points, as
+// the uncompiled evaluator did.
 type stmtPlan struct {
 	table   *storage.Table
 	whereCI []int // schema position per WHERE predicate, -1 = unknown
-	selCI   []int // schema position per selected column (nil for * or aggregate)
-	star    bool
-	aggCI   int // aggregate column position, -1 = unknown or COUNT(*)
+	aggCI   int   // aggregate column position, -1 = unknown or COUNT(*)
+
+	// The projection of a row select (nil for an aggregate): the result
+	// header, the schema position of each header column, the result of a
+	// binding that matched nothing, and the error a binding that matched
+	// something gets when the select list names an unknown column.
+	hdr    *interp.RowHeader
+	cols   []int
+	none   *interp.RowSet
+	selErr error
 }
 
 // planFor returns the cached plan for t, compiling it on first use. Stmts
@@ -40,19 +49,39 @@ func (st *Stmt) planFor(t *storage.Table) *stmtPlan {
 	for i, c := range st.Where {
 		p.whereCI[i] = t.Schema.ColIndex(c.Col)
 	}
-	switch {
-	case st.Agg != AggNone:
+	if st.Agg != AggNone {
 		p.aggCI = t.Schema.ColIndex(st.AggCol)
-	case len(st.Cols) == 1 && st.Cols[0] == "*":
-		p.star = true
-	default:
-		p.selCI = make([]int, len(st.Cols))
-		for i, c := range st.Cols {
-			p.selCI[i] = t.Schema.ColIndex(c)
-		}
+	} else {
+		p.project(st, t)
 	}
 	st.plan.Store(p)
 	return p
+}
+
+// project resolves the select list. A row is keyed by column name, so a name
+// listed twice is one column of the result, as it was one key of the row map.
+func (p *stmtPlan) project(st *Stmt, t *storage.Table) {
+	list := st.Cols
+	if len(list) == 1 && list[0] == "*" {
+		list = make([]string, len(t.Schema.Cols))
+		for i, c := range t.Schema.Cols {
+			list[i] = c.Name
+		}
+	}
+	names := make([]string, 0, len(list))
+	for _, name := range list {
+		if slices.Contains(names, name) {
+			continue
+		}
+		ci := t.Schema.ColIndex(name)
+		if ci < 0 && p.selErr == nil {
+			p.selErr = fmt.Errorf("sqlmini: %s: no column %q", st.Table, name)
+		}
+		names = append(names, name)
+		p.cols = append(p.cols, ci)
+	}
+	p.hdr = interp.NewRowHeader(names)
+	p.none = &interp.RowSet{Header: p.hdr}
 }
 
 // condFilter is one binding's residual filter, specialized by column type:

@@ -45,6 +45,7 @@ type scratch struct {
 	filt    condFilter
 	filters []condFilter
 	matched []int
+	offs    []int
 	pages   []int
 	pages2  []int
 	rids    [][]int
@@ -87,8 +88,12 @@ func (sc *scratch) filtersFor(n int) []condFilter {
 
 // Execute runs a parsed statement against the catalog, driving page accesses
 // through the buffer pool (which charges simulated disk time on misses).
-// Results use the interpreter's value vocabulary: aggregates return int64,
-// column selects return interp.Rows, inserts return the inserted row count.
+// Aggregates return int64 and inserts the inserted row count, in the
+// interpreter's value vocabulary. A column select returns a *interp.RowSet:
+// the columnar result that travels unopened through the server, the replica
+// group, the shard merge and the wire encoder. It is boxed into interp.Rows in
+// one place only, query.Reply's Result/BatchResult, which the public
+// Exec/ExecBatch of every layer return through.
 func Execute(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, args []any) (any, ExecInfo, error) {
 	var info ExecInfo
 	t := cat.Table(st.Table)
@@ -155,8 +160,19 @@ func Execute(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, args []any) (any
 	}
 	info.Matched = matched
 
-	v, err := emit(st, plan, &sc.view, matched, &info)
-	return v, info, err
+	if st.Agg != AggNone {
+		info.RowsReturned = 1
+		v, err := aggregate(st, plan, &sc.view, matched)
+		return v, info, err
+	}
+	if len(matched) == 0 {
+		return plan.none, info, nil
+	}
+	if plan.selErr != nil {
+		return nil, info, plan.selErr
+	}
+	info.RowsReturned = len(matched)
+	return &interp.RowSet{Header: plan.hdr, Cols: emit(plan, &sc.view, matched), N: len(matched)}, info, nil
 }
 
 // ExecuteBatch evaluates one parameterized statement against a set of
@@ -279,30 +295,57 @@ func ExecuteBatch(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSets [][
 		scanN = sc.view.NumRows
 	}
 
+	// Every binding's matches go into one buffer (offs[i] is where binding
+	// i's start), so a row select projects the whole batch at once.
+	sc.matched = sc.matched[:0]
+	sc.offs = sc.offs[:0]
 	for i := range argSets {
+		sc.offs = append(sc.offs, len(sc.matched))
 		if errs[i] != nil {
 			continue
 		}
 		filters[i].bind(st, plan, &sc.view, argSets[i])
-		var info ExecInfo
-		sc.matched = sc.matched[:0]
+		examined := scanN
 		if driver >= 0 {
-			cand := sc.rids[i]
-			info.RowsExamined = len(cand)
-			sc.matched = filters[i].appendMatches(sc.matched, cand)
+			examined = len(sc.rids[i])
+			sc.matched = filters[i].appendMatches(sc.matched, sc.rids[i])
 		} else {
-			info.RowsExamined = scanN
 			sc.matched = filters[i].appendScanMatches(sc.matched, scanN)
 		}
-		results[i], errs[i] = emit(st, plan, &sc.view, sc.matched, &info)
+		mine := sc.matched[sc.offs[i]:]
+		returned := len(mine)
+		if st.Agg != AggNone {
+			returned = 1
+			results[i], errs[i] = aggregate(st, plan, &sc.view, mine)
+		} else if returned > 0 {
+			errs[i] = plan.selErr
+		}
 		if errs[i] != nil {
 			// A failing per-query execution charges nothing (Exec returns
 			// before its stat update and CPU phase); keep the batch's
 			// row accounting symmetric.
+			sc.matched = sc.matched[:sc.offs[i]]
 			continue
 		}
-		agg.RowsExamined += info.RowsExamined
-		agg.RowsReturned += info.RowsReturned
+		agg.RowsExamined += examined
+		agg.RowsReturned += returned
+	}
+	if st.Agg != AggNone {
+		return results, errs, agg
+	}
+	// One block for the batch; each binding's result is its view of it.
+	var cols []interp.RowCol
+	if len(sc.matched) > 0 {
+		cols = emit(plan, &sc.view, sc.matched)
+	}
+	sc.offs = append(sc.offs, len(sc.matched))
+	views := make([]interp.RowSet, n)
+	for i := range views {
+		if errs[i] == nil {
+			lo := sc.offs[i]
+			views[i] = interp.RowSet{Header: plan.hdr, Cols: cols, Lo: lo, N: sc.offs[i+1] - lo}
+			results[i] = &views[i]
+		}
 	}
 	return results, errs, agg
 }
@@ -343,39 +386,37 @@ func executeInsert(st *Stmt, t *storage.Table, pool *buffer.Pool, args []any, in
 	return int64(1), *info, nil
 }
 
-// emit applies the projection or aggregate to the matched rows. It is shared
-// by the per-query and batched paths so their observable results cannot
-// diverge. matched may be pooled scratch; emit only reads it.
-func emit(st *Stmt, plan *stmtPlan, view *storage.View, matched []int, info *ExecInfo) (any, error) {
-	if st.Agg != AggNone {
-		v, err := aggregate(st, plan, view, matched)
-		info.RowsReturned = 1
-		return v, err
-	}
-	cols := view.Cols
-	out := make(interp.Rows, 0, len(matched))
-	if plan.star {
-		for _, rid := range matched {
-			r := make(interp.Row, len(cols))
-			for i, c := range plan.table.Schema.Cols {
-				r[c.Name] = cols[i].Any(rid)
+// emit projects rows rids of the view — the matches of one binding, or of
+// every binding of a batch back to back — into the columns of a result: typed
+// vectors copied out of the table's, boxed cells only for a degraded column.
+// It is shared by the per-query and batched paths so their observable results
+// cannot diverge. The caller has checked plan.selErr; rids may be pooled
+// scratch, emit only reads it.
+func emit(plan *stmtPlan, view *storage.View, rids []int) []interp.RowCol {
+	cols := make([]interp.RowCol, len(plan.cols))
+	for k, ci := range plan.cols {
+		switch c := &view.Cols[ci]; {
+		case c.Anys != nil:
+			cells := make([]any, len(rids))
+			for i, rid := range rids {
+				cells[i] = c.Anys[rid]
 			}
-			out = append(out, r)
-		}
-	} else {
-		for _, rid := range matched {
-			r := make(interp.Row, len(plan.selCI))
-			for k, ci := range plan.selCI {
-				if ci < 0 {
-					return nil, fmt.Errorf("sqlmini: %s: no column %q", st.Table, st.Cols[k])
-				}
-				r[st.Cols[k]] = cols[ci].Any(rid)
+			cols[k].Anys = cells
+		case c.Kind == storage.TInt:
+			ints := make([]int64, len(rids))
+			for i, rid := range rids {
+				ints[i] = c.Ints[rid]
 			}
-			out = append(out, r)
+			cols[k].Ints = ints
+		default:
+			strs := make([]string, len(rids))
+			for i, rid := range rids {
+				strs[i] = c.Strs[rid]
+			}
+			cols[k].Strs = strs
 		}
 	}
-	info.RowsReturned = len(out)
-	return out, nil
+	return cols
 }
 
 // pickDriver returns the position of the first predicate whose column is

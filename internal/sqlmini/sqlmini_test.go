@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -91,6 +92,15 @@ func testEnv(t *testing.T) (*storage.Catalog, *buffer.Pool, func()) {
 	return cat, pool, func() { d.Close() }
 }
 
+// boxed is a result in the interpreter's vocabulary: a row result as the
+// interp.Rows the layers' public Exec returns it as (query.Reply.Result).
+func boxed(v any) any {
+	if rs, ok := v.(*interp.RowSet); ok {
+		return rs.Rows()
+	}
+	return v
+}
+
 func exec(t *testing.T, cat *storage.Catalog, pool *buffer.Pool, sql string, args ...any) (any, ExecInfo) {
 	t.Helper()
 	st, err := Parse(sql)
@@ -101,7 +111,7 @@ func exec(t *testing.T, cat *storage.Catalog, pool *buffer.Pool, sql string, arg
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v, info
+	return boxed(v), info
 }
 
 func TestExecuteCountWithIndex(t *testing.T) {
@@ -240,9 +250,9 @@ func TestExecuteBatchMatchesExecute(t *testing.T) {
 				}
 				continue
 			}
-			if !interp.Equal(vals[i], wantV) {
+			if got, want := boxed(vals[i]), boxed(wantV); !interp.Equal(got, want) {
 				t.Errorf("%s binding %d: %v, want %v", c.sql, i,
-					interp.Format(vals[i]), interp.Format(wantV))
+					interp.Format(got), interp.Format(want))
 			}
 		}
 		done()
@@ -415,7 +425,7 @@ func TestExecInfoMatchedIsOwned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !interp.Equal(v1, v2) {
+	if v1, v2 = boxed(v1), boxed(v2); !interp.Equal(v1, v2) {
 		t.Fatalf("re-execution diverged after mutating Matched:\n%s\nvs\n%s",
 			interp.Format(v1), interp.Format(v2))
 	}
@@ -547,4 +557,71 @@ func TestConcurrentInsertWithIndexedSelect(t *testing.T) {
 	}
 	close(tick)
 	wg.Wait()
+}
+
+// TestUnknownSelectColumnNeedsAMatch pins when a select list that names an
+// unknown column fails: only for a binding that matched at least one row (the
+// projection is what resolves the name), with the first unknown name in list
+// order in the text, and identically through Execute and ExecuteBatch. A
+// binding that matched nothing answers with no rows.
+func TestUnknownSelectColumnNeedsAMatch(t *testing.T) {
+	cat, pool, done := testEnv(t)
+	defer done()
+	for _, c := range []struct{ list, unknown string }{
+		{"partkey, nosuch", "nosuch"},
+		{"nosuch, partkey, alsonot", "nosuch"},
+		{"alsonot, alsonot, nosuch", "alsonot"},
+	} {
+		st, err := Parse("select " + c.list + " from part where p_category = ?")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("sqlmini: part: no column %q", c.unknown)
+		hit, miss := []any{int64(3)}, []any{int64(999)}
+
+		v, info, err := Execute(st, cat, pool, miss)
+		if rows, ok := boxed(v).(interp.Rows); err != nil || !ok || len(rows) != 0 || info.RowsReturned != 0 {
+			t.Errorf("select %s, no match: %v, %v (%d returned); want no rows", c.list, v, err, info.RowsReturned)
+		}
+		if v, _, err := Execute(st, cat, pool, hit); err == nil || err.Error() != want || v != nil {
+			t.Errorf("select %s, 100 matches: %v, %v; want error %q", c.list, v, err, want)
+		}
+
+		vals, errs, agg := ExecuteBatch(st, cat, pool, [][]any{miss, hit, miss, hit})
+		for i, matches := range []bool{false, true, false, true} {
+			rows, ok := boxed(vals[i]).(interp.Rows)
+			switch {
+			case matches && (errs[i] == nil || errs[i].Error() != want || vals[i] != nil):
+				t.Errorf("select %s, batch binding %d: %v, %v; want error %q", c.list, i, vals[i], errs[i], want)
+			case !matches && (errs[i] != nil || !ok || len(rows) != 0):
+				t.Errorf("select %s, batch binding %d: %v, %v; want no rows", c.list, i, vals[i], errs[i])
+			}
+		}
+		// A failed binding charges no rows, like a failed Execute.
+		if agg.RowsExamined != 0 || agg.RowsReturned != 0 {
+			t.Errorf("select %s: batch accounted %d examined, %d returned; the only matches failed", c.list, agg.RowsExamined, agg.RowsReturned)
+		}
+	}
+}
+
+// TestDuplicateSelectColumnIsOneColumn: a row is keyed by column name, so a
+// name listed twice is one column of the result, as it was one key of the map.
+func TestDuplicateSelectColumnIsOneColumn(t *testing.T) {
+	cat, pool, done := testEnv(t)
+	defer done()
+	st, err := Parse("select psize, partkey, psize from part where p_category = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := Execute(st, cat, pool, []any{int64(3)})
+	rs, ok := v.(*interp.RowSet)
+	if err != nil || !ok || rs.N != 100 {
+		t.Fatalf("%v, %v; want a 100-row *interp.RowSet", v, err)
+	}
+	if got := fmt.Sprint(rs.Header.Names); got != "[psize partkey]" {
+		t.Errorf("columns %s, want [psize partkey]", got)
+	}
+	if got := interp.Format(rs.Rows()[1]); got != "{partkey=13, psize=13}" {
+		t.Errorf("second row %s, want {partkey=13, psize=13}", got)
+	}
 }

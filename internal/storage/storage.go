@@ -16,6 +16,7 @@ package storage
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -447,17 +448,34 @@ func (t *Table) ScanEq(column string, value any) ([]int, error) {
 	return out, nil
 }
 
+// bucketOf maps an index key to its bucket page: FNV-1a over the key as "%v"
+// prints it. Keys are almost always int64 or string, which are hashed without
+// being formatted onto the heap; the page ids are the same either way, so the
+// simulated buffer and disk behaviour does not depend on the route taken.
 func bucketOf(v any, pages int) int {
 	if pages <= 0 {
 		return 0
 	}
-	s := fmt.Sprintf("%v", v)
+	var h uint64
+	switch x := v.(type) {
+	case int64:
+		var buf [20]byte // len("-9223372036854775808")
+		h = fnv1a(strconv.AppendInt(buf[:0], x, 10))
+	case string:
+		h = fnv1a(x)
+	default:
+		h = fnv1a(fmt.Sprintf("%v", v))
+	}
+	return int(h % uint64(pages))
+}
+
+func fnv1a[T string | []byte](s T) uint64 {
 	var h uint64 = 14695981039346656037
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
-	return int(h % uint64(pages))
+	return h
 }
 
 // Catalog is a named collection of tables with extent assignment.

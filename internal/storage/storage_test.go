@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -239,5 +241,40 @@ func TestBoxIntInterning(t *testing.T) {
 	}
 	if BoxInt(-3) != int64(-3) {
 		t.Fatal("negative values box by value")
+	}
+}
+
+// TestBucketOfMatchesFormattedHash pins the bucket page of every kind of key
+// to what hashing its "%v" form gives — the one definition there was before
+// int64 and string keys took a route that does not format. The simulated page
+// ids, and with them every buffer-hit and disk-time figure, rest on it.
+func TestBucketOfMatchesFormattedHash(t *testing.T) {
+	formatted := func(v any, pages int) int {
+		s := fmt.Sprintf("%v", v)
+		var h uint64 = 14695981039346656037
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= 1099511628211
+		}
+		return int(h % uint64(pages))
+	}
+	keys := []any{
+		int64(0), int64(7), int64(-1), int64(-987654321), int64(8191), int64(8192),
+		int64(math.MaxInt64), int64(math.MinInt64),
+		"", "a", "user42", "naïve café", "日本語", "with\x00nul", "%v",
+		true, false, nil, int32(5), 3.5,
+	}
+	for _, k := range keys {
+		for _, pages := range []int{1, 2, 7, 64, 3125} {
+			if got, want := bucketOf(k, pages), formatted(k, pages); got != want {
+				t.Errorf("bucketOf(%#v, %d) = %d, want %d", k, pages, got, want)
+			}
+		}
+	}
+	if got := bucketOf(int64(3), 0); got != 0 {
+		t.Errorf("no bucket pages: bucket %d, want 0", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { bucketOf(int64(-987654321), 64); bucketOf("user42", 64) }); n != 0 {
+		t.Errorf("hashing an int64 and a string key allocates %.0f objects, want 0", n)
 	}
 }
