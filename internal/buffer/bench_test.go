@@ -1,0 +1,50 @@
+package buffer
+
+import (
+	"sync/atomic"
+	"testing"
+)
+
+// benchPages is the warm working set the hit benchmarks cycle over: two
+// extents, as an index probe touches a bucket page and then a data page.
+const benchPages = 4096
+
+func warmPool(b *testing.B) *Pool {
+	p, d := newPool(4 * benchPages)
+	b.Cleanup(d.Close)
+	p.Preload(0, 0, benchPages)
+	p.Preload(1, 0, benchPages)
+	return p
+}
+
+// BenchmarkGetHit is one warm page touch: the cost sqlmini pays per distinct
+// bucket and data page of a statement.
+//
+//	go test -run XXX -bench GetHit -benchmem ./internal/buffer/
+func BenchmarkGetHit(b *testing.B) {
+	p := warmPool(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Get(PageID{Extent: i & 1, Page: (i * 7) & (benchPages - 1)})
+	}
+	if _, misses := p.Stats(); misses != 0 {
+		b.Fatalf("%d misses on a warm pool", misses)
+	}
+}
+
+// BenchmarkGetHitParallel is the same touch from GOMAXPROCS goroutines over
+// the same pages: what concurrent executions on one server pay.
+func BenchmarkGetHitParallel(b *testing.B) {
+	p := warmPool(b)
+	var seed atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(seed.Add(1)) * 1009
+		for pb.Next() {
+			p.Get(PageID{Extent: i & 1, Page: (i * 7) & (benchPages - 1)})
+			i++
+		}
+	})
+}

@@ -7,43 +7,109 @@
 // paper cites (§I).
 //
 // The pool is N-way striped by PageID hash: each stripe owns a fixed share
-// of the capacity behind its own mutex, so concurrent executions on
-// different pages never contend on a global lock. Within a stripe, eviction
-// is CLOCK (second chance) over a flat frame slice — hits set a reference
-// bit instead of relinking a list node, so a warm page touch is a map probe
-// plus a bit store, with no allocation and no pointer churn.
+// of the capacity behind its own mutex, and evicts with CLOCK (second chance)
+// over a flat frame slice. Residency lives in a directly addressed page
+// directory, not a hash map: per extent, a two-level radix table of atomic
+// slots, one per page, allocated on demand and never moved. A slot holds its
+// page's frame index plus one and the CLOCK reference bit, so a warm page
+// touch is a slot load, an atomic Or only when the bit is clear, and a counter
+// add: no mutex, no key hashed, no allocation. Whatever changes which page a
+// frame holds (a miss's or GetBatch's insert, eviction, Put, Preload, Reset)
+// runs under the stripe mutex. A hit that races the eviction of its page
+// counts as a hit just before it; the reference bit it may leave on the
+// emptied slot is overwritten by the page's next insert.
 package buffer
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/disk"
 )
 
 // PageID identifies a page: a storage extent plus a page number within it.
+// Both are non-negative.
 type PageID struct {
 	Extent int
 	Page   int
 }
 
-// frame is one cached page slot: its identity plus the CLOCK reference bit.
-type frame struct {
-	id  PageID
-	ref bool
+// A slot is one page's directory entry: zero when the page is not resident,
+// else its frame's index in the owning stripe plus one, with refBit set while
+// the page has been touched since the CLOCK hand last passed it.
+type slot = atomic.Int32
+
+const (
+	refBit    = 1 << 30
+	frameMask = refBit - 1
+)
+
+// touch reports whether sl's page is resident, giving it a second chance if
+// so: the whole of a warm hit, under no lock.
+func touch(sl *slot) bool {
+	v := sl.Load()
+	if v&frameMask == 0 {
+		return false
+	}
+	if v&refBit == 0 {
+		sl.Or(refBit)
+	}
+	return true
 }
 
-// stripe is one independently locked shard of the pool. The trailing pad
-// keeps adjacent stripes off each other's cache lines.
+// table is a grow-only array of pointers that readers index without a lock:
+// a writer (holding Pool.growMu) publishes a longer copy of the array, and the
+// values pointed to never move.
+type table[T any] struct{ p atomic.Pointer[[]*T] }
+
+// at returns entry i, or nil when it has not been allocated.
+func (t *table[T]) at(i int) *T {
+	if s := t.p.Load(); s != nil && uint(i) < uint(len(*s)) {
+		return (*s)[i]
+	}
+	return nil
+}
+
+// ensure returns entry i, allocating it zeroed if absent, under Pool.growMu.
+func (t *table[T]) ensure(i int) *T {
+	if e := t.at(i); e != nil {
+		return e
+	}
+	var old []*T
+	if s := t.p.Load(); s != nil {
+		old = *s
+	}
+	grown := make([]*T, max(len(old), i+1))
+	copy(grown, old)
+	grown[i] = new(T)
+	t.p.Store(&grown)
+	return grown[i]
+}
+
+// leafBits sizes the directory's second level: 1024 slots (4 KB) per leaf.
+const leafBits = 10
+
+type leaf [1 << leafBits]slot
+
+// extentDir is one extent's share of the directory, plus its starting disk
+// track (written during load, read on every miss); pages lay out sequentially
+// from there.
+type extentDir struct {
+	track  atomic.Int64
+	leaves table[leaf]
+}
+
+// stripe is one independently locked shard of the pool; a frame is the slot of
+// the page it holds. The pad keeps adjacent stripes off each other's lines.
 type stripe struct {
 	mu       sync.Mutex
 	capacity int
-	frames   []frame // grows to capacity, then CLOCK recycles in place
-	index    map[PageID]int
+	frames   []*slot // grows to capacity, then CLOCK recycles in place
 	hand     int
-	hits     int64
-	misses   int64
+	hits     atomic.Int64 // bumped by lock-free hits
+	misses   atomic.Int64
 	pending  map[PageID]*sync.WaitGroup // in-flight reads, to dedupe
-	_        [48]byte                   // rounds the struct to 128 bytes (two lines)
+	_        [56]byte                   // rounds the struct to 128 bytes (two lines)
 }
 
 // Pool is a fixed-capacity striped page cache backed by a simulated disk.
@@ -52,10 +118,8 @@ type Pool struct {
 	mask    uint64 // len(stripes) - 1; stripe count is a power of two
 	disk    *disk.Disk
 
-	// extentTrack maps an extent to its starting disk track; pages lay out
-	// sequentially from there. Written during load, read on every miss.
-	extMu       sync.RWMutex
-	extentTrack map[int]int
+	growMu  sync.Mutex // serialises directory growth; taken inside a stripe's mu
+	extents table[extentDir]
 }
 
 // defaultStripeTarget bounds the stripe count: enough ways that the shard
@@ -90,10 +154,9 @@ func NewPoolStripes(capacity, stripes int, d *disk.Disk) *Pool {
 		}
 	}
 	p := &Pool{
-		stripes:     make([]stripe, n),
-		mask:        uint64(n - 1),
-		disk:        d,
-		extentTrack: make(map[int]int),
+		stripes: make([]stripe, n),
+		mask:    uint64(n - 1),
+		disk:    d,
 	}
 	base, rem := capacity/n, capacity%n
 	for i := range p.stripes {
@@ -102,7 +165,6 @@ func NewPoolStripes(capacity, stripes int, d *disk.Disk) *Pool {
 		if i < rem {
 			s.capacity++
 		}
-		s.index = make(map[PageID]int)
 		s.pending = make(map[PageID]*sync.WaitGroup)
 	}
 	return p
@@ -121,41 +183,60 @@ func (p *Pool) stripeOf(id PageID) *stripe {
 	return &p.stripes[h&p.mask]
 }
 
+// slot returns id's directory entry. A page that was never resident may have
+// none yet: then slot returns nil, or allocates it if create is set.
+func (p *Pool) slot(id PageID, create bool) *slot {
+	var l *leaf
+	if e := p.extents.at(id.Extent); e != nil {
+		l = e.leaves.at(id.Page >> leafBits)
+	}
+	if l == nil {
+		if !create {
+			return nil
+		}
+		p.growMu.Lock()
+		l = p.extents.ensure(id.Extent).leaves.ensure(id.Page >> leafBits)
+		p.growMu.Unlock()
+	}
+	return &l[id.Page&(1<<leafBits-1)]
+}
+
 // MapExtent assigns an extent's starting track.
 func (p *Pool) MapExtent(extent, startTrack int) {
-	p.extMu.Lock()
-	p.extentTrack[extent] = startTrack
-	p.extMu.Unlock()
+	p.growMu.Lock()
+	p.extents.ensure(extent).track.Store(int64(startTrack))
+	p.growMu.Unlock()
 }
 
 func (p *Pool) track(id PageID) int {
-	p.extMu.RLock()
-	t := p.extentTrack[id.Extent] + id.Page
-	p.extMu.RUnlock()
-	return t
+	if e := p.extents.at(id.Extent); e != nil {
+		return int(e.track.Load()) + id.Page
+	}
+	return id.Page
 }
 
 // Get faults the page in if needed (paying disk time on miss) and gives it a
 // CLOCK second chance. Concurrent misses on the same page coalesce into one
-// disk read.
+// disk read. A hit returns without taking the stripe mutex.
 func (p *Pool) Get(id PageID) {
 	s := p.stripeOf(id)
+	if sl := p.slot(id, false); sl != nil && touch(sl) {
+		s.hits.Add(1)
+		return
+	}
 	s.mu.Lock()
-	if fi, ok := s.index[id]; ok {
-		s.frames[fi].ref = true
-		s.hits++
+	sl := p.slot(id, true)
+	if wg, reading := s.pending[id]; reading || touch(sl) {
+		// Another request is reading this page: wait for it, the shared-read
+		// path. (Or the page became resident since the look above.)
+		s.hits.Add(1)
 		s.mu.Unlock()
+		if reading {
+			wg.Wait()
+		}
 		return
 	}
-	if wg, ok := s.pending[id]; ok {
-		// Another request is already reading this page: wait for it. This is
-		// the shared-read path.
-		s.hits++
-		s.mu.Unlock()
-		wg.Wait()
-		return
-	}
-	s.misses++
+	s.misses.Add(1)
 	wg := &sync.WaitGroup{}
 	wg.Add(1)
 	s.pending[id] = wg
@@ -165,7 +246,7 @@ func (p *Pool) Get(id PageID) {
 
 	s.mu.Lock()
 	delete(s.pending, id)
-	s.insertLocked(id)
+	s.insertLocked(sl)
 	s.mu.Unlock()
 	wg.Done()
 }
@@ -181,15 +262,11 @@ func (p *Pool) GetBatch(extent, firstPage, n int) {
 	for i := 0; i < n; i++ {
 		id := PageID{Extent: extent, Page: firstPage + i}
 		s := p.stripeOf(id)
-		s.mu.Lock()
-		if fi, ok := s.index[id]; ok {
-			s.frames[fi].ref = true
-			s.hits++
-			s.mu.Unlock()
+		if sl := p.slot(id, false); sl != nil && touch(sl) {
+			s.hits.Add(1)
 			continue
 		}
-		s.misses++
-		s.mu.Unlock()
+		s.misses.Add(1)
 		if missFirst < 0 {
 			missFirst = firstPage + i
 		}
@@ -201,14 +278,7 @@ func (p *Pool) GetBatch(extent, firstPage, n int) {
 	// Sequential IO reads the whole span from the first to the last missing
 	// page in one sweep (interior hits transfer for free under the head).
 	p.disk.Read(p.track(PageID{Extent: extent, Page: missFirst}), missLast-missFirst+1)
-
-	for pg := missFirst; pg <= missLast; pg++ {
-		id := PageID{Extent: extent, Page: pg}
-		s := p.stripeOf(id)
-		s.mu.Lock()
-		s.insertLocked(id)
-		s.mu.Unlock()
-	}
+	p.Preload(extent, missFirst, missLast-missFirst+1)
 }
 
 // Put marks a page dirty-resident without disk IO (write-back model for
@@ -217,11 +287,7 @@ func (p *Pool) GetBatch(extent, firstPage, n int) {
 func (p *Pool) Put(id PageID) {
 	s := p.stripeOf(id)
 	s.mu.Lock()
-	if fi, ok := s.index[id]; ok {
-		s.frames[fi].ref = true
-	} else {
-		s.insertLocked(id)
-	}
+	s.insertLocked(p.slot(id, true))
 	s.mu.Unlock()
 }
 
@@ -229,11 +295,7 @@ func (p *Pool) Put(id PageID) {
 // cache before a warm-cache experiment).
 func (p *Pool) Preload(extent, firstPage, n int) {
 	for i := 0; i < n; i++ {
-		id := PageID{Extent: extent, Page: firstPage + i}
-		s := p.stripeOf(id)
-		s.mu.Lock()
-		s.insertLocked(id)
-		s.mu.Unlock()
+		p.Put(PageID{Extent: extent, Page: firstPage + i})
 	}
 }
 
@@ -242,10 +304,13 @@ func (p *Pool) Reset() {
 	for i := range p.stripes {
 		s := &p.stripes[i]
 		s.mu.Lock()
+		for _, sl := range s.frames {
+			sl.Store(0)
+		}
 		s.frames = s.frames[:0]
-		s.index = make(map[PageID]int)
 		s.hand = 0
-		s.hits, s.misses = 0, 0
+		s.hits.Store(0)
+		s.misses.Store(0)
 		s.mu.Unlock()
 	}
 }
@@ -253,22 +318,10 @@ func (p *Pool) Reset() {
 // Stats returns hit/miss counters summed over the stripes.
 func (p *Pool) Stats() (hits, misses int64) {
 	for i := range p.stripes {
-		s := &p.stripes[i]
-		s.mu.Lock()
-		hits += s.hits
-		misses += s.misses
-		s.mu.Unlock()
+		hits += p.stripes[i].hits.Load()
+		misses += p.stripes[i].misses.Load()
 	}
 	return hits, misses
-}
-
-// Resident reports whether a page is currently cached (for tests).
-func (p *Pool) Resident(id PageID) bool {
-	s := p.stripeOf(id)
-	s.mu.Lock()
-	_, ok := s.index[id]
-	s.mu.Unlock()
-	return ok
 }
 
 // Len returns the number of cached pages.
@@ -283,43 +336,35 @@ func (p *Pool) Len() int {
 	return n
 }
 
-// Stripes returns the stripe count (tests).
-func (p *Pool) Stripes() int { return len(p.stripes) }
-
-// insertLocked makes id resident in the stripe, evicting with CLOCK when the
-// stripe is at capacity. New pages enter with their reference bit set (one
-// second chance), matching the most-recently-used position a fresh LRU
-// insert would get. A non-positive capacity means unbounded, as before.
-func (s *stripe) insertLocked(id PageID) {
-	if fi, ok := s.index[id]; ok {
-		// Already resident: refresh the reference bit, matching the MRU
-		// promotion the old LRU gave resident pages on Preload/Put.
-		s.frames[fi].ref = true
+// insertLocked makes sl's page resident in the stripe, evicting with CLOCK
+// when the stripe is at capacity. New pages enter with their reference bit set
+// (one second chance, the most-recently-used position of a fresh LRU insert);
+// a resident page has its bit refreshed, the MRU promotion LRU gave on
+// Preload/Put. A non-positive capacity means unbounded. Under the stripe mutex
+// this is a slot's only writer but for a concurrent hit setting the bit.
+func (s *stripe) insertLocked(sl *slot) {
+	if touch(sl) {
 		return
 	}
 	if s.capacity <= 0 || len(s.frames) < s.capacity {
-		s.index[id] = len(s.frames)
-		s.frames = append(s.frames, frame{id: id, ref: true})
+		s.frames = append(s.frames, sl)
+		sl.Store(int32(len(s.frames)) | refBit)
 		return
 	}
 	for {
-		f := &s.frames[s.hand]
-		if f.ref {
-			f.ref = false
-			s.hand++
-			if s.hand == len(s.frames) {
-				s.hand = 0
-			}
-			continue
-		}
-		delete(s.index, f.id)
-		f.id = id
-		f.ref = true
-		s.index[id] = s.hand
+		victim := s.frames[s.hand]
+		fi := s.hand
 		s.hand++
 		if s.hand == len(s.frames) {
 			s.hand = 0
 		}
+		if victim.Load()&refBit != 0 {
+			victim.And(^refBit)
+			continue
+		}
+		victim.Store(0)
+		s.frames[fi] = sl
+		sl.Store(int32(fi+1) | refBit)
 		return
 	}
 }

@@ -1,9 +1,13 @@
 package buffer
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/disk"
 	"repro/internal/simclock"
@@ -25,6 +29,12 @@ func newPool1(capacity int) (*Pool, *disk.Disk) {
 	p.MapExtent(0, 0)
 	p.MapExtent(1, 2048)
 	return p, d
+}
+
+// Resident reports whether a page is currently cached.
+func (p *Pool) Resident(id PageID) bool {
+	sl := p.slot(id, false)
+	return sl != nil && sl.Load()&frameMask != 0
 }
 
 func TestHitMiss(t *testing.T) {
@@ -337,8 +347,8 @@ func TestTraceEquivalenceWithLRU(t *testing.T) {
 func TestStripedCountersSumAcrossStripes(t *testing.T) {
 	p, d := newPool(1 << 12)
 	defer d.Close()
-	if p.Stripes() < 2 {
-		t.Fatalf("expected a striped pool, got %d stripes", p.Stripes())
+	if len(p.stripes) < 2 {
+		t.Fatalf("expected a striped pool, got %d stripes", len(p.stripes))
 	}
 	for i := 0; i < 100; i++ {
 		p.Get(PageID{Extent: 0, Page: i})
@@ -383,5 +393,289 @@ func TestSharedAccessCounters(t *testing.T) {
 	}
 	if got := d.Stats().Requests; got != 1 {
 		t.Fatalf("disk requests = %d, want 1", got)
+	}
+}
+
+// testSeed resolves a randomized test's seed: ASYNCQ_SEED when set, the
+// clock otherwise. It is logged, so a failure prints what reproduces it.
+func testSeed(t *testing.T) int64 {
+	seed, err := strconv.ParseInt(os.Getenv("ASYNCQ_SEED"), 10, 64)
+	if err != nil || seed == 0 {
+		seed = time.Now().UnixNano()
+	}
+	t.Logf("seed %d (reproduce with ASYNCQ_SEED=%d go test -run %s ./internal/buffer/)", seed, seed, t.Name())
+	return seed
+}
+
+// refPool is the pool as it was before the page directory: per stripe, a
+// map[PageID]int from page to frame and the reference bit in the frame. It
+// lives on here, and only here, as the model the directory is checked
+// against. It is sequential (no locks, no miss coalescing) and counts the disk
+// requests the real pool would issue.
+type refPool struct {
+	stripes  []refStripe
+	stripeOf func(PageID) int
+	hits     int64
+	misses   int64
+	reads    int64
+}
+
+type refFrame struct {
+	id  PageID
+	ref bool
+}
+
+type refStripe struct {
+	capacity int
+	frames   []refFrame
+	index    map[PageID]int
+	hand     int
+}
+
+// newRefPool models p: the same stripe capacities and the same page-to-stripe
+// hash, neither of which is what the model checks.
+func newRefPool(p *Pool) *refPool {
+	m := &refPool{stripes: make([]refStripe, len(p.stripes))}
+	for i := range m.stripes {
+		m.stripes[i] = refStripe{capacity: p.stripes[i].capacity, index: make(map[PageID]int)}
+	}
+	m.stripeOf = func(id PageID) int {
+		s := p.stripeOf(id)
+		for i := range p.stripes {
+			if s == &p.stripes[i] {
+				return i
+			}
+		}
+		panic("page hashed to no stripe")
+	}
+	return m
+}
+
+func (m *refPool) stripe(id PageID) *refStripe { return &m.stripes[m.stripeOf(id)] }
+
+func (m *refPool) Get(id PageID) {
+	s := m.stripe(id)
+	if fi, ok := s.index[id]; ok {
+		s.frames[fi].ref = true
+		m.hits++
+		return
+	}
+	m.misses++
+	m.reads++
+	s.insert(id)
+}
+
+func (m *refPool) GetBatch(extent, firstPage, n int) {
+	missFirst, missLast := -1, -1
+	for i := 0; i < n; i++ {
+		id := PageID{Extent: extent, Page: firstPage + i}
+		s := m.stripe(id)
+		if fi, ok := s.index[id]; ok {
+			s.frames[fi].ref = true
+			m.hits++
+			continue
+		}
+		m.misses++
+		if missFirst < 0 {
+			missFirst = firstPage + i
+		}
+		missLast = firstPage + i
+	}
+	if missFirst < 0 {
+		return
+	}
+	m.reads++
+	m.Preload(extent, missFirst, missLast-missFirst+1)
+}
+
+func (m *refPool) Put(id PageID) { m.stripe(id).insert(id) }
+
+func (m *refPool) Preload(extent, firstPage, n int) {
+	for i := 0; i < n; i++ {
+		m.Put(PageID{Extent: extent, Page: firstPage + i})
+	}
+}
+
+func (m *refPool) Reset() {
+	for i := range m.stripes {
+		s := &m.stripes[i]
+		s.frames = s.frames[:0]
+		s.index = make(map[PageID]int)
+		s.hand = 0
+	}
+	m.hits, m.misses = 0, 0
+}
+
+func (m *refPool) Resident(id PageID) bool {
+	_, ok := m.stripe(id).index[id]
+	return ok
+}
+
+func (m *refPool) Len() int {
+	n := 0
+	for i := range m.stripes {
+		n += len(m.stripes[i].frames)
+	}
+	return n
+}
+
+func (s *refStripe) insert(id PageID) {
+	if fi, ok := s.index[id]; ok {
+		s.frames[fi].ref = true
+		return
+	}
+	if s.capacity <= 0 || len(s.frames) < s.capacity {
+		s.index[id] = len(s.frames)
+		s.frames = append(s.frames, refFrame{id: id, ref: true})
+		return
+	}
+	for {
+		f := &s.frames[s.hand]
+		if f.ref {
+			f.ref = false
+			s.hand++
+			if s.hand == len(s.frames) {
+				s.hand = 0
+			}
+			continue
+		}
+		delete(s.index, f.id)
+		f.id = id
+		f.ref = true
+		s.index[id] = s.hand
+		s.hand++
+		if s.hand == len(s.frames) {
+			s.hand = 0
+		}
+		return
+	}
+}
+
+// TestModelTraceMatchesMapDirectory replays a seeded random trace of every
+// operation on the pool and on the map-directory reference, over a pool small
+// enough that every stripe evicts constantly and a page range that straddles a
+// directory leaf. After every step the hit and miss counts, the resident
+// count and the disk requests must agree; residency agrees page by page at
+// sampled steps and at the end.
+func TestModelTraceMatchesMapDirectory(t *testing.T) {
+	seed := testSeed(t)
+	const (
+		firstPage = 1<<leafBits - 150 // the universe crosses from leaf 0 into leaf 1
+		pages     = 300
+		steps     = 20000
+	)
+	for _, stripes := range []int{1, 8} {
+		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
+			d := disk.New(disk.DefaultParams(), simclock.New(0))
+			defer d.Close()
+			p := NewPoolStripes(48, stripes, d)
+			p.MapExtent(0, 0)
+			ref := newRefPool(p)
+			rng := rand.New(rand.NewSource(seed))
+			checkResidency := func(step int) {
+				for ext := 0; ext < 2; ext++ {
+					for pg := firstPage - 16; pg < firstPage+pages+16; pg++ {
+						id := PageID{Extent: ext, Page: pg}
+						if got, want := p.Resident(id), ref.Resident(id); got != want {
+							t.Fatalf("step %d: Resident(%+v) = %v, reference %v", step, id, got, want)
+						}
+					}
+				}
+			}
+			for step := 0; step < steps; step++ {
+				id := PageID{Extent: rng.Intn(2), Page: firstPage + rng.Intn(pages)}
+				n := 1 + rng.Intn(12)
+				var op string
+				switch k := rng.Intn(1000); {
+				case k < 600:
+					op = "Get"
+					p.Get(id)
+					ref.Get(id)
+				case k < 750:
+					op = "GetBatch"
+					p.GetBatch(id.Extent, id.Page, n)
+					ref.GetBatch(id.Extent, id.Page, n)
+				case k < 850:
+					op = "Put"
+					p.Put(id)
+					ref.Put(id)
+				case k < 990:
+					op = "Preload"
+					p.Preload(id.Extent, id.Page, n)
+					ref.Preload(id.Extent, id.Page, n)
+				case k < 995:
+					op = "Reset"
+					p.Reset()
+					ref.Reset()
+				default:
+					op = "Resident"
+					checkResidency(step)
+				}
+				hits, misses := p.Stats()
+				reads := d.Stats().Requests
+				if hits != ref.hits || misses != ref.misses || p.Len() != ref.Len() || reads != ref.reads {
+					t.Fatalf("step %d (%s %+v n=%d): pool hits/misses/len/reads %d/%d/%d/%d, reference %d/%d/%d/%d",
+						step, op, id, n, hits, misses, p.Len(), reads, ref.hits, ref.misses, ref.Len(), ref.reads)
+				}
+			}
+			checkResidency(steps)
+		})
+	}
+}
+
+// TestConcurrentHitRacesEviction hammers one hot page with Get while another
+// goroutine keeps faulting cold pages through the same two-frame stripe, so
+// the lock-free hit path runs against the CLOCK hand clearing and evicting the
+// very slot it reads. Every call must count as exactly one hit or one miss,
+// and afterwards every frame must still be named by the slot it holds and by
+// no other.
+func TestConcurrentHitRacesEviction(t *testing.T) {
+	d := disk.New(disk.DefaultParams(), simclock.New(0))
+	defer d.Close()
+	p := NewPoolStripes(2, 1, d)
+	p.MapExtent(0, 0)
+	const (
+		hotCalls  = 20000
+		coldCalls = 5000
+		coldPages = 8
+	)
+	hot := PageID{Extent: 0, Page: 7}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < hotCalls; i++ {
+			p.Get(hot)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < coldCalls; i++ {
+			p.Get(PageID{Extent: 0, Page: 100 + i%coldPages})
+		}
+	}()
+	wg.Wait()
+
+	hits, misses := p.Stats()
+	if hits+misses != hotCalls+coldCalls {
+		t.Fatalf("hits %d + misses %d != %d calls", hits, misses, hotCalls+coldCalls)
+	}
+	s := &p.stripes[0]
+	if len(s.frames) != 2 || p.Len() != 2 {
+		t.Fatalf("a frame was lost: %d frames, Len %d, want 2", len(s.frames), p.Len())
+	}
+	for fi, sl := range s.frames {
+		if got := int(sl.Load() & frameMask); got != fi+1 {
+			t.Fatalf("frame %d holds a slot that names frame %d", fi, got-1)
+		}
+	}
+	resident := 0
+	for pg := 0; pg < 100+coldPages; pg++ {
+		if p.Resident(PageID{Extent: 0, Page: pg}) {
+			resident++
+		}
+	}
+	if resident != 2 {
+		t.Fatalf("%d pages resident in a two-frame pool", resident)
 	}
 }

@@ -260,7 +260,7 @@ func (s *Server) Copies() []*Server { return []*Server{s} }
 // simulated round trip, modelling a client-side statistics cache.
 func (s *Server) IndexKeyCount(table, col string, v any) (int, bool) {
 	t := s.cat.Table(table)
-	if t == nil || t.Index(col) == nil {
+	if t == nil {
 		return 0, false
 	}
 	return t.IndexKeyCount(col, v)

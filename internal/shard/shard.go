@@ -565,22 +565,32 @@ func (r *Router) stagePending(table string, src, rid int, repl bool) {
 func (r *Router) pruneTargets(st *sqlmini.Stmt, args []any, owners []int) []int {
 	var targets []int
 	for _, c := range st.Where {
-		v := c.Lit
-		if c.Param >= 0 {
-			if c.Param >= len(args) {
-				continue // fails parameter validation identically everywhere
-			}
-			v = args[c.Param]
+		v, ok := c.Value(args)
+		if !ok {
+			continue // fails parameter validation identically everywhere
 		}
-		if _, ok := r.backends[0].IndexKeyCount(st.Table, c.Col, v); !ok {
-			continue // no index on this column: no statistics to prune by
+		cands := targets
+		if cands == nil {
+			cands = owners
+		}
+		if len(cands) == 0 {
+			break // an earlier predicate already pruned every shard
+		}
+		// The physical design is the same on every shard: the first
+		// candidate's answer also says whether the column is indexed at all.
+		n, indexed := r.backends[cands[0]].IndexKeyCount(st.Table, c.Col, v)
+		if !indexed {
+			continue // no statistics to prune by
 		}
 		if targets == nil {
-			targets = append([]int(nil), owners...)
+			targets = make([]int, 0, len(owners))
 		}
 		kept := targets[:0]
-		for _, s := range targets {
-			if n, ok := r.backends[s].IndexKeyCount(st.Table, c.Col, v); ok && n > 0 {
+		if n > 0 {
+			kept = append(kept, cands[0])
+		}
+		for _, s := range cands[1:] {
+			if n, _ := r.backends[s].IndexKeyCount(st.Table, c.Col, v); n > 0 {
 				kept = append(kept, s)
 			}
 		}

@@ -633,6 +633,52 @@ func TestPrunedScatterLeavesOwnersAlone(t *testing.T) {
 	}
 }
 
+// statCounting counts the index-statistics peeks the scatter planner makes.
+type statCounting struct {
+	Backend
+	peeks *int
+}
+
+func (b statCounting) IndexKeyCount(table, col string, v any) (int, bool) {
+	*b.peeks++
+	return b.Backend.IndexKeyCount(table, col, v)
+}
+
+// TestScatterPeeksEachOwnerOnce: the planner learns whether a column is
+// indexed from the first owner's key count, not from a separate probe of
+// backend 0 — one peek per owner for an indexed predicate, one in all for an
+// unindexed one.
+func TestScatterPeeksEachOwnerOnce(t *testing.T) {
+	ref, _ := newFixture(t, 1)
+	peeks := 0
+	backends := make([]Backend, 3)
+	for i := range backends {
+		backends[i] = statCounting{server.New(server.SYS1(), 0), &peeks}
+	}
+	r := NewWithBackends(backends, fixtureKeys())
+	t.Cleanup(r.Close)
+	if err := r.LoadFrom(ref); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		sql  string
+		arg  any
+		want int
+	}{
+		{"select uid from users where grp = ?", int64(3), 3},
+		{"select uid from users where grp = ?", int64(888), 3},
+		{"select uid from users where name = ?", "u1", 1},
+	} {
+		peeks = 0
+		want, wantErr := ref.Exec(query.Req("q", q.sql, []any{q.arg})).Pair()
+		got, gotErr := r.Exec(query.Req("q", q.sql, []any{q.arg})).Pair()
+		same(t, q.sql, want, got, wantErr, gotErr)
+		if peeks != q.want {
+			t.Errorf("%s (%v): %d statistics peeks, want %d", q.sql, q.arg, peeks, q.want)
+		}
+	}
+}
+
 // publicOnly is a backend that offers the router only the public Exec and
 // ExecBatch, as a tracing shim or a test fake does (embedding the interface
 // hides the server's Do): its row results arrive boxed.

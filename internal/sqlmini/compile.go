@@ -129,13 +129,9 @@ func validateWhere(st *Stmt, plan *stmtPlan) error {
 // after the access path's index probes so every candidate rid is in bounds.
 func (f *condFilter) bind(st *Stmt, plan *stmtPlan, view *storage.View, args []any) {
 	f.reset()
-	for i, c := range st.Where {
-		ci := plan.whereCI[i]
-		v := c.Lit
-		if c.Param >= 0 {
-			v = args[c.Param]
-		}
-		col := &view.Cols[ci]
+	for i := range st.Where {
+		v, _ := st.Where[i].Value(args) // arity is validated before any bind
+		col := &view.Cols[plan.whereCI[i]]
 		switch {
 		case col.Anys != nil:
 			f.anyCols = append(f.anyCols, col.Anys)

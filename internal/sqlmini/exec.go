@@ -37,9 +37,9 @@ type ExecInfo struct {
 }
 
 // scratch holds the pooled per-execution buffers: the table view, bound
-// filters, candidate rid headers, page lists and the batch's matched-rid
-// buffer. Everything in it is reset on reuse; nothing in it may escape
-// through results (Matched is always freshly allocated).
+// filters, probe keys, candidate rid headers, page lists and the batch's
+// matched-rid buffer. Everything in it is reset on reuse; nothing in it may
+// escape through results (Matched is always freshly allocated).
 type scratch struct {
 	view    storage.View
 	filt    condFilter
@@ -48,6 +48,7 @@ type scratch struct {
 	offs    []int
 	pages   []int
 	pages2  []int
+	keys    []any
 	rids    [][]int
 	row     []any
 }
@@ -62,6 +63,8 @@ func putScratch(sc *scratch) {
 	// server's data.
 	clear(sc.view.Cols)
 	sc.view.Cols = sc.view.Cols[:0]
+	clear(sc.keys)
+	sc.keys = sc.keys[:0]
 	clear(sc.rids)
 	sc.rids = sc.rids[:0]
 	clear(sc.row)
@@ -116,33 +119,14 @@ func Execute(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, args []any) (any
 	defer putScratch(sc)
 
 	// Access path: the first indexed equality predicate drives; otherwise a
-	// full scan. The view snapshot is taken after the index probe: Insert
-	// publishes column values before index rids under one table lock, so
-	// every candidate rid a probe returns is within a later snapshot.
-	rpp := t.RowsPerPage()
+	// full scan.
 	var matched []int
-	if di := pickDriver(t, st.Where); di >= 0 {
-		c := st.Where[di]
-		v := c.Lit
-		if c.Param >= 0 {
-			v = args[c.Param]
-		}
-		rids, bucket, _ := t.Lookup(c.Col, v)
-		ix := t.Index(c.Col)
-		// One bucket page of the index, then the distinct data pages of the
-		// matches in ascending order (the RID-ordering-before-fetch
-		// optimization the paper cites, §I).
-		pool.Get(buffer.PageID{Extent: ix.Extent, Page: bucket})
-		info.PagesTouched++
-		sc.pages = sc.pages[:0]
-		for _, rid := range rids {
-			sc.pages = append(sc.pages, rid/rpp)
-		}
-		for _, pg := range sortDedupe(sc.pages) {
-			pool.Get(buffer.PageID{Extent: t.Extent, Page: pg})
-			info.PagesTouched++
-		}
-		t.ViewInto(&sc.view)
+	if di, ix := pickDriver(t, st.Where); ix != nil {
+		// The batch's probe and fetch, with a set of one.
+		key, _ := st.Where[di].Value(args)
+		sc.keys = append(sc.keys[:0], key)
+		info.PagesTouched = sc.fetch(t, ix, pool)
+		rids := sc.rids[0]
 		sc.filt.bind(st, plan, &sc.view, args)
 		info.UsedIndex = true
 		info.RowsExamined += len(rids)
@@ -151,6 +135,7 @@ func Execute(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, args []any) (any
 		// Full scan: one sequential batched read over the snapshot.
 		t.ViewInto(&sc.view)
 		sc.filt.bind(st, plan, &sc.view, args)
+		rpp := t.RowsPerPage()
 		n := (sc.view.NumRows + rpp - 1) / rpp
 		pool.GetBatch(t.Extent, 0, n)
 		info.PagesTouched += n
@@ -176,10 +161,12 @@ func Execute(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, args []any) (any
 }
 
 // ExecuteBatch evaluates one parameterized statement against a set of
-// bindings set-orientedly: index lookups probe with all keys in one pass,
-// touching each distinct bucket and data page once for the whole batch;
-// full-scan statements scan the table once and partition the rows by
-// binding. Results and errors come back per binding, in binding order, and
+// bindings set-orientedly. An indexed statement resolves its driving index
+// once, probes it with every live binding's key under one table lock
+// (storage.Table.Probe) and touches each distinct bucket and data page once
+// for the batch; a full-scan statement scans the table once and partitions
+// the rows by binding. A row select projects all matches into one block that
+// each binding views. Results and errors come back per binding, in order, and
 // are identical to what len(argSets) individual Execute calls would return;
 // the returned ExecInfo aggregates the (shared) work of the whole batch.
 func ExecuteBatch(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSets [][]any) ([]any, []error, ExecInfo) {
@@ -243,51 +230,26 @@ func ExecuteBatch(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSets [][
 	// The access path is uniform across the batch — every binding shares the
 	// statement's predicate columns, so either one indexed column drives all
 	// lookups or every binding full-scans.
-	driver := pickDriver(t, st.Where)
-	rpp := t.RowsPerPage()
+	driver, ix := pickDriver(t, st.Where)
 	scanN := 0
-	if driver >= 0 {
-		// Set-oriented index path: probe with all keys, then touch the
-		// distinct bucket pages and distinct data pages once each, in
-		// ascending order (the shared, RID-ordered fetch of §I). Candidate
-		// rid lists alias the index's internal storage — they are read-only
-		// here and never escape the batch.
-		c := st.Where[driver]
-		ix := t.Index(c.Col)
-		sc.rids = sc.rids[:0]
-		sc.pages = sc.pages[:0]
-		sc.pages2 = sc.pages2[:0]
+	if ix != nil {
+		// Set-oriented index path: one candidate rid list per live binding,
+		// in binding order.
+		c := &st.Where[driver]
+		sc.keys = sc.keys[:0]
 		for i, args := range argSets {
-			if errs[i] != nil {
-				sc.rids = append(sc.rids, nil)
-				continue
-			}
-			v := c.Lit
-			if c.Param >= 0 {
-				v = args[c.Param]
-			}
-			r, bucket, _ := t.Lookup(c.Col, v)
-			sc.rids = append(sc.rids, r)
-			sc.pages = append(sc.pages, bucket)
-			for _, rid := range r {
-				sc.pages2 = append(sc.pages2, rid/rpp)
+			if errs[i] == nil {
+				key, _ := c.Value(args)
+				sc.keys = append(sc.keys, key)
 			}
 		}
-		for _, pg := range sortDedupe(sc.pages) {
-			pool.Get(buffer.PageID{Extent: ix.Extent, Page: pg})
-			agg.PagesTouched++
-		}
-		for _, pg := range sortDedupe(sc.pages2) {
-			pool.Get(buffer.PageID{Extent: t.Extent, Page: pg})
-			agg.PagesTouched++
-		}
+		agg.PagesTouched = sc.fetch(t, ix, pool)
 		agg.UsedIndex = true
-		// Snapshot after every probe: all candidate rids are within it.
-		t.ViewInto(&sc.view)
 	} else {
 		// Shared scan: one sequential read of the table for the whole batch;
 		// every live binding partitions the same snapshot.
 		t.ViewInto(&sc.view)
+		rpp := t.RowsPerPage()
 		pages := (sc.view.NumRows + rpp - 1) / rpp
 		pool.GetBatch(t.Extent, 0, pages)
 		agg.PagesTouched += pages
@@ -299,6 +261,7 @@ func ExecuteBatch(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSets [][
 	// i's start), so a row select projects the whole batch at once.
 	sc.matched = sc.matched[:0]
 	sc.offs = sc.offs[:0]
+	probed := 0 // live bindings seen: the next entry of sc.rids
 	for i := range argSets {
 		sc.offs = append(sc.offs, len(sc.matched))
 		if errs[i] != nil {
@@ -306,9 +269,11 @@ func ExecuteBatch(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSets [][
 		}
 		filters[i].bind(st, plan, &sc.view, argSets[i])
 		examined := scanN
-		if driver >= 0 {
-			examined = len(sc.rids[i])
-			sc.matched = filters[i].appendMatches(sc.matched, sc.rids[i])
+		if ix != nil {
+			cand := sc.rids[probed]
+			probed++
+			examined = len(cand)
+			sc.matched = filters[i].appendMatches(sc.matched, cand)
 		} else {
 			sc.matched = filters[i].appendScanMatches(sc.matched, scanN)
 		}
@@ -419,17 +384,45 @@ func emit(plan *stmtPlan, view *storage.View, rids []int) []interp.RowCol {
 	return cols
 }
 
-// pickDriver returns the position of the first predicate whose column is
-// indexed — the driving access path — or -1 for a full scan. It is shared
-// by the per-query and batched paths so their access-path policy cannot
-// diverge (the batch==per-query result identity depends on it).
-func pickDriver(t *storage.Table, conds []Cond) int {
-	for i, c := range conds {
-		if t.Index(c.Col) != nil {
-			return i
+// fetch is the index access path, per-query or batched: it probes ix with
+// sc.keys under one table lock, touches the distinct bucket pages and the
+// distinct data pages of the candidates once each in ascending order (the
+// shared, RID-ordered fetch the paper cites, §I), snapshots the table into
+// sc.view and returns the pages touched. The candidate lists (sc.rids, one per
+// key) alias the index's storage: read-only, never to escape the execution.
+// Insert publishes column values before index rids under one table lock, so
+// the snapshot, taken after the probe, holds every candidate.
+func (sc *scratch) fetch(t *storage.Table, ix *storage.Index, pool *buffer.Pool) int {
+	sc.rids, sc.pages = t.Probe(ix, sc.keys, sc.rids[:0], sc.pages[:0])
+	rpp := t.RowsPerPage()
+	sc.pages2 = sc.pages2[:0]
+	for _, r := range sc.rids {
+		for _, rid := range r {
+			sc.pages2 = append(sc.pages2, rid/rpp)
 		}
 	}
-	return -1
+	buckets, data := sortDedupe(sc.pages), sortDedupe(sc.pages2)
+	for _, pg := range buckets {
+		pool.Get(buffer.PageID{Extent: ix.Extent, Page: pg})
+	}
+	for _, pg := range data {
+		pool.Get(buffer.PageID{Extent: t.Extent, Page: pg})
+	}
+	t.ViewInto(&sc.view)
+	return len(buckets) + len(data)
+}
+
+// pickDriver returns the position of the first predicate whose column is
+// indexed and that index — the driving access path — or -1 and nil for a full
+// scan. It is shared by the per-query and batched paths so their access-path
+// policy cannot diverge (the batch==per-query result identity depends on it).
+func pickDriver(t *storage.Table, conds []Cond) (int, *storage.Index) {
+	for i, c := range conds {
+		if ix := t.Index(c.Col); ix != nil {
+			return i, ix
+		}
+	}
+	return -1, nil
 }
 
 // sortDedupe sorts ps in place and compacts away duplicates, returning the

@@ -37,6 +37,19 @@ type Cond struct {
 	Lit   any
 }
 
+// Value returns the predicate's right-hand side under one binding. ok is
+// false when args does not cover its parameter (the statement then fails
+// parameter validation wherever it executes).
+func (c *Cond) Value(args []any) (v any, ok bool) {
+	if c.Param < 0 {
+		return c.Lit, true
+	}
+	if c.Param < len(args) {
+		return args[c.Param], true
+	}
+	return nil, false
+}
+
 // Stmt is a parsed statement.
 type Stmt struct {
 	// Insert is set for INSERT statements.

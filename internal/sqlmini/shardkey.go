@@ -7,21 +7,13 @@ package sqlmini
 
 // WhereEqValue returns the value the statement's WHERE clause compares col
 // against — the bound parameter or the literal of the first equality
-// predicate on col. ok is false when no predicate mentions col or the
-// predicate's parameter is not covered by args (the statement will fail
-// parameter validation wherever it executes).
+// predicate on col (Cond.Value). ok is false when no predicate mentions col
+// or the predicate's parameter is not covered by args.
 func (st *Stmt) WhereEqValue(col string, args []any) (any, bool) {
-	for _, c := range st.Where {
-		if c.Col != col {
-			continue
+	for i := range st.Where {
+		if st.Where[i].Col == col {
+			return st.Where[i].Value(args)
 		}
-		if c.Param < 0 {
-			return c.Lit, true
-		}
-		if c.Param < len(args) {
-			return args[c.Param], true
-		}
-		return nil, false
 	}
 	return nil, false
 }

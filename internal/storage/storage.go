@@ -9,8 +9,8 @@
 // []string), so execution reads unboxed values with no per-row slice or
 // interface dispatch. The []any-based accessors (Insert, Row) remain as the
 // compatibility boundary toward the interpreter's value vocabulary; the hot
-// path uses View/ColInt/ColStr instead. See README.md for the layout and the
-// accessor contract.
+// path uses View instead. See README.md for the layout and the accessor
+// contract.
 package storage
 
 import (
@@ -165,16 +165,61 @@ type Table struct {
 }
 
 // Index is a hash index on one column. IndexExtent pages are modelled as
-// hash buckets spread over the index extent. The rid-list map doubles as the
-// index's key statistics: KeyCount answers "how many rows carry this key"
-// without touching a data page, which the shard router's scatter pruning
-// consults.
+// hash buckets spread over the index extent. The rid lists double as the
+// index's key statistics: IndexKeyCount answers "how many rows carry this
+// key" without touching a data page, which the shard router's scatter
+// pruning consults.
+//
+// A key of the column's declared type lives in the typed map, hashed and
+// compared unboxed; any other key (a value that degraded the column, a string
+// probed into an int column, nil) lives in boxed. The key's dynamic type alone
+// picks the map, on insert and probe alike, so together they answer exactly
+// as one map[any][]int under interface equality.
 type Index struct {
 	Column string
 	Unique bool
 	Extent int
 	Pages  int // bucket pages
-	m      map[any][]int
+
+	ci    int              // Column's schema position
+	ints  map[int64][]int  // non-nil for a TInt column
+	strs  map[string][]int // non-nil for a TString column
+	boxed map[any][]int    // nil until a key of another type arrives
+}
+
+// add appends rid to key's list.
+func (ix *Index) add(key any, rid int) {
+	switch k := key.(type) {
+	case int64:
+		if ix.ints != nil {
+			ix.ints[k] = append(ix.ints[k], rid)
+			return
+		}
+	case string:
+		if ix.strs != nil {
+			ix.strs[k] = append(ix.strs[k], rid)
+			return
+		}
+	}
+	if ix.boxed == nil {
+		ix.boxed = make(map[any][]int)
+	}
+	ix.boxed[key] = append(ix.boxed[key], rid)
+}
+
+// rids returns key's list (nil when absent). It aliases index storage.
+func (ix *Index) rids(key any) []int {
+	switch k := key.(type) {
+	case int64:
+		if ix.ints != nil {
+			return ix.ints[k]
+		}
+	case string:
+		if ix.strs != nil {
+			return ix.strs[k]
+		}
+	}
+	return ix.boxed[key]
 }
 
 // NewTable creates an empty table. Extents are assigned by the catalog.
@@ -210,7 +255,7 @@ func (t *Table) RowsPerPage() int {
 }
 
 // AddIndex creates a hash index over an existing column, building it from
-// current rows.
+// current rows: straight from the typed vector unless the column has degraded.
 func (t *Table) AddIndex(column string, unique bool, extent, pages int) error {
 	ci := t.Schema.ColIndex(column)
 	if ci < 0 {
@@ -218,11 +263,22 @@ func (t *Table) AddIndex(column string, unique bool, extent, pages int) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ix := &Index{Column: column, Unique: unique, Extent: extent, Pages: pages, m: make(map[any][]int)}
 	c := &t.cols[ci]
+	ix := &Index{Column: column, Unique: unique, Extent: extent, Pages: pages, ci: ci}
+	if c.kind == TInt {
+		ix.ints = make(map[int64][]int)
+	} else {
+		ix.strs = make(map[string][]int)
+	}
 	for rid := 0; rid < t.numRows; rid++ {
-		k := c.get(rid)
-		ix.m[k] = append(ix.m[k], rid)
+		switch {
+		case c.degraded():
+			ix.add(c.anys[rid], rid)
+		case c.kind == TInt:
+			ix.ints[c.ints[rid]] = append(ix.ints[c.ints[rid]], rid)
+		default:
+			ix.strs[c.strs[rid]] = append(ix.strs[c.strs[rid]], rid)
+		}
 	}
 	t.indexes[column] = ix
 	return nil
@@ -265,9 +321,8 @@ func (t *Table) Insert(row []any) (int, error) {
 		t.cols[i].append(row[i], rid)
 	}
 	t.numRows++
-	for col, ix := range t.indexes {
-		ci := t.Schema.ColIndex(col)
-		ix.m[row[ci]] = append(ix.m[row[ci]], rid)
+	for _, ix := range t.indexes {
+		ix.add(row[ix.ci], rid)
 	}
 	return rid, nil
 }
@@ -282,32 +337,6 @@ func (t *Table) Row(rid int) []any {
 		out[i] = t.cols[i].get(rid)
 	}
 	return out
-}
-
-// ColInt returns the typed vector of an int column (and true), or nil and
-// false when the column is not typed-int (wrong declared type, or degraded
-// by a mismatched insert). The slice is shared, append-only storage: callers
-// must not mutate it and must bound reads by a row count observed under the
-// same View or NumRows call.
-func (t *Table) ColInt(ci int) ([]int64, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	c := &t.cols[ci]
-	if c.kind != TInt || c.degraded() {
-		return nil, false
-	}
-	return c.ints, true
-}
-
-// ColStr is ColInt for string columns.
-func (t *Table) ColStr(ci int) ([]string, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	c := &t.cols[ci]
-	if c.kind != TString || c.degraded() {
-		return nil, false
-	}
-	return c.strs, true
 }
 
 // ColView is one column of a View: exactly one of Ints, Strs, Anys is
@@ -378,20 +407,21 @@ func (t *Table) NumPages() int {
 // PageOf maps a row id to its data page number.
 func (t *Table) PageOf(rid int) int { return rid / t.RowsPerPage() }
 
-// Lookup returns the row ids matching value on an indexed column, plus the
-// index bucket page touched. ok is false when no index exists on the column.
-// The rid slice aliases the index's internal storage: callers must treat it
-// as read-only and use it within the current statement only.
-func (t *Table) Lookup(column string, value any) (rids []int, bucketPage int, ok bool) {
+// Probe is the index lookup, set-oriented: under one read lock it appends, for
+// every key in order, the matching row ids to rids, and then the bucket page
+// each key hashes to to buckets. ix must be one of t's indexes. The rid lists
+// alias the index's internal storage: callers treat them as read-only, use
+// them within the current statement only, and clear rids before pooling it.
+func (t *Table) Probe(ix *Index, keys []any, rids [][]int, buckets []int) ([][]int, []int) {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ix := t.indexes[column]
-	if ix == nil {
-		return nil, 0, false
+	for _, k := range keys {
+		rids = append(rids, ix.rids(k))
 	}
-	rids = ix.m[value]
-	bucketPage = bucketOf(value, ix.Pages)
-	return rids, bucketPage, true
+	t.mu.RUnlock()
+	for _, k := range keys {
+		buckets = append(buckets, bucketOf(k, ix.Pages))
+	}
+	return rids, buckets
 }
 
 // IndexKeyCount reports how many rows carry value in column's index — the
@@ -404,48 +434,7 @@ func (t *Table) IndexKeyCount(column string, value any) (n int, ok bool) {
 	if ix == nil {
 		return 0, false
 	}
-	return len(ix.m[value]), true
-}
-
-// ScanEq returns row ids matching value by scanning (no index).
-func (t *Table) ScanEq(column string, value any) ([]int, error) {
-	ci := t.Schema.ColIndex(column)
-	if ci < 0 {
-		return nil, fmt.Errorf("storage: %s: no column %q", t.Name, column)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []int
-	c := &t.cols[ci]
-	switch {
-	case c.degraded():
-		for rid := 0; rid < t.numRows; rid++ {
-			if c.anys[rid] == value {
-				out = append(out, rid)
-			}
-		}
-	case c.kind == TInt:
-		v, ok := value.(int64)
-		if !ok {
-			return nil, nil // an int column never equals a non-int value
-		}
-		for rid, x := range c.ints[:t.numRows] {
-			if x == v {
-				out = append(out, rid)
-			}
-		}
-	default:
-		v, ok := value.(string)
-		if !ok {
-			return nil, nil
-		}
-		for rid, x := range c.strs[:t.numRows] {
-			if x == v {
-				out = append(out, rid)
-			}
-		}
-	}
-	return out, nil
+	return len(ix.rids(value)), true
 }
 
 // bucketOf maps an index key to its bucket page: FNV-1a over the key as "%v"

@@ -3,8 +3,13 @@ package storage
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"os"
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func newKV(t *testing.T) *Table {
@@ -15,6 +20,18 @@ func newKV(t *testing.T) *Table {
 		Column{Name: "v", Type: TString},
 	))
 	return tbl
+}
+
+// Lookup is Probe of one key by column name, the per-key form the tests read
+// an index through: the row ids matching value and the bucket page touched.
+// ok is false when no index exists on the column.
+func (t *Table) Lookup(column string, value any) (rids []int, bucketPage int, ok bool) {
+	ix := t.Index(column)
+	if ix == nil {
+		return nil, 0, false
+	}
+	rs, bs := t.Probe(ix, []any{value}, nil, nil)
+	return rs[0], bs[0], true
 }
 
 func TestInsertAndRow(t *testing.T) {
@@ -51,17 +68,6 @@ func TestIndexMaintenance(t *testing.T) {
 	}
 	if err := tbl.AddIndex("nope", false, 2, 4); err == nil {
 		t.Fatal("bad column must error")
-	}
-}
-
-func TestScanEq(t *testing.T) {
-	tbl := newKV(t)
-	for i := int64(0); i < 20; i++ {
-		tbl.Insert([]any{i % 4, "x"})
-	}
-	rids, err := tbl.ScanEq("k", int64(1))
-	if err != nil || len(rids) != 5 {
-		t.Fatalf("%v %v", rids, err)
 	}
 }
 
@@ -134,25 +140,16 @@ func TestColumnarTypedAccessors(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		tbl.Insert([]any{i * 2, "x"})
 	}
-	ints, ok := tbl.ColInt(0)
-	if !ok || len(ints) < 10 || ints[3] != 6 {
-		t.Fatalf("ColInt: %v %v", ints, ok)
-	}
-	strs, ok := tbl.ColStr(1)
-	if !ok || strs[0] != "x" {
-		t.Fatalf("ColStr: %v %v", strs, ok)
-	}
-	if _, ok := tbl.ColInt(1); ok {
-		t.Fatal("ColInt must refuse a string column")
-	}
-	if _, ok := tbl.ColStr(0); ok {
-		t.Fatal("ColStr must refuse an int column")
-	}
-
 	var v View
 	tbl.ViewInto(&v)
 	if v.NumRows != 10 {
 		t.Fatalf("view rows: %d", v.NumRows)
+	}
+	if k := &v.Cols[0]; len(k.Ints) < 10 || k.Ints[3] != 6 || k.Strs != nil || k.Anys != nil {
+		t.Fatalf("int column view: %+v", k)
+	}
+	if c := &v.Cols[1]; c.Strs[0] != "x" || c.Ints != nil || c.Anys != nil {
+		t.Fatalf("string column view: %+v", c)
 	}
 	tbl.Insert([]any{int64(100), "y"}) // grows past the snapshot
 	if v.NumRows != 10 || v.Cols[0].Ints[9] != 18 {
@@ -180,9 +177,6 @@ func TestColumnDegradation(t *testing.T) {
 	tbl.Insert([]any{int64(1), "a"})
 	tbl.Insert([]any{"oops", "b"}) // string into the int column
 	tbl.Insert([]any{int64(3), "c"})
-	if _, ok := tbl.ColInt(0); ok {
-		t.Fatal("degraded column must refuse the typed accessor")
-	}
 	if tbl.Row(0)[0] != int64(1) || tbl.Row(1)[0] != "oops" || tbl.Row(2)[0] != int64(3) {
 		t.Fatal("degraded column lost values")
 	}
@@ -191,11 +185,7 @@ func TestColumnDegradation(t *testing.T) {
 	if v.Cols[0].Anys == nil || v.Cols[0].Any(1) != "oops" {
 		t.Fatal("view must expose the boxed vector for a degraded column")
 	}
-	// Scans and indexes still work over mixed values.
-	rids, err := tbl.ScanEq("k", int64(3))
-	if err != nil || len(rids) != 1 || rids[0] != 2 {
-		t.Fatalf("ScanEq on degraded: %v %v", rids, err)
-	}
+	// Indexes still work over mixed values.
 	if err := tbl.AddIndex("k", false, 1, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -276,5 +266,164 @@ func TestBucketOfMatchesFormattedHash(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { bucketOf(int64(-987654321), 64); bucketOf("user42", 64) }); n != 0 {
 		t.Errorf("hashing an int64 and a string key allocates %.0f objects, want 0", n)
+	}
+}
+
+// testSeed resolves a randomized test's seed: ASYNCQ_SEED when set, the
+// clock otherwise. It is logged, so a failure prints what reproduces it.
+func testSeed(t *testing.T) int64 {
+	seed, err := strconv.ParseInt(os.Getenv("ASYNCQ_SEED"), 10, 64)
+	if err != nil || seed == 0 {
+		seed = time.Now().UnixNano()
+	}
+	t.Logf("seed %d (reproduce with ASYNCQ_SEED=%d go test -run %s ./internal/storage/)", seed, seed, t.Name())
+	return seed
+}
+
+// TestModelIndexMatchesBoxedMap holds the typed index to the map[any][]int it
+// replaced: a seeded load of keys — of the column's type, then of every type
+// (int64(5), int(5), "5" and nil are four keys under interface equality) —
+// with the index added before the load, mid-load before the column degrades,
+// and after it has. Lookup, the set probe and IndexKeyCount must answer as the
+// one boxed map does, rid for rid.
+func TestModelIndexMatchesBoxedMap(t *testing.T) {
+	seed := testSeed(t)
+	const rows = 400
+	mixed := []any{int64(5), int(5), "5", nil, int32(5), 2.5, true, "", int64(-1)}
+	for _, kind := range []ColType{TInt, TString} {
+		for _, tc := range []struct {
+			name               string
+			indexAt, degradeAt int // row counts; degradeAt > rows: never
+		}{
+			{"indexed empty, never degrades", 0, rows + 1},
+			{"indexed mid-load, never degrades", 150, rows + 1},
+			{"degrades after AddIndex", 100, 250},
+			{"degrades mid-load, then indexed", 250, 100},
+			{"degrades on the first row", 50, 0},
+		} {
+			t.Run(fmt.Sprintf("kind=%d/%s", kind, tc.name), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				tbl := NewTable("t", NewSchema(Column{Name: "k", Type: kind}), 0)
+				typed := func() any {
+					if kind == TInt {
+						return int64(rng.Intn(12))
+					}
+					return strconv.Itoa(rng.Intn(12))
+				}
+				probes := slices.Clone(mixed)
+				for i := -1; i < 13; i++ {
+					probes = append(probes, int64(i), strconv.Itoa(i))
+				}
+				ref := make(map[any][]int)
+				check := func(n int) {
+					if n < tc.indexAt {
+						if _, _, ok := tbl.Lookup("k", probes[0]); ok {
+							t.Fatalf("%d rows: Lookup reports an index before AddIndex", n)
+						}
+						return
+					}
+					ix := tbl.Index("k")
+					setRids, setBuckets := tbl.Probe(ix, probes, nil, nil)
+					if len(setRids) != len(probes) || len(setBuckets) != len(probes) {
+						t.Fatalf("%d rows: Probe of %d keys returned %d lists, %d buckets", n, len(probes), len(setRids), len(setBuckets))
+					}
+					for i, k := range probes {
+						want := ref[k]
+						rids, bucket, ok := tbl.Lookup("k", k)
+						if !ok || !slices.Equal(rids, want) {
+							t.Fatalf("%d rows: Lookup(%#v) = %v %v, reference %v", n, k, rids, ok, want)
+						}
+						if !slices.Equal(setRids[i], want) {
+							t.Fatalf("%d rows: Probe key %#v = %v, reference %v", n, k, setRids[i], want)
+						}
+						if wantB := bucketOf(k, ix.Pages); bucket != wantB || setBuckets[i] != wantB {
+							t.Fatalf("%d rows: bucket of %#v: Lookup %d, Probe %d, want %d", n, k, bucket, setBuckets[i], wantB)
+						}
+						if c, ok := tbl.IndexKeyCount("k", k); !ok || c != len(want) {
+							t.Fatalf("%d rows: IndexKeyCount(%#v) = %d %v, reference %d", n, k, c, ok, len(want))
+						}
+					}
+				}
+				for n := 0; n <= rows; n++ {
+					if n == tc.indexAt {
+						if err := tbl.AddIndex("k", false, 1, 7); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if n%25 == 0 || n == tc.indexAt || n == tc.degradeAt+1 {
+						check(n)
+					}
+					if n == rows {
+						break
+					}
+					k := typed()
+					if n == tc.degradeAt || (n > tc.degradeAt && rng.Intn(2) == 0) {
+						k = mixed[rng.Intn(len(mixed))]
+						if n == tc.degradeAt && kind == TInt {
+							k = "5" // a key of the other type, so the column degrades on this row
+						}
+					}
+					rid, err := tbl.Insert([]any{k})
+					if err != nil || rid != n {
+						t.Fatalf("insert %d: rid %d, %v", n, rid, err)
+					}
+					ref[k] = append(ref[k], rid)
+				}
+				var v View
+				tbl.ViewInto(&v)
+				if typedCol := v.Cols[0].Anys == nil; kind == TInt && typedCol != (tc.degradeAt > rows) {
+					t.Fatalf("column typed = %v with degradeAt %d", typedCol, tc.degradeAt)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkProbe is the index lookup sqlmini drives a statement with: one key
+// (Execute) and a 64-key set (ExecuteBatch of 64 bindings), against an int
+// column, a string column, and keys that are not of their column's type and so
+// live in the boxed side map.
+//
+//	go test -run XXX -bench Probe -benchmem ./internal/storage/
+func BenchmarkProbe(b *testing.B) {
+	const rows = 1 << 16
+	for _, bc := range []struct {
+		name string
+		kind ColType
+		key  func(i int) any
+	}{
+		{"int", TInt, func(i int) any { return int64(i) }},
+		{"string", TString, func(i int) any { return "user" + strconv.Itoa(i) }},
+		{"boxed", TInt, func(i int) any { return "user" + strconv.Itoa(i) }},
+	} {
+		tbl := NewTable("t", NewSchema(Column{Name: "k", Type: bc.kind}), 0)
+		for i := 0; i < rows; i++ {
+			if _, err := tbl.Insert([]any{bc.key(i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := tbl.AddIndex("k", true, 1, 1024); err != nil {
+			b.Fatal(err)
+		}
+		ix := tbl.Index("k")
+		keys := make([]any, rows)
+		for i := range keys {
+			keys[i] = bc.key((i * 7919) % rows)
+		}
+		for _, n := range []int{1, 64} {
+			b.Run(fmt.Sprintf("%s/keys=%d", bc.name, n), func(b *testing.B) {
+				var rids [][]int
+				var buckets []int
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					at := (i * n) % (rows - n)
+					rids, buckets = tbl.Probe(ix, keys[at:at+n], rids[:0], buckets[:0])
+				}
+				if len(rids) != n || len(rids[0]) != 1 {
+					b.Fatalf("probe of %d keys: %d lists, first %v", n, len(rids), rids[0])
+				}
+			})
+		}
 	}
 }
