@@ -12,17 +12,6 @@ import (
 	"repro/internal/wal"
 )
 
-// ChaosMeasurement is one fault-rate data point of the chaos figure: the
-// loadgen report for a closed-loop read run with every fault kind firing at
-// Percent% per decision, plus the backend's resilience accounting.
-type ChaosMeasurement struct {
-	Percent    int // per-decision fault probability, percent
-	Report     net.LoadReport
-	Resilience replica.ResilienceStats
-	SyncErrors int64
-	Fired      map[string]int64
-}
-
 // FigChaos — client-observed latency percentiles and goodput vs injected
 // fault rate. A closed-loop read workload drives the full resilient stack —
 // retrying TCP client, hedged reads, per-replica circuit breakers, flaky
@@ -55,7 +44,14 @@ func (h *Harness) FigChaos() (*Figure, error) {
 	series := []Series{
 		{Label: "p50 ms"}, {Label: "p99 ms"}, {Label: "p999 ms"}, {Label: "goodput req/s"},
 	}
-	var points []ChaosMeasurement
+	// The last (highest) fault rate's loadgen report, resilience accounting,
+	// WAL sync errors and fired-fault counts.
+	var (
+		top         net.LoadReport
+		topRes      replica.ResilienceStats
+		topSyncErrs int64
+		topFired    map[string]int64
+	)
 	for _, pct := range percents {
 		p := float64(pct) / 100
 		// A fresh, deterministically seeded injector per point: client-side
@@ -99,11 +95,11 @@ func (h *Harness) FigChaos() (*Figure, error) {
 			fx.Close()
 			return nil, fmt.Errorf("chaos %d%%: %w", pct, err)
 		}
-		res := fx.g.Resilience()
-		rep.Hedges = res.HedgesLaunched
-		rep.BreakerTrips = res.BreakerTrips
-		syncErrs := fx.g.WALStats().SyncErrors
-		fired := inj.Counts()
+		topRes = fx.g.Resilience()
+		rep.Hedges = topRes.HedgesLaunched
+		rep.BreakerTrips = topRes.BreakerTrips
+		topSyncErrs = fx.g.WALStats().SyncErrors
+		topFired = inj.Counts()
 		fx.Close()
 
 		// Graceful degradation means every request still answers: a hang or
@@ -116,10 +112,7 @@ func (h *Harness) FigChaos() (*Figure, error) {
 			return nil, fmt.Errorf("chaos 0%%: phantom faults: %d retries, %d trips",
 				rep.Retries, rep.BreakerTrips)
 		}
-		points = append(points, ChaosMeasurement{
-			Percent: pct, Report: rep, Resilience: res,
-			SyncErrors: syncErrs, Fired: fired,
-		})
+		top = rep
 		series[0].Points = append(series[0].Points, Point{X: pct, Y: rep.P50Ms})
 		series[1].Points = append(series[1].Points, Point{X: pct, Y: rep.P99Ms})
 		series[2].Points = append(series[2].Points, Point{X: pct, Y: rep.P999Ms})
@@ -127,16 +120,16 @@ func (h *Harness) FigChaos() (*Figure, error) {
 	}
 	// At the top fault rate the machinery must visibly work: transport
 	// faults were retried and replica crashes tripped breakers.
-	top := points[len(points)-1]
-	if top.Percent >= 10 {
-		if top.Report.Retries == 0 {
-			return nil, fmt.Errorf("chaos: no retries at %d%% fault rate", top.Percent)
+	topPct := percents[len(percents)-1]
+	if topPct >= 10 {
+		if top.Retries == 0 {
+			return nil, fmt.Errorf("chaos: no retries at %d%% fault rate", topPct)
 		}
-		if top.Report.BreakerTrips == 0 {
-			return nil, fmt.Errorf("chaos: no breaker trips at %d%% fault rate", top.Percent)
+		if top.BreakerTrips == 0 {
+			return nil, fmt.Errorf("chaos: no breaker trips at %d%% fault rate", topPct)
 		}
-		if top.Report.Completed == 0 {
-			return nil, fmt.Errorf("chaos: nothing completed at %d%% fault rate", top.Percent)
+		if top.Completed == 0 {
+			return nil, fmt.Errorf("chaos: nothing completed at %d%% fault rate", topPct)
 		}
 	}
 	f.Series = series
@@ -144,10 +137,9 @@ func (h *Harness) FigChaos() (*Figure, error) {
 		fmt.Sprintf("Database: %s, 2 replicas + breaker (2ms cooldown) + 5ms hedge, closed loop %d conns, seed %d",
 			server.SYS1().Name, conns, seed),
 		fmt.Sprintf("At %d%%: completed %d, retries %d, reconnects %d, breaker trips %d, probes %d, hedges %d, wal sync errors %d",
-			top.Percent, top.Report.Completed, top.Report.Retries, top.Report.Reconnects,
-			top.Resilience.BreakerTrips, top.Resilience.BreakerProbes,
-			top.Resilience.HedgesLaunched, top.SyncErrors),
-		fmt.Sprintf("Faults fired at %d%%: %v", top.Percent, top.Fired),
+			topPct, top.Completed, top.Retries, top.Reconnects,
+			topRes.BreakerTrips, topRes.BreakerProbes, topRes.HedgesLaunched, topSyncErrs),
+		fmt.Sprintf("Faults fired at %d%%: %v", topPct, topFired),
 		"Every request completes at every fault rate (zero hung, zero failed): degradation is latency and goodput, never correctness")
 	return f, nil
 }

@@ -81,13 +81,13 @@ func TestMeasureSmall(t *testing.T) {
 		{apps.WebServiceApp(), server.WebService()},
 	}
 	for _, c := range cases {
-		m, err := h.Measure(c.app, c.prof, 4, 25, true)
+		runs, err := h.Measure(Config{App: c.app, Profile: c.prof, Threads: 4, Iterations: 25, Warm: true}, Blocking, Async)
 		if err != nil {
 			t.Errorf("%s: %v", c.app.Name, err)
 			continue
 		}
-		if m.Iterations != 25 {
-			t.Errorf("%s: bad measurement %+v", c.app.Name, m)
+		if len(runs) != 2 || runs[1].RoundTrips < 25 {
+			t.Errorf("%s: bad measurement %+v", c.app.Name, runs)
 		}
 	}
 }

@@ -31,129 +31,161 @@ type Figure struct {
 	Notes  []string
 }
 
-func (h *Harness) sweepIterations(fig, title string, app *apps.App, prof server.Profile,
-	threads int, iters []int, caches []bool) (*Figure, error) {
+// sweepKind is what the families of time-vs-x figures differ in: the Config
+// field x sets, the submission modes compared, how a mode's series is labelled
+// and what the notes state (last is the largest x's runs).
+type sweepKind struct {
+	xlabel, xname string
+	set           func(c *Config, x int)
+	modes         []Mode
+	label         func(m Mode, cache string) string
+	notes         func(c Config, cache string, last []Run) []string
+}
 
-	f := &Figure{
-		ID:     fig,
-		Title:  title,
-		XLabel: "Number of iterations",
-		YLabel: "Time (in sec)",
+// program names the kernel a mode runs.
+func program(m Mode) string {
+	if m == Blocking {
+		return "Original Program"
 	}
-	for _, warm := range caches {
-		cacheName := "Cold Cache"
-		if warm {
-			cacheName = "Warm Cache"
+	return "Transformed Program"
+}
+
+var (
+	// byIterations: original vs transformed over the iteration count, one pair
+	// of series per cache state.
+	byIterations = sweepKind{
+		xlabel: "Number of iterations", xname: "n",
+		set:   func(c *Config, x int) { c.Iterations = x },
+		modes: []Mode{Blocking, Async},
+		label: func(m Mode, cache string) string { return program(m) + " (" + cache + " Cache)" },
+		notes: func(c Config, _ string, _ []Run) []string {
+			return []string{fmt.Sprintf("Database: %s, Threads: %d", c.Profile.Name, c.Threads)}
+		},
+	}
+	// byThreads: original vs transformed over the worker-pool size.
+	byThreads = sweepKind{
+		xlabel: "Number of threads", xname: "threads",
+		set:   func(c *Config, x int) { c.Threads = x },
+		modes: []Mode{Blocking, Async},
+		label: func(m Mode, _ string) string { return program(m) },
+		notes: func(c Config, cache string, _ []Run) []string {
+			return []string{fmt.Sprintf("Database: %s, Cache: %s, Iterations: %d", c.Profile.Name, cache, c.Iterations)}
+		},
+	}
+	// byIterationsBatched: synchronous vs asynchronous vs batched over the
+	// iteration count — the batched-submission experiment that goes beyond the
+	// paper's figures (batching is the sibling transformation the paper names
+	// in §I).
+	byIterationsBatched = sweepKind{
+		xlabel: "Number of iterations", xname: "n",
+		set:   func(c *Config, x int) { c.Iterations = x },
+		modes: []Mode{Blocking, Async, Batched},
+		label: func(m Mode, _ string) string { return program(m) + " (" + m.String() + ")" },
+		notes: func(c Config, cache string, last []Run) []string {
+			return []string{
+				fmt.Sprintf("Database: %s, Cache: %s, Threads: %d, MaxBatch: %d",
+					c.Profile.Name, cache, c.Threads, c.MaxBatch),
+				fmt.Sprintf("Largest run: %d batches (avg size %.1f); round trips: %d async vs %d batched",
+					last[2].Batches, last[2].AvgBatch, last[1].RoundTrips, last[2].RoundTrips)}
+		},
+	}
+)
+
+// sweep is the one time-vs-x figure: for each cache state it measures c under
+// the kind's modes at every x and plots each mode's seconds as a series.
+func (h *Harness) sweep(fig, title string, k sweepKind, c Config, xs []int, caches ...bool) (*Figure, error) {
+	f := &Figure{ID: fig, Title: title, XLabel: k.xlabel, YLabel: "Time (in sec)"}
+	var last []Run
+	for _, c.Warm = range caches {
+		series := make([]Series, len(k.modes))
+		for i, m := range k.modes {
+			series[i].Label = k.label(m, cacheName(c.Warm))
 		}
-		var orig, trans Series
-		orig.Label = "Original Program (" + cacheName + ")"
-		trans.Label = "Transformed Program (" + cacheName + ")"
-		for _, n := range iters {
-			m, err := h.Measure(app, prof, threads, n, warm)
+		for _, x := range xs {
+			k.set(&c, x)
+			runs, err := h.Measure(c, k.modes...)
 			if err != nil {
-				return nil, fmt.Errorf("%s n=%d: %w", fig, n, err)
+				return nil, fmt.Errorf("%s %s=%d: %w", fig, k.xname, x, err)
 			}
-			orig.Points = append(orig.Points, Point{X: n, Y: m.Original})
-			trans.Points = append(trans.Points, Point{X: n, Y: m.Transformed})
+			for i, r := range runs {
+				series[i].Points = append(series[i].Points, Point{X: x, Y: r.Seconds})
+			}
+			last = runs
 		}
-		f.Series = append(f.Series, orig, trans)
+		f.Series = append(f.Series, series...)
 	}
-	f.Notes = append(f.Notes,
-		fmt.Sprintf("Database: %s, Threads: %d", prof.Name, threads))
+	f.Notes = k.notes(c, cacheName(c.Warm), last)
 	return f, nil
 }
 
-func (h *Harness) sweepThreads(fig, title string, app *apps.App, prof server.Profile,
-	iterations int, threads []int, warm bool) (*Figure, error) {
-
-	cacheName := "Cold"
+func cacheName(warm bool) string {
 	if warm {
-		cacheName = "Warm"
+		return "Warm"
 	}
-	f := &Figure{
-		ID:     fig,
-		Title:  title,
-		XLabel: "Number of threads",
-		YLabel: "Time (in sec)",
-		Notes: []string{fmt.Sprintf("Database: %s, Cache: %s, Iterations: %d",
-			prof.Name, cacheName, iterations)},
-	}
-	var orig, trans Series
-	orig.Label = "Original Program"
-	trans.Label = "Transformed Program"
-	for _, t := range threads {
-		m, err := h.Measure(app, prof, t, iterations, warm)
-		if err != nil {
-			return nil, fmt.Errorf("%s threads=%d: %w", fig, t, err)
-		}
-		orig.Points = append(orig.Points, Point{X: t, Y: m.Original})
-		trans.Points = append(trans.Points, Point{X: t, Y: m.Transformed})
-	}
-	f.Series = append(f.Series, orig, trans)
-	return f, nil
+	return "Cold"
 }
 
 // Fig08 — Experiment 1 (RUBiS auction) on SYS1, 10 threads, varying the
 // number of iterations, warm and cold caches.
 func (h *Harness) Fig08() (*Figure, error) {
 	iters := h.pick([]int{4, 40, 400, 4000, 40000}, []int{4, 40, 400})
-	return h.sweepIterations("Fig 8", "Experiment 1 with varying number of iterations",
-		apps.RUBiS(), server.SYS1(), 10, iters, []bool{false, true})
+	return h.sweep("Fig 8", "Experiment 1 with varying number of iterations", byIterations,
+		Config{App: apps.RUBiS(), Profile: server.SYS1(), Threads: 10}, iters, false, true)
 }
 
 // Fig09 — Experiment 1 on SYS1, 40k iterations, warm cache, varying threads.
 func (h *Harness) Fig09() (*Figure, error) {
 	threads := h.pick([]int{1, 2, 5, 10, 20, 30, 40, 50}, []int{1, 5, 20})
 	iters := h.iters(40000, 2000)
-	return h.sweepThreads("Fig 9", "Experiment 1 with varying number of threads",
-		apps.RUBiS(), server.SYS1(), iters, threads, true)
+	return h.sweep("Fig 9", "Experiment 1 with varying number of threads", byThreads,
+		Config{App: apps.RUBiS(), Profile: server.SYS1(), Iterations: iters}, threads, true)
 }
 
 // Fig10 — Experiment 1 on the PostgreSQL profile, varying threads.
 func (h *Harness) Fig10() (*Figure, error) {
 	threads := h.pick([]int{1, 2, 5, 10, 20, 30, 40, 50}, []int{1, 5, 20})
 	iters := h.iters(40000, 2000)
-	return h.sweepThreads("Fig 10", "Experiment 1 with varying number of threads",
-		apps.RUBiS(), server.Postgres(), iters, threads, true)
+	return h.sweep("Fig 10", "Experiment 1 with varying number of threads", byThreads,
+		Config{App: apps.RUBiS(), Profile: server.Postgres(), Iterations: iters}, threads, true)
 }
 
 // Fig11 — Experiment 2 (RUBBoS bulletin board) on PostgreSQL, 10 threads,
 // warm cache, varying iterations.
 func (h *Harness) Fig11() (*Figure, error) {
 	iters := h.pick([]int{6, 60, 600, 6000}, []int{6, 60})
-	return h.sweepIterations("Fig 11", "Experiment 2 with varying number of iterations",
-		apps.RUBBoS(), server.Postgres(), 10, iters, []bool{true})
+	return h.sweep("Fig 11", "Experiment 2 with varying number of iterations", byIterations,
+		Config{App: apps.RUBBoS(), Profile: server.Postgres(), Threads: 10}, iters, true)
 }
 
 // Fig12 — Experiment 3 (category traversal) on SYS1, 10 threads, varying
 // iterations, warm and cold.
 func (h *Harness) Fig12() (*Figure, error) {
 	iters := h.pick([]int{1, 11, 100}, []int{1, 11})
-	return h.sweepIterations("Fig 12", "Experiment 3 with varying iterations",
-		apps.Category(), server.SYS1(), 10, iters, []bool{false, true})
+	return h.sweep("Fig 12", "Experiment 3 with varying iterations", byIterations,
+		Config{App: apps.Category(), Profile: server.SYS1(), Threads: 10}, iters, false, true)
 }
 
 // Fig13 — Experiment 3 on SYS1, cold cache, 100 iterations, varying threads.
 func (h *Harness) Fig13() (*Figure, error) {
 	threads := h.pick([]int{1, 2, 5, 10, 20, 30, 40, 50}, []int{1, 5, 20})
-	return h.sweepThreads("Fig 13", "Experiment 3 with varying number of threads",
-		apps.Category(), server.SYS1(), h.iters(100, 40), threads, false)
+	return h.sweep("Fig 13", "Experiment 3 with varying number of threads", byThreads,
+		Config{App: apps.Category(), Profile: server.SYS1(), Iterations: h.iters(100, 40)}, threads, false)
 }
 
 // Fig14 — Experiment 4 (value range expansion, INSERTs) on SYS1, 30
 // threads, varying iterations. Results are cache-independent (write-back).
 func (h *Harness) Fig14() (*Figure, error) {
 	iters := h.pick([]int{10, 100, 1000, 10000, 100000}, []int{10, 100, 1000})
-	return h.sweepIterations("Fig 14", "Experiment 4 with varying number of iterations",
-		apps.Forms(), server.SYS1(), 30, iters, []bool{true})
+	return h.sweep("Fig 14", "Experiment 4 with varying number of iterations", byIterations,
+		Config{App: apps.Forms(), Profile: server.SYS1(), Threads: 30}, iters, true)
 }
 
 // Fig15 — Experiment 5 (web service invocation), 240 iterations, varying
 // threads.
 func (h *Harness) Fig15() (*Figure, error) {
 	threads := h.pick([]int{1, 2, 5, 10, 15, 20, 25}, []int{1, 5, 15})
-	return h.sweepThreads("Fig 15", "Experiment 5 with varying number of threads",
-		apps.WebServiceApp(), server.WebService(), h.iters(240, 60), threads, true)
+	return h.sweep("Fig 15", "Experiment 5 with varying number of threads", byThreads,
+		Config{App: apps.WebServiceApp(), Profile: server.WebService(), Iterations: h.iters(240, 60)}, threads, true)
 }
 
 func (h *Harness) iters(full, quick int) int {
@@ -163,65 +195,21 @@ func (h *Harness) iters(full, quick int) int {
 	return full
 }
 
-// sweepBatch builds a three-series (synchronous / asynchronous / batched)
-// figure over an iteration sweep — the batched-submission experiment that
-// goes beyond the paper's figures (batching is the sibling transformation
-// the paper names in §I).
-func (h *Harness) sweepBatch(fig, title string, app *apps.App, prof server.Profile,
-	threads, maxBatch int, iters []int, warm bool) (*Figure, error) {
-
-	cacheName := "Cold"
-	if warm {
-		cacheName = "Warm"
-	}
-	f := &Figure{
-		ID:     fig,
-		Title:  title,
-		XLabel: "Number of iterations",
-		YLabel: "Time (in sec)",
-	}
-	var syn, asy, bat Series
-	syn.Label = "Original Program (blocking)"
-	asy.Label = "Transformed Program (async)"
-	bat.Label = "Transformed Program (batched)"
-	var lastBatches int64
-	var lastAvg float64
-	var lastAsyncRTT, lastBatchRTT int64
-	for _, n := range iters {
-		m, err := h.MeasureBatched(app, prof, threads, n, warm, maxBatch)
-		if err != nil {
-			return nil, fmt.Errorf("%s n=%d: %w", fig, n, err)
-		}
-		syn.Points = append(syn.Points, Point{X: n, Y: m.Sync})
-		asy.Points = append(asy.Points, Point{X: n, Y: m.Async})
-		bat.Points = append(bat.Points, Point{X: n, Y: m.Batched})
-		lastBatches, lastAvg = m.BatchesIssued, m.AvgBatchSize
-		lastAsyncRTT, lastBatchRTT = m.NetRequestsAsync, m.NetRequestsBatched
-	}
-	f.Series = append(f.Series, syn, asy, bat)
-	f.Notes = append(f.Notes,
-		fmt.Sprintf("Database: %s, Cache: %s, Threads: %d, MaxBatch: %d",
-			prof.Name, cacheName, threads, maxBatch),
-		fmt.Sprintf("Largest run: %d batches (avg size %.1f); round trips: %d async vs %d batched",
-			lastBatches, lastAvg, lastAsyncRTT, lastBatchRTT))
-	return f, nil
-}
-
 // FigBatchCategory — batched vs async vs sync submission on the
 // category-traversal workload, cold cache (the configuration where shared
 // page accesses matter most).
 func (h *Harness) FigBatchCategory() (*Figure, error) {
 	iters := h.pick([]int{1, 11, 100}, []int{1, 11})
-	return h.sweepBatch("Batch A", "Batched submission: category traversal",
-		apps.Category(), server.SYS1(), 10, 16, iters, false)
+	return h.sweep("Batch A", "Batched submission: category traversal", byIterationsBatched,
+		Config{App: apps.Category(), Profile: server.SYS1(), Threads: 10, MaxBatch: 16}, iters, false)
 }
 
 // FigBatchRUBiS — batched vs async vs sync submission on the RUBiS auction
 // workload, warm cache (round-trip amortization only).
 func (h *Harness) FigBatchRUBiS() (*Figure, error) {
 	iters := h.pick([]int{4, 40, 400, 4000}, []int{4, 40, 400})
-	return h.sweepBatch("Batch B", "Batched submission: RUBiS auction",
-		apps.RUBiS(), server.SYS1(), 10, 16, iters, true)
+	return h.sweep("Batch B", "Batched submission: RUBiS auction", byIterationsBatched,
+		Config{App: apps.RUBiS(), Profile: server.SYS1(), Threads: 10, MaxBatch: 16}, iters, true)
 }
 
 // BestOf runs measure reps times — forcing a collection between runs so a
@@ -243,6 +231,18 @@ func BestOf[T any](reps int, score func(T) float64, measure func() (T, error)) (
 		}
 	}
 	return best, nil
+}
+
+// bestCluster returns the fastest of reps cluster runs of c, each verified
+// against the same batched workload on a single server.
+func (h *Harness) bestCluster(reps int, c Config) (Run, error) {
+	runs, err := BestOf(reps, func(r []Run) float64 { return -r[1].Seconds }, func() ([]Run, error) {
+		return h.Measure(c, Batched, Cluster)
+	})
+	if err != nil {
+		return Run{}, err
+	}
+	return runs[1], nil
 }
 
 // FigShardScale — batched throughput of the RUBiS workload as the cluster
@@ -271,21 +271,18 @@ func (h *Harness) FigShardScale() (*Figure, error) {
 	var lastBalance []int64
 	for _, warm := range []bool{false, true} {
 		iters := h.iters(1000, 200)
-		cacheName := "Cold Cache"
 		if warm {
 			iters = h.iters(4000, 400)
-			cacheName = "Warm Cache"
 		}
 		var tput Series
-		tput.Label = fmt.Sprintf("Batched throughput (%s)", cacheName)
+		tput.Label = fmt.Sprintf("Batched throughput (%s Cache)", cacheName(warm))
 		for _, n := range shards {
-			best, err := BestOf(3, ClusterMeasurement.speedScore, func() (ClusterMeasurement, error) {
-				return h.MeasureCluster(apps.RUBiS(), server.SYS1(), threads, iters, warm, maxBatch, n, 0)
-			})
+			best, err := h.bestCluster(3, Config{App: apps.RUBiS(), Profile: server.SYS1(), Threads: threads,
+				Iterations: iters, Warm: warm, MaxBatch: maxBatch, Shards: n})
 			if err != nil {
-				return nil, fmt.Errorf("shard-scale %s n=%d: %w", cacheName, n, err)
+				return nil, fmt.Errorf("shard-scale %s n=%d: %w", tput.Label, n, err)
 			}
-			tput.Points = append(tput.Points, Point{X: n, Y: best.Throughput})
+			tput.Points = append(tput.Points, Point{X: n, Y: float64(iters) / best.Seconds})
 			lastBalance = best.ShardQueries
 		}
 		f.Series = append(f.Series, tput)
@@ -322,13 +319,12 @@ func (h *Harness) FigReplicaScale() (*Figure, error) {
 	tput.Label = "Batched read throughput (Cold Cache, 1 shard)"
 	var lastBalance [][]int64
 	for _, nrep := range replicas {
-		best, err := BestOf(5, ClusterMeasurement.speedScore, func() (ClusterMeasurement, error) {
-			return h.MeasureCluster(apps.RUBiS(), server.SYS1(), threads, iters, false, maxBatch, 1, nrep)
-		})
+		best, err := h.bestCluster(5, Config{App: apps.RUBiS(), Profile: server.SYS1(), Threads: threads,
+			Iterations: iters, MaxBatch: maxBatch, Shards: 1, Replicas: nrep})
 		if err != nil {
 			return nil, fmt.Errorf("replica-scale r=%d: %w", nrep, err)
 		}
-		tput.Points = append(tput.Points, Point{X: nrep, Y: best.Throughput})
+		tput.Points = append(tput.Points, Point{X: nrep, Y: float64(iters) / best.Seconds})
 		lastBalance = best.ReplicaReads
 	}
 	f.Series = append(f.Series, tput)

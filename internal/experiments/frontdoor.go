@@ -13,16 +13,6 @@ import (
 	"repro/internal/wal"
 )
 
-// FrontdoorMeasurement is one offered-load data point of the front-door
-// figure: the loadgen report for an open-loop run at Percent% of the
-// server's measured closed-loop capacity, through the real TCP wire
-// protocol with a bounded admission budget.
-type FrontdoorMeasurement struct {
-	Percent  int // offered load as a percentage of measured capacity
-	Capacity float64
-	Report   net.LoadReport
-}
-
 // frontdoorFixture is a listening front door over the full simulated stack
 // (replica group, WAL, wire protocol, admission control) preloaded with the
 // point-read table the load generator drives.
@@ -153,7 +143,7 @@ func (h *Harness) FigFrontdoor() (*Figure, error) {
 	series := []Series{
 		{Label: "p50 ms"}, {Label: "p99 ms"}, {Label: "p999 ms"}, {Label: "shed %"},
 	}
-	var points []FrontdoorMeasurement
+	var top net.LoadReport // the last (highest) offered load's report
 	for _, pct := range percents {
 		opts := fx.load(rows)
 		// The connection pool must exceed the admission budget or the pool,
@@ -170,7 +160,7 @@ func (h *Harness) FigFrontdoor() (*Figure, error) {
 			return nil, fmt.Errorf("frontdoor %d%%: %d hung, %d failed requests",
 				pct, rep.Hung, rep.Failed)
 		}
-		points = append(points, FrontdoorMeasurement{Percent: pct, Capacity: capacity, Report: rep})
+		top = rep
 		series[0].Points = append(series[0].Points, Point{X: pct, Y: rep.P50Ms})
 		series[1].Points = append(series[1].Points, Point{X: pct, Y: rep.P99Ms})
 		series[2].Points = append(series[2].Points, Point{X: pct, Y: rep.P999Ms})
@@ -179,18 +169,17 @@ func (h *Harness) FigFrontdoor() (*Figure, error) {
 	// The acceptance property the figure exists to demonstrate: offered
 	// load at 2× the budgeted capacity is refused at the door, not queued
 	// into the latency tail.
-	top := points[len(points)-1]
-	if top.Percent >= 200 && top.Report.Shed == 0 {
+	topPct := percents[len(percents)-1]
+	if topPct >= 200 && top.Shed == 0 {
 		return nil, fmt.Errorf("frontdoor: no sheds at %d%% offered load (%0.f req/s over capacity %.0f)",
-			top.Percent, top.Report.Rate, capacity)
+			topPct, top.Rate, capacity)
 	}
 	f.Series = series
 	f.Notes = append(f.Notes,
 		fmt.Sprintf("Database: %s, admission budget %d, closed-loop capacity %.0f req/s (%d conns), open-loop pool %d conns, deadline 250ms",
 			server.SYS1().Name, inflight, capacity, inflight, 4*inflight),
 		fmt.Sprintf("At %d%%: sent %d, completed %d, shed %d (%.1f%%), deadlined %d, hung %d",
-			top.Percent, top.Report.Sent, top.Report.Completed, top.Report.Shed,
-			100*top.Report.ShedRate(), top.Report.Deadlined, top.Report.Hung),
+			topPct, top.Sent, top.Completed, top.Shed, 100*top.ShedRate(), top.Deadlined, top.Hung),
 		"Latencies are wall-clock through a real TCP socket (not rescaled simulated time)")
 	return f, nil
 }

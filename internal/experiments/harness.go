@@ -4,7 +4,10 @@
 // aligned text tables. Absolute times differ from the paper (the substrate
 // is a simulator), but the shapes — who wins, crossover points, saturation
 // behaviour — are the reproduction targets; PERF.md lists the command that
-// regenerates each.
+// regenerates each. Every program-driven figure is a sweep over the one
+// measurement, Harness.Measure: a Config (workload, profile, cache, client and
+// cluster shape) run once per requested submission Mode, the runs' results
+// checked equal, one Run record each.
 package experiments
 
 import (
@@ -15,9 +18,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/batch"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -39,14 +40,9 @@ type Harness struct {
 	// commit mode ("off", "group" or "strict"); empty sweeps all three.
 	Durability string
 
-	servers map[string]*loadedServer
+	servers map[string]*server.Server
 	routers map[string]*shard.Router
 	procs   map[string]*procPair
-}
-
-type loadedServer struct {
-	srv *server.Server
-	app *apps.App
 }
 
 // target is the execution backend a kernel runs against: a single server or
@@ -59,12 +55,9 @@ type target interface {
 	Stats() server.Stats
 }
 
+// procPair is an app's kernel and its transformation, slot-compiled once and
+// reused across every measurement so the timed loops never pay compilation.
 type procPair struct {
-	orig  *ir.Proc
-	trans *ir.Proc
-	rep   *core.Report
-	// Slot-compiled forms, compiled once per app and reused across every
-	// measurement so the timed loops never pay compilation.
 	origProg  *interp.Program
 	transProg *interp.Program
 }
@@ -74,24 +67,10 @@ type procPair struct {
 func NewHarness() *Harness {
 	return &Harness{
 		Scale:   0.2,
-		servers: map[string]*loadedServer{},
+		servers: map[string]*server.Server{},
 		routers: map[string]*shard.Router{},
 		procs:   map[string]*procPair{},
 	}
-}
-
-// Measurement is one (app, config) data point.
-type Measurement struct {
-	App        string
-	Profile    string
-	Threads    int
-	Warm       bool
-	Iterations int
-	// Original and Transformed are wall-clock seconds, rescaled to
-	// simulated seconds (i.e. divided by Scale) so numbers are comparable
-	// across scale settings.
-	Original    float64
-	Transformed float64
 }
 
 func (h *Harness) proc(app *apps.App) (*procPair, error) {
@@ -109,10 +88,7 @@ func (h *Harness) proc(app *apps.App) (*procPair, error) {
 	if rep.TransformedCount() == 0 {
 		return nil, fmt.Errorf("transform %s: no site transformed (%+v)", app.Name, rep.Sites)
 	}
-	p := &procPair{
-		orig: orig, trans: trans, rep: rep,
-		origProg: interp.Compile(orig), transProg: interp.Compile(trans),
-	}
+	p := &procPair{origProg: interp.Compile(orig), transProg: interp.Compile(trans)}
 	h.procs[app.Name] = p
 	return p, nil
 }
@@ -120,9 +96,9 @@ func (h *Harness) proc(app *apps.App) (*procPair, error) {
 func (h *Harness) server(app *apps.App, prof server.Profile) (*server.Server, error) {
 	key := app.Name + "/" + prof.Name
 	if !app.MutatesData {
-		if ls, ok := h.servers[key]; ok {
-			ls.srv.Clock.SetScale(h.Scale)
-			return ls.srv, nil
+		if srv, ok := h.servers[key]; ok {
+			srv.Clock.SetScale(h.Scale)
+			return srv, nil
 		}
 	}
 	srv := server.New(prof, h.Scale)
@@ -131,7 +107,7 @@ func (h *Harness) server(app *apps.App, prof server.Profile) (*server.Server, er
 		return nil, fmt.Errorf("setup %s: %w", app.Name, err)
 	}
 	if !app.MutatesData {
-		h.servers[key] = &loadedServer{srv: srv, app: app}
+		h.servers[key] = srv
 	}
 	return srv, nil
 }
@@ -170,183 +146,175 @@ func (h *Harness) router(app *apps.App, prof server.Profile, shards, replicas in
 
 // Close shuts down all cached servers and routers.
 func (h *Harness) Close() {
-	for _, ls := range h.servers {
-		ls.srv.Close()
+	for _, srv := range h.servers {
+		srv.Close()
 	}
-	h.servers = map[string]*loadedServer{}
+	h.servers = map[string]*server.Server{}
 	for _, r := range h.routers {
 		r.Close()
 	}
 	h.routers = map[string]*shard.Router{}
 }
 
-// runInfo captures one kernel run's service and server counters.
-type runInfo struct {
-	NetRequests   int64
-	BatchesIssued int64
-	AvgBatchSize  float64
+// Config is one measurement's fixed parameters: the workload, the server
+// profile, the cache state, the client's worker pool and coalescing bound, and
+// the cluster the Cluster mode runs on (Shards backends, each a bare server
+// when Replicas is 0 or a primary plus Replicas read copies).
+type Config struct {
+	App        *apps.App
+	Profile    server.Profile
+	Threads    int
+	Iterations int
+	Warm       bool
+	MaxBatch   int
+	Shards     int
+	Replicas   int
 }
 
-// submission is how one kernel run reaches its backend: threads 0 is an
-// original program's blocking environment, maxBatch 1 a plain pool, and
-// anything larger a coalescing pool whose key groupFn refines (nil: the
-// statement alone).
-type submission struct {
-	threads, maxBatch int
-	groupFn           func(name, sql string, args []any) int
+// Mode is how one run of a measurement submits its queries, and where.
+type Mode int
+
+const (
+	// Blocking runs the original program: every query is a synchronous call.
+	Blocking Mode = iota
+	// Async runs the transformed program on a pool of Threads workers, one
+	// request per query.
+	Async
+	// Batched is Async with submissions coalesced up to MaxBatch bindings.
+	Batched
+	// Cluster is Batched against the sharded cluster instead of one server,
+	// batches forming per target shard so the cluster pays the single
+	// server's number of round trips.
+	Cluster
+)
+
+func (m Mode) String() string {
+	return [...]string{"blocking", "async", "batched", "cluster"}[m]
 }
 
-// service builds a run's query service over its target. The linger window
-// is wall time, so it is scaled like every simulated latency and batched
-// series stay comparable across -scale.
-func (h *Harness) service(tgt target, sub submission) *exec.Service {
-	return batch.NewService(sub.threads, tgt.Exec, tgt.ExecBatch, batch.Options{
-		MaxBatch: sub.maxBatch,
-		Linger:   time.Duration(float64(batch.DefaultLinger) * h.Scale),
-		GroupFn:  sub.groupFn,
-	})
+// Run is what one run of a measurement recorded.
+type Run struct {
+	// Seconds is wall-clock time rescaled to simulated seconds (divided by
+	// Scale), so numbers are comparable across scale settings.
+	Seconds float64
+	// RoundTrips counts the client-visible server round trips the run paid:
+	// the per-request overhead batching amortizes. Sharding splits batches,
+	// so a cluster pays more of them, in parallel.
+	RoundTrips int64
+	// Batches and AvgBatch report the client's coalescing activity.
+	Batches  int64
+	AvgBatch float64
+	// ShardQueries is the per-shard logical statement count (the routing
+	// balance) and ReplicaReads, per shard, the reads each replica served
+	// (the load balance; nil over bare servers). Cluster runs only.
+	ShardQueries []int64
+	ReplicaReads [][]int64
 }
 
-// runKernel executes one compiled kernel against a freshly warmed (or
-// cooled) server and returns the result, the elapsed simulated seconds, and
-// the run's counters. It is the single measurement path shared by Measure
-// and MeasureBatched, so every configuration (seeding, warm-up, scale
-// handling) stays identical across submission modes.
-func (h *Harness) runKernel(app *apps.App, prof server.Profile, p *interp.Program,
-	iterations int, warm bool, sub submission) (*interp.Result, float64, runInfo, error) {
-
-	srv, err := h.server(app, prof)
+// Measure is the one measurement: it runs c's workload once per requested
+// mode, in order, each against a freshly warmed (or cooled) backend with the
+// same seeding, verifies that every run produced the first one's results, and
+// returns one record per run.
+func (h *Harness) Measure(c Config, modes ...Mode) ([]Run, error) {
+	pp, err := h.proc(c.App)
 	if err != nil {
-		return nil, 0, runInfo{}, err
+		return nil, err
 	}
-	if app.MutatesData {
-		defer srv.Close()
+	runs := make([]Run, len(modes))
+	var first *interp.Result
+	for i, m := range modes {
+		res, err := h.run(c, pp, m, &runs[i])
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			first = res
+		} else if err := sameResult(first, res); err != nil {
+			return nil, fmt.Errorf("%s: %s results diverge from %s: %w", c.App.Name, m, modes[0], err)
+		}
 	}
-	return h.runOn(app, srv, p, iterations, warm, sub)
+	return runs, nil
 }
 
-// runOn is runKernel against an already-acquired target (single server or
-// shard router); the query service is built after the cache state is set,
-// exactly as the single-server path always did.
-func (h *Harness) runOn(app *apps.App, tgt target, p *interp.Program,
-	iterations int, warm bool, sub submission) (*interp.Result, float64, runInfo, error) {
+// run executes one mode of a measurement into rec. The query service is built
+// after the cache state is set; the linger window is wall time, so it is
+// scaled like every simulated latency and batched series stay comparable
+// across -scale.
+func (h *Harness) run(c Config, pp *procPair, m Mode, rec *Run) (*interp.Result, error) {
+	prog, threads, opts := pp.transProg, c.Threads, batch.Options{
+		MaxBatch: 1,
+		Linger:   time.Duration(float64(batch.DefaultLinger) * h.Scale),
+	}
+	switch m {
+	case Blocking:
+		prog, threads = pp.origProg, 0
+	case Batched, Cluster:
+		opts.MaxBatch = c.MaxBatch
+	}
+	var tgt target
+	var rt *shard.Router
+	if m == Cluster {
+		var err error
+		if rt, err = h.router(c.App, c.Profile, c.Shards, c.Replicas); err != nil {
+			return nil, err
+		}
+		if c.App.MutatesData {
+			defer rt.Close()
+		}
+		tgt, opts.GroupFn = rt, rt.BatchGroup
+	} else {
+		srv, err := h.server(c.App, c.Profile)
+		if err != nil {
+			return nil, err
+		}
+		if c.App.MutatesData {
+			defer srv.Close()
+		}
+		tgt = srv
+	}
 
-	var ri runInfo
-	if warm {
+	if c.Warm {
 		tgt.Warm()
 	} else {
 		tgt.ColdStart()
 	}
-	svc := h.service(tgt, sub)
+	svc := batch.NewService(threads, tgt.Exec, tgt.ExecBatch, opts)
 	defer svc.Close()
-	in := interp.New(app.Registry(), svc)
-	if app.Bind != nil {
-		app.Bind(in, apps.SeededRand())
+	in := interp.New(c.App.Registry(), svc)
+	if c.App.Bind != nil {
+		c.App.Bind(in, apps.SeededRand())
 	}
-	args := app.Args(iterations, rand.New(rand.NewSource(h.Seed+int64(iterations)+7)))
+	args := c.App.Args(c.Iterations, rand.New(rand.NewSource(h.Seed+int64(c.Iterations)+7)))
+	var beforeShard []server.Stats
+	var beforeReads [][]int64
+	if rt != nil {
+		beforeShard, beforeReads = rt.ShardStats(), rt.ReplicaReads()
+	}
 	before := tgt.Stats().NetRequests
 	start := time.Now()
-	res, err := in.RunProgram(p, args)
-	elapsed := time.Since(start).Seconds()
+	res, err := in.RunProgram(prog, args)
+	rec.Seconds = time.Since(start).Seconds()
 	if err != nil {
-		return nil, 0, ri, fmt.Errorf("run %s: %w", p.Proc().Name, err)
+		return nil, fmt.Errorf("run %s: %w", prog.Proc().Name, err)
 	}
 	svc.Close() // drain so every round trip is accounted before reading stats
-	ri.NetRequests = tgt.Stats().NetRequests - before
-	ri.BatchesIssued, ri.AvgBatchSize = svc.BatchStats()
 	if h.Scale > 0 {
-		elapsed /= h.Scale
+		rec.Seconds /= h.Scale
 	}
-	return res, elapsed, ri, nil
-}
-
-// measureAsync times the original kernel blocking and the transformed kernel
-// on a pool of `threads` workers, verifying that both produce identical
-// results: the comparison every submission-mode measurement starts from.
-func (h *Harness) measureAsync(app *apps.App, prof server.Profile, threads, iterations int, warm bool) (
-	pp *procPair, asyncRes *interp.Result, syncSec, asyncSec float64, asyncInfo runInfo, err error) {
-
-	if pp, err = h.proc(app); err != nil {
-		return
+	rec.RoundTrips = tgt.Stats().NetRequests - before
+	rec.Batches, rec.AvgBatch = svc.BatchStats()
+	if rt != nil {
+		for i, s := range rt.ShardStats() {
+			rec.ShardQueries = append(rec.ShardQueries, s.Queries-beforeShard[i].Queries)
+		}
+		for s, reads := range rt.ReplicaReads() {
+			for i := range reads {
+				reads[i] -= beforeReads[s][i]
+			}
+			rec.ReplicaReads = append(rec.ReplicaReads, reads)
+		}
 	}
-	syncRes, syncSec, _, err := h.runKernel(app, prof, pp.origProg, iterations, warm,
-		submission{threads: 0, maxBatch: 1})
-	if err != nil {
-		return
-	}
-	asyncRes, asyncSec, asyncInfo, err = h.runKernel(app, prof, pp.transProg, iterations, warm,
-		submission{threads: threads, maxBatch: 1})
-	if err != nil {
-		return
-	}
-	if err = sameResult(syncRes, asyncRes); err != nil {
-		err = fmt.Errorf("%s: transformed program produced different results: %w", app.Name, err)
-	}
-	return
-}
-
-// Measure times the original and transformed kernels under one
-// configuration, verifying that both produce identical results.
-func (h *Harness) Measure(app *apps.App, prof server.Profile, threads, iterations int, warm bool) (Measurement, error) {
-	m := Measurement{
-		App: app.Name, Profile: prof.Name,
-		Threads: threads, Warm: warm, Iterations: iterations,
-	}
-	var err error
-	_, _, m.Original, m.Transformed, _, err = h.measureAsync(app, prof, threads, iterations, warm)
-	return m, err
-}
-
-// BatchMeasurement is one (app, config) data point comparing synchronous
-// (original program), asynchronous (transformed, per-query submission) and
-// batched (transformed, coalesced submission) execution.
-type BatchMeasurement struct {
-	App        string
-	Profile    string
-	Threads    int
-	Warm       bool
-	Iterations int
-	MaxBatch   int
-	// Sync, Async and Batched are simulated seconds (see Measurement).
-	Sync    float64
-	Async   float64
-	Batched float64
-	// BatchesIssued / AvgBatchSize report the executor's coalescing
-	// activity during the batched run.
-	BatchesIssued int64
-	AvgBatchSize  float64
-	// NetRequestsAsync / NetRequestsBatched count the server round trips
-	// each submission mode paid — the per-request overhead batching
-	// amortizes.
-	NetRequestsAsync   int64
-	NetRequestsBatched int64
-}
-
-// MeasureBatched times the original kernel synchronously and the transformed
-// kernel both per-query (async) and batched, verifying that all three
-// produce identical results.
-func (h *Harness) MeasureBatched(app *apps.App, prof server.Profile, threads, iterations int, warm bool, maxBatch int) (BatchMeasurement, error) {
-	m := BatchMeasurement{
-		App: app.Name, Profile: prof.Name,
-		Threads: threads, Warm: warm, Iterations: iterations, MaxBatch: maxBatch,
-	}
-	pp, asyncRes, syncSec, asyncSec, asyncInfo, err := h.measureAsync(app, prof, threads, iterations, warm)
-	if err != nil {
-		return m, err
-	}
-	batchRes, batchSec, batchInfo, err := h.runKernel(app, prof, pp.transProg, iterations, warm,
-		submission{threads: threads, maxBatch: maxBatch})
-	if err != nil {
-		return m, err
-	}
-	m.NetRequestsAsync = asyncInfo.NetRequests
-	m.NetRequestsBatched = batchInfo.NetRequests
-	m.BatchesIssued, m.AvgBatchSize = batchInfo.BatchesIssued, batchInfo.AvgBatchSize
-	if err := sameResult(asyncRes, batchRes); err != nil {
-		return m, fmt.Errorf("%s: batched results diverge from async: %w", app.Name, err)
-	}
-	m.Sync, m.Async, m.Batched = syncSec, asyncSec, batchSec
-	return m, nil
+	return res, nil
 }
 
 func sameResult(a, b *interp.Result) error {
@@ -363,101 +331,6 @@ func sameResult(a, b *interp.Result) error {
 		return fmt.Errorf("output streams differ")
 	}
 	return nil
-}
-
-// ClusterMeasurement is one (app, topology) data point comparing
-// single-server batched execution against the same batched workload on a
-// cluster of Shards backends, each a bare server (Replicas == 0) or a replica
-// group of one primary plus Replicas read copies.
-type ClusterMeasurement struct {
-	App        string
-	Profile    string
-	Threads    int
-	Warm       bool
-	Iterations int
-	MaxBatch   int
-	Shards     int
-	Replicas   int
-	// Single and Cluster are simulated seconds for the transformed, batched
-	// kernel on one server vs the cluster.
-	Single  float64
-	Cluster float64
-	// Throughput is Iterations/Cluster: logical queries per simulated second
-	// on the cluster (the scale figures' y axis).
-	Throughput float64
-	// NetRequestsSingle / NetRequestsCluster count client-visible round
-	// trips. Sharding splits batches, so the cluster count is higher while
-	// the trips run in parallel; read batches ride one trip to one replica,
-	// so only write replication fans out further.
-	NetRequestsSingle  int64
-	NetRequestsCluster int64
-	// ShardQueries is the per-shard logical statement count of the cluster
-	// run — the routing balance.
-	ShardQueries []int64
-	// ReplicaReads is, per shard, the reads each replica served during the
-	// run — the load-balancing evidence (nil over bare servers).
-	ReplicaReads [][]int64
-}
-
-// speedScore ranks repeated measurements for BestOf.
-func (m ClusterMeasurement) speedScore() float64 { return m.Throughput }
-
-// MeasureCluster times the transformed kernel with batched submission on a
-// single server and on a cluster of `shards` backends fronted by `replicas`
-// read copies each (0 = bare servers), verifying that both produce
-// identical results.
-func (h *Harness) MeasureCluster(app *apps.App, prof server.Profile,
-	threads, iterations int, warm bool, maxBatch, shards, replicas int) (ClusterMeasurement, error) {
-
-	m := ClusterMeasurement{
-		App: app.Name, Profile: prof.Name,
-		Threads: threads, Warm: warm, Iterations: iterations,
-		MaxBatch: maxBatch, Shards: shards, Replicas: replicas,
-	}
-	pp, err := h.proc(app)
-	if err != nil {
-		return m, err
-	}
-	singleRes, singleSec, singleInfo, err := h.runKernel(app, prof, pp.transProg, iterations, warm,
-		submission{threads: threads, maxBatch: maxBatch})
-	if err != nil {
-		return m, err
-	}
-
-	rt, err := h.router(app, prof, shards, replicas)
-	if err != nil {
-		return m, err
-	}
-	if app.MutatesData {
-		defer rt.Close()
-	}
-	// Shard-aware coalescing: batches form per target shard, so the cluster
-	// pays the same number of round trips as the single server.
-	beforeShard, beforeReads := rt.ShardStats(), rt.ReplicaReads()
-	res, sec, info, err := h.runOn(app, rt, pp.transProg, iterations, warm,
-		submission{threads: threads, maxBatch: maxBatch, groupFn: rt.BatchGroup})
-	if err != nil {
-		return m, err
-	}
-	if err := sameResult(singleRes, res); err != nil {
-		return m, fmt.Errorf("%s: cluster results diverge from single-server: %w", app.Name, err)
-	}
-	m.Single, m.Cluster = singleSec, sec
-	if sec > 0 {
-		m.Throughput = float64(iterations) / sec
-	}
-	m.NetRequestsSingle = singleInfo.NetRequests
-	m.NetRequestsCluster = info.NetRequests
-	for i, s := range rt.ShardStats() {
-		m.ShardQueries = append(m.ShardQueries, s.Queries-beforeShard[i].Queries)
-	}
-	for s, reads := range rt.ReplicaReads() {
-		for i := range reads {
-			reads[i] -= beforeReads[s][i]
-		}
-		m.ReplicaReads = append(m.ReplicaReads, reads)
-	}
-	return m, nil
 }
 
 // pick returns full when the harness runs full-size, quick otherwise.

@@ -137,14 +137,13 @@ func TestMeasureClusterSmall(t *testing.T) {
 	topologies := []struct{ shards, replicas int }{{1, 0}, {2, 0}, {4, 0}, {2, 1}, {2, 2}}
 	for _, app := range []*apps.App{apps.RUBiS(), apps.Forms()} {
 		for _, tp := range topologies {
-			m, err := h.MeasureCluster(app, server.SYS1(), 4, 25, true, 8, tp.shards, tp.replicas)
+			runs, err := h.Measure(Config{App: app, Profile: server.SYS1(), Threads: 4, Iterations: 25, Warm: true,
+				MaxBatch: 8, Shards: tp.shards, Replicas: tp.replicas}, Batched, Cluster)
 			if err != nil {
 				t.Errorf("%s %+v: %v", app.Name, tp, err)
 				continue
 			}
-			if m.Shards != tp.shards || m.Replicas != tp.replicas || m.Iterations != 25 {
-				t.Errorf("%s %+v: bad measurement %+v", app.Name, tp, m)
-			}
+			m := runs[1]
 			var q int64
 			for _, c := range m.ShardQueries {
 				q += c

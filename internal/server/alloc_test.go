@@ -15,12 +15,8 @@ import (
 	"repro/internal/storage"
 )
 
-// TestBatchAllocations pins what a 64-binding point-select sub-batch costs the
-// heap on one server: the result and error slots, and one columnar block for
-// the whole batch — its column list, a vector per column, and the 64 views the
-// bindings' results are: six objects. (With a row map per binding and a box
-// per cell it was 449, seven a binding.)
-func TestBatchAllocations(t *testing.T) {
+// usersServer is a server holding 1000 users indexed by uid.
+func usersServer(t *testing.T) *Server {
 	s := New(SYS1(), 0)
 	t.Cleanup(s.Close)
 	users := s.Catalog().CreateTable("users", storage.NewSchema(
@@ -37,6 +33,38 @@ func TestBatchAllocations(t *testing.T) {
 	if err := s.AddIndex("users", "uid", true); err != nil {
 		t.Fatal(err)
 	}
+	s.Warm()
+	return s
+}
+
+// TestPointAllocations pins what one indexed single-row select costs the heap
+// on one server, the set-oriented kernel over a set of one: the result's column
+// list, a vector per column, its one view and the owned Matched trace the
+// scatter merge reads: five objects, what the separate per-query executor
+// this replaced allocated.
+func TestPointAllocations(t *testing.T) {
+	s := usersServer(t)
+	call := query.Call{Request: query.Req("point", "select nickname, rating from users where uid = ?", []any{int64(377)})}
+	c, rep := &call, new(query.Reply)
+	got := testing.AllocsPerRun(500, func() {
+		*rep = query.Reply{}
+		s.Do(c, rep)
+	})
+	if rs, ok := rep.Value.(*interp.RowSet); rep.Err != nil || !ok || rs.N != 1 || len(rep.Info.Matched) != 1 {
+		t.Fatalf("answered %v, %v, matched %v; want a 1-row *interp.RowSet", rep.Value, rep.Err, rep.Info.Matched)
+	}
+	if got > 5 {
+		t.Errorf("a point select allocates %.2f objects, want at most 5", got)
+	}
+}
+
+// TestBatchAllocations pins what a 64-binding point-select sub-batch costs the
+// heap on one server: the result and error slots, and one columnar block for
+// the whole batch — its column list, a vector per column, and the 64 views the
+// bindings' results are: six objects. (With a row map per binding and a box
+// per cell it was 449, seven a binding.)
+func TestBatchAllocations(t *testing.T) {
+	s := usersServer(t)
 	sets := make([][]any, 64)
 	for i := range sets {
 		sets[i] = []any{int64(i * 13)}

@@ -319,8 +319,9 @@ func (s *Server) ExecBatch(req query.BatchRequest) query.BatchResult {
 // Do is the one admission-execute-charge sequence behind both shapes
 // (query.Doer; a row result stays a *interp.RowSet, which Exec/ExecBatch box):
 // round trip (paid and counted whether or not the statement succeeds),
-// deadline, injected fault, prepare; the IO phase on the shape's sqlmini
-// kernel; then the CPU charge and the activity counters. A call none of
+// deadline, injected fault, prepare; the IO phase on the sqlmini kernel (a
+// single call enters it as a set of one binding); then the CPU charge and the
+// activity counters. A call none of
 // whose bindings succeeded charges no CPU and counts nothing beyond its
 // round trip, like that many failing per-query calls.
 func (s *Server) Do(c *query.Call, rep *query.Reply) {

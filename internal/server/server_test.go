@@ -1,10 +1,12 @@
 package server
 
 import (
-	"repro/internal/query"
+	"fmt"
 	"sync"
 	"testing"
 
+	"repro/internal/query"
+	"repro/internal/sqlmini"
 	"repro/internal/storage"
 )
 
@@ -90,6 +92,18 @@ func TestPreparedStatementCache(t *testing.T) {
 	}
 	if n := s.prep.Len(); n != 1 {
 		t.Fatalf("prepared cache has %d entries, want 1", n)
+	}
+	// Literals make the distinct statements unbounded; the cache is not.
+	for i := 0; i < 2*sqlmini.MaxPrepared; i++ {
+		sql := fmt.Sprintf("select sum(v) from kv where k = %d", i)
+		want, _ := s.Exec(query.Req("q", "select sum(v) from kv where k = ?", []any{int64(i)})).Pair()
+		if got, err := s.Exec(query.Req("q", sql, nil)).Pair(); err != nil || got != want {
+			t.Fatalf("%s: %v, %v; want %v", sql, got, err, want)
+		}
+	}
+	if n := s.prep.Len(); n != sqlmini.MaxPrepared {
+		t.Fatalf("prepared cache has %d entries after %d distinct statements, want the bound %d",
+			n, 2*sqlmini.MaxPrepared, sqlmini.MaxPrepared)
 	}
 }
 

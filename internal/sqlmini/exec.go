@@ -42,7 +42,6 @@ type ExecInfo struct {
 // escape through results (Matched is always freshly allocated).
 type scratch struct {
 	view    storage.View
-	filt    condFilter
 	filters []condFilter
 	matched []int
 	offs    []int
@@ -69,7 +68,6 @@ func putScratch(sc *scratch) {
 	sc.rids = sc.rids[:0]
 	clear(sc.row)
 	sc.row = sc.row[:0]
-	sc.filt.release()
 	// Only the filters the last batch bound (the current length) can hold
 	// references; entries past the length were released before the slice
 	// was truncated, so point queries pay nothing for a wide batch's past.
@@ -89,152 +87,129 @@ func (sc *scratch) filtersFor(n int) []condFilter {
 	return sc.filters
 }
 
-// Execute runs a parsed statement against the catalog, driving page accesses
-// through the buffer pool (which charges simulated disk time on misses).
-// Aggregates return int64 and inserts the inserted row count, in the
-// interpreter's value vocabulary. A column select returns a *interp.RowSet:
-// the columnar result that travels unopened through the server, the replica
-// group, the shard merge and the wire encoder. It is boxed into interp.Rows in
-// one place only, query.Reply's Result/BatchResult, which the public
-// Exec/ExecBatch of every layer return through.
+// Execute runs a parsed statement against the catalog under one binding: the
+// kernel (scratch.run) over a set of one, its result and error slots held on
+// the stack. Beyond what the kernel reports it returns the owned Matched trace,
+// which only a one-binding call has readers for.
 func Execute(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, args []any) (any, ExecInfo, error) {
-	var info ExecInfo
-	t := cat.Table(st.Table)
-	if t == nil {
-		return nil, info, fmt.Errorf("sqlmini: no table %q", st.Table)
-	}
-	if len(args) != st.NumParams {
-		return nil, info, fmt.Errorf("sqlmini: %d parameters bound, want %d", len(args), st.NumParams)
-	}
-
-	if st.Insert {
-		return executeInsert(st, t, pool, args, &info)
-	}
-
-	plan := st.planFor(t)
-	if err := validateWhere(st, plan); err != nil {
-		return nil, info, err
-	}
+	result, errs := [1]any{}, [1]error{}
 	sc := getScratch()
 	defer putScratch(sc)
-
-	// Access path: the first indexed equality predicate drives; otherwise a
-	// full scan.
-	var matched []int
-	if di, ix := pickDriver(t, st.Where); ix != nil {
-		// The batch's probe and fetch, with a set of one.
-		key, _ := st.Where[di].Value(args)
-		sc.keys = append(sc.keys[:0], key)
-		info.PagesTouched = sc.fetch(t, ix, pool)
-		rids := sc.rids[0]
-		sc.filt.bind(st, plan, &sc.view, args)
-		info.UsedIndex = true
-		info.RowsExamined += len(rids)
-		matched = sc.filt.appendMatches(make([]int, 0, len(rids)), rids)
-	} else {
-		// Full scan: one sequential batched read over the snapshot.
-		t.ViewInto(&sc.view)
-		sc.filt.bind(st, plan, &sc.view, args)
-		rpp := t.RowsPerPage()
-		n := (sc.view.NumRows + rpp - 1) / rpp
-		pool.GetBatch(t.Extent, 0, n)
-		info.PagesTouched += n
-		info.FullScan = true
-		info.RowsExamined += sc.view.NumRows
-		matched = sc.filt.appendScanMatches(nil, sc.view.NumRows)
+	info := sc.run(st, cat, pool, [][]any{args}, result[:], errs[:])
+	if errs[0] == nil {
+		info.Matched = slices.Clone(sc.matched)
 	}
-	info.Matched = matched
-
-	if st.Agg != AggNone {
-		info.RowsReturned = 1
-		v, err := aggregate(st, plan, &sc.view, matched)
-		return v, info, err
-	}
-	if len(matched) == 0 {
-		return plan.none, info, nil
-	}
-	if plan.selErr != nil {
-		return nil, info, plan.selErr
-	}
-	info.RowsReturned = len(matched)
-	return &interp.RowSet{Header: plan.hdr, Cols: emit(plan, &sc.view, matched), N: len(matched)}, info, nil
+	return result[0], info, errs[0]
 }
 
 // ExecuteBatch evaluates one parameterized statement against a set of
-// bindings set-orientedly. An indexed statement resolves its driving index
-// once, probes it with every live binding's key under one table lock
-// (storage.Table.Probe) and touches each distinct bucket and data page once
-// for the batch; a full-scan statement scans the table once and partitions
-// the rows by binding. A row select projects all matches into one block that
-// each binding views. Results and errors come back per binding, in order, and
-// are identical to what len(argSets) individual Execute calls would return;
-// the returned ExecInfo aggregates the (shared) work of the whole batch.
+// bindings and returns one result and one error per binding, in order, and
+// the ExecInfo of the whole set. It is the kernel (scratch.run) with slots
+// allocated for the caller; an insert set also gets its InsertRids.
 func ExecuteBatch(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSets [][]any) ([]any, []error, ExecInfo) {
-	n := len(argSets)
-	results := make([]any, n)
-	errs := make([]error, n)
-	var agg ExecInfo
+	results := make([]any, len(argSets))
+	errs := make([]error, len(argSets))
+	sc := getScratch()
+	defer putScratch(sc)
+	info := sc.run(st, cat, pool, argSets, results, errs)
+	if st.Insert {
+		info.InsertRids = slices.Clone(sc.matched)
+	}
+	return results, errs, info
+}
 
+// run is the one executor: it evaluates st over a set of bindings into the
+// result and error slots its caller supplies (one each per binding, zeroed),
+// driving page accesses through the buffer pool, which charges simulated disk
+// time on misses. Aggregates answer int64 and inserts the inserted row count,
+// in the interpreter's value vocabulary. A column select answers a
+// *interp.RowSet: the columnar result that travels unopened through the
+// server, the replica group, the shard merge and the wire encoder, boxed into
+// interp.Rows in one place only (query.Reply's Result/BatchResult, which the
+// public Exec/ExecBatch of every layer return through).
+//
+// What the bindings share is everything but their values: the table and plan
+// lookup, the statement-wide validation, one driving index resolved once and
+// probed with every live binding's key under one table lock
+// (storage.Table.Probe), each distinct bucket and data page touched once — or
+// one scan of the table that every binding partitions — and, for a row select,
+// one projected block that each binding views. A binding that fails drops out
+// of the shared phases with its own error and charges no rows (Server.Do
+// charges no CPU for a call none of whose bindings succeeded). The returned
+// ExecInfo covers the whole set; sc.matched is left holding the surviving row
+// ids, binding after binding (for an insert, each binding's new row id or -1),
+// for the entry points to copy out of the pooled scratch.
+func (sc *scratch) run(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSets [][]any, results []any, errs []error) (info ExecInfo) {
+	sc.matched = sc.matched[:0]
 	t := cat.Table(st.Table)
 	if t == nil {
 		for i := range errs {
 			errs[i] = fmt.Errorf("sqlmini: no table %q", st.Table)
 		}
-		return results, errs, agg
+		return info
+	}
+
+	// Validate every binding first: arity, then the statement-wide diagnosis.
+	var plan *stmtPlan
+	var stmtErr error
+	if !st.Insert {
+		plan = st.planFor(t)
+		stmtErr = validateWhere(st, plan)
+	} else if len(st.Values) != len(t.Schema.Cols) {
+		stmtErr = fmt.Errorf("sqlmini: insert arity %d, want %d", len(st.Values), len(t.Schema.Cols))
+	}
+	live := 0
+	for i, args := range argSets {
+		switch {
+		case len(args) != st.NumParams:
+			errs[i] = fmt.Errorf("sqlmini: %d parameters bound, want %d", len(args), st.NumParams)
+		case stmtErr != nil:
+			errs[i] = stmtErr
+		default:
+			live++
+		}
+	}
+	if live == 0 {
+		// No page is touched and no scan runs.
+		return info
 	}
 
 	if st.Insert {
-		// Inserts do not share IO (each appends its own row); the batch still
-		// amortizes the round trip and planning charge at the server layer.
-		agg.InsertRids = make([]int, n)
+		// Inserts share no IO (each appends its own row): the set amortizes
+		// the scratch here, the round trip and planning charge at the server.
 		for i, args := range argSets {
-			v, info, err := Execute(st, cat, pool, args)
-			results[i], errs[i] = v, err
-			agg.add(info)
-			agg.InsertRids[i] = -1
-			if err == nil && len(info.Matched) == 1 {
-				agg.InsertRids[i] = info.Matched[0]
+			sc.matched = append(sc.matched, -1)
+			if errs[i] != nil {
+				continue
 			}
+			sc.row = sc.row[:0]
+			for k, ord := range st.Values {
+				if ord >= 0 {
+					sc.row = append(sc.row, args[ord])
+				} else {
+					sc.row = append(sc.row, st.Lits[k])
+				}
+			}
+			rid, err := t.Insert(sc.row)
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			pool.Put(buffer.PageID{Extent: t.Extent, Page: t.PageOf(rid)})
+			info.PagesTouched++
+			info.RowsReturned++
+			sc.matched[i], results[i] = rid, int64(1)
 		}
-		return results, errs, agg
+		return info
 	}
 
-	plan := st.planFor(t)
-	sc := getScratch()
-	defer putScratch(sc)
-
-	// Validate every binding first; bindings with errors drop out of the
-	// shared phases but keep their per-binding error text (arity first, then
-	// the statement-wide unknown-column diagnosis, matching the per-query
-	// order).
-	whereErr := validateWhere(st, plan)
-	live := 0
-	for i, args := range argSets {
-		if len(args) != st.NumParams {
-			errs[i] = fmt.Errorf("sqlmini: %d parameters bound, want %d", len(args), st.NumParams)
-			continue
-		}
-		if whereErr != nil {
-			errs[i] = whereErr
-			continue
-		}
-		live++
-	}
-	if live == 0 {
-		// Every binding failed validation: like N per-query executions, no
-		// page is touched and no scan runs.
-		return results, errs, agg
-	}
-	filters := sc.filtersFor(n)
-
-	// The access path is uniform across the batch — every binding shares the
-	// statement's predicate columns, so either one indexed column drives all
-	// lookups or every binding full-scans.
+	// The access path is uniform across the set — every binding shares the
+	// statement's predicate columns, so either the first indexed equality
+	// predicate drives all lookups or every binding scans.
 	driver, ix := pickDriver(t, st.Where)
 	scanN := 0
 	if ix != nil {
-		// Set-oriented index path: one candidate rid list per live binding,
-		// in binding order.
+		// One candidate rid list per live binding, in binding order.
 		c := &st.Where[driver]
 		sc.keys = sc.keys[:0]
 		for i, args := range argSets {
@@ -243,23 +218,22 @@ func ExecuteBatch(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSets [][
 				sc.keys = append(sc.keys, key)
 			}
 		}
-		agg.PagesTouched = sc.fetch(t, ix, pool)
-		agg.UsedIndex = true
+		info.PagesTouched = sc.fetch(t, ix, pool)
+		info.UsedIndex = true
 	} else {
-		// Shared scan: one sequential read of the table for the whole batch;
-		// every live binding partitions the same snapshot.
+		// One sequential batched read of the snapshot for the whole set.
 		t.ViewInto(&sc.view)
 		rpp := t.RowsPerPage()
 		pages := (sc.view.NumRows + rpp - 1) / rpp
 		pool.GetBatch(t.Extent, 0, pages)
-		agg.PagesTouched += pages
-		agg.FullScan = true
+		info.PagesTouched = pages
+		info.FullScan = true
 		scanN = sc.view.NumRows
 	}
 
 	// Every binding's matches go into one buffer (offs[i] is where binding
-	// i's start), so a row select projects the whole batch at once.
-	sc.matched = sc.matched[:0]
+	// i's start), so a row select projects the whole set at once.
+	filters := sc.filtersFor(len(argSets))
 	sc.offs = sc.offs[:0]
 	probed := 0 // live bindings seen: the next entry of sc.rids
 	for i := range argSets {
@@ -286,77 +260,42 @@ func ExecuteBatch(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSets [][
 			errs[i] = plan.selErr
 		}
 		if errs[i] != nil {
-			// A failing per-query execution charges nothing (Exec returns
-			// before its stat update and CPU phase); keep the batch's
-			// row accounting symmetric.
+			// Charges no rows and has nothing to project.
 			sc.matched = sc.matched[:sc.offs[i]]
 			continue
 		}
-		agg.RowsExamined += examined
-		agg.RowsReturned += returned
+		info.RowsExamined += examined
+		info.RowsReturned += returned
 	}
 	if st.Agg != AggNone {
-		return results, errs, agg
+		return info
 	}
-	// One block for the batch; each binding's result is its view of it.
-	var cols []interp.RowCol
-	if len(sc.matched) > 0 {
-		cols = emit(plan, &sc.view, sc.matched)
+	if len(sc.matched) == 0 {
+		for i := range results {
+			if errs[i] == nil {
+				results[i] = plan.none
+			}
+		}
+		return info
 	}
+	// One block for the set; each binding's result is its view of it.
+	cols := emit(plan, &sc.view, sc.matched)
 	sc.offs = append(sc.offs, len(sc.matched))
-	views := make([]interp.RowSet, n)
+	views := make([]interp.RowSet, len(argSets))
 	for i := range views {
 		if errs[i] == nil {
-			lo := sc.offs[i]
-			views[i] = interp.RowSet{Header: plan.hdr, Cols: cols, Lo: lo, N: sc.offs[i+1] - lo}
-			results[i] = &views[i]
+			v := &views[i]
+			v.Header, v.Cols, v.Lo, v.N = plan.hdr, cols, sc.offs[i], sc.offs[i+1]-sc.offs[i]
+			results[i] = v
 		}
 	}
-	return results, errs, agg
+	return info
 }
 
-// add folds one per-statement ExecInfo into an aggregate.
-func (info *ExecInfo) add(o ExecInfo) {
-	info.PagesTouched += o.PagesTouched
-	info.RowsExamined += o.RowsExamined
-	info.RowsReturned += o.RowsReturned
-	info.UsedIndex = info.UsedIndex || o.UsedIndex
-	info.FullScan = info.FullScan || o.FullScan
-}
-
-func executeInsert(st *Stmt, t *storage.Table, pool *buffer.Pool, args []any, info *ExecInfo) (any, ExecInfo, error) {
-	if len(st.Values) != len(t.Schema.Cols) {
-		return nil, *info, fmt.Errorf("sqlmini: insert arity %d, want %d",
-			len(st.Values), len(t.Schema.Cols))
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	row := sc.row[:0]
-	for i, ord := range st.Values {
-		if ord >= 0 {
-			row = append(row, args[ord])
-		} else {
-			row = append(row, st.Lits[i])
-		}
-	}
-	sc.row = row
-	rid, err := t.Insert(row)
-	if err != nil {
-		return nil, *info, err
-	}
-	pool.Put(buffer.PageID{Extent: t.Extent, Page: t.PageOf(rid)})
-	info.PagesTouched = 1
-	info.RowsReturned = 1
-	info.Matched = []int{rid}
-	return int64(1), *info, nil
-}
-
-// emit projects rows rids of the view — the matches of one binding, or of
-// every binding of a batch back to back — into the columns of a result: typed
-// vectors copied out of the table's, boxed cells only for a degraded column.
-// It is shared by the per-query and batched paths so their observable results
-// cannot diverge. The caller has checked plan.selErr; rids may be pooled
-// scratch, emit only reads it.
+// emit projects rows rids of the view — the matches of every binding of a
+// set back to back — into the columns of a result: typed vectors copied out of
+// the table's, boxed cells only for a degraded column. The caller has checked
+// plan.selErr; rids may be pooled scratch, emit only reads it.
 func emit(plan *stmtPlan, view *storage.View, rids []int) []interp.RowCol {
 	cols := make([]interp.RowCol, len(plan.cols))
 	for k, ci := range plan.cols {
@@ -384,11 +323,11 @@ func emit(plan *stmtPlan, view *storage.View, rids []int) []interp.RowCol {
 	return cols
 }
 
-// fetch is the index access path, per-query or batched: it probes ix with
-// sc.keys under one table lock, touches the distinct bucket pages and the
-// distinct data pages of the candidates once each in ascending order (the
-// shared, RID-ordered fetch the paper cites, §I), snapshots the table into
-// sc.view and returns the pages touched. The candidate lists (sc.rids, one per
+// fetch is the index access path: it probes ix with sc.keys under one table
+// lock, touches the distinct bucket pages and the distinct data pages of the
+// candidates once each in ascending order (the shared, RID-ordered fetch the
+// paper cites, §I), snapshots the table into sc.view and returns the pages
+// touched. The candidate lists (sc.rids, one per
 // key) alias the index's storage: read-only, never to escape the execution.
 // Insert publishes column values before index rids under one table lock, so
 // the snapshot, taken after the probe, holds every candidate.
@@ -414,8 +353,7 @@ func (sc *scratch) fetch(t *storage.Table, ix *storage.Index, pool *buffer.Pool)
 
 // pickDriver returns the position of the first predicate whose column is
 // indexed and that index — the driving access path — or -1 and nil for a full
-// scan. It is shared by the per-query and batched paths so their access-path
-// policy cannot diverge (the batch==per-query result identity depends on it).
+// scan.
 func pickDriver(t *storage.Table, conds []Cond) (int, *storage.Index) {
 	for i, c := range conds {
 		if ix := t.Index(c.Col); ix != nil {

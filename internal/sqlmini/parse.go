@@ -1,9 +1,11 @@
 // Package sqlmini implements the SQL subset the paper's workloads use:
 // prepared SELECT statements with equality predicates, optional aggregates,
 // and INSERT ... VALUES. Statements are parsed once at prepare time into a
-// Plan; execution binds '?' parameters, chooses an index or scan access
-// path, drives page accesses through the buffer pool, and returns rows or
-// an aggregate scalar.
+// Stmt. Execution is one kernel (scratch.run in exec.go) that evaluates a
+// statement over a set of bindings: it binds '?' parameters, chooses an index
+// or scan access path for the set, drives page accesses through the buffer
+// pool, and returns rows or an aggregate scalar per binding. ExecuteBatch is
+// that kernel; Execute is it over a set of one.
 package sqlmini
 
 import (

@@ -13,6 +13,11 @@ type PrepCache struct {
 	m  map[string]*Stmt
 }
 
+// MaxPrepared bounds a PrepCache. Statement text arrives from the wire and may
+// embed literals, so the distinct texts a client can send are unbounded; past
+// the bound a statement is parsed and returned without being cached.
+const MaxPrepared = 1024
+
 // Len reports the number of cached statements (tests).
 func (c *PrepCache) Len() int {
 	c.mu.Lock()
@@ -34,6 +39,8 @@ func (c *PrepCache) Prepare(sql string) (*Stmt, error) {
 	if c.m == nil {
 		c.m = map[string]*Stmt{}
 	}
-	c.m[sql] = st
+	if len(c.m) < MaxPrepared {
+		c.m[sql] = st
+	}
 	return st, nil
 }
