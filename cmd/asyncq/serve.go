@@ -6,7 +6,7 @@ import (
 	"os/signal"
 	"syscall"
 
-	"repro/internal/experiments"
+	"repro/internal/apps"
 	"repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/replica"
@@ -45,7 +45,7 @@ func serve(o serveOptions) error {
 		Durability: mode,
 	})
 	defer g.Close()
-	if err := experiments.LoadPointTable(g.Copies(), "load", o.rows); err != nil {
+	if err := apps.LoadPointTable(g.Copies(), "load", o.rows); err != nil {
 		return err
 	}
 	g.Warm()

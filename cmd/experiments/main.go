@@ -92,49 +92,51 @@ func run() int {
 		return 0
 	}
 
-	run := func(name string, f func() (*experiments.Figure, error)) bool {
-		figOut, err := f()
+	// Every figure in the order `all` runs it: the program-driven sweeps over
+	// Harness.Measure first, then the figures that time wall-clock requests.
+	figs := []struct {
+		id string
+		fn func() (*experiments.Figure, error)
+	}{
+		{"8", h.Fig08}, {"9", h.Fig09}, {"10", h.Fig10}, {"11", h.Fig11},
+		{"12", h.Fig12}, {"13", h.Fig13}, {"14", h.Fig14}, {"15", h.Fig15},
+		{"batch-category", h.FigBatchCategory}, {"batch-rubis", h.FigBatchRUBiS},
+		{"shard-scale", h.FigShardScale}, {"replica-scale", h.FigReplicaScale},
+		{"durability", h.FigDurability}, {"tail-latency", h.FigTailLatency},
+		{"frontdoor", h.FigFrontdoor}, {"chaos", h.FigChaos},
+		{"reshard", h.FigReshard},
+	}
+	all := *fig == "" || *fig == "all"
+	ran := false
+	for _, f := range figs {
+		if !all && f.id != *fig {
+			continue
+		}
+		if all && f.id == "durability" {
+			// From here on the figures build their own backends and time
+			// wall-clock requests: release the loaded servers and routers the
+			// harness cached for the sweeps above, or the collector's work on
+			// that retained heap lands in their numbers.
+			h.Close()
+		}
+		label := f.id
+		if len(label) <= 2 { // numeric paper figures keep their "Fig N" labels
+			label = "Fig " + label
+		}
+		out, err := f.fn()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			return false
-		}
-		fmt.Println(experiments.Render(figOut))
-		return true
-	}
-	figs := map[string]func() (*experiments.Figure, error){
-		"8": h.Fig08, "9": h.Fig09, "10": h.Fig10, "11": h.Fig11,
-		"12": h.Fig12, "13": h.Fig13, "14": h.Fig14, "15": h.Fig15,
-		"batch-category": h.FigBatchCategory, "batch-rubis": h.FigBatchRUBiS,
-		"shard-scale": h.FigShardScale, "replica-scale": h.FigReplicaScale,
-		"durability": h.FigDurability, "tail-latency": h.FigTailLatency,
-		"frontdoor": h.FigFrontdoor, "chaos": h.FigChaos,
-		"reshard": h.FigReshard,
-	}
-	label := func(id string) string {
-		if len(id) <= 2 { // numeric paper figures keep their "Fig N" labels
-			return "Fig " + id
-		}
-		return id
-	}
-	switch *fig {
-	case "", "all":
-		for _, id := range []string{"8", "9", "10", "11", "12", "13", "14", "15",
-			"batch-category", "batch-rubis", "shard-scale", "replica-scale",
-			"durability", "tail-latency", "frontdoor", "chaos", "reshard"} {
-			if !run(label(id), figs[id]) {
-				return 1
-			}
-		}
-		fmt.Print(experiments.RenderTable1(experiments.Table1()))
-	default:
-		f, ok := figs[*fig]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "experiments: unknown figure %q\n", *fig)
-			return 2
-		}
-		if !run(label(*fig), f) {
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", label, err)
 			return 1
 		}
+		fmt.Println(experiments.Render(out))
+		ran = true
+	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "experiments: unknown figure %q\n", *fig)
+		return 2
+	}
+	if all {
+		fmt.Print(experiments.RenderTable1(experiments.Table1()))
 	}
 	return 0
 }

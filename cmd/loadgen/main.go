@@ -1,6 +1,10 @@
 // Command loadgen drives a running `asyncq -serve` front door over the
 // wire protocol and reports the latency distribution, throughput, and the
-// admission-control accounting (sheds, deadline misses, hung requests).
+// admission-control accounting (sheds, deadline misses, hung requests). It is
+// net.RunLoad — the request-driven measurement the front-door, chaos,
+// durability, tail-latency and reshard figures also run — over dialled
+// connections for a duration; -op chooses the request LoadOptions.Next builds
+// (a random point read of the load table, or an insert of the next unused id).
 //
 // Usage:
 //
@@ -28,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/net"
+	"repro/internal/query"
 )
 
 func main() {
@@ -62,18 +67,16 @@ func main() {
 	}
 	switch *op {
 	case "select":
-		opts.Name = "point"
-		opts.SQL = "select val from load where id = ?"
 		n := int64(*rows)
-		opts.ArgFn = func(r *rand.Rand) []any { return []any{r.Int63n(n) + 1} }
+		opts.Next = func(r *rand.Rand) query.Request {
+			return query.Req("point", "select val from load where id = ?", []any{r.Int63n(n) + 1})
+		}
 	case "insert":
-		opts.Name = "ins"
-		opts.SQL = "insert into load values (?, ?)"
 		var next atomic.Int64
 		next.Store(int64(*rows))
-		opts.ArgFn = func(r *rand.Rand) []any {
+		opts.Next = func(*rand.Rand) query.Request {
 			id := next.Add(1)
-			return []any{id, fmt.Sprintf("w%d", id)}
+			return query.Req("ins", "insert into load values (?, ?)", []any{id, fmt.Sprintf("w%d", id)})
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "loadgen: unknown -op %q (select|insert)\n", *op)

@@ -8,7 +8,7 @@
 package core
 
 import (
-	"fmt"
+	"errors"
 	"strings"
 
 	"repro/internal/dataflow"
@@ -144,7 +144,7 @@ func (c *tctx) transformLoop(parent *ir.Block, idx int) int {
 		}
 	}
 
-	queries := directQueries(body, c.reg)
+	queries := directQueries(body)
 	barrier := hasBarrierCall(body, c.reg)
 	if len(queries) == 0 && !barrier {
 		if boundary >= 0 && c.opts.SplitNested {
@@ -249,18 +249,10 @@ func (c *tctx) wantQuery(sq *ir.ExecQuery) bool {
 
 func errReason(err error) string {
 	var na *rules.NotApplicableError
-	if ok := asNotApplicable(err, &na); ok {
+	if errors.As(err, &na) {
 		return string(na.Reason)
 	}
 	return err.Error()
-}
-
-func asNotApplicable(err error, out **rules.NotApplicableError) bool {
-	na, ok := err.(*rules.NotApplicableError)
-	if ok {
-		*out = na
-	}
-	return ok
 }
 
 func stmtIndex(b *ir.Block, s ir.Stmt) int {
@@ -305,7 +297,7 @@ func firstScan(parent *ir.Block, from, to int) int {
 // directQueries lists the blocking query statements directly in the body,
 // including those inside (possibly nested) conditionals, but not those in
 // nested loops.
-func directQueries(body *ir.Block, reg *ir.Registry) []*ir.ExecQuery {
+func directQueries(body *ir.Block) []*ir.ExecQuery {
 	var out []*ir.ExecQuery
 	var walk func(b *ir.Block)
 	walk = func(b *ir.Block) {
@@ -329,7 +321,7 @@ func directQueries(body *ir.Block, reg *ir.Registry) []*ir.ExecQuery {
 func queryInsideIf(body *ir.Block) bool {
 	for _, s := range body.Stmts {
 		if x, ok := s.(*ir.If); ok {
-			if len(directQueries(&ir.Block{Stmts: []ir.Stmt{x}}, nil)) > 0 {
+			if len(directQueries(&ir.Block{Stmts: []ir.Stmt{x}})) > 0 {
 				return true
 			}
 		}
@@ -360,5 +352,3 @@ func loopHeaderString(loop ir.Stmt) string {
 	}
 	return s
 }
-
-var _ = fmt.Sprintf

@@ -1,45 +1,47 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"sync"
+	"math/rand"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/apps"
+	"repro/internal/net"
 	"repro/internal/query"
 	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/wal"
 )
 
-// DurabilityMeasurement is one (mode, threads) data point: acknowledged
-// insert throughput of a replica group under a WAL commit-acknowledgement
-// mode. The WAL counters record how the mode earned its number — strict pays
-// one fsync per record, group shares fsyncs across concurrent commits, off
-// acknowledges before any fsync.
-type DurabilityMeasurement struct {
-	Mode    string
-	Threads int
-	Inserts int
-	// Seconds is the simulated time until every insert was acknowledged.
-	Seconds    float64
-	Throughput float64 // acknowledged inserts per simulated second
-	Syncs      int64
-	AvgGroup   float64 // records per fsync (the amortization evidence)
+// stormRun is one insert storm's record: the load report, its times rescaled
+// to simulated time (wall divided by Scale), and the WAL counters that say
+// how the commit mode earned its numbers — strict pays one fsync per record,
+// group shares fsyncs across concurrent commits, off acknowledges before any.
+type stormRun struct {
+	net.LoadReport
+	Commit wal.Mode // the WAL mode the storm ran under
+	WAL    wal.Stats
 }
 
-// speedScore ranks repeated measurements for BestOf.
-func (m DurabilityMeasurement) speedScore() float64 { return m.Throughput }
+// workers is e as n RunLoad targets: n closed-loop clients of one backend.
+func workers(e query.Executor, n int) []query.Executor {
+	targets := make([]query.Executor, n)
+	for i := range targets {
+		targets[i] = e
+	}
+	return targets
+}
 
-// insertSQL is the storm's statement: one acknowledged row into
-// events(id, val).
-const insertSQL = "insert into events values (?, ?)"
-
-// eventsGroup is the durability and tail-latency figures' shared fixture: a
-// one-replica synchronous group whose WAL runs in mode, holding an empty,
-// warmed events(id, val) table indexed on id.
-func (h *Harness) eventsGroup(prof server.Profile, mode wal.Mode) (*replica.Group, error) {
+// storm issues `inserts` acknowledged single-row inserts from `threads`
+// concurrent closed-loop clients, ids 1..inserts drawn from one counter,
+// against a one-replica synchronous group whose WAL runs in mode, holding an
+// empty, warmed events(id, val) table indexed on id. Every acknowledgement
+// honors the mode's contract — strict and group return only after the
+// record's fsync, off returns immediately — so the throughput spread is
+// exactly the price of the durability guarantee, and the percentiles are the
+// per-client view of the same tradeoff.
+func (h *Harness) storm(prof server.Profile, mode wal.Mode, threads, inserts int) (stormRun, error) {
 	// The seek-only disk model underprices fsync: a real log write also
 	// waits for the platter to bring the target sector under the head
 	// (~4ms on the paper-era drives), and that rotational settle is the
@@ -48,84 +50,75 @@ func (h *Harness) eventsGroup(prof server.Profile, mode wal.Mode) (*replica.Grou
 	// the settle-free device.
 	prof.Disk.WriteSettle = 4 * time.Millisecond
 	g := replica.NewGroup(prof, h.Scale, replica.Options{Replicas: 1, Durability: mode})
-	if err := LoadPointTable(g.Copies(), "events", 0); err != nil {
-		g.Close()
-		return nil, err
+	defer g.Close()
+	if err := apps.LoadPointTable(g.Copies(), "events", 0); err != nil {
+		return stormRun{}, err
 	}
 	g.Warm()
-	return g, nil
-}
 
-// insertStorm is the figures' shared driver: `threads` concurrent clients
-// draw ids 1..inserts from one counter and each waits for its own insert's
-// acknowledgement before drawing the next; a client stops at its first
-// error, and the clients' errors come back joined.
-func insertStorm(threads, inserts int, insert func(args []any) error) error {
 	var next atomic.Int64
-	errs := make([]error, threads)
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				id := next.Add(1)
-				if id > int64(inserts) {
-					return
-				}
-				if errs[w] = insert([]any{id, fmt.Sprintf("e%d", id)}); errs[w] != nil {
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// MeasureDurability times `inserts` acknowledged single-row inserts issued
-// by `threads` concurrent clients against a one-replica group whose WAL runs
-// in `mode`. Every acknowledgement honors the mode's contract — strict and
-// group return only after the record's fsync, off returns immediately — so
-// the throughput spread is exactly the price of the durability guarantee.
-func (h *Harness) MeasureDurability(prof server.Profile, mode wal.Mode,
-	threads, inserts int) (DurabilityMeasurement, error) {
-
-	m := DurabilityMeasurement{Mode: mode.String(), Threads: threads, Inserts: inserts}
-	g, err := h.eventsGroup(prof, mode)
-	if err != nil {
-		return m, err
-	}
-	defer g.Close()
-
-	start := time.Now()
-	err = insertStorm(threads, inserts, func(args []any) error {
-		return g.Exec(query.Req("d", insertSQL, args)).Err
+	rep, err := net.RunLoad(net.LoadOptions{
+		Targets:  workers(g, threads),
+		Requests: int64(inserts),
+		Next: func(*rand.Rand) query.Request {
+			id := next.Add(1)
+			return query.Req("storm", "insert into events values (?, ?)", []any{id, fmt.Sprintf("e%d", id)})
+		},
 	})
-	elapsed := time.Since(start).Seconds()
+	if err == nil {
+		err = rep.Check()
+	}
 	if err != nil {
-		return m, err
+		return stormRun{}, err
 	}
 	if h.Scale > 0 {
-		elapsed /= h.Scale
+		rep.Duration /= h.Scale
+		rep.ThroughputRPS *= h.Scale
+		for _, ms := range []*float64{&rep.P50Ms, &rep.P99Ms, &rep.P999Ms, &rep.MeanMs, &rep.MaxMs} {
+			*ms /= h.Scale
+		}
 	}
-	m.Seconds = elapsed
-	if elapsed > 0 {
-		m.Throughput = float64(inserts) / elapsed
-	}
-	st := g.WALStats()
-	m.Syncs, m.AvgGroup = st.Syncs, st.AvgGroup()
-	return m, nil
+	return stormRun{LoadReport: rep, Commit: mode, WAL: g.WALStats()}, nil
 }
 
-// walModes is the fsync-policy sweep of the durability and tail-latency
-// figures: all three commit modes, or only Harness.Durability when set.
-func (h *Harness) walModes() ([]wal.Mode, error) {
-	if h.Durability == "" {
-		return []wal.Mode{wal.Off, wal.Group, wal.Strict}, nil
+// sweepStorm runs the storm at every point of the durability and tail-latency
+// figures' shared grid — the three commit modes (or only Harness.Durability
+// when set) × client threads — and returns one row per mode holding the best
+// of three runs by score at each thread count (a run's Conns), with the
+// grid's note.
+func (h *Harness) sweepStorm(score func(stormRun) float64) (rows [][]stormRun, note string, err error) {
+	modes := []wal.Mode{wal.Off, wal.Group, wal.Strict}
+	if h.Durability != "" {
+		m, err := wal.ParseMode(h.Durability)
+		if err != nil {
+			return nil, "", err
+		}
+		modes = []wal.Mode{m}
 	}
-	m, err := wal.ParseMode(h.Durability)
-	return []wal.Mode{m}, err
+	inserts := h.iters(1200, 200)
+	for _, mode := range modes {
+		var row []stormRun
+		for _, th := range h.pick([]int{1, 2, 5, 10, 20, 30}, []int{1, 5, 10}) {
+			best, err := BestOf(3, score, func() (stormRun, error) {
+				return h.storm(server.SYS1(), mode, th, inserts)
+			})
+			if err != nil {
+				return nil, "", fmt.Errorf("%s threads=%d: %w", mode, th, err)
+			}
+			row = append(row, best)
+		}
+		rows = append(rows, row)
+	}
+	return rows, fmt.Sprintf("Database: %s, Inserts: %d, Replicas: 1 (sync)", server.SYS1().Name, inserts), nil
+}
+
+// stormSeries plots y of each run in one mode's row against its threads.
+func stormSeries(label string, row []stormRun, y func(stormRun) float64) Series {
+	s := Series{Label: label}
+	for _, r := range row {
+		s.Points = append(s.Points, Point{X: r.Conns, Y: y(r)})
+	}
+	return s
 }
 
 // FigDurability — acknowledged insert throughput vs fsync policy as client
@@ -137,41 +130,55 @@ func (h *Harness) walModes() ([]wal.Mode, error) {
 // toward `off` as concurrency gives each fsync more passengers; `off` prices
 // the guarantee-free upper bound.
 func (h *Harness) FigDurability() (*Figure, error) {
-	threads := h.pick([]int{1, 2, 5, 10, 20, 30}, []int{1, 5, 10})
-	inserts := h.iters(1200, 200)
+	throughput := func(r stormRun) float64 { return r.ThroughputRPS }
+	rows, note, err := h.sweepStorm(throughput)
+	if err != nil {
+		return nil, err
+	}
 	f := &Figure{
 		ID:     "Durability A",
 		Title:  "Per-shard WAL: acknowledged insert throughput vs fsync policy",
 		XLabel: "Number of client threads",
 		YLabel: "Throughput (inserts/sec)",
+		Notes:  []string{note},
 	}
-	modes, err := h.walModes()
+	for _, row := range rows {
+		f.Series = append(f.Series, stormSeries("Durability: "+row[0].Commit.String(), row, throughput))
+		if last := row[len(row)-1]; last.Commit == wal.Group {
+			f.Notes = append(f.Notes,
+				fmt.Sprintf("Group commit at %d threads: %d fsyncs for %d inserts (%.1f records/fsync)",
+					last.Conns, last.WAL.Syncs, last.Completed, last.WAL.AvgGroup()))
+		}
+	}
+	return f, nil
+}
+
+// FigTailLatency — acknowledged insert latency percentiles vs client threads
+// across WAL fsync policies. The durability figure's throughput curves show
+// the averages; this figure shows what they hide: under `strict` the whole
+// distribution shifts up by one fsync, under `group` p50 collapses toward
+// `off` while p999 keeps paying for the fsyncs a request occasionally
+// leads, and queueing at high concurrency stretches every tail. Of three
+// repetitions the lowest p99 wins: wall noise only inflates the tail, so the
+// best repetition is the least noisy.
+func (h *Harness) FigTailLatency() (*Figure, error) {
+	rows, note, err := h.sweepStorm(func(r stormRun) float64 { return -r.P99Ms })
 	if err != nil {
 		return nil, err
 	}
-	var lastGroup DurabilityMeasurement
-	for _, mode := range modes {
-		s := Series{Label: fmt.Sprintf("Durability: %s", mode)}
-		for _, th := range threads {
-			best, err := BestOf(3, DurabilityMeasurement.speedScore, func() (DurabilityMeasurement, error) {
-				return h.MeasureDurability(server.SYS1(), mode, th, inserts)
-			})
-			if err != nil {
-				return nil, fmt.Errorf("durability %s threads=%d: %w", mode, th, err)
-			}
-			s.Points = append(s.Points, Point{X: th, Y: best.Throughput})
-			if mode == wal.Group {
-				lastGroup = best
-			}
-		}
-		f.Series = append(f.Series, s)
+	f := &Figure{
+		ID:     "Tail latency",
+		Title:  "Acknowledged insert latency percentiles vs fsync policy",
+		XLabel: "Number of client threads",
+		YLabel: "Latency (ms, simulated)",
+		Notes:  []string{note + "; latencies are client-observed per call"},
 	}
-	f.Notes = append(f.Notes,
-		fmt.Sprintf("Database: %s, Inserts: %d, Replicas: 1 (sync)", server.SYS1().Name, inserts))
-	if lastGroup.Inserts > 0 {
-		f.Notes = append(f.Notes,
-			fmt.Sprintf("Group commit at %d threads: %d fsyncs for %d inserts (%.1f records/fsync)",
-				lastGroup.Threads, lastGroup.Syncs, lastGroup.Inserts, lastGroup.AvgGroup))
+	for _, row := range rows {
+		mode := row[0].Commit.String()
+		f.Series = append(f.Series,
+			stormSeries(mode+" p50", row, func(r stormRun) float64 { return r.P50Ms }),
+			stormSeries(mode+" p99", row, func(r stormRun) float64 { return r.P99Ms }),
+			stormSeries(mode+" p999", row, func(r stormRun) float64 { return r.P999Ms }))
 	}
 	return f, nil
 }

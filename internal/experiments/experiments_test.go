@@ -102,18 +102,18 @@ func TestMeasureDurabilitySmall(t *testing.T) {
 	defer h.Close()
 	const inserts = 60
 	for _, mode := range []wal.Mode{wal.Off, wal.Group, wal.Strict} {
-		m, err := h.MeasureDurability(server.SYS1(), mode, 4, inserts)
+		m, err := h.storm(server.SYS1(), mode, 4, inserts)
 		if err != nil {
 			t.Errorf("%s: %v", mode, err)
 			continue
 		}
-		if m.Inserts != inserts || m.Throughput <= 0 {
+		if m.Sent != inserts || m.Completed != inserts || m.ThroughputRPS <= 0 || m.P50Ms <= 0 {
 			t.Errorf("%s: bad measurement %+v", mode, m)
 		}
-		if mode == wal.Strict && m.Syncs != inserts {
-			t.Errorf("strict: %d fsyncs for %d inserts, want one each", m.Syncs, inserts)
+		if mode == wal.Strict && m.WAL.Syncs != inserts {
+			t.Errorf("strict: %d fsyncs for %d inserts, want one each", m.WAL.Syncs, inserts)
 		}
-		if mode != wal.Off && m.Syncs == 0 {
+		if mode != wal.Off && m.WAL.Syncs == 0 {
 			t.Errorf("%s: no fsync recorded", mode)
 		}
 	}

@@ -5,11 +5,12 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/net"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/replica"
 	"repro/internal/server"
-	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -21,39 +22,11 @@ type frontdoorFixture struct {
 	fd *net.Server
 }
 
-// LoadPointTable creates table(id int, val string) on every one of copies (a
-// group's Copies(), or one server), fills it with rows 1..rows ("v<id>") and
-// indexes id uniquely: the point-read "load" table the load generator drives
-// (cmd/asyncq -serve, the frontdoor and chaos fixtures) and, empty, the
-// insert storms' "events" table. It is a data generator, so it speaks the
-// bulk-load surface itself instead of copying from a source.
-func LoadPointTable[L wal.Loader](copies []L, table string, rows int) error {
-	schema := storage.NewSchema(
-		storage.Column{Name: "id", Type: storage.TInt},
-		storage.Column{Name: "val", Type: storage.TString},
-	)
-	for _, l := range copies {
-		if err := l.CreateTable(table, schema, 0); err != nil {
-			return err
-		}
-		for i := 1; i <= rows; i++ {
-			if err := l.InsertRow(table, []any{int64(i), fmt.Sprintf("v%d", i)}); err != nil {
-				return err
-			}
-		}
-		l.FinishLoad()
-		if err := l.AddIndex(table, "id", true); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // startFrontdoor brings up the fixture: a group built from opts, loaded,
 // warmed and pointed at reg, behind a front door listening on loopback.
 func (h *Harness) startFrontdoor(rows int, opts replica.Options, reg *obs.Registry, so net.ServerOptions) (*frontdoorFixture, error) {
 	g := replica.NewGroup(server.SYS1(), h.Scale, opts)
-	if err := LoadPointTable(g.Copies(), "load", rows); err != nil {
+	if err := apps.LoadPointTable(g.Copies(), "load", rows); err != nil {
 		g.Close()
 		return nil, err
 	}
@@ -77,10 +50,8 @@ func (f *frontdoorFixture) load(rows int) net.LoadOptions {
 	n := int64(rows)
 	return net.LoadOptions{
 		Addr: f.fd.Addr(),
-		Name: "point",
-		SQL:  "select val from load where id = ?",
-		ArgFn: func(r *rand.Rand) []any {
-			return []any{r.Int63n(n) + 1}
+		Next: func(r *rand.Rand) query.Request {
+			return query.Req("point", "select val from load where id = ?", []any{r.Int63n(n) + 1})
 		},
 		Seed: 1,
 	}

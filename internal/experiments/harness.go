@@ -7,7 +7,10 @@
 // regenerates each. Every program-driven figure is a sweep over the one
 // measurement, Harness.Measure: a Config (workload, profile, cache, client and
 // cluster shape) run once per requested submission Mode, the runs' results
-// checked equal, one Run record each.
+// checked equal, one Run record each. The request-driven figures (durability,
+// tail latency, front door, chaos, reshard) sweep the other one, net.RunLoad:
+// closed- or open-loop workers over connections or over executors the figure
+// holds, every request accounted for in a LoadReport.
 package experiments
 
 import (

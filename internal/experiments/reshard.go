@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/net"
 	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -64,7 +64,7 @@ func (h *Harness) FigReshard() (*Figure, error) {
 	const (
 		rows    = 20000
 		groups  = 50
-		workers = 16
+		clients = 16
 		seed    = 20110411
 	)
 	dur := 3 * time.Second
@@ -91,67 +91,66 @@ func (h *Harness) FigReshard() (*Figure, error) {
 	}
 	rt.Warm()
 
-	var ops, failed atomic.Int64
-	var nextID atomic.Int64
+	// The timeline's progress signal is a counter Next bumps: server-side
+	// Stats() restart from zero on the backends a migration replaces. A
+	// window therefore counts requests issued, which in a closed loop runs at
+	// most `clients` ahead of requests answered — and a cluster stalled for
+	// a whole window issues nothing in it, so "progress in every window"
+	// holds what it held. The sampler starts a goroutine launch ahead of the
+	// workers; Targets are not dialled.
+	var ops, nextID atomic.Int64
 	nextID.Store(10_000_000) // insert keys disjoint from the loaded rows
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(w)*7919))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				var res query.Result
-				if rng.Intn(10) == 0 {
-					id := nextID.Add(1)
-					res = rt.Exec(query.Req("reshard", "insert into load values (?, ?, ?)",
-						[]any{id, int64(rng.Intn(groups)), fmt.Sprintf("w%d", id)}))
-				} else {
-					res = rt.Exec(query.Req("reshard", "select val from load where id = ?",
-						[]any{int64(1 + rng.Intn(rows))}))
-				}
-				if res.Err != nil {
-					failed.Add(1)
-				}
-				ops.Add(1)
+	load := net.LoadOptions{
+		Targets: workers(rt, clients),
+		// One spare window, so the last sampled one is driven to its end.
+		Duration: dur + winDur,
+		Seed:     seed,
+		Next: func(rng *rand.Rand) query.Request {
+			ops.Add(1)
+			if rng.Intn(10) == 0 {
+				id := nextID.Add(1)
+				return query.Req("reshard", "insert into load values (?, ?, ?)",
+					[]any{id, int64(rng.Intn(groups)), fmt.Sprintf("w%d", id)})
 			}
-		}()
+			return query.Req("reshard", "select val from load where id = ?",
+				[]any{int64(1 + rng.Intn(rows))})
+		},
 	}
 
-	// Sample the timeline; at the splitAt boundary kick off the migration on
-	// its own goroutine so the copy, double-write, and flip phases all land
-	// inside the measured windows.
+	// Sample the timeline beside the load; at the splitAt boundary kick off
+	// the migration on its own goroutine so the copy, double-write, and flip
+	// phases all land inside the measured windows.
 	rates := make([]float64, 0, windows)
 	gens := make([]int64, 0, windows)
 	splitErr := make(chan error, 1)
-	prev := int64(0)
-	for wnd := 0; wnd < windows; wnd++ {
-		if wnd == splitAt {
-			go func() { splitErr <- rt.Split(0) }()
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		prev := int64(0)
+		for wnd := 0; wnd < windows; wnd++ {
+			if wnd == splitAt {
+				go func() { splitErr <- rt.Split(0) }()
+			}
+			time.Sleep(winDur)
+			cur := ops.Load()
+			rates = append(rates, float64(cur-prev)/winDur.Seconds())
+			gens = append(gens, rt.Ranges().Generation())
+			prev = cur
 		}
-		time.Sleep(winDur)
-		cur := ops.Load()
-		rates = append(rates, float64(cur-prev)/winDur.Seconds())
-		gens = append(gens, rt.Ranges().Generation())
-		prev = cur
-	}
-	close(stop)
-	wg.Wait()
+	}()
+	rep, err := net.RunLoad(load)
+	<-sampled
 	if err := <-splitErr; err != nil {
 		return nil, fmt.Errorf("reshard: split: %w", err)
 	}
 
 	// Elasticity without downtime: nothing failed, every window made
 	// progress, and the post-split plateau sits above the pre-split one.
-	if n := failed.Load(); n > 0 {
-		return nil, fmt.Errorf("reshard: %d requests failed during the timeline (seed %d)", n, seed)
+	if err == nil {
+		err = rep.Check()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("reshard: during the timeline (seed %d): %w", seed, err)
 	}
 	mean := func(xs []float64) float64 {
 		var s float64
@@ -190,7 +189,7 @@ func (h *Harness) FigReshard() (*Figure, error) {
 	f.Series = []Series{thr, gen}
 	f.Notes = append(f.Notes,
 		fmt.Sprintf("Database: %s (1 spindle, %d-page pool), %d rows, %d closed-loop workers (90%% point reads / 10%% inserts), seed %d",
-			prof.Name, prof.BufferPages, rows, workers, seed),
+			prof.Name, prof.BufferPages, rows, clients, seed),
 		fmt.Sprintf("Split launched at window %d of %d (%v windows); generation %d after flip",
 			splitAt, windows, winDur, st.Generation),
 		fmt.Sprintf("Migration: %d rows copied, %d double-written inserts, %d shards after split",

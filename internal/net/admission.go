@@ -14,7 +14,9 @@ import (
 // requests stays bounded by the work the budget represents, and the
 // overflow surfaces as explicit, retryable errors — not as requests
 // silently aging in a queue. A batch costs one slot per member, since
-// that is the work it puts on the executor.
+// that is the work it puts on the executor; a batch larger than the whole
+// budget is admitted when nothing else is in flight and then runs alone —
+// refusing it whenever it arrives would make a retryable error permanent.
 //
 // The zero budget (limit <= 0) admits everything; Admission is then pure
 // accounting.
@@ -33,7 +35,7 @@ func NewAdmission(limit int) *Admission {
 
 // TryAcquire claims n units. It either claims all n and returns true, or
 // claims nothing and returns false (the request must be shed) — a batch is
-// admitted or shed whole, never half.
+// admitted or shed whole, never half. On an idle budget any n is claimed.
 func (a *Admission) TryAcquire(n int) bool {
 	if n <= 0 {
 		n = 1
@@ -41,7 +43,7 @@ func (a *Admission) TryAcquire(n int) bool {
 	if a.limit > 0 {
 		for {
 			cur := a.inflight.Load()
-			if cur+int64(n) > a.limit {
+			if cur+int64(n) > a.limit && cur > 0 {
 				a.shed.Add(1)
 				return false
 			}

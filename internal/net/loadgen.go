@@ -12,13 +12,20 @@ import (
 	"repro/internal/query"
 )
 
-// LoadOptions configure one load-generation run against a front door.
+// LoadOptions configure one load-generation run against a front door, or
+// against executors the caller already holds.
 type LoadOptions struct {
 	// Addr is the server address to drive.
 	Addr string
+	// Targets, when set, are driven in place of dialled connections, one
+	// worker each (the same executor may appear more than once): the
+	// in-process figures measure a replica group or a shard router with the
+	// driver, the accounting and the percentiles of a run over the wire.
+	Targets []query.Executor
 	// Conns is the number of concurrent connections, each with one
 	// outstanding request at a time (the closed-loop worker count; in open
-	// loop the same connections share the paced request stream).
+	// loop the same connections share the paced request stream). With
+	// Targets it is their number.
 	Conns int
 	// Rate, when positive, switches to open-loop generation: requests are
 	// issued at this aggregate rate (per second) regardless of completions,
@@ -28,13 +35,16 @@ type LoadOptions struct {
 	Rate float64
 	// Duration bounds the run.
 	Duration time.Duration
+	// Requests, when positive, bounds the run by work instead: it ends once
+	// that many requests have been issued, and the report's Duration and
+	// ThroughputRPS are over the measured elapsed time.
+	Requests int64
 	// Deadline is the per-request deadline (0 = none).
 	Deadline time.Duration
-	// Statement is the request to issue; ArgFn supplies per-request args.
-	Name  string
-	SQL   string
-	ArgFn func(r *rand.Rand) []any
-	// Seed feeds the per-worker argument generators.
+	// Next builds each request; r is the issuing worker's generator. It is
+	// called from every worker at once.
+	Next func(r *rand.Rand) query.Request
+	// Seed feeds the per-worker generators.
 	Seed int64
 	// Client configures each connection's resilience: retry policy and
 	// (chaos figures, tests) fault injection. The zero value is the
@@ -57,6 +67,7 @@ type LoadReport struct {
 	Deadlined int64 // query.ErrDeadlineExceeded
 	Failed    int64 // any other error
 	Hung      int64 // requests never answered by run end
+	Err       error // the first failed request's error
 
 	ThroughputRPS float64
 
@@ -104,7 +115,7 @@ func (r LoadReport) Check() error {
 		return fmt.Errorf("load report: %d hung requests (never answered)", r.Hung)
 	}
 	if r.Failed > 0 {
-		return fmt.Errorf("load report: %d failed requests", r.Failed)
+		return fmt.Errorf("load report: %d failed requests, first: %w", r.Failed, r.Err)
 	}
 	if r.Completed > 0 {
 		if r.P50Ms <= 0 {
@@ -122,60 +133,78 @@ func (r LoadReport) Check() error {
 	return nil
 }
 
-// RunLoad drives a front door with Conns connections for Duration and
-// reports the latency distribution and shed accounting. Closed loop
-// (Rate == 0): every connection issues its next request as soon as the
-// previous one answers. Open loop (Rate > 0): each connection issues
-// requests on its own schedule at Rate/Conns, staggered so aggregate
-// arrivals are smooth, and keeps (approximately) that schedule regardless
-// of completions — the pool must be sized so that under the tested
-// overload the admission budget and deadline, not the pool, are the limit.
+// hangGrace is how long RunLoad waits on requests in flight with none
+// answered before it reports them hung (a variable so tests can shorten it).
+var hangGrace = 5 * time.Second
+
+// RunLoad drives a front door over Conns connections (or the Targets, in
+// place) for Duration or for Requests requests, and reports the latency
+// distribution and shed accounting. Closed loop (Rate == 0): every worker
+// issues its next request as soon as the previous one answers. Open loop
+// (Rate > 0): each worker issues requests on its own schedule at
+// Rate/Conns, staggered so aggregate arrivals are smooth, and keeps
+// (approximately) that schedule regardless of completions — the pool must
+// be sized so that under the tested overload the admission budget and
+// deadline, not the pool, are the limit.
 func RunLoad(opts LoadOptions) (LoadReport, error) {
+	if opts.Next == nil {
+		return LoadReport{}, errors.New("loadgen: LoadOptions.Next is nil: no request to issue")
+	}
 	if opts.Conns <= 0 {
 		opts.Conns = 1
 	}
 	if opts.Duration <= 0 {
 		opts.Duration = time.Second
 	}
-	if opts.ArgFn == nil {
-		opts.ArgFn = func(*rand.Rand) []any { return nil }
-	}
-	rep := LoadReport{Mode: "closed", Conns: opts.Conns, Duration: opts.Duration.Seconds()}
-	if opts.Rate > 0 {
-		rep.Mode = "open"
-		rep.Rate = opts.Rate
-	}
-
-	clients := make([]*Client, opts.Conns)
-	for i := range clients {
-		c, err := DialOptions(opts.Addr, opts.Client)
-		if err != nil {
-			for _, p := range clients[:i] {
-				p.Close()
-			}
-			return rep, fmt.Errorf("loadgen: dial conn %d: %w", i, err)
-		}
-		clients[i] = c
-	}
+	// The workers' executors: the caller's, or connections dialled here —
+	// those are closed here and are the retry accounting's source.
+	targets := opts.Targets
+	var clients []*Client
 	defer func() {
 		for _, c := range clients {
 			c.Close()
 		}
 	}()
+	if len(targets) > 0 {
+		opts.Conns = len(targets)
+	} else {
+		for i := 0; i < opts.Conns; i++ {
+			c, err := DialOptions(opts.Addr, opts.Client)
+			if err != nil {
+				return LoadReport{}, fmt.Errorf("loadgen: dial conn %d: %w", i, err)
+			}
+			clients = append(clients, c)
+			targets = append(targets, c)
+		}
+	}
+	rep := LoadReport{Mode: "closed", Conns: opts.Conns}
+	if opts.Rate > 0 {
+		rep.Mode = "open"
+		rep.Rate = opts.Rate
+	}
 
-	var sent, completed, shed, deadlined, failed, inflight atomic.Int64
+	var issued, sent, completed, shed, deadlined, failed, inflight atomic.Int64
+	var firstErr atomic.Pointer[error]
 	hist := obs.NewRegistry().Histogram("loadgen.latency")
-	stop := time.Now().Add(opts.Duration)
+	began := time.Now()
+	stop := began.Add(opts.Duration)
+	// more reports whether a worker may issue another request.
+	more := func() bool {
+		if opts.Requests > 0 {
+			return issued.Add(1) <= opts.Requests
+		}
+		return time.Now().Before(stop)
+	}
 
-	oneRequest := func(c *Client, rng *rand.Rand) {
-		req := query.Req(opts.Name, opts.SQL, opts.ArgFn(rng))
+	oneRequest := func(t query.Executor, rng *rand.Rand) {
+		req := opts.Next(rng)
 		if opts.Deadline > 0 {
 			req.Deadline = query.After(opts.Deadline)
 		}
 		sent.Add(1)
 		inflight.Add(1)
 		start := time.Now()
-		res := c.Exec(req)
+		res := t.Exec(req)
 		lat := time.Since(start)
 		inflight.Add(-1)
 		switch {
@@ -188,21 +217,23 @@ func RunLoad(opts LoadOptions) (LoadReport, error) {
 			deadlined.Add(1)
 		default:
 			failed.Add(1)
+			err := res.Err // a copy, so only a failure's error escapes
+			firstErr.CompareAndSwap(nil, &err)
 		}
 	}
 
 	var wg sync.WaitGroup
 	if opts.Rate <= 0 {
 		// Closed loop: one back-to-back worker per connection.
-		for i, c := range clients {
+		for i, t := range targets {
 			wg.Add(1)
-			go func(i int, c *Client) {
+			go func(i int, t query.Executor) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(opts.Seed + int64(i)))
-				for time.Now().Before(stop) {
-					oneRequest(c, rng)
+				for more() {
+					oneRequest(t, rng)
 				}
-			}(i, c)
+			}(i, t)
 		}
 	} else {
 		// Open loop: each connection paces itself at Rate/Conns with start
@@ -218,9 +249,9 @@ func RunLoad(opts LoadOptions) (LoadReport, error) {
 		if interval <= 0 {
 			interval = time.Nanosecond
 		}
-		for i, c := range clients {
+		for i, t := range targets {
 			wg.Add(1)
-			go func(i int, c *Client) {
+			go func(i int, t query.Executor) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(opts.Seed + int64(i)))
 				next := time.Now().Add(interval * time.Duration(i) / time.Duration(opts.Conns))
@@ -228,46 +259,65 @@ func RunLoad(opts LoadOptions) (LoadReport, error) {
 					if d := time.Until(next); d > 0 {
 						time.Sleep(d)
 					}
-					if !time.Now().Before(stop) {
+					if !more() {
 						return
 					}
-					oneRequest(c, rng)
+					oneRequest(t, rng)
 					next = next.Add(interval)
 					if time.Since(next) > 4*interval {
 						next = time.Now()
 					}
 				}
-			}(i, c)
+			}(i, t)
 		}
 	}
 
-	// Workers exit on their own (closed loop) or when the pacer closes the
-	// channel; every issued request either answered or hit its deadline, so
-	// a bounded wait suffices — a worker stuck past deadline+grace is a
-	// hung connection, exactly what the report must expose.
+	// Workers exit on their own once more() says stop. A hang is a request in
+	// flight while none has been answered for the grace (plus the deadline,
+	// by which every issued request must have answered): the clock restarts
+	// on every outcome, so neither a long Duration nor a long Requests run is
+	// cut short, and a stuck connection is exactly what the report exposes.
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	grace := 5 * time.Second
-	if opts.Deadline > 0 {
-		grace += opts.Deadline
+	grace := hangGrace + max(opts.Deadline, 0)
+	outcomes := func() int64 { return completed.Load() + shed.Load() + deadlined.Load() + failed.Load() }
+	seen, seenAt := outcomes(), time.Now()
+	tick := time.NewTicker(grace / 8)
+	defer tick.Stop()
+wait:
+	for {
+		select {
+		case <-done:
+			break wait
+		case <-tick.C:
+		}
+		if n := outcomes(); n != seen || inflight.Load() == 0 {
+			seen, seenAt = n, time.Now()
+		} else if time.Since(seenAt) >= grace {
+			rep.Hung = inflight.Load()
+			break wait
+		}
 	}
-	select {
-	case <-done:
-	case <-time.After(grace):
-		rep.Hung = inflight.Load()
+	elapsed := opts.Duration
+	if opts.Requests > 0 {
+		elapsed = time.Since(began)
 	}
 
+	rep.Duration = elapsed.Seconds()
 	rep.Sent = sent.Load()
 	rep.Completed = completed.Load()
 	rep.Shed = shed.Load()
 	rep.Deadlined = deadlined.Load()
 	rep.Failed = failed.Load()
+	if err := firstErr.Load(); err != nil {
+		rep.Err = *err
+	}
 	rep.RetryBudget = opts.Client.Retry.Budget
 	for _, c := range clients {
 		rep.Retries += c.Retries()
 		rep.Reconnects += c.Reconnects()
 	}
-	rep.ThroughputRPS = float64(rep.Completed) / opts.Duration.Seconds()
+	rep.ThroughputRPS = float64(rep.Completed) / rep.Duration
 	snap := hist.Snapshot()
 	if snap.Count > 0 {
 		ms := func(ns int64) float64 { return float64(ns) / float64(time.Millisecond) }

@@ -220,6 +220,51 @@ func TestBatchShedsWholeOrAdmitsWhole(t *testing.T) {
 	}
 }
 
+// A batch of more bindings than the whole budget is not shed forever: idle,
+// it is admitted and runs alone; what arrives meanwhile sheds; the budget
+// returns to zero after it.
+func TestBatchLargerThanBudgetRunsAlone(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{}, 1)
+	backend := &stubBackend{
+		exec: func(req query.Request) query.Result { return query.Ok(int64(0)) },
+		execBatch: func(req query.BatchRequest) query.BatchResult {
+			started <- struct{}{}
+			<-release
+			return query.BatchResult{Values: make([]any, len(req.ArgSets)), Errs: make([]error, len(req.ArgSets))}
+		},
+	}
+	s := startServer(t, backend, ServerOptions{MaxInflight: 4})
+	c := dial(t, s)
+	sets := make([][]any, 16)
+	for i := range sets {
+		sets[i] = []any{int64(i)}
+	}
+	done := make(chan query.BatchResult, 1)
+	go func() { done <- c.ExecBatch(query.BatchReq("b", "q", sets)) }()
+	select {
+	case <-started:
+	case br := <-done:
+		t.Fatalf("16-binding batch on an idle budget of 4 was refused: %v", br.Errs[0])
+	}
+	if res := c.Exec(query.Req("one", "q", nil)); !errors.Is(res.Err, query.ErrOverloaded) {
+		t.Fatalf("request beside the oversized batch got %v, want ErrOverloaded", res.Err)
+	}
+	close(release)
+	br := <-done
+	for i, err := range br.Errs {
+		if err != nil {
+			t.Fatalf("member %d of the admitted batch: %v", i, err)
+		}
+	}
+	if got := s.Admission().Inflight(); got != 0 {
+		t.Fatalf("inflight = %d after the batch, want 0", got)
+	}
+	if res := c.Exec(query.Req("after", "q", nil)); res.Err != nil {
+		t.Fatalf("request after the batch: %v", res.Err)
+	}
+}
+
 func TestClientDeadlineAbandonsSlowRequest(t *testing.T) {
 	release := make(chan struct{})
 	backend := &stubBackend{exec: func(req query.Request) query.Result {

@@ -615,13 +615,14 @@ func firstErr(errs []error) error {
 }
 
 // pick returns the next healthy replica under the read policy whose applied
-// prefix reaches min, or -1 when none qualifies.
-func (g *Group) pick(min int64) int {
+// prefix reaches min, or -1 when none qualifies. except (-1 for none) is a
+// replica to pass over: the lane a hedge already runs on.
+func (g *Group) pick(min int64, except int) int {
 	switch g.policy {
 	case LeastLoaded:
 		best, bestLoad := -1, int64(0)
 		for i, st := range g.states {
-			if !st.healthy.Load() || st.applied.Load() < min {
+			if i == except || !st.healthy.Load() || st.applied.Load() < min {
 				continue
 			}
 			if load := st.inflight.Load(); best < 0 || load < bestLoad {
@@ -637,7 +638,7 @@ func (g *Group) pick(min int64) int {
 		start := int(g.rr.Add(1) % uint64(n))
 		for k := 0; k < n; k++ {
 			i := (start + k) % n
-			if g.states[i].healthy.Load() && g.states[i].applied.Load() >= min {
+			if i != except && g.states[i].healthy.Load() && g.states[i].applied.Load() >= min {
 				return i
 			}
 		}

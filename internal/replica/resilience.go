@@ -197,27 +197,11 @@ type attempt struct {
 	faulted bool  // the attempt died to an injected fault (replica failed out)
 }
 
-// pickExcept is pick, excluding one replica (the hedge's first lane).
-func (g *Group) pickExcept(min int64, except int) int {
-	n := len(g.states)
-	start := int(g.rr.Add(1) % uint64(n))
-	for k := 0; k < n; k++ {
-		i := (start + k) % n
-		if i == except {
-			continue
-		}
-		if g.states[i].healthy.Load() && g.states[i].applied.Load() >= min {
-			return i
-		}
-	}
-	return -1
-}
-
 // readLoop drives read's pick / hedge / failover loop. run executes one attempt against replica i; ok=false means no
 // replica could serve (the caller falls back to the primary).
 func (g *Group) readLoop(min int64, run func(i int, hedged bool) attempt) (attempt, bool) {
 	for {
-		i := g.pick(min)
+		i := g.pick(min, -1)
 		if i < 0 {
 			return attempt{}, false
 		}
@@ -261,7 +245,7 @@ func (g *Group) hedgedAttempt(i int, min int64, run func(int, bool) attempt) (at
 				return a, true
 			}
 		case <-timer.C:
-			j := g.pickExcept(min, i)
+			j := g.pick(min, i)
 			if j < 0 {
 				continue // no second lane available; keep waiting on the first
 			}

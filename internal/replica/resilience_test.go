@@ -52,6 +52,30 @@ func TestHedgedAttemptFirstLaneWinsWithoutHedge(t *testing.T) {
 	}
 }
 
+// The hedge's second lane is chosen by the group's read policy, not always
+// round-robin: under LeastLoaded, with the first lane held on replica 0 and
+// replica 1 busy, it lands on the idle replica 2.
+func TestHedgeFollowsReadPolicy(t *testing.T) {
+	g := newGroupOpts(t, Options{Replicas: 3, Policy: LeastLoaded, Hedge: time.Millisecond})
+	g.states[1].inflight.Add(4)
+	defer g.states[1].inflight.Add(-4)
+	release := make(chan struct{})
+	run := func(i int, hedged bool) attempt {
+		if !hedged {
+			<-release // the first lane answers only after the hedge has
+		}
+		return attempt{rep: query.Reply{Value: int64(i)}, hedged: hedged}
+	}
+	a, ok := g.hedgedAttempt(0, 0, run)
+	close(release)
+	if !ok || !a.hedged {
+		t.Fatalf("the hedge should have answered: ok=%v hedged=%v", ok, a.hedged)
+	}
+	if a.rep.Value != int64(2) {
+		t.Fatalf("hedge ran on replica %v, want the idle replica 2", a.rep.Value)
+	}
+}
+
 // When every lane faults the hedged attempt reports no answer, and the
 // outer read loop falls back to picking again (ultimately the primary).
 func TestHedgedAttemptAllLanesFault(t *testing.T) {
