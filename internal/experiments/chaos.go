@@ -113,10 +113,7 @@ func (h *Harness) FigChaos() (*Figure, error) {
 				rep.Retries, rep.BreakerTrips)
 		}
 		top = rep
-		series[0].Points = append(series[0].Points, Point{X: pct, Y: rep.P50Ms})
-		series[1].Points = append(series[1].Points, Point{X: pct, Y: rep.P99Ms})
-		series[2].Points = append(series[2].Points, Point{X: pct, Y: rep.P999Ms})
-		series[3].Points = append(series[3].Points, Point{X: pct, Y: rep.ThroughputRPS})
+		addLoadPoint(series, pct, rep, rep.ThroughputRPS)
 	}
 	// At the top fault rate the machinery must visibly work: transport
 	// faults were retried and replica crashes tripped breakers.

@@ -24,15 +24,6 @@ type stormRun struct {
 	WAL    wal.Stats
 }
 
-// workers is e as n RunLoad targets: n closed-loop clients of one backend.
-func workers(e query.Executor, n int) []query.Executor {
-	targets := make([]query.Executor, n)
-	for i := range targets {
-		targets[i] = e
-	}
-	return targets
-}
-
 // storm issues `inserts` acknowledged single-row inserts from `threads`
 // concurrent closed-loop clients, ids 1..inserts drawn from one counter,
 // against a one-replica synchronous group whose WAL runs in mode, holding an
@@ -58,7 +49,8 @@ func (h *Harness) storm(prof server.Profile, mode wal.Mode, threads, inserts int
 
 	var next atomic.Int64
 	rep, err := net.RunLoad(net.LoadOptions{
-		Targets:  workers(g, threads),
+		Target:   g,
+		Conns:    threads,
 		Requests: int64(inserts),
 		Next: func(*rand.Rand) query.Request {
 			id := next.Add(1)

@@ -46,6 +46,15 @@ func (f *frontdoorFixture) Close() {
 	f.g.Close()
 }
 
+// addLoadPoint appends one load run at x to a request-driven figure's series:
+// its client-observed p50, p99 and p999 to the first three, extra to the
+// fourth.
+func addLoadPoint(series []Series, x int, rep net.LoadReport, extra float64) {
+	for i, y := range []float64{rep.P50Ms, rep.P99Ms, rep.P999Ms, extra} {
+		series[i].Points = append(series[i].Points, Point{X: x, Y: y})
+	}
+}
+
 func (f *frontdoorFixture) load(rows int) net.LoadOptions {
 	n := int64(rows)
 	return net.LoadOptions{
@@ -132,10 +141,7 @@ func (h *Harness) FigFrontdoor() (*Figure, error) {
 				pct, rep.Hung, rep.Failed)
 		}
 		top = rep
-		series[0].Points = append(series[0].Points, Point{X: pct, Y: rep.P50Ms})
-		series[1].Points = append(series[1].Points, Point{X: pct, Y: rep.P99Ms})
-		series[2].Points = append(series[2].Points, Point{X: pct, Y: rep.P999Ms})
-		series[3].Points = append(series[3].Points, Point{X: pct, Y: 100 * rep.ShedRate()})
+		addLoadPoint(series, pct, rep, 100*rep.ShedRate())
 	}
 	// The acceptance property the figure exists to demonstrate: offered
 	// load at 2× the budgeted capacity is refused at the door, not queued

@@ -97,11 +97,12 @@ func (h *Harness) FigReshard() (*Figure, error) {
 	// most `clients` ahead of requests answered — and a cluster stalled for
 	// a whole window issues nothing in it, so "progress in every window"
 	// holds what it held. The sampler starts a goroutine launch ahead of the
-	// workers; Targets are not dialled.
+	// workers; a Target is not dialled.
 	var ops, nextID atomic.Int64
 	nextID.Store(10_000_000) // insert keys disjoint from the loaded rows
 	load := net.LoadOptions{
-		Targets: workers(rt, clients),
+		Target: rt,
+		Conns:  clients,
 		// One spare window, so the last sampled one is driven to its end.
 		Duration: dur + winDur,
 		Seed:     seed,

@@ -17,15 +17,14 @@ import (
 type LoadOptions struct {
 	// Addr is the server address to drive.
 	Addr string
-	// Targets, when set, are driven in place of dialled connections, one
-	// worker each (the same executor may appear more than once): the
+	// Target, when set, is driven in place of dialled connections: the
 	// in-process figures measure a replica group or a shard router with the
 	// driver, the accounting and the percentiles of a run over the wire.
-	Targets []query.Executor
-	// Conns is the number of concurrent connections, each with one
-	// outstanding request at a time (the closed-loop worker count; in open
-	// loop the same connections share the paced request stream). With
-	// Targets it is their number.
+	Target query.Executor
+	// Conns is the number of concurrent connections (or workers sharing
+	// Target), each with one outstanding request at a time (the closed-loop
+	// worker count; in open loop the same connections share the paced
+	// request stream).
 	Conns int
 	// Rate, when positive, switches to open-loop generation: requests are
 	// issued at this aggregate rate (per second) regardless of completions,
@@ -137,10 +136,10 @@ func (r LoadReport) Check() error {
 // answered before it reports them hung (a variable so tests can shorten it).
 var hangGrace = 5 * time.Second
 
-// RunLoad drives a front door over Conns connections (or the Targets, in
-// place) for Duration or for Requests requests, and reports the latency
-// distribution and shed accounting. Closed loop (Rate == 0): every worker
-// issues its next request as soon as the previous one answers. Open loop
+// RunLoad drives a front door over Conns connections (or Target, in place,
+// from Conns workers) for Duration or for Requests requests, and reports the
+// latency distribution and shed accounting. Closed loop (Rate == 0): every
+// worker issues its next request as soon as the previous one answers. Open loop
 // (Rate > 0): each worker issues requests on its own schedule at
 // Rate/Conns, staggered so aggregate arrivals are smooth, and keeps
 // (approximately) that schedule regardless of completions — the pool must
@@ -156,26 +155,24 @@ func RunLoad(opts LoadOptions) (LoadReport, error) {
 	if opts.Duration <= 0 {
 		opts.Duration = time.Second
 	}
-	// The workers' executors: the caller's, or connections dialled here —
-	// those are closed here and are the retry accounting's source.
-	targets := opts.Targets
+	// The workers' executors: the caller's Target, or connections dialled
+	// here — those are closed here and are the retry accounting's source.
+	targets := make([]query.Executor, opts.Conns)
 	var clients []*Client
 	defer func() {
 		for _, c := range clients {
 			c.Close()
 		}
 	}()
-	if len(targets) > 0 {
-		opts.Conns = len(targets)
-	} else {
-		for i := 0; i < opts.Conns; i++ {
-			c, err := DialOptions(opts.Addr, opts.Client)
-			if err != nil {
-				return LoadReport{}, fmt.Errorf("loadgen: dial conn %d: %w", i, err)
-			}
-			clients = append(clients, c)
-			targets = append(targets, c)
+	for i := range targets {
+		if targets[i] = opts.Target; opts.Target != nil {
+			continue
 		}
+		c, err := DialOptions(opts.Addr, opts.Client)
+		if err != nil {
+			return LoadReport{}, fmt.Errorf("loadgen: dial conn %d: %w", i, err)
+		}
+		clients, targets[i] = append(clients, c), c
 	}
 	rep := LoadReport{Mode: "closed", Conns: opts.Conns}
 	if opts.Rate > 0 {
@@ -222,54 +219,41 @@ func RunLoad(opts LoadOptions) (LoadReport, error) {
 		}
 	}
 
+	// Closed loop (Rate == 0, interval 0): every worker issues back to back.
+	// Open loop: each connection paces itself at Rate/Conns with start
+	// offsets staggered across one interval, so aggregate arrivals are
+	// smooth rather than synchronized bursts (a shared ticker bunches
+	// arrivals into instants, which saturates any admission budget at a
+	// fraction of the true average rate). A connection whose previous
+	// request ran long fires back-to-back to restore its average — the
+	// open-loop property — but arrivals more than a burst window behind
+	// schedule balk: that is offered load the server never saw, and the
+	// shed/deadline counters on issued requests carry the overload story.
+	var interval time.Duration
+	if opts.Rate > 0 {
+		interval = max(time.Duration(float64(opts.Conns)*float64(time.Second)/opts.Rate), time.Nanosecond)
+	}
 	var wg sync.WaitGroup
-	if opts.Rate <= 0 {
-		// Closed loop: one back-to-back worker per connection.
-		for i, t := range targets {
-			wg.Add(1)
-			go func(i int, t query.Executor) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(opts.Seed + int64(i)))
-				for more() {
-					oneRequest(t, rng)
+	for i, t := range targets {
+		wg.Add(1)
+		go func(i int, t query.Executor) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(opts.Seed + int64(i)))
+			next := time.Now().Add(interval * time.Duration(i) / time.Duration(opts.Conns))
+			for {
+				if d := time.Until(next); d > 0 {
+					time.Sleep(d)
 				}
-			}(i, t)
-		}
-	} else {
-		// Open loop: each connection paces itself at Rate/Conns with start
-		// offsets staggered across one interval, so aggregate arrivals are
-		// smooth rather than synchronized bursts (a shared ticker bunches
-		// arrivals into instants, which saturates any admission budget at a
-		// fraction of the true average rate). A connection whose previous
-		// request ran long fires back-to-back to restore its average — the
-		// open-loop property — but arrivals more than a burst window behind
-		// schedule balk: that is offered load the server never saw, and the
-		// shed/deadline counters on issued requests carry the overload story.
-		interval := time.Duration(float64(opts.Conns) * float64(time.Second) / opts.Rate)
-		if interval <= 0 {
-			interval = time.Nanosecond
-		}
-		for i, t := range targets {
-			wg.Add(1)
-			go func(i int, t query.Executor) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(opts.Seed + int64(i)))
-				next := time.Now().Add(interval * time.Duration(i) / time.Duration(opts.Conns))
-				for {
-					if d := time.Until(next); d > 0 {
-						time.Sleep(d)
-					}
-					if !more() {
-						return
-					}
-					oneRequest(t, rng)
-					next = next.Add(interval)
-					if time.Since(next) > 4*interval {
-						next = time.Now()
-					}
+				if !more() {
+					return
 				}
-			}(i, t)
-		}
+				oneRequest(t, rng)
+				next = next.Add(interval)
+				if time.Since(next) > 4*interval {
+					next = time.Now()
+				}
+			}
+		}(i, t)
 	}
 
 	// Workers exit on their own once more() says stop. A hang is a request in

@@ -58,8 +58,9 @@ func TestRunLoadOpenLoopOverload(t *testing.T) {
 	}
 }
 
-// Targets are driven in place, and Requests bounds the run by work: exactly
-// that many requests are built, issued and completed, over a measured time.
+// A Target is driven in place by Conns workers, and Requests bounds the run by
+// work: exactly that many requests are built, issued and completed, over a
+// measured time.
 func TestRunLoadTargetsAndRequests(t *testing.T) {
 	const n = 500
 	var mu sync.Mutex
@@ -72,7 +73,8 @@ func TestRunLoadTargetsAndRequests(t *testing.T) {
 	}}
 	var next atomic.Int64
 	rep, err := RunLoad(LoadOptions{
-		Targets:  []query.Executor{backend, backend, backend, backend},
+		Target:   backend,
+		Conns:    4,
 		Requests: n,
 		Next: func(*rand.Rand) query.Request {
 			return query.Req("ins", "q", []any{next.Add(1)})
@@ -98,7 +100,7 @@ func TestRunLoadTargetsAndRequests(t *testing.T) {
 }
 
 func TestRunLoadWithoutNextIsAnError(t *testing.T) {
-	if _, err := RunLoad(LoadOptions{Targets: []query.Executor{echoBackend()}, Requests: 1}); err == nil {
+	if _, err := RunLoad(LoadOptions{Target: echoBackend(), Requests: 1}); err == nil {
 		t.Fatal("RunLoad without Next returned no error")
 	}
 }
@@ -114,7 +116,8 @@ func TestRunLoadRecordsFirstFailure(t *testing.T) {
 	}}
 	var next atomic.Int64
 	rep, err := RunLoad(LoadOptions{
-		Targets:  []query.Executor{backend, backend},
+		Target:   backend,
+		Conns:    2,
 		Requests: 20,
 		Next: func(*rand.Rand) query.Request {
 			return query.Req("q", "q", []any{next.Add(1)})
@@ -147,10 +150,10 @@ func TestRunLoadOutlastsTheGrace(t *testing.T) {
 		return query.Ok(int64(1))
 	}}
 	for _, opts := range []LoadOptions{
-		{Requests: 200}, // 2 targets × 100 × 2 ms = 5 graces
+		{Requests: 200}, // 2 workers × 100 × 2 ms = 5 graces
 		{Duration: 200 * time.Millisecond},
 	} {
-		opts.Targets, opts.Next = []query.Executor{slow, slow}, nextEcho
+		opts.Target, opts.Conns, opts.Next = slow, 2, nextEcho
 		began := time.Now()
 		rep, err := RunLoad(opts)
 		if err != nil {
@@ -166,22 +169,23 @@ func TestRunLoadOutlastsTheGrace(t *testing.T) {
 }
 
 // A request that never answers is reported hung one grace after the last
-// answer, while the other targets finish the run.
+// answer, while the other worker finishes the run.
 func TestRunLoadReportsAHungRequest(t *testing.T) {
 	shortGrace(t, 40*time.Millisecond)
 	release := make(chan struct{})
 	defer close(release)
 	entered := make(chan struct{})
-	stuck := &stubBackend{exec: func(query.Request) query.Result {
-		close(entered)
-		<-release
+	var first atomic.Bool
+	backend := &stubBackend{exec: func(query.Request) query.Result {
+		if first.CompareAndSwap(false, true) { // the first request sticks
+			close(entered)
+			<-release
+		} else {
+			<-entered
+		}
 		return query.Ok(int64(1))
 	}}
-	live := &stubBackend{exec: func(query.Request) query.Result {
-		<-entered
-		return query.Ok(int64(1))
-	}}
-	rep, err := RunLoad(LoadOptions{Targets: []query.Executor{stuck, live}, Requests: 50, Next: nextEcho})
+	rep, err := RunLoad(LoadOptions{Target: backend, Conns: 2, Requests: 50, Next: nextEcho})
 	if err != nil {
 		t.Fatal(err)
 	}

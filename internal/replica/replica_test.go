@@ -27,17 +27,19 @@ func newGroupOpts(t *testing.T, opts Options) *Group {
 	t.Helper()
 	g := NewGroup(server.SYS1(), 0, opts)
 	t.Cleanup(g.Close)
-	loadTable(t, g, wal.TableSource{
-		Name: "kv",
-		Schema: storage.NewSchema(
-			storage.Column{Name: "id", Type: storage.TInt},
-			storage.Column{Name: "val", Type: storage.TString},
-		),
-		RowsPerPage: 8,
-		Indexes:     []wal.IndexDef{{Column: "id", Unique: true}},
-		N:           100,
-		Row:         func(i int) []any { return []any{int64(i), fmt.Sprintf("v%d", i)} },
-	})
+	schema := storage.NewSchema(
+		storage.Column{Name: "id", Type: storage.TInt},
+		storage.Column{Name: "val", Type: storage.TString},
+	)
+	rows := storage.NewTable("kv", schema, 0)
+	for i := 0; i < 100; i++ {
+		if _, err := rows.Insert([]any{int64(i), fmt.Sprintf("v%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := wal.TableSource{Name: "kv", Schema: schema, RowsPerPage: 8, Indexes: []wal.IndexDef{{Column: "id", Unique: true}}}
+	rows.ViewInto(&src.View)
+	loadTable(t, g, src)
 	return g
 }
 

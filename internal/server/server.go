@@ -239,8 +239,8 @@ func (s *Server) CreateTable(name string, schema *storage.Schema, rowsPerPage in
 	return nil
 }
 
-// InsertRow appends one row directly through storage (bulk-load path, no
-// simulated cost; see wal.Loader).
+// InsertRow appends one row directly through storage (a generator's bulk
+// load, no simulated cost).
 func (s *Server) InsertRow(table string, row []any) error {
 	t := s.cat.Table(table)
 	if t == nil {
@@ -248,6 +248,16 @@ func (s *Server) InsertRow(table string, row []any) error {
 	}
 	_, err := t.Insert(row)
 	return err
+}
+
+// AppendRows appends rows rids of v column by column through storage (the
+// bulk-load path a copy is built through, no simulated cost; see wal.Loader).
+func (s *Server) AppendRows(table string, v *storage.View, rids []int) error {
+	t := s.cat.Table(table)
+	if t == nil {
+		return fmt.Errorf("server: no table %q", table)
+	}
+	return t.AppendRows(v, rids)
 }
 
 // Copies returns the servers holding this backend's data, the authoritative

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/server"
+	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -15,11 +16,11 @@ import (
 // rows out of a live backend; it builds replacement backends and retires
 // the old ones whole. The protocol, for either operation:
 //
-//  1. Barrier (mig write lock, no statement in flight): snapshot per-table
-//     row-count cutoffs on the source shards and arm double-write capture.
-//     Every row below a cutoff is a fully acknowledged, position-mapped
-//     row; every insert acknowledged after the barrier is captured, with
-//     its row materialized, in the pending buffer.
+//  1. Barrier (mig write lock, no statement in flight): take per-table
+//     views, cut off at their row counts, of the source shards and arm
+//     double-write capture. Every row below a cutoff is a fully
+//     acknowledged, position-mapped row; every insert acknowledged after the
+//     barrier is captured, as a one-row view, in the pending buffer.
 //  2. Copy (no router locks, traffic flowing): build the replacement
 //     backends from the cutoff prefixes in one wal.Copy — the sources' DDL
 //     order, every row to its owner under the next-generation range map,
@@ -33,11 +34,11 @@ import (
 //     checkpoint: like any bulk-loaded group it snapshots its base state
 //     before its first logged write and inside CrashPrimary.)
 //
-// The flip never reads the source backends — pending rows were
-// materialized at capture — so a source primary crash between copy and
-// flip cannot lose or duplicate an acknowledged write: everything
-// acknowledged before the barrier is below a cutoff, everything after is
-// in the pending buffer, and unacknowledged inserts are in neither.
+// The flip never asks the source backends for a row — pending rows are views,
+// taken at capture, of append-only vectors — so a source primary crash
+// between copy and flip cannot lose or duplicate an acknowledged write:
+// everything acknowledged before the barrier is below a cutoff, everything
+// after is in the pending buffer, and unacknowledged inserts are in neither.
 
 // MigrationStats counts the re-sharding machinery's work to date.
 type MigrationStats struct {
@@ -130,11 +131,11 @@ func (r *Router) migrate(op string, next *Ranges, count *atomic.Int64, moved int
 	}
 	dsts := copySets(fresh)
 	// place is the ownership rule of both the copy and the flip.
-	place := func(ti *tableInfo, row []any) int {
+	place := func(ti *tableInfo, v *storage.View, rid int) int {
 		if ti.key == "" {
 			return wal.All
 		}
-		if d, ok := dstOf[next.OwnerOf(row[ti.keyPos])]; ok {
+		if d, ok := dstOf[next.ownerOfRow(v, ti.keyPos, rid)]; ok {
 			return d
 		}
 		return len(fresh) // a slot this migration does not rebuild: the copier refuses it
@@ -174,7 +175,7 @@ func (r *Router) migrate(op string, next *Ranges, count *atomic.Int64, moved int
 			list, from, tis = append(list, src), append(from, srcs[k]), append(tis, ti)
 		}
 	}
-	kept, err := wal.Copy(dsts, list, func(src, _ int, row []any) int { return place(tis[src], row) })
+	kept, err := wal.Copy(dsts, list, func(src, rid int, v *storage.View) int { return place(tis[src], v, rid) })
 	if err != nil {
 		r.abortMigration(fresh)
 		return fmt.Errorf("shard: migrate: %w", err)
@@ -182,7 +183,7 @@ func (r *Router) migrate(op string, next *Ranges, count *atomic.Int64, moved int
 	var copied int64
 	for i, src := range list {
 		if tis[i].key == "" {
-			copied += int64(src.N * len(fresh))
+			copied += int64(src.View.NumRows * len(fresh))
 		}
 		for d, rids := range kept[i] {
 			for _, rid := range rids {
@@ -246,18 +247,19 @@ func (r *Router) migrate(op string, next *Ranges, count *atomic.Int64, moved int
 // applyPending replays the double-write buffer onto the replacements in
 // capture order — through the copier, one rows-only source per captured row.
 // Called under the mig write lock — the barrier guarantees every captured
-// insert's position map entry is complete — and never reads a source backend
-// (rows were materialized at capture), so it tolerates a source primary crash
-// during the copy phase. globs gains the applied rows' global positions.
-func (r *Router) applyPending(dsts [][]*server.Server, place func(*tableInfo, []any) int, globs []map[string][]int) error {
+// insert's position map entry is complete — and never asks a source backend
+// for a row (the views were taken at capture), so it tolerates a source
+// primary crash during the copy phase. globs gains the applied rows' global
+// positions.
+func (r *Router) applyPending(dsts [][]*server.Server, place func(*tableInfo, *storage.View, int) int, globs []map[string][]int) error {
 	r.pendingMu.Lock()
 	pending := r.pending
 	r.pendingMu.Unlock()
 	list := make([]wal.TableSource, len(pending))
 	for i, p := range pending {
-		list[i] = wal.TableSource{Name: p.table, N: 1, Row: func(int) []any { return p.row }}
+		list[i] = wal.TableSource{Name: p.table, View: p.row}
 	}
-	kept, err := wal.Copy(dsts, list, func(i, _ int, row []any) int { return place(r.table(pending[i].table), row) })
+	kept, err := wal.Copy(dsts, list, func(i, rid int, v *storage.View) int { return place(r.table(pending[i].table), v, rid) })
 	if err != nil {
 		return fmt.Errorf("shard: migrate: double-write: %w", err)
 	}

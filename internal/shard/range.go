@@ -5,6 +5,8 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+
+	"repro/internal/storage"
 )
 
 // Hash64 maps a shard-key value onto the 64-bit hash ring. The base hash
@@ -14,22 +16,28 @@ import (
 // ring from the top, so the top bits must avalanche as well as
 // the bottom ones FNV feeds modulo reduction.
 func Hash64(v any) uint64 {
-	var h uint64 = 14695981039346656037
-	const prime = 1099511628211
 	if i, ok := v.(int64); ok {
-		u := uint64(i)
-		for b := 0; b < 8; b++ {
-			h ^= u & 0xff
-			h *= prime
-			u >>= 8
-		}
-	} else {
-		s := fmt.Sprintf("%v", v)
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime
-		}
+		return hashInt(i)
 	}
+	h := uint64(14695981039346656037)
+	for _, c := range []byte(fmt.Sprintf("%v", v)) {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return mix64(h)
+}
+
+// hashInt is Hash64 of an int64 key, which it never boxes: FNV-1a over the
+// key's eight bytes, low byte first.
+func hashInt(i int64) uint64 {
+	h, u := uint64(14695981039346656037), uint64(i)
+	for b := 0; b < 8; b++ {
+		h, u = (h^(u&0xff))*1099511628211, u>>8
+	}
+	return mix64(h)
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
@@ -115,6 +123,16 @@ func (rg *Ranges) Owner(h uint64) int {
 
 // OwnerOf returns the backend index owning a key value.
 func (rg *Ranges) OwnerOf(v any) int { return rg.Owner(Hash64(v)) }
+
+// ownerOfRow is OwnerOf of row rid's key in column col of v, read from the
+// typed vector when the column has one (the copier's pick: no key is boxed).
+func (rg *Ranges) ownerOfRow(v *storage.View, col, rid int) int {
+	c := &v.Cols[col]
+	if c.Ints != nil {
+		return rg.Owner(hashInt(c.Ints[rid]))
+	}
+	return rg.OwnerOf(c.Any(rid))
+}
 
 // Owners returns the sorted distinct backend indices that own at least one
 // range — the scatter target set. The slice belongs to the snapshot: callers

@@ -181,12 +181,12 @@ type Router struct {
 
 // pendingWrite is one acknowledged insert captured during a migration's
 // copy phase: the row is double-written — applied to the new backends at
-// flip, in capture order, after the copied prefix. The row is materialized
-// at capture so the flip never has to read the (possibly since-crashed)
-// source backend.
+// flip, in capture order, after the copied prefix. The row is a one-row view
+// of the source's append-only vectors, so the flip never has to ask the
+// (possibly since-crashed) source backend for it.
 type pendingWrite struct {
 	table  string
-	row    []any
+	row    storage.View
 	src    int // source slot the insert landed on
 	srcRid int // local row id on the source (merge-order key)
 }
@@ -289,14 +289,14 @@ func (r *Router) ReplicaReads() [][]int64 {
 // wal.Copy with the ownership rule: every table is recreated with the same
 // schema, page fanout and indexes; sharded tables send each row to its key's
 // owner (the kept rids are the global row order scatter-gather merges by)
-// and replicated tables copy every row to every shard. The reference is
-// streamed, never materialized. Call once, after the reference load, before
-// queries.
+// and replicated tables copy every row to every shard. The reference is read
+// through its views, never materialized. Call once, after the reference load,
+// before queries.
 func (r *Router) LoadFrom(ref *server.Server) error {
 	srcs := wal.LiveTables(ref.Catalog())
 	infos := make([]*tableInfo, len(srcs))
 	for i, t := range srcs {
-		ti := &tableInfo{key: r.keys[t.Name], keyPos: -1, loaded: t.N}
+		ti := &tableInfo{key: r.keys[t.Name], keyPos: -1, loaded: t.View.NumRows}
 		if ti.key != "" {
 			if ti.keyPos = t.Schema.ColIndex(ti.key); ti.keyPos < 0 {
 				return fmt.Errorf("shard: table %s has no shard key column %q", t.Name, ti.key)
@@ -305,9 +305,9 @@ func (r *Router) LoadFrom(ref *server.Server) error {
 		infos[i] = ti
 	}
 	rg := r.ranges.Load()
-	kept, err := wal.Copy(copySets(r.backends), srcs, func(src, _ int, row []any) int {
+	kept, err := wal.Copy(copySets(r.backends), srcs, func(src, rid int, v *storage.View) int {
 		if ti := infos[src]; ti.keyPos >= 0 {
-			return rg.OwnerOf(row[ti.keyPos])
+			return rg.ownerOfRow(v, ti.keyPos, rid)
 		}
 		return wal.All
 	})
@@ -418,7 +418,8 @@ type fanLeg struct {
 
 // fanout dispatches one call to several shards in parallel: leg k goes to
 // shard targets[k], carrying subs[k] in place of the call's own bindings
-// when subs is given (ExecBatch's per-shard sub-batches). Span.Child is
+// when subs is given (ExecBatch's per-shard sub-batches); the last leg runs on
+// the caller's goroutine, which would otherwise only wait. Span.Child is
 // concurrency-safe, so each leg hangs its own child off the call's span.
 func (r *Router) fanout(c *query.Call, targets []int, subs [][][]any) []fanLeg {
 	legs := make([]fanLeg, len(targets))
@@ -427,6 +428,10 @@ func (r *Router) fanout(c *query.Call, targets []int, subs [][][]any) []fanLeg {
 		legs[k].call = *c
 		if subs != nil {
 			legs[k].call.ArgSets = subs[k]
+		}
+		if k == len(targets)-1 {
+			r.dispatch(&legs[k].call, s, &legs[k].rep)
+			break
 		}
 		wg.Add(1)
 		go func(leg *fanLeg, s int) {
@@ -535,7 +540,7 @@ func (r *Router) exec(c *query.Call, rep *query.Reply) {
 }
 
 // stagePending captures one acknowledged insert while a migration's copy
-// phase runs: the materialized row joins the pending double-write buffer
+// phase runs: the row's one-row view joins the pending double-write buffer
 // and is applied to the new backends at flip, after the copied prefix, in
 // capture order. Only acknowledged inserts are staged — a failed insert
 // never reaches the buffer, so the flip cannot manufacture writes. Callers
@@ -544,7 +549,9 @@ func (r *Router) stagePending(table string, src, rid int, repl bool) {
 	if !r.migActive || (!repl && !r.migSources[src]) {
 		return
 	}
-	row := catalog(r.backends[src]).Table(table).Row(rid)
+	var v storage.View
+	catalog(r.backends[src]).Table(table).ViewInto(&v)
+	row := v.Slice(rid, rid+1)
 	r.pendingMu.Lock()
 	r.pending = append(r.pending, pendingWrite{table: table, row: row, src: src, srcRid: rid})
 	r.pendingMu.Unlock()

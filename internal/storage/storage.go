@@ -15,6 +15,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -136,17 +137,6 @@ func (c *colVec) append(v any, n int) {
 	c.anys = append(c.anys, v)
 }
 
-// get returns the boxed value at rid.
-func (c *colVec) get(rid int) any {
-	if c.anys != nil {
-		return c.anys[rid]
-	}
-	if c.kind == TInt {
-		return BoxInt(c.ints[rid])
-	}
-	return c.strs[rid]
-}
-
 // DefaultRowsPerPage is the page fanout used when a table does not override
 // it. Wide rows (user profiles with text) use smaller fanouts.
 const DefaultRowsPerPage = 64
@@ -254,8 +244,27 @@ func (t *Table) RowsPerPage() int {
 	return t.rowsPerPage
 }
 
+// uniqueIndex maps keys expected to be distinct to their rids: one map sized
+// to the row count, so it never grows, and every list a one-element,
+// capacity-limited window of one rid slab, so a later append to a list (a
+// duplicate key) moves that list alone and never writes into a neighbour.
+func uniqueIndex[K comparable](keys []K) map[K][]int {
+	m := make(map[K][]int, len(keys))
+	slab := make([]int, len(keys))
+	for rid, k := range keys {
+		if l, ok := m[k]; ok {
+			m[k] = append(l, rid)
+			continue
+		}
+		slab[rid] = rid
+		m[k] = slab[rid : rid+1 : rid+1]
+	}
+	return m
+}
+
 // AddIndex creates a hash index over an existing column, building it from
-// current rows: straight from the typed vector unless the column has degraded.
+// current rows: straight from the typed vector unless the column has
+// degraded, and for a unique column into one sized map over one rid slab.
 func (t *Table) AddIndex(column string, unique bool, extent, pages int) error {
 	ci := t.Schema.ColIndex(column)
 	if ci < 0 {
@@ -265,19 +274,26 @@ func (t *Table) AddIndex(column string, unique bool, extent, pages int) error {
 	defer t.mu.Unlock()
 	c := &t.cols[ci]
 	ix := &Index{Column: column, Unique: unique, Extent: extent, Pages: pages, ci: ci}
-	if c.kind == TInt {
-		ix.ints = make(map[int64][]int)
-	} else {
-		ix.strs = make(map[string][]int)
-	}
-	for rid := 0; rid < t.numRows; rid++ {
-		switch {
-		case c.degraded():
-			ix.add(c.anys[rid], rid)
-		case c.kind == TInt:
-			ix.ints[c.ints[rid]] = append(ix.ints[c.ints[rid]], rid)
-		default:
-			ix.strs[c.strs[rid]] = append(ix.strs[c.strs[rid]], rid)
+	switch {
+	case unique && !c.degraded() && c.kind == TInt:
+		ix.ints = uniqueIndex(c.ints[:t.numRows])
+	case unique && !c.degraded():
+		ix.strs = uniqueIndex(c.strs[:t.numRows])
+	default:
+		if c.kind == TInt {
+			ix.ints = make(map[int64][]int)
+		} else {
+			ix.strs = make(map[string][]int)
+		}
+		for rid := 0; rid < t.numRows; rid++ {
+			switch {
+			case c.degraded():
+				ix.add(c.anys[rid], rid)
+			case c.kind == TInt:
+				ix.ints[c.ints[rid]] = append(ix.ints[c.ints[rid]], rid)
+			default:
+				ix.strs[c.strs[rid]] = append(ix.strs[c.strs[rid]], rid)
+			}
 		}
 	}
 	t.indexes[column] = ix
@@ -327,14 +343,56 @@ func (t *Table) Insert(row []any) (int, error) {
 	return rid, nil
 }
 
-// Row materializes row rid as a fresh boxed slice (compatibility shim for
-// load/replication and tests; execution reads columns through View instead).
-func (t *Table) Row(rid int) []any {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]any, len(t.cols))
+// AppendRows appends rows rids of v, in order, gathering each column once,
+// typed vector to typed vector; a column degraded on either side, or of
+// another type in v, goes value by value through Insert's degrade rule.
+// Existing indexes are maintained. v is not retained.
+func (t *Table) AppendRows(v *View, rids []int) error {
+	if len(v.Cols) != len(t.cols) {
+		return fmt.Errorf("storage: %s: append arity %d, want %d", t.Name, len(v.Cols), len(t.cols))
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	base := t.numRows
 	for i := range t.cols {
-		out[i] = t.cols[i].get(rid)
+		c, s := &t.cols[i], &v.Cols[i]
+		switch {
+		case c.degraded() || s.Anys != nil || s.Kind != c.kind:
+			for k, rid := range rids {
+				c.append(s.Any(rid), base+k)
+			}
+		case c.kind == TInt:
+			c.ints = gather(c.ints, s.Ints, rids)
+		default:
+			c.strs = gather(c.strs, s.Strs, rids)
+		}
+	}
+	t.numRows += len(rids)
+	for _, ix := range t.indexes {
+		for k, rid := range rids {
+			ix.add(v.Cols[ix.ci].Any(rid), base+k)
+		}
+	}
+	return nil
+}
+
+// gather appends src[rid] for every rid to dst.
+func gather[T any](dst, src []T, rids []int) []T {
+	dst = slices.Grow(dst, len(rids))
+	for _, rid := range rids {
+		dst = append(dst, src[rid])
+	}
+	return dst
+}
+
+// Row materializes row rid as a fresh boxed slice (compatibility shim for
+// generators and tests; execution reads columns through View instead).
+func (t *Table) Row(rid int) []any {
+	var v View
+	t.ViewInto(&v)
+	out := make([]any, len(v.Cols))
+	for i := range v.Cols {
+		out[i] = v.Cols[i].Any(rid)
 	}
 	return out
 }
@@ -362,8 +420,9 @@ func (c *ColView) Any(rid int) any {
 // View is a consistent read snapshot of a table: a row count and the column
 // vectors as of one instant. Reads through a View take no locks; the vectors
 // are append-only, so indexes below NumRows stay valid even while concurrent
-// inserts extend the table. Views are cheap (slice headers only) and must
-// not be retained across statements.
+// inserts extend the table or a column degrades. Views are cheap (slice
+// headers only); a copy or a snapshot keeps one as its zero-copy image of the
+// rows below its cutoff. A View is read, never appended to.
 type View struct {
 	NumRows int
 	Cols    []ColView
@@ -388,6 +447,24 @@ func (t *Table) ViewInto(v *View) {
 			v.Cols[i].Strs = c.strs
 		}
 	}
+}
+
+// Slice returns rows [lo, hi) of v as a view of their own: windows of v's
+// vectors, nothing copied.
+func (v *View) Slice(lo, hi int) View {
+	out := View{NumRows: hi - lo, Cols: make([]ColView, len(v.Cols))}
+	for i, c := range v.Cols {
+		out.Cols[i].Kind = c.Kind
+		switch {
+		case c.Anys != nil:
+			out.Cols[i].Anys = c.Anys[lo:hi:hi]
+		case c.Kind == TInt:
+			out.Cols[i].Ints = c.Ints[lo:hi:hi]
+		default:
+			out.Cols[i].Strs = c.Strs[lo:hi:hi]
+		}
+	}
+	return out
 }
 
 // NumRows returns the row count.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"slices"
 	"strconv"
 	"testing"
@@ -376,6 +377,208 @@ func TestModelIndexMatchesBoxedMap(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// appendIndex is the index build uniqueIndex replaced, kept as the reference:
+// a map grown key by key and a list per key grown rid by rid.
+func appendIndex(t *Table, column string, unique bool) *Index {
+	ci := t.Schema.ColIndex(column)
+	c := &t.cols[ci]
+	ix := &Index{Column: column, Unique: unique, ci: ci}
+	if c.kind == TInt {
+		ix.ints = make(map[int64][]int)
+	} else {
+		ix.strs = make(map[string][]int)
+	}
+	for rid := 0; rid < t.numRows; rid++ {
+		switch {
+		case c.degraded():
+			ix.add(c.anys[rid], rid)
+		case c.kind == TInt:
+			ix.ints[c.ints[rid]] = append(ix.ints[c.ints[rid]], rid)
+		default:
+			ix.strs[c.strs[rid]] = append(ix.strs[c.strs[rid]], rid)
+		}
+	}
+	return ix
+}
+
+// lists is every key's rid list of ix, whichever map holds it.
+func lists(ix *Index) map[any][]int {
+	out := map[any][]int{}
+	for k, l := range ix.ints {
+		out[k] = l
+	}
+	for k, l := range ix.strs {
+		out[k] = l
+	}
+	for k, l := range ix.boxed {
+		out[k] = l
+	}
+	return out
+}
+
+// TestModelIndexBuild holds AddIndex to the append build it replaced, over
+// unique and non-unique columns, duplicate keys under a unique flag, a
+// degraded column, string columns and an empty table — and then inserts past
+// the build (a duplicate key into a unique index first): after every insert
+// the inserted key's list gained exactly its rid and every other key's list is
+// what it was. A slab window that ran into its neighbour would change the
+// neighbour.
+func TestModelIndexBuild(t *testing.T) {
+	seed := testSeed(t)
+	for _, tc := range []struct {
+		name   string
+		kind   ColType
+		unique bool
+		rows   int
+		key    func(rng *rand.Rand, i int) any
+	}{
+		{"unique int", TInt, true, 300, func(_ *rand.Rand, i int) any { return int64(i * 7919 % 1000) }},
+		{"non-unique int", TInt, false, 300, func(rng *rand.Rand, _ int) any { return int64(rng.Intn(9)) }},
+		{"duplicates under a unique flag", TInt, true, 300, func(rng *rand.Rand, _ int) any { return int64(rng.Intn(150)) }},
+		{"degraded column", TInt, false, 300, func(rng *rand.Rand, i int) any {
+			if i == 40 {
+				return "oops"
+			}
+			return int64(rng.Intn(20))
+		}},
+		{"unique string", TString, true, 300, func(_ *rand.Rand, i int) any { return "u" + strconv.Itoa(i) }},
+		{"non-unique string", TString, false, 300, func(rng *rand.Rand, _ int) any { return strconv.Itoa(rng.Intn(9)) }},
+		{"empty table", TInt, true, 0, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			tbl := NewTable("t", NewSchema(Column{Name: "k", Type: tc.kind}), 0)
+			var keys []any
+			for i := 0; i < tc.rows; i++ {
+				keys = append(keys, tc.key(rng, i))
+				if _, err := tbl.Insert([]any{keys[i]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tbl.AddIndex("k", tc.unique, 1, 7); err != nil {
+				t.Fatal(err)
+			}
+			ix := tbl.Index("k")
+			want := lists(appendIndex(tbl, "k", tc.unique))
+			if got := lists(ix); !reflect.DeepEqual(got, want) {
+				t.Fatalf("built index differs from the append build:\n got %v\nwant %v", got, want)
+			}
+			next := []any{int64(5), "5", int64(1 << 40), "fresh"}
+			if len(keys) > 0 {
+				next = append([]any{keys[0]}, next...) // a key already present: a duplicate under a unique flag
+			}
+			for i := 0; i < 40; i++ {
+				k := next[i%len(next)]
+				if i >= len(next) && len(keys) > 0 {
+					k = keys[rng.Intn(len(keys))]
+				}
+				rid, err := tbl.Insert([]any{k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[k] = append(slices.Clone(want[k]), rid)
+				if got := lists(ix); !reflect.DeepEqual(got, want) {
+					t.Fatalf("insert of %#v at rid %d: index\n got %v\nwant %v", k, rid, got, want)
+				}
+			}
+		})
+	}
+}
+
+// AppendRows must land exactly what Insert of the same rows, boxed, lands: in
+// the columns (typed, or degraded at the same row) and in the indexes a
+// destination already has. The source's string column is degraded, and one
+// source has its two columns the other way round.
+func TestAppendRowsMatchesInsert(t *testing.T) {
+	src := newKV(t)
+	for i := 0; i < 60; i++ {
+		v := any("s" + strconv.Itoa(i))
+		if i == 25 {
+			v = int64(25) // degrades the source's string column
+		}
+		if _, err := src.Insert([]any{int64(i % 13), v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	swapped := NewTable("vk", NewSchema(Column{Name: "v", Type: TString}, Column{Name: "k", Type: TInt}), 0)
+	for i := 0; i < 60; i++ {
+		swapped.Insert([]any{"w" + strconv.Itoa(i), int64(i)})
+	}
+	for _, s := range []*Table{src, swapped} {
+		var sv View
+		s.ViewInto(&sv)
+		every := make([]int, sv.NumRows)
+		for i := range every {
+			every[i] = i
+		}
+		for _, rids := range [][]int{every, {}, {3, 7, 7, 59}, {30, 25, 1}, {0, 1, 2}} {
+			for _, indexed := range []bool{false, true} {
+				got, want := newKV(t), newKV(t)
+				for _, tbl := range []*Table{got, want} {
+					tbl.Insert([]any{int64(99), "pre"})
+					if indexed {
+						tbl.AddIndex("k", false, 1, 4)
+						tbl.AddIndex("v", true, 2, 4)
+					}
+				}
+				if err := got.AppendRows(&sv, rids); err != nil {
+					t.Fatal(err)
+				}
+				for _, rid := range rids {
+					want.Insert(s.Row(rid))
+				}
+				var gv, wv View
+				got.ViewInto(&gv)
+				want.ViewInto(&wv)
+				if !reflect.DeepEqual(gv, wv) {
+					t.Fatalf("%s rids %v indexed %v: columns\n got %+v\nwant %+v", s.Name, rids, indexed, gv, wv)
+				}
+				for _, col := range []string{"k", "v"} {
+					if g, w := got.Index(col), want.Index(col); indexed && !reflect.DeepEqual(lists(g), lists(w)) {
+						t.Fatalf("%s rids %v: index on %s\n got %v\nwant %v", s.Name, rids, col, lists(g), lists(w))
+					}
+				}
+			}
+		}
+	}
+	narrow := NewTable("n", NewSchema(Column{Name: "k", Type: TInt}), 0)
+	narrow.Insert([]any{int64(1)})
+	var nv View
+	narrow.ViewInto(&nv)
+	if err := newKV(t).AppendRows(&nv, nil); err == nil {
+		t.Fatal("AppendRows of a one-column view into a two-column table: want an arity error")
+	}
+}
+
+// BenchmarkAddIndex is the index build every copy ends with, on the shape of
+// the benchmark's users table: 200 000 rows, a unique key, and a secondary
+// column of 20 000 values (≈ 10 rows a key).
+//
+//	go test -run XXX -bench AddIndex -benchmem ./internal/storage/
+func BenchmarkAddIndex(b *testing.B) {
+	const rows, keys = 200_000, 20_000
+	tbl := NewTable("users", NewSchema(Column{Name: "uid", Type: TInt}, Column{Name: "rating", Type: TInt}), 0)
+	rng := rand.New(rand.NewSource(1))
+	for uid := 0; uid < rows; uid++ {
+		if _, err := tbl.Insert([]any{int64(uid), int64(rng.Intn(keys))}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct {
+		name, column string
+		unique       bool
+	}{{"unique", "uid", true}, {"nonunique", "rating", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := tbl.AddIndex(bc.column, bc.unique, 1, 64); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,29 +2,20 @@ package wal
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/storage"
 )
 
-// Snapshot is a checkpoint: the full materialized state as of LSN. Tables
-// are ordered by data extent — the order they were created in — and rows by
-// row id, so restoring replays the original load exactly and every row
-// lands on its original rid. That identity is what keeps the shard router's
-// global-order bookkeeping valid across a crash.
+// Snapshot is a checkpoint: the full state as of LSN, one copy source per
+// table. Tables are ordered by data extent — the order they were
+// created in — and rows by row id, so restoring replays the original load
+// exactly and every row lands on its original rid. That identity is what
+// keeps the shard router's global-order bookkeeping valid across a crash.
 type Snapshot struct {
 	LSN    int64
-	Tables []TableSnap
-}
-
-// TableSnap is one table's captured state.
-type TableSnap struct {
-	Name        string
-	Cols        []storage.Column
-	RowsPerPage int
-	Extent      int
-	Rows        [][]any
-	Indexes     []IndexDef
+	Tables []TableSource
 }
 
 // IndexDef is a captured index definition (rebuilt, not copied, on restore).
@@ -33,49 +24,37 @@ type IndexDef struct {
 	Unique bool
 }
 
-// Capture materializes a snapshot of cat as of lsn. The caller must
-// guarantee no writes are in flight (internal/replica holds its group write
-// lock) and that every record ≤ lsn is applied to cat.
+// Capture takes a snapshot of cat as of lsn: each table's View, cut off at
+// its current row count. Nothing is copied or boxed — storage is append-only,
+// so the rows below a cutoff never change while the table grows (or one of
+// its columns degrades) behind them. The caller must guarantee no writes are
+// in flight (internal/replica holds its group write lock) and that every
+// record ≤ lsn is applied to cat.
 func Capture(cat *storage.Catalog, lsn int64) *Snapshot {
-	snap := &Snapshot{LSN: lsn}
-	for _, src := range LiveTables(cat) {
-		ts := TableSnap{
-			Name:        src.Name,
-			Cols:        append([]storage.Column(nil), src.Schema.Cols...),
-			RowsPerPage: src.RowsPerPage,
-			Extent:      cat.Table(src.Name).Extent,
-			Rows:        make([][]any, src.N),
-			Indexes:     src.Indexes,
-		}
-		for rid := range ts.Rows {
-			ts.Rows[rid] = src.Row(rid)
-		}
-		snap.Tables = append(snap.Tables, ts)
-	}
-	return snap
+	return &Snapshot{LSN: lsn, Tables: LiveTables(cat)}
 }
 
 // Loader is the bulk-load surface a copy is built through — server.Server
 // implements it, Copy drives it.
 type Loader interface {
 	CreateTable(name string, schema *storage.Schema, rowsPerPage int) error
-	InsertRow(table string, row []any) error
+	AppendRows(table string, v *storage.View, rids []int) error
 	FinishLoad()
 	AddIndex(table, column string, unique bool) error
 }
 
-// TableSource is one table as the copier reads it: its DDL and the rows
-// [0, N) by row id, fetched one at a time — a live table is never
-// materialized. A source with a nil Schema only adds rows, to a table the
-// destinations already hold: the second source of a table two shards feed (a
-// merge), a migration's captured double-writes.
+// TableSource is one table as the copier reads it: its DDL and its rows
+// [0, View.NumRows) as typed vectors — a live table is never materialized. A
+// source with a nil Schema only adds rows, to a table the destinations
+// already hold: the second source of a table two shards feed (a merge), a
+// migration's captured double-writes.
 type TableSource struct {
 	Name        string
 	Schema      *storage.Schema
 	RowsPerPage int
+	Extent      int
 	Indexes     []IndexDef
-	N           int
-	Row         func(rid int) []any
+	View        storage.View
 }
 
 // LiveTables lists cat's tables as copy sources in extent order — creation
@@ -87,7 +66,8 @@ func LiveTables(cat *storage.Catalog) []TableSource {
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Extent < tables[j].Extent })
 	srcs := make([]TableSource, len(tables))
 	for i, t := range tables {
-		srcs[i] = TableSource{Name: t.Name, Schema: t.Schema, RowsPerPage: t.RowsPerPage(), N: t.NumRows(), Row: t.Row}
+		srcs[i] = TableSource{Name: t.Name, Schema: t.Schema, RowsPerPage: t.RowsPerPage(), Extent: t.Extent}
+		t.ViewInto(&srcs[i].View)
 		for _, ix := range t.Indexes() {
 			srcs[i].Indexes = append(srcs[i].Indexes, IndexDef{Column: ix.Column, Unique: ix.Unique})
 		}
@@ -101,12 +81,13 @@ const All = -1
 // Copy is the one way a copy of a shard's data comes to exist. Each
 // destination is a set of loaders that receive the same calls (the copies of
 // one replica group; a bare server is a set of one). Every destination gets
-// every table, created in srcs order; each source is read once in rid order
-// and pick names the destination of each row — All, or a nil pick, meaning
-// every one; then FinishLoad and the indexes. kept[src][d] lists the rids of
+// every table, created in srcs order. Each source's rows are partitioned
+// first — pick names the destination of each row, All (or a nil pick) every
+// one — and then every loader gathers its rows of each column in one
+// AppendRows; then FinishLoad and the indexes. kept[src][d] lists the rids of
 // source src that destination d was picked for, in landing order; All rows
 // are not listed.
-func Copy[L Loader](dsts [][]L, srcs []TableSource, pick func(src, rid int, row []any) int) ([][][]int, error) {
+func Copy[L Loader](dsts [][]L, srcs []TableSource, pick func(src, rid int, v *storage.View) int) ([][][]int, error) {
 	each := func(f func(L) error) error {
 		for _, set := range dsts {
 			for _, l := range set {
@@ -128,22 +109,42 @@ func Copy[L Loader](dsts [][]L, srcs []TableSource, pick func(src, rid int, row 
 		}
 	}
 	kept := make([][][]int, len(srcs))
-	for i, s := range srcs {
+	for i := range srcs {
+		s := &srcs[i]
+		n := s.View.NumRows
 		kept[i] = make([][]int, len(dsts))
-		for rid := 0; rid < s.N; rid++ {
-			row, to := s.Row(rid), dsts
+		if n == 0 {
+			continue
+		}
+		var all []int // the rows picked All: every row, for a nil pick
+		for rid := 0; rid < n; rid++ {
+			d := All
 			if pick != nil {
-				if d := pick(i, rid, row); d < All || d >= len(dsts) {
-					return nil, fmt.Errorf("wal: copy %s: row %d picked destination %d of %d", s.Name, rid, d, len(dsts))
-				} else if d != All {
-					to, kept[i][d] = dsts[d:d+1], append(kept[i][d], rid)
+				d = pick(i, rid, &s.View)
+			}
+			switch {
+			case d < All || d >= len(dsts):
+				return nil, fmt.Errorf("wal: copy %s: row %d picked destination %d of %d", s.Name, rid, d, len(dsts))
+			case d == All:
+				all = append(all, rid)
+			default:
+				kept[i][d] = append(kept[i][d], rid)
+			}
+		}
+		for d, set := range dsts {
+			rids := all
+			if len(all) < n { // some rows went to one destination: merge in the All rows
+				if rids = kept[i][d]; len(all) > 0 {
+					rids = append(slices.Clip(rids), all...)
+					slices.Sort(rids)
 				}
 			}
-			for _, set := range to {
-				for _, l := range set {
-					if err := l.InsertRow(s.Name, row); err != nil {
-						return nil, fmt.Errorf("wal: copy %s: %w", s.Name, err)
-					}
+			if len(rids) == 0 {
+				continue
+			}
+			for _, l := range set {
+				if err := l.AppendRows(s.Name, &s.View, rids); err != nil {
+					return nil, fmt.Errorf("wal: copy %s: %w", s.Name, err)
 				}
 			}
 		}
@@ -163,14 +164,7 @@ func Copy[L Loader](dsts [][]L, srcs []TableSource, pick func(src, rid int, row 
 
 // RestoreTo loads the snapshot into an empty server: Copy, keeping every row.
 func (s *Snapshot) RestoreTo(l Loader) error {
-	srcs := make([]TableSource, len(s.Tables))
-	for i, ts := range s.Tables {
-		srcs[i] = TableSource{
-			Name: ts.Name, Schema: storage.NewSchema(ts.Cols...), RowsPerPage: ts.RowsPerPage,
-			Indexes: ts.Indexes, N: len(ts.Rows), Row: func(rid int) []any { return ts.Rows[rid] },
-		}
-	}
-	_, err := Copy([][]Loader{{l}}, srcs, nil)
+	_, err := Copy([][]Loader{{l}}, s.Tables, nil)
 	return err
 }
 
@@ -195,39 +189,60 @@ type wireSnapshot struct {
 	Tables []wireTable `json:"tables"`
 }
 
+// wire renders the snapshot row by row, reading each cell from its typed
+// vector in place: a typed cell's wire value points into the view.
 func (s *Snapshot) wire() (wireSnapshot, error) {
 	w := wireSnapshot{LSN: s.LSN}
 	for _, ts := range s.Tables {
 		wt := wireTable{Name: ts.Name, RowsPerPage: ts.RowsPerPage, Extent: ts.Extent, Indexes: ts.Indexes}
-		for _, c := range ts.Cols {
+		for _, c := range ts.Schema.Cols {
 			wt.Cols = append(wt.Cols, wireCol{Name: c.Name, Int: c.Type == storage.TInt})
 		}
-		for _, row := range ts.Rows {
-			vs, err := encodeVals(row)
-			if err != nil {
-				return w, err
+		v := &ts.View
+		for rid := 0; rid < v.NumRows; rid++ {
+			row := make([]wireVal, len(v.Cols))
+			for i := range v.Cols {
+				switch c := &v.Cols[i]; {
+				case c.Anys != nil:
+					vs, err := encodeVals(c.Anys[rid : rid+1])
+					if err != nil {
+						return w, err
+					}
+					row[i] = vs[0]
+				case c.Kind == storage.TInt:
+					row[i].I = &c.Ints[rid]
+				default:
+					row[i].S = &c.Strs[rid]
+				}
 			}
-			wt.Rows = append(wt.Rows, vs)
+			wt.Rows = append(wt.Rows, row)
 		}
 		w.Tables = append(w.Tables, wt)
 	}
 	return w, nil
 }
 
+// snapshot decodes a wire snapshot, each table's rows landing in a temporary
+// table whose View the source keeps (Insert applies the same
+// degrade-on-mismatch rule the captured table did).
 func (w wireSnapshot) snapshot() (*Snapshot, error) {
 	s := &Snapshot{LSN: w.LSN}
 	for _, wt := range w.Tables {
-		ts := TableSnap{Name: wt.Name, RowsPerPage: wt.RowsPerPage, Extent: wt.Extent, Indexes: wt.Indexes}
-		for _, c := range wt.Cols {
-			typ := storage.TString
+		cols := make([]storage.Column, len(wt.Cols))
+		for i, c := range wt.Cols {
+			cols[i] = storage.Column{Name: c.Name, Type: storage.TString}
 			if c.Int {
-				typ = storage.TInt
+				cols[i].Type = storage.TInt
 			}
-			ts.Cols = append(ts.Cols, storage.Column{Name: c.Name, Type: typ})
 		}
+		ts := TableSource{Name: wt.Name, Schema: storage.NewSchema(cols...), RowsPerPage: wt.RowsPerPage, Extent: wt.Extent, Indexes: wt.Indexes}
+		t := storage.NewTable(wt.Name, ts.Schema, wt.Extent)
 		for _, row := range wt.Rows {
-			ts.Rows = append(ts.Rows, decodeVals(row))
+			if _, err := t.Insert(decodeVals(row)); err != nil {
+				return nil, fmt.Errorf("wal: snapshot: %w", err)
+			}
 		}
+		t.ViewInto(&ts.View)
 		s.Tables = append(s.Tables, ts)
 	}
 	return s, nil
