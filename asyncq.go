@@ -45,7 +45,6 @@ package asyncq
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/core"
@@ -271,14 +270,15 @@ type BatchRunner = exec.BatchRunner
 
 // NewBatchedPool returns a QueryService like NewPool whose submissions are
 // additionally coalesced into set-oriented batches of up to maxBatch
-// requests per prepared statement, executed through runBatch; a partial
-// batch flushes after the linger window (0 = default). maxBatch 0 uses the
-// default batch size; any other maxBatch below 2, a nil runBatch, or workers
-// 0 (synchronous execution) leaves nothing to coalesce and the service is
-// exactly NewPool's. Transformed programs need no changes and produce
-// results identical to the per-query pool.
-func NewBatchedPool(workers int, run Runner, runBatch BatchRunner, maxBatch int, linger time.Duration) *Service {
-	return batch.NewService(workers, run, runBatch, batch.Options{MaxBatch: maxBatch, Linger: linger})
+// requests per prepared statement, executed through runBatch. A statement's
+// first submission leaves at once; later ones gather while its batch is in
+// flight and leave when that batch returns, or sooner once maxBatch are
+// waiting. maxBatch 0 uses the default batch size; any other maxBatch below
+// 2, a nil runBatch, or workers 0 (synchronous execution) leaves nothing to
+// coalesce and the service is exactly NewPool's. Transformed programs need
+// no changes and produce results identical to the per-query pool.
+func NewBatchedPool(workers int, run Runner, runBatch BatchRunner, maxBatch int) *Service {
+	return batch.NewService(workers, run, runBatch, batch.Options{MaxBatch: maxBatch})
 }
 
 // List builds a mini-language list value for program arguments.

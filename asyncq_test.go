@@ -65,7 +65,7 @@ func TestLibrarySurface(t *testing.T) {
 	services := map[string]*asyncq.Service{
 		"blocking": asyncq.NewPool(0, run),
 		"pool":     asyncq.NewPool(4, run),
-		"batched":  asyncq.NewBatchedPool(4, run, runBatch, 4, 0),
+		"batched":  asyncq.NewBatchedPool(4, run, runBatch, 4),
 	}
 	for name, svc := range services {
 		defer svc.Close()

@@ -12,22 +12,15 @@ package batch
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/query"
 )
 
-// Defaults for Options fields left zero.
-const (
-	// DefaultMaxBatch bounds how many requests one batch carries.
-	DefaultMaxBatch = 16
-	// DefaultLinger bounds how long a partial batch waits for company. It
-	// must be positive whenever batching is on: a partial batch with no
-	// linger deadline would strand its handles until Close.
-	DefaultLinger = 200 * time.Microsecond
-)
+// DefaultMaxBatch bounds how many requests one batch carries when
+// Options.MaxBatch is zero.
+const DefaultMaxBatch = 16
 
 // Options configure the coalescer.
 type Options struct {
@@ -35,10 +28,6 @@ type Options struct {
 	// any other value below 2 means one request per call, so NewService
 	// builds no coalescer at all).
 	MaxBatch int
-	// Linger is the maximum time a partial batch waits before flushing
-	// (0 = default). Fetching a handle whose batch is still lingering
-	// blocks at most this long plus the batch's execution time.
-	Linger time.Duration
 	// GroupFn, when set, refines the coalescing key: requests batch together
 	// only when they share (name, sql) AND the returned group id. A sharded
 	// backend (internal/shard) supplies its partition function here so each
@@ -52,7 +41,7 @@ type Options struct {
 	GroupFn func(name, sql string, args []any) int
 }
 
-// key identifies a coalescing group: submissions batch together only when
+// key identifies a coalescing lane: submissions batch together only when
 // they share the same prepared statement (and, with Options.GroupFn, the
 // same group id — e.g. the same target shard).
 type key struct {
@@ -60,45 +49,42 @@ type key struct {
 	group     int
 }
 
-// group is one open (still filling) batch.
-type group struct {
-	key     key
-	argSets [][]any
-	handles []*exec.Handle
-	timer   *time.Timer
+// lane is one key's state: the batch filling now and how many of the key's
+// batches the pool holds unanswered. It is the owner of every batch it
+// sends, so the answer comes back to the lane that sent it even if GroupFn
+// would now put the same requests elsewhere.
+type lane struct {
+	c        *coalescer
+	key      key
+	inflight int
+	argSets  [][]any
+	handles  []*exec.Handle
 	// leader is the span of the first traced member: the batch call carries
 	// it to the pool and the backend, so the shared execution has one parent.
 	leader *obs.Span
-	// waits holds the traced members' "batch.wait" spans; dispatch ends them
-	// — their wall time is fill + linger, the price a request pays to share
-	// the round trip.
+	// waits holds the traced members' "batch.wait" spans; send ends them —
+	// their wall time is the wait for the lane's batch in flight, the price
+	// a request pays to share the round trip.
 	waits []*obs.Span
 }
 
-// coalescer groups submissions into batch calls on a pool. It is safe for
-// concurrent use.
+// coalescer groups submissions into batch calls on a pool with at least one
+// worker. It is safe for concurrent use. A lane's filling batch leaves when
+// it is full or when none of the lane's batches is in flight, so the first
+// submission never waits and later ones gather for one round trip.
 type coalescer struct {
 	pool *exec.Executor
 	opts Options
 
 	mu     sync.Mutex
-	idle   sync.Cond // signalled when inflight drops to zero
-	groups map[key]*group
+	lanes  map[key]*lane
 	closed bool
-	// inflight counts groups removed from the map but not yet handed to the
-	// pool (incremented under mu, in the same critical section as the
-	// removal), so Close can wait for them: otherwise a linger-timer flush
-	// paused between removal and dispatch would be invisible to Close, and
-	// the owner could close the pool under it.
-	inflight int
 }
 
-// Submit adds one request to the open batch for its statement, creating one
-// if needed (implementing exec.Front); the batch flushes when it reaches
-// MaxBatch requests or its linger window expires, whichever comes first. A
-// traced request gets a "batch.wait" child covering the time between
-// submission and dispatch — batch fill plus linger, the coalescing cost the
-// paper's batched submission trades for shared round trips.
+// Submit adds one request to the filling batch of its lane (implementing
+// exec.Front) and sends the batch if it is full or nothing of the lane's is
+// in flight. A traced request gets a "batch.wait" child covering the time
+// between submission and dispatch.
 func (c *coalescer) Submit(req query.Request, h *exec.Handle) error {
 	k := key{name: req.Name, sql: req.SQL}
 	if c.opts.GroupFn != nil {
@@ -106,98 +92,82 @@ func (c *coalescer) Submit(req query.Request, h *exec.Handle) error {
 	}
 	wait := req.Span.Child("batch.wait") // nil-safe: nil for untraced requests
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		wait.End()
 		return exec.ErrClosed
 	}
-	g := c.groups[k]
-	if g == nil {
-		g = &group{key: k}
-		c.groups[k] = g
-		// The timer closure captures the group, not the key: if the group
-		// was already flushed (full, or by Close) and a new one opened under
-		// the same key, a stale firing must not steal it.
-		g.timer = time.AfterFunc(c.opts.Linger, func() { c.flushGroup(g) })
+	l := c.lanes[k]
+	if l == nil {
+		l = &lane{c: c, key: k}
+		c.lanes[k] = l
 	}
-	g.argSets = append(g.argSets, req.Args)
-	g.handles = append(g.handles, h)
-	if g.leader == nil {
-		g.leader = req.Span
+	l.argSets = append(l.argSets, req.Args)
+	l.handles = append(l.handles, h)
+	if l.leader == nil {
+		l.leader = req.Span
 	}
 	if wait != nil {
-		if g.waits == nil {
-			g.waits = make([]*obs.Span, 0, c.opts.MaxBatch)
+		if l.waits == nil {
+			l.waits = make([]*obs.Span, 0, c.opts.MaxBatch)
 		}
-		g.waits = append(g.waits, wait)
+		l.waits = append(l.waits, wait)
 	}
-	full := len(g.handles) >= c.opts.MaxBatch
-	if full {
-		delete(c.groups, k)
-		g.timer.Stop()
-		c.inflight++
-	}
-	c.mu.Unlock()
-	if full {
-		c.dispatch(g)
+	if l.inflight == 0 || len(l.handles) >= c.opts.MaxBatch {
+		l.send()
 	}
 	return nil
 }
 
-// flushGroup dispatches g if it is still the open group for its key.
-func (c *coalescer) flushGroup(g *group) {
-	c.mu.Lock()
-	if c.groups[g.key] != g {
-		c.mu.Unlock()
-		return
-	}
-	delete(c.groups, g.key)
-	c.inflight++
-	c.mu.Unlock()
-	c.dispatch(g)
-}
-
-// dispatch hands one closed batch (already counted in inflight) to the pool
-// as a single batch call.
-func (c *coalescer) dispatch(g *group) {
-	for _, w := range g.waits {
+// send hands the lane's filling batch to the pool as one batch call. The
+// caller holds c.mu: Enqueue does not block on a pool with workers, and the
+// answer's Returned waits for the lock, so it cannot overtake the count.
+func (l *lane) send() {
+	for _, w := range l.waits {
 		w.End() // coalescing is over; the batch heads for the pool
 	}
-	call := query.BatchCall(query.BatchRequest{Name: g.key.name, SQL: g.key.sql, ArgSets: g.argSets, Span: g.leader})
-	// A pool that refuses the call has failed every handle with the reason,
-	// which is all there is to do with it here.
-	_ = c.pool.Enqueue(&call, g.handles...)
-	c.mu.Lock()
-	c.inflight--
-	if c.inflight == 0 {
-		c.idle.Broadcast()
+	call := query.BatchCall(query.BatchRequest{Name: l.key.name, SQL: l.key.sql, ArgSets: l.argSets, Span: l.leader})
+	// A pool that refuses the call has failed every handle with the reason
+	// and will never answer it, so it is not counted.
+	if l.c.pool.Enqueue(&call, l, l.handles...) == nil {
+		l.inflight++
 	}
-	c.mu.Unlock()
+	// The argument sets now belong to the call; the job copied the handles,
+	// so their storage, like the ended spans', is kept for the next batch.
+	clear(l.handles)
+	clear(l.waits)
+	l.argSets, l.handles, l.leader, l.waits = nil, l.handles[:0], nil, l.waits[:0]
 }
 
-// Close rejects further submissions, dispatches every partial batch without
-// waiting for its linger window, and returns only once every in-flight flush
-// (including concurrent linger-timer flushes) has reached the pool — so the
-// owner may close the pool next and still drain all batches.
+// Returned implements exec.Owner: one of the lane's batches was answered.
+// When it was the last in flight, what filled meanwhile leaves now, and a
+// lane with nothing filling and nothing in flight is dropped.
+func (l *lane) Returned() {
+	c := l.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if l.inflight--; l.inflight > 0 {
+		return
+	}
+	if len(l.handles) > 0 {
+		l.send()
+	} else {
+		delete(c.lanes, l.key)
+	}
+}
+
+// Close rejects further submissions and sends every filling batch. Nothing
+// is left to wait for: every batch is on the pool when Close returns, so the
+// owner may close the pool next and still drain them all.
 func (c *coalescer) Close() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.closed = true
-	gs := make([]*group, 0, len(c.groups))
-	for k, g := range c.groups {
-		g.timer.Stop()
-		c.inflight++
-		gs = append(gs, g)
-		delete(c.groups, k)
+	for _, l := range c.lanes {
+		if len(l.handles) > 0 {
+			l.send()
+		}
 	}
-	c.mu.Unlock()
-	for _, g := range gs {
-		c.dispatch(g)
-	}
-	c.mu.Lock()
-	for c.inflight > 0 {
-		c.idle.Wait()
-	}
-	c.mu.Unlock()
 }
 
 // NewService builds a batching query service: an exec.Service whose pool
@@ -213,11 +183,6 @@ func NewService(workers int, run exec.Runner, runBatch exec.BatchRunner, opts Op
 	if workers < 1 || runBatch == nil || opts.MaxBatch < 2 {
 		return exec.NewService(workers, run)
 	}
-	if opts.Linger <= 0 {
-		opts.Linger = DefaultLinger
-	}
 	pool := exec.NewExecutor(workers, run, runBatch)
-	c := &coalescer{pool: pool, opts: opts, groups: map[key]*group{}}
-	c.idle.L = &c.mu
-	return exec.NewServiceOn(pool, c)
+	return exec.NewServiceOn(pool, &coalescer{pool: pool, opts: opts, lanes: map[key]*lane{}})
 }

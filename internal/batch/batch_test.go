@@ -3,6 +3,9 @@ package batch
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -35,138 +38,264 @@ func countingBatchRunner(calls *atomic.Int64) exec.BatchRunner {
 	}
 }
 
+// held wraps runBatch so that no batch call is answered until release is
+// called: every lane keeps its batch in flight, so what is submitted
+// meanwhile gathers behind it and the batches formed are a function of the
+// submission order alone.
+func held(runBatch exec.BatchRunner) (exec.BatchRunner, func()) {
+	gate := make(chan struct{})
+	return func(req query.BatchRequest) query.BatchResult {
+		<-gate
+		return runBatch(req)
+	}, sync.OnceFunc(func() { close(gate) })
+}
+
+// closeHeld closes svc while its backend is held, releasing the backend only
+// once the coalescer's Close has sent every filling batch — visible as the
+// pool's submitted count reaching n — so the remainders leave at Close and
+// not because a batch in flight returned.
+func closeHeld(t *testing.T, svc *exec.Service, n int64, release func()) {
+	t.Helper()
+	closed := make(chan struct{})
+	go func() {
+		svc.Close()
+		close(closed)
+	}()
+	giveUp := time.Now().Add(30 * time.Second)
+	for sub, _ := svc.Stats(); sub < n; sub, _ = svc.Stats() {
+		if time.Now().After(giveUp) {
+			release()
+			t.Fatalf("Close sent %d of %d submissions", sub, n)
+		}
+		runtime.Gosched()
+	}
+	release()
+	<-closed
+}
+
+// newCoalescing is NewService with the coalescer in reach of the test.
+func newCoalescing(workers int, runBatch exec.BatchRunner, opts Options) (*exec.Service, *coalescer) {
+	pool := exec.NewExecutor(workers, nil, runBatch)
+	c := &coalescer{pool: pool, opts: opts, lanes: map[key]*lane{}}
+	return exec.NewServiceOn(pool, c), c
+}
+
+func (c *coalescer) laneCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.lanes)
+}
+
+// fetchAll fetches every handle and fails the test, instead of hanging it,
+// if one is never answered.
+func fetchAll(t *testing.T, hs []interp.Handle) []any {
+	t.Helper()
+	out := make([]any, len(hs))
+	done := make(chan error, 1)
+	go func() {
+		for i, h := range hs {
+			v, err := h.Fetch()
+			if err != nil {
+				done <- fmt.Errorf("handle %d: %w", i, err)
+				return
+			}
+			out[i] = v
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a handle was never answered")
+	}
+	return out
+}
+
 func TestCoalescesFullBatches(t *testing.T) {
 	var calls atomic.Int64
-	svc := NewService(2, nil, countingBatchRunner(&calls), Options{MaxBatch: 8, Linger: time.Second})
+	var mu sync.Mutex
+	var sizes []int
+	runBatch, release := held(func(req query.BatchRequest) query.BatchResult {
+		mu.Lock()
+		sizes = append(sizes, len(req.ArgSets))
+		mu.Unlock()
+		return countingBatchRunner(&calls)(req)
+	})
+	svc := NewService(2, nil, runBatch, Options{MaxBatch: 8})
 	defer svc.Close()
 
+	// The first submission leaves alone; the 32 behind it fill four batches.
 	var hs []interp.Handle
-	for i := int64(0); i < 32; i++ {
+	for i := int64(0); i < 33; i++ {
 		h, err := svc.Submit("q", "select ?", []any{i})
 		if err != nil {
 			t.Fatal(err)
 		}
 		hs = append(hs, h)
 	}
-	for i, h := range hs {
-		v, err := h.Fetch()
-		if err != nil {
-			t.Fatal(err)
-		}
+	release()
+	for i, v := range fetchAll(t, hs) {
 		if v != int64(i*10) {
 			t.Fatalf("handle %d: got %v, want %d", i, v, i*10)
 		}
 	}
-	if got := calls.Load(); got != 4 {
-		t.Fatalf("batch runner called %d times, want 4", got)
+	sort.Ints(sizes)
+	if calls.Load() != 5 || fmt.Sprint(sizes) != "[1 8 8 8 8]" {
+		t.Fatalf("batch runner called %d times with sizes %v, want 5: [1 8 8 8 8]", calls.Load(), sizes)
 	}
 	b, avg := svc.BatchStats()
-	if b != 4 || avg != 8 {
-		t.Fatalf("BatchStats = %d batches, avg %.1f; want 4, 8", b, avg)
+	if b != 5 || avg != 33.0/5 {
+		t.Fatalf("BatchStats = %d batches, avg %.1f; want 5, 6.6", b, avg)
 	}
 }
 
-func TestLingerFlushesPartialBatch(t *testing.T) {
+// TestLoneSubmissionIsNotHeld: with nothing of its statement in flight, a
+// submission is on the pool by the time Submit returns.
+func TestLoneSubmissionIsNotHeld(t *testing.T) {
 	var calls atomic.Int64
-	svc := NewService(1, nil, countingBatchRunner(&calls), Options{MaxBatch: 100, Linger: 5 * time.Millisecond})
+	svc := NewService(1, nil, countingBatchRunner(&calls), Options{MaxBatch: 100})
 	defer svc.Close()
 
 	h, err := svc.Submit("q", "select ?", []any{int64(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fetch must unblock via the linger timer, not MaxBatch.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if v, err := h.Fetch(); err != nil || v != int64(30) {
-			t.Errorf("fetch: %v %v", v, err)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("partial batch never lingered out")
+	if sub, _ := svc.Stats(); sub != 1 {
+		t.Fatalf("submitted %d after Submit returned, want 1", sub)
 	}
-	if calls.Load() != 1 {
-		t.Fatalf("calls = %d, want 1", calls.Load())
+	if v, err := h.Fetch(); err != nil || v != int64(30) {
+		t.Fatalf("fetch: %v %v", v, err)
+	}
+}
+
+// TestPartialBatchLeavesWhenInFlightReturns: submissions that gathered behind
+// a batch in flight leave as one batch when it returns — before any Close or
+// Fetch.
+func TestPartialBatchLeavesWhenInFlightReturns(t *testing.T) {
+	var calls atomic.Int64
+	arrived := make(chan int, 2)
+	runBatch, release := held(func(req query.BatchRequest) query.BatchResult {
+		arrived <- len(req.ArgSets)
+		return countingBatchRunner(&calls)(req)
+	})
+	svc := NewService(1, nil, runBatch, Options{MaxBatch: 100})
+	defer svc.Close()
+
+	var hs []interp.Handle
+	for i := int64(0); i < 4; i++ {
+		h, err := svc.Submit("q", "select ?", []any{i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	if sub, _ := svc.Stats(); sub != 1 {
+		t.Fatalf("submitted %d while the first batch is in flight, want 1", sub)
+	}
+	release()
+	var sizes [2]int
+	for i := range sizes {
+		select {
+		case sizes[i] = <-arrived:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("batches so far %v: the partial batch did not leave when the batch in flight returned", sizes)
+		}
+	}
+	if sizes != [2]int{1, 3} {
+		t.Fatalf("batches of %v, want 1 and 3", sizes)
+	}
+	for i, v := range fetchAll(t, hs) {
+		if v != int64(i*10) {
+			t.Fatalf("handle %d: got %v, want %d", i, v, i*10)
+		}
 	}
 }
 
 func TestStatementsDoNotCrossCoalesce(t *testing.T) {
-	type call struct {
-		name string
-		n    int
-	}
-	var batches []call // appended by the single worker, so no lock needed
-	svc := NewService(1, nil, func(req query.BatchRequest) query.BatchResult {
-		batches = append(batches, call{req.Name, len(req.ArgSets)})
+	batches := map[string][]string{} // appended by the single worker, so no lock needed
+	runBatch, release := held(func(req query.BatchRequest) query.BatchResult {
+		batches[req.Name] = append(batches[req.Name], fmt.Sprint(req.ArgSets))
 		return query.BatchResult{Values: make([]any, len(req.ArgSets)), Errs: make([]error, len(req.ArgSets))}
-	}, Options{MaxBatch: 4, Linger: time.Second})
+	})
+	svc := NewService(1, nil, runBatch, Options{MaxBatch: 4})
 	var hs []interp.Handle
-	for i := 0; i < 4; i++ {
-		h1, _ := svc.Submit("a", "select a", nil)
-		h2, _ := svc.Submit("b", "select b", nil)
+	for i := int64(0); i < 4; i++ {
+		h1, _ := svc.Submit("a", "select a", []any{i})
+		h2, _ := svc.Submit("b", "select b", []any{i})
 		hs = append(hs, h1, h2)
 	}
-	svc.Close()
-	for _, h := range hs {
-		if _, err := h.Fetch(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(batches) != 2 {
-		t.Fatalf("got %d batches, want 2 (one per statement): %+v", len(batches), batches)
-	}
-	for _, b := range batches {
-		if b.n != 4 {
-			t.Fatalf("statement %q batched %d requests, want 4", b.name, b.n)
-		}
+	closeHeld(t, svc, 8, release)
+	fetchAll(t, hs)
+	// Each statement: its first binding alone, the other three at Close.
+	want := "map[a:[[[0]] [[1] [2] [3]]] b:[[[0]] [[1] [2] [3]]]]"
+	if got := fmt.Sprint(batches); got != want {
+		t.Fatalf("batches %s, want %s", got, want)
 	}
 }
 
 func TestPerBindingErrorsDemux(t *testing.T) {
 	var calls atomic.Int64
-	svc := NewService(1, nil, countingBatchRunner(&calls), Options{MaxBatch: 2, Linger: time.Second})
+	runBatch, release := held(countingBatchRunner(&calls))
+	svc := NewService(1, nil, runBatch, Options{MaxBatch: 2})
 	defer svc.Close()
 
+	// The first submission leaves alone, so the good and the bad binding
+	// share the full batch behind it.
+	first, _ := svc.Submit("q", "select ?", []any{int64(1)})
 	good, _ := svc.Submit("q", "select ?", []any{int64(5)})
 	bad, _ := svc.Submit("q", "select ?", []any{"not-an-int"})
+	release()
+	if v, err := first.Fetch(); err != nil || v != int64(10) {
+		t.Fatalf("first binding: %v %v", v, err)
+	}
 	if v, err := good.Fetch(); err != nil || v != int64(50) {
 		t.Fatalf("good binding: %v %v", v, err)
 	}
 	if _, err := bad.Fetch(); err == nil || err.Error() != "bad binding 1" {
 		t.Fatalf("bad binding error = %v", err)
 	}
+	if calls.Load() != 2 {
+		t.Fatalf("batch runner called %d times, want 2", calls.Load())
+	}
 }
 
 func TestCloseFlushesAndRejects(t *testing.T) {
 	var calls atomic.Int64
-	svc := NewService(1, nil, countingBatchRunner(&calls), Options{MaxBatch: 100, Linger: time.Hour})
+	runBatch, release := held(countingBatchRunner(&calls))
+	svc := NewService(1, nil, runBatch, Options{MaxBatch: 100})
 
-	h, _ := svc.Submit("q", "select ?", []any{int64(1)})
-	svc.Close()
-	if v, err := h.Fetch(); err != nil || v != int64(10) {
+	first, _ := svc.Submit("q", "select ?", []any{int64(1)})
+	h, _ := svc.Submit("q", "select ?", []any{int64(2)}) // behind the first, until Close
+	closeHeld(t, svc, 2, release)
+	if v, err := first.Fetch(); err != nil || v != int64(10) {
+		t.Fatalf("first fetch after close: %v %v", v, err)
+	}
+	if v, err := h.Fetch(); err != nil || v != int64(20) {
 		t.Fatalf("fetch after close: %v %v", v, err)
 	}
-	if _, err := svc.Submit("q", "select ?", []any{int64(2)}); !errors.Is(err, exec.ErrClosed) {
+	if calls.Load() != 2 {
+		t.Fatalf("batch runner called %d times, want 2", calls.Load())
+	}
+	if _, err := svc.Submit("q", "select ?", []any{int64(3)}); !errors.Is(err, exec.ErrClosed) {
 		t.Fatalf("submit after close: %v", err)
 	}
 }
 
-// TestCloseDrainContractUnderLingerRace stresses the window between a
-// linger-timer flush removing its group and handing it to the executor: a
-// Service.Close racing that window must still execute every pre-Close
-// submission (no ErrClosed on handles obtained before Close).
-func TestCloseDrainContractUnderLingerRace(t *testing.T) {
-	for round := 0; round < 50; round++ {
+// TestCloseRacingReturnKeepsHandles: a Close racing the return of a lane's
+// batch in flight — which sends what filled behind it — must still execute
+// every pre-Close submission, whichever of the two sends it.
+func TestCloseRacingReturnKeepsHandles(t *testing.T) {
+	for round := 0; round < 200; round++ {
 		svc := NewService(2, nil, func(req query.BatchRequest) query.BatchResult {
 			vals := make([]any, len(req.ArgSets))
 			for i := range vals {
 				vals[i] = int64(1)
 			}
 			return query.BatchResult{Values: vals, Errs: make([]error, len(req.ArgSets))}
-		}, Options{MaxBatch: 100, Linger: time.Microsecond})
+		}, Options{MaxBatch: 100})
 		var hs []*exec.Handle
 		for i := 0; i < 8; i++ {
 			h, err := svc.Submit("q", "select 1", nil)
@@ -181,6 +310,73 @@ func TestCloseDrainContractUnderLingerRace(t *testing.T) {
 				t.Fatalf("round %d handle %d: (%v, %v) — pre-Close submission lost", round, i, v, err)
 			}
 		}
+	}
+}
+
+// TestDistinctStatementsLeaveNoLane: literal SQL makes a lane per statement;
+// once everything submitted is fetched, none is left behind.
+func TestDistinctStatementsLeaveNoLane(t *testing.T) {
+	var calls atomic.Int64
+	svc, c := newCoalescing(2, countingBatchRunner(&calls), Options{MaxBatch: 16})
+	defer svc.Close()
+
+	hs := make([]interp.Handle, 0, 20_000)
+	for i := int64(0); i < 10_000; i++ {
+		sql := fmt.Sprintf("select %d", i)
+		for j := 0; j < 2; j++ {
+			h, err := svc.Submit("q", sql, []any{i})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs = append(hs, h)
+		}
+	}
+	for i, v := range fetchAll(t, hs) {
+		if v != int64(i/2*10) {
+			t.Fatalf("handle %d: got %v, want %d", i, v, i/2*10)
+		}
+	}
+	if n := c.laneCount(); n != 0 {
+		t.Fatalf("%d lanes left after every handle was fetched", n)
+	}
+}
+
+// TestChangingGroupFnStrandsNothing: a GroupFn whose answer changes while
+// batches are in flight (a shard split moving a key) opens a new lane for
+// the same statement; the answer of each batch still comes back to the lane
+// that sent it, so no lane waits forever on a count that never drops.
+func TestChangingGroupFnStrandsNothing(t *testing.T) {
+	var calls atomic.Int64
+	var group atomic.Int64
+	runBatch, release := held(countingBatchRunner(&calls))
+	svc, c := newCoalescing(1, runBatch, Options{MaxBatch: 4, GroupFn: func(string, string, []any) int {
+		return int(group.Load())
+	}})
+	defer svc.Close()
+
+	var hs []interp.Handle
+	submit := func(n int64) {
+		for i := int64(0); i < n; i++ {
+			h, err := svc.Submit("q", "select ?", []any{int64(len(hs))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs = append(hs, h)
+		}
+	}
+	submit(6) // group 0: one in flight, a full batch of 4, one filling
+	group.Store(1)
+	submit(3) // group 1: one in flight, two filling
+	release()
+	group.Store(0)
+	submit(5) // group 0 again, while its batches may be returning
+	for i, v := range fetchAll(t, hs) {
+		if v != int64(i*10) {
+			t.Fatalf("handle %d: got %v, want %d", i, v, i*10)
+		}
+	}
+	if n := c.laneCount(); n != 0 {
+		t.Fatalf("%d lanes left after every handle was fetched", n)
 	}
 }
 
@@ -210,28 +406,22 @@ func TestReplicatedBackendRoundTripsMatchSingleServer(t *testing.T) {
 		s.FinishLoad()
 	}
 
-	// 16 submissions at MaxBatch 4: exactly 4 full batches on either
-	// backend, no linger dependence.
+	// 17 submissions at MaxBatch 4 with the backend held: the first alone,
+	// then exactly 4 full batches on either backend.
 	run := func(run exec.Runner, runBatch exec.BatchRunner) []any {
-		svc := NewService(2, run, runBatch, Options{MaxBatch: 4, Linger: time.Second})
+		runBatch, release := held(runBatch)
+		svc := NewService(2, run, runBatch, Options{MaxBatch: 4})
 		defer svc.Close()
-		var hs []*exec.Handle
-		for i := int64(0); i < 16; i++ {
+		var hs []interp.Handle
+		for i := int64(0); i < 17; i++ {
 			h, err := svc.Submit("q", "select v from t where k = ?", []any{i})
 			if err != nil {
 				t.Fatal(err)
 			}
-			hs = append(hs, h.(*exec.Handle))
+			hs = append(hs, h)
 		}
-		out := make([]any, len(hs))
-		for i, h := range hs {
-			v, err := h.Fetch()
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = v
-		}
-		return out
+		release()
+		return fetchAll(t, hs)
 	}
 
 	wantVals := run(single.Exec, single.ExecBatch)
@@ -248,8 +438,8 @@ func TestReplicatedBackendRoundTripsMatchSingleServer(t *testing.T) {
 	for _, s := range group.CopyStats() {
 		groupTrips += s.NetRequests
 	}
-	if singleTrips != 4 || groupTrips != singleTrips {
-		t.Fatalf("round trips: single %d, replicated group %d (want 4 and equal)", singleTrips, groupTrips)
+	if singleTrips != 5 || groupTrips != singleTrips {
+		t.Fatalf("round trips: single %d, replicated group %d (want 5 and equal)", singleTrips, groupTrips)
 	}
 	// The batches actually spread over the replicas.
 	spread := 0

@@ -26,13 +26,11 @@ type serviceMode struct {
 	maxBatch  int
 }
 
-// serviceModes lists every way to build a service. Linger is an hour
-// everywhere, so a batch forms only by filling up or at Close, and what the
-// backend sees is a function of the submission order alone.
+// serviceModes lists every way to build a service.
 func serviceModes() []serviceMode {
 	with := func(maxBatch int) func(int, exec.Runner, exec.BatchRunner) *exec.Service {
 		return func(workers int, run exec.Runner, runBatch exec.BatchRunner) *exec.Service {
-			return NewService(workers, run, runBatch, Options{MaxBatch: maxBatch, Linger: time.Hour})
+			return NewService(workers, run, runBatch, Options{MaxBatch: maxBatch})
 		}
 	}
 	return []serviceMode{
@@ -123,7 +121,9 @@ func waitGoroutines(t *testing.T, before int) {
 // for error text, what the backend's single-request form answers for that
 // binding — except the one binding per "short" batch that the batch runner
 // left out, which must fail and not hang — and after Close every submission
-// is counted, completed, and no goroutine is left.
+// is counted, completed, and no goroutine is left. The backend answers no
+// batch before Close, so per statement the first binding goes alone, the
+// rest leave in full batches of MaxBatch, and the remainder leaves at Close.
 func TestServiceConformance(t *testing.T) {
 	type submission struct {
 		name string
@@ -148,7 +148,8 @@ func TestServiceConformance(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			var be conformanceBackend
-			svc := mode.build(mode.workers, be.run, be.runBatch)
+			runBatch, release := held(be.runBatch)
+			svc := mode.build(mode.workers, be.run, runBatch)
 
 			hs := make([]interp.Handle, len(stream))
 			for i, s := range stream {
@@ -158,7 +159,7 @@ func TestServiceConformance(t *testing.T) {
 				}
 				hs[i] = h
 			}
-			svc.Close() // flushes the partial groups and drains the pool
+			closeHeld(t, svc, int64(len(stream)), release) // sends the partial batches and drains the pool
 
 			seen := map[string]int{}
 			wantBatches := 0
@@ -166,7 +167,8 @@ func TestServiceConformance(t *testing.T) {
 				want := renderOutcome(reference.answer(s.name, []any{s.n}))
 				if mode.coalesces {
 					seen[s.name]++
-					last := seen[s.name]%mode.maxBatch == 0 || seen[s.name] == perStatement[s.name]
+					k := seen[s.name] - 1 // bindings of s.name behind its first
+					last := k%mode.maxBatch == 0 || seen[s.name] == perStatement[s.name]
 					if last {
 						wantBatches++
 					}
@@ -241,8 +243,8 @@ func TestServiceConformanceCloseRace(t *testing.T) {
 							}
 							accepted.Add(1)
 							want := renderOutcome(be.answer("a", []any{n}))
-							// Fetching while still submitting would wait out a
-							// partial group's linger; fetch after Close instead.
+							// Fetch after Close, so submissions race Close
+							// rather than wait for answers.
 							defer func() {
 								if got := renderOutcome(h.Fetch()); got != want {
 									t.Errorf("binding %d: got %q, want %q", n, got, want)

@@ -7,7 +7,6 @@ package exec_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/exec"
@@ -18,11 +17,14 @@ import (
 // TestSubmitAllocations pins what one submission costs the heap. Plain
 // submit+fetch allocates exactly one object of its own, the handle the caller
 // keeps: the queue entry is pooled and holds a single submission's handle
-// inline. A coalesced submission adds its share of the group (the group, its
-// timer and the doubling argSets/handles slices: 13 objects per full batch of
-// 16, 1.8125 per submission). The bound is the count at the commit before the
-// queue entry took its one shape, which paid one more slice per batch job, so
-// the batch path cannot quietly start paying per job again.
+// inline. A coalesced submission adds its share of its statement's lane: 16
+// submissions are two batches, the first alone and fifteen gathered behind it
+// while it is in flight, and cost the lane, the doubling argument-set slice
+// of each batch and the lane's handle slice, which it keeps from one batch to
+// the next (12 objects, 1.75 per submission; no timer). The bound is the
+// count at the commit before the queue entry took its one shape, which paid
+// one more slice per batch job, so the batch path cannot quietly start
+// paying per job again.
 func TestSubmitAllocations(t *testing.T) {
 	const maxBatch = 16
 	run := func(req query.Request) query.Result { return query.Ok(nil) }
@@ -53,9 +55,7 @@ func TestSubmitAllocations(t *testing.T) {
 	if got := perSubmission(exec.NewService(4, run)); got != 1 {
 		t.Errorf("plain submit+fetch: %.3f allocations per submission, want exactly 1 (the handle)", got)
 	}
-	// A full batch every run, so the linger timer never fires and the count
-	// does not depend on scheduling.
-	coalescing := batch.NewService(4, run, runBatch, batch.Options{MaxBatch: maxBatch, Linger: time.Minute})
+	coalescing := batch.NewService(4, run, runBatch, batch.Options{MaxBatch: maxBatch})
 	if got := perSubmission(coalescing); got > 1.875 {
 		t.Errorf("coalesced submit+fetch: %.3f allocations per submission, want at most 1.875", got)
 	}

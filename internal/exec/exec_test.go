@@ -338,7 +338,8 @@ func TestEnqueueAfterCloseFailsHandles(t *testing.T) {
 	e.Close()
 	hs := []*Handle{newHandle(nil), newHandle(nil)}
 	call := query.BatchCall(query.BatchReq("q", "", [][]any{{int64(1)}, {int64(2)}}))
-	if err := e.Enqueue(&call, hs...); !errors.Is(err, ErrClosed) {
+	refused := ownerFunc(func() { t.Error("the owner of a refused call was told it returned") })
+	if err := e.Enqueue(&call, refused, hs...); !errors.Is(err, ErrClosed) {
 		t.Fatalf("got %v, want ErrClosed", err)
 	}
 	for i, h := range hs {
@@ -351,6 +352,42 @@ func TestEnqueueAfterCloseFailsHandles(t *testing.T) {
 	}
 	if sub, comp := e.Stats(); sub != 0 || comp != 0 {
 		t.Fatalf("a refused call was counted: %d/%d", sub, comp)
+	}
+}
+
+type ownerFunc func()
+
+func (f ownerFunc) Returned() { f() }
+
+// TestOwnerHearsBeforeHandlesComplete: the owner of a call is told once, after
+// the backend answered and before any handle of the call completes, so by the
+// time a fetcher sees a result the owner has already counted the call back.
+func TestOwnerHearsBeforeHandlesComplete(t *testing.T) {
+	answered := false
+	e := NewExecutor(1, nil, func(req query.BatchRequest) query.BatchResult {
+		answered = true
+		return query.BatchResult{Values: make([]any, len(req.ArgSets)), Errs: make([]error, len(req.ArgSets))}
+	})
+	defer e.Close()
+	hs := []*Handle{newHandle(nil), newHandle(nil)}
+	var told atomic.Int64
+	own := ownerFunc(func() {
+		if !answered || hs[0].Done() || hs[1].Done() {
+			t.Errorf("owner told with answered=%v, handles done %v %v", answered, hs[0].Done(), hs[1].Done())
+		}
+		told.Add(1)
+	})
+	call := query.BatchCall(query.BatchReq("q", "", [][]any{{int64(1)}, {int64(2)}}))
+	if err := e.Enqueue(&call, own, hs...); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hs {
+		if _, err := h.Fetch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if told.Load() != 1 {
+		t.Fatalf("owner told %d times, want 1", told.Load())
 	}
 }
 

@@ -48,6 +48,12 @@ func (r *runners) Exec(req query.Request) query.Result { return r.run(req) }
 
 func (r *runners) ExecBatch(req query.BatchRequest) query.BatchResult { return r.runBatch(req) }
 
+// Owner is told when the backend has answered a call it enqueued, before the
+// call's handles complete (internal/batch counts its batches in flight with
+// it). Returned runs on a worker and may Enqueue; a refused call is never
+// reported.
+type Owner interface{ Returned() }
+
 // Handle is a pending asynchronous request.
 type Handle struct {
 	mu   sync.Mutex
@@ -105,6 +111,7 @@ type job struct {
 	rep  query.Reply // in the job, not the worker's frame: Call.On makes it escape
 	hs   []*Handle
 	one  [1]*Handle
+	own  Owner
 	// queue, when tracing is on, measures time spent waiting in the ring
 	// (opened at enqueue, ended when a worker pops the job).
 	queue *obs.Span
@@ -196,19 +203,21 @@ func NewExecutor(workers int, run Runner, runBatch BatchRunner) *Executor {
 
 // Submit enqueues a single request (implementing Front).
 func (e *Executor) Submit(req query.Request, h *Handle) error {
-	return e.Enqueue(&query.Call{Request: req}, h)
+	return e.Enqueue(&query.Call{Request: req}, nil, h)
 }
 
 // Enqueue queues one call of either shape with the handles its reply will
-// complete, one per binding in binding order. c.Span is the span of the
-// handle that leads the call: the queue wait and the backend's subtree hang
-// off it. A closed pool refuses with ErrClosed and fails every handle with
-// it, so a Fetch on a handle already handed out never blocks. The submitted
-// counter is incremented inside the queue critical section, before any
-// worker can see the job, so Stats never observes completed > submitted.
-func (e *Executor) Enqueue(c *query.Call, hs ...*Handle) error {
+// complete, one per binding in binding order; own, when not nil, is told
+// when the backend has answered. c.Span is the span of the handle that leads
+// the call: the queue wait and the backend's subtree hang off it. A closed
+// pool refuses with ErrClosed and fails every handle with it, so a Fetch on
+// a handle already handed out never blocks. The submitted counter is
+// incremented inside the queue critical section, before any worker can see
+// the job, so Stats never observes completed > submitted. Enqueue never
+// blocks on a pool with workers; without any it runs the call inline.
+func (e *Executor) Enqueue(c *query.Call, own Owner, hs ...*Handle) error {
 	j := e.jobs.Get().(*job)
-	j.call = *c
+	j.call, j.own = *c, own
 	j.hs = append(j.hs, hs...)
 	if e.workers > 0 { // a synchronous pool has no queue to wait in
 		j.queue = c.Span.Child("exec.queue")
@@ -316,6 +325,9 @@ func (e *Executor) execute(j *job) {
 	c.On(&e.backend, rep)
 	for _, m := range members {
 		m.End()
+	}
+	if j.own != nil {
+		j.own.Returned()
 	}
 	vals, errs := rep.Values, rep.Errs
 	if !c.Batch() {

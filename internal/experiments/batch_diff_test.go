@@ -15,8 +15,8 @@ import (
 // per-query async path: for every evaluation app, running the transformed
 // program with batching enabled must yield byte-identical observable output
 // (returns, print/log stream, and — if the run fails — error text) to the
-// unbatched async run. Several batch sizes cover the partial-batch (linger)
-// and full-batch (MaxBatch) flush paths.
+// unbatched async run. Several batch sizes cover the partial-batch (sent when
+// the batch in flight returns) and full-batch (MaxBatch) paths.
 func TestBatchedExecutionMatchesAsyncOnApps(t *testing.T) {
 	const iterations = 30
 	const workers = 4

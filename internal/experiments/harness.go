@@ -240,14 +240,9 @@ func (h *Harness) Measure(c Config, modes ...Mode) ([]Run, error) {
 }
 
 // run executes one mode of a measurement into rec. The query service is built
-// after the cache state is set; the linger window is wall time, so it is
-// scaled like every simulated latency and batched series stay comparable
-// across -scale.
+// after the cache state is set.
 func (h *Harness) run(c Config, pp *procPair, m Mode, rec *Run) (*interp.Result, error) {
-	prog, threads, opts := pp.transProg, c.Threads, batch.Options{
-		MaxBatch: 1,
-		Linger:   time.Duration(float64(batch.DefaultLinger) * h.Scale),
-	}
+	prog, threads, opts := pp.transProg, c.Threads, batch.Options{MaxBatch: 1}
 	switch m {
 	case Blocking:
 		prog, threads = pp.origProg, 0

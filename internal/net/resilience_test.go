@@ -26,6 +26,19 @@ func dialOpts(t *testing.T, s *Server, opts ClientOptions) *Client {
 	return c
 }
 
+// The backoff doubles from the base and stops doubling at 64× it.
+func TestBackoffDoublesUpTo64xBase(t *testing.T) {
+	p := RetryPolicy{BaseBackoff: 100 * time.Microsecond}
+	for attempt, want := range []time.Duration{1, 2, 4, 8, 16, 32, 64, 64, 64} {
+		if got := p.backoff(attempt, nil); got != want*p.BaseBackoff {
+			t.Errorf("attempt %d: %v, want %v", attempt, got, want*p.BaseBackoff)
+		}
+	}
+	if got := (RetryPolicy{}).backoff(100, nil); got != 64*time.Millisecond {
+		t.Errorf("default base, attempt 100: %v, want 64ms", got)
+	}
+}
+
 // A torn request frame poisons the connection, and the torn request — whose
 // frame provably never decoded server-side — is re-sent on a fresh
 // connection. The backend sees the read exactly once per completed attempt.

@@ -16,10 +16,9 @@ type RetryPolicy struct {
 	// one attempt, transport errors surface to the caller).
 	MaxAttempts int
 	// BaseBackoff is the wait before the first retry; each further retry
-	// doubles it (exponential). 0 defaults to 1ms when retries are on.
+	// doubles it (exponential), up to 64× base. 0 defaults to 1ms when
+	// retries are on.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth. 0 defaults to 64× base.
-	MaxBackoff time.Duration
 	// Jitter randomizes each backoff to ±(Jitter/2)×backoff, decorrelating
 	// retry storms across pipelined callers. 0 means no jitter.
 	Jitter float64
@@ -44,17 +43,7 @@ func (p RetryPolicy) backoff(attempt int, rng *rand.Rand) time.Duration {
 	if base <= 0 {
 		base = time.Millisecond
 	}
-	max := p.MaxBackoff
-	if max <= 0 {
-		max = 64 * base
-	}
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
+	d := base << min(attempt, 6) // capped at 64× base
 	if p.Jitter > 0 && rng != nil {
 		j := p.Jitter
 		if j > 1 {

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// Span is one timed region of a request: queue wait, batch linger, a
+// Span is one timed region of a request: queue wait, batch wait, a
 // per-shard scatter leg, a WAL commit wait. Spans form a tree rooted at
 // the request span and record two clocks:
 //

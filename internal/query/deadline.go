@@ -5,8 +5,8 @@ import "time"
 // Deadline is an absolute give-up time for a request. The zero Deadline
 // means "no deadline" and never expires — requests without one behave
 // exactly as before deadlines existed. Deadlines are wall-clock absolute
-// (not durations) so they survive hops across the wire, the coalescer's
-// linger wait and the executor queue without re-arming.
+// (not durations) so they survive hops across the wire, admission and the
+// layers below it without re-arming.
 type Deadline struct {
 	t time.Time
 }

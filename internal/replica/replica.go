@@ -101,9 +101,6 @@ type Options struct {
 	Consistency Consistency
 	// Bound is the BoundedStaleness lag, in acknowledged writes.
 	Bound int64
-	// SnapshotEvery, when positive, checkpoints the log every time the
-	// retained suffix exceeds this many records.
-	SnapshotEvery int64
 	// Store is the WAL's persistence backend (nil: in-memory).
 	Store wal.Store
 	// Hedge, when positive, arms hedged reads: if a replica read has not
@@ -197,10 +194,9 @@ type Group struct {
 	wg      sync.WaitGroup // async appliers
 	zombies []*server.Server
 
-	async         bool
-	consistency   Consistency
-	bound         int64
-	snapshotEvery int64
+	async       bool
+	consistency Consistency
+	bound       int64
 
 	// Resilience layer (see resilience.go): hedged reads, per-replica
 	// circuit breakers, and injected replica crashes.
@@ -226,20 +222,19 @@ func NewGroup(prof server.Profile, scale float64, opts Options) *Group {
 		n = 1
 	}
 	g := &Group{
-		policy:        opts.Policy,
-		prof:          prof,
-		scale:         scale,
-		primary:       server.New(prof, scale),
-		replicas:      make([]*server.Server, n),
-		states:        make([]*state, n),
-		async:         opts.Async,
-		consistency:   opts.Consistency,
-		bound:         opts.Bound,
-		snapshotEvery: opts.SnapshotEvery,
-		hedge:         opts.Hedge,
-		breaker:       opts.Breaker,
-		fault:         opts.Fault,
-		stop:          make(chan struct{}),
+		policy:      opts.Policy,
+		prof:        prof,
+		scale:       scale,
+		primary:     server.New(prof, scale),
+		replicas:    make([]*server.Server, n),
+		states:      make([]*state, n),
+		async:       opts.Async,
+		consistency: opts.Consistency,
+		bound:       opts.Bound,
+		hedge:       opts.Hedge,
+		breaker:     opts.Breaker,
+		fault:       opts.Fault,
+		stop:        make(chan struct{}),
 	}
 	for i := range g.states {
 		g.replicas[i] = server.New(prof, scale)
@@ -870,14 +865,14 @@ func (g *Group) stageRecord(sp *obs.Span, name, sql string, argSets [][]any) int
 }
 
 // awaitCommit waits until the record at lsn is durable per the log's mode,
-// then advances the acknowledged-write watermark and triggers the automatic
-// checkpoint. A primary crash racing the wait truncates the record away; the
+// then advances the acknowledged-write watermark. A primary crash racing the
+// wait truncates the record away; the
 // write then reports ErrPrimaryDown instead of acknowledging state that no
 // longer exists. A deadline expiring first abandons the wait with
 // query.ErrDeadlineExceeded instead — whichever condition the waiter
 // observes first wins, so the client sees exactly one error either way.
 func (g *Group) awaitCommit(sp *obs.Span, lsn int64, dl query.Deadline) error {
-	durable, tailStart, err := g.log.CommitWait(sp, lsn, dl)
+	durable, err := g.log.CommitWait(sp, lsn, dl)
 	if err != nil {
 		return err
 	}
@@ -889,9 +884,6 @@ func (g *Group) awaitCommit(sp *obs.Span, lsn int64, dl query.Deadline) error {
 		if lsn <= cur || g.commit.CompareAndSwap(cur, lsn) {
 			break
 		}
-	}
-	if g.snapshotEvery > 0 && lsn-tailStart >= g.snapshotEvery {
-		_ = g.Checkpoint()
 	}
 	return nil
 }

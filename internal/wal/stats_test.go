@@ -67,8 +67,7 @@ func TestLogMetrics(t *testing.T) {
 }
 
 // TestCommitSpan pins that CommitWait opens and closes a wal.commit child,
-// still honors the durability contract, and reports the durable LSN and tail
-// start it saw.
+// still honors the durability contract, and reports the durable LSN it saw.
 func TestCommitSpan(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(reg)
@@ -77,8 +76,8 @@ func TestCommitSpan(t *testing.T) {
 
 	sp := tr.Start("request")
 	lsn := l.Append("w", "insert into t values (?)", [][]any{{int64(1)}})
-	if durable, tailStart, err := l.CommitWait(sp, lsn, query.Deadline{}); err != nil || durable != lsn || tailStart != 0 {
-		t.Fatalf("CommitWait = %d, %d, %v; want %d, 0, nil", durable, tailStart, err, lsn)
+	if durable, err := l.CommitWait(sp, lsn, query.Deadline{}); err != nil || durable != lsn {
+		t.Fatalf("CommitWait = %d, %v; want %d, nil", durable, err, lsn)
 	}
 	sp.End()
 
@@ -93,7 +92,7 @@ func TestCommitSpan(t *testing.T) {
 	}
 	// Nil span: plain commit path.
 	lsn = l.Append("w", "insert into t values (?)", [][]any{{int64(2)}})
-	if _, _, err := l.CommitWait(nil, lsn, query.Deadline{}); err != nil {
+	if _, err := l.CommitWait(nil, lsn, query.Deadline{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.DurableLSN(); got != lsn {

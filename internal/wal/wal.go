@@ -204,11 +204,10 @@ func (l *Log) SetMetrics(reg *obs.Registry) {
 // caller must report the write as "never acknowledged", not as lost. Like
 // SyncTo, a crash that truncates the record away also releases the wait
 // (with a nil error); the caller must then compare the returned durable LSN
-// with lsn to discover the loss. durable and tailStart are DurableLSN() and
-// TailStart() as of the lock hold that ended the wait, so the commit path
-// reads all it needs from the log in one acquisition. A nil span and a zero
-// deadline are both fine (no span, no bound); Off mode does not wait at all.
-func (l *Log) CommitWait(sp *obs.Span, lsn int64, dl query.Deadline) (durable, tailStart int64, err error) {
+// with lsn to discover the loss. durable is DurableLSN() as of the lock hold
+// that ended the wait. A nil span and a zero deadline are both fine (no
+// span, no bound); Off mode does not wait at all.
+func (l *Log) CommitWait(sp *obs.Span, lsn int64, dl query.Deadline) (durable int64, err error) {
 	var c *obs.Span
 	if l.mode != Off {
 		c = sp.Child("wal.commit")
@@ -231,13 +230,13 @@ func (l *Log) CommitWait(sp *obs.Span, lsn int64, dl query.Deadline) (durable, t
 		}
 		l.durable.Wait()
 	}
-	durable, tailStart = l.synced, l.tailStartLocked()
+	durable = l.synced
 	l.mu.Unlock()
 	if timer != nil {
 		timer.Stop()
 	}
 	c.End()
-	return durable, tailStart, err
+	return durable, err
 }
 
 // New starts a log and its flusher goroutine.
