@@ -7,7 +7,7 @@ import (
 
 // bindStdlib installs the implementations for ir.StdSigs.
 func (in *Interp) bindStdlib() {
-	one := func(v Value) []Value { return []Value{v} }
+	one := in.one
 
 	in.Bind("empty", func(a []Value) ([]Value, error) {
 		l, err := asList(a[0])
@@ -79,8 +79,8 @@ func (in *Interp) bindStdlib() {
 		out.Items = append(out.Items, l2.Copy().Items...)
 		return one(out), nil
 	})
-	in.Bind("min", func(a []Value) ([]Value, error) { return cmp2(a, true) })
-	in.Bind("max", func(a []Value) ([]Value, error) { return cmp2(a, false) })
+	in.Bind("min", func(a []Value) ([]Value, error) { return in.cmp2(a, true) })
+	in.Bind("max", func(a []Value) ([]Value, error) { return in.cmp2(a, false) })
 	in.Bind("field", func(a []Value) ([]Value, error) {
 		name, err := asString(a[1])
 		if err != nil {
@@ -255,7 +255,14 @@ func (in *Interp) bindStdlib() {
 	})
 }
 
-func cmp2(a []Value, min bool) ([]Value, error) {
+// one returns v as a builtin's only result, through the Interp's result
+// slot (see Builtin).
+func (in *Interp) one(v Value) []Value {
+	in.res[0] = v
+	return in.res[:1:1]
+}
+
+func (in *Interp) cmp2(a []Value, min bool) ([]Value, error) {
 	x, err := asInt(a[0])
 	if err != nil {
 		return nil, err
@@ -265,9 +272,9 @@ func cmp2(a []Value, min bool) ([]Value, error) {
 		return nil, err
 	}
 	if (x < y) == min {
-		return []Value{x}, nil
+		return in.one(x), nil
 	}
-	return []Value{y}, nil
+	return in.one(y), nil
 }
 
 func asList(v Value) (*List, error) {

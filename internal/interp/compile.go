@@ -155,58 +155,10 @@ func (c *compiler) stmtBody(s ir.Stmt) stmtFn {
 		return c.assign(x)
 
 	case *ir.ExecQuery:
-		args := c.exprs(x.Args)
-		qi, qok := c.queryIdx[x.Query]
-		qname := x.Query
-		lhs := c.optSlot(x.Lhs)
-		return func(m *machine) (signal, error) {
-			if m.in.Svc == nil {
-				return sigNext, fmt.Errorf("no query service bound")
-			}
-			av, err := evalArgs(m, args)
-			if err != nil {
-				return sigNext, err
-			}
-			if !qok {
-				return sigNext, fmt.Errorf("query %q not declared", qname)
-			}
-			q := &m.prog.queries[qi]
-			v, err := m.in.Svc.Exec(q.name, q.sql, av)
-			if err != nil {
-				return sigNext, fmt.Errorf("execQuery %s: %w", qname, err)
-			}
-			if lhs >= 0 {
-				m.frame[lhs] = v
-			}
-			return sigNext, nil
-		}
+		return c.query(x.Query, x.Args, x.Lhs, false)
 
 	case *ir.Submit:
-		args := c.exprs(x.Args)
-		qi, qok := c.queryIdx[x.Query]
-		qname := x.Query
-		lhs := c.optSlot(x.Lhs)
-		return func(m *machine) (signal, error) {
-			if m.in.Svc == nil {
-				return sigNext, fmt.Errorf("no query service bound")
-			}
-			av, err := evalArgs(m, args)
-			if err != nil {
-				return sigNext, err
-			}
-			if !qok {
-				return sigNext, fmt.Errorf("query %q not declared", qname)
-			}
-			q := &m.prog.queries[qi]
-			h, err := m.in.Svc.Submit(q.name, q.sql, av)
-			if err != nil {
-				return sigNext, fmt.Errorf("submit %s: %w", qname, err)
-			}
-			if lhs >= 0 {
-				m.frame[lhs] = h
-			}
-			return sigNext, nil
-		}
+		return c.query(x.Query, x.Args, x.Lhs, true)
 
 	case *ir.Fetch:
 		hx := c.expr(x.Handle)
@@ -240,12 +192,9 @@ func (c *compiler) stmtBody(s ir.Stmt) stmtFn {
 	case *ir.Return:
 		vals := c.exprs(x.Vals)
 		return func(m *machine) (signal, error) {
-			out, err := evalArgs(m, vals)
-			if err != nil {
+			out := make([]Value, len(vals))
+			if err := m.evalInto(out, vals); err != nil {
 				return sigNext, err
-			}
-			if out == nil {
-				out = []Value{}
 			}
 			m.ret = out
 			return sigReturn, nil
@@ -261,7 +210,7 @@ func (c *compiler) stmtBody(s ir.Stmt) stmtFn {
 	case *ir.NewRecord:
 		slot := c.slot(x.Name)
 		return func(m *machine) (signal, error) {
-			m.frame[slot] = NewRecord()
+			m.frame[slot] = m.newRecord()
 			return sigNext, nil
 		}
 
@@ -422,6 +371,44 @@ func (c *compiler) stmtBody(s ir.Stmt) stmtFn {
 	}
 }
 
+// query compiles an execQuery, or a submit: the arguments are carved from
+// the run's slab (see machine.carve) and the result bound to lhs.
+func (c *compiler) query(qname string, argExprs []ir.Expr, lhsName string, submit bool) stmtFn {
+	args := c.exprs(argExprs)
+	qi, qok := c.queryIdx[qname]
+	lhs := c.optSlot(lhsName)
+	verb := "execQuery"
+	if submit {
+		verb = "submit"
+	}
+	return func(m *machine) (signal, error) {
+		if m.in.Svc == nil {
+			return sigNext, fmt.Errorf("no query service bound")
+		}
+		av, err := m.carve(args)
+		if err != nil {
+			return sigNext, err
+		}
+		if !qok {
+			return sigNext, fmt.Errorf("query %q not declared", qname)
+		}
+		q := &m.prog.queries[qi]
+		var v Value
+		if submit {
+			v, err = m.in.Svc.Submit(q.name, q.sql, av)
+		} else {
+			v, err = m.in.Svc.Exec(q.name, q.sql, av)
+		}
+		if err != nil {
+			return sigNext, fmt.Errorf("%s %s: %w", verb, qname, err)
+		}
+		if lhs >= 0 {
+			m.frame[lhs] = v
+		}
+		return sigNext, nil
+	}
+}
+
 // optSlot resolves a possibly-empty assignment target (-1 = discard).
 func (c *compiler) optSlot(name string) int {
 	if name == "" {
@@ -489,11 +476,19 @@ func (c *compiler) call(x *ir.Call, want int) func(m *machine) ([]Value, error) 
 				return nil, err
 			}
 		}
-		av, err := evalArgs(m, args)
-		if err != nil {
-			return nil, err
+		// Arguments go on the machine's stack above base and are borrowed
+		// by f: cleared and popped when it returns, so nested calls compose.
+		base := len(m.stack)
+		defer m.pop(base)
+		for _, e := range args {
+			v, err := e(m)
+			if err != nil {
+				return nil, err
+			}
+			m.stack = append(m.stack, v)
 		}
-		out, err := f(av)
+		n := len(m.stack)
+		out, err := f(m.stack[base:n:n])
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -515,23 +510,6 @@ func (c *compiler) exprs(es []ir.Expr) []exprFn {
 	return out
 }
 
-// evalArgs evaluates an argument list; nil in, nil out (matching the tree
-// evaluator's evalAll).
-func evalArgs(m *machine, es []exprFn) ([]Value, error) {
-	if len(es) == 0 {
-		return nil, nil
-	}
-	out := make([]Value, len(es))
-	for i, e := range es {
-		v, err := e(m)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 func (c *compiler) expr(e ir.Expr) exprFn {
 	switch x := e.(type) {
 	case *ir.Var:
@@ -549,8 +527,6 @@ func (c *compiler) expr(e ir.Expr) exprFn {
 		v := x.V // interned: boxed once at compile time
 		if i, ok := v.(int64); ok {
 			v = boxInt(i)
-		} else if b, ok := v.(bool); ok {
-			v = boxBool(b)
 		}
 		return func(*machine) (Value, error) { return v, nil }
 
@@ -567,7 +543,7 @@ func (c *compiler) expr(e ir.Expr) exprFn {
 				if err != nil {
 					return nil, err
 				}
-				return boxBool(!b), nil
+				return !b, nil
 			}
 		case "-":
 			return func(m *machine) (Value, error) {
@@ -636,7 +612,8 @@ var binOps = map[string]binOp{
 func (c *compiler) bin(x *ir.Bin) exprFn {
 	l, r := c.expr(x.L), c.expr(x.R)
 	switch x.Op {
-	case "&&":
+	case "&&", "||":
+		short := x.Op == "||" // the left value that decides the result
 		return func(m *machine) (Value, error) {
 			lv, err := l(m)
 			if err != nil {
@@ -646,8 +623,8 @@ func (c *compiler) bin(x *ir.Bin) exprFn {
 			if err != nil {
 				return nil, err
 			}
-			if !lb {
-				return valFalse, nil
+			if lb == short {
+				return short, nil
 			}
 			rv, err := r(m)
 			if err != nil {
@@ -657,32 +634,10 @@ func (c *compiler) bin(x *ir.Bin) exprFn {
 			if err != nil {
 				return nil, err
 			}
-			return boxBool(rb), nil
+			return rb, nil
 		}
-	case "||":
-		return func(m *machine) (Value, error) {
-			lv, err := l(m)
-			if err != nil {
-				return nil, err
-			}
-			lb, err := truthy(lv)
-			if err != nil {
-				return nil, err
-			}
-			if lb {
-				return valTrue, nil
-			}
-			rv, err := r(m)
-			if err != nil {
-				return nil, err
-			}
-			rb, err := truthy(rv)
-			if err != nil {
-				return nil, err
-			}
-			return boxBool(rb), nil
-		}
-	case "==":
+	case "==", "!=":
+		neg := x.Op == "!="
 		return func(m *machine) (Value, error) {
 			lv, err := l(m)
 			if err != nil {
@@ -692,19 +647,7 @@ func (c *compiler) bin(x *ir.Bin) exprFn {
 			if err != nil {
 				return nil, err
 			}
-			return boxBool(Equal(lv, rv)), nil
-		}
-	case "!=":
-		return func(m *machine) (Value, error) {
-			lv, err := l(m)
-			if err != nil {
-				return nil, err
-			}
-			rv, err := r(m)
-			if err != nil {
-				return nil, err
-			}
-			return boxBool(!Equal(lv, rv)), nil
+			return Equal(lv, rv) != neg, nil
 		}
 	}
 
@@ -743,13 +686,13 @@ func applyBin(code binOp, opStr string, lv, rv Value) (Value, error) {
 			if rs, ok := rv.(string); ok {
 				switch code {
 				case opLT:
-					return boxBool(ls < rs), nil
+					return ls < rs, nil
 				case opLE:
-					return boxBool(ls <= rs), nil
+					return ls <= rs, nil
 				case opGT:
-					return boxBool(ls > rs), nil
+					return ls > rs, nil
 				case opGE:
-					return boxBool(ls >= rs), nil
+					return ls >= rs, nil
 				}
 			}
 		}
@@ -773,13 +716,13 @@ func applyBin(code binOp, opStr string, lv, rv Value) (Value, error) {
 		}
 		return boxInt(li % ri), nil
 	case opLT:
-		return boxBool(li < ri), nil
+		return li < ri, nil
 	case opLE:
-		return boxBool(li <= ri), nil
+		return li <= ri, nil
 	case opGT:
-		return boxBool(li > ri), nil
+		return li > ri, nil
 	case opGE:
-		return boxBool(li >= ri), nil
+		return li >= ri, nil
 	}
 	return nil, fmt.Errorf("unknown binary op %q", opStr)
 }

@@ -27,12 +27,12 @@ func Equivalent(a, b Value) bool {
 		return Equivalent(xv, yv)
 	case *Record:
 		y, ok := b.(*Record)
-		if !ok || len(x.Fields) != len(y.Fields) {
+		if !ok || len(x.fields) != len(y.fields) {
 			return false
 		}
-		for k, v := range x.Fields {
-			w, ok := y.Fields[k]
-			if !ok || !Equivalent(v, w) {
+		for _, f := range x.fields {
+			w, ok := y.Get(f.name)
+			if !ok || !Equivalent(f.val, w) {
 				return false
 			}
 		}

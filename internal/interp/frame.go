@@ -17,8 +17,9 @@ var unsetVal Value = unsetType{}
 
 // smallInts interns boxed int64 values so hot arithmetic loops do not
 // allocate on every interface conversion (the Go runtime only caches
-// 0..255). 8192 covers the counters and accumulators of the benchmark
-// kernels.
+// 0..255, and bools). 8192 covers loop counters and small accumulators,
+// not every benchmark accumulator: RUBiS's total sums up to 2 000 ratings
+// below 1 000, so past its first few iterations it is boxed on every one.
 const smallIntCount = 8192
 
 var smallInts [smallIntCount]Value
@@ -36,18 +37,6 @@ func boxInt(i int64) Value {
 	return i
 }
 
-var (
-	valTrue  Value = true
-	valFalse Value = false
-)
-
-func boxBool(b bool) Value {
-	if b {
-		return valTrue
-	}
-	return valFalse
-}
-
 // signal is a compiled statement's control-flow outcome.
 type signal uint8
 
@@ -63,8 +52,61 @@ type machine struct {
 	frame []Value   // slot-addressed variables (unsetVal = unassigned)
 	ret   []Value   // values of the Return statement that ended the run
 	calls []Builtin // per-call-site resolved builtins (lazy, nil = unresolved)
+	stack []Value   // builtin arguments, borrowed for the call (see compiler.call)
+	slab  []Value   // unused tail of the query-argument chunk (see carve)
+	recs  []Record  // unused tail of the record chunk (see newRecord)
 	steps int
 	max   int
+}
+
+// newRecord hands out an empty record from the run's record slab, which
+// grows by chunks of 64.
+func (m *machine) newRecord() *Record {
+	if len(m.recs) == 0 {
+		m.recs = make([]Record, 64)
+	}
+	r := &m.recs[0]
+	m.recs = m.recs[1:]
+	return r
+}
+
+// carve evaluates a query's arguments into a window of the run's argument
+// slab, which grows by chunks of 256 values. The window's capacity is its
+// length and no later carve touches it, so the query service may keep it
+// (the coalescer does until the batch is encoded). Nil in, nil out,
+// matching the tree evaluator's evalAll.
+func (m *machine) carve(es []exprFn) ([]Value, error) {
+	n := len(es)
+	if n == 0 {
+		return nil, nil
+	}
+	if len(m.slab) < n {
+		m.slab = make([]Value, max(256, n))
+	}
+	w := m.slab[:n:n]
+	if err := m.evalInto(w, es); err != nil {
+		return nil, err
+	}
+	m.slab = m.slab[n:]
+	return w, nil
+}
+
+// evalInto evaluates es into dst, which has their length.
+func (m *machine) evalInto(dst []Value, es []exprFn) error {
+	for i, e := range es {
+		v, err := e(m)
+		if err != nil {
+			return err
+		}
+		dst[i] = v
+	}
+	return nil
+}
+
+// pop clears and drops the builtin arguments pushed above base.
+func (m *machine) pop(base int) {
+	clear(m.stack[base:])
+	m.stack = m.stack[:base]
 }
 
 func (m *machine) step() error {
@@ -95,26 +137,16 @@ func (m *machine) resolve(idx int) (Builtin, error) {
 
 // recordAt reads slot as a *Record with the tree evaluator's error messages.
 func (m *machine) recordAt(slot int, name string) (*Record, error) {
-	v := m.frame[slot]
-	if v == unsetVal {
-		return nil, fmt.Errorf("record %q undefined", name)
+	if r, ok := m.frame[slot].(*Record); ok {
+		return r, nil
 	}
-	r, ok := v.(*Record)
-	if !ok {
-		return nil, fmt.Errorf("%q is %s, not record", name, TypeName(v))
-	}
-	return r, nil
+	return nil, varErr(m.frame[slot], m.frame[slot] != unsetVal, "record", name)
 }
 
 // tableAt reads slot as a *Table.
 func (m *machine) tableAt(slot int, name string) (*Table, error) {
-	v := m.frame[slot]
-	if v == unsetVal {
-		return nil, fmt.Errorf("table %q undefined", name)
+	if t, ok := m.frame[slot].(*Table); ok {
+		return t, nil
 	}
-	t, ok := v.(*Table)
-	if !ok {
-		return nil, fmt.Errorf("%q is %s, not table", name, TypeName(v))
-	}
-	return t, nil
+	return nil, varErr(m.frame[slot], m.frame[slot] != unsetVal, "table", name)
 }

@@ -9,6 +9,12 @@ import (
 
 // Builtin implements a registered function. Mutating builtins receive the
 // *List bound to the variable and modify it in place.
+//
+// args are borrowed: they are valid for the call only, and a builtin that
+// keeps one copies it (as list, push and concat do). The result slice is
+// read before the next builtin call on the same Interp, so a builtin may
+// return a slice it reuses (the standard ones return one value through a
+// slot on the Interp).
 type Builtin func(args []Value) ([]Value, error)
 
 // Interp executes procedures. The zero value is not usable; call New.
@@ -26,6 +32,7 @@ type Interp struct {
 
 	steps int
 	progs map[*ir.Proc]*Program // compiled-program cache for Run
+	res   [1]Value              // the result of the last single-value builtin
 }
 
 // New builds an interpreter with the standard builtins bound.
@@ -154,45 +161,9 @@ func (in *Interp) execStmt(s ir.Stmt, env map[string]Value, queries map[string]s
 		}
 		return nil, nil
 	case *ir.ExecQuery:
-		if in.Svc == nil {
-			return nil, fmt.Errorf("no query service bound")
-		}
-		args, err := in.evalAll(x.Args, env)
-		if err != nil {
-			return nil, err
-		}
-		sql, ok := queries[x.Query]
-		if !ok {
-			return nil, fmt.Errorf("query %q not declared", x.Query)
-		}
-		v, err := in.Svc.Exec(x.Query, sql, args)
-		if err != nil {
-			return nil, fmt.Errorf("execQuery %s: %w", x.Query, err)
-		}
-		if x.Lhs != "" {
-			env[x.Lhs] = v
-		}
-		return nil, nil
+		return nil, in.query(x.Query, x.Args, x.Lhs, false, env, queries)
 	case *ir.Submit:
-		if in.Svc == nil {
-			return nil, fmt.Errorf("no query service bound")
-		}
-		args, err := in.evalAll(x.Args, env)
-		if err != nil {
-			return nil, err
-		}
-		sql, ok := queries[x.Query]
-		if !ok {
-			return nil, fmt.Errorf("query %q not declared", x.Query)
-		}
-		h, err := in.Svc.Submit(x.Query, sql, args)
-		if err != nil {
-			return nil, fmt.Errorf("submit %s: %w", x.Query, err)
-		}
-		if x.Lhs != "" {
-			env[x.Lhs] = h
-		}
-		return nil, nil
+		return nil, in.query(x.Query, x.Args, x.Lhs, true, env, queries)
 	case *ir.Fetch:
 		hv, err := in.eval(x.Handle, env)
 		if err != nil {
@@ -337,6 +308,36 @@ func (in *Interp) execStmt(s ir.Stmt, env map[string]Value, queries map[string]s
 	return nil, fmt.Errorf("unknown statement %T", s)
 }
 
+// query runs an execQuery, or a submit, and binds its result to lhs.
+func (in *Interp) query(q string, argExprs []ir.Expr, lhs string, submit bool, env map[string]Value, queries map[string]string) error {
+	if in.Svc == nil {
+		return fmt.Errorf("no query service bound")
+	}
+	args, err := in.evalAll(argExprs, env)
+	if err != nil {
+		return err
+	}
+	sql, ok := queries[q]
+	if !ok {
+		return fmt.Errorf("query %q not declared", q)
+	}
+	var v Value
+	verb := "execQuery"
+	if submit {
+		verb = "submit"
+		v, err = in.Svc.Submit(q, sql, args)
+	} else {
+		v, err = in.Svc.Exec(q, sql, args)
+	}
+	if err != nil {
+		return fmt.Errorf("%s %s: %w", verb, q, err)
+	}
+	if lhs != "" {
+		env[lhs] = v
+	}
+	return nil
+}
+
 // iterable snapshots a list or rows value for foreach.
 func iterable(v Value) ([]Value, error) {
 	switch x := v.(type) {
@@ -353,27 +354,28 @@ func iterable(v Value) ([]Value, error) {
 }
 
 func (in *Interp) record(name string, env map[string]Value) (*Record, error) {
-	v, ok := env[name]
-	if !ok {
-		return nil, fmt.Errorf("record %q undefined", name)
+	v, set := env[name]
+	if r, ok := v.(*Record); ok {
+		return r, nil
 	}
-	r, ok := v.(*Record)
-	if !ok {
-		return nil, fmt.Errorf("%q is %s, not record", name, TypeName(v))
-	}
-	return r, nil
+	return nil, varErr(v, set, "record", name)
 }
 
 func (in *Interp) table(name string, env map[string]Value) (*Table, error) {
-	v, ok := env[name]
-	if !ok {
-		return nil, fmt.Errorf("table %q undefined", name)
+	v, set := env[name]
+	if t, ok := v.(*Table); ok {
+		return t, nil
 	}
-	t, ok := v.(*Table)
-	if !ok {
-		return nil, fmt.Errorf("%q is %s, not table", name, TypeName(v))
+	return nil, varErr(v, set, "table", name)
+}
+
+// varErr is both evaluators' error for a variable, named name and holding v
+// when set, that is not the kind of value a statement needs.
+func varErr(v Value, set bool, kind, name string) error {
+	if !set {
+		return fmt.Errorf("%s %q undefined", kind, name)
 	}
-	return t, nil
+	return fmt.Errorf("%q is %s, not %s", name, TypeName(v), kind)
 }
 
 // evalMulti evaluates an rhs that must yield n values (multi-assignment from
@@ -470,7 +472,11 @@ func (in *Interp) evalBin(x *ir.Bin, env map[string]Value) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		return truthyVal(r)
+		rb, err := truthy(r)
+		if err != nil {
+			return nil, err
+		}
+		return rb, nil
 	}
 	l, err := in.eval(x.L, env)
 	if err != nil {
@@ -543,14 +549,6 @@ func (in *Interp) evalBin(x *ir.Bin, env map[string]Value) (Value, error) {
 		return li >= ri, nil
 	}
 	return nil, fmt.Errorf("unknown binary op %q", x.Op)
-}
-
-func truthyVal(v Value) (Value, error) {
-	b, err := truthy(v)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 func (in *Interp) call(c *ir.Call, env map[string]Value, want int) ([]Value, error) {

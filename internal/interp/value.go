@@ -45,21 +45,45 @@ type Rows []Row
 
 // Record is the per-iteration carrier introduced by Rule A. Unset fields are
 // simply absent, which implements the conditional restores of the second
-// loop.
+// loop. Rule A records carry one to three fields, so they are a short list
+// searched linearly, the first two held inline; the zero Record is empty.
+// Use it by pointer: a copied Record shares its inline fields.
 type Record struct {
-	Fields map[string]Value
+	fields []field
+	inline [2]field
+}
+
+type field struct {
+	name string
+	val  Value
 }
 
 // NewRecord returns an empty record.
-func NewRecord() *Record { return &Record{Fields: map[string]Value{}} }
+func NewRecord() *Record { return &Record{} }
 
 // Set stores a field (copying list values).
-func (r *Record) Set(field string, v Value) { r.Fields[field] = copyValue(v) }
+func (r *Record) Set(name string, v Value) {
+	v = copyValue(v)
+	for i := range r.fields {
+		if r.fields[i].name == name {
+			r.fields[i].val = v
+			return
+		}
+	}
+	if r.fields == nil {
+		r.fields = r.inline[:0]
+	}
+	r.fields = append(r.fields, field{name, v})
+}
 
 // Get returns the field value and whether it was set.
-func (r *Record) Get(field string) (Value, bool) {
-	v, ok := r.Fields[field]
-	return v, ok
+func (r *Record) Get(name string) (Value, bool) {
+	for _, f := range r.fields {
+		if f.name == name {
+			return f.val, true
+		}
+	}
+	return nil, false
 }
 
 // Table is an insertion-ordered collection of records (the temporary table
@@ -168,14 +192,11 @@ func Format(v Value) string {
 		}
 		return "rows(" + strings.Join(parts, "; ") + ")"
 	case *Record:
-		keys := make([]string, 0, len(x.Fields))
-		for k := range x.Fields {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		parts := make([]string, len(keys))
-		for i, k := range keys {
-			parts[i] = k + "=" + Format(x.Fields[k])
+		fs := append([]field(nil), x.fields...)
+		sort.Slice(fs, func(i, j int) bool { return fs[i].name < fs[j].name })
+		parts := make([]string, len(fs))
+		for i, f := range fs {
+			parts[i] = f.name + "=" + Format(f.val)
 		}
 		return "record{" + strings.Join(parts, ", ") + "}"
 	case *Table:
