@@ -11,14 +11,14 @@
 // dependence graph and applies:
 //
 //   - Rule A, loop fission: the loop is split into a submit loop and a
-//     fetch/consume loop connected by a keyed record table;
+//     fetch/consume loop connected by a keyed record table, cut through the
+//     query or — for an enclosing loop (nested-loop fission) — at the
+//     boundary the inner fission leaves behind;
 //   - Rule B, control-dependence conversion: conditionals around the query
 //     become guarded statements so fission can cut through them;
 //   - statement reordering (Rule C stubs + the reorder algorithm), which
 //     removes loop-carried flow dependences crossing the split whenever the
-//     query is not on a true-dependence cycle;
-//   - nested-loop fission, splitting enclosing loops at the boundary the
-//     inner fission leaves behind.
+//     query is not on a true-dependence cycle.
 //
 // The package also provides the asynchronous client runtime (worker pool +
 // handles, the observer model) and an interpreter to execute both original

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"strings"
 
-	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/rules"
 )
@@ -126,19 +125,16 @@ func (c *tctx) transformBlock(b *ir.Block) {
 // number of statements now occupying its place.
 func (c *tctx) transformLoop(parent *ir.Block, idx int) int {
 	loop := parent.Stmts[idx]
-	body := loopBodyOf(loop)
+	body := ir.LoopBody(loop)
 
-	// Inner loops first (§III-D). Remember the boundary the first fissioned
-	// inner loop leaves behind (the index of its scan loop) so the outer
-	// loop can be split there.
-	boundary := -1
+	// Inner loops first (§III-D). Remember the scan loop the first fissioned
+	// inner loop leaves behind: the outer loop can be cut there.
+	var pivot ir.Stmt
 	for j := 0; j < len(body.Stmts); j++ {
-		if isLoop(body.Stmts[j]) {
+		if ir.LoopBody(body.Stmts[j]) != nil {
 			span := c.transformLoop(body, j)
-			if span > 1 && boundary < 0 {
-				if k := firstScan(body, j, j+span); k >= 0 {
-					boundary = k
-				}
+			if span > 1 && pivot == nil {
+				pivot = firstScan(body.Stmts[j : j+span])
 			}
 			j += span - 1
 		}
@@ -147,18 +143,11 @@ func (c *tctx) transformLoop(parent *ir.Block, idx int) int {
 	queries := directQueries(body)
 	barrier := hasBarrierCall(body, c.reg)
 	if len(queries) == 0 && !barrier {
-		if boundary >= 0 && c.opts.SplitNested {
-			// Reorder relative to the inner scan loop first (e.g. to move a
-			// trailing counter update into the submit side), then split the
-			// outer loop at the scan.
-			pivot := body.Stmts[boundary]
-			if err := rules.ReorderBoundary(parent.Stmts[idx], pivot, c.reg, c.gen); err == nil {
-				boundary = stmtIndex(body, pivot)
-				if boundary > 0 {
-					if span, _, err := rules.FissionAt(parent, idx, boundary, c.reg, c.gen); err == nil {
-						return span
-					}
-				}
+		if pivot != nil && c.opts.SplitNested {
+			// Cutting at the inner scan completes all inner submissions of
+			// all outer iterations before any result is consumed.
+			if span, _, _, err := c.cut(parent, idx, pivot); err == nil {
+				return span
 			}
 		}
 		return 1
@@ -184,18 +173,29 @@ func (c *tctx) transformLoop(parent *ir.Block, idx int) int {
 		site.UsedFlatten = true
 	}
 
-	span := c.fissionChain(parent, idx, &site)
-	return span
+	return c.fissionChain(parent, idx, &site)
+}
+
+// cut applies Rule A to the loop at parent.Stmts[idx] at pivot — a blocking
+// query, or the scan a transformed inner loop left behind — after the
+// reorder algorithm has moved every carried flow dependence off the cut.
+// reordered reports whether the reordering had to move anything.
+func (c *tctx) cut(parent *ir.Block, idx int, pivot ir.Stmt) (span, scanIdx int, reordered bool, err error) {
+	reordered, err = rules.Reorder(parent.Stmts[idx], pivot, c.reg, c.gen)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	span, scanIdx, err = rules.Fission(parent, idx, pivot, c.reg, c.gen)
+	return span, scanIdx, reordered, err
 }
 
 // fissionChain converts the blocking queries of the loop at parent.Stmts[idx]
-// one by one: the first convertible query is split off with (reorder +)
-// Rule A, and the remaining queries — now living in the generated scan loop —
-// are handled recursively, exactly as the paper applies the rules repeatedly
-// until every chosen query is non-blocking.
+// one by one: the first convertible query is cut through, and the remaining
+// queries — now living in the generated scan loop — are handled recursively,
+// exactly as the paper applies the rules repeatedly until every chosen query
+// is non-blocking.
 func (c *tctx) fissionChain(parent *ir.Block, idx int, site *Site) int {
-	loop := parent.Stmts[idx]
-	body := loopBodyOf(loop)
+	body := ir.LoopBody(parent.Stmts[idx])
 
 	// A failed reorder may have moved the query statement to a later
 	// position (rule applications are semantics-preserving, so the partial
@@ -208,19 +208,8 @@ func (c *tctx) fissionChain(parent *ir.Block, idx int, site *Site) int {
 			continue
 		}
 		attempted[sq] = true
-		g := dataflow.BuildLoop(loop, c.reg)
-		if g.OnTrueDepCycle(qi) {
-			site.Reasons = append(site.Reasons, string(rules.ReasonTrueDepCycle))
-			continue
-		}
-		if len(g.CrossingLCFD(qi)) > 0 {
-			if err := rules.Reorder(loop, sq, c.reg, c.gen); err != nil {
-				site.Reasons = append(site.Reasons, errReason(err))
-				continue
-			}
-			site.UsedReorder = true
-		}
-		span, scanIdx, err := rules.FissionQuery(parent, idx, sq, c.reg, c.gen)
+		span, scanIdx, reordered, err := c.cut(parent, idx, sq)
+		site.UsedReorder = site.UsedReorder || reordered
 		if err != nil {
 			site.Reasons = append(site.Reasons, errReason(err))
 			continue
@@ -255,43 +244,14 @@ func errReason(err error) string {
 	return err.Error()
 }
 
-func stmtIndex(b *ir.Block, s ir.Stmt) int {
-	for i, x := range b.Stmts {
-		if x == s {
-			return i
+// firstScan returns the first scan statement in stmts, or nil.
+func firstScan(stmts []ir.Stmt) ir.Stmt {
+	for _, s := range stmts {
+		if _, ok := s.(*ir.Scan); ok {
+			return s
 		}
-	}
-	return -1
-}
-
-func loopBodyOf(loop ir.Stmt) *ir.Block {
-	switch l := loop.(type) {
-	case *ir.While:
-		return l.Body
-	case *ir.ForEach:
-		return l.Body
-	case *ir.Scan:
-		return l.Body
 	}
 	return nil
-}
-
-func isLoop(s ir.Stmt) bool {
-	switch s.(type) {
-	case *ir.While, *ir.ForEach, *ir.Scan:
-		return true
-	}
-	return false
-}
-
-// firstScan finds the first scan statement in parent.Stmts[from:to).
-func firstScan(parent *ir.Block, from, to int) int {
-	for k := from; k < to && k < len(parent.Stmts); k++ {
-		if _, ok := parent.Stmts[k].(*ir.Scan); ok {
-			return k
-		}
-	}
-	return -1
 }
 
 // directQueries lists the blocking query statements directly in the body,

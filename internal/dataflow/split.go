@@ -6,112 +6,81 @@ import (
 	"repro/internal/ir"
 )
 
-// Side identifies which generated loop a statement (or statement half) lands
-// in after loop fission at a query statement: P1 is the submit loop, P2 the
-// fetch/consume loop.
-type Side int
+// Rule A cuts a loop body at statement k, the first statement of the second
+// loop: statements before k run in the first (submit) loop, statements after
+// it in the second (fetch/consume) loop. A blocking query at k is cut through
+// (§III-B): its argument reads and submission stay in the first loop, its
+// result write — the fetch — moves to the second. Any other statement at k
+// moves to the second loop whole; that is the nested-loop form (§III-D),
+// where k is the scan a transformed inner loop left behind. FissionBlockers,
+// CrossingLCFD and SplitVars all take this k.
 
-const (
-	// P1 is the first (submit) loop.
-	P1 Side = iota
-	// P2 is the second (fetch/consume) loop.
-	P2
-)
+// cutsThrough reports whether the cut at k goes through statement k rather
+// than before it.
+func (g *Graph) cutsThrough(k int) bool {
+	_, ok := g.Stmts[k].(*ir.ExecQuery)
+	return ok
+}
 
-// FissionBlockers returns the loop-carried dependence edges that make loop
-// fission at query statement q (an index into g.Stmts) unsafe. These are the
-// paper's Rule A preconditions, evaluated directionally:
+// FissionBlockers returns the loop-carried dependence edges that make the
+// cut at k unsafe. These are the paper's Rule A preconditions, evaluated
+// directionally:
 //
 //   - precondition (a): a loop-carried *flow* dependence whose source
-//     executes in the second loop (P2) and whose target executes in the
-//     first loop (P1) would be reversed by fission;
+//     executes in the second loop and whose target executes in the first
+//     would be reversed by fission;
 //   - precondition (b): likewise for loop-carried anti/output dependences on
 //     *external* locations ($db, $io), which — unlike program variables —
 //     cannot be renamed into record fields.
 //
-// The query statement itself contributes two halves: its argument reads and
-// submission happen in P1, its result write in P2. For external locations
-// the query's action can happen anywhere between submission and fetch, so it
-// is treated as P2 when a source and P1 when a target (maximally
-// conservative), except that a pure self-dependence (q on q, e.g. repeated
+// A pure external self-dependence of the statement at k (e.g. repeated
 // INSERTs from the same statement) does not block, matching the paper's
 // Experiment 4; the updates of a single set-oriented loop are assumed
 // commutative (§VII discusses transactional semantics as future work).
-func (g *Graph) FissionBlockers(q int) []Edge {
+func (g *Graph) FissionBlockers(k int) []Edge {
 	var out []Edge
 	for _, e := range g.Edges {
 		if !e.Kind.IsCarried() {
 			continue
 		}
 		external := IsExternal(e.Loc)
-		switch e.Kind {
-		case LCFD:
-			// blocks on any location
-		case LCAD, LCOD:
-			if !external {
-				continue // renamed into record fields by Rule A
-			}
+		if !external && e.Kind != LCFD {
+			continue // renamed into record fields by Rule A
 		}
-		if external && e.From == q && e.To == q {
+		if external && e.From == k && e.To == k {
 			continue // self-dependence exemption (Experiment 4)
 		}
-		src := g.sideOf(e.From, q, true, e.Kind, external)
-		dst := g.sideOf(e.To, q, false, e.Kind, external)
-		if src == P2 && dst == P1 {
+		if !g.inFirst(e.From, k, true, external) && g.inFirst(e.To, k, false, external) {
 			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// sideOf determines the execution side of an edge endpoint.
-func (g *Graph) sideOf(node, q int, isSource bool, kind EdgeKind, external bool) Side {
+// inFirst reports whether an endpoint of a carried edge executes in the first
+// loop of the cut at k. The header always does. A query cut through is in the
+// first loop as a target — the edge reaches its argument reads, or its
+// external action, which may start at the submission — and in the second as
+// a source: its result write, or its action as late as the fetch. An
+// already-asynchronous submission's external action can likewise execute as
+// late as its fetch, so as an external source it is in the second loop
+// wherever it stands.
+func (g *Graph) inFirst(node, k int, isSource, external bool) bool {
 	if node == Header {
-		return P1
+		return true
 	}
-	if node != q {
-		// An already-asynchronous submission's external action can execute
-		// as late as its fetch; treat Submit sources on external locations
-		// as P2 regardless of position.
-		if external && isSource {
-			if _, ok := g.Stmts[node].(*ir.Submit); ok {
-				return P2
-			}
-		}
-		if node < q {
-			return P1
-		}
-		return P2
+	if _, ok := g.Stmts[node].(*ir.Submit); ok && external && isSource {
+		return false
 	}
-	// Endpoint is the query statement itself.
-	if external {
-		if isSource {
-			return P2
-		}
-		return P1
-	}
-	if isSource {
-		// Source role: LCFD/LCOD arise from q's write (the fetched result),
-		// which lands in P2; LCAD arises from q's reads (arguments), P1.
-		if kind == LCAD {
-			return P1
-		}
-		return P2
-	}
-	// Target role: LCFD targets q's reads (arguments, P1); LCAD/LCOD target
-	// q's write (result, P2).
-	if kind == LCFD {
-		return P1
-	}
-	return P2
+	return node < k || node == k && !isSource && g.cutsThrough(k)
 }
 
 // CrossingLCFD returns the loop-carried flow dependences that the statement
-// reordering algorithm (§IV, Fig. 2) must eliminate before fission at q: the
-// LCFD edges from the P2 side to the P1 side.
-func (g *Graph) CrossingLCFD(q int) []Edge {
+// reordering algorithm (§IV, Fig. 2) must eliminate before the cut at k: the
+// LCFD edges from the second loop into the first.
+func (g *Graph) CrossingLCFD(k int) []Edge {
 	var out []Edge
-	for _, e := range g.FissionBlockers(q) {
+	for _, e := range g.FissionBlockers(k) {
 		if e.Kind == LCFD {
 			out = append(out, e)
 		}
@@ -119,99 +88,42 @@ func (g *Graph) CrossingLCFD(q int) []Edge {
 	return out
 }
 
-// FissionBlockersAt is the generalized form of FissionBlockers used by the
-// nested-loop rule (§III-D): the loop is split at a plain statement boundary
-// (boundary = index of the first statement of the second loop) with no query
-// statement straddling the cut.
-func (g *Graph) FissionBlockersAt(boundary int) []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if !e.Kind.IsCarried() {
-			continue
-		}
-		external := IsExternal(e.Loc)
-		switch e.Kind {
-		case LCAD, LCOD:
-			if !external {
-				continue
-			}
-		}
-		src := g.posSide(e.From, boundary, true, external)
-		dst := g.posSide(e.To, boundary, false, external)
-		if src == P2 && dst == P1 {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func (g *Graph) posSide(node, boundary int, isSource, external bool) Side {
-	if node == Header {
-		return P1
-	}
-	if external && isSource {
-		if _, ok := g.Stmts[node].(*ir.Submit); ok {
-			return P2
-		}
-	}
-	if node < boundary {
-		return P1
-	}
-	return P2
-}
-
-// SplitVarsAt is the boundary form of SplitVars: variables that may be
-// written before the boundary (including by the loop header) and read OR
-// WRITTEN at or after it. P2-side writes are included because a variable
-// written on both sides carries a loop-carried output dependence across the
-// split (which Rule A explicitly permits): the conditional restore in the
-// second loop re-establishes each iteration's write order, so the variable's
-// value after the split program — and at every P2 read — matches the
-// original interleaving.
-func (g *Graph) SplitVarsAt(boundary int, extraReads ...string) []string {
-	writes := g.p1Writes(boundary)
-	reads := map[string]bool{}
-	for _, v := range extraReads {
-		reads[v] = true
-	}
-	for i := boundary; i < len(g.Stmts); i++ {
-		for v := range g.Sets[i].Reads {
-			if !IsExternal(v) {
-				reads[v] = true
-			}
-		}
-		for v := range g.Sets[i].Writes {
-			if !IsExternal(v) {
-				reads[v] = true
-			}
-		}
-	}
-	return intersect(writes, reads)
-}
-
-func (g *Graph) p1Writes(boundary int) map[string]bool {
-	writes := map[string]bool{}
+// SplitVars computes SV, the set of variables Rule A must carry from the
+// first loop to the second through record fields for the cut at k: every
+// program variable that may be written in the first loop (including by the
+// loop header's element binding) and may be read or written in the second.
+// The paper defines SV via LCAD/LCOD edges crossing the cut; the definitions
+// coincide because any first-write/second-read pair induces a crossing
+// loop-carried anti dependence, and this formulation is directly checkable.
+// Second-loop writes count because a variable written on both sides carries
+// a loop-carried output dependence across the cut (which Rule A explicitly
+// permits): the conditional restore at the top of the second loop
+// re-establishes each iteration's write order, so the variable's value after
+// the split program — and at every second-loop read — matches the original
+// interleaving. Of a query cut through, the second loop holds only the
+// fetch: it writes the result and re-reads the query's guard.
+func (g *Graph) SplitVars(k int) []string {
+	first, second := map[string]bool{}, map[string]bool{}
 	if g.HeaderSets != nil {
-		for v := range g.HeaderSets.Writes {
-			if !IsExternal(v) {
-				writes[v] = true
+		addVars(first, g.HeaderSets.Writes)
+	}
+	for i, s := range g.Sets {
+		switch {
+		case i < k:
+			addVars(first, s.Writes)
+		case i == k && g.cutsThrough(k):
+			if gd := g.Stmts[k].GetGuard(); gd != nil {
+				second[gd.Var] = true
 			}
+			addVars(second, s.Writes)
+		default:
+			addVars(second, s.Reads)
+			addVars(second, s.Writes)
 		}
 	}
-	for i := 0; i < boundary; i++ {
-		for v := range g.Sets[i].Writes {
-			if !IsExternal(v) {
-				writes[v] = true
-			}
-		}
-	}
-	return writes
-}
-
-func intersect(writes, reads map[string]bool) []string {
 	var out []string
-	for v := range writes {
-		if reads[v] {
+	for v := range first {
+		if second[v] {
 			out = append(out, v)
 		}
 	}
@@ -219,44 +131,14 @@ func intersect(writes, reads map[string]bool) []string {
 	return out
 }
 
-// SplitVars computes SV, the set of variables Rule A must carry from the
-// first loop to the second through record fields: every program variable
-// that may be written on the P1 side (including the loop header's element
-// binding) and may be read on the P2 side. The paper defines SV via
-// LCAD/LCOD edges crossing the split boundary; the definitions coincide
-// because any P1-write/P2-read pair induces a crossing loop-carried anti
-// dependence, and this formulation is directly checkable.
-// extraReads lets the caller add P2-side reads that are not visible in the
-// statement list, such as the query statement's guard variable, which the
-// generated Fetch re-reads in the second loop.
-func (g *Graph) SplitVars(q int, extraReads ...string) []string {
-	// The query's argument reads are P1 and its result write is P2: writes
-	// come from statements strictly before q; the P2 side collects reads
-	// and writes (see SplitVarsAt) of the statements strictly after q plus
-	// the query's own result write.
-	writes := g.p1Writes(q)
-	reads := map[string]bool{}
-	for _, v := range extraReads {
-		reads[v] = true
-	}
-	for v := range g.Sets[q].Writes {
+// addVars adds the program variables among locs (not the external
+// pseudo-locations) to set.
+func addVars(set, locs map[string]bool) {
+	for v := range locs {
 		if !IsExternal(v) {
-			reads[v] = true
+			set[v] = true
 		}
 	}
-	for i := q + 1; i < len(g.Stmts); i++ {
-		for v := range g.Sets[i].Reads {
-			if !IsExternal(v) {
-				reads[v] = true
-			}
-		}
-		for v := range g.Sets[i].Writes {
-			if !IsExternal(v) {
-				reads[v] = true
-			}
-		}
-	}
-	return intersect(writes, reads)
 }
 
 // HasBarrier reports whether any statement in the graph is a reorder/split

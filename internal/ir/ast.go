@@ -63,6 +63,16 @@ func (g *Guard) Equal(h *Guard) bool {
 	return g.Var == h.Var && g.Neg == h.Neg
 }
 
+// Copy returns a guard of its own with the same condition (nil for nil), so
+// that no two statements share one.
+func (g *Guard) Copy() *Guard {
+	if g == nil {
+		return nil
+	}
+	cp := *g
+	return &cp
+}
+
 // Stmt is implemented by every statement node.
 type Stmt interface {
 	isStmt()
@@ -270,6 +280,20 @@ func IsCompound(s Stmt) bool {
 		return true
 	}
 	return false
+}
+
+// LoopBody returns the body of a loop statement (While, ForEach, Scan) and
+// nil for any other statement.
+func LoopBody(s Stmt) *Block {
+	switch x := s.(type) {
+	case *While:
+		return x.Body
+	case *ForEach:
+		return x.Body
+	case *Scan:
+		return x.Body
+	}
+	return nil
 }
 
 // Expr is implemented by every expression node. Expressions are pure except

@@ -60,13 +60,7 @@ func CloneStmt(s Stmt) Stmt {
 	panic("ir: CloneStmt: unknown statement type")
 }
 
-func cloneGuard(g guarded) guarded {
-	if g.Guard == nil {
-		return guarded{}
-	}
-	cp := *g.Guard
-	return guarded{Guard: &cp}
-}
+func cloneGuard(g guarded) guarded { return guarded{Guard: g.Guard.Copy()} }
 
 func cloneExprs(es []Expr) []Expr {
 	if es == nil {

@@ -3,9 +3,10 @@
 //   - Rule B: control-dependence to flow-dependence conversion (§III-C),
 //   - Rule C1–C3 reordering primitives and the reorder/moveAfter statement
 //     reordering algorithm (§IV, Figures 2–4),
-//   - Rule A: loop fission for asynchronous query submission (§III-B),
-//     including the generalized split-at-boundary form used for nested
-//     loops (§III-D),
+//   - Rule A: loop fission for asynchronous query submission — one cut,
+//     through a blocking query (§III-B) or, for nested loops (§III-D), at
+//     the scan a transformed inner loop left behind, with one blocker rule,
+//     one split-variable rule and one reorder engine for both,
 //   - the readability regrouping pass (§V).
 //
 // All rules mutate IR in place; callers clone first if they need the
@@ -35,11 +36,9 @@ const (
 	// cannot linearize (e.g. a nested loop inside a conditional).
 	ReasonUnflattenable Reason = "control flow around the query cannot be flattened"
 	// ReasonUnresolvable: moveAfter met a dependence between adjacent
-	// statements that stubs cannot shift (a flow dependence or an external
-	// dependence).
+	// statements that stubs cannot shift (a flow dependence, an external
+	// dependence, or one that would need a stub inside a compound statement).
 	ReasonUnresolvable Reason = "reordering blocked by an unshiftable dependence"
-	// ReasonNoQuery: the loop contains no blocking query execution.
-	ReasonNoQuery Reason = "no blocking query execution statement in loop"
 )
 
 // NotApplicableError reports that a rule's preconditions do not hold.

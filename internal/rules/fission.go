@@ -8,133 +8,52 @@ import (
 	"repro/internal/ir"
 )
 
-// FissionQuery applies Rule A (§III-B) to the loop at parent.Stmts[loopIdx],
-// splitting it at the blocking query statement sq. The loop is replaced by
-// three statements:
+// Fission applies Rule A to the loop at parent.Stmts[loopIdx], cutting its
+// body at pivot (see dataflow's cut). The loop is replaced by
 //
 //	table t;
-//	<loop1>  — the original header, running ss1, submitting the query
-//	           asynchronously and appending one record per iteration,
-//	scan r in t { <loads>; v = fetch(r.h); ss2 }
+//	<loop1>  — the original header, running the statements before the cut,
+//	           capturing split variables and appending one record per
+//	           iteration,
+//	scan r in t { <loads>; <the statements from the cut on> }
 //
-// Preconditions are Rule A's (a) and (b) (see dataflow.FissionBlockers);
-// statement reordering (Reorder) should be run first when loop-carried flow
-// dependences cross the split. The body must be flat (apply Rule B first).
-// FissionQuery returns the number of statements now occupying the loop's
-// slot in parent and the index (within parent) of the generated scan loop,
-// so callers can continue transforming the consume side.
-func FissionQuery(parent *ir.Block, loopIdx int, sq ir.Stmt, reg *ir.Registry, gen *ir.NameGen) (span, scanIdx int, err error) {
+// When pivot is a blocking query the cut goes through it (§III-B): loop1
+// ends with its asynchronous submission and the scan begins with its fetch.
+// Any other pivot moves to the scan whole (§III-D): cutting an outer loop at
+// the scan a transformed inner loop left behind completes all inner
+// submissions of all outer iterations before any result is consumed (paper
+// Example 5).
+//
+// Preconditions are cutAt's and Rule A's (a) and (b)
+// (dataflow.FissionBlockers); run Reorder first when loop-carried flow
+// dependences cross the cut. Fission returns the number of statements now
+// occupying the loop's slot in parent and the index (within parent) of the
+// generated scan loop, so callers can continue transforming the consume side.
+func Fission(parent *ir.Block, loopIdx int, pivot ir.Stmt, reg *ir.Registry, gen *ir.NameGen) (span, scanIdx int, err error) {
 	loop := parent.Stmts[loopIdx]
-	body := loopBody(loop)
-	if body == nil {
-		return 0, 0, fmt.Errorf("rules: FissionQuery: not a loop: %T", loop)
+	body, g, k, err := cutAt(loop, pivot, "Rule A", reg)
+	if err != nil {
+		return 0, 0, err
 	}
-	q := indexOf(body, sq)
-	if q < 0 {
-		return 0, 0, fmt.Errorf("rules: FissionQuery: query statement not in loop body")
+	eq, through := pivot.(*ir.ExecQuery)
+	if !through && k == 0 {
+		return 0, 0, fmt.Errorf("rules: Fission: no statement precedes the cut")
 	}
-	eq, ok := sq.(*ir.ExecQuery)
-	if !ok {
-		return 0, 0, fmt.Errorf("rules: FissionQuery: split statement is %T, want *ir.ExecQuery", sq)
-	}
-	for _, s := range body.Stmts {
-		if ir.IsCompound(s) {
-			return 0, 0, notApplicable("Rule A", ReasonUnflattenable, "body not flat")
-		}
-	}
-	g := loopGraph(loop, reg)
-	if g.HasBarrier() {
-		return 0, 0, notApplicable("Rule A", ReasonBarrier, "")
-	}
-	if blockers := g.FissionBlockers(q); len(blockers) > 0 {
+	if blockers := g.FissionBlockers(k); len(blockers) > 0 {
 		return 0, 0, notApplicable("Rule A", blockReason(blockers),
 			fmt.Sprintf("%d crossing dependences, e.g. %s", len(blockers), blockers[0]))
 	}
-	var extra []string
-	if eq.Guard != nil {
-		extra = append(extra, eq.Guard.Var)
-	}
-	sv := g.SplitVars(q, extra...)
+	sv := g.SplitVars(k)
 
-	// Build the submit and fetch replacements for the query statement. The
-	// second loop loads the handle into a distinct variable so the two
-	// generated loops share no handle state (this keeps a later split of an
-	// enclosing loop free of spurious carried dependences).
-	hvar := gen.Fresh("h")
-	hvar2 := gen.Fresh("h")
-	submit := &ir.Submit{Lhs: hvar, Query: eq.Query, Args: eq.Args, Kind: eq.Kind}
-	fetch := &ir.Fetch{Lhs: eq.Lhs, Handle: ir.V(hvar2)}
-	if eq.Guard != nil {
-		gcp1, gcp2 := *eq.Guard, *eq.Guard
-		submit.SetGuard(&gcp1)
-		fetch.SetGuard(&gcp2)
+	// A query cut through becomes a submission and a fetch, with the handle
+	// carried in the record under the query's guard. The second loop loads
+	// the handle into a distinct variable so the two generated loops share no
+	// handle state (this keeps a later cut of an enclosing loop free of
+	// spurious carried dependences).
+	var h1, h2 string
+	if through {
+		h1, h2 = gen.Fresh("h"), gen.Fresh("h")
 	}
-	return fission(parent, loopIdx, q, sv, []ir.Stmt{submit}, []ir.Stmt{fetch},
-		[]carry{{field: hvar, target: hvar2}}, reg, gen)
-}
-
-// FissionAt applies the generalized fission of §III-D at a plain statement
-// boundary: statements [0, boundary) stay in the first loop, statements
-// [boundary, n) move to the second. It is used after an inner loop has been
-// transformed, splitting the outer loop between the inner submit loop and
-// the inner scan loop so all inner submissions of all outer iterations
-// complete before any result is consumed (paper Example 5). Returns the
-// replacement span and the generated scan loop's index like FissionQuery.
-func FissionAt(parent *ir.Block, loopIdx, boundary int, reg *ir.Registry, gen *ir.NameGen) (span, scanIdx int, err error) {
-	loop := parent.Stmts[loopIdx]
-	body := loopBody(loop)
-	if body == nil {
-		return 0, 0, fmt.Errorf("rules: FissionAt: not a loop: %T", loop)
-	}
-	if boundary <= 0 || boundary >= len(body.Stmts) {
-		return 0, 0, fmt.Errorf("rules: FissionAt: boundary %d out of range", boundary)
-	}
-	g := loopGraph(loop, reg)
-	if g.HasBarrier() {
-		return 0, 0, notApplicable("Rule A", ReasonBarrier, "")
-	}
-	if blockers := g.FissionBlockersAt(boundary); len(blockers) > 0 {
-		return 0, 0, notApplicable("Rule A", blockReason(blockers),
-			fmt.Sprintf("%d crossing dependences, e.g. %s", len(blockers), blockers[0]))
-	}
-	sv := g.SplitVarsAt(boundary)
-	return fission(parent, loopIdx, boundary, sv, nil, nil, nil, reg, gen)
-}
-
-func blockReason(blockers []dataflow.Edge) Reason {
-	for _, e := range blockers {
-		if e.Kind == dataflow.LCFD {
-			return ReasonTrueDepCycle
-		}
-	}
-	return ReasonExternal
-}
-
-// carry moves one first-loop variable into a (possibly different) variable
-// of the second loop through a record field.
-type carry struct {
-	field  string // record field, also the first-loop variable captured
-	target string // second-loop variable the field is loaded into
-}
-
-// fission performs the mechanical split. Statements [0,cut) plus submitPart
-// form the first loop's body; fetchPart plus statements [cut', n) form the
-// second loop's, where cut' skips the split statement when submit/fetch
-// replace it (submitPart non-nil) and equals cut otherwise. carries lists
-// extra variables (the handle) carried through the record.
-func fission(parent *ir.Block, loopIdx, cut int, sv []string,
-	submitPart, fetchPart []ir.Stmt, carries []carry,
-	reg *ir.Registry, gen *ir.NameGen) (span, scanIdx int, err error) {
-
-	loop := parent.Stmts[loopIdx]
-	body := loopBody(loop)
-	p1 := body.Stmts[:cut]
-	p2start := cut
-	if submitPart != nil {
-		p2start = cut + 1 // the split statement itself is replaced
-	}
-	p2 := body.Stmts[p2start:]
-
 	tbl := gen.Fresh("t")
 	rec := gen.Fresh("r")
 	rec2 := gen.Fresh("r")
@@ -143,10 +62,9 @@ func fission(parent *ir.Block, loopIdx, cut int, sv []string,
 		svSet[v] = true
 	}
 
-	// First loop body: record per iteration, ss1 with split-variable
-	// captures, submission, append.
-	var b1 []ir.Stmt
-	b1 = append(b1, &ir.NewRecord{Name: rec})
+	// First loop body: record per iteration, the statements before the cut
+	// with split-variable captures, submission, append.
+	b1 := []ir.Stmt{&ir.NewRecord{Name: rec}}
 	// Header-written split variables (foreach/scan element bindings) are
 	// captured at the top of the body.
 	for _, v := range headerWrites(loop) {
@@ -154,22 +72,16 @@ func fission(parent *ir.Block, loopIdx, cut int, sv []string,
 			b1 = append(b1, &ir.SetField{Record: rec, Field: v, Val: ir.V(v)})
 		}
 	}
-	for _, s := range p1 {
+	for _, s := range body.Stmts[:k] {
 		b1 = append(b1, s)
 		b1 = append(b1, captureWrites(s, rec, svSet, reg)...)
 	}
-	for _, s := range submitPart {
-		b1 = append(b1, s)
-		// Carry the handle (and any other raw carries) under the same guard
-		// as the submission.
-		for _, cr := range carries {
-			sf := &ir.SetField{Record: rec, Field: cr.field, Val: ir.V(cr.field)}
-			if g := s.GetGuard(); g != nil {
-				cp := *g
-				sf.SetGuard(&cp)
-			}
-			b1 = append(b1, sf)
-		}
+	if through {
+		submit := &ir.Submit{Lhs: h1, Query: eq.Query, Args: eq.Args, Kind: eq.Kind}
+		submit.SetGuard(eq.Guard.Copy())
+		keep := &ir.SetField{Record: rec, Field: h1, Val: ir.V(h1)}
+		keep.SetGuard(eq.Guard.Copy())
+		b1 = append(b1, submit, keep)
 	}
 	b1 = append(b1, &ir.AppendRecord{Table: tbl, Record: rec})
 
@@ -194,7 +106,7 @@ func fission(parent *ir.Block, loopIdx, cut int, sv []string,
 	liveIn := liveInVars(loop, body.Stmts, reg)
 	var pre, mid []ir.Stmt
 	for _, v := range sv {
-		if !liveIn[v] || alwaysCaptured(v, loop, p1, reg) {
+		if !liveIn[v] || alwaysCaptured(v, loop, body.Stmts[:k], reg) {
 			continue
 		}
 		pv := gen.Fresh(v)
@@ -202,16 +114,20 @@ func fission(parent *ir.Block, loopIdx, cut int, sv []string,
 		mid = append(mid, &ir.Assign{Lhs: []string{v}, Rhs: ir.V(pv)})
 	}
 
-	// Second loop body: conditional restores, fetch, ss2.
+	// Second loop body: conditional restores, fetch, the statements from the
+	// cut on.
 	var b2 []ir.Stmt
 	for _, v := range sv {
 		b2 = append(b2, &ir.LoadField{Var: v, Record: rec2, Field: v})
 	}
-	for _, cr := range carries {
-		b2 = append(b2, &ir.LoadField{Var: cr.target, Record: rec2, Field: cr.field})
+	rest := body.Stmts[k:]
+	if through {
+		fetch := &ir.Fetch{Lhs: eq.Lhs, Handle: ir.V(h2)}
+		fetch.SetGuard(eq.Guard.Copy())
+		b2 = append(b2, &ir.LoadField{Var: h2, Record: rec2, Field: h1}, fetch)
+		rest = rest[1:]
 	}
-	b2 = append(b2, fetchPart...)
-	b2 = append(b2, p2...)
+	b2 = append(b2, rest...)
 	loop2 := &ir.Scan{Record: rec2, Table: tbl, Body: &ir.Block{Stmts: b2}}
 
 	repl := []ir.Stmt{&ir.DeclTable{Name: tbl}}
@@ -222,6 +138,17 @@ func fission(parent *ir.Block, loopIdx, cut int, sv []string,
 	parent.Stmts = append(parent.Stmts[:loopIdx],
 		append(repl, parent.Stmts[loopIdx+1:]...)...)
 	return len(repl), loopIdx + len(repl) - 1, nil
+}
+
+// blockReason classifies a refused cut: a crossing carried flow dependence
+// is a true-dependence cycle, anything else an external dependence.
+func blockReason(blockers []dataflow.Edge) Reason {
+	for _, e := range blockers {
+		if e.Kind == dataflow.LCFD {
+			return ReasonTrueDepCycle
+		}
+	}
+	return ReasonExternal
 }
 
 // liveInVars computes the variables whose pre-loop value the loop body may
@@ -334,10 +261,7 @@ func captureWrites(s ir.Stmt, rec string, sv map[string]bool, reg *ir.Registry) 
 	var out []ir.Stmt
 	for _, v := range vars {
 		sf := &ir.SetField{Record: rec, Field: v, Val: ir.V(v)}
-		if g := s.GetGuard(); g != nil {
-			cp := *g
-			sf.SetGuard(&cp)
-		}
+		sf.SetGuard(s.GetGuard().Copy())
 		out = append(out, sf)
 	}
 	return out

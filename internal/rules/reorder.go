@@ -28,65 +28,51 @@ func loopGraph(loop ir.Stmt, reg *ir.Registry) *dataflow.Graph {
 	return g
 }
 
-// Reorder implements procedure reorder of the paper's Figure 2: it reorders
-// the statements of the (flat) body of loop so that no loop-carried flow
-// dependence crosses the split boundary of the query statement sq, enabling
-// Rule A. It fails with ReasonTrueDepCycle when sq lies on a true-dependence
-// cycle (Theorem 4.1's precondition) and with ReasonUnresolvable when an
-// adjacent-statement dependence cannot be shifted by the Rule C stubs.
-//
-// The body is mutated in place; sq is tracked by identity as it moves.
-func Reorder(loop ir.Stmt, sq ir.Stmt, reg *ir.Registry, gen *ir.NameGen) error {
-	body := loopBody(loop)
+// cutAt checks what every cut of loop at pivot needs (see Fission) and
+// returns the loop's body, its dependence graph and pivot's index. A loop
+// with a barrier is never cut. Cutting through a query also needs the query
+// off every true-dependence cycle (Theorem 4.1: its execution would depend
+// on its own result from an earlier iteration) and a flat body (Rule B
+// applied first).
+func cutAt(loop, pivot ir.Stmt, rule string, reg *ir.Registry) (*ir.Block, *dataflow.Graph, int, error) {
+	body := ir.LoopBody(loop)
 	if body == nil {
-		return fmt.Errorf("rules: Reorder: not a loop: %T", loop)
+		return nil, nil, 0, fmt.Errorf("rules: %s: not a loop: %T", rule, loop)
 	}
-	for _, s := range body.Stmts {
-		if ir.IsCompound(s) {
-			return notApplicable("reorder", ReasonUnflattenable, "body not flat")
-		}
+	k := indexOf(body, pivot)
+	if k < 0 {
+		return nil, nil, 0, fmt.Errorf("rules: %s: cut statement not in loop body", rule)
 	}
 	g := loopGraph(loop, reg)
-	q := indexOf(body, sq)
-	if q < 0 {
-		return fmt.Errorf("rules: Reorder: query statement not in loop body")
-	}
-	if g.OnTrueDepCycle(q) {
-		return notApplicable("reorder", ReasonTrueDepCycle, "")
-	}
-	return reorderToPivot(loop, sq, reg, gen, func(g *dataflow.Graph, q int) []dataflow.Edge {
-		return g.CrossingLCFD(q)
-	})
-}
-
-// ReorderBoundary is the pivot variant used before the boundary fission of
-// §III-D: it eliminates the loop-carried flow dependences that cross the
-// positional boundary at the pivot statement (the inner scan loop), treating
-// the whole pivot as part of the second loop.
-func ReorderBoundary(loop ir.Stmt, pivot ir.Stmt, reg *ir.Registry, gen *ir.NameGen) error {
-	return reorderToPivot(loop, pivot, reg, gen, func(g *dataflow.Graph, q int) []dataflow.Edge {
-		var out []dataflow.Edge
-		for _, e := range g.FissionBlockersAt(q) {
-			if e.Kind == dataflow.LCFD {
-				out = append(out, e)
+	if _, through := pivot.(*ir.ExecQuery); through {
+		if g.OnTrueDepCycle(k) {
+			return nil, nil, 0, notApplicable(rule, ReasonTrueDepCycle, "")
+		}
+		for _, s := range body.Stmts {
+			if ir.IsCompound(s) {
+				return nil, nil, 0, notApplicable(rule, ReasonUnflattenable, "body not flat")
 			}
 		}
-		return out
-	})
+	}
+	if g.HasBarrier() {
+		return nil, nil, 0, notApplicable(rule, ReasonBarrier, "")
+	}
+	return body, g, k, nil
 }
 
-// reorderToPivot is the shared engine of Figure 2, parameterized by how
-// crossing edges are computed relative to the pivot statement.
-func reorderToPivot(loop ir.Stmt, pivot ir.Stmt, reg *ir.Registry, gen *ir.NameGen,
-	crossing func(*dataflow.Graph, int) []dataflow.Edge) error {
-
-	body := loopBody(loop)
-	if body == nil {
-		return fmt.Errorf("rules: reorder: not a loop: %T", loop)
-	}
-	g := loopGraph(loop, reg)
-	if g.HasBarrier() {
-		return notApplicable("reorder", ReasonBarrier, "")
+// Reorder implements procedure reorder of the paper's Figure 2: it reorders
+// the statements of loop's body so that no loop-carried flow dependence
+// crosses the cut at pivot, enabling Rule A (Fission), and reports whether
+// any statement had to move. Besides cutAt's preconditions it fails with
+// ReasonUnresolvable when an adjacent-statement dependence cannot be shifted
+// by the Rule C stubs.
+//
+// The body is mutated in place; pivot is tracked by identity as it moves. A
+// failed reordering keeps the moves it made (each preserves semantics).
+func Reorder(loop, pivot ir.Stmt, reg *ir.Registry, gen *ir.NameGen) (bool, error) {
+	body, g, _, err := cutAt(loop, pivot, "reorder", reg)
+	if err != nil {
+		return false, err
 	}
 	n := len(body.Stmts) + 2
 	maxIter := 8*n + 32
@@ -101,19 +87,18 @@ func reorderToPivot(loop ir.Stmt, pivot ir.Stmt, reg *ir.Registry, gen *ir.NameG
 	maxStmts := 2*n + 12
 	for iter := 0; ; iter++ {
 		if iter > maxIter || len(body.Stmts) > maxStmts {
-			return notApplicable("reorder", ReasonUnresolvable, "did not converge")
+			return false, notApplicable("reorder", ReasonUnresolvable, "did not converge")
 		}
-		g = loopGraph(loop, reg)
 		q := indexOf(body, pivot)
-		edges := crossing(g, q)
+		edges := g.CrossingLCFD(q)
 		if len(edges) == 0 {
-			return nil
+			return iter > 0, nil
 		}
 		e := pickEdge(edges)
-		// Figure 2's case analysis. e = (v1, v2) with v1 on the P2 side and
-		// v2 on the P1 side. Note v2 may be the loop header (the predicate),
-		// which can never move; in that case the true-dependence path
-		// v1 -> header -> (ctrl) -> pivot always exists and we move the
+		// Figure 2's case analysis. e = (v1, v2) with v1 in the second loop
+		// and v2 in the first. Note v2 may be the loop header (the
+		// predicate), which can never move; in that case the true-dependence
+		// path v1 -> header -> (ctrl) -> pivot always exists and we move the
 		// pivot instead.
 		v1, v2 := e.From, e.To
 		var stmtToMove, target ir.Stmt
@@ -121,19 +106,20 @@ func reorderToPivot(loop ir.Stmt, pivot ir.Stmt, reg *ir.Registry, gen *ir.NameG
 			if g.TrueDepPath(q, v1) {
 				// Both directions: the pivot is entangled in a cycle with
 				// v1; no reordering can separate them.
-				return notApplicable("reorder", ReasonTrueDepCycle, "")
+				return false, notApplicable("reorder", ReasonTrueDepCycle, "")
 			}
 			stmtToMove, target = pivot, body.Stmts[v1]
 		} else {
 			if v2 == dataflow.Header {
-				return notApplicable("reorder", ReasonUnresolvable,
+				return false, notApplicable("reorder", ReasonUnresolvable,
 					"carried dependence into the loop predicate with no path to the pivot")
 			}
 			stmtToMove, target = body.Stmts[v2], pivot
 		}
 		if err := movePastWithDeps(body, stmtToMove, target, pivot, reg, gen, &budget); err != nil {
-			return err
+			return false, err
 		}
+		g = loopGraph(loop, reg)
 	}
 }
 
@@ -156,13 +142,15 @@ func pickEdge(edges []dataflow.Edge) dataflow.Edge {
 // stmtToMove past target, every statement between them that has a
 // flow-dependence path from stmtToMove is moved past the target first
 // (closest to the target first).
-func movePastWithDeps(body *ir.Block, stmtToMove, target, sq ir.Stmt, reg *ir.Registry, gen *ir.NameGen, budget *int) error {
+func movePastWithDeps(body *ir.Block, stmtToMove, target, pivot ir.Stmt, reg *ir.Registry, gen *ir.NameGen, budget *int) error {
 	for {
 		*budget = *budget - 1
 		if *budget < 0 {
 			return notApplicable("reorder", ReasonUnresolvable, "reordering budget exhausted")
 		}
-		g := rebuild(body, reg)
+		// Adjacency decisions need no loop-carried edges and no header: a
+		// plain block graph suffices.
+		g := dataflow.BuildBlock(body.Stmts, reg)
 		si := indexOf(body, stmtToMove)
 		ti := indexOf(body, target)
 		if si < 0 || ti < 0 {
@@ -175,11 +163,11 @@ func movePastWithDeps(body *ir.Block, stmtToMove, target, sq ir.Stmt, reg *ir.Re
 		if dep < 0 {
 			break
 		}
-		if err := moveAfter(body, body.Stmts[dep], target, sq, reg, gen, budget); err != nil {
+		if err := moveAfter(body, body.Stmts[dep], target, pivot, reg, gen, budget); err != nil {
 			return err
 		}
 	}
-	return moveAfter(body, stmtToMove, target, sq, reg, gen, budget)
+	return moveAfter(body, stmtToMove, target, pivot, reg, gen, budget)
 }
 
 // closestSrcDep finds the statement between si and ti (exclusive) nearest to
@@ -207,17 +195,10 @@ func closestSrcDep(g *dataflow.Graph, si, ti int) int {
 	return -1
 }
 
-// rebuild constructs a body-only dependence view for adjacency decisions in
-// moveAfter. Loop-carried edges and the header are irrelevant there, so a
-// plain block graph suffices.
-func rebuild(body *ir.Block, reg *ir.Registry) *dataflow.Graph {
-	return dataflow.BuildBlock(body.Stmts, reg)
-}
-
 // moveAfter implements procedure moveAfter of Figure 4: move statement s to
 // the position immediately after t by repeated adjacent swaps, shifting anti
 // and output dependences out of the way with Rule C2/C3 stub statements.
-func moveAfter(body *ir.Block, s, t, sq ir.Stmt, reg *ir.Registry, gen *ir.NameGen, budget *int) error {
+func moveAfter(body *ir.Block, s, t, pivot ir.Stmt, reg *ir.Registry, gen *ir.NameGen, budget *int) error {
 	for {
 		si := indexOf(body, s)
 		ti := indexOf(body, t)
@@ -232,7 +213,7 @@ func moveAfter(body *ir.Block, s, t, sq ir.Stmt, reg *ir.Registry, gen *ir.NameG
 			return notApplicable("moveAfter", ReasonUnresolvable, "reordering budget exhausted")
 		}
 		next := body.Stmts[si+1]
-		if err := resolveAdjacent(body, s, next, sq, t, reg, gen, budget); err != nil {
+		if err := resolveAdjacent(body, s, next, pivot, t, reg, gen, budget); err != nil {
 			return err
 		}
 		// Indices may have shifted while inserting stubs; refresh and swap.
@@ -250,7 +231,7 @@ func moveAfter(body *ir.Block, s, t, sq ir.Stmt, reg *ir.Registry, gen *ir.NameG
 // are shifted with reader or writer stubs (Rule C2), output dependences with
 // writer stubs (Rule C3). Flow dependences and dependences on external
 // locations cannot be shifted and yield ReasonUnresolvable.
-func resolveAdjacent(body *ir.Block, s, next, sq, t ir.Stmt, reg *ir.Registry, gen *ir.NameGen, budget *int) error {
+func resolveAdjacent(body *ir.Block, s, next, pivot, t ir.Stmt, reg *ir.Registry, gen *ir.NameGen, budget *int) error {
 	for round := 0; ; round++ {
 		if round > 8 {
 			return notApplicable("moveAfter", ReasonUnresolvable, "stub cascade did not converge")
@@ -277,7 +258,7 @@ func resolveAdjacent(body *ir.Block, s, next, sq, t ir.Stmt, reg *ir.Registry, g
 			if e.Kind != dataflow.OD {
 				continue
 			}
-			if err := writerStub(body, next, t, sq, e.Loc, reg, gen, budget); err != nil {
+			if err := writerStub(body, next, t, pivot, e.Loc, reg, gen, budget); err != nil {
 				return err
 			}
 			progressed = true
@@ -286,27 +267,29 @@ func resolveAdjacent(body *ir.Block, s, next, sq, t ir.Stmt, reg *ir.Registry, g
 		if progressed {
 			continue
 		}
-		// Rule C2: shift anti dependences. Per Figure 4: when sq also reads
-		// the variable that next writes, renaming next's write would leave
-		// sq's read pointing at the renamed variable's stale original, so a
-		// reader stub on s is used instead; otherwise next's write is
-		// shifted. A reader stub requires that s reads v without also
-		// writing it (a write by s would have produced an OD edge, already
-		// shifted above).
+		// Rule C2: shift anti dependences. Per Figure 4: when the pivot also
+		// reads the variable that next writes, renaming next's write would
+		// leave the pivot's read pointing at the renamed variable's stale
+		// original, so a reader stub on s is used instead; otherwise next's
+		// write is shifted. A reader stub requires that s reads v without
+		// also writing it (a write by s would have produced an OD edge,
+		// already shifted above).
 		for _, e := range edges {
 			if e.Kind != dataflow.AD {
 				continue
 			}
-			// "AD edge from sq to next" holds when sq precedes next and
-			// reads the variable next writes.
-			qi := indexOf(body, sq)
+			// "AD edge from the pivot to next" holds when the pivot precedes
+			// next and reads the variable next writes.
+			pi := indexOf(body, pivot)
 			ni := indexOf(body, next)
-			sqReadsLoc := qi >= 0 && qi < ni && readsVar(sq, e.Loc, reg)
-			useReader := sqReadsLoc &&
-				readsVar(s, e.Loc, reg) && !writesVar(s, e.Loc, reg)
-			if useReader {
-				readerStub(body, s, e.Loc, gen)
-			} else if err := writerStub(body, next, t, sq, e.Loc, reg, gen, budget); err != nil {
+			pivotReads := pi >= 0 && pi < ni && readsVar(pivot, e.Loc, reg)
+			var err error
+			if pivotReads && readsVar(s, e.Loc, reg) && !writesVar(s, e.Loc, reg) {
+				err = readerStub(body, s, e.Loc, gen)
+			} else {
+				err = writerStub(body, next, t, pivot, e.Loc, reg, gen, budget)
+			}
+			if err != nil {
 				return err
 			}
 			progressed = true
@@ -318,13 +301,21 @@ func resolveAdjacent(body *ir.Block, s, next, sq, t ir.Stmt, reg *ir.Registry, g
 	}
 }
 
+// Stubs rename what a simple statement reads or writes. The body of a
+// compound statement — an inner loop that a nested cut moves — is out of
+// their reach, so a dependence there that needs a stub is unshiftable.
+
 // readerStub applies Rule C2's reader form: insert "v1 = v" immediately
 // before s and rename s's reads of v to v1.
-func readerStub(body *ir.Block, s ir.Stmt, v string, gen *ir.NameGen) {
+func readerStub(body *ir.Block, s ir.Stmt, v string, gen *ir.NameGen) error {
+	if ir.IsCompound(s) {
+		return notApplicable("moveAfter", ReasonUnresolvable, "would need to rename reads inside a compound statement")
+	}
 	v1 := gen.Fresh(v)
 	stub := &ir.Assign{Lhs: []string{v1}, Rhs: ir.V(v)}
 	insertBefore(body, s, stub)
 	ir.RenameReads(s, v, v1)
+	return nil
 }
 
 // writerStub applies Rule C3 (and C2's writer form): rename next's write of v
@@ -334,29 +325,26 @@ func readerStub(body *ir.Block, s ir.Stmt, v string, gen *ir.NameGen) {
 // mutation applies to the copy (the mini-language has value semantics for
 // collections). The restoring stub inherits next's guard so a skipped guarded
 // write stays skipped.
-func writerStub(body *ir.Block, next, t, sq ir.Stmt, v string, reg *ir.Registry, gen *ir.NameGen, budget *int) error {
-	if next == sq {
+func writerStub(body *ir.Block, next, t, pivot ir.Stmt, v string, reg *ir.Registry, gen *ir.NameGen, budget *int) error {
+	if next == pivot {
 		return notApplicable("moveAfter", ReasonUnresolvable,
 			"would need to rename the query statement's write")
+	}
+	if ir.IsCompound(next) {
+		return notApplicable("moveAfter", ReasonUnresolvable, "would need to rename writes inside a compound statement")
 	}
 	v1 := gen.Fresh(v)
 	if dataflow.MutatesInPlace(next, reg) && readsVar(next, v, reg) && writesVar(next, v, reg) {
 		copyIn := &ir.Assign{Lhs: []string{v1}, Rhs: ir.V(v)}
-		if g := next.GetGuard(); g != nil {
-			cp := *g
-			copyIn.SetGuard(&cp)
-		}
+		copyIn.SetGuard(next.GetGuard().Copy())
 		insertBefore(body, next, copyIn)
 		ir.RenameReads(next, v, v1)
 	}
 	ir.RenameWrites(next, v, v1, reg)
 	stub := &ir.Assign{Lhs: []string{v}, Rhs: ir.V(v1)}
-	if g := next.GetGuard(); g != nil {
-		cp := *g
-		stub.SetGuard(&cp)
-	}
+	stub.SetGuard(next.GetGuard().Copy())
 	insertAfter(body, next, stub)
-	return moveAfter(body, stub, t, sq, reg, gen, budget)
+	return moveAfter(body, stub, t, pivot, reg, gen, budget)
 }
 
 func readsVar(s ir.Stmt, v string, reg *ir.Registry) bool {
@@ -365,18 +353,6 @@ func readsVar(s ir.Stmt, v string, reg *ir.Registry) bool {
 
 func writesVar(s ir.Stmt, v string, reg *ir.Registry) bool {
 	return dataflow.StmtSets(s, reg).Writes[v]
-}
-
-func loopBody(loop ir.Stmt) *ir.Block {
-	switch l := loop.(type) {
-	case *ir.While:
-		return l.Body
-	case *ir.ForEach:
-		return l.Body
-	case *ir.Scan:
-		return l.Body
-	}
-	return nil
 }
 
 func indexOf(body *ir.Block, s ir.Stmt) int {

@@ -75,7 +75,7 @@ func flattenIf(x *ir.If, outer *ir.Guard, gen *ir.NameGen) ([]ir.Stmt, error) {
 		// c = false;  outer ? c = cond;   (evaluate cond only under outer)
 		out = append(out, &ir.Assign{Lhs: []string{cv}, Rhs: ir.BoolLit(false)})
 		a := &ir.Assign{Lhs: []string{cv}, Rhs: x.Cond}
-		a.SetGuard(&ir.Guard{Var: outer.Var, Neg: outer.Neg})
+		a.SetGuard(outer.Copy())
 		out = append(out, a)
 	}
 	thenGuard := &ir.Guard{Var: cv}
@@ -95,7 +95,7 @@ func flattenIf(x *ir.If, outer *ir.Guard, gen *ir.NameGen) ([]ir.Stmt, error) {
 			ce := gen.Fresh("c")
 			out = append(out, &ir.Assign{Lhs: []string{ce}, Rhs: ir.BoolLit(false)})
 			a := &ir.Assign{Lhs: []string{ce}, Rhs: &ir.Un{Op: "!", X: ir.V(cv)}}
-			a.SetGuard(&ir.Guard{Var: outer.Var, Neg: outer.Neg})
+			a.SetGuard(outer.Copy())
 			out = append(out, a)
 			elseGuard = &ir.Guard{Var: ce}
 		}
@@ -119,8 +119,7 @@ func composeGuard(outer, own *ir.Guard, gen *ir.NameGen) (*ir.Guard, []ir.Stmt, 
 	case outer == nil:
 		return own, nil, nil
 	case own == nil:
-		cp := *outer
-		return &cp, nil, nil
+		return outer.Copy(), nil, nil
 	}
 	g2 := gen.Fresh("c")
 	pre := []ir.Stmt{
@@ -131,7 +130,7 @@ func composeGuard(outer, own *ir.Guard, gen *ir.NameGen) (*ir.Guard, []ir.Stmt, 
 		rhs = &ir.Un{Op: "!", X: rhs}
 	}
 	a := &ir.Assign{Lhs: []string{g2}, Rhs: rhs}
-	a.SetGuard(&ir.Guard{Var: outer.Var, Neg: outer.Neg})
+	a.SetGuard(outer.Copy())
 	pre = append(pre, a)
 	return &ir.Guard{Var: g2}, pre, nil
 }

@@ -160,7 +160,7 @@ proc e8(start) {
 	reg := ir.NewRegistry()
 	body := loop.(*ir.While).Body
 	sq := body.Stmts[0]
-	if err := Reorder(loop, sq, reg, gen); err != nil {
+	if _, err := Reorder(loop, sq, reg, gen); err != nil {
 		t.Fatal(err)
 	}
 	// Expected (paper Example 8): stub; category = getParent(category);
@@ -202,7 +202,7 @@ proc cyc(v0) {
 }`)
 	gen := ir.NewNameGen(p)
 	body := loop.(*ir.While).Body
-	err := Reorder(loop, body.Stmts[0], ir.NewRegistry(), gen)
+	_, err := Reorder(loop, body.Stmts[0], ir.NewRegistry(), gen)
 	var na *NotApplicableError
 	if err == nil || !asNA(err, &na) || na.Reason != ReasonTrueDepCycle {
 		t.Fatalf("want true-dependence-cycle failure, got %v", err)
@@ -233,7 +233,7 @@ proc e2(categoryList) {
 			loopIdx = i
 		}
 	}
-	span, scanIdx, err := FissionQuery(p.Body, loopIdx, sq, reg, gen)
+	span, scanIdx, err := Fission(p.Body, loopIdx, sq, reg, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ proc f(n) {
 			loopIdx = i
 		}
 	}
-	_, _, err := FissionQuery(p.Body, loopIdx, body.Stmts[0], ir.NewRegistry(), gen)
+	_, _, err := Fission(p.Body, loopIdx, body.Stmts[0], ir.NewRegistry(), gen)
 	if err == nil {
 		t.Fatal("fission must refuse crossing LCFD without reorder")
 	}
@@ -374,7 +374,7 @@ proc m(stack) {
 	reg := ir.NewRegistry()
 	body := loop.(*ir.While).Body
 	sq := body.Stmts[1]
-	if err := Reorder(loop, sq, reg, gen); err != nil {
+	if _, err := Reorder(loop, sq, reg, gen); err != nil {
 		t.Fatal(err)
 	}
 	g := loopGraph(loop, reg)
