@@ -45,15 +45,37 @@ func (c *RowCol) Cell(i int) Value {
 
 // RowSet is a row result in columnar form: what the execution layers hand to
 // each other in place of Rows, from the statement executor through the replica
-// group, the shard merge and the wire encoder. Row i of the set is cell Lo+i
-// of every column, so the bindings of one batch are views of one shared block.
-// A RowSet is immutable once built. It is not part of the interpreter's value
-// vocabulary: Rows turns it into one, and the execution layers' public
-// Exec/ExecBatch do that for every result they return (query.Reply).
+// group, the shard merge and the wire encoder. Row i of the set is cell At(i)
+// of every column: Sel[i] when the set has a selection vector, i when Sel is
+// nil (the identity). The bindings of one batch share one block: its columns,
+// and each a window of its selection.
+//
+// A select's block is late-materialized: its columns alias the table's typed
+// vectors as of the statement's snapshot and Sel lists the matching row ids,
+// so no cell is copied until the wire encoder writes it or Rows boxes it. That
+// is safe because storage is append-only — a row is never updated or deleted,
+// an insert only extends a vector, and a column that degrades to boxed cells
+// is copied into a new slice — so the aliased prefix holds exactly the
+// snapshot's values for as long as the set is held. A RowSet is immutable once
+// built, and a result from Do is held only until it is encoded or boxed: it
+// pins the table vectors of its snapshot, not a copy of them.
+//
+// A RowSet is not part of the interpreter's value vocabulary: Rows turns it
+// into one, and the execution layers' public Exec/ExecBatch do that for every
+// result they return (query.Reply).
 type RowSet struct {
 	Header *RowHeader
 	Cols   []RowCol // Cols[k] holds column Header.Names[k]
-	Lo, N  int
+	Sel    []int    // the N rows' positions in Cols; nil is the identity
+	N      int
+}
+
+// At returns the position in the columns of row i.
+func (rs *RowSet) At(i int) int {
+	if rs.Sel == nil {
+		return i
+	}
+	return rs.Sel[i]
 }
 
 // Rows boxes the set into the interpreter's row vocabulary.
@@ -62,7 +84,7 @@ func (rs *RowSet) Rows() Rows {
 	for i := range out {
 		row := make(Row, len(rs.Cols))
 		for k := range rs.Cols {
-			row[rs.Header.Names[k]] = rs.Cols[k].Cell(rs.Lo + i)
+			row[rs.Header.Names[k]] = rs.Cols[k].Cell(rs.At(i))
 		}
 		out[i] = row
 	}
@@ -70,8 +92,9 @@ func (rs *RowSet) Rows() Rows {
 }
 
 // LiftRows is the inverse of RowSet.Rows, for a result that arrives boxed:
-// every column holds the boxed cells, in ascending name order. It reports
-// false when the rows do not all have the same columns.
+// every column holds the boxed cells, in ascending name order, and the
+// selection is the identity. It reports false when the rows do not all have
+// the same columns.
 func LiftRows(rows Rows) (*RowSet, bool) {
 	if len(rows) == 0 {
 		return &RowSet{Header: &RowHeader{}}, true

@@ -79,12 +79,15 @@ type Client struct {
 
 // call is what one Exec/ExecBatch holds for its duration, pooled: the encoded
 // request frame (header included; encoded once, its id re-stamped per
-// attempt) and the slot its response arrives on. A call goes back to the pool
-// only when nothing can still send on ch: every registration ends in a receive
-// from ch, or in an abandon that found the entry still pending (see await).
+// attempt), the slot its response arrives on, and the column names of the last
+// row result decoded on it, which the next reply reuses while it repeats them
+// (reader.columns). A call goes back to the pool only when nothing can still
+// send on ch: every registration ends in a receive from ch, or in an abandon
+// that found the entry still pending (see await).
 type call struct {
 	frame []byte
 	ch    chan response // capacity 1: the read loop never blocks on a caller
+	names []string
 }
 
 var callPool = sync.Pool{New: func() any { return &call{ch: make(chan response, 1)} }}
@@ -530,7 +533,7 @@ func (c *Client) roundTrip(cl *call, isWrite bool, sp *obs.Span, dl query.Deadli
 		}
 		return query.Reply{}, err
 	}
-	rep, err := decodeReply(resp.msgType, resp.payload.b)
+	rep, err := decodeReply(resp.msgType, resp.payload.b, &cl.names)
 	putBuf(resp.payload)
 	return rep, err
 }

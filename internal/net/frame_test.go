@@ -116,9 +116,11 @@ func TestReadFrameLargePayload(t *testing.T) {
 // value must not have changed.
 func TestDecodedValuesDoNotAliasPayload(t *testing.T) {
 	// One memory of the last statement across every decode, as on a
-	// connection: a request repeating the statement before it gets the
-	// remembered strings, which must be copies too.
+	// connection, and one of the last column names, as on a call: a request
+	// or reply repeating the one before it gets the remembered strings, which
+	// must be copies too.
 	var last stmtNames
+	var names []string
 	for name, frame := range validFrames(t) {
 		msgType, payload, err := ReadFrame(bytes.NewReader(frame))
 		if err != nil {
@@ -133,7 +135,7 @@ func TestDecodedValuesDoNotAliasPayload(t *testing.T) {
 				}
 				return []any{id, c}
 			default:
-				rep, err := decodeReply(msgType, b)
+				rep, err := decodeReply(msgType, b, &names)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

@@ -150,25 +150,30 @@ func TestRowSetWireMatchesRows(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		data := make([]byte, 160)
 		rng.Read(data)
+		var last *interp.RowSet
 		for _, rs := range rowSetsFrom(t, data) {
 			checkRowSetWire(t, rs)
 			if rs.N == 0 {
 				shapes["no rows"] = true
 			}
-			if rs.Lo > 0 {
+			if rs.N > 0 && last != nil && last.N > 0 && &last.Cols[0] == &rs.Cols[0] {
 				shapes["view into a block"] = true
 			}
+			if rs.N > 0 && rs.Sel != nil && rs.At(rs.N-1) != rs.N-1 {
+				shapes["selection skips rows"] = true
+			}
+			last = rs
 			for _, c := range rs.Cols {
 				shapes["ints"] = shapes["ints"] || (rs.N > 0 && c.Ints != nil)
 				shapes["strs"] = shapes["strs"] || (rs.N > 0 && c.Strs != nil)
 				shapes["boxed"] = shapes["boxed"] || (rs.N > 0 && c.Anys != nil)
-				for k := range c.Anys {
-					shapes["null cell"] = shapes["null cell"] || c.Anys[k] == nil
+				for j := 0; j < rs.N && c.Anys != nil; j++ {
+					shapes["null cell"] = shapes["null cell"] || c.Anys[rs.At(j)] == nil
 				}
 			}
 		}
 	}
-	for _, shape := range []string{"no rows", "view into a block", "ints", "strs", "boxed", "null cell"} {
+	for _, shape := range []string{"no rows", "view into a block", "selection skips rows", "ints", "strs", "boxed", "null cell"} {
 		if !shapes[shape] {
 			t.Errorf("300 random tables never produced a result with: %s", shape)
 		}

@@ -18,7 +18,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/interp"
 	"repro/internal/query"
@@ -110,11 +112,18 @@ type reader struct {
 	err error
 
 	// What the results of one reply repeat: the column names of the last row
-	// set decoded (see columns), and the storage its row sets' headers are
-	// carved from (see rowSlab), sized for the results still to come.
-	keys []string
-	slab interp.Rows
-	left int
+	// set decoded (see columns; a client's call keeps them across replies),
+	// the storage its row sets' headers are carved from (see rowSlab), sized
+	// for the results still to come, and the one string its string cells are
+	// substrings of (see reply).
+	keys   []string
+	slab   interp.Rows
+	left   int
+	cells  strings.Builder
+	carved bool
+
+	// The storage a batch request's bindings are carved from (see args).
+	argSlab []any
 }
 
 func (r *reader) fail(what string) {
@@ -155,22 +164,80 @@ func (r *reader) string() string {
 	return s
 }
 
-// stringInto reads a string into *last, which it leaves as it is when the
-// bytes on the wire equal it: a value the stream repeats is allocated once.
-// What *last holds is always a copy, never a view of the payload.
-func (r *reader) stringInto(last *string) {
+// bytes reads a length-prefixed string as a view of the payload (nil on a
+// truncated one).
+func (r *reader) bytes() []byte {
 	n := r.uvarint()
 	if r.err == nil && uint64(len(r.b)) < n {
 		r.fail("string")
 	}
 	if r.err != nil {
-		*last = ""
-		return
+		return nil
 	}
-	if string(r.b[:n]) != *last {
-		*last = string(r.b[:n])
-	}
+	b := r.b[:n]
 	r.b = r.b[n:]
+	return b
+}
+
+// stringInto reads a string into *last, which it leaves as it is when the
+// bytes on the wire equal it: a value the stream repeats is allocated once.
+// What *last holds is always a copy, never a view of the payload.
+func (r *reader) stringInto(last *string) {
+	if b := r.bytes(); string(b) != *last {
+		*last = string(b)
+	}
+}
+
+// cell reads a string value: a substring of the reply's one cell string once
+// reply has made room for it, else a copy of its own.
+func (r *reader) cell() string {
+	if !r.carved {
+		return r.string()
+	}
+	lo := r.cells.Len()
+	r.cells.Write(r.bytes())
+	return r.cells.String()[lo:]
+}
+
+// skip walks one value without building it and returns the bytes its string
+// cells hold: how reply sizes the one string its cells are cut from.
+func (r *reader) skip() (n int) {
+	switch r.byte() {
+	case tagInt:
+		r.varint()
+	case tagString:
+		n = len(r.bytes())
+	case tagBool:
+		r.byte()
+	case tagList:
+		n = r.skipN(r.count("list"), false)
+	case tagRow:
+		n = r.skipN(r.count("row"), true)
+	case tagRows:
+		rows := r.count("rows")
+		if rows > 0 && r.bool() { // columnar: the names, then the cells
+			cols := r.count("columns")
+			for i := 0; i < cols; i++ {
+				r.bytes()
+			}
+			return r.skipN(rows*cols, false)
+		}
+		for ; rows > 0 && r.err == nil; rows-- {
+			n += r.skipN(r.count("row"), true)
+		}
+	}
+	return n
+}
+
+// skipN is skip over n values, each after its key when keyed.
+func (r *reader) skipN(n int, keyed bool) (cells int) {
+	for ; n > 0 && r.err == nil; n-- {
+		if keyed {
+			r.bytes()
+		}
+		cells += r.skip()
+	}
+	return cells
 }
 
 func (r *reader) byte() byte {
@@ -315,7 +382,8 @@ func appendRows(b []byte, rows interp.Rows) ([]byte, error) {
 
 // appendRowSet writes a columnar result as appendRows writes its boxed form:
 // always the shared-key-set encoding, the names in the header's precomputed
-// order, the cells straight from the typed vectors.
+// order, the cells straight from the typed vectors through the selection —
+// for a select, the table's own vectors: this is the one copy a cell makes.
 func appendRowSet(b []byte, rs *interp.RowSet) ([]byte, error) {
 	b = putUvarint(b, uint64(rs.N))
 	if rs.N == 0 {
@@ -327,7 +395,8 @@ func appendRowSet(b []byte, rs *interp.RowSet) ([]byte, error) {
 		b = putString(b, rs.Header.Names[k])
 	}
 	var err error
-	for i := rs.Lo; i < rs.Lo+rs.N; i++ {
+	for j := 0; j < rs.N; j++ {
+		i := rs.At(j)
 		for _, k := range wire {
 			switch c := &rs.Cols[k]; {
 			case c.Anys != nil:
@@ -372,7 +441,7 @@ func (r *reader) value() any {
 	case tagInt:
 		return r.varint()
 	case tagString:
-		return r.string()
+		return r.cell()
 	case tagBool:
 		return r.bool()
 	case tagList:
@@ -428,9 +497,10 @@ func (r *reader) rows() interp.Rows {
 }
 
 // columns reads a row set's column names. The bindings of a batch reply carry
-// the same names one after the other, so the slice and every name that reads
-// the same as last time are reused; no result holds the slice (a row map holds
-// the strings, which do not change).
+// the same names one after the other, and a client's next reply on the same
+// call usually does too, so the slice and every name that reads the same as
+// last time are reused; no result holds the slice (a row map holds the
+// strings, which do not change).
 func (r *reader) columns() []string {
 	if nk := r.count("columns"); nk != len(r.keys) {
 		r.keys = make([]string, nk)
@@ -528,15 +598,26 @@ func (r *reader) header(last *stmtNames) (uint64, query.Request) {
 	return id, req
 }
 
-// args reads one binding (nil when empty).
+// args reads one binding (nil when empty) into a capacity-limited window of
+// one slab, as interp's machine.carve carves submission arguments: a new slab
+// is sized for the bindings still to come (left, this one included) if they
+// are all like this one, but not beyond what the bytes that remain could
+// hold, so a batch's bindings cost one allocation. Nothing keeps a window
+// past the call it was decoded for — the WAL copies the argument sets it logs
+// (wal.Log.Append) and sqlmini copies insert values into its scratch row — so
+// no binding keeps the rest of its batch alive.
 func (r *reader) args(what string) []any {
 	n := r.count(what)
 	if n == 0 {
 		return nil
 	}
-	args := make([]any, 0, n)
+	if len(r.argSlab) < n {
+		r.argSlab = make([]any, max(n, min(n*r.left, len(r.b))))
+	}
+	args := r.argSlab[:n:n]
+	r.argSlab = r.argSlab[n:]
 	for i := 0; i < n && r.err == nil; i++ {
-		args = append(args, r.value())
+		args[i] = r.value()
 	}
 	return args
 }
@@ -604,6 +685,7 @@ func decodeExecBatch(b []byte, last *stmtNames) (uint64, query.BatchRequest, err
 	n := r.count("argsets")
 	req.ArgSets = make([][]any, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
+		r.left = n - i
 		req.ArgSets = append(req.ArgSets, r.args("argset"))
 	}
 	return id, req, r.err
@@ -658,7 +740,27 @@ func appendResult(b []byte, reqID uint64, v any, err error) ([]byte, error) {
 	if err != nil {
 		return b, nil
 	}
-	return AppendValue(b, v)
+	return AppendValue(reserve(b, v), v)
+}
+
+// reserve grows b for the string cells of the row results among vs before any
+// is written. A select's cells are read from its table's vectors, at rows far
+// apart: the loads of this pass do not depend on each other, so their cache
+// misses overlap here instead of stalling the encoder one row at a time.
+func reserve(b []byte, vs ...any) []byte {
+	need := 0
+	for _, v := range vs {
+		rs, ok := v.(*interp.RowSet)
+		if !ok {
+			continue
+		}
+		for _, c := range rs.Cols {
+			for j := 0; j < rs.N && c.Strs != nil; j++ {
+				need += len(c.Strs[rs.At(j)])
+			}
+		}
+	}
+	return slices.Grow(b, need)
 }
 
 // EncodeResult encodes one Result under reqID.
@@ -669,12 +771,8 @@ func EncodeResult(reqID uint64, res query.Result) ([]byte, error) {
 // DecodeResult decodes a MsgResult payload.
 func DecodeResult(b []byte) (uint64, query.Result, error) {
 	r := &reader{b: b}
-	id := r.u64()
-	res := query.Result{Err: r.errSlot()}
-	if res.Err == nil && r.err == nil {
-		res.Value = r.value()
-	}
-	return id, res, r.err
+	id, rep := r.reply(false)
+	return id, query.Result{Value: rep.Value, Err: rep.Err}, r.err
 }
 
 // appendBatchResult appends the MsgBatchResult payload for one value or error
@@ -684,7 +782,7 @@ func appendBatchResult(b []byte, reqID uint64, values []any, errs []error) ([]by
 		return nil, fmt.Errorf("net: batch result shape: %d values, %d errs", len(values), len(errs))
 	}
 	b = binary.BigEndian.AppendUint64(b, reqID)
-	b = putUvarint(b, uint64(len(values)))
+	b = putUvarint(reserve(b, values...), uint64(len(values)))
 	var err error
 	for i := range values {
 		b = appendErr(b, errs[i])
@@ -706,29 +804,58 @@ func EncodeBatchResult(reqID uint64, res query.BatchResult) ([]byte, error) {
 // DecodeBatchResult decodes a MsgBatchResult payload.
 func DecodeBatchResult(b []byte) (uint64, query.BatchResult, error) {
 	r := &reader{b: b}
-	id := r.u64()
-	n := r.count("batch result")
-	res := query.BatchResult{Values: make([]any, n), Errs: make([]error, n)}
-	for i := 0; i < n && r.err == nil; i++ {
-		r.left = n - i
-		res.Errs[i] = r.errSlot()
-		if res.Errs[i] == nil && r.err == nil {
-			res.Values[i] = r.value()
-		}
-	}
-	return id, res, r.err
+	id, rep := r.reply(true)
+	return id, query.BatchResult{Values: rep.Values, Errs: rep.Errs}, r.err
 }
 
-// decodeReply decodes a response frame of either kind. A batch reply's Errs
-// is never nil (DecodeBatchResult allocates it), which is how callers tell
-// the two kinds apart.
-func decodeReply(msgType byte, payload []byte) (query.Reply, error) {
-	if msgType == MsgResult {
-		_, res, err := DecodeResult(payload)
-		return query.Reply{Value: res.Value, Err: res.Err}, err
+// reply reads a MsgResult payload, or a MsgBatchResult one: its slots, an
+// error or a value each, after their count. The string cells of its values
+// are substrings of one string of exactly their bytes, which a first walk over
+// the slots sizes: one allocation a reply, and no cell a view of the pooled
+// payload. Cells that hold more than maxRetained between them keep a string
+// each, so one retained cell never pins a large reply.
+func (r *reader) reply(batch bool) (uint64, query.Reply) {
+	id, n := r.u64(), 1
+	if batch {
+		n = r.count("batch result")
 	}
-	_, res, err := DecodeBatchResult(payload)
-	return query.Reply{Values: res.Values, Errs: res.Errs}, err
+	sizer, cells := reader{b: r.b}, 0
+	for i := 0; i < n && sizer.err == nil; i++ {
+		switch sizer.byte() {
+		case errNone:
+			cells += sizer.skip()
+		case errGeneric:
+			sizer.bytes()
+		}
+	}
+	if r.carved = cells <= maxRetained; r.carved {
+		r.cells.Grow(cells)
+	}
+	var rep query.Reply
+	if !batch {
+		if rep.Err = r.errSlot(); rep.Err == nil && r.err == nil {
+			rep.Value = r.value()
+		}
+		return id, rep
+	}
+	rep.Values, rep.Errs = make([]any, n), make([]error, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		r.left = n - i
+		if rep.Errs[i] = r.errSlot(); rep.Errs[i] == nil && r.err == nil {
+			rep.Values[i] = r.value()
+		}
+	}
+	return id, rep
+}
+
+// decodeReply decodes a response frame of either kind, through names: the
+// column names of the last row result decoded on the same call. A batch
+// reply's Errs is never nil, which is how callers tell the two kinds apart.
+func decodeReply(msgType byte, payload []byte, names *[]string) (query.Reply, error) {
+	r := &reader{b: payload, keys: *names}
+	_, rep := r.reply(msgType != MsgResult)
+	*names = r.keys
+	return rep, r.err
 }
 
 // appendReply builds, in b's storage, the whole response frame answering a

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/interp"
 	"repro/internal/query"
@@ -195,8 +197,9 @@ func TestBatchResultRowSetsAreIndependent(t *testing.T) {
 			interp.Rows{{"z": nil}},
 			interp.Rows{{"a": int64(1)}, {"b": int64(2)}}, // row-major fallback
 			interp.Rows{ab(10)},
+			&interp.List{Items: []any{"x", true, interp.Row{"k": "v"}, &interp.List{Items: []any{"y"}}}},
 		},
-		Errs: make([]error, 9),
+		Errs: make([]error, 10),
 	}
 	res.Errs[3] = errors.New("boom")
 	payload, err := EncodeBatchResult(1, res)
@@ -218,6 +221,28 @@ func TestBatchResultRowSetsAreIndependent(t *testing.T) {
 	}
 	if got.Errs[3] == nil || got.Errs[3].Error() != "boom" {
 		t.Errorf("binding 3: error %v, want boom", got.Errs[3])
+	}
+}
+
+// A reply's string cells are cut from one string only while they hold at most
+// maxRetained bytes between them; past that each cell is a string of its own,
+// so keeping one cell does not keep the whole reply.
+func TestLargeReplyCellsAreApart(t *testing.T) {
+	for _, size := range []int{maxRetained / 2, maxRetained/2 + 1} {
+		a, b := strings.Repeat("a", size), strings.Repeat("b", size)
+		payload, err := EncodeBatchResult(1, query.BatchResult{Values: []any{a, b}, Errs: make([]error, 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := DecodeBatchResult(payload)
+		if err != nil || got.Values[0] != a || got.Values[1] != b {
+			t.Fatalf("%d-byte cells decoded wrong (%v)", size, err)
+		}
+		ga, gb := got.Values[0].(string), got.Values[1].(string)
+		adjacent := unsafe.Pointer(unsafe.StringData(gb)) == unsafe.Add(unsafe.Pointer(unsafe.StringData(ga)), len(ga))
+		if want := 2*size <= maxRetained; adjacent != want {
+			t.Errorf("two %d-byte cells: cut from one string %v, want %v", size, adjacent, want)
+		}
 	}
 }
 

@@ -199,11 +199,10 @@ type Doer interface {
 // only by BatchCall. Everything else (statement, span, session, consistency,
 // deadline) is common to both shapes.
 //
-// Two costs shape how calls travel. A Call is 128 bytes, the most a closure
-// captures by value without a heap allocation (the replica group's read
-// attempt). And the layers pass a Call and its Reply down by pointer: by
-// value, every hop would put both structs in every frame, and requests run on
-// goroutines whose stacks grow by copying (see GrowStack).
+// The layers pass a Call and its Reply down by pointer: by value, every hop
+// would put both structs (a Call is 128 bytes) in every frame, and requests
+// run on goroutines whose stacks grow by copying (see GrowStack). The one
+// copy is the replica group's, one per read attempt.
 type Call struct {
 	Request
 	ArgSets [][]any

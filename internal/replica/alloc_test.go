@@ -8,6 +8,7 @@ package replica
 import (
 	"testing"
 
+	"repro/internal/interp"
 	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/storage"
@@ -50,5 +51,26 @@ func TestReplicatedInsertAllocations(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(2000, write); got > 13 {
 		t.Errorf("replicated single-row insert: %.2f allocations, want at most 13", got)
+	}
+}
+
+// TestReadAllocations pins what one point read costs the heap in the group,
+// unhedged: the serving server's columnar result (its column list, selection
+// and view) and nothing of the group's own. It was five while the attempt was
+// a closure the hedged path's goroutines and the plain path shared, and the
+// result a copied column beside a separate Matched trace.
+func TestReadAllocations(t *testing.T) {
+	g := newGroupOpts(t, Options{Replicas: 1})
+	c := &query.Call{Request: query.Req("point", sel, []any{int64(42)})}
+	rep := new(query.Reply)
+	got := testing.AllocsPerRun(1000, func() {
+		*rep = query.Reply{}
+		g.Do(c, rep)
+	})
+	if rs, ok := rep.Value.(*interp.RowSet); rep.Err != nil || !ok || rs.N != 1 {
+		t.Fatalf("read answered %v, %v; want a 1-row *interp.RowSet", rep.Value, rep.Err)
+	}
+	if got > 3 {
+		t.Errorf("an unhedged point read allocates %.2f objects, want at most 3", got)
 	}
 }

@@ -727,37 +727,13 @@ func (g *Group) read(c *query.Call, min int64, rep *query.Reply) {
 	if s := g.served.Load(); s > min {
 		min = s
 	}
-	// The copy's call carries only the statement, the attempt's span and the
-	// deadline — session bookkeeping belongs to this layer.
-	sp, units := c.Span, int64(c.Units())
+	// The copy's call carries only the statement, the span its attempts hang
+	// off and the deadline — session bookkeeping belongs to this layer.
 	sub := query.Call{
-		Request: query.Request{Name: c.Name, SQL: c.SQL, Args: c.Args, Deadline: c.Deadline},
+		Request: query.Request{Name: c.Name, SQL: c.SQL, Args: c.Args, Span: c.Span, Deadline: c.Deadline},
 		ArgSets: c.ArgSets,
 	}
-	run := func(i int, hedged bool) attempt {
-		st := g.states[i]
-		at := st.applied.Load()
-		st.inflight.Add(1)
-		rd := sp.Child("replica.read")
-		rd.SetDetail(obs.ReplicaLabel(i))
-		g.crashMaybe(i)
-		a := attempt{at: at, hedged: hedged}
-		leg := sub // a copy: hedge lanes run concurrently, each with its own span
-		leg.Span = rd
-		g.replica(i).Do(&leg, &a.rep)
-		rd.End()
-		st.inflight.Add(-1)
-		// The server fails a whole call before executing any binding, so a
-		// faulted attempt is safe to retry elsewhere.
-		if server.IsFault(a.rep.FirstErr()) {
-			a.faulted = true
-			g.failOut(i)
-		} else {
-			st.reads.Add(units)
-		}
-		return a
-	}
-	if a, ok := g.readLoop(min, run); ok {
+	if a, ok := g.readLoop(min, sub); ok {
 		g.noteServed(c.Session, a.at)
 		*rep = a.rep
 		return
@@ -770,13 +746,38 @@ func (g *Group) read(c *query.Call, min int64, rep *query.Reply) {
 		return
 	}
 	at := g.commit.Load()
-	rd := sp.Child("replica.read")
+	rd := sub.Span.Child("replica.read")
 	rd.SetDetail("primary")
-	leg := sub // sub itself stays unassigned, so the attempt closure holds it by value
-	leg.Span = rd
-	p.Do(&leg, rep)
+	sub.Span = rd
+	p.Do(&sub, rep)
 	rd.End()
 	g.noteServed(c.Session, at)
+}
+
+// readOn runs one read attempt of sub on replica i, under a "replica.read"
+// child of sub.Span. sub is the attempt's own copy: hedge lanes run
+// concurrently, each with its own span.
+func (g *Group) readOn(sub query.Call, i int, hedged bool) attempt {
+	st := g.states[i]
+	at := st.applied.Load()
+	st.inflight.Add(1)
+	rd := sub.Span.Child("replica.read")
+	rd.SetDetail(obs.ReplicaLabel(i))
+	g.crashMaybe(i)
+	a := attempt{at: at, hedged: hedged}
+	sub.Span = rd
+	g.replica(i).Do(&sub, &a.rep)
+	rd.End()
+	st.inflight.Add(-1)
+	// The server fails a whole call before executing any binding, so a
+	// faulted attempt is safe to retry elsewhere.
+	if server.IsFault(a.rep.FirstErr()) {
+		a.faulted = true
+		g.failOut(i)
+	} else {
+		st.reads.Add(int64(sub.Units()))
+	}
+	return a
 }
 
 func (g *Group) noteServed(sess *Session, at int64) {

@@ -197,26 +197,33 @@ type attempt struct {
 	faulted bool  // the attempt died to an injected fault (replica failed out)
 }
 
-// readLoop drives read's pick / hedge / failover loop. run executes one attempt against replica i; ok=false means no
-// replica could serve (the caller falls back to the primary).
-func (g *Group) readLoop(min int64, run func(i int, hedged bool) attempt) (attempt, bool) {
+// readLoop drives read's pick / hedge / failover loop over attempts of sub
+// (readOn); ok=false means no replica could serve (the caller falls back to
+// the primary). An unhedged attempt is a direct call: only the hedged path
+// hands attempts to goroutines, so only it builds a closure (runOn).
+func (g *Group) readLoop(min int64, sub query.Call) (attempt, bool) {
 	for {
 		i := g.pick(min, -1)
 		if i < 0 {
 			return attempt{}, false
 		}
 		if g.hedge <= 0 {
-			a := run(i, false)
+			a := g.readOn(sub, i, false)
 			if a.faulted {
 				continue
 			}
 			return a, true
 		}
-		if a, ok := g.hedgedAttempt(i, min, run); ok {
+		if a, ok := g.hedgedAttempt(i, min, g.runOn(sub)); ok {
 			return a, true
 		}
 		// Every lane faulted: pick again over whatever copies survive.
 	}
+}
+
+// runOn is readOn over sub as the function hedgedAttempt's lanes run.
+func (g *Group) runOn(sub query.Call) func(int, bool) attempt {
+	return func(i int, hedged bool) attempt { return g.readOn(sub, i, hedged) }
 }
 
 // hedgedAttempt runs the first attempt on replica i in the background; if it

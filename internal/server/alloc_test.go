@@ -39,9 +39,10 @@ func usersServer(t *testing.T) *Server {
 
 // TestPointAllocations pins what one indexed single-row select costs the heap
 // on one server, the set-oriented kernel over a set of one: the result's column
-// list, a vector per column, its one view and the owned Matched trace the
-// scatter merge reads: five objects, what the separate per-query executor
-// this replaced allocated.
+// list (aliasing the table's vectors), its selection — which is also the owned
+// Matched trace the scatter merge reads — and its one view: three objects. It
+// was five while the result copied a vector per column and Matched was a
+// second copy of the rids.
 func TestPointAllocations(t *testing.T) {
 	s := usersServer(t)
 	call := query.Call{Request: query.Req("point", "select nickname, rating from users where uid = ?", []any{int64(377)})}
@@ -53,16 +54,20 @@ func TestPointAllocations(t *testing.T) {
 	if rs, ok := rep.Value.(*interp.RowSet); rep.Err != nil || !ok || rs.N != 1 || len(rep.Info.Matched) != 1 {
 		t.Fatalf("answered %v, %v, matched %v; want a 1-row *interp.RowSet", rep.Value, rep.Err, rep.Info.Matched)
 	}
-	if got > 5 {
-		t.Errorf("a point select allocates %.2f objects, want at most 5", got)
+	if rs := rep.Value.(*interp.RowSet); &rs.Sel[0] != &rep.Info.Matched[0] {
+		t.Error("Matched is a second copy of the result's selection")
+	}
+	if got > 3 {
+		t.Errorf("a point select allocates %.2f objects, want at most 3", got)
 	}
 }
 
 // TestBatchAllocations pins what a 64-binding point-select sub-batch costs the
 // heap on one server: the result and error slots, and one columnar block for
-// the whole batch — its column list, a vector per column, and the 64 views the
-// bindings' results are: six objects. (With a row map per binding and a box
-// per cell it was 449, seven a binding.)
+// the whole batch — its column list, its selection, and the 64 views the
+// bindings' results are: five objects. (Six while the block copied a vector
+// per column; with a row map per binding and a box per cell it was 449, seven
+// a binding.)
 func TestBatchAllocations(t *testing.T) {
 	s := usersServer(t)
 	sets := make([][]any, 64)
@@ -80,7 +85,7 @@ func TestBatchAllocations(t *testing.T) {
 			t.Fatalf("binding %d answered %v, %v; want a 1-row *interp.RowSet", i, v, rep.Errs[i])
 		}
 	}
-	if got > 6 {
-		t.Errorf("a 64-binding batch allocates %.2f objects, want at most 6", got)
+	if got > 5 {
+		t.Errorf("a 64-binding batch allocates %.2f objects, want at most 5", got)
 	}
 }

@@ -693,9 +693,10 @@ func mergeAgg(kind sqlmini.AggKind, legs []fanLeg) (any, error) {
 // the merged result is byte-identical to the single-server result. targets
 // names the shard each leg went to (a pruned scatter visits a subset), in
 // ascending order. The merge is a typed gather: the legs' columnar results are
-// read in place, (leg, row) pairs are sorted by global position, and every
-// cell is copied once into the merged columns. A backend that only has the
-// public Exec answers in interp.Rows, which is lifted first: there is one merge.
+// read in place through their selections, (leg, row) pairs are sorted by
+// global position, and every cell is copied once into the merged columns. A
+// backend that only has the public Exec answers in interp.Rows, which is
+// lifted first: there is one merge.
 func mergeRows(ti *tableInfo, targets []int, legs []fanLeg) (any, error) {
 	type ref struct{ pos, leg, row int }
 	var buf [32]ref // the usual merge is a few rows: sort it on the stack
@@ -735,7 +736,7 @@ func mergeRows(ti *tableInfo, targets []int, legs []fanLeg) (any, error) {
 			if matched := rep.Info.Matched; j < len(matched) {
 				rid = matched[j]
 			}
-			order = append(order, ref{pos: ti.globalPos(targets[k], rid), leg: k, row: rs.Lo + j})
+			order = append(order, ref{pos: ti.globalPos(targets[k], rid), leg: k, row: rs.At(j)})
 		}
 	}
 	if shape == nil {

@@ -25,7 +25,10 @@ type ExecInfo struct {
 	// scatter-gather merges and to track routed inserts. The slice is owned
 	// by the caller — it never aliases execution-internal or pooled scratch
 	// storage, so holding or mutating it cannot corrupt later executions
-	// (pinned by TestExecInfoMatchedIsOwned). Unset by ExecuteBatch.
+	// (pinned by TestExecInfoMatchedIsOwned). For a row select it is the
+	// result's selection vector (interp.RowSet.Sel), not a second copy: what
+	// the rows are and where they came from is one slice. Unset by
+	// ExecuteBatch.
 	Matched []int
 	// InsertRids lists, for an INSERT batch only, the inserted row id per
 	// binding in binding order (-1 for bindings that failed). A shard router
@@ -39,7 +42,9 @@ type ExecInfo struct {
 // scratch holds the pooled per-execution buffers: the table view, bound
 // filters, probe keys, candidate rid headers, page lists and the batch's
 // matched-rid buffer. Everything in it is reset on reuse; nothing in it may
-// escape through results (Matched is always freshly allocated).
+// escape through results: a select's selection vector (which is also
+// Execute's Matched) is a fresh copy of matched, and its column list is fresh
+// too, holding the table's vectors themselves.
 type scratch struct {
 	view    storage.View
 	filters []condFilter
@@ -90,13 +95,16 @@ func (sc *scratch) filtersFor(n int) []condFilter {
 // Execute runs a parsed statement against the catalog under one binding: the
 // kernel (scratch.run) over a set of one, its result and error slots held on
 // the stack. Beyond what the kernel reports it returns the owned Matched trace,
-// which only a one-binding call has readers for.
+// which only a one-binding call has readers for: a row select's is its result's
+// selection vector, anything else's a copy.
 func Execute(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, args []any) (any, ExecInfo, error) {
 	result, errs := [1]any{}, [1]error{}
 	sc := getScratch()
 	defer putScratch(sc)
 	info := sc.run(st, cat, pool, [][]any{args}, result[:], errs[:])
-	if errs[0] == nil {
+	if rs, ok := result[0].(*interp.RowSet); ok && rs.Sel != nil {
+		info.Matched = rs.Sel
+	} else if errs[0] == nil {
 		info.Matched = slices.Clone(sc.matched)
 	}
 	return result[0], info, errs[0]
@@ -278,49 +286,32 @@ func (sc *scratch) run(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSet
 		}
 		return info
 	}
-	// One block for the set; each binding's result is its view of it.
-	cols := emit(plan, &sc.view, sc.matched)
+	// One block for the set: the snapshot's column vectors, aliased (storage
+	// is append-only, see interp.RowSet), and an owned copy of the matches as
+	// its selection; each binding's result is its window of the selection.
+	n := sc.view.NumRows
+	cols := make([]interp.RowCol, len(plan.cols))
+	for k, ci := range plan.cols {
+		switch c := &sc.view.Cols[ci]; {
+		case c.Anys != nil:
+			cols[k].Anys = c.Anys[:n:n]
+		case c.Kind == storage.TInt:
+			cols[k].Ints = c.Ints[:n:n]
+		default:
+			cols[k].Strs = c.Strs[:n:n]
+		}
+	}
+	sel := slices.Clone(sc.matched)
 	sc.offs = append(sc.offs, len(sc.matched))
 	views := make([]interp.RowSet, len(argSets))
 	for i := range views {
 		if errs[i] == nil {
-			v := &views[i]
-			v.Header, v.Cols, v.Lo, v.N = plan.hdr, cols, sc.offs[i], sc.offs[i+1]-sc.offs[i]
-			results[i] = v
+			lo, hi := sc.offs[i], sc.offs[i+1]
+			views[i] = interp.RowSet{Header: plan.hdr, Cols: cols, Sel: sel[lo:hi:hi], N: hi - lo}
+			results[i] = &views[i]
 		}
 	}
 	return info
-}
-
-// emit projects rows rids of the view — the matches of every binding of a
-// set back to back — into the columns of a result: typed vectors copied out of
-// the table's, boxed cells only for a degraded column. The caller has checked
-// plan.selErr; rids may be pooled scratch, emit only reads it.
-func emit(plan *stmtPlan, view *storage.View, rids []int) []interp.RowCol {
-	cols := make([]interp.RowCol, len(plan.cols))
-	for k, ci := range plan.cols {
-		switch c := &view.Cols[ci]; {
-		case c.Anys != nil:
-			cells := make([]any, len(rids))
-			for i, rid := range rids {
-				cells[i] = c.Anys[rid]
-			}
-			cols[k].Anys = cells
-		case c.Kind == storage.TInt:
-			ints := make([]int64, len(rids))
-			for i, rid := range rids {
-				ints[i] = c.Ints[rid]
-			}
-			cols[k].Ints = ints
-		default:
-			strs := make([]string, len(rids))
-			for i, rid := range rids {
-				strs[i] = c.Strs[rid]
-			}
-			cols[k].Strs = strs
-		}
-	}
-	return cols
 }
 
 // fetch is the index access path: it probes ix with sc.keys under one table

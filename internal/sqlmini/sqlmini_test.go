@@ -403,7 +403,9 @@ func TestExecuteBatchFailedBindingChargesNoRows(t *testing.T) {
 // TestExecInfoMatchedIsOwned pins the Matched ownership contract: the rid
 // trace Execute returns never aliases pooled or execution-internal storage,
 // so a caller (the shard router's merge) mutating it cannot corrupt the
-// index or any later execution.
+// index or any later execution. For a row select the owned trace is the
+// result's selection vector (interp.RowSet.Sel), so the caller boxes its
+// result before scribbling: what the mutation may change is only its own.
 func TestExecInfoMatchedIsOwned(t *testing.T) {
 	cat, pool, done := testEnv(t)
 	defer done()
@@ -418,6 +420,10 @@ func TestExecInfoMatchedIsOwned(t *testing.T) {
 	if len(info1.Matched) != 100 {
 		t.Fatalf("matched %d rids, want 100", len(info1.Matched))
 	}
+	if rs := v1.(*interp.RowSet); &rs.Sel[0] != &info1.Matched[0] {
+		t.Fatal("a row select's Matched is not its result's selection vector")
+	}
+	v1 = boxed(v1)
 	for i := range info1.Matched {
 		info1.Matched[i] = -999 // scribble all over the trace
 	}
@@ -425,7 +431,7 @@ func TestExecInfoMatchedIsOwned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1, v2 = boxed(v1), boxed(v2); !interp.Equal(v1, v2) {
+	if v2 = boxed(v2); !interp.Equal(v1, v2) {
 		t.Fatalf("re-execution diverged after mutating Matched:\n%s\nvs\n%s",
 			interp.Format(v1), interp.Format(v2))
 	}
