@@ -61,8 +61,6 @@ type Options struct {
 	// Readable applies the §V regrouping pass, folding guarded statements
 	// back into if blocks. Default on in Transform.
 	Readable bool
-	// SplitNested enables nested-loop fission (§III-D).
-	SplitNested bool
 	// OnlyQueries limits transformation to the named prepared queries.
 	OnlyQueries []string
 	// Funcs declares extra application functions for dataflow analysis.
@@ -115,10 +113,10 @@ func (r *Report) Transformed() int {
 }
 
 // Transform rewrites src for asynchronous query submission with default
-// options (readable output, nested splitting) and returns the transformed
-// source plus the per-site report.
+// options (readable output) and returns the transformed source plus the
+// per-site report. Nested loops are always split (§III-D).
 func Transform(src string) (string, *Report, error) {
-	return TransformWithOptions(src, Options{Readable: true, SplitNested: true})
+	return TransformWithOptions(src, Options{Readable: true})
 }
 
 // TransformWithOptions is Transform with explicit options.
@@ -131,7 +129,6 @@ func TransformWithOptions(src string, opt Options) (string, *Report, error) {
 	out, rep, err := core.Transform(proc, core.Options{
 		Registry:    reg,
 		Readable:    opt.Readable,
-		SplitNested: opt.SplitNested,
 		OnlyQueries: opt.OnlyQueries,
 	})
 	if err != nil {
@@ -148,7 +145,6 @@ func Analyze(src string, opt Options) (*Report, error) {
 	}
 	rep := core.Analyze(proc, core.Options{
 		Registry:    buildRegistry(opt.Funcs),
-		SplitNested: true, // analysis always considers the nested-loop rule
 		OnlyQueries: opt.OnlyQueries,
 	})
 	return convertReport(rep), nil

@@ -88,3 +88,46 @@ func TestLibrarySurface(t *testing.T) {
 		t.Errorf("FormatValue(Rows()) = %q", got)
 	}
 }
+
+// TestTransformOnlyNamedQueries: with Options.OnlyQueries the named query is
+// submitted asynchronously, the other stays blocking, and both programs
+// return the same value.
+func TestTransformOnlyNamedQueries(t *testing.T) {
+	const src = `
+proc twoQueries(items) {
+  query qa = "select x from a where k = ?";
+  query qb = "select y from b where k = ?";
+  total = 0;
+  foreach it in items {
+    x = execQuery(qa, it);
+    y = execQuery(qb, it);
+    total = total + x * 100 + y;
+  }
+  return total;
+}`
+	out, rep, err := asyncq.TransformWithOptions(src, asyncq.Options{Readable: true, OnlyQueries: []string{"qb"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Transformed() != 1 || rep.Sites[0].Converted != 1 {
+		t.Fatalf("want one site with one conversion, got %+v", rep.Sites)
+	}
+	if !strings.Contains(out, "submit(qb") || strings.Contains(out, "submit(qa") || !strings.Contains(out, "execQuery(qa") {
+		t.Fatalf("want qb submitted and qa blocking:\n%s", out)
+	}
+	run := func(req asyncq.Request) asyncq.Result {
+		k, _ := req.Args[0].(int64)
+		return asyncq.Ok(k*int64(len(req.Name)) + int64(req.Name[1]))
+	}
+	svc := asyncq.NewPool(4, run)
+	defer svc.Close()
+	args := []asyncq.Value{asyncq.List(int64(1), int64(5), int64(8))}
+	want, err := asyncq.Run(src, args, svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := asyncq.Run(out, args, svc)
+	if err != nil || len(got.Returned) != 1 || got.Returned[0] != want.Returned[0] {
+		t.Fatalf("transformed returned %v, %v; original %v", got, err, want.Returned)
+	}
+}

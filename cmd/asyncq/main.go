@@ -24,6 +24,12 @@
 // span histograms and executor counters — is dumped to stderr. With -slowlog
 // every request slower than the threshold has its span tree rendered to
 // stderr as it completes.
+//
+// With -serve it serves, until SIGINT or SIGTERM, the posture the repository
+// benchmark measures (experiments.Serve): a front door admitting -inflight
+// requests, over a router of two shards keyed on the -rows-row `load` table's
+// id, each a primary and -replicas synchronous replicas over a -durability
+// WAL. -stats then dumps the door's, router's and groups' counters.
 package main
 
 import (
@@ -55,7 +61,7 @@ func main() {
 	rows := flag.Int("rows", 10000, "-serve: rows preloaded into the `load` table")
 	inflight := flag.Int("inflight", 64, "-serve: admission budget (max concurrently executing request units; 0 = unlimited)")
 	replicas := flag.Int("replicas", 1, "-serve: read replicas behind the primary")
-	durability := flag.String("durability", "", "-serve: WAL commit mode (off|group|strict; empty = group)")
+	durability := flag.String("durability", "group", "-serve: WAL commit mode (off|group|strict)")
 	scale := flag.Float64("scale", 0.02, "-serve: simulated-time scale factor for the backing server")
 	flag.Parse()
 
@@ -88,7 +94,7 @@ func main() {
 		return
 	}
 
-	opts := core.Options{Readable: !*flat, SplitNested: true}
+	opts := core.Options{Readable: !*flat}
 	trans, rep, err := core.Transform(proc, opts)
 	if err != nil {
 		fatal(err)

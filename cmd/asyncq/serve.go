@@ -6,13 +6,16 @@ import (
 	"os/signal"
 	"syscall"
 
-	"repro/internal/apps"
+	"repro/internal/experiments"
 	"repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/replica"
-	"repro/internal/server"
 	"repro/internal/wal"
 )
+
+// serveShards is the served cluster's shard count: the posture the
+// repository benchmark measures (two shards keyed on the load table's id).
+const serveShards = 2
 
 // serveOptions are the -serve flags (see main).
 type serveOptions struct {
@@ -25,43 +28,30 @@ type serveOptions struct {
 	stats      bool
 }
 
-// serve runs the network front door: a replica group over the simulated
-// server (the full submission stack's backend), preloaded with the `load`
-// table cmd/loadgen drives, fronted by the wire protocol with a bounded
-// admission budget. Blocks until SIGINT/SIGTERM.
+// serve runs the network front door over the served stack
+// (experiments.Serve): serveShards shards keyed on load.id, each a replica
+// group (a primary and o.replicas synchronous replicas over a WAL) on the
+// simulated server, preloaded with the `load` table cmd/loadgen drives,
+// behind the wire protocol with a bounded admission budget. Blocks until
+// SIGINT/SIGTERM.
 func serve(o serveOptions) error {
-	mode := wal.Group
-	if o.durability != "" {
-		var err error
-		if mode, err = wal.ParseMode(o.durability); err != nil {
-			return err
-		}
+	mode, err := wal.ParseMode(o.durability)
+	if err != nil {
+		return err
 	}
 	if o.replicas < 1 {
 		o.replicas = 1
 	}
-	g := replica.NewGroup(server.SYS1(), o.scale, replica.Options{
-		Replicas:   o.replicas,
-		Durability: mode,
-	})
-	defer g.Close()
-	if err := apps.LoadPointTable(g.Copies(), "load", o.rows); err != nil {
-		return err
-	}
-	g.Warm()
-
 	reg := obs.NewRegistry()
-	g.SetMetrics(reg)
-	fd := net.NewServer(g, net.ServerOptions{
-		MaxInflight: o.inflight,
-		Metrics:     reg,
-	})
-	if err := fd.Listen(o.addr); err != nil {
+	st, err := experiments.Serve(o.addr, o.scale, serveShards,
+		replica.Options{Replicas: o.replicas, Durability: mode}, o.rows,
+		net.ServerOptions{MaxInflight: o.inflight, Metrics: reg})
+	if err != nil {
 		return err
 	}
-	defer fd.Close()
-	fmt.Printf("asyncq: serving %d-row load table on %s (replicas=%d durability=%s inflight=%d)\n",
-		o.rows, fd.Addr(), o.replicas, mode, o.inflight)
+	defer st.Close()
+	fmt.Printf("asyncq: serving %d-row load table on %s (shards=%d replicas=%d durability=%s inflight=%d)\n",
+		o.rows, st.Door.Addr(), serveShards, o.replicas, mode, o.inflight)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

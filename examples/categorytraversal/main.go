@@ -26,7 +26,7 @@ func main() {
 	// Transform (needs the reorder algorithm first: the frontier update is
 	// a loop-carried flow dependence into the loop predicate).
 	trans, rep, err := core.Transform(orig, core.Options{
-		Registry: app.Registry(), SplitNested: true, Readable: true,
+		Registry: app.Registry(), Readable: true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -21,9 +21,7 @@ import (
 func main() {
 	app := apps.WebServiceApp()
 	orig := app.Proc()
-	trans, _, err := core.Transform(orig, core.Options{
-		Registry: app.Registry(), SplitNested: true,
-	})
+	trans, _, err := core.Transform(orig, core.Options{Registry: app.Registry()})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -77,29 +77,23 @@ const (
 // SeededRand returns the deterministic generator used across the harness.
 func SeededRand() *rand.Rand { return rand.New(rand.NewSource(20110411)) } // ICDE 2011
 
-// LoadPointTable creates table(id int, val string) on every one of copies (a
-// replica group's Copies()), fills it with rows 1..rows ("v<id>") and indexes
-// id uniquely: the point-read "load" table the load generator drives
-// (cmd/asyncq -serve, the frontdoor and chaos fixtures) and, empty, the
-// insert storm's "events" table.
-func LoadPointTable(copies []*server.Server, table string, rows int) error {
+// LoadPointTable creates table(id int, val string) on srv, fills it with rows
+// 1..rows ("v<id>") and indexes id uniquely: the point-read "load" table the
+// load generator drives (experiments.Serve partitions it from a reference
+// server) and, empty, the insert storm's "events" table.
+func LoadPointTable(srv *server.Server, table string, rows int) error {
 	schema := storage.NewSchema(
 		storage.Column{Name: "id", Type: storage.TInt},
 		storage.Column{Name: "val", Type: storage.TString},
 	)
-	for _, l := range copies {
-		if err := l.CreateTable(table, schema, 0); err != nil {
-			return err
-		}
-		for i := 1; i <= rows; i++ {
-			if err := l.InsertRow(table, []any{int64(i), fmt.Sprintf("v%d", i)}); err != nil {
-				return err
-			}
-		}
-		l.FinishLoad()
-		if err := l.AddIndex(table, "id", true); err != nil {
+	if err := srv.CreateTable(table, schema, 0); err != nil {
+		return err
+	}
+	for i := 1; i <= rows; i++ {
+		if err := srv.InsertRow(table, []any{int64(i), fmt.Sprintf("v%d", i)}); err != nil {
 			return err
 		}
 	}
-	return nil
+	srv.FinishLoad()
+	return srv.AddIndex(table, "id", true)
 }

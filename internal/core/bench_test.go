@@ -16,7 +16,7 @@ func BenchmarkTransformCategoryWithReorder(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Transform(proc, Options{Registry: app.Registry(), SplitNested: true}); err != nil {
+		if _, _, err := Transform(proc, Options{Registry: app.Registry()}); err != nil {
 			b.Fatal(err)
 		}
 	}

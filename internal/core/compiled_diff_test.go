@@ -57,7 +57,7 @@ func checkCompiledEquivalence(seed int64) error {
 	if err != nil {
 		return fmt.Errorf("seed %d: unparsable generated program: %v", seed, err)
 	}
-	trans, _, err := Transform(orig, Options{SplitNested: true})
+	trans, _, err := Transform(orig, Options{})
 	if err != nil {
 		return fmt.Errorf("seed %d: transform: %v", seed, err)
 	}

@@ -186,7 +186,7 @@ func TestPropertyEquivalenceNested(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: generator produced unparsable code: %v\n%s", seed, err, src)
 		}
-		trans, rep, err := Transform(orig, Options{SplitNested: true})
+		trans, rep, err := Transform(orig, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: transform: %v", seed, err)
 		}
@@ -220,7 +220,7 @@ func renderGolden() string {
 	var b strings.Builder
 	render := func(name string, p *ir.Proc, reg *ir.Registry, modes ...bool) {
 		for _, readable := range modes {
-			out, rep, err := Transform(p, Options{Registry: reg, SplitNested: true, Readable: readable})
+			out, rep, err := Transform(p, Options{Registry: reg, Readable: readable})
 			fmt.Fprintf(&b, "== %s (readable %v)\n", name, readable)
 			if err != nil {
 				fmt.Fprintf(&b, "error: %v\n", err)

@@ -119,7 +119,7 @@ func checkEquivalence(seed int64) error {
 	if err != nil {
 		return fmt.Errorf("seed %d: generator produced unparsable code: %v\n%s", seed, err, src)
 	}
-	trans, _, err := Transform(orig, Options{SplitNested: true})
+	trans, _, err := Transform(orig, Options{})
 	if err != nil {
 		return fmt.Errorf("seed %d: transform: %v\n%s", seed, err, src)
 	}

@@ -21,19 +21,16 @@ type Options struct {
 	Registry *ir.Registry
 	// Readable applies the §V regrouping pass to the transformed program.
 	Readable bool
-	// SplitNested enables the nested-loop fission of §III-D: outer loops are
-	// split at the boundary left by a transformed inner loop.
-	SplitNested bool
 	// OnlyQueries restricts transformation to the named prepared queries
 	// (the paper's "user can specify which query submission statements to be
 	// transformed", §VII). Empty means all.
 	OnlyQueries []string
 }
 
-// DefaultOptions mirror the tool's defaults: readable output, nested
-// splitting on.
+// DefaultOptions mirror the tool's defaults: readable output. Nested-loop
+// fission (§III-D) is not an option: it is always on.
 func DefaultOptions() Options {
-	return Options{Readable: true, SplitNested: true}
+	return Options{Readable: true}
 }
 
 // Site records the outcome for one loop that contains query executions — one
@@ -143,9 +140,10 @@ func (c *tctx) transformLoop(parent *ir.Block, idx int) int {
 	queries := directQueries(body)
 	barrier := hasBarrierCall(body, c.reg)
 	if len(queries) == 0 && !barrier {
-		if pivot != nil && c.opts.SplitNested {
-			// Cutting at the inner scan completes all inner submissions of
-			// all outer iterations before any result is consumed.
+		if pivot != nil {
+			// Nested-loop fission (§III-D): cutting at the inner scan
+			// completes all inner submissions of all outer iterations before
+			// any result is consumed.
 			if span, _, _, err := c.cut(parent, idx, pivot); err == nil {
 				return span
 			}

@@ -16,8 +16,14 @@ import (
 // returns and output. It returns the transformed proc and report.
 func runBoth(t *testing.T, src string, args ...interp.Value) (*ir.Proc, *Report) {
 	t.Helper()
+	return runWith(t, Options{}, src, args...)
+}
+
+// runWith is runBoth with explicit transformation options.
+func runWith(t *testing.T, opts Options, src string, args ...interp.Value) (*ir.Proc, *Report) {
+	t.Helper()
 	orig := minilang.MustParse(src)
-	tp, rep, err := Transform(orig, Options{SplitNested: true})
+	tp, rep, err := Transform(orig, opts)
 	if err != nil {
 		t.Fatalf("Transform: %v", err)
 	}
@@ -366,6 +372,29 @@ func TestTwoQueriesBothAsync(t *testing.T) {
 	}
 }
 
+// OnlyQueries (the paper's §VII option to transform only the named
+// statements) converts the named query and leaves the other blocking, and the
+// partly transformed program still computes what the original does.
+func TestOnlyQueriesConvertsTheNamedQuery(t *testing.T) {
+	tp, rep := runWith(t, Options{OnlyQueries: []string{"qb"}}, twoQueries,
+		interp.NewList(int64(1), int64(2), int64(3)))
+	if rep.Opportunities() != 1 || rep.Sites[0].Converted != 1 {
+		t.Fatalf("want one site with one conversion, got %+v", rep.Sites)
+	}
+	var submitted, blocking []string
+	ir.WalkStmts(tp.Body, func(s ir.Stmt) {
+		switch s := s.(type) {
+		case *ir.Submit:
+			submitted = append(submitted, s.Query)
+		case *ir.ExecQuery:
+			blocking = append(blocking, s.Query)
+		}
+	})
+	if strings.Join(submitted, ",") != "qb" || strings.Join(blocking, ",") != "qa" {
+		t.Fatalf("submitted %v, blocking %v; want [qb], [qa]\n%s", submitted, blocking, ir.Print(tp))
+	}
+}
+
 // An update-only loop (paper Experiment 4): self output dependence on the
 // database does not block fission.
 const insertLoop = `
@@ -449,7 +478,7 @@ func TestBarrierLoopNotTransformed(t *testing.T) {
 // correctly.
 func TestReadableOutputEquivalent(t *testing.T) {
 	orig := minilang.MustParse(example4)
-	tp, _, err := Transform(orig, Options{Readable: true, SplitNested: true})
+	tp, _, err := Transform(orig, Options{Readable: true})
 	if err != nil {
 		t.Fatalf("Transform: %v", err)
 	}

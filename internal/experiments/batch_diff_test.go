@@ -24,10 +24,7 @@ func TestBatchedExecutionMatchesAsyncOnApps(t *testing.T) {
 	for _, app := range apps.All() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
-			trans, rep, err := core.Transform(app.Proc(), core.Options{
-				Registry:    app.Registry(),
-				SplitNested: true,
-			})
+			trans, rep, err := core.Transform(app.Proc(), core.Options{Registry: app.Registry()})
 			if err != nil {
 				t.Fatalf("transform: %v", err)
 			}

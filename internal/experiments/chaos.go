@@ -64,18 +64,16 @@ func (h *Harness) FigChaos() (*Figure, error) {
 			Rate(fault.SyncStall, p).Delay(fault.SyncStall, 200*time.Microsecond).
 			Rate(fault.ReplicaCrash, p)
 
-		// The resilience layer armed: a 2-replica group over a fault-wrapped
-		// store with hedged reads and circuit breakers, its reads subject to
-		// injected replica crashes.
-		reg := obs.NewRegistry()
-		fx, err := h.startFrontdoor(rows, replica.Options{
+		// The resilience layer armed: one shard, a 2-replica group whose log
+		// store and replica reads the injector faults, with hedged reads and
+		// circuit breakers.
+		fx, err := Serve("127.0.0.1:0", h.Scale, 1, replica.Options{
 			Replicas:   2,
 			Durability: wal.Group,
-			Store:      fault.NewStore(wal.NewMemStore(), inj),
 			Hedge:      5 * time.Millisecond,
-			Breaker:    replica.BreakerOptions{Enabled: true, Cooldown: 2 * time.Millisecond},
+			Breaker:    2 * time.Millisecond,
 			Fault:      inj,
-		}, reg, net.ServerOptions{Metrics: reg})
+		}, rows, net.ServerOptions{Metrics: obs.NewRegistry()})
 		if err != nil {
 			return nil, fmt.Errorf("chaos %d%%: %w", pct, err)
 		}
@@ -95,10 +93,11 @@ func (h *Harness) FigChaos() (*Figure, error) {
 			fx.Close()
 			return nil, fmt.Errorf("chaos %d%%: %w", pct, err)
 		}
-		topRes = fx.g.Resilience()
+		g := fx.Router.Groups()[0]
+		topRes = g.Resilience()
 		rep.Hedges = topRes.HedgesLaunched
 		rep.BreakerTrips = topRes.BreakerTrips
-		topSyncErrs = fx.g.WALStats().SyncErrors
+		topSyncErrs = g.WALStats().SyncErrors
 		topFired = inj.Counts()
 		fx.Close()
 

@@ -16,7 +16,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/replica"
 	"repro/internal/server"
-	"repro/internal/wal"
 )
 
 // chaosInjector builds the suite's deterministic fault plan: every fault
@@ -65,10 +64,7 @@ func TestChaosDifferential(t *testing.T) {
 	for _, app := range apps.All() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
-			trans, rep, err := core.Transform(app.Proc(), core.Options{
-				Registry:    app.Registry(),
-				SplitNested: true,
-			})
+			trans, rep, err := core.Transform(app.Proc(), core.Options{Registry: app.Registry()})
 			if err != nil {
 				t.Fatalf("transform: %v", err)
 			}
@@ -108,8 +104,8 @@ func TestChaosDifferential(t *testing.T) {
 				return direct.Exec, direct.ExecBatch
 			})
 
-			// The chaos stack: a synchronous 2-replica group over a flaky
-			// store, behind a real TCP front door, driven by a retrying
+			// The chaos stack: a synchronous 2-replica group whose log store
+			// the injector faults, behind a real TCP front door, driven by a retrying
 			// client — with the full fault plan firing mid-workload.
 			inj := chaosInjector(seed)
 			var group *replica.Group
@@ -117,9 +113,8 @@ func TestChaosDifferential(t *testing.T) {
 				func(query.BatchRequest) query.BatchResult) {
 				group = replica.NewGroup(prof, 0.02, replica.Options{
 					Replicas: 2,
-					Store:    fault.NewStore(wal.NewMemStore(), inj),
 					Hedge:    5 * time.Millisecond,
-					Breaker:  replica.BreakerOptions{Enabled: true, Cooldown: 2 * time.Millisecond},
+					Breaker:  2 * time.Millisecond,
 					Fault:    inj,
 				})
 				t.Cleanup(group.Close)

@@ -45,7 +45,7 @@ func conformanceRef(t *testing.T) *server.Server {
 func conformanceExecutors() map[string]func(t *testing.T) query.Executor {
 	router := func(t *testing.T, replicas int) *shard.Router {
 		rt := shard.New(server.SYS1(), 0, shard.Options{
-			Shards: 3, Replicas: replicas, Keys: map[string]string{"items": "id"},
+			Shards: 3, Group: replica.Options{Replicas: replicas}, Keys: map[string]string{"items": "id"},
 		})
 		t.Cleanup(rt.Close)
 		if err := rt.LoadFrom(conformanceRef(t)); err != nil {

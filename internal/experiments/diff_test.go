@@ -24,10 +24,7 @@ func TestCompiledEvaluatorMatchesTreeOnApps(t *testing.T) {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			orig := app.Proc()
-			trans, rep, err := core.Transform(orig, core.Options{
-				Registry:    app.Registry(),
-				SplitNested: true,
-			})
+			trans, rep, err := core.Transform(orig, core.Options{Registry: app.Registry()})
 			if err != nil {
 				t.Fatalf("transform: %v", err)
 			}

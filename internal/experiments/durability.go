@@ -42,8 +42,10 @@ func (h *Harness) storm(prof server.Profile, mode wal.Mode, threads, inserts int
 	prof.Disk.WriteSettle = 4 * time.Millisecond
 	g := replica.NewGroup(prof, h.Scale, replica.Options{Replicas: 1, Durability: mode})
 	defer g.Close()
-	if err := apps.LoadPointTable(g.Copies(), "events", 0); err != nil {
-		return stormRun{}, err
+	for _, c := range g.Copies() {
+		if err := apps.LoadPointTable(c, "events", 0); err != nil {
+			return stormRun{}, err
+		}
 	}
 	g.Warm()
 

@@ -29,7 +29,7 @@ func TestTable1(t *testing.T) {
 	transformed, withoutReorder := 0, 0
 	for _, c := range []*apps.CorpusApp{apps.AuctionCorpus(), apps.BulletinCorpus()} {
 		for _, p := range c.Procs {
-			rep := core.Analyze(p, core.Options{SplitNested: true})
+			rep := core.Analyze(p, core.Options{})
 			if rep.TransformedCount() == 0 {
 				continue
 			}
@@ -51,9 +51,7 @@ func TestTable1(t *testing.T) {
 // TestAllAppsTransform checks that each evaluation app's kernel transforms.
 func TestAllAppsTransform(t *testing.T) {
 	for _, app := range apps.All() {
-		_, rep, err := core.Transform(app.Proc(), core.Options{
-			Registry: app.Registry(), SplitNested: true,
-		})
+		_, rep, err := core.Transform(app.Proc(), core.Options{Registry: app.Registry()})
 		if err != nil {
 			t.Errorf("%s: %v", app.Name, err)
 			continue

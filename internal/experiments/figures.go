@@ -356,7 +356,7 @@ func Table1() []TableRow {
 	for _, c := range []*apps.CorpusApp{apps.AuctionCorpus(), apps.BulletinCorpus()} {
 		row := TableRow{Application: c.Name}
 		for _, p := range c.Procs {
-			rep := core.Analyze(p, core.Options{SplitNested: true})
+			rep := core.Analyze(p, core.Options{})
 			row.Opportunities += rep.Opportunities()
 			row.Transformed += rep.TransformedCount()
 		}

@@ -11,39 +11,55 @@ import (
 	"repro/internal/query"
 	"repro/internal/replica"
 	"repro/internal/server"
+	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
-// frontdoorFixture is a listening front door over the full simulated stack
-// (replica group, WAL, wire protocol, admission control) preloaded with the
-// point-read table the load generator drives.
-type frontdoorFixture struct {
-	g  *replica.Group
-	fd *net.Server
+// Served is the served stack: a front door listening over a shard router
+// whose shards are replica groups, holding the point-read `load` table the
+// load generator drives, sharded on id. `asyncq -serve`, the front-door and
+// chaos figures and their tests all run this one posture.
+type Served struct {
+	Router *shard.Router
+	Door   *net.Server
 }
 
-// startFrontdoor brings up the fixture: a group built from opts, loaded,
-// warmed and pointed at reg, behind a front door listening on loopback.
-func (h *Harness) startFrontdoor(rows int, opts replica.Options, reg *obs.Registry, so net.ServerOptions) (*frontdoorFixture, error) {
-	g := replica.NewGroup(server.SYS1(), h.Scale, opts)
-	if err := apps.LoadPointTable(g.Copies(), "load", rows); err != nil {
-		g.Close()
+// Serve brings up the served stack on addr: a reference server filled by
+// apps.LoadPointTable, partitioned over `shards` backends built from group
+// (replica groups when group.Replicas > 0; scale is their simulated-time
+// factor), warmed, its metrics registered on the door's registry
+// (so.Metrics, when set), behind a front door built from so.
+func Serve(addr string, scale float64, shards int, group replica.Options, rows int, so net.ServerOptions) (*Served, error) {
+	ref := server.New(server.SYS1(), 0)
+	defer ref.Close()
+	if err := apps.LoadPointTable(ref, "load", rows); err != nil {
 		return nil, err
 	}
-	g.Warm()
-	g.SetMetrics(reg)
-
-	fd := net.NewServer(g, so)
-	if err := fd.Listen("127.0.0.1:0"); err != nil {
-		g.Close()
+	r := shard.New(server.SYS1(), scale, shard.Options{
+		Shards: shards,
+		Keys:   map[string]string{"load": "id"},
+		Group:  group,
+	})
+	if err := r.LoadFrom(ref); err != nil {
+		r.Close()
 		return nil, err
 	}
-	return &frontdoorFixture{g: g, fd: fd}, nil
+	r.Warm()
+	if so.Metrics != nil {
+		r.RegisterMetrics(so.Metrics, "")
+	}
+	fd := net.NewServer(r, so)
+	if err := fd.Listen(addr); err != nil {
+		r.Close()
+		return nil, err
+	}
+	return &Served{Router: r, Door: fd}, nil
 }
 
-func (f *frontdoorFixture) Close() {
-	f.fd.Close()
-	f.g.Close()
+// Close shuts the door, then the cluster behind it.
+func (s *Served) Close() {
+	s.Door.Close()
+	s.Router.Close()
 }
 
 // addLoadPoint appends one load run at x to a request-driven figure's series:
@@ -55,10 +71,11 @@ func addLoadPoint(series []Series, x int, rep net.LoadReport, extra float64) {
 	}
 }
 
-func (f *frontdoorFixture) load(rows int) net.LoadOptions {
+// load is the point-read workload over the served table's rows.
+func (s *Served) load(rows int) net.LoadOptions {
 	n := int64(rows)
 	return net.LoadOptions{
-		Addr: f.fd.Addr(),
+		Addr: s.Door.Addr(),
 		Next: func(r *rand.Rand) query.Request {
 			return query.Req("point", "select val from load where id = ?", []any{r.Int63n(n) + 1})
 		},
@@ -88,8 +105,8 @@ func (h *Harness) FigFrontdoor() (*Figure, error) {
 	}
 	percents := h.pick([]int{50, 75, 100, 125, 150, 200}, []int{50, 100, 200})
 
-	fx, err := h.startFrontdoor(rows, replica.Options{Replicas: 1, Durability: wal.Group},
-		obs.NewRegistry(), net.ServerOptions{MaxInflight: inflight})
+	fx, err := Serve("127.0.0.1:0", h.Scale, 1, replica.Options{Replicas: 1, Durability: wal.Group}, rows,
+		net.ServerOptions{MaxInflight: inflight, Metrics: obs.NewRegistry()})
 	if err != nil {
 		return nil, fmt.Errorf("frontdoor: %w", err)
 	}

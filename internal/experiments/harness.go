@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/query"
+	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/shard"
 )
@@ -81,10 +82,7 @@ func (h *Harness) proc(app *apps.App) (*procPair, error) {
 		return p, nil
 	}
 	orig := app.Proc()
-	trans, rep, err := core.Transform(orig, core.Options{
-		Registry:    app.Registry(),
-		SplitNested: true,
-	})
+	trans, rep, err := core.Transform(orig, core.Options{Registry: app.Registry()})
 	if err != nil {
 		return nil, fmt.Errorf("transform %s: %w", app.Name, err)
 	}
@@ -136,7 +134,7 @@ func (h *Harness) router(app *apps.App, prof server.Profile, shards, replicas in
 	if app.MutatesData {
 		defer ref.Close()
 	}
-	r := shard.New(prof, h.Scale, shard.Options{Shards: shards, Keys: app.ShardKeys, Replicas: replicas})
+	r := shard.New(prof, h.Scale, shard.Options{Shards: shards, Keys: app.ShardKeys, Group: replica.Options{Replicas: replicas}})
 	if err := r.LoadFrom(ref); err != nil {
 		r.Close()
 		return nil, fmt.Errorf("shard load %s: %w", app.Name, err)

@@ -20,6 +20,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/interp"
 	"repro/internal/query"
+	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/shard"
 )
@@ -248,7 +249,7 @@ func TestReshardDifferentialCrashMidMigration(t *testing.T) {
 		t.Fatalf("setup: %v", err)
 	}
 	rt := shard.New(server.SYS1(), 0, shard.Options{
-		Shards: 2, Keys: app.ShardKeys, Replicas: 1,
+		Shards: 2, Keys: app.ShardKeys, Group: replica.Options{Replicas: 1},
 	})
 	t.Cleanup(rt.Close)
 	if err := rt.LoadFrom(ref); err != nil {

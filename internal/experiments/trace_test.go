@@ -13,6 +13,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/shard"
 )
@@ -57,10 +58,7 @@ func countSpans(t *testing.T, sp *obs.Span) int {
 // the slow-query log and the tail-latency figure rest on.
 func TestTraceCompleteness(t *testing.T) {
 	app := apps.RUBiS()
-	trans, rep, err := core.Transform(app.Proc(), core.Options{
-		Registry:    app.Registry(),
-		SplitNested: true,
-	})
+	trans, rep, err := core.Transform(app.Proc(), core.Options{Registry: app.Registry()})
 	if err != nil {
 		t.Fatalf("transform: %v", err)
 	}
@@ -75,7 +73,7 @@ func TestTraceCompleteness(t *testing.T) {
 	}
 	rt := shard.New(server.SYS1(), 0, shard.Options{
 		Shards: 3, Keys: app.ShardKeys,
-		Replicas: 2,
+		Group: replica.Options{Replicas: 2},
 	})
 	defer rt.Close()
 	if err := rt.LoadFrom(ref); err != nil {

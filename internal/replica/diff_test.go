@@ -99,7 +99,7 @@ func TestRandomizedDifferentialAllApps(t *testing.T) {
 			}
 			newRouter := func(replicas int) *shard.Router {
 				rt := shard.New(server.SYS1(), 0, shard.Options{
-					Shards: shards, Keys: app.ShardKeys, Replicas: replicas,
+					Shards: shards, Keys: app.ShardKeys, Group: replica.Options{Replicas: replicas},
 				})
 				t.Cleanup(rt.Close)
 				if err := rt.LoadFrom(ref); err != nil {
@@ -257,7 +257,7 @@ func TestRandomWorkloadIsDeterministic(t *testing.T) {
 // acknowledged write was lost.
 func TestDifferentialPrimaryCrashRecovery(t *testing.T) {
 	runPrimaryCrashRecovery(t, apps.All(), func(t *testing.T, shards int, keys map[string]string) *shard.Router {
-		return shard.New(server.SYS1(), 0, shard.Options{Shards: shards, Keys: keys, Replicas: 1})
+		return shard.New(server.SYS1(), 0, shard.Options{Shards: shards, Keys: keys, Group: replica.Options{Replicas: 1}})
 	}, nil)
 }
 

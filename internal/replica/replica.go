@@ -108,13 +108,15 @@ type Options struct {
 	// qualifying replica and the first non-faulted answer wins. Writes are
 	// never hedged (they are not idempotent at this layer).
 	Hedge time.Duration
-	// Breaker configures the per-replica circuit breaker (see
-	// BreakerOptions). Disabled by default: faulted replicas then stay out
-	// of rotation until an explicit Recover, the historical contract.
-	Breaker BreakerOptions
+	// Breaker, when positive, arms the per-replica circuit breaker with this
+	// cooldown (see failOut): a replica the health tracker fails out is
+	// probed back in after it, instead of waiting for an explicit Recover.
+	// Zero keeps the historical contract: out until Recover.
+	Breaker time.Duration
 	// Fault, when set, injects ReplicaCrash decisions ahead of replica read
 	// attempts (the crashed attempt faults, and the fail-out / breaker /
-	// hedge machinery absorbs it). Nil means no injection.
+	// hedge machinery absorbs it) and fsync stalls and errors into the
+	// group's log store (fault.NewStore). Nil means no injection.
 	Fault *fault.Injector
 }
 
@@ -139,7 +141,7 @@ type state struct {
 	held bool // HoldApply freeze: the applier parks, applied stays exact
 
 	// bmu/bstate are the replica's circuit breaker (see resilience.go);
-	// bstate only changes when BreakerOptions.Enabled.
+	// bstate only changes when Options.Breaker is set.
 	bmu    sync.Mutex
 	bstate int32
 }
@@ -201,7 +203,7 @@ type Group struct {
 	// Resilience layer (see resilience.go): hedged reads, per-replica
 	// circuit breakers, and injected replica crashes.
 	hedge   time.Duration
-	breaker BreakerOptions
+	breaker time.Duration // cooldown; 0 = no breaker
 	fault   *fault.Injector
 
 	reg          atomic.Pointer[obs.Registry]
@@ -242,7 +244,14 @@ func NewGroup(prof server.Profile, scale float64, opts Options) *Group {
 		g.states[i].cond = sync.NewCond(&g.states[i].mu)
 		g.states[i].healthy.Store(true)
 	}
-	g.log = wal.New(wal.Options{Mode: opts.Durability, Store: opts.Store, Syncer: groupSyncer{g}})
+	store := opts.Store
+	if opts.Fault != nil {
+		if store == nil {
+			store = wal.NewMemStore()
+		}
+		store = fault.NewStore(store, opts.Fault)
+	}
+	g.log = wal.New(wal.Options{Mode: opts.Durability, Store: store, Syncer: groupSyncer{g}})
 	if g.async {
 		for i := range g.replicas {
 			g.wg.Add(1)
@@ -290,20 +299,12 @@ func (g *Group) replica(i int) *server.Server {
 // Log exposes the group's write-ahead log (tests, stats).
 func (g *Group) Log() *wal.Log { return g.log }
 
-// SetMetrics points the group's log (fsync histograms) and resilience
-// counters at an obs registry.
-func (g *Group) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
+// RegisterMetrics registers the group's aggregate stats and its WAL's as
+// pull sources under prefix, and points the log's fsync histograms and the
+// resilience counters at reg.
+func (g *Group) RegisterMetrics(reg *obs.Registry, prefix string) {
 	g.reg.Store(reg)
 	g.log.SetMetrics(reg)
-}
-
-// RegisterMetrics registers the group's aggregate stats and its WAL's as
-// pull sources under prefix, and points histogram recording at reg.
-func (g *Group) RegisterMetrics(reg *obs.Registry, prefix string) {
-	g.SetMetrics(reg)
 	reg.RegisterSource(prefix+"group", func() map[string]float64 {
 		return g.Stats().Metrics()
 	})

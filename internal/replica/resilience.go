@@ -9,31 +9,6 @@ import (
 	"repro/internal/query"
 )
 
-// BreakerOptions configure the per-replica circuit breaker. A breaker wraps
-// the fail-out mechanism: whatever fails a replica out — a faulted read, a
-// failed write apply, an applier fault, a checkpoint that overran the applier
-// — still removes it from rotation immediately (the breaker "trips" open),
-// but instead of waiting for a manual Recover, the group schedules a
-// half-open probe after Cooldown. The probe IS a Recover call — it replays the log suffix the
-// replica missed — so a probe that succeeds readmits a byte-identical copy,
-// never a stale one. A probe that fails reopens the breaker and tries again
-// after another cooldown.
-type BreakerOptions struct {
-	// Enabled turns the breaker on. Off (the zero value) preserves the
-	// historical contract: a faulted replica stays down until Recover.
-	Enabled bool
-	// Cooldown is how long a tripped breaker stays open before the
-	// half-open probe fires. Zero defaults to 10ms.
-	Cooldown time.Duration
-}
-
-func (b BreakerOptions) cooldown() time.Duration {
-	if b.Cooldown > 0 {
-		return b.Cooldown
-	}
-	return 10 * time.Millisecond
-}
-
 // Breaker states. The per-replica state lives in state.bstate, guarded by
 // state.bmu (transitions are rare; a mutex keeps the trip/probe/fail-out
 // races straightforward to reason about).
@@ -119,15 +94,16 @@ func (g *Group) crashMaybe(i int) {
 // failOut is the one way the health tracker takes replica i out of rotation
 // — read's faulted attempt, apply's first error and the applier's overrun by
 // a checkpoint all land here — so Faults counts every one and, when the
-// breaker is enabled, every one trips it and schedules the half-open probe.
-// Only a closed breaker trips (and counts); an open or half-open one already
-// has a probe in flight. (Administrative FailOut and CrashPrimary's taint are
-// operator decisions, not observations: they store the flag themselves.)
+// breaker is armed (Options.Breaker), every one trips it and schedules the
+// half-open probe. Only a closed breaker trips (and counts); an open or
+// half-open one already has a probe in flight. (Administrative FailOut and
+// CrashPrimary's taint are operator decisions, not observations: they store
+// the flag themselves.)
 func (g *Group) failOut(i int) {
 	st := g.states[i]
 	st.faults.Add(1)
 	st.healthy.Store(false)
-	if !g.breaker.Enabled {
+	if g.breaker <= 0 {
 		return
 	}
 	st.bmu.Lock()
@@ -158,7 +134,7 @@ var errProbeLost = errors.New("replica: probe raced a concurrent fault")
 // successful probe closes the breaker on a byte-identical copy. Failure
 // reopens and reschedules.
 func (g *Group) probe(i int) {
-	t := time.NewTimer(g.breaker.cooldown())
+	t := time.NewTimer(g.breaker)
 	defer t.Stop()
 	select {
 	case <-t.C:

@@ -112,9 +112,9 @@ func TestBreakerTripsAndProbesBackIn(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := newGroupOpts(t, Options{
 		Replicas: 2,
-		Breaker:  BreakerOptions{Enabled: true, Cooldown: 2 * time.Millisecond},
+		Breaker:  2 * time.Millisecond,
 	})
-	g.SetMetrics(reg)
+	g.RegisterMetrics(reg, "")
 
 	g.Replicas()[0].FailNext(1)
 	for i := int64(0); g.Resilience().BreakerTrips == 0 && i < 10; i++ {
@@ -165,7 +165,7 @@ func TestReplicaCrashInjectionFailsOver(t *testing.T) {
 	inj := fault.New(11).At(fault.ReplicaCrash, 1)
 	g := newGroupOpts(t, Options{
 		Replicas: 2,
-		Breaker:  BreakerOptions{Enabled: true, Cooldown: time.Millisecond},
+		Breaker:  time.Millisecond,
 		Fault:    inj,
 	})
 	for i := int64(0); i < 10; i++ {
@@ -253,10 +253,11 @@ func TestBreakerSeesEveryFailOut(t *testing.T) {
 	for _, c := range cases {
 		for _, enabled := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/breaker=%v", c.name, enabled), func(t *testing.T) {
-				g := newGroupOpts(t, Options{
-					Replicas: 2, Async: c.async,
-					Breaker: BreakerOptions{Enabled: enabled, Cooldown: time.Millisecond},
-				})
+				var cooldown time.Duration
+				if enabled {
+					cooldown = time.Millisecond
+				}
+				g := newGroupOpts(t, Options{Replicas: 2, Async: c.async, Breaker: cooldown})
 				c.failOut(t, g)
 				await(t, "the fail-out", func() bool { return g.Faults()[0] == 1 })
 				if !enabled {
@@ -278,5 +279,18 @@ func TestBreakerSeesEveryFailOut(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// Options.Fault also arms the group's log store: an injected fsync error
+// fires at the group's first commit, and the flusher's retry still
+// acknowledges the insert.
+func TestFaultArmsTheLogStore(t *testing.T) {
+	inj := fault.New(12).At(fault.SyncErr, 1)
+	g := newGroupOpts(t, Options{Replicas: 1, Fault: inj})
+	mustInsert(t, g, 100)
+	if inj.Fired(fault.SyncErr) != 1 || g.WALStats().SyncErrors != 1 {
+		t.Fatalf("sync-err fired %d, WAL saw %d sync errors; want 1 and 1",
+			inj.Fired(fault.SyncErr), g.WALStats().SyncErrors)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/interp"
 	"repro/internal/query"
+	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/storage"
 )
@@ -45,7 +46,7 @@ func TestScatterAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := newRouter(t, ref, Options{Shards: 2, Replicas: 1, Keys: map[string]string{"users": "uid"}})
+	r := newRouter(t, ref, Options{Shards: 2, Group: replica.Options{Replicas: 1}, Keys: map[string]string{"users": "uid"}})
 
 	c := &query.Call{Request: query.Req("scatter", "select uid, name from users where grp = ?", []any{int64(7)})}
 	rep := new(query.Reply)

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/storage"
 )
@@ -45,7 +46,7 @@ func BenchmarkCopy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		rt := New(server.SYS1(), 0, Options{Shards: 2, Replicas: 1, Keys: map[string]string{"users": "uid"}})
+		rt := New(server.SYS1(), 0, Options{Shards: 2, Group: replica.Options{Replicas: 1}, Keys: map[string]string{"users": "uid"}})
 		b.StartTimer()
 		if err := rt.LoadFrom(ref); err != nil {
 			b.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/storage"
 )
@@ -351,7 +352,7 @@ func TestCrashMidMigrationKeepsAcknowledgedWrites(t *testing.T) {
 	if err := ref.AddIndex("users", "uid", true); err != nil {
 		t.Fatal(err)
 	}
-	r := newRouter(t, ref, Options{Shards: 2, Replicas: 1, Keys: map[string]string{"users": "uid"}})
+	r := newRouter(t, ref, Options{Shards: 2, Group: replica.Options{Replicas: 1}, Keys: map[string]string{"users": "uid"}})
 
 	copyKeys := migrationKeys(r, 10_000, []int{0}, 5)
 	err := orchestrate(t, r, func() error { return r.Split(0) },

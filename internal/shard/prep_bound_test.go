@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/net"
 	"repro/internal/query"
+	"repro/internal/replica"
 	"repro/internal/sqlmini"
 )
 
@@ -18,7 +19,7 @@ import (
 // answers its parameterized form.
 func TestPreparedCacheIsBoundedAgainstTheWire(t *testing.T) {
 	ref, _ := newFixture(t, 1)
-	r := newRouter(t, ref, Options{Shards: 2, Replicas: 1, Keys: fixtureKeys()})
+	r := newRouter(t, ref, Options{Shards: 2, Group: replica.Options{Replicas: 1}, Keys: fixtureKeys()})
 	fd := net.NewServer(r, net.ServerOptions{})
 	if err := fd.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

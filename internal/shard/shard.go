@@ -40,7 +40,7 @@ import (
 )
 
 // Backend is one shard's execution engine: a bare server.Server, or a
-// replica.Group fronting a primary with R read replicas (Options.Replicas).
+// replica.Group fronting a primary with R read replicas (Options.Group).
 // One interface covers everything the router needs: Request-based statement
 // execution (query.Executor — span, session, consistency and deadline all
 // ride the request; the result's Info feeds the scatter-gather merge), the
@@ -71,13 +71,13 @@ type Options struct {
 	// Keys maps table name -> shard key column. Tables absent from the map
 	// are replicated on every shard: reads route to shard 0, writes broadcast.
 	Keys map[string]string
-	// Replicas, when positive, fronts every shard with a replica.Group of
-	// one primary plus Replicas read replicas: reads load-balance across
-	// healthy replicas with failover, writes replicate synchronously
-	// (internal/replica) under replica.Options' defaults. Zero keeps bare
-	// single-server shards. A cluster of tuned groups is built from the
-	// groups themselves: NewWithBackends plus SetBackendFactory.
-	Replicas int
+	// Group, when Group.Replicas is positive, makes every shard — and every
+	// shard a Split adds — a replica.Group built from it (internal/replica);
+	// zero Replicas keeps bare single-server shards. Group.Store must be
+	// nil: a store is one group's log. A cluster over backends the caller
+	// builds (a store per group, wrapped backends) is NewWithBackends plus
+	// SetBackendFactory.
+	Group replica.Options
 }
 
 // tableInfo is the router's routing metadata for one table.
@@ -193,17 +193,20 @@ type pendingWrite struct {
 
 // New starts a router over n fresh backends of the given profile; scale is
 // the wall-clock factor for simulated latencies (as in server.New). With
-// Options.Replicas > 0 every backend is a replica group (one primary plus
-// Replicas read copies) instead of a bare server. Load data with LoadFrom
-// before executing queries.
+// Options.Group.Replicas > 0 every backend is a replica group built from
+// Options.Group instead of a bare server. Load data with LoadFrom before
+// executing queries. New panics on a non-nil Options.Group.Store.
 func New(prof server.Profile, scale float64, opts Options) *Router {
+	if opts.Group.Store != nil {
+		panic("shard: Options.Group.Store set: one store cannot back every shard's log (use NewWithBackends)")
+	}
 	n := opts.Shards
 	if n < 1 {
 		n = 1
 	}
 	mk := func() Backend {
-		if opts.Replicas > 0 {
-			return replica.NewGroup(prof, scale, replica.Options{Replicas: opts.Replicas})
+		if opts.Group.Replicas > 0 {
+			return replica.NewGroup(prof, scale, opts.Group)
 		}
 		return server.New(prof, scale)
 	}
@@ -255,7 +258,7 @@ func (r *Router) Backends() []Backend {
 }
 
 // Groups returns the replica groups backing each shard, or nil when the
-// router runs bare servers (Options.Replicas == 0).
+// router runs bare servers (Options.Group.Replicas == 0).
 func (r *Router) Groups() []*replica.Group {
 	r.mig.RLock()
 	defer r.mig.RUnlock()

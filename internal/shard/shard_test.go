@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"repro/internal/interp"
+	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // newFixture loads a reference server with a sharded users table (unique
@@ -89,6 +91,17 @@ func same(t *testing.T, label string, want, got any, wantErr, gotErr error) {
 		t.Fatalf("%s: result: single %s, sharded %s",
 			label, interp.Format(want), interp.Format(got))
 	}
+}
+
+// New builds a group per shard from Options.Group, so it refuses a store:
+// one store can back only one group's log.
+func TestNewRejectsASharedStore(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted Options.Group.Store")
+		}
+	}()
+	New(server.SYS1(), 0, Options{Shards: 2, Group: replica.Options{Replicas: 1, Store: wal.NewMemStore()}})
 }
 
 func TestPartitionIsDeterministicAndSpreads(t *testing.T) {
@@ -447,7 +460,7 @@ func TestReplicatedBackendsMatchSingleServer(t *testing.T) {
 	if err := ref.AddIndex("users", "uid", true); err != nil {
 		t.Fatal(err)
 	}
-	r := newRouter(t, ref, Options{Shards: 3, Keys: map[string]string{"users": "uid"}, Replicas: 2})
+	r := newRouter(t, ref, Options{Shards: 3, Keys: map[string]string{"users": "uid"}, Group: replica.Options{Replicas: 2}})
 
 	groups := r.Groups()
 	if len(groups) != 3 {
