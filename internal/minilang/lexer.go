@@ -3,6 +3,9 @@
 // source plays for the paper's DBridge tool. Parsed programs lower directly
 // to the internal/ir statement form; ir.Print renders IR back to this syntax,
 // and the two round-trip.
+//
+// A source has at most one error: Parse reports the first one the lexer or
+// the parser meets, as an *Error at its line and column, and nothing after it.
 package minilang
 
 import (
@@ -82,7 +85,9 @@ func lex(src string) ([]token, error) {
 				return nil, err
 			}
 		case unicode.IsDigit(rune(c)):
-			l.lexInt()
+			if err := l.lexInt(); err != nil {
+				return nil, err
+			}
 		case unicode.IsLetter(rune(c)) || c == '_':
 			l.lexIdent()
 		default:
@@ -161,15 +166,19 @@ func (l *lexer) lexString() error {
 	return nil
 }
 
-func (l *lexer) lexInt() {
+func (l *lexer) lexInt() error {
 	start := l.pos
 	startLine, startCol := l.line, l.col
 	for l.pos < len(l.src) && unicode.IsDigit(rune(l.src[l.pos])) {
 		l.advance(1)
 	}
 	text := l.src[start:l.pos]
-	v, _ := strconv.ParseInt(text, 10, 64)
+	v, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
+		return &Error{Line: startLine, Col: startCol, Msg: fmt.Sprintf("bad number %q", text)}
+	}
 	l.emit(token{kind: tokInt, text: text, int: v, line: startLine, col: startCol})
+	return nil
 }
 
 func (l *lexer) lexIdent() {

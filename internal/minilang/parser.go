@@ -42,12 +42,12 @@ func Parse(src string) (*ir.Proc, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	proc, err := p.parseProc()
-	if err != nil {
-		return nil, err
-	}
+	proc := p.parseProc()
 	if !p.at(tokEOF, "") {
-		return nil, p.errf("expected end of input, found %s", p.peek())
+		p.fail("expected end of input, found %s", p.peek())
+	}
+	if p.err != nil {
+		return nil, p.err
 	}
 	return proc, nil
 }
@@ -61,19 +61,36 @@ func MustParse(src string) *ir.Proc {
 	return p
 }
 
+// parser is a recursive descent over the token slice. It keeps the first
+// error (see fail); from then on every primitive reads end of input, so each
+// rule runs to its end and returns a value the caller never sees.
 type parser struct {
 	toks []token
 	pos  int
+	err  error
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+func (p *parser) peek() token {
+	if p.err != nil {
+		return p.toks[len(p.toks)-1]
+	}
+	return p.toks[p.pos]
+}
+
 func (p *parser) peek2() token {
-	if p.pos+1 < len(p.toks) {
+	if p.err == nil && p.pos+1 < len(p.toks) {
 		return p.toks[p.pos+1]
 	}
 	return p.toks[len(p.toks)-1]
 }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+
+func (p *parser) next() token {
+	t := p.peek()
+	if t.kind != tokEOF {
+		p.pos++
+	}
+	return t
+}
 
 func (p *parser) at(kind tokKind, text string) bool {
 	t := p.peek()
@@ -88,9 +105,9 @@ func (p *parser) accept(kind tokKind, text string) bool {
 	return false
 }
 
-func (p *parser) expect(kind tokKind, text string) (token, error) {
+func (p *parser) expect(kind tokKind, text string) token {
 	if p.at(kind, text) {
-		return p.next(), nil
+		return p.next()
 	}
 	want := text
 	if want == "" {
@@ -103,181 +120,95 @@ func (p *parser) expect(kind tokKind, text string) (token, error) {
 			want = "integer"
 		}
 	}
-	return token{}, p.errf("expected %q, found %s", want, p.peek())
+	p.fail("expected %q, found %s", want, p.peek())
+	return token{}
 }
 
-func (p *parser) errf(format string, args ...any) error {
-	t := p.peek()
-	return &Error{Line: t.line, Col: t.col, Msg: fmt.Sprintf(format, args...)}
+// ident expects an identifier and returns its text.
+func (p *parser) ident() string { return p.expect(tokIdent, "").text }
+
+// fail records an error at the current token, unless one is recorded already.
+func (p *parser) fail(format string, args ...any) {
+	if p.err == nil {
+		t := p.peek()
+		p.err = &Error{Line: t.line, Col: t.col, Msg: fmt.Sprintf(format, args...)}
+	}
 }
 
-func (p *parser) parseProc() (*ir.Proc, error) {
-	if _, err := p.expect(tokIdent, "proc"); err != nil {
-		return nil, err
-	}
-	name, err := p.expect(tokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokPunct, "("); err != nil {
-		return nil, err
-	}
-	proc := &ir.Proc{Name: name.text}
+func (p *parser) parseProc() *ir.Proc {
+	p.expect(tokIdent, "proc")
+	proc := &ir.Proc{Name: p.ident()}
+	p.expect(tokPunct, "(")
 	if !p.at(tokPunct, ")") {
-		for {
-			prm, err := p.expect(tokIdent, "")
-			if err != nil {
-				return nil, err
-			}
-			proc.Params = append(proc.Params, prm.text)
-			if !p.accept(tokPunct, ",") {
-				break
-			}
-		}
+		proc.Params = p.identList()
 	}
-	if _, err := p.expect(tokPunct, ")"); err != nil {
-		return nil, err
-	}
-	body, err := p.parseBlock(proc, true)
-	if err != nil {
-		return nil, err
-	}
-	proc.Body = body
-	return proc, nil
+	p.expect(tokPunct, ")")
+	proc.Body = p.parseBlock(proc, true)
+	return proc
 }
 
 // parseBlock parses "{ stmts }". Query declarations are only allowed at the
 // top level of the procedure body (topLevel), where they are hoisted into
 // proc.Queries. Return is only allowed as the final top-level statement.
-func (p *parser) parseBlock(proc *ir.Proc, topLevel bool) (*ir.Block, error) {
-	if _, err := p.expect(tokPunct, "{"); err != nil {
-		return nil, err
-	}
+func (p *parser) parseBlock(proc *ir.Proc, topLevel bool) *ir.Block {
+	p.expect(tokPunct, "{")
 	blk := &ir.Block{}
 	for !p.at(tokPunct, "}") {
 		if p.at(tokEOF, "") {
-			return nil, p.errf("unexpected end of input, missing '}'")
+			p.fail("unexpected end of input, missing '}'")
+			return blk
 		}
 		if topLevel && p.at(tokIdent, "query") && p.peek2().kind == tokIdent {
 			p.next()
-			qn, err := p.expect(tokIdent, "")
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokPunct, "="); err != nil {
-				return nil, err
-			}
-			qs, err := p.expect(tokString, "")
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokPunct, ";"); err != nil {
-				return nil, err
-			}
-			proc.Queries = append(proc.Queries, ir.QueryDecl{Name: qn.text, SQL: qs.str})
+			qn := p.ident()
+			p.expect(tokPunct, "=")
+			qs := p.expect(tokString, "")
+			p.expect(tokPunct, ";")
+			proc.Queries = append(proc.Queries, ir.QueryDecl{Name: qn, SQL: qs.str})
 			continue
 		}
-		s, err := p.parseStmt(proc)
-		if err != nil {
-			return nil, err
-		}
-		if r, ok := s.(*ir.Return); ok {
-			if !topLevel {
-				return nil, p.errf("return is only allowed at the top level of a procedure")
-			}
-			blk.Stmts = append(blk.Stmts, r)
-			if !p.at(tokPunct, "}") {
-				return nil, p.errf("return must be the final statement")
-			}
-			continue
-		}
+		s := p.parseStmt(proc)
 		blk.Stmts = append(blk.Stmts, s)
+		if _, ok := s.(*ir.Return); ok {
+			if !topLevel {
+				p.fail("return is only allowed at the top level of a procedure")
+			} else if !p.at(tokPunct, "}") {
+				p.fail("return must be the final statement")
+			}
+		}
 	}
 	p.next() // consume '}'
-	return blk, nil
+	return blk
 }
 
-func (p *parser) parseStmt(proc *ir.Proc) (ir.Stmt, error) {
+func (p *parser) parseStmt(proc *ir.Proc) ir.Stmt {
 	t := p.peek()
 	if t.kind == tokIdent {
 		switch t.text {
 		case "while":
 			p.next()
-			if _, err := p.expect(tokPunct, "("); err != nil {
-				return nil, err
-			}
-			cond, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokPunct, ")"); err != nil {
-				return nil, err
-			}
-			body, err := p.parseBlock(proc, false)
-			if err != nil {
-				return nil, err
-			}
-			return &ir.While{Cond: cond, Body: body}, nil
+			cond := p.parenExpr()
+			return &ir.While{Cond: cond, Body: p.parseBlock(proc, false)}
 		case "if":
 			p.next()
-			if _, err := p.expect(tokPunct, "("); err != nil {
-				return nil, err
-			}
-			cond, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokPunct, ")"); err != nil {
-				return nil, err
-			}
-			then, err := p.parseBlock(proc, false)
-			if err != nil {
-				return nil, err
-			}
-			var els *ir.Block
+			cond := p.parenExpr()
+			s := &ir.If{Cond: cond, Then: p.parseBlock(proc, false)}
 			if p.accept(tokIdent, "else") {
-				els, err = p.parseBlock(proc, false)
-				if err != nil {
-					return nil, err
-				}
+				s.Else = p.parseBlock(proc, false)
 			}
-			return &ir.If{Cond: cond, Then: then, Else: els}, nil
+			return s
 		case "foreach":
 			p.next()
-			v, err := p.expect(tokIdent, "")
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokIdent, "in"); err != nil {
-				return nil, err
-			}
-			coll, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			body, err := p.parseBlock(proc, false)
-			if err != nil {
-				return nil, err
-			}
-			return &ir.ForEach{Var: v.text, Coll: coll, Body: body}, nil
+			v := p.ident()
+			p.expect(tokIdent, "in")
+			coll := p.parseExpr()
+			return &ir.ForEach{Var: v, Coll: coll, Body: p.parseBlock(proc, false)}
 		case "scan":
 			p.next()
-			r, err := p.expect(tokIdent, "")
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokIdent, "in"); err != nil {
-				return nil, err
-			}
-			tbl, err := p.expect(tokIdent, "")
-			if err != nil {
-				return nil, err
-			}
-			body, err := p.parseBlock(proc, false)
-			if err != nil {
-				return nil, err
-			}
-			return &ir.Scan{Record: r.text, Table: tbl.text, Body: body}, nil
+			r := p.ident()
+			p.expect(tokIdent, "in")
+			tbl := p.ident()
+			return &ir.Scan{Record: r, Table: tbl, Body: p.parseBlock(proc, false)}
 		}
 	}
 	// Guarded or simple statement, ending in ';'.
@@ -297,270 +228,166 @@ func (p *parser) parseStmt(proc *ir.Proc) (ir.Stmt, error) {
 		p.next()
 		g = &ir.Guard{Var: t.text}
 	}
-	s, err := p.parseSimple()
-	if err != nil {
-		return nil, err
-	}
-	if g != nil {
+	s := p.parseSimple()
+	if g != nil && s != nil {
 		s.SetGuard(g)
 	}
-	if _, err := p.expect(tokPunct, ";"); err != nil {
-		return nil, err
-	}
-	return s, nil
+	p.expect(tokPunct, ";")
+	return s
 }
 
-func (p *parser) parseSimple() (ir.Stmt, error) {
+func (p *parser) parseSimple() ir.Stmt {
 	t := p.peek()
 	if t.kind != tokIdent {
-		return nil, p.errf("expected statement, found %s", t)
+		p.fail("expected statement, found %s", t)
+		return nil
 	}
 	switch t.text {
 	case "table":
 		p.next()
-		n, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		return &ir.DeclTable{Name: n.text}, nil
+		return &ir.DeclTable{Name: p.ident()}
 	case "record":
 		p.next()
-		n, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		return &ir.NewRecord{Name: n.text}, nil
+		return &ir.NewRecord{Name: p.ident()}
 	case "append":
 		p.next()
-		if _, err := p.expect(tokPunct, "("); err != nil {
-			return nil, err
-		}
-		tbl, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokPunct, ","); err != nil {
-			return nil, err
-		}
-		rec, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokPunct, ")"); err != nil {
-			return nil, err
-		}
-		return &ir.AppendRecord{Table: tbl.text, Record: rec.text}, nil
+		p.expect(tokPunct, "(")
+		tbl := p.ident()
+		p.expect(tokPunct, ",")
+		rec := p.ident()
+		p.expect(tokPunct, ")")
+		return &ir.AppendRecord{Table: tbl, Record: rec}
 	case "load":
 		p.next()
-		v, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokPunct, "="); err != nil {
-			return nil, err
-		}
-		rec, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokPunct, "."); err != nil {
-			return nil, err
-		}
-		f, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		return &ir.LoadField{Var: v.text, Record: rec.text, Field: f.text}, nil
+		v := p.ident()
+		p.expect(tokPunct, "=")
+		rec := p.ident()
+		p.expect(tokPunct, ".")
+		return &ir.LoadField{Var: v, Record: rec, Field: p.ident()}
 	case "copy":
 		p.next()
-		dst, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokPunct, "."); err != nil {
-			return nil, err
-		}
-		df, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokPunct, "="); err != nil {
-			return nil, err
-		}
-		src, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokPunct, "."); err != nil {
-			return nil, err
-		}
-		sf, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		return &ir.CopyField{DstRec: dst.text, DstField: df.text, SrcRec: src.text, SrcField: sf.text}, nil
+		dst := p.ident()
+		p.expect(tokPunct, ".")
+		df := p.ident()
+		p.expect(tokPunct, "=")
+		src := p.ident()
+		p.expect(tokPunct, ".")
+		return &ir.CopyField{DstRec: dst, DstField: df, SrcRec: src, SrcField: p.ident()}
 	case "return":
 		p.next()
 		ret := &ir.Return{}
 		if !p.at(tokPunct, ";") {
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				ret.Vals = append(ret.Vals, e)
-				if !p.accept(tokPunct, ",") {
-					break
-				}
-			}
+			ret.Vals = p.exprList()
 		}
-		return ret, nil
+		return ret
 	case "execUpdate":
 		p.next()
-		q, args, err := p.parseQueryCallArgs()
-		if err != nil {
-			return nil, err
-		}
-		return &ir.ExecQuery{Query: q, Args: args, Kind: ir.QueryUpdate}, nil
+		q, args := p.parseQueryCallArgs()
+		return &ir.ExecQuery{Query: q, Args: args, Kind: ir.QueryUpdate}
 	case "fetch":
 		p.next()
-		if _, err := p.expect(tokPunct, "("); err != nil {
-			return nil, err
-		}
-		h, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokPunct, ")"); err != nil {
-			return nil, err
-		}
-		return &ir.Fetch{Handle: h}, nil
+		return &ir.Fetch{Handle: p.parenExpr()}
 	}
 	// SetField: IDENT '.' IDENT '=' expr
 	if p.peek2().kind == tokPunct && p.peek2().text == "." {
 		rec := p.next()
 		p.next() // '.'
-		f, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokPunct, "="); err != nil {
-			return nil, err
-		}
-		val, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &ir.SetField{Record: rec.text, Field: f.text, Val: val}, nil
+		f := p.ident()
+		p.expect(tokPunct, "=")
+		return &ir.SetField{Record: rec.text, Field: f, Val: p.parseExpr()}
 	}
 	// Assignment (possibly multi) or call statement.
 	if p.peek2().kind == tokPunct && (p.peek2().text == "=" || p.peek2().text == ",") {
-		var lhs []string
-		for {
-			v, err := p.expect(tokIdent, "")
-			if err != nil {
-				return nil, err
-			}
-			lhs = append(lhs, v.text)
-			if !p.accept(tokPunct, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(tokPunct, "="); err != nil {
-			return nil, err
-		}
+		lhs := p.identList()
+		p.expect(tokPunct, "=")
 		return p.parseAssignRhs(lhs)
 	}
 	// Call statement.
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	call, ok := e.(*ir.Call)
+	call, ok := p.parseExpr().(*ir.Call)
 	if !ok {
-		return nil, p.errf("expression statements must be calls")
+		p.fail("expression statements must be calls")
 	}
-	return &ir.CallStmt{Call: call}, nil
+	return &ir.CallStmt{Call: call}
 }
 
-func (p *parser) parseAssignRhs(lhs []string) (ir.Stmt, error) {
+func (p *parser) parseAssignRhs(lhs []string) ir.Stmt {
 	t := p.peek()
 	if t.kind == tokIdent {
 		switch t.text {
 		case "execQuery", "execUpdate":
 			p.next()
-			q, args, err := p.parseQueryCallArgs()
-			if err != nil {
-				return nil, err
-			}
+			q, args := p.parseQueryCallArgs()
 			if len(lhs) != 1 {
-				return nil, p.errf("%s assigns exactly one variable", t.text)
+				p.fail("%s assigns exactly one variable", t.text)
 			}
 			kind := ir.QuerySelect
 			if t.text == "execUpdate" {
 				kind = ir.QueryUpdate
 			}
-			return &ir.ExecQuery{Lhs: lhs[0], Query: q, Args: args, Kind: kind}, nil
+			return &ir.ExecQuery{Lhs: lhs[0], Query: q, Args: args, Kind: kind}
 		case "submit", "submitUpdate":
 			p.next()
-			q, args, err := p.parseQueryCallArgs()
-			if err != nil {
-				return nil, err
-			}
+			q, args := p.parseQueryCallArgs()
 			if len(lhs) != 1 {
-				return nil, p.errf("%s assigns exactly one handle variable", t.text)
+				p.fail("%s assigns exactly one handle variable", t.text)
 			}
 			kind := ir.QuerySelect
 			if t.text == "submitUpdate" {
 				kind = ir.QueryUpdate
 			}
-			return &ir.Submit{Lhs: lhs[0], Query: q, Args: args, Kind: kind}, nil
+			return &ir.Submit{Lhs: lhs[0], Query: q, Args: args, Kind: kind}
 		case "fetch":
 			p.next()
-			if _, err := p.expect(tokPunct, "("); err != nil {
-				return nil, err
-			}
-			h, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokPunct, ")"); err != nil {
-				return nil, err
-			}
+			h := p.parenExpr()
 			if len(lhs) != 1 {
-				return nil, p.errf("fetch assigns exactly one variable")
+				p.fail("fetch assigns exactly one variable")
 			}
-			return &ir.Fetch{Lhs: lhs[0], Handle: h}, nil
+			return &ir.Fetch{Lhs: lhs[0], Handle: h}
 		}
 	}
-	rhs, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	return &ir.Assign{Lhs: lhs, Rhs: rhs}, nil
+	return &ir.Assign{Lhs: lhs, Rhs: p.parseExpr()}
 }
 
 // parseQueryCallArgs parses "( queryName {, expr} )".
-func (p *parser) parseQueryCallArgs() (string, []ir.Expr, error) {
-	if _, err := p.expect(tokPunct, "("); err != nil {
-		return "", nil, err
-	}
-	q, err := p.expect(tokIdent, "")
-	if err != nil {
-		return "", nil, err
-	}
+func (p *parser) parseQueryCallArgs() (string, []ir.Expr) {
+	p.expect(tokPunct, "(")
+	q := p.ident()
 	var args []ir.Expr
-	for p.accept(tokPunct, ",") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return "", nil, err
+	if p.accept(tokPunct, ",") {
+		args = p.exprList()
+	}
+	p.expect(tokPunct, ")")
+	return q, args
+}
+
+// identList parses IDENT {"," IDENT}.
+func (p *parser) identList() []string {
+	var out []string
+	for {
+		out = append(out, p.ident())
+		if !p.accept(tokPunct, ",") {
+			return out
 		}
-		args = append(args, e)
 	}
-	if _, err := p.expect(tokPunct, ")"); err != nil {
-		return "", nil, err
+}
+
+// exprList parses expr {"," expr}.
+func (p *parser) exprList() []ir.Expr {
+	var out []ir.Expr
+	for {
+		out = append(out, p.parseExpr())
+		if !p.accept(tokPunct, ",") {
+			return out
+		}
 	}
-	return q.text, args, nil
+}
+
+// parenExpr parses "(" expr ")".
+func (p *parser) parenExpr() ir.Expr {
+	p.expect(tokPunct, "(")
+	e := p.parseExpr()
+	p.expect(tokPunct, ")")
+	return e
 }
 
 // Expression parsing: precedence climbing.
@@ -572,98 +399,69 @@ var binPrec = map[string]int{
 	"*": 5, "/": 5, "%": 5,
 }
 
-func (p *parser) parseExpr() (ir.Expr, error) { return p.parseBin(1) }
+func (p *parser) parseExpr() ir.Expr { return p.parseBin(1) }
 
-func (p *parser) parseBin(minPrec int) (ir.Expr, error) {
-	lhs, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseBin(minPrec int) ir.Expr {
+	lhs := p.parseUnary()
 	for {
 		t := p.peek()
 		if t.kind != tokPunct {
-			return lhs, nil
+			return lhs
 		}
 		pr, ok := binPrec[t.text]
 		if !ok || pr < minPrec {
-			return lhs, nil
+			return lhs
 		}
 		p.next()
-		rhs, err := p.parseBin(pr + 1)
-		if err != nil {
-			return nil, err
-		}
-		lhs = &ir.Bin{Op: t.text, L: lhs, R: rhs}
+		lhs = &ir.Bin{Op: t.text, L: lhs, R: p.parseBin(pr + 1)}
 	}
 }
 
-func (p *parser) parseUnary() (ir.Expr, error) {
+func (p *parser) parseUnary() ir.Expr {
 	t := p.peek()
 	if t.kind == tokPunct && (t.text == "!" || t.text == "-") {
 		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &ir.Un{Op: t.text, X: x}, nil
+		return &ir.Un{Op: t.text, X: p.parseUnary()}
 	}
 	return p.parsePrimary()
 }
 
-func (p *parser) parsePrimary() (ir.Expr, error) {
+func (p *parser) parsePrimary() ir.Expr {
 	t := p.peek()
 	switch t.kind {
 	case tokInt:
 		p.next()
-		return ir.IntLit(t.int), nil
+		return ir.IntLit(t.int)
 	case tokString:
 		p.next()
-		return ir.StrLit(t.str), nil
+		return ir.StrLit(t.str)
 	case tokIdent:
 		switch t.text {
 		case "true":
 			p.next()
-			return ir.BoolLit(true), nil
+			return ir.BoolLit(true)
 		case "false":
 			p.next()
-			return ir.BoolLit(false), nil
+			return ir.BoolLit(false)
 		case "null":
 			p.next()
-			return ir.NullLit(), nil
+			return ir.NullLit()
 		}
 		p.next()
 		if p.accept(tokPunct, "(") {
 			call := &ir.Call{Fn: t.text}
 			if !p.at(tokPunct, ")") {
-				for {
-					a, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					call.Args = append(call.Args, a)
-					if !p.accept(tokPunct, ",") {
-						break
-					}
-				}
+				call.Args = p.exprList()
 			}
-			if _, err := p.expect(tokPunct, ")"); err != nil {
-				return nil, err
-			}
-			return call, nil
+			p.expect(tokPunct, ")")
+			return call
 		}
-		return ir.V(t.text), nil
+		return ir.V(t.text)
 	case tokPunct:
 		if t.text == "(" {
-			p.next()
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokPunct, ")"); err != nil {
-				return nil, err
-			}
-			return e, nil
+			return p.parenExpr()
 		}
 	}
-	return nil, p.errf("expected expression, found %s", t)
+	p.fail("expected expression, found %s", t)
+	return nil
 }

@@ -176,6 +176,11 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("expected error for %q", src)
 		}
 	}
+	// An integer literal int64 cannot hold is rejected where it starts.
+	const want = `minilang:1:16: bad number "99999999999999999999"`
+	if _, err := Parse(`proc p() { x = 99999999999999999999; }`); err == nil || err.Error() != want {
+		t.Errorf("out-of-range literal: got %v, want %s", err, want)
+	}
 }
 
 func TestParseErrorPosition(t *testing.T) {

@@ -129,19 +129,30 @@ func lex(sql string) ([]token, error) {
 	return toks, nil
 }
 
+// sparser is a recursive descent over the token slice. It keeps the first
+// error (see fail); from then on peek reads end of input, so every rule runs
+// to its end and Parse reports that one error.
 type sparser struct {
 	toks []token
 	pos  int
 	np   int
+	err  error
 }
 
 func (p *sparser) peek() token {
-	if p.pos < len(p.toks) {
+	if p.err == nil && p.pos < len(p.toks) {
 		return p.toks[p.pos]
 	}
 	return token{kind: "eof"}
 }
 func (p *sparser) next() token { t := p.peek(); p.pos++; return t }
+
+// fail records an error, unless one is recorded already.
+func (p *sparser) fail(format string, args ...any) {
+	if p.err == nil {
+		p.err = fmt.Errorf("sqlmini: "+format, args...)
+	}
+}
 
 func (p *sparser) word(w string) bool {
 	t := p.peek()
@@ -152,20 +163,52 @@ func (p *sparser) word(w string) bool {
 	return false
 }
 
-func (p *sparser) expectWord(w string) error {
-	if !p.word(w) {
-		return fmt.Errorf("sqlmini: expected %s near %q", strings.ToUpper(w), p.peek().s)
-	}
-	return nil
-}
-
-func (p *sparser) expectPunct(s string) error {
+func (p *sparser) punct(s string) bool {
 	t := p.peek()
 	if t.kind == "punct" && t.s == s {
 		p.pos++
-		return nil
+		return true
 	}
-	return fmt.Errorf("sqlmini: expected %q near %q", s, t.s)
+	return false
+}
+
+func (p *sparser) expectWord(w string) {
+	if !p.word(w) {
+		p.fail("expected %s near %q", strings.ToUpper(w), p.peek().s)
+	}
+}
+
+func (p *sparser) expectPunct(s string) {
+	if !p.punct(s) {
+		p.fail("expected %q near %q", s, p.peek().s)
+	}
+}
+
+// table reads a table name.
+func (p *sparser) table() string {
+	t := p.next()
+	if t.kind != "word" {
+		p.fail("expected table name")
+	}
+	return t.s
+}
+
+// value reads a bound value: a '?', which takes the next parameter ordinal,
+// or an int or string literal, whose ordinal is -1. Any other token goes to
+// bad, which reports it.
+func (p *sparser) value(bad func(t token)) (param int, lit any) {
+	switch t := p.next(); t.kind {
+	case "param":
+		p.np++
+		return p.np - 1, nil
+	case "int":
+		return -1, t.i
+	case "str":
+		return -1, t.s
+	default:
+		bad(t)
+		return -1, nil
+	}
 }
 
 // Parse compiles a SQL string into a Stmt.
@@ -178,23 +221,23 @@ func Parse(sql string) (*Stmt, error) {
 	var st *Stmt
 	switch {
 	case p.word("select"):
-		st, err = p.parseSelect()
+		st = p.parseSelect()
 	case p.word("insert"):
-		st, err = p.parseInsert()
+		st = p.parseInsert()
 	default:
-		err = fmt.Errorf("sqlmini: expected SELECT or INSERT")
+		p.fail("expected SELECT or INSERT")
 	}
-	if err != nil {
-		return nil, err
+	if t := p.peek(); t.kind != "eof" {
+		p.fail("trailing input near %q", t.s)
 	}
-	if p.peek().kind != "eof" {
-		return nil, fmt.Errorf("sqlmini: trailing input near %q", p.peek().s)
+	if p.err != nil {
+		return nil, p.err
 	}
 	st.NumParams = p.np
 	return st, nil
 }
 
-func (p *sparser) parseSelect() (*Stmt, error) {
+func (p *sparser) parseSelect() *Stmt {
 	st := &Stmt{}
 	t := p.peek()
 	switch {
@@ -204,124 +247,70 @@ func (p *sparser) parseSelect() (*Stmt, error) {
 	case t.kind == "word" && isAgg(t.s):
 		p.pos++
 		st.Agg = aggKind(t.s)
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
+		p.expectPunct("(")
 		inner := p.next()
 		switch {
 		case inner.kind == "punct" && inner.s == "*":
 			if st.Agg != AggCount {
-				return nil, fmt.Errorf("sqlmini: %s(*) not supported", t.s)
+				p.fail("%s(*) not supported", t.s)
 			}
 		case inner.kind == "word":
 			st.AggCol = inner.s
 		default:
-			return nil, fmt.Errorf("sqlmini: bad aggregate argument")
+			p.fail("bad aggregate argument")
 		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
+		p.expectPunct(")")
 	default:
 		for {
 			w := p.next()
 			if w.kind != "word" {
-				return nil, fmt.Errorf("sqlmini: expected column name, got %q", w.s)
+				p.fail("expected column name, got %q", w.s)
 			}
 			st.Cols = append(st.Cols, w.s)
-			if t := p.peek(); t.kind == "punct" && t.s == "," {
-				p.pos++
-				continue
+			if !p.punct(",") {
+				break
 			}
-			break
 		}
 	}
-	if err := p.expectWord("from"); err != nil {
-		return nil, err
-	}
-	tbl := p.next()
-	if tbl.kind != "word" {
-		return nil, fmt.Errorf("sqlmini: expected table name")
-	}
-	st.Table = tbl.s
+	p.expectWord("from")
+	st.Table = p.table()
 	if p.word("where") {
 		for {
-			c, err := p.parseCond()
-			if err != nil {
-				return nil, err
-			}
-			st.Where = append(st.Where, c)
+			st.Where = append(st.Where, p.parseCond())
 			if !p.word("and") {
 				break
 			}
 		}
 	}
-	return st, nil
+	return st
 }
 
-func (p *sparser) parseCond() (Cond, error) {
+func (p *sparser) parseCond() Cond {
 	col := p.next()
 	if col.kind != "word" {
-		return Cond{}, fmt.Errorf("sqlmini: expected column in WHERE, got %q", col.s)
+		p.fail("expected column in WHERE, got %q", col.s)
 	}
-	if err := p.expectPunct("="); err != nil {
-		return Cond{}, err
-	}
-	v := p.next()
-	switch v.kind {
-	case "param":
-		c := Cond{Col: col.s, Param: p.np}
-		p.np++
-		return c, nil
-	case "int":
-		return Cond{Col: col.s, Param: -1, Lit: v.i}, nil
-	case "str":
-		return Cond{Col: col.s, Param: -1, Lit: v.s}, nil
-	}
-	return Cond{}, fmt.Errorf("sqlmini: expected ? or literal in WHERE")
+	p.expectPunct("=")
+	param, lit := p.value(func(token) { p.fail("expected ? or literal in WHERE") })
+	return Cond{Col: col.s, Param: param, Lit: lit}
 }
 
-func (p *sparser) parseInsert() (*Stmt, error) {
+func (p *sparser) parseInsert() *Stmt {
 	st := &Stmt{Insert: true}
-	if err := p.expectWord("into"); err != nil {
-		return nil, err
-	}
-	tbl := p.next()
-	if tbl.kind != "word" {
-		return nil, fmt.Errorf("sqlmini: expected table name")
-	}
-	st.Table = tbl.s
-	if err := p.expectWord("values"); err != nil {
-		return nil, err
-	}
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
+	p.expectWord("into")
+	st.Table = p.table()
+	p.expectWord("values")
+	p.expectPunct("(")
 	for {
-		v := p.next()
-		switch v.kind {
-		case "param":
-			st.Values = append(st.Values, p.np)
-			st.Lits = append(st.Lits, nil)
-			p.np++
-		case "int":
-			st.Values = append(st.Values, -1)
-			st.Lits = append(st.Lits, v.i)
-		case "str":
-			st.Values = append(st.Values, -1)
-			st.Lits = append(st.Lits, v.s)
-		default:
-			return nil, fmt.Errorf("sqlmini: expected value, got %q", v.s)
+		param, lit := p.value(func(t token) { p.fail("expected value, got %q", t.s) })
+		st.Values = append(st.Values, param)
+		st.Lits = append(st.Lits, lit)
+		if !p.punct(",") {
+			break
 		}
-		if t := p.peek(); t.kind == "punct" && t.s == "," {
-			p.pos++
-			continue
-		}
-		break
 	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
-	return st, nil
+	p.expectPunct(")")
+	return st
 }
 
 func isAgg(w string) bool {
