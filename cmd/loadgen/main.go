@@ -60,7 +60,6 @@ func main() {
 			Retry: net.RetryPolicy{
 				MaxAttempts: *retries,
 				BaseBackoff: *backoff,
-				Jitter:      0.5,
 				Budget:      *budget,
 			},
 		},

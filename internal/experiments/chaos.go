@@ -84,7 +84,6 @@ func (h *Harness) FigChaos() (*Figure, error) {
 			Retry: net.RetryPolicy{
 				MaxAttempts: 8,
 				BaseBackoff: 200 * time.Microsecond,
-				Jitter:      0.5,
 			},
 			Fault: inj,
 		}

@@ -133,7 +133,6 @@ func TestChaosDifferential(t *testing.T) {
 					Retry: net.RetryPolicy{
 						MaxAttempts: 25,
 						BaseBackoff: 200 * time.Microsecond,
-						Jitter:      0.5,
 					},
 					Fault: inj,
 				})

@@ -19,9 +19,6 @@ type RetryPolicy struct {
 	// doubles it (exponential), up to 64× base. 0 defaults to 1ms when
 	// retries are on.
 	BaseBackoff time.Duration
-	// Jitter randomizes each backoff to ±(Jitter/2)×backoff, decorrelating
-	// retry storms across pipelined callers. 0 means no jitter.
-	Jitter float64
 	// Budget caps total retries across the client's lifetime (all requests
 	// summed); once spent, further failures surface immediately. 0 means
 	// unlimited. The budget is the backstop that turns a dead server into
@@ -37,23 +34,21 @@ func (p RetryPolicy) attempts() int {
 	return p.MaxAttempts
 }
 
-// backoff computes the wait before retry number attempt (0-based).
+// jitter randomizes each backoff to ±(jitter/2)×backoff, decorrelating retry
+// storms across pipelined callers.
+const jitter = 0.5
+
+// backoff computes the wait before retry number attempt (0-based), jittered
+// by rng; a nil rng gives the bare doubling.
 func (p RetryPolicy) backoff(attempt int, rng *rand.Rand) time.Duration {
 	base := p.BaseBackoff
 	if base <= 0 {
 		base = time.Millisecond
 	}
 	d := base << min(attempt, 6) // capped at 64× base
-	if p.Jitter > 0 && rng != nil {
-		j := p.Jitter
-		if j > 1 {
-			j = 1
-		}
-		// Uniform in [d·(1−j/2), d·(1+j/2)].
-		d = time.Duration(float64(d) * (1 - j/2 + j*rng.Float64()))
-	}
-	if d < 0 {
-		d = 0
+	if rng != nil {
+		// Uniform in [d·(1−jitter/2), d·(1+jitter/2)].
+		d = time.Duration(float64(d) * (1 - jitter/2 + jitter*rng.Float64()))
 	}
 	return d
 }

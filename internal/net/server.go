@@ -18,10 +18,6 @@ type ServerOptions struct {
 	// members count individually); beyond it requests are shed with
 	// query.ErrOverloaded. 0 = unlimited.
 	MaxInflight int
-	// Tracer, when set, opens a "net.request" / "net.batch" root span per
-	// admitted request, so the server-side latency breakdown of remote
-	// traffic lands in the same span histograms the in-process stack uses.
-	Tracer *obs.Tracer
 	// Metrics, when set, receives net.* counters (requests, batches, sheds,
 	// rejected-deadline) and the admission source.
 	Metrics *obs.Registry
@@ -299,18 +295,11 @@ func (s *Server) admit(c query.Call) error {
 	return nil
 }
 
-// serve executes one admitted call against the backend under a root span
-// and the connection's session, and answers it from rep (zero on entry).
+// serve executes one admitted call against the backend under the
+// connection's session, and answers it from rep (zero on entry).
 func (s *Server) serve(sc *srvConn, id uint64, c *query.Call, rep *query.Reply) {
-	name := "net.request"
-	if c.Batch() {
-		name = "net.batch"
-	}
-	sp := s.opts.Tracer.Start(name) // nil-safe: nil tracer mints nil span
-	sp.SetDetail(c.SQL)
-	c.Span, c.Session = sp, sc.sess
+	c.Session = sc.sess
 	c.On(s.backend, rep)
-	sp.End()
 	// Release before the response write: the units' work is done, and a
 	// client that fires its next request the instant the response lands must
 	// find the slot free (a closed loop with conns == budget must never shed).
