@@ -4,8 +4,8 @@
 // to the internal/ir statement form; ir.Print renders IR back to this syntax,
 // and the two round-trip.
 //
-// A source has at most one error: Parse reports the first one the lexer or
-// the parser meets, as an *Error at its line and column, and nothing after it.
+// Parse reports only the first error in a source, the lexer's or the
+// parser's, as an *Error at its line and column.
 package minilang
 
 import (

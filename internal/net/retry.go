@@ -50,5 +50,8 @@ func (p RetryPolicy) backoff(attempt int, rng *rand.Rand) time.Duration {
 		// Uniform in [d·(1−jitter/2), d·(1+jitter/2)].
 		d = time.Duration(float64(d) * (1 - jitter/2 + jitter*rng.Float64()))
 	}
+	if d < 0 {
+		d = 0
+	}
 	return d
 }
