@@ -365,34 +365,49 @@ func WalkExprs(s Stmt, fn func(Expr)) {
 			}
 		}
 	}
+	for _, e := range Operands(s) {
+		walk(*e)
+	}
+}
+
+// Operands lists the expression fields of s itself, in source order (not
+// descending into nested blocks of compound statements), so that a pass can
+// read or replace them. A CallStmt's call is listed through a copy of its
+// pointer: a rewrite inside the call reaches the statement, replacing the
+// call would not.
+func Operands(s Stmt) []*Expr {
 	switch x := s.(type) {
 	case *Assign:
-		walk(x.Rhs)
+		return []*Expr{&x.Rhs}
 	case *ExecQuery:
-		for _, a := range x.Args {
-			walk(a)
-		}
+		return fields(x.Args)
 	case *Submit:
-		for _, a := range x.Args {
-			walk(a)
-		}
+		return fields(x.Args)
 	case *Fetch:
-		walk(x.Handle)
+		return []*Expr{&x.Handle}
 	case *CallStmt:
-		walk(x.Call)
+		var call Expr = x.Call
+		return []*Expr{&call}
 	case *Return:
-		for _, v := range x.Vals {
-			walk(v)
-		}
+		return fields(x.Vals)
 	case *SetField:
-		walk(x.Val)
+		return []*Expr{&x.Val}
 	case *While:
-		walk(x.Cond)
+		return []*Expr{&x.Cond}
 	case *If:
-		walk(x.Cond)
+		return []*Expr{&x.Cond}
 	case *ForEach:
-		walk(x.Coll)
+		return []*Expr{&x.Coll}
 	}
+	return nil
+}
+
+func fields(es []Expr) []*Expr {
+	ps := make([]*Expr, len(es))
+	for i := range es {
+		ps[i] = &es[i]
+	}
+	return ps
 }
 
 // Blocks returns the nested blocks of a compound statement (nil otherwise).

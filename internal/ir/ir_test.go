@@ -128,3 +128,24 @@ func TestRegistryLookup(t *testing.T) {
 		t.Fatal("unknown lookup must be nil")
 	}
 }
+
+// Operands lists a statement's own expressions in source order, and a write
+// through one of them replaces that expression in the statement.
+func TestOperandsAreTheStatementsFields(t *testing.T) {
+	r := &Return{Vals: []Expr{V("a"), V("b")}}
+	ops := Operands(r)
+	if len(ops) != 2 || (*ops[0]).(*Var).Name != "a" || (*ops[1]).(*Var).Name != "b" {
+		t.Fatalf("Operands(return a, b) = %v", ops)
+	}
+	*ops[1] = V("c")
+	if r.Vals[1].(*Var).Name != "c" {
+		t.Fatal("a write through an operand did not reach the statement")
+	}
+	w := &While{Cond: V("go"), Body: &Block{Stmts: []Stmt{&Return{Vals: []Expr{V("inner")}}}}}
+	if ops := Operands(w); len(ops) != 1 || *ops[0] != w.Cond {
+		t.Fatalf("Operands(while) = %v, want only the condition", ops)
+	}
+	if ops := Operands(&DeclTable{}); ops != nil {
+		t.Fatalf("Operands(table decl) = %v, want none", ops)
+	}
+}

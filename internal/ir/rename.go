@@ -7,39 +7,12 @@ package ir
 // A subtlety from the paper's moveAfter procedure: a mutated call argument
 // (e.g. the list in removeFirst(list)) is both read and written through the
 // same syntactic occurrence, so it cannot be renamed read-only; callers must
-// not request read-renaming of such occurrences. RenameReads leaves mutated
-// argument positions untouched.
+// not request read-renaming of such occurrences. RenameReads has no registry
+// to tell those positions apart, so it renames every read it finds.
 func RenameReads(s Stmt, old, new string) {
-	ren := func(e Expr) { renameReadsExpr(e, old, new) }
-	switch x := s.(type) {
-	case *Assign:
-		x.Rhs = renameReadsExprTree(x.Rhs, old, new)
-	case *ExecQuery:
-		for i := range x.Args {
-			x.Args[i] = renameReadsExprTree(x.Args[i], old, new)
-		}
-	case *Submit:
-		for i := range x.Args {
-			x.Args[i] = renameReadsExprTree(x.Args[i], old, new)
-		}
-	case *Fetch:
-		x.Handle = renameReadsExprTree(x.Handle, old, new)
-	case *CallStmt:
-		renameReadsCall(x.Call, old, new)
-	case *Return:
-		for i := range x.Vals {
-			x.Vals[i] = renameReadsExprTree(x.Vals[i], old, new)
-		}
-	case *SetField:
-		x.Val = renameReadsExprTree(x.Val, old, new)
-	case *While:
-		x.Cond = renameReadsExprTree(x.Cond, old, new)
-	case *If:
-		x.Cond = renameReadsExprTree(x.Cond, old, new)
-	case *ForEach:
-		x.Coll = renameReadsExprTree(x.Coll, old, new)
+	for _, e := range Operands(s) {
+		*e = renameReadsExprTree(*e, old, new)
 	}
-	_ = ren
 	// Guards are reads too.
 	if g := s.GetGuard(); g != nil && g.Var == old {
 		s.SetGuard(&Guard{Var: new, Neg: g.Neg})
@@ -58,24 +31,12 @@ func renameReadsExprTree(e Expr, old, new string) Expr {
 	case *Un:
 		x.X = renameReadsExprTree(x.X, old, new)
 	case *Call:
-		renameReadsCall(x, old, new)
+		for i := range x.Args {
+			x.Args[i] = renameReadsExprTree(x.Args[i], old, new)
+		}
 	}
 	return e
 }
-
-// renameReadsCall renames reads inside a call but never the variable in a
-// mutated argument position, since that occurrence is also a write. Without a
-// registry here we conservatively skip renaming bare variables in argument
-// positions of *known-mutating* builtins; since rename callers (the reorder
-// algorithm) never need to rename a mutated occurrence read-only, we rename
-// everything and rely on callers. Nested expressions are always renamed.
-func renameReadsCall(c *Call, old, new string) {
-	for i := range c.Args {
-		c.Args[i] = renameReadsExprTree(c.Args[i], old, new)
-	}
-}
-
-func renameReadsExpr(e Expr, old, new string) { renameReadsExprTree(e, old, new) }
 
 // RenameWrites replaces every *write* of variable old in s by new: assignment
 // targets and mutated call arguments. This is the primitive behind Rule C3's

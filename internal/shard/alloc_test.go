@@ -61,3 +61,48 @@ func TestScatterAllocations(t *testing.T) {
 		t.Errorf("a 10-row scatter allocates %.2f objects, want at most 15", got)
 	}
 }
+
+// TestGroupedBatchAllocations pins a batch the coalescer grouped onto one
+// shard (BatchGroup): 16 point selects, all owned by shard 0, through the
+// router's pointer form. Every binding routes to the same shard, so the call
+// goes there whole: the 6 objects are the list of routed destinations and
+// the 5 of the shard's batch read. (16 while such a batch was carved into a
+// one-leg fan-out and demultiplexed like a mixed one.)
+func TestGroupedBatchAllocations(t *testing.T) {
+	ref := server.New(server.SYS1(), 0)
+	t.Cleanup(ref.Close)
+	users := ref.Catalog().CreateTable("users", storage.NewSchema(
+		storage.Column{Name: "uid", Type: storage.TInt},
+		storage.Column{Name: "name", Type: storage.TString},
+	))
+	for i := 0; i < 200; i++ {
+		if _, err := users.Insert([]any{int64(i), fmt.Sprintf("u%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref.FinishLoad()
+	if err := ref.AddIndex("users", "uid", true); err != nil {
+		t.Fatal(err)
+	}
+	r := newRouter(t, ref, Options{Shards: 2, Group: replica.Options{Replicas: 1}, Keys: map[string]string{"users": "uid"}})
+
+	const q = "select name from users where uid = ?"
+	var argSets [][]any
+	for uid := int64(0); len(argSets) < 16; uid++ {
+		if r.BatchGroup("point", q, []any{uid}) == 0 {
+			argSets = append(argSets, []any{uid})
+		}
+	}
+	c := &query.Call{Request: query.Req("point", q, nil), ArgSets: argSets}
+	rep := new(query.Reply)
+	got := testing.AllocsPerRun(1000, func() {
+		*rep = query.Reply{}
+		r.Do(c, rep)
+	})
+	if err := rep.FirstErr(); err != nil || len(rep.Values) != 16 {
+		t.Fatalf("grouped batch answered %d values, %v; want 16", len(rep.Values), err)
+	}
+	if got > 6 {
+		t.Errorf("a grouped 16-binding batch allocates %.2f objects, want at most 6", got)
+	}
+}

@@ -8,9 +8,10 @@
 // shard key, or an INSERT whose VALUES bind it — route to the owning shard.
 // Everything else scatter-gathers: the statement runs on every shard and the
 // router merges the partial results deterministically, so a sharded cluster
-// is observably identical to one big server. ExecBatch submissions are split
-// into per-shard sub-batches that execute in parallel and are demultiplexed
-// back into binding order.
+// is observably identical to one big server. A single call is routed as a
+// batch of one binding. A call whose bindings all route to one shard goes
+// there whole; a batch whose bindings route apart is split into per-shard
+// sub-batches that run in parallel and are demultiplexed into binding order.
 //
 // The Router implements query.Executor — the same Exec(Request)/
 // ExecBatch(BatchRequest) pair as its backends — so exec.Service, the
@@ -361,7 +362,7 @@ const (
 	destScatter               // no shard-key value bound: every owning shard, results merged
 )
 
-// route is the routing rule, stated once for Exec, ExecBatch and BatchGroup:
+// route is the routing rule, stated once for Do and BatchGroup:
 // where a statement (resolved by lookup) executes under one binding. keyed
 // reports that the binding's shard-key value chose the shard.
 func (r *Router) route(st *sqlmini.Stmt, ti *tableInfo, args []any) (dest int, keyed bool) {
@@ -421,7 +422,7 @@ type fanLeg struct {
 
 // fanout dispatches one call to several shards in parallel: leg k goes to
 // shard targets[k], carrying subs[k] in place of the call's own bindings
-// when subs is given (ExecBatch's per-shard sub-batches); the last leg runs on
+// when subs is given (split's per-shard sub-batches); the last leg runs on
 // the caller's goroutine, which would otherwise only wait. Span.Child is
 // concurrency-safe, so each leg hangs its own child off the call's span.
 func (r *Router) fanout(c *query.Call, targets []int, subs [][][]any) []fanLeg {
@@ -477,7 +478,8 @@ func (r *Router) broadcast(c *query.Call, table string, rep *query.Reply) {
 }
 
 // insertedRid reports the local row id binding j of an acknowledged insert
-// landed on: Info.Matched for a single call, Info.InsertRids for a batch.
+// landed on: Info.Matched for a single call, Info.InsertRids for a batch. A
+// binding whose reply slot holds an error was not acknowledged and has none.
 func insertedRid(rep *query.Reply, j int) (int, bool) {
 	if rep.Errs == nil {
 		if rep.Err != nil || len(rep.Info.Matched) != 1 {
@@ -485,60 +487,80 @@ func insertedRid(rep *query.Reply, j int) (int, bool) {
 		}
 		return rep.Info.Matched[0], true
 	}
-	if rids := rep.Info.InsertRids; j < len(rids) && rids[j] >= 0 {
+	if rids := rep.Info.InsertRids; j < len(rids) && rids[j] >= 0 && j < len(rep.Errs) && rep.Errs[j] == nil {
 		return rids[j], true
 	}
 	return 0, false
 }
 
-// noteInsert records where a routed insert landed, so scatter merges keep
-// the exact single-server insertion order, and stages it for double-writing
-// while a migration's copy phase runs.
-func (r *Router) noteInsert(ti *tableInfo, table string, s, rid int) {
-	ti.notePos(s, rid)
-	r.stagePending(table, s, rid, false)
+// noteInsert is the acknowledged-insert rule, stated once: binding j of a
+// call that shard s answered with rep is an insert into a table the router
+// knows, and its reply slot holds no error. Its position is then recorded, so
+// scatter merges keep the exact single-server insertion order, and it is
+// staged for double-writing while a migration's copy phase runs.
+func (r *Router) noteInsert(st *sqlmini.Stmt, ti *tableInfo, s int, rep *query.Reply, j int) {
+	if ti == nil || !st.Insert {
+		return
+	}
+	if rid, ok := insertedRid(rep, j); ok {
+		ti.notePos(s, rid)
+		r.stagePending(st.Table, s, rid, false)
+	}
 }
 
-// Exec routes one statement: to the owning shard (per the live hash-range
-// map) for point statements, to shard 0 for replicated-table reads and
-// statements that will fail validation (any backend produces the identical
-// error), broadcast for replicated-table writes, and scatter-gather for the
-// rest. Every dispatched shard leg hangs a "shard.exec" child (with its
-// shard id) off the request's span, and the backend continues the tree down
-// to RTT, I/O, CPU and WAL commit. The whole call holds the migration read
-// lock, so a routing flip never lands mid-statement.
+// Exec routes one statement as the set of its one binding (Do). Every
+// dispatched shard leg hangs a "shard.exec" child (with its shard id) off the
+// request's span, and the backend continues the tree down to RTT, I/O, CPU
+// and WAL commit.
 func (r *Router) Exec(req query.Request) query.Result {
 	c, rep := query.Call{Request: req}, query.Reply{}
 	r.Do(&c, &rep)
 	return rep.Result()
 }
 
-// Do routes a call of either shape (query.Doer): what Exec and ExecBatch do,
-// with row results — a shard's own, or the scatter merge's — left columnar.
+// Do routes a call of either shape (query.Doer), with row results — a
+// shard's own, or the scatter merge's — left columnar. It is the one routing
+// body: a single call is the set of its one binding, and every binding is
+// routed. A replicated-table write broadcasts; a call whose bindings all
+// route to one shard goes there whole; otherwise a single call scatters and a
+// batch is split. The whole call holds the migration read lock, so a routing
+// flip never lands mid-statement.
 func (r *Router) Do(c *query.Call, rep *query.Reply) {
 	r.mig.RLock()
 	defer r.mig.RUnlock()
-	if c.Batch() {
-		r.execBatch(c, rep)
-	} else {
-		r.exec(c, rep)
-	}
-}
-
-func (r *Router) exec(c *query.Call, rep *query.Reply) {
 	st, ti := r.lookup(c.SQL)
-	switch dest, keyed := r.route(st, ti, c.Args); dest {
-	case destBroadcast:
-		r.broadcast(c, st.Table, rep)
-	case destScatter:
+	sets := c.ArgSets
+	if !c.Batch() {
+		sets = [][]any{c.Args}
+	}
+	// The destinations are sized once; a call of one binding keeps its
+	// destination on the stack.
+	var one [1]int
+	dests := one[:0]
+	if len(sets) > 1 {
+		dests = make([]int, 0, len(sets))
+	}
+	whole := len(sets) > 0 // so far every binding routes to shard dests[0]
+	for _, args := range sets {
+		d, _ := r.route(st, ti, args)
+		if d == destBroadcast {
+			// Decided by the statement alone: the whole call broadcasts.
+			r.broadcast(c, st.Table, rep)
+			return
+		}
+		dests = append(dests, d)
+		whole = whole && d >= 0 && d == dests[0]
+	}
+	switch {
+	case whole:
+		r.dispatch(c, dests[0], rep)
+		for j := range dests {
+			r.noteInsert(st, ti, dests[0], rep, j)
+		}
+	case !c.Batch():
 		rep.Value, rep.Err = r.scatter(c, st, ti)
 	default:
-		r.dispatch(c, dest, rep)
-		if keyed && st.Insert {
-			if rid, ok := insertedRid(rep, 0); ok {
-				r.noteInsert(ti, st.Table, dest, rid)
-			}
-		}
+		r.split(c, st, ti, dests, rep)
 	}
 }
 
@@ -790,35 +812,29 @@ func mergeRows(ti *tableInfo, targets []int, legs []fanLeg) (any, error) {
 	return &interp.RowSet{Header: shape.Header, Cols: cols, N: n}, nil
 }
 
-// ExecBatch splits a set-oriented submission into per-shard sub-batches that
-// execute in parallel, plus individual scatter-gather calls for bindings
-// with no shard-key value, and demultiplexes everything back into binding
-// order. Each sub-batch pays its shard one round trip and one planning
-// charge, so an N-shard cluster executes a large batch roughly N-way
-// parallel. Per-shard sub-batches hang "shard.batch" children off the
-// request's span, scatter fallbacks hang "shard.exec" legs; session,
-// deadline and consistency fan out with them.
+// ExecBatch routes a set-oriented submission (Do). A batch whose bindings
+// all route to one shard goes there whole, paying one round trip and one
+// planning charge; any other batch is split.
 func (r *Router) ExecBatch(req query.BatchRequest) query.BatchResult {
 	c, rep := query.BatchCall(req), query.Reply{}
 	r.Do(&c, &rep)
 	return rep.BatchResult()
 }
 
-func (r *Router) execBatch(c *query.Call, rep *query.Reply) {
-	st, ti := r.lookup(c.SQL)
-	n := len(c.ArgSets)
-	// Route every binding, counting what each shard receives.
-	dests := make([]int, n)
-	counts := make([]int, len(r.backends))
-	for i, args := range c.ArgSets {
-		dest, _ := r.route(st, ti, args)
-		if dest == destBroadcast {
-			// Decided by the statement alone: the whole batch broadcasts.
-			r.broadcast(c, st.Table, rep)
-			return
-		}
-		if dests[i] = dest; dest >= 0 {
-			counts[dest]++
+// split runs a batch whose bindings route apart (dests, in binding order): it
+// carves per-shard sub-batches that execute in parallel, plus one
+// scatter-gather call per binding with no shard-key value, and demultiplexes
+// everything back into binding order. Each sub-batch pays its shard one round
+// trip and one planning charge, so an N-shard cluster executes a large batch
+// roughly N-way parallel. Sub-batches hang "shard.batch" children off the
+// request's span, scatter fallbacks hang "shard.exec" legs; session, deadline
+// and consistency fan out with them.
+func (r *Router) split(c *query.Call, st *sqlmini.Stmt, ti *tableInfo, dests []int, rep *query.Reply) {
+	n := len(dests)
+	counts := make([]int, len(r.backends)) // what each shard receives
+	for _, d := range dests {
+		if d >= 0 {
+			counts[d]++
 		}
 	}
 	// Carve one backing array into the per-shard sub-batches, each in
@@ -869,18 +885,16 @@ func (r *Router) execBatch(c *query.Call, rep *query.Reply) {
 		if j < len(o.Errs) {
 			errs[i] = o.Errs[j]
 		}
-		if rid, ok := insertedRid(o, j); ok {
-			r.noteInsert(ti, st.Table, d, rid)
-		}
+		r.noteInsert(st, ti, d, o, j)
 	}
 }
 
 // BatchGroup is the coalescing refinement for batched submission
 // (batch.Options.GroupFn): it returns the shard a request would route to,
 // or len(backends) for statements that broadcast, scatter or fail, so the
-// coalescer forms single-shard batches that ExecBatch never has to split.
-// Grouping is an optimization only — ExecBatch re-derives the routing per
-// binding, so a mixed batch still executes correctly.
+// coalescer forms single-shard batches that Do sends whole. Grouping is an
+// optimization only — Do routes every binding, so a mixed batch still
+// executes correctly.
 func (r *Router) BatchGroup(name, sql string, args []any) int {
 	r.mig.RLock()
 	defer r.mig.RUnlock()

@@ -10,6 +10,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/replica"
 	"repro/internal/server"
+	"repro/internal/sqlmini"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -736,4 +737,91 @@ func TestScatterMergesBoxedAndColumnarLegs(t *testing.T) {
 	for i := range argSets {
 		same(t, fmt.Sprintf("batch binding %d", i), wantVals[i], gotVals[i], wantErrs[i], gotErrs[i])
 	}
+}
+
+// A table created behind the router's back after LoadFrom is one the router
+// does not know: its inserts route to shard 0 like any unknown table's, and
+// neither shape may try to note their positions. (A batch insert once
+// dereferenced the missing routing metadata.)
+func TestInsertIntoUnknownTable(t *testing.T) {
+	_, r := newFixture(t, 2)
+	for _, b := range r.Backends() {
+		for _, s := range b.Copies() {
+			s.Catalog().CreateTable("late", storage.NewSchema(
+				storage.Column{Name: "id", Type: storage.TInt},
+				storage.Column{Name: "msg", Type: storage.TString},
+			))
+		}
+	}
+	const ins = "insert into late values (?, ?)"
+	if err := r.Exec(query.Req("ins", ins, []any{int64(1), "a"})).Err; err != nil {
+		t.Fatalf("single insert: %v", err)
+	}
+	_, errs := r.ExecBatch(query.BatchReq("ins", ins, [][]any{{int64(2), "b"}, {int64(3), "c"}})).Pair()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("batch insert binding %d: %v", i, err)
+		}
+	}
+	if got := r.Exec(query.Req("q", "select count(id) from late", nil)).Value; got != int64(3) {
+		t.Fatalf("late holds %v rows, want 3", got)
+	}
+}
+
+// A binding whose reply slot holds an error was not acknowledged, whatever
+// rid the backend reported for it: a replica group fails a committed
+// binding's slot when the commit wait fails and leaves its InsertRids entry.
+func TestInsertedRidNeedsAnAcknowledgement(t *testing.T) {
+	rep := &query.Reply{
+		Values: []any{nil, int64(1)},
+		Errs:   []error{fmt.Errorf("commit wait failed"), nil},
+		Info:   sqlmini.ExecInfo{InsertRids: []int{5, 6}},
+	}
+	if rid, ok := insertedRid(rep, 0); ok {
+		t.Fatalf("failed binding reports rid %d", rid)
+	}
+	if rid, ok := insertedRid(rep, 1); !ok || rid != 6 {
+		t.Fatalf("acknowledged binding reports rid %d, %v; want 6, true", rid, ok)
+	}
+}
+
+// A single call is routed as a batch of one binding: for every statement
+// class, Exec on one router and ExecBatch of the same binding on an
+// identically loaded one answer alike and leave the routers alike.
+func TestSingleCallIsABatchOfOne(t *testing.T) {
+	_, single := newFixture(t, 3)
+	_, batch := newFixture(t, 3)
+	cases := []struct {
+		label string
+		sql   string
+		args  []any
+	}{
+		{"keyed point select", "select name, grp from users where uid = ?", []any{int64(42)}},
+		{"fresh-key insert", "insert into users values (?, ?, ?)", []any{int64(9001), "fresh", int64(7)}},
+		{"keyed read of the insert", "select name from users where uid = ?", []any{int64(9001)}},
+		{"pruned scatter", "select uid from users where grp = ?", []any{int64(99)}},
+		{"unpruned scatter", "select uid, name from users where grp = ?", []any{int64(7)}},
+		{"unindexed scatter", "select uid from users where name = ?", []any{"u17"}},
+		{"aggregate", "select sum(uid) from users where grp = ?", []any{int64(7)}},
+		{"replicated read", "select msg from logs where id = ?", []any{int64(3)}},
+		{"replicated insert", "insert into logs values (?, ?)", []any{int64(400), "late"}},
+		{"malformed", "delete from users", nil},
+		{"unknown table", "select a from nosuch where a = ?", []any{int64(1)}},
+		{"insert arity", "insert into users values (?)", []any{int64(1)}},
+	}
+	for _, c := range cases {
+		want, wantErr := single.Exec(query.Req("q", c.sql, c.args)).Pair()
+		vals, errs := batch.ExecBatch(query.BatchReq("q", c.sql, [][]any{c.args})).Pair()
+		if len(vals) != 1 || len(errs) != 1 {
+			t.Fatalf("%s: batch of one answered %d values, %d errors", c.label, len(vals), len(errs))
+		}
+		same(t, c.label, want, vals[0], wantErr, errs[0])
+	}
+	if s, b := single.ScatterPruned(), batch.ScatterPruned(); s != b || s == 0 {
+		t.Fatalf("pruned shard executions: single %d, batch %d (want equal and non-zero)", s, b)
+	}
+	const all = "select uid, name, grp from users"
+	want, wantErr := single.Exec(query.Req("q", all, nil)).Pair()
+	got, gotErr := batch.Exec(query.Req("q", all, nil)).Pair()
+	same(t, "scatter over users", want, got, wantErr, gotErr)
 }
