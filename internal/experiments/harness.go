@@ -31,7 +31,9 @@ import (
 // Harness runs measurements, caching loaded servers and shard routers per
 // (app, profile[, shards]).
 type Harness struct {
-	// Scale is the wall-clock scale factor for simulated latencies.
+	// Scale is the wall-clock scale factor for simulated latencies. Set it
+	// before the first measurement: cached servers and routers keep the
+	// scale they were built with.
 	Scale float64
 	// Quick shrinks the sweeps (cmd/experiments -quick, CI's figure gate);
 	// the full sweeps match the paper's axes.
@@ -98,7 +100,6 @@ func (h *Harness) server(app *apps.App, prof server.Profile) (*server.Server, er
 	key := app.Name + "/" + prof.Name
 	if !app.MutatesData {
 		if srv, ok := h.servers[key]; ok {
-			srv.Clock.SetScale(h.Scale)
 			return srv, nil
 		}
 	}
@@ -120,7 +121,6 @@ func (h *Harness) router(app *apps.App, prof server.Profile, shards, replicas in
 	key := fmt.Sprintf("%s/%s/%d/r%d", app.Name, prof.Name, shards, replicas)
 	if !app.MutatesData {
 		if r, ok := h.routers[key]; ok {
-			r.SetScale(h.Scale)
 			return r, nil
 		}
 	}

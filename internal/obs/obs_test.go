@@ -313,48 +313,3 @@ func TestQuantileEmptyAndSingle(t *testing.T) {
 		}
 	}
 }
-
-// TestChildSampling pins the always-on posture: with SetChildSampling(n),
-// every root still records its wall histogram, only ~1/n roots build
-// subtrees, and installing a tree consumer (collector or slow log)
-// restores full detail.
-func TestChildSampling(t *testing.T) {
-	tr := NewTracer(NewRegistry())
-	tr.SetChildSampling(64)
-	const roots = 2000
-	withKids := 0
-	for i := 0; i < roots; i++ {
-		sp := tr.Start("request")
-		if c := sp.Child("stage"); c != nil {
-			withKids++
-			c.End()
-		}
-		sp.End()
-	}
-	snap := tr.Registry().Histogram("span.request.wall").Snapshot()
-	if snap.Count != roots {
-		t.Fatalf("root histogram count = %d, want %d (roots must never be sampled away)", snap.Count, roots)
-	}
-	if withKids == 0 || withKids > roots/8 {
-		t.Fatalf("sampled subtrees = %d of %d, want a small non-zero fraction", withKids, roots)
-	}
-	if open := tr.Open(); open != 0 {
-		t.Fatalf("open spans = %d, want 0", open)
-	}
-
-	// A collector forces whole trees despite sampling.
-	tr.SetCollector(func(*Span) {})
-	for i := 0; i < 100; i++ {
-		sp := tr.Start("request")
-		if sp.Child("stage") == nil {
-			t.Fatal("collector installed: every root must build its subtree")
-		}
-		sp.End()
-	}
-	tr.SetCollector(nil)
-	// SetChildSampling(1) restores full detail too.
-	tr.SetChildSampling(1)
-	if tr.Start("request").Child("stage") == nil {
-		t.Fatal("sampling off: child must be built")
-	}
-}

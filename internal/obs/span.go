@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,27 +31,19 @@ type Span struct {
 	sim    atomic.Int64 // nanoseconds of simulated charge
 	ended  atomic.Bool
 
-	// sampled gates subtree construction: an unsampled root records its
-	// own wall/sim histograms but mints no children and keeps no detail
-	// (see Tracer.SetChildSampling). Set once at Start, inherited by
-	// children, read-only afterwards.
-	sampled bool
-
 	mu       sync.Mutex
 	detail   string
 	children []*Span
 }
 
-// Child opens a sub-span. Safe (and a no-op returning nil) on nil, and on
-// an unsampled span (child-sampling mode skips whole subtrees).
+// Child opens a sub-span. Safe (and a no-op returning nil) on nil.
 // Children may be opened concurrently — scatter fan-out does.
 func (s *Span) Child(name string) *Span {
-	if s == nil || !s.sampled {
+	if s == nil {
 		return nil
 	}
 	c := s.tracer.newSpan(name)
 	c.parent = s
-	c.sampled = true
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
@@ -68,10 +59,9 @@ func (s *Span) Charge(d time.Duration) {
 }
 
 // SetDetail attaches a free-form annotation (SQL text, shard id, replica
-// label) rendered in the slow-query log. Dropped on unsampled spans — the
-// subtree it would annotate is never built.
+// label) rendered in the slow-query log.
 func (s *Span) SetDetail(d string) {
-	if s == nil || !s.sampled {
+	if s == nil {
 		return
 	}
 	s.mu.Lock()
@@ -162,16 +152,6 @@ type Tracer struct {
 	ended   atomic.Int64
 
 	slowNS atomic.Int64
-	// sampleMask, when non-zero, samples subtree construction: a root span
-	// builds children only when (fastrand & mask) == 0. Root spans are
-	// always recorded, so end-to-end latency histograms stay exact; only
-	// the per-stage breakdown becomes statistical. Forced off (full
-	// detail) while a slow-log sink or collector is installed — both
-	// consume whole trees.
-	sampleMask atomic.Uint32
-	// wantTrees mirrors "slow-log sink or collector installed" as one
-	// atomic, so the Start hot path never takes the tracer mutex.
-	wantTrees atomic.Bool
 
 	mu       sync.Mutex
 	slowSink io.Writer
@@ -206,7 +186,6 @@ func (t *Tracer) SetSlowLog(thresh time.Duration, sink io.Writer) {
 	t.mu.Lock()
 	t.slowSink = sink
 	t.slowNS.Store(int64(thresh))
-	t.wantTrees.Store((thresh > 0 && sink != nil) || t.collect != nil)
 	t.mu.Unlock()
 }
 
@@ -215,27 +194,7 @@ func (t *Tracer) SetSlowLog(thresh time.Duration, sink io.Writer) {
 func (t *Tracer) SetCollector(fn func(root *Span)) {
 	t.mu.Lock()
 	t.collect = fn
-	t.wantTrees.Store(fn != nil || (t.slowNS.Load() > 0 && t.slowSink != nil))
 	t.mu.Unlock()
-}
-
-// SetChildSampling makes the tracer record child subtrees for roughly one
-// in n root spans (n is rounded up to a power of two); the other roots
-// still time and record themselves, but Child returns nil. This keeps the
-// per-request overhead to one span on hosts where tracing must stay on
-// under benchmark load. n <= 1 restores full detail. Ignored (full detail)
-// while a slow-log sink or collector is installed, since both want every
-// tree intact.
-func (t *Tracer) SetChildSampling(n int) {
-	if n <= 1 {
-		t.sampleMask.Store(0)
-		return
-	}
-	mask := uint32(1)
-	for int(mask) < n-1 {
-		mask = mask<<1 | 1
-	}
-	t.sampleMask.Store(mask)
 }
 
 // Start opens a root span. Safe on a nil tracer (returns a nil span).
@@ -243,12 +202,7 @@ func (t *Tracer) Start(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	sp := t.newSpan(name)
-	sp.sampled = true
-	if mask := t.sampleMask.Load(); mask != 0 && !t.wantTrees.Load() && rand.Uint32()&mask != 0 {
-		sp.sampled = false
-	}
-	return sp
+	return t.newSpan(name)
 }
 
 func (t *Tracer) newSpan(name string) *Span {

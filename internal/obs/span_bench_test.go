@@ -38,21 +38,3 @@ func BenchmarkSpanLifecycleParallel(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkSpanRootSampled is the always-on posture (SetChildSampling):
-// most requests pay only the root span — one allocation, two clock
-// reads, one histogram record.
-func BenchmarkSpanRootSampled(b *testing.B) {
-	tr := NewTracer(NewRegistry())
-	tr.SetChildSampling(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp := tr.Start("request")
-		sp.SetDetail("select 1")
-		c := sp.Child("shard.exec")
-		c.Charge(1000)
-		c.End()
-		sp.End()
-	}
-}

@@ -382,7 +382,7 @@ func firstNonNil(errs []error) error {
 // write log exactly to the LSN the read was served at: each read must equal
 // that prefix-consistent single-server state, be monotonic, and respect the
 // consistency contract (bound / session tokens).
-func runStalenessDifferential(t *testing.T, cons replica.Consistency, bound int64, nSessions int) {
+func runStalenessDifferential(t *testing.T, cons query.Consistency, bound int64, nSessions int) {
 	seed := workloadSeed(t)
 	nOps := 300
 	if testing.Short() {
@@ -406,9 +406,9 @@ func runStalenessDifferential(t *testing.T, cons replica.Consistency, bound int6
 	}
 
 	rng := rand.New(rand.NewSource(seed + 31_337))
-	sessions := make([]*replica.Session, nSessions)
+	sessions := make([]*query.Session, nSessions)
 	for i := range sessions {
-		sessions[i] = g.NewSession()
+		sessions[i] = query.NewSession()
 	}
 
 	checkerLSN := int64(0)
@@ -509,11 +509,11 @@ func runStalenessDifferential(t *testing.T, cons replica.Consistency, bound int6
 				t.Fatalf("seed %d op %d: reads moved backwards (%d after %d)", seed, opNo, at, lastAt)
 			}
 			lastAt = at
-			if cons == replica.BoundedStaleness && at < commit-bound {
+			if cons == query.BoundedStaleness && at < commit-bound {
 				t.Fatalf("seed %d op %d: served LSN %d violates bound (commit %d, bound %d)",
 					seed, opNo, at, commit, bound)
 			}
-			if cons == replica.ReadYourWrites && at < sess.LastWriteLSN() {
+			if cons == query.ReadYourWrites && at < sess.LastWriteLSN() {
 				t.Fatalf("seed %d op %d: served LSN %d behind session write %d",
 					seed, opNo, at, sess.LastWriteLSN())
 			}
@@ -555,11 +555,11 @@ func runStalenessDifferential(t *testing.T, cons replica.Consistency, bound int6
 // TestDifferentialBoundedStaleness: async replicas, reads at most 6
 // acknowledged writes behind, every read a prefix-consistent state.
 func TestDifferentialBoundedStaleness(t *testing.T) {
-	runStalenessDifferential(t, replica.BoundedStaleness, 6, 1)
+	runStalenessDifferential(t, query.BoundedStaleness, 6, 1)
 }
 
 // TestDifferentialReadYourWrites: async replicas, three interleaved sessions,
 // every read a prefix-consistent state covering the session's own writes.
 func TestDifferentialReadYourWrites(t *testing.T) {
-	runStalenessDifferential(t, replica.ReadYourWrites, 4, 3)
+	runStalenessDifferential(t, query.ReadYourWrites, 4, 3)
 }

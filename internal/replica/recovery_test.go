@@ -22,7 +22,7 @@ func mustInsert(t *testing.T, g *Group, id int64) {
 }
 
 // wantVal asserts a read (optionally session-scoped) returns v<id>.
-func wantVal(t *testing.T, g *Group, sess *Session, id int64) {
+func wantVal(t *testing.T, g *Group, sess *query.Session, id int64) {
 	t.Helper()
 	v, err := g.Exec(query.Req("q", sel, []any{id}).WithSession(sess)).Pair()
 	if err != nil {
@@ -43,7 +43,7 @@ func sumReads(g *Group) int64 {
 }
 
 func TestCrashRestartKeepsAcknowledgedWrites(t *testing.T) {
-	g := newGroup(t, 2, RoundRobin) // sync replication, wal.Group durability
+	g := newGroup(t, 2) // sync replication, wal.Group durability
 	for i := int64(100); i < 120; i++ {
 		mustInsert(t, g, i)
 	}
@@ -90,7 +90,7 @@ func TestCrashRestartKeepsAcknowledgedWrites(t *testing.T) {
 }
 
 func TestRestartPrimaryWhenUpIsNoop(t *testing.T) {
-	g := newGroup(t, 1, RoundRobin)
+	g := newGroup(t, 1)
 	mustInsert(t, g, 100)
 	p := g.Primary()
 	if err := g.RestartPrimary(); err != nil {
@@ -141,7 +141,7 @@ func TestCrashUnderOffLosesOnlyUnsyncedTail(t *testing.T) {
 }
 
 func TestRecoverHealthyReplicaIsNoop(t *testing.T) {
-	g := newGroup(t, 2, RoundRobin)
+	g := newGroup(t, 2)
 	for i := int64(100); i < 105; i++ {
 		mustInsert(t, g, i)
 	}
@@ -164,7 +164,7 @@ func TestRecoverHealthyReplicaIsNoop(t *testing.T) {
 }
 
 func TestRecoverReplayFaultMidBacklog(t *testing.T) {
-	g := newGroup(t, 2, RoundRobin)
+	g := newGroup(t, 2)
 	// First backlog: applied cleanly, so the replica sits mid-log.
 	g.FailOut(0)
 	for i := int64(100); i < 105; i++ {
@@ -205,7 +205,7 @@ func TestRecoverReplayFaultMidBacklog(t *testing.T) {
 }
 
 func TestConcurrentRecoverIsSafe(t *testing.T) {
-	g := newGroup(t, 2, RoundRobin)
+	g := newGroup(t, 2)
 	g.FailOut(0)
 	g.FailOut(1)
 	for i := int64(100); i < 110; i++ {
@@ -285,7 +285,7 @@ func TestCheckpointTruncationForcesFullResync(t *testing.T) {
 
 func TestBoundedStalenessFloor(t *testing.T) {
 	g := newGroupOpts(t, Options{
-		Replicas: 2, Async: true, Consistency: BoundedStaleness, Bound: 5,
+		Replicas: 2, Async: true, Consistency: query.BoundedStaleness, Bound: 5,
 	})
 	g.HoldApply(0, true)
 	g.HoldApply(1, true)
@@ -324,7 +324,7 @@ func TestBoundedStalenessFloor(t *testing.T) {
 
 func TestReadYourWritesSession(t *testing.T) {
 	g := newGroupOpts(t, Options{
-		Replicas: 1, Async: true, Consistency: ReadYourWrites,
+		Replicas: 1, Async: true, Consistency: query.ReadYourWrites,
 	})
 	g.HoldApply(0, true)
 	// Sessionless reads carry no token: the frozen replica serves them.
@@ -332,7 +332,7 @@ func TestReadYourWritesSession(t *testing.T) {
 	if sumReads(g) != 1 {
 		t.Fatalf("sessionless read should ride the replica: %v", g.ReadCounts())
 	}
-	sess := g.NewSession()
+	sess := query.NewSession()
 	if _, err := g.Exec(query.Req("w", ins, []any{int64(200), "v200"}).WithSession(sess)).Pair(); err != nil {
 		t.Fatal(err)
 	}

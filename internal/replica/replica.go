@@ -51,43 +51,11 @@ import (
 // required consistency) while the primary is crashed and not yet restarted.
 var ErrPrimaryDown = errors.New("replica: primary down")
 
-// Policy selects how reads spread over healthy replicas.
-type Policy int
-
-const (
-	// RoundRobin rotates reads across the healthy replicas in arrival order.
-	RoundRobin Policy = iota
-	// LeastLoaded sends each read to the healthy replica with the fewest
-	// requests in flight.
-	LeastLoaded
-)
-
-// Consistency selects what state an asynchronous group's reads may observe.
-// Synchronous groups always read the newest state regardless. The levels
-// live in internal/query (requests carry per-request overrides); these
-// aliases keep the replica vocabulary.
-type Consistency = query.Consistency
-
-const (
-	// Strong reads observe every acknowledged write.
-	Strong = query.Strong
-	// BoundedStaleness reads observe a commit-order prefix at most
-	// Options.Bound acknowledged writes behind the newest. The bound is
-	// counted in writes (LSNs), not wall time, so it is deterministic under
-	// the simulated clock.
-	BoundedStaleness = query.BoundedStaleness
-	// ReadYourWrites reads observe at least the session's own acknowledged
-	// writes (sessionless reads degrade to an arbitrary served prefix).
-	ReadYourWrites = query.ReadYourWrites
-)
-
 // Options configure a group.
 type Options struct {
 	// Replicas is the number of read replicas fronting the primary
 	// (minimum 1).
 	Replicas int
-	// Policy is the read load-balancing policy.
-	Policy Policy
 	// Durability is the commit acknowledgement mode of the group's
 	// write-ahead log. The zero value is wal.Group: acknowledged writes are
 	// durable, with the fsync amortized across concurrent commits.
@@ -98,8 +66,10 @@ type Options struct {
 	// Consistency is the read consistency of an Async group (the zero
 	// value, ConsistencyDefault, means Strong). Requests may override it
 	// per call via query.Request.Consistency.
-	Consistency Consistency
-	// Bound is the BoundedStaleness lag, in acknowledged writes.
+	Consistency query.Consistency
+	// Bound is the query.BoundedStaleness lag, in acknowledged writes: the
+	// bound is counted in writes (LSNs), not wall time, so it is
+	// deterministic under the simulated clock.
 	Bound int64
 	// Store is the WAL's persistence backend (nil: in-memory).
 	Store wal.Store
@@ -122,11 +92,10 @@ type Options struct {
 
 // state is the health tracker's view of one replica.
 type state struct {
-	healthy  atomic.Bool
-	inflight atomic.Int64 // reads in flight (least-loaded policy)
-	reads    atomic.Int64 // read statements served
-	faults   atomic.Int64 // times failOut took this replica out of rotation
-	applied  atomic.Int64 // highest log record applied to this replica
+	healthy atomic.Bool
+	reads   atomic.Int64 // read statements served
+	faults  atomic.Int64 // times failOut took this replica out of rotation
+	applied atomic.Int64 // highest log record applied to this replica
 
 	// tainted marks a replica that applied records a primary crash then
 	// dropped from the log: its applied watermark names state that no longer
@@ -153,17 +122,9 @@ func (st *state) setApplied(lsn int64) {
 	st.mu.Unlock()
 }
 
-// Session carries the LSN tokens of one client session: its last
-// acknowledged write (the ReadYourWrites floor) and the state its last read
-// was served at. It is query.Session — requests carry it in their Session
-// field, and the shard router derives per-shard children with Sub.
-type Session = query.Session
-
 // Group is one replicated shard: a primary owning writes, a write-ahead log
 // owning durability, plus R read replicas. It is safe for concurrent use.
 type Group struct {
-	policy Policy
-
 	prof  server.Profile // crashed copies are rebuilt from this
 	scale float64
 
@@ -197,7 +158,7 @@ type Group struct {
 	zombies []*server.Server
 
 	async       bool
-	consistency Consistency
+	consistency query.Consistency
 	bound       int64
 
 	// Resilience layer (see resilience.go): hedged reads, per-replica
@@ -224,7 +185,6 @@ func NewGroup(prof server.Profile, scale float64, opts Options) *Group {
 		n = 1
 	}
 	g := &Group{
-		policy:      opts.Policy,
 		prof:        prof,
 		scale:       scale,
 		primary:     server.New(prof, scale),
@@ -380,9 +340,6 @@ func (g *Group) WaitApplied(i int, lsn int64) {
 	}
 	st.mu.Unlock()
 }
-
-// NewSession starts a client session (ReadYourWrites token carrier).
-func (g *Group) NewSession() *Session { return query.NewSession() }
 
 // Recover brings replica i back into the read rotation (catchUp): a
 // synchronous group replays the log suffix the replica missed before
@@ -610,42 +567,25 @@ func firstErr(errs []error) error {
 	return nil
 }
 
-// pick returns the next healthy replica under the read policy whose applied
+// pick returns the next healthy replica in round-robin order whose applied
 // prefix reaches min, or -1 when none qualifies. except (-1 for none) is a
 // replica to pass over: the lane a hedge already runs on.
 func (g *Group) pick(min int64, except int) int {
-	switch g.policy {
-	case LeastLoaded:
-		best, bestLoad := -1, int64(0)
-		for i, st := range g.states {
-			if i == except || !st.healthy.Load() || st.applied.Load() < min {
-				continue
-			}
-			if load := st.inflight.Load(); best < 0 || load < bestLoad {
-				best, bestLoad = i, load
-			}
+	n := len(g.states)
+	start := int(g.rr.Add(1) % uint64(n))
+	for k := 0; k < n; k++ {
+		i := (start + k) % n
+		if i != except && g.states[i].healthy.Load() && g.states[i].applied.Load() >= min {
+			return i
 		}
-		return best
-	default: // RoundRobin
-		n := len(g.states)
-		if n == 0 {
-			return -1
-		}
-		start := int(g.rr.Add(1) % uint64(n))
-		for k := 0; k < n; k++ {
-			i := (start + k) % n
-			if i != except && g.states[i].healthy.Load() && g.states[i].applied.Load() >= min {
-				return i
-			}
-		}
-		return -1
 	}
+	return -1
 }
 
 // minLSN computes the commit-order prefix a read must observe under the
 // effective consistency: the request's override when set, else the group
 // level (ConsistencyDefault meaning Strong).
-func (g *Group) minLSN(sess *Session, c Consistency) int64 {
+func (g *Group) minLSN(sess *query.Session, c query.Consistency) int64 {
 	if !g.async {
 		return 0 // synchronous replicas always hold the newest state
 	}
@@ -653,13 +593,13 @@ func (g *Group) minLSN(sess *Session, c Consistency) int64 {
 		c = g.consistency
 	}
 	switch c {
-	case BoundedStaleness:
+	case query.BoundedStaleness:
 		m := g.commit.Load() - g.bound
 		if m < 0 {
 			m = 0
 		}
 		return m
-	case ReadYourWrites:
+	case query.ReadYourWrites:
 		return sess.LastWriteLSN()
 	default: // Strong (or ConsistencyDefault at the group level)
 		return g.commit.Load()
@@ -761,7 +701,6 @@ func (g *Group) read(c *query.Call, min int64, rep *query.Reply) {
 func (g *Group) readOn(sub query.Call, i int, hedged bool) attempt {
 	st := g.states[i]
 	at := st.applied.Load()
-	st.inflight.Add(1)
 	rd := sub.Span.Child("replica.read")
 	rd.SetDetail(obs.ReplicaLabel(i))
 	g.crashMaybe(i)
@@ -769,7 +708,6 @@ func (g *Group) readOn(sub query.Call, i int, hedged bool) attempt {
 	sub.Span = rd
 	g.replica(i).Do(&sub, &a.rep)
 	rd.End()
-	st.inflight.Add(-1)
 	// The server fails a whole call before executing any binding, so a
 	// faulted attempt is safe to retry elsewhere.
 	if server.IsFault(a.rep.FirstErr()) {
@@ -781,7 +719,7 @@ func (g *Group) readOn(sub query.Call, i int, hedged bool) attempt {
 	return a
 }
 
-func (g *Group) noteServed(sess *Session, at int64) {
+func (g *Group) noteServed(sess *query.Session, at int64) {
 	g.bumpServed(at)
 	sess.NoteServed(at)
 }
@@ -979,13 +917,6 @@ func (g *Group) Warm() {
 func (g *Group) ColdStart() {
 	for _, s := range g.Copies() {
 		s.ColdStart()
-	}
-}
-
-// SetScale updates the latency scale on every copy's clock.
-func (g *Group) SetScale(scale float64) {
-	for _, s := range g.Copies() {
-		s.SetScale(scale)
 	}
 }
 

@@ -52,13 +52,12 @@ func TestHedgedAttemptFirstLaneWinsWithoutHedge(t *testing.T) {
 	}
 }
 
-// The hedge's second lane is chosen by the group's read policy, not always
-// round-robin: under LeastLoaded, with the first lane held on replica 0 and
-// replica 1 busy, it lands on the idle replica 2.
-func TestHedgeFollowsReadPolicy(t *testing.T) {
-	g := newGroupOpts(t, Options{Replicas: 3, Policy: LeastLoaded, Hedge: time.Millisecond})
-	g.states[1].inflight.Add(4)
-	defer g.states[1].inflight.Add(-4)
+// The hedge's second lane passes over the replica the first lane runs on:
+// with the round-robin cursor set so the next pick would be replica 0 (the
+// held first lane), the hedge lands on replica 1.
+func TestHedgeAvoidsFirstLane(t *testing.T) {
+	g := newGroupOpts(t, Options{Replicas: 3, Hedge: time.Millisecond})
+	g.rr.Store(2)
 	release := make(chan struct{})
 	run := func(i int, hedged bool) attempt {
 		if !hedged {
@@ -71,8 +70,8 @@ func TestHedgeFollowsReadPolicy(t *testing.T) {
 	if !ok || !a.hedged {
 		t.Fatalf("the hedge should have answered: ok=%v hedged=%v", ok, a.hedged)
 	}
-	if a.rep.Value != int64(2) {
-		t.Fatalf("hedge ran on replica %v, want the idle replica 2", a.rep.Value)
+	if a.rep.Value != int64(1) {
+		t.Fatalf("hedge ran on replica %v, want replica 1", a.rep.Value)
 	}
 }
 
@@ -189,7 +188,7 @@ func TestReplicaCrashInjectionFailsOver(t *testing.T) {
 // With the breaker disabled (the zero options), the historical contract
 // holds: a faulted replica stays out of rotation until a manual Recover.
 func TestBreakerDisabledKeepsReplicaDown(t *testing.T) {
-	g := newGroup(t, 2, RoundRobin)
+	g := newGroup(t, 2)
 	g.Replicas()[0].FailNext(1)
 	for i := int64(0); i < 4; i++ {
 		if _, err := g.Exec(query.Req("q", sel, []any{i})).Pair(); err != nil {

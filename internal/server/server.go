@@ -101,7 +101,7 @@ func WebService() Profile {
 // Server is one simulated database instance.
 type Server struct {
 	Profile Profile
-	Clock   *simclock.Clock
+	clock   *simclock.Clock
 
 	cat   *storage.Catalog
 	pool  *buffer.Pool
@@ -135,7 +135,7 @@ func New(p Profile, scale float64) *Server {
 	d := disk.New(p.Disk, clock)
 	s := &Server{
 		Profile: p,
-		Clock:   clock,
+		clock:   clock,
 		cat:     storage.NewCatalog(),
 		pool:    buffer.NewPool(p.BufferPages, d),
 		disk:    d,
@@ -276,9 +276,6 @@ func (s *Server) IndexKeyCount(table, col string, v any) (int, bool) {
 	return t.IndexKeyCount(col, v)
 }
 
-// SetScale updates the wall-clock scale factor for simulated latencies.
-func (s *Server) SetScale(scale float64) { s.Clock.SetScale(scale) }
-
 // Warm preloads every registered extent into the buffer pool (warm-cache
 // runs). Cold runs call ColdStart instead.
 func (s *Server) Warm() {
@@ -342,7 +339,7 @@ func (s *Server) Do(c *query.Call, rep *query.Reply) {
 	}
 	ex := c.Span.Child(name)
 	defer ex.End()
-	s.Clock.Sleep(s.Profile.RTT)
+	s.clock.Sleep(s.Profile.RTT)
 	ex.Charge(s.Profile.RTT)
 	s.netReqs.Add(1)
 	if c.Deadline.Expired() {
@@ -381,7 +378,7 @@ func (s *Server) Do(c *query.Call, rep *query.Reply) {
 	cpu := s.Profile.CPUFixed + time.Duration(rep.Info.RowsExamined)*s.Profile.CPUPerRow
 	cpuSp := ex.Child("server.cpu")
 	s.cores <- struct{}{}
-	s.Clock.Sleep(cpu)
+	s.clock.Sleep(cpu)
 	<-s.cores
 	cpuSp.Charge(cpu)
 	cpuSp.End()
@@ -465,6 +462,6 @@ func (s *Server) Stats() Stats {
 		BufferHits:  h,
 		BufferMiss:  m,
 		Disk:        s.disk.Stats(),
-		VirtualTime: s.Clock.VirtualSpent(),
+		VirtualTime: s.clock.VirtualSpent(),
 	}
 }

@@ -45,8 +45,9 @@ import (
 // One interface covers everything the router needs: Request-based statement
 // execution (query.Executor — span, session, consistency and deadline all
 // ride the request; the result's Info feeds the scatter-gather merge), the
-// servers that hold its data, the planner's index statistics, cache / clock
-// / lifecycle control, and the obs metrics hookup.
+// servers that hold its data, the planner's index statistics, cache and
+// lifecycle control, and the obs metrics hookup. A backend's simulated-latency
+// scale is fixed when it is built.
 type Backend interface {
 	query.Executor
 
@@ -58,7 +59,6 @@ type Backend interface {
 
 	Warm()
 	ColdStart()
-	SetScale(scale float64)
 	Close()
 	Stats() server.Stats
 
@@ -961,15 +961,6 @@ func (r *Router) ColdStart() {
 	defer r.mig.RUnlock()
 	for _, b := range r.backends {
 		b.ColdStart()
-	}
-}
-
-// SetScale updates the latency scale on every shard's clock.
-func (r *Router) SetScale(scale float64) {
-	r.mig.RLock()
-	defer r.mig.RUnlock()
-	for _, b := range r.backends {
-		b.SetScale(scale)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package simclock provides the scaled, precise sleeping used by the
 // simulated database substrate. All simulated latencies are expressed in
-// microsecond-scale base durations and multiplied by a configurable Scale,
-// so experiments can trade wall-clock time for resolution without changing
-// the modelled ratios. Sub-200µs sleeps are finished with a short spin to
-// avoid the OS timer-granularity floor distorting small latencies.
+// microsecond-scale base durations and multiplied by the clock's scale,
+// fixed at construction, so experiments can trade wall-clock time for
+// resolution without changing the modelled ratios. Sub-200µs sleeps are
+// finished with a short spin to avoid the OS timer-granularity floor
+// distorting small latencies.
 package simclock
 
 import (
@@ -12,28 +13,16 @@ import (
 	"time"
 )
 
-// Clock scales and executes simulated delays. A zero Scale disables sleeping
+// Clock scales and executes simulated delays. A zero scale disables sleeping
 // entirely (useful in logic tests), while still accounting the virtual time.
 type Clock struct {
-	scale atomic.Int64 // scale * 1e6
+	scale int64        // scale * 1e6
 	spent atomic.Int64 // accumulated virtual nanoseconds (unscaled)
 }
 
 // New returns a clock with the given scale factor (1.0 = real microseconds).
 func New(scale float64) *Clock {
-	c := &Clock{}
-	c.SetScale(scale)
-	return c
-}
-
-// SetScale changes the scale factor.
-func (c *Clock) SetScale(s float64) {
-	c.scale.Store(int64(s * 1e6))
-}
-
-// Scale returns the current scale factor.
-func (c *Clock) Scale() float64 {
-	return float64(c.scale.Load()) / 1e6
+	return &Clock{scale: int64(scale * 1e6)}
 }
 
 // Sleep pauses for d scaled by the clock's factor and accounts the unscaled
@@ -43,7 +32,7 @@ func (c *Clock) Sleep(d time.Duration) {
 		return
 	}
 	c.spent.Add(int64(d))
-	s := c.scale.Load()
+	s := c.scale
 	if s == 0 {
 		return
 	}

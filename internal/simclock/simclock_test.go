@@ -27,14 +27,6 @@ func TestScaledSleep(t *testing.T) {
 	}
 }
 
-func TestSetScale(t *testing.T) {
-	c := New(1)
-	c.SetScale(0.5)
-	if c.Scale() != 0.5 {
-		t.Fatalf("scale: %v", c.Scale())
-	}
-}
-
 func TestPreciseShortSleep(t *testing.T) {
 	c := New(1)
 	start := time.Now()
