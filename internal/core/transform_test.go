@@ -169,6 +169,37 @@ func TestExample4ControlDeps(t *testing.T) {
 	}
 }
 
+// A query under if … else whose else arm changes state: Rule B flattens both
+// arms into guarded statements, and the else arm's effects must survive it.
+const ifElseState = `
+proc ifElseState(n) {
+  query q0 = "select v from t where k = ?";
+  i = 0;
+  total = 0;
+  misses = 0;
+  while (i < n) {
+    if (i % 3 == 0) {
+      v = execQuery(q0, i);
+      total = total + v;
+    } else {
+      misses = misses + 100;
+      print(misses);
+    }
+    i = i + 1;
+  }
+  return total, misses;
+}`
+
+func TestIfElseArmSurvivesFlattening(t *testing.T) {
+	tp, rep := runBoth(t, ifElseState, int64(12))
+	if rep.TransformedCount() != 1 || !rep.Sites[0].UsedFlatten {
+		t.Fatalf("want one site transformed through Rule B: %+v\n%s", rep, ir.Print(tp))
+	}
+	if sub, fet, _ := countAsync(tp); sub != 1 || fet != 1 {
+		t.Fatalf("got %d submits, %d fetches\n%s", sub, fet, ir.Print(tp))
+	}
+}
+
 // Example 6/7/8: loop-carried flow dependence requires reordering.
 const example6 = `
 proc example6(start) {

@@ -9,7 +9,6 @@
 package disk
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -253,29 +252,4 @@ func (d *Disk) nearestLocked(spindle int) int {
 		}
 	}
 	return best
-}
-
-// SortTracks is a helper for tests: the order the elevator would service a
-// set of tracks starting from head position 0, computed analytically.
-func SortTracks(head int, tracks []int) []int {
-	out := append([]int(nil), tracks...)
-	res := make([]int, 0, len(out))
-	cur := head
-	for len(out) > 0 {
-		sort.Ints(out)
-		best, bestDist := 0, 1<<60
-		for i, t := range out {
-			dist := t - cur
-			if dist < 0 {
-				dist = -dist
-			}
-			if dist < bestDist {
-				best, bestDist = i, dist
-			}
-		}
-		cur = out[best]
-		res = append(res, cur)
-		out = append(out[:best], out[best+1:]...)
-	}
-	return res
 }

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -174,4 +175,29 @@ func TestWriteAccountsSeparately(t *testing.T) {
 	if st.Requests != 3 {
 		t.Fatalf("writes must ride the same elevator: %+v", st)
 	}
+}
+
+// SortTracks is the order the elevator would serve tracks in from head,
+// computed analytically.
+func SortTracks(head int, tracks []int) []int {
+	out := append([]int(nil), tracks...)
+	res := make([]int, 0, len(out))
+	cur := head
+	for len(out) > 0 {
+		sort.Ints(out)
+		best, bestDist := 0, 1<<60
+		for i, t := range out {
+			dist := t - cur
+			if dist < 0 {
+				dist = -dist
+			}
+			if dist < bestDist {
+				best, bestDist = i, dist
+			}
+		}
+		cur = out[best]
+		res = append(res, cur)
+		out = append(out[:best], out[best+1:]...)
+	}
+	return res
 }

@@ -40,20 +40,19 @@ type ExecInfo struct {
 }
 
 // scratch holds the pooled per-execution buffers: the table view, bound
-// filters, probe keys, candidate rid headers, page lists and the batch's
-// matched-rid buffer. Everything in it is reset on reuse; nothing in it may
-// escape through results: a select's selection vector (which is also
-// Execute's Matched) is a fresh copy of matched, and its column list is fresh
-// too, holding the table's vectors themselves.
+// filters, probe keys, the probed candidate rids and bucket pages, the data
+// page list and the batch's matched-rid buffer. Everything in it is reset on
+// reuse; nothing in it may escape through results: a select's selection
+// vector (which is also Execute's Matched) is a fresh copy of matched, and
+// its column list is fresh too, holding the table's vectors themselves.
 type scratch struct {
 	view    storage.View
 	filters []condFilter
 	matched []int
 	offs    []int
 	pages   []int
-	pages2  []int
 	keys    []any
-	rids    [][]int
+	probed  storage.Probed
 	row     []any
 }
 
@@ -62,15 +61,12 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 func putScratch(sc *scratch) {
-	// Drop the references into table storage (column vectors, index rid
-	// lists, bound filters) so a pooled scratch does not pin a closed
-	// server's data.
+	// Drop the references into table storage (column vectors, bound
+	// filters) so a pooled scratch does not pin a closed server's data.
 	clear(sc.view.Cols)
 	sc.view.Cols = sc.view.Cols[:0]
 	clear(sc.keys)
 	sc.keys = sc.keys[:0]
-	clear(sc.rids)
-	sc.rids = sc.rids[:0]
 	clear(sc.row)
 	sc.row = sc.row[:0]
 	// Only the filters the last batch bound (the current length) can hold
@@ -243,7 +239,7 @@ func (sc *scratch) run(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSet
 	// i's start), so a row select projects the whole set at once.
 	filters := sc.filtersFor(len(argSets))
 	sc.offs = sc.offs[:0]
-	probed := 0 // live bindings seen: the next entry of sc.rids
+	probed := 0 // live bindings seen: the next key of sc.probed
 	for i := range argSets {
 		sc.offs = append(sc.offs, len(sc.matched))
 		if errs[i] != nil {
@@ -252,7 +248,7 @@ func (sc *scratch) run(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSet
 		filters[i].bind(st, plan, &sc.view, argSets[i])
 		examined := scanN
 		if ix != nil {
-			cand := sc.rids[probed]
+			cand := sc.probed.Key(probed)
 			probed++
 			examined = len(cand)
 			sc.matched = filters[i].appendMatches(sc.matched, cand)
@@ -318,20 +314,17 @@ func (sc *scratch) run(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSet
 // lock, touches the distinct bucket pages and the distinct data pages of the
 // candidates once each in ascending order (the shared, RID-ordered fetch the
 // paper cites, §I), snapshots the table into sc.view and returns the pages
-// touched. The candidate lists (sc.rids, one per
-// key) alias the index's storage: read-only, never to escape the execution.
-// Insert publishes column values before index rids under one table lock, so
-// the snapshot, taken after the probe, holds every candidate.
+// touched. The candidate rids (sc.probed, a run per key) are copies the
+// scratch owns. Insert publishes column values before index rids under one
+// table lock, so the snapshot, taken after the probe, holds every candidate.
 func (sc *scratch) fetch(t *storage.Table, ix *storage.Index, pool *buffer.Pool) int {
-	sc.rids, sc.pages = t.Probe(ix, sc.keys, sc.rids[:0], sc.pages[:0])
+	t.Probe(ix, sc.keys, &sc.probed)
 	rpp := t.RowsPerPage()
-	sc.pages2 = sc.pages2[:0]
-	for _, r := range sc.rids {
-		for _, rid := range r {
-			sc.pages2 = append(sc.pages2, rid/rpp)
-		}
+	sc.pages = sc.pages[:0]
+	for _, rid := range sc.probed.Rids {
+		sc.pages = append(sc.pages, rid/rpp)
 	}
-	buckets, data := sortDedupe(sc.pages), sortDedupe(sc.pages2)
+	buckets, data := sortDedupe(sc.probed.Buckets), sortDedupe(sc.pages)
 	for _, pg := range buckets {
 		pool.Get(buffer.PageID{Extent: ix.Extent, Page: pg})
 	}

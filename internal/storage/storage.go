@@ -160,56 +160,81 @@ type Table struct {
 // key" without touching a data page, which the shard router's scatter
 // pruning consults.
 //
-// A key of the column's declared type lives in the typed map, hashed and
-// compared unboxed; any other key (a value that degraded the column, a string
-// probed into an int column, nil) lives in boxed. The key's dynamic type alone
-// picks the map, on insert and probe alike, so together they answer exactly
-// as one map[any][]int under interface equality.
+// A key maps to one int, so an int-keyed map holds no pointers: v >= 0 is the
+// key's only rid, and v < 0 names lists[^v], the rids of a key with several.
+// A key of the column's declared type lives in the typed map, if the index
+// has one (it has none when built on a degraded column), hashed and compared
+// unboxed; any other key lives in boxed. Together they answer exactly as one
+// map[any][]int under interface equality.
 type Index struct {
 	Column string
 	Unique bool
 	Extent int
 	Pages  int // bucket pages
 
-	ci    int              // Column's schema position
-	ints  map[int64][]int  // non-nil for a TInt column
-	strs  map[string][]int // non-nil for a TString column
-	boxed map[any][]int    // nil until a key of another type arrives
+	ci    int            // Column's schema position
+	ints  map[int64]int  // the typed map of a TInt column
+	strs  map[string]int // the typed map of a TString column
+	boxed map[any]int    // nil until a key of another type arrives
+	lists [][]int        // the rid lists of keys with several rows
 }
 
-// add appends rid to key's list.
+// add appends rid to key's rids.
 func (ix *Index) add(key any, rid int) {
 	switch k := key.(type) {
 	case int64:
 		if ix.ints != nil {
-			ix.ints[k] = append(ix.ints[k], rid)
+			addTo(ix, ix.ints, k, rid)
 			return
 		}
 	case string:
 		if ix.strs != nil {
-			ix.strs[k] = append(ix.strs[k], rid)
+			addTo(ix, ix.strs, k, rid)
 			return
 		}
 	}
 	if ix.boxed == nil {
-		ix.boxed = make(map[any][]int)
+		ix.boxed = make(map[any]int)
 	}
-	ix.boxed[key] = append(ix.boxed[key], rid)
+	addTo(ix, ix.boxed, key, rid)
 }
 
-// rids returns key's list (nil when absent). It aliases index storage.
-func (ix *Index) rids(key any) []int {
+// addTo appends rid to k's rids in m: a key's second rid turns its entry into
+// a list, and a full list moves on append, never into its neighbour's window.
+func addTo[K comparable](ix *Index, m map[K]int, k K, rid int) {
+	switch v, ok := m[k]; {
+	case !ok:
+		m[k] = rid
+	case v >= 0:
+		m[k] = ^len(ix.lists)
+		ix.lists = append(ix.lists, []int{v, rid})
+	default:
+		ix.lists[^v] = append(ix.lists[^v], rid)
+	}
+}
+
+// rids returns key's rids, ascending: a list of the index's own, or the one
+// rid in the caller's one.
+func (ix *Index) rids(key any, one *[1]int) []int {
+	var v int
+	var ok bool
 	switch k := key.(type) {
 	case int64:
-		if ix.ints != nil {
-			return ix.ints[k]
-		}
+		v, ok = ix.ints[k]
 	case string:
-		if ix.strs != nil {
-			return ix.strs[k]
-		}
+		v, ok = ix.strs[k]
 	}
-	return ix.boxed[key]
+	if !ok {
+		v, ok = ix.boxed[key]
+	}
+	switch {
+	case !ok:
+		return nil
+	case v >= 0:
+		one[0] = v
+		return one[:]
+	}
+	return ix.lists[^v]
 }
 
 // NewTable creates an empty table. Extents are assigned by the catalog.
@@ -244,27 +269,48 @@ func (t *Table) RowsPerPage() int {
 	return t.rowsPerPage
 }
 
-// uniqueIndex maps keys expected to be distinct to their rids: one map sized
-// to the row count, so it never grows, and every list a one-element,
-// capacity-limited window of one rid slab, so a later append to a list (a
-// duplicate key) moves that list alone and never writes into a neighbour.
-func uniqueIndex[K comparable](keys []K) map[K][]int {
-	m := make(map[K][]int, len(keys))
-	slab := make([]int, len(keys))
+// build indexes keys by rid in one counting pass: a key's first rid is its
+// map value, and a key seen again gets the next list number and a count. The
+// lists are then capacity-limited windows of one slab, sized by the counts and
+// filled by a second walk of the rows, so a later insert that appends to a
+// full list moves that list alone. A unique column's map is sized up front.
+func build[K comparable](ix *Index, keys []K, unique bool) map[K]int {
+	size := 0
+	if unique {
+		size = len(keys)
+	}
+	m := make(map[K]int, size)
+	var counts []int
 	for rid, k := range keys {
-		if l, ok := m[k]; ok {
-			m[k] = append(l, rid)
-			continue
+		switch v, ok := m[k]; {
+		case !ok:
+			m[k] = rid
+		case v >= 0:
+			m[k] = ^len(counts)
+			counts = append(counts, 2)
+		default:
+			counts[^v]++
 		}
-		slab[rid] = rid
-		m[k] = slab[rid : rid+1 : rid+1]
+	}
+	if len(counts) == 0 {
+		return m
+	}
+	ix.lists = make([][]int, len(counts))
+	slab := make([]int, len(keys)-len(m)+len(counts)) // every rid but the single keys'
+	for i, c := range counts {
+		ix.lists[i], slab = slab[:0:c], slab[c:]
+	}
+	for rid, k := range keys {
+		if v := m[k]; v < 0 {
+			ix.lists[^v] = append(ix.lists[^v], rid)
+		}
 	}
 	return m
 }
 
 // AddIndex creates a hash index over an existing column, building it from
-// current rows: straight from the typed vector unless the column has
-// degraded, and for a unique column into one sized map over one rid slab.
+// current rows by build: from the typed vector, or for a column that has
+// degraded from the boxed one, every key then living in the boxed map.
 func (t *Table) AddIndex(column string, unique bool, extent, pages int) error {
 	ci := t.Schema.ColIndex(column)
 	if ci < 0 {
@@ -275,26 +321,12 @@ func (t *Table) AddIndex(column string, unique bool, extent, pages int) error {
 	c := &t.cols[ci]
 	ix := &Index{Column: column, Unique: unique, Extent: extent, Pages: pages, ci: ci}
 	switch {
-	case unique && !c.degraded() && c.kind == TInt:
-		ix.ints = uniqueIndex(c.ints[:t.numRows])
-	case unique && !c.degraded():
-		ix.strs = uniqueIndex(c.strs[:t.numRows])
+	case c.degraded():
+		ix.boxed = build(ix, c.anys[:t.numRows], unique)
+	case c.kind == TInt:
+		ix.ints = build(ix, c.ints[:t.numRows], unique)
 	default:
-		if c.kind == TInt {
-			ix.ints = make(map[int64][]int)
-		} else {
-			ix.strs = make(map[string][]int)
-		}
-		for rid := 0; rid < t.numRows; rid++ {
-			switch {
-			case c.degraded():
-				ix.add(c.anys[rid], rid)
-			case c.kind == TInt:
-				ix.ints[c.ints[rid]] = append(ix.ints[c.ints[rid]], rid)
-			default:
-				ix.strs[c.strs[rid]] = append(ix.strs[c.strs[rid]], rid)
-			}
-		}
+		ix.strs = build(ix, c.strs[:t.numRows], unique)
 	}
 	t.indexes[column] = ix
 	return nil
@@ -484,21 +516,32 @@ func (t *Table) NumPages() int {
 // PageOf maps a row id to its data page number.
 func (t *Table) PageOf(rid int) int { return rid / t.RowsPerPage() }
 
-// Probe is the index lookup, set-oriented: under one read lock it appends, for
-// every key in order, the matching row ids to rids, and then the bucket page
-// each key hashes to to buckets. ix must be one of t's indexes. The rid lists
-// alias the index's internal storage: callers treat them as read-only, use
-// them within the current statement only, and clear rids before pooling it.
-func (t *Table) Probe(ix *Index, keys []any, rids [][]int, buckets []int) ([][]int, []int) {
+// Probed is what Probe writes, into storage its caller owns and reuses: key
+// i's rids are Rids[Offs[i]:Offs[i+1]], ascending, and its bucket page is
+// Buckets[i].
+type Probed struct {
+	Rids, Offs, Buckets []int
+}
+
+// Key returns key i's rids, a window of p.Rids.
+func (p *Probed) Key(i int) []int { return p.Rids[p.Offs[i]:p.Offs[i+1]] }
+
+// Probe is the index lookup, set-oriented: under one read lock it copies, for
+// every key in order, the matching row ids and the bucket page the key hashes
+// to into p, resetting it first. ix must be one of t's indexes. Nothing in p
+// aliases the index.
+func (t *Table) Probe(ix *Index, keys []any, p *Probed) {
+	p.Rids, p.Offs, p.Buckets = p.Rids[:0], append(p.Offs[:0], 0), p.Buckets[:0]
+	var one [1]int
 	t.mu.RLock()
 	for _, k := range keys {
-		rids = append(rids, ix.rids(k))
+		p.Rids = append(p.Rids, ix.rids(k, &one)...)
+		p.Offs = append(p.Offs, len(p.Rids))
 	}
 	t.mu.RUnlock()
 	for _, k := range keys {
-		buckets = append(buckets, bucketOf(k, ix.Pages))
+		p.Buckets = append(p.Buckets, bucketOf(k, ix.Pages))
 	}
-	return rids, buckets
 }
 
 // IndexKeyCount reports how many rows carry value in column's index — the
@@ -511,7 +554,8 @@ func (t *Table) IndexKeyCount(column string, value any) (n int, ok bool) {
 	if ix == nil {
 		return 0, false
 	}
-	return len(ix.rids(value)), true
+	var one [1]int
+	return len(ix.rids(value, &one)), true
 }
 
 // bucketOf maps an index key to its bucket page: FNV-1a over the key as "%v"

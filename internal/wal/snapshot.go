@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/storage"
 )
@@ -80,39 +81,22 @@ const All = -1
 
 // Copy is the one way a copy of a shard's data comes to exist. Each
 // destination is a set of loaders that receive the same calls (the copies of
-// one replica group; a bare server is a set of one). Every destination gets
-// every table, created in srcs order. Each source's rows are partitioned
-// first — pick names the destination of each row, All (or a nil pick) every
-// one — and then every loader gathers its rows of each column in one
-// AppendRows; then FinishLoad and the indexes. kept[src][d] lists the rids of
-// source src that destination d was picked for, in landing order; All rows
-// are not listed.
+// one replica group; a bare server is a set of one). Each source's rows are
+// partitioned first — pick names the destination of each row, All (or a nil
+// pick) every one. Then every loader, on a goroutine of its own, creates every
+// table in srcs order, gathers its rows of each column in one AppendRows per
+// source, calls FinishLoad and builds the indexes: one loader's calls keep
+// that order, and loaders share only the read-only sources. The error
+// returned is the first in (set, loader) order, after every loader is done.
+// kept[src][d] lists the rids of source src that destination d was picked
+// for, in landing order; All rows are not listed.
 func Copy[L Loader](dsts [][]L, srcs []TableSource, pick func(src, rid int, v *storage.View) int) ([][][]int, error) {
-	each := func(f func(L) error) error {
-		for _, set := range dsts {
-			for _, l := range set {
-				if err := f(l); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	built := false
-	for _, s := range srcs {
-		if s.Schema == nil {
-			continue
-		}
-		built = true
-		if err := each(func(l L) error { return l.CreateTable(s.Name, s.Schema, s.RowsPerPage) }); err != nil {
-			return nil, fmt.Errorf("wal: copy: create %s: %w", s.Name, err)
-		}
-	}
 	kept := make([][][]int, len(srcs))
+	lands := make([][][]int, len(srcs)) // lands[src][d]: the rids destination d appends
 	for i := range srcs {
 		s := &srcs[i]
 		n := s.View.NumRows
-		kept[i] = make([][]int, len(dsts))
+		kept[i], lands[i] = make([][]int, len(dsts)), make([][]int, len(dsts))
 		if n == 0 {
 			continue
 		}
@@ -131,7 +115,7 @@ func Copy[L Loader](dsts [][]L, srcs []TableSource, pick func(src, rid int, v *s
 				kept[i][d] = append(kept[i][d], rid)
 			}
 		}
-		for d, set := range dsts {
+		for d := range dsts {
 			rids := all
 			if len(all) < n { // some rows went to one destination: merge in the All rows
 				if rids = kept[i][d]; len(all) > 0 {
@@ -139,23 +123,55 @@ func Copy[L Loader](dsts [][]L, srcs []TableSource, pick func(src, rid int, v *s
 					slices.Sort(rids)
 				}
 			}
-			if len(rids) == 0 {
-				continue
-			}
-			for _, l := range set {
-				if err := l.AppendRows(s.Name, &s.View, rids); err != nil {
-					return nil, fmt.Errorf("wal: copy %s: %w", s.Name, err)
+			lands[i][d] = rids
+		}
+	}
+	load := func(l L, d int) error {
+		built := false
+		for _, s := range srcs {
+			if s.Schema != nil {
+				built = true
+				if err := l.CreateTable(s.Name, s.Schema, s.RowsPerPage); err != nil {
+					return fmt.Errorf("wal: copy: create %s: %w", s.Name, err)
 				}
 			}
 		}
+		for i := range srcs {
+			if rids := lands[i][d]; len(rids) > 0 {
+				if err := l.AppendRows(srcs[i].Name, &srcs[i].View, rids); err != nil {
+					return fmt.Errorf("wal: copy %s: %w", srcs[i].Name, err)
+				}
+			}
+		}
+		if built {
+			l.FinishLoad()
+		}
+		for _, s := range srcs {
+			for _, ix := range s.Indexes {
+				if err := l.AddIndex(s.Name, ix.Column, ix.Unique); err != nil {
+					return fmt.Errorf("wal: copy: index %s(%s): %w", s.Name, ix.Column, err)
+				}
+			}
+		}
+		return nil
 	}
-	if built {
-		each(func(l L) error { l.FinishLoad(); return nil })
+	errs := make([][]error, len(dsts))
+	var wg sync.WaitGroup
+	for d, set := range dsts {
+		errs[d] = make([]error, len(set))
+		for j, l := range set {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[d][j] = load(l, d)
+			}()
+		}
 	}
-	for _, s := range srcs {
-		for _, ix := range s.Indexes {
-			if err := each(func(l L) error { return l.AddIndex(s.Name, ix.Column, ix.Unique) }); err != nil {
-				return nil, fmt.Errorf("wal: copy: index %s(%s): %w", s.Name, ix.Column, err)
+	wg.Wait()
+	for _, set := range errs {
+		for _, err := range set {
+			if err != nil {
+				return nil, err
 			}
 		}
 	}
