@@ -224,7 +224,7 @@ type Handle = interp.Handle
 type QueryService = interp.QueryService
 
 // Request is one query execution request: statement name, SQL, bindings,
-// plus optional trace span, session consistency tokens and deadline. Every
+// plus optional trace span and deadline. Every
 // layer of the runtime — executor, coalescer, server, shard router, replica
 // group, network front door — speaks this one shape.
 type Request = query.Request

@@ -271,8 +271,7 @@ func TestServiceConformanceCloseRace(t *testing.T) {
 // TestBackendReceivesStatementBindingsAndLeaderSpan pins what a Service
 // hands its backend in each mode: the statement, the bindings in submission
 // order, the span of the request that leads the call when tracing is on, and
-// nothing else — no session, consistency level or deadline is invented on
-// the way. One worker keeps arrival order equal to dispatch order.
+// nothing else — no deadline is invented on the way. One worker keeps arrival order equal to dispatch order.
 func TestBackendReceivesStatementBindingsAndLeaderSpan(t *testing.T) {
 	type arrival struct {
 		name     string
@@ -283,8 +282,7 @@ func TestBackendReceivesStatementBindingsAndLeaderSpan(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/traced=%v", mode.name, traced), func(t *testing.T) {
 				var arrivals []arrival // appended by the one worker (or the submitter, when synchronous)
 				check := func(r query.Request, name string, bindings []int64) {
-					if r.SQL != "select "+name || (r.Span != nil) != traced ||
-						r.Session != nil || r.Consistency != query.ConsistencyDefault || !r.Deadline.IsZero() {
+					if r.SQL != "select "+name || (r.Span != nil) != traced || !r.Deadline.IsZero() {
 						t.Errorf("%s %v arrived as %+v", name, bindings, r)
 					}
 					if r.Span != nil && r.Span.Name() != "request" {
@@ -302,8 +300,7 @@ func TestBackendReceivesStatementBindingsAndLeaderSpan(t *testing.T) {
 					for _, args := range req.ArgSets {
 						bindings = append(bindings, args[0].(int64))
 					}
-					check(query.Request{SQL: req.SQL, Span: req.Span, Session: req.Session,
-						Consistency: req.Consistency, Deadline: req.Deadline}, req.Name, bindings)
+					check(query.Request{SQL: req.SQL, Span: req.Span, Deadline: req.Deadline}, req.Name, bindings)
 					return query.BatchResult{Values: make([]any, len(bindings)), Errs: make([]error, len(bindings))}
 				}
 				workers := min(mode.workers, 1)

@@ -26,9 +26,8 @@ var ErrClosed = errors.New("exec: executor closed")
 
 // Runner executes one request; it is the bridge to the database client
 // session (or any other request transport, e.g. a web-service client). The
-// request carries everything the backend needs — trace span, session
-// consistency tokens, and deadline — so there is exactly one runner shape
-// per layer.
+// request carries everything the backend needs — trace span and deadline —
+// so there is exactly one runner shape per layer.
 type Runner func(req query.Request) query.Result
 
 // BatchRunner executes one prepared statement against a set of parameter

@@ -68,9 +68,6 @@ func conformanceExecutors() map[string]func(t *testing.T) query.Executor {
 		"group-sync": func(t *testing.T) query.Executor {
 			return group(t, replica.Options{Replicas: 2})
 		},
-		"group-async-strong": func(t *testing.T) query.Executor {
-			return group(t, replica.Options{Replicas: 2, Async: true, Consistency: query.Strong})
-		},
 		"router-servers": func(t *testing.T) query.Executor { return router(t, 0) },
 		"router-groups":  func(t *testing.T) query.Executor { return router(t, 1) },
 		"net-client": func(t *testing.T) query.Executor {

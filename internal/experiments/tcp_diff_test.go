@@ -18,7 +18,7 @@ import (
 // TestTCPExecutionMatchesInProcessOnApps pins the network front door to the
 // in-process stack: for every evaluation app, running the transformed
 // program with batched asynchronous submission through a TCP client —
-// wire-encoded requests, a real listener, per-connection session, columnar
+// wire-encoded requests, a real listener, pipelined connections, columnar
 // result decode — must yield byte-identical observable output (returns and
 // print/log stream) to the same run calling the server directly. Seeded by
 // ASYNCQ_SEED like the other differential suites (the app corpus itself is

@@ -592,9 +592,8 @@ func otherShape(rep query.Reply, what string) error {
 	return fmt.Errorf("%w: %s", ErrBadFrame, what)
 }
 
-// Exec implements query.Executor over the wire. The request's Span and
-// Session stay client-side (the server binds its own per-connection
-// session); Name, SQL, Args, Consistency and Deadline cross.
+// Exec implements query.Executor over the wire. The request's Span stays
+// client-side; Name, SQL, Args and Deadline cross.
 func (c *Client) Exec(req query.Request) query.Result {
 	cl := callPool.Get().(*call)
 	defer putCall(cl)

@@ -26,7 +26,7 @@ func (b *stubBackend) ExecBatch(req query.BatchRequest) query.BatchResult {
 	}
 	res := query.BatchResult{Values: make([]any, len(req.ArgSets)), Errs: make([]error, len(req.ArgSets))}
 	for i, set := range req.ArgSets {
-		r := b.exec(query.Request{Name: req.Name, SQL: req.SQL, Args: set, Session: req.Session})
+		r := b.exec(query.Request{Name: req.Name, SQL: req.SQL, Args: set})
 		res.Values[i], res.Errs[i] = r.Value, r.Err
 	}
 	return res
@@ -355,36 +355,6 @@ func TestVersionMismatchClosesConnection(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, _, err := ReadFrame(conn); err == nil {
 		t.Fatal("server answered a mismatched version")
-	}
-}
-
-func TestSessionIsPerConnection(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[*query.Session][]string{}
-	backend := &stubBackend{exec: func(req query.Request) query.Result {
-		mu.Lock()
-		seen[req.Session] = append(seen[req.Session], req.Name)
-		mu.Unlock()
-		return query.Ok(int64(0))
-	}}
-	s := startServer(t, backend, ServerOptions{})
-	c1 := dial(t, s)
-	c2 := dial(t, s)
-	c1.Exec(query.Req("a1", "q", nil))
-	c1.Exec(query.Req("a2", "q", nil))
-	c2.Exec(query.Req("b1", "q", nil))
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 2 {
-		t.Fatalf("%d sessions for 2 connections", len(seen))
-	}
-	for sess, names := range seen {
-		if sess == nil {
-			t.Fatal("request served with nil session")
-		}
-		if len(names) == 2 && (names[0][0] != 'a' || names[1][0] != 'a') {
-			t.Fatalf("session mixed connections: %v", names)
-		}
 	}
 }
 

@@ -25,11 +25,9 @@ type ServerOptions struct {
 
 // Server accepts wire-protocol connections and executes their requests
 // against a query.Executor — any layer of the stack, from a bare
-// server.Server to a sharded replicated group. Each connection gets its
-// own query.Session (read-your-writes is connection-scoped at the front
-// door), requests on one connection execute concurrently (pipelining),
-// and responses carry the request id they answer, so slow requests never
-// head-of-line-block fast ones.
+// server.Server to a sharded replicated group. Requests on one connection
+// execute concurrently (pipelining), and responses carry the request id they
+// answer, so slow requests never head-of-line-block fast ones.
 type Server struct {
 	backend   query.Executor
 	admission *Admission
@@ -156,13 +154,11 @@ func (s *Server) Close() {
 // whatever a deeper burst adds exits as the burst drains.
 const idleWorkers = 4
 
-// srvConn is the per-connection state: the flush-combining reply writer, the
-// connection session, and the worker set that executes the connection's
-// requests.
+// srvConn is the per-connection state: the flush-combining reply writer and
+// the worker set that executes the connection's requests.
 type srvConn struct {
-	c    stdnet.Conn
-	w    frameWriter
-	sess *query.Session
+	c stdnet.Conn
+	w frameWriter
 
 	// jobs is unbuffered: the read loop's send succeeds only into a worker
 	// that is already waiting, so a request never queues behind a busy one.
@@ -200,7 +196,7 @@ func (s *Server) serveConn(c stdnet.Conn) {
 	if err != nil || ver != Version {
 		return
 	}
-	sc := &srvConn{c: c, sess: query.NewSession(), jobs: make(chan job)}
+	sc := &srvConn{c: c, jobs: make(chan job)}
 	sc.w.init(c)
 	if WriteFrame(c, MsgHelloAck, EncodeHelloAck()) != nil {
 		return
@@ -295,10 +291,9 @@ func (s *Server) admit(c query.Call) error {
 	return nil
 }
 
-// serve executes one admitted call against the backend under the
-// connection's session, and answers it from rep (zero on entry).
+// serve executes one admitted call against the backend and answers it from
+// rep (zero on entry).
 func (s *Server) serve(sc *srvConn, id uint64, c *query.Call, rep *query.Reply) {
-	c.Session = sc.sess
 	c.On(s.backend, rep)
 	// Release before the response write: the units' work is done, and a
 	// client that fires its next request the instant the response lands must

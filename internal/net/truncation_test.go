@@ -3,6 +3,7 @@ package net
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	stdnet "net"
 	"strings"
@@ -149,29 +150,24 @@ func FuzzTruncatedFrame(f *testing.F) {
 	})
 }
 
-// A batch request the server cannot decode is answered with a scalar error
-// frame (how many bindings it meant to carry is unknowable). The client must
-// surface that error — the server's "bad request" text — on every binding,
-// not a protocol violation of its own, and the connection must stay usable.
-// The damage is done by a relay that forwards frames both ways over raw
-// connections, cutting the last byte off every MsgExecBatch payload.
-func TestUndecodableBatchSurfacesServerError(t *testing.T) {
-	s := startServer(t, echoBackend(), ServerOptions{})
+// relayTo starts a relay in front of s that forwards frames both ways over
+// raw connections, passing every client frame through mangle on its way to
+// the server, and returns the address to dial. The relay serves one
+// connection; the test closes its client before returning.
+func relayTo(t *testing.T, s *Server, mangle func(msgType byte, payload []byte) []byte) string {
+	t.Helper()
 	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	relay := func(dst, src stdnet.Conn, cut byte) {
+	relay := func(dst, src stdnet.Conn, mangle func(byte, []byte) []byte) {
 		defer dst.Close()
 		for {
 			msgType, payload, err := ReadFrame(src)
 			if err != nil {
 				return
 			}
-			if msgType == cut {
-				payload = payload[:len(payload)-1]
-			}
-			if WriteFrame(dst, msgType, payload) != nil {
+			if WriteFrame(dst, msgType, mangle(msgType, payload)) != nil {
 				return
 			}
 		}
@@ -188,10 +184,30 @@ func TestUndecodableBatchSurfacesServerError(t *testing.T) {
 			down.Close()
 			return
 		}
-		go relay(down, up, 0)
-		relay(up, down, MsgExecBatch)
+		go relay(down, up, func(_ byte, p []byte) []byte { return p })
+		relay(up, down, mangle)
 	}()
-	c, err := Dial(ln.Addr().String())
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	return ln.Addr().String()
+}
+
+// A batch request the server cannot decode is answered with a scalar error
+// frame (how many bindings it meant to carry is unknowable). The client must
+// surface that error — the server's "bad request" text — on every binding,
+// not a protocol violation of its own, and the connection must stay usable.
+// The damage is done by a relay that cuts the last byte off every
+// MsgExecBatch payload.
+func TestUndecodableBatchSurfacesServerError(t *testing.T) {
+	s := startServer(t, echoBackend(), ServerOptions{})
+	c, err := Dial(relayTo(t, s, func(msgType byte, payload []byte) []byte {
+		if msgType == MsgExecBatch {
+			payload = payload[:len(payload)-1]
+		}
+		return payload
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +221,46 @@ func TestUndecodableBatchSurfacesServerError(t *testing.T) {
 		t.Errorf("Exec after the bad batch: (%v, %v)", v, err)
 	}
 	c.Close()
-	ln.Close()
-	<-done
+}
+
+// A request whose reserved header byte is not zero reaches the server through
+// a relay that sets it on the first request frame of one kind. The server
+// answers that request with its bad-request error, and the next Exec and
+// ExecBatch on the same connection are served.
+func TestReservedHeaderByteRejectedOverTCP(t *testing.T) {
+	for _, kind := range []byte{MsgExec, MsgExecBatch} {
+		t.Run(fmt.Sprintf("msg=%d", kind), func(t *testing.T) {
+			s := startServer(t, echoBackend(), ServerOptions{})
+			var mangled bool
+			c, err := Dial(relayTo(t, s, func(msgType byte, payload []byte) []byte {
+				if msgType == kind && !mangled {
+					mangled = true
+					payload[reservedAt(payload)] = 1
+				}
+				return payload
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var errs []error
+			if kind == MsgExec {
+				errs = []error{c.Exec(query.Req("q", "double", []any{int64(1)})).Err}
+			} else {
+				errs = c.ExecBatch(query.BatchReq("b", "double", [][]any{{int64(1)}, {int64(2)}})).Errs
+			}
+			for i, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "net: bad request") || !strings.Contains(err.Error(), "reserved header byte") {
+					t.Errorf("binding %d: %v, want the server's bad-request error", i, err)
+				}
+			}
+			if v, err := c.Exec(query.Req("q", "double", []any{int64(21)})).Pair(); err != nil || v != int64(42) {
+				t.Errorf("Exec after the rejected request: (%v, %v)", v, err)
+			}
+			br := c.ExecBatch(query.BatchReq("b", "double", [][]any{{int64(2)}, {int64(3)}}))
+			if br.Errs[0] != nil || br.Errs[1] != nil || br.Values[0] != int64(4) || br.Values[1] != int64(6) {
+				t.Errorf("ExecBatch after the rejected request: %v %v", br.Values, br.Errs)
+			}
+			c.Close()
+		})
+	}
 }

@@ -6,9 +6,8 @@
 // to the runtime — exactly the portability argument the Request redesign
 // was made for. The server side (Server) fronts any query.Executor —
 // a bare server.Server, a shard.Router, a replica.Group, or the whole
-// stack — with per-connection sessions, per-request deadlines, and
-// admission control that sheds load with query.ErrOverloaded instead of
-// queueing without bound.
+// stack — with per-request deadlines and admission control that sheds load
+// with query.ErrOverloaded instead of queueing without bound.
 //
 // See README.md for the frame format, versioning and the deadline /
 // overload semantics the protocol promises.
@@ -555,15 +554,14 @@ func DecodeHelloAck(b []byte) (uint16, error) {
 }
 
 // appendHeader starts a request payload with what both request kinds share:
-// the request id, then deadline, consistency, name and statement. Span and
-// Session do not cross the wire: tracing is per-process, and the session is
-// the connection (the server binds one session to each accepted conn). The
+// the request id, then deadline, a reserved byte (always 0), name and
+// statement. The span does not cross the wire: tracing is per-process. The
 // deadline crosses as an absolute unix-nanosecond instant (0 = none), so it
 // keeps meaning regardless of queueing on either side.
-func appendHeader(b []byte, reqID uint64, dl query.Deadline, c query.Consistency, name, sql string) []byte {
+func appendHeader(b []byte, reqID uint64, dl query.Deadline, name, sql string) []byte {
 	b = binary.BigEndian.AppendUint64(b, reqID)
 	b = putVarint(b, dl.UnixNanos())
-	b = append(b, byte(c))
+	b = append(b, 0)
 	b = putString(b, name)
 	return putString(b, sql)
 }
@@ -585,12 +583,13 @@ func appendArgs(b []byte, args []any) ([]byte, error) {
 // a request that repeats the last one reuses its strings.
 type stmtNames struct{ name, sql string }
 
-// header reads what appendHeader wrote, through last.
+// header reads what appendHeader wrote, through last. A non-zero reserved
+// byte is a malformed frame.
 func (r *reader) header(last *stmtNames) (uint64, query.Request) {
 	id := r.u64()
-	req := query.Request{
-		Deadline:    query.FromUnixNanos(r.varint()),
-		Consistency: query.Consistency(r.byte()),
+	req := query.Request{Deadline: query.FromUnixNanos(r.varint())}
+	if c := r.byte(); c != 0 {
+		r.err = fmt.Errorf("%w: reserved header byte %d", ErrBadFrame, c)
 	}
 	r.stringInto(&last.name)
 	r.stringInto(&last.sql)
@@ -629,7 +628,7 @@ func (r *reader) args(what string) []any {
 
 // appendExec appends the MsgExec payload for req under reqID.
 func appendExec(b []byte, reqID uint64, req query.Request) ([]byte, error) {
-	b = appendHeader(b, reqID, req.Deadline, req.Consistency, req.Name, req.SQL)
+	b = appendHeader(b, reqID, req.Deadline, req.Name, req.SQL)
 	return appendArgs(b, req.Args)
 }
 
@@ -653,7 +652,7 @@ func decodeExec(b []byte, last *stmtNames) (uint64, query.Request, error) {
 
 // appendExecBatch appends the MsgExecBatch payload for req under reqID.
 func appendExecBatch(b []byte, reqID uint64, req query.BatchRequest) ([]byte, error) {
-	b = appendHeader(b, reqID, req.Deadline, req.Consistency, req.Name, req.SQL)
+	b = appendHeader(b, reqID, req.Deadline, req.Name, req.SQL)
 	b = putUvarint(b, uint64(len(req.ArgSets)))
 	var err error
 	for _, set := range req.ArgSets {
@@ -678,10 +677,7 @@ func DecodeExecBatch(b []byte) (uint64, query.BatchRequest, error) {
 func decodeExecBatch(b []byte, last *stmtNames) (uint64, query.BatchRequest, error) {
 	r := &reader{b: b}
 	id, h := r.header(last)
-	req := query.BatchRequest{
-		Name: h.Name, SQL: h.SQL,
-		Consistency: h.Consistency, Deadline: h.Deadline,
-	}
+	req := query.BatchRequest{Name: h.Name, SQL: h.SQL, Deadline: h.Deadline}
 	n := r.count("argsets")
 	req.ArgSets = make([][]any, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {

@@ -2,6 +2,7 @@ package net
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"strings"
@@ -87,7 +88,6 @@ func TestRowsColumnarEncodingIsCompact(t *testing.T) {
 
 func TestExecRoundTrip(t *testing.T) {
 	req := query.Req("q1", "select * from t where id = ?", []any{int64(5), "x"})
-	req.Consistency = query.ReadYourWrites
 	req.Deadline = query.FromUnixNanos(1234567890)
 	payload, err := EncodeExec(99, req)
 	if err != nil {
@@ -98,7 +98,6 @@ func TestExecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if id != 99 || got.Name != req.Name || got.SQL != req.SQL ||
-		got.Consistency != req.Consistency ||
 		got.Deadline.UnixNanos() != req.Deadline.UnixNanos() {
 		t.Fatalf("header mismatch: %+v", got)
 	}
@@ -274,10 +273,52 @@ func TestHandshakeCodec(t *testing.T) {
 	}
 }
 
+// reservedAt is the offset of a request payload's reserved header byte: after
+// the 8-byte request id and the varint deadline.
+func reservedAt(payload []byte) int {
+	_, n := binary.Varint(payload[8:])
+	return 8 + n
+}
+
+// The request header carries a reserved byte: encoders write 0, and a request
+// of either kind whose reserved byte is anything else is a malformed frame.
+func TestReservedHeaderByteMustBeZero(t *testing.T) {
+	dl := query.FromUnixNanos(1234567890) // a multi-byte varint before the byte
+	exec, err := EncodeExec(7, query.Req("q", "select 1", []any{int64(1)}).WithDeadline(dl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := EncodeExecBatch(8, query.BatchRequest{Name: "b", SQL: "select 1", ArgSets: [][]any{{int64(1)}}, Deadline: dl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := map[string]func([]byte) error{
+		"exec":  func(p []byte) error { _, _, err := DecodeExec(p); return err },
+		"batch": func(p []byte) error { _, _, err := DecodeExecBatch(p); return err },
+	}
+	for name, payload := range map[string][]byte{"exec": exec, "batch": batch} {
+		at := reservedAt(payload)
+		if payload[at] != 0 {
+			t.Fatalf("%s: encoder wrote reserved byte %d", name, payload[at])
+		}
+		if err := decode[name](payload); err != nil {
+			t.Fatalf("%s: intact payload rejected: %v", name, err)
+		}
+		for _, c := range []byte{1, 3, 0xff} {
+			bad := bytes.Clone(payload)
+			bad[at] = c
+			if err := decode[name](bad); !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("%s: reserved byte %d decoded to %v, want ErrBadFrame", name, c, err)
+			}
+		}
+	}
+}
+
 // FuzzFrameRoundTrip throws arbitrary bytes at the frame reader and — when
 // they happen to parse as a request — re-encodes the decoded request,
-// checking the decoder never panics, never over-reads, and that
-// decode(encode(decode(x))) is stable.
+// checking the decoder never panics, never over-reads, that
+// decode(encode(decode(x))) is stable, and that every request it accepts had,
+// and re-encodes with, a zero reserved byte.
 func FuzzFrameRoundTrip(f *testing.F) {
 	seedReq, _ := EncodeExec(1, query.Req("q", "select 1", []any{int64(1), "s", true, nil}))
 	f.Add(MsgExec, seedReq)
@@ -316,6 +357,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			if err != nil {
 				return // decoded args may contain an unencodable nil map? (they cannot; but be lenient)
 			}
+			if payload[reservedAt(payload)] != 0 || re[reservedAt(re)] != 0 {
+				t.Fatalf("accepted reserved byte %d, re-encoded %d", payload[reservedAt(payload)], re[reservedAt(re)])
+			}
 			id2, req2, err := DecodeExec(re)
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
@@ -332,6 +376,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			re, err := EncodeExecBatch(id, req)
 			if err != nil {
 				return
+			}
+			if payload[reservedAt(payload)] != 0 || re[reservedAt(re)] != 0 {
+				t.Fatalf("accepted reserved byte %d, re-encoded %d", payload[reservedAt(payload)], re[reservedAt(re)])
 			}
 			if _, req2, err := DecodeExecBatch(re); err != nil || len(req2.ArgSets) != len(req.ArgSets) {
 				t.Fatalf("unstable batch round trip: %v", err)

@@ -6,11 +6,10 @@
 //	Exec(req Request) Result
 //	ExecBatch(req BatchRequest) BatchResult
 //
-// instead of one method per combination of (traced, session-bound,
-// batched). A Request carries everything that used to be threaded through
-// method-name variants — the optional trace span, the client session,
-// a consistency override and the request deadline — so adding a new
-// cross-cutting field (deadlines were the forcing case) costs one struct
+// instead of one method per combination of (traced, batched, deadline-bound).
+// A Request carries everything that used to be threaded through method-name
+// variants — the optional trace span and the request deadline — so adding a
+// new cross-cutting field (deadlines were the forcing case) costs one struct
 // field instead of doubling an Exec* surface.
 //
 // The package is a leaf: it depends only on obs (spans), sqlmini (ExecInfo)
@@ -48,54 +47,19 @@ var ErrConnLost = errors.New("query: connection lost")
 // way the client receives exactly one error and never a half-ack.
 var ErrDeadlineExceeded = errors.New("query: deadline exceeded")
 
-// Consistency selects which replicas may serve a read. The zero value
-// defers to the serving group's configured default, so a Request built
-// with a struct literal inherits the group policy.
-type Consistency int
-
-const (
-	// ConsistencyDefault defers to the replica group's configured level.
-	ConsistencyDefault Consistency = iota
-	// Strong reads observe every acknowledged write (primary watermark).
-	Strong
-	// BoundedStaleness reads may lag the primary by the group's bound.
-	BoundedStaleness
-	// ReadYourWrites reads observe at least this session's own writes.
-	ReadYourWrites
-)
-
-func (c Consistency) String() string {
-	switch c {
-	case Strong:
-		return "strong"
-	case BoundedStaleness:
-		return "bounded"
-	case ReadYourWrites:
-		return "session"
-	default:
-		return "default"
-	}
-}
-
 // Request is one statement execution. Name/SQL/Args are required; the rest
 // are optional cross-cutting context:
 //
 //   - Span: parent trace span; layers hang their children off it. Nil
 //     means untraced (obs spans are nil-safe).
-//   - Session: the client's session token for read-your-writes and
-//     session-scoped staleness bookkeeping. Nil means sessionless.
-//   - Consistency: per-request override of the serving group's read
-//     consistency; ConsistencyDefault inherits.
 //   - Deadline: absolute give-up time. The zero Deadline never expires.
 type Request struct {
 	Name string
 	SQL  string
 	Args []any
 
-	Span        *obs.Span
-	Session     *Session
-	Consistency Consistency
-	Deadline    Deadline
+	Span     *obs.Span
+	Deadline Deadline
 }
 
 // Req builds a plain Request — the common test/caller shorthand.
@@ -105,9 +69,6 @@ func Req(name, sql string, args []any) Request {
 
 // WithSpan returns a copy of the request carrying sp.
 func (r Request) WithSpan(sp *obs.Span) Request { r.Span = sp; return r }
-
-// WithSession returns a copy of the request bound to sess.
-func (r Request) WithSession(sess *Session) Request { r.Session = sess; return r }
 
 // WithDeadline returns a copy of the request carrying dl.
 func (r Request) WithDeadline(dl Deadline) Request { r.Deadline = dl; return r }
@@ -120,10 +81,8 @@ type BatchRequest struct {
 	SQL     string
 	ArgSets [][]any
 
-	Span        *obs.Span
-	Session     *Session
-	Consistency Consistency
-	Deadline    Deadline
+	Span     *obs.Span
+	Deadline Deadline
 }
 
 // BatchReq builds a plain BatchRequest.
@@ -133,9 +92,6 @@ func BatchReq(name, sql string, argSets [][]any) BatchRequest {
 
 // WithSpan returns a copy of the batch request carrying sp.
 func (r BatchRequest) WithSpan(sp *obs.Span) BatchRequest { r.Span = sp; return r }
-
-// WithSession returns a copy of the batch request bound to sess.
-func (r BatchRequest) WithSession(sess *Session) BatchRequest { r.Session = sess; return r }
 
 // Result is the outcome of one Exec. Exactly one of Value/Err is
 // meaningful; Info carries the executor's page/row accounting when the
@@ -196,11 +152,11 @@ type Doer interface {
 // request-path decision once and have both Exec and ExecBatch run it. A
 // single call binds Args; a batch call binds ArgSets, which is non-nil even
 // when empty — that is what tells the two apart, so batch calls are built
-// only by BatchCall. Everything else (statement, span, session, consistency,
-// deadline) is common to both shapes.
+// only by BatchCall. Everything else (statement, span, deadline) is common to
+// both shapes.
 //
 // The layers pass a Call and its Reply down by pointer: by value, every hop
-// would put both structs (a Call is 128 bytes) in every frame, and requests
+// would put both structs (a Call is 112 bytes) in every frame, and requests
 // run on goroutines whose stacks grow by copying (see GrowStack). The one
 // copy is the replica group's, one per read attempt.
 type Call struct {
@@ -211,11 +167,7 @@ type Call struct {
 // BatchCall is the Call form of a BatchRequest.
 func BatchCall(req BatchRequest) Call {
 	c := Call{
-		Request: Request{
-			Name: req.Name, SQL: req.SQL,
-			Span: req.Span, Session: req.Session,
-			Consistency: req.Consistency, Deadline: req.Deadline,
-		},
+		Request: Request{Name: req.Name, SQL: req.SQL, Span: req.Span, Deadline: req.Deadline},
 		ArgSets: req.ArgSets,
 	}
 	if c.ArgSets == nil {
@@ -250,8 +202,7 @@ func (c *Call) On(e Executor, rep *Reply) {
 	}
 	res := e.ExecBatch(BatchRequest{
 		Name: c.Name, SQL: c.SQL, ArgSets: c.ArgSets,
-		Span: c.Span, Session: c.Session,
-		Consistency: c.Consistency, Deadline: c.Deadline,
+		Span: c.Span, Deadline: c.Deadline,
 	})
 	*rep = Reply{Values: res.Values, Errs: res.Errs, Info: res.Info}
 }

@@ -2,8 +2,8 @@ package replica_test
 
 // One conformance table over every door a copy of a shard's data comes
 // through — the initial load, a migration's replacements, a replica caught up
-// from the log or rebuilt from a snapshot, a restarted primary, an async
-// resync. Whatever the door, the same assertion follows: every copy of every
+// from the log or rebuilt from a snapshot, a restarted primary. Whatever the
+// door, the same assertion follows: every copy of every
 // shard holds, table for table and rid for rid, what a single reference
 // server filtered to that shard's ownership holds, and a scatter over the
 // cluster returns the reference's row order.
@@ -71,7 +71,7 @@ type written struct {
 
 // newDoors builds case number ci's cluster; seed is the suite's (the one a
 // failure prints and -seed replays), the case draws from seed+ci.
-func newDoors(t *testing.T, seed int64, ci int, async bool) *doors {
+func newDoors(t *testing.T, seed int64, ci int) *doors {
 	d := &doors{t: t, seed: seed, rng: rand.New(rand.NewSource(seed + int64(ci))), nextID: 10_000}
 	d.ref = server.New(server.SYS1(), 0)
 	t.Cleanup(d.ref.Close)
@@ -109,7 +109,7 @@ func newDoors(t *testing.T, seed int64, ci int, async bool) *doors {
 	mk := func() shard.Backend {
 		st := &flakySync{MemStore: wal.NewMemStore()}
 		d.stores = append(d.stores, st)
-		return replica.NewGroup(server.SYS1(), 0, replica.Options{Replicas: 2, Async: async, Store: st})
+		return replica.NewGroup(server.SYS1(), 0, replica.Options{Replicas: 2, Store: st})
 	}
 	d.rt = shard.NewWithBackends([]shard.Backend{mk(), mk()}, map[string]string{"users": "uid"})
 	d.rt.SetBackendFactory(mk)
@@ -187,8 +187,10 @@ func (d *doors) check(door string) {
 	d.t.Helper()
 	want := wal.Capture(d.ref.Catalog(), 0).Tables
 	for s, g := range d.groups() {
-		for i := range g.Replicas() {
-			g.WaitApplied(i, g.CommitLSN())
+		for i, a := range g.AppliedLSNs() {
+			if a != g.CommitLSN() {
+				d.t.Fatalf("seed %d, %s: shard %d replica %d applied LSN %d, commit LSN %d", d.seed, door, s, i, a, g.CommitLSN())
+			}
 		}
 		for c, srv := range g.Copies() {
 			got := wal.Capture(srv.Catalog(), 0).Tables
@@ -262,12 +264,11 @@ func TestDifferentialCopyDoors(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name  string
-		async bool
-		door  func(d *doors)
+		name string
+		door func(d *doors)
 	}{
-		{"LoadFrom", false, func(d *doors) {}},
-		{"Split destination", false, func(d *doors) {
+		{"LoadFrom", func(d *doors) {}},
+		{"Split destination", func(d *doors) {
 			d.migrateUnderWrites(func() error { return d.rt.Split(0) }, func(next *shard.Ranges) {
 				// Reference form: shard 0's rows, in order, to their next owner.
 				old := d.rows["users"][0]
@@ -279,7 +280,7 @@ func TestDifferentialCopyDoors(t *testing.T) {
 				d.rows["logs"][2] = append([][]any(nil), d.rows["logs"][0]...)
 			})
 		}},
-		{"Merge destination", false, func(d *doors) {
+		{"Merge destination", func(d *doors) {
 			d.migrateUnderWrites(func() error { return d.rt.Merge(1, 0) }, func(*shard.Ranges) {
 				// Reference form: the lower slot's rows, then the higher's; the
 				// merged-away slot keeps only the replicated tables.
@@ -287,13 +288,13 @@ func TestDifferentialCopyDoors(t *testing.T) {
 				u[1], u[0] = append(append([][]any(nil), u[0]...), u[1]...), nil
 			})
 		}},
-		{"Recover by suffix", false, func(d *doors) {
+		{"Recover by suffix", func(d *doors) {
 			g := d.groups()[0]
 			g.FailOut(0)
 			d.write(12)
 			recoverAll(d, g)
 		}},
-		{"Recover by snapshot (truncated)", false, func(d *doors) {
+		{"Recover by snapshot (truncated)", func(d *doors) {
 			g := d.groups()[0]
 			g.FailOut(1)
 			d.write(12)
@@ -303,7 +304,7 @@ func TestDifferentialCopyDoors(t *testing.T) {
 			d.write(12) // a suffix past the snapshot to replay as well
 			recoverAll(d, g)
 		}},
-		{"Recover by snapshot (tainted)", false, func(d *doors) {
+		{"Recover by snapshot (tainted)", func(d *doors) {
 			// A write caught between synchronous replication and durability:
 			// the replicas applied it, the crash drops it, nobody was told it
 			// committed — so it is in neither the reference nor the model.
@@ -331,7 +332,7 @@ func TestDifferentialCopyDoors(t *testing.T) {
 			}
 			recoverAll(d, g)
 		}},
-		{"RestartPrimary", false, func(d *doors) {
+		{"RestartPrimary", func(d *doors) {
 			for _, g := range d.groups() {
 				g.CrashPrimary()
 				if err := g.RestartPrimary(); err != nil {
@@ -339,7 +340,7 @@ func TestDifferentialCopyDoors(t *testing.T) {
 				}
 			}
 		}},
-		{"RestartPrimary after a checkpoint", false, func(d *doors) {
+		{"RestartPrimary after a checkpoint", func(d *doors) {
 			g := d.groups()[1]
 			if err := g.Checkpoint(); err != nil {
 				d.t.Fatal(err)
@@ -350,25 +351,10 @@ func TestDifferentialCopyDoors(t *testing.T) {
 				d.t.Fatal(err)
 			}
 		}},
-		{"async resync", true, func(d *doors) {
-			g := d.groups()[0]
-			g.HoldApply(0, true)
-			d.write(12)
-			if err := g.Checkpoint(); err != nil { // truncates past the held replica
-				d.t.Fatal(err)
-			}
-			g.HoldApply(0, false)
-			for g.Healthy()[0] { // the applier finds its prefix gone and fails out
-				time.Sleep(100 * time.Microsecond)
-			}
-			d.write(12) // a suffix for the applier to ship after the rebuild
-			recoverAll(d, g)
-		}},
-		{"async LoadFrom and catch-up", true, func(d *doors) {}},
 	}
 	for ci, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			d := newDoors(t, seed, ci, c.async)
+			d := newDoors(t, seed, ci)
 			d.write(16)
 			c.door(d)
 			d.check(c.name)

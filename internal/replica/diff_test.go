@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"os"
 	"repro/internal/query"
-	"strings"
 	"testing"
 	"time"
 
@@ -27,7 +26,6 @@ import (
 	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/shard"
-	"repro/internal/wal"
 )
 
 var seedFlag = flag.Int64("seed", 0, "randomized differential workload seed (0: ASYNCQ_SEED env, else time-based)")
@@ -374,192 +372,4 @@ func firstNonNil(errs []error) error {
 		}
 	}
 	return nil
-}
-
-// runStalenessDifferential drives one async replica group with the seeded
-// workload while its appliers are frozen at chunk boundaries, and checks
-// every read against a checker server that lazily replays the acknowledged
-// write log exactly to the LSN the read was served at: each read must equal
-// that prefix-consistent single-server state, be monotonic, and respect the
-// consistency contract (bound / session tokens).
-func runStalenessDifferential(t *testing.T, cons query.Consistency, bound int64, nSessions int) {
-	seed := workloadSeed(t)
-	nOps := 300
-	if testing.Short() {
-		nOps = 120
-	}
-	app := apps.RUBiS()
-	ref := server.New(server.SYS1(), 0)
-	t.Cleanup(ref.Close)
-	if err := app.Setup(ref, apps.SeededRand()); err != nil {
-		t.Fatalf("setup: %v", err)
-	}
-
-	g := replica.NewGroup(server.SYS1(), 0, replica.Options{
-		Replicas: 2, Async: true, Consistency: cons, Bound: bound,
-	})
-	t.Cleanup(g.Close)
-	checker := server.New(server.SYS1(), 0)
-	t.Cleanup(checker.Close)
-	if _, err := wal.Copy([][]*server.Server{g.Copies(), {checker}}, wal.LiveTables(ref.Catalog()), nil); err != nil {
-		t.Fatalf("load group and checker: %v", err)
-	}
-
-	rng := rand.New(rand.NewSource(seed + 31_337))
-	sessions := make([]*query.Session, nSessions)
-	for i := range sessions {
-		sessions[i] = query.NewSession()
-	}
-
-	checkerLSN := int64(0)
-	advance := func(to int64) {
-		t.Helper()
-		if to <= checkerLSN {
-			return
-		}
-		recs, ok := g.Log().RecordsAfter(checkerLSN)
-		if !ok {
-			t.Fatalf("log truncated past checker LSN %d", checkerLSN)
-		}
-		for _, r := range recs {
-			if r.LSN > to {
-				break
-			}
-			// The log holds only acknowledged bindings: replay cannot fail.
-			if _, errs := checker.ExecBatch(query.BatchReq("c", r.SQL, r.ArgSets)).Pair(); firstNonNil(errs) != nil {
-				t.Fatalf("checker replay of LSN %d: %v", r.LSN, firstNonNil(errs))
-			}
-			checkerLSN = r.LSN
-		}
-		if checkerLSN != to {
-			t.Fatalf("checker cannot reach served LSN %d (stuck at %d)", to, checkerLSN)
-		}
-	}
-	// stagger re-pins the appliers: replica 0 exactly at the acknowledged
-	// frontier, replica 1 a random in-bound distance behind it.
-	stagger := func() {
-		commit := g.CommitLSN()
-		g.HoldApply(0, false)
-		g.WaitApplied(0, commit)
-		g.HoldApply(0, true)
-		lag := rng.Int63n(bound + 1)
-		target := commit - lag
-		if target < 0 {
-			target = 0
-		}
-		g.HoldApply(1, false)
-		g.WaitApplied(1, target)
-		g.HoldApply(1, true)
-	}
-	isInsert := func(sql string) bool {
-		return strings.HasPrefix(strings.ToLower(strings.TrimSpace(sql)), "insert")
-	}
-
-	g.HoldApply(0, true)
-	g.HoldApply(1, true)
-	opNo, staleServed, lastAt := 0, 0, int64(0)
-	for done := 0; done < nOps; {
-		n := 30
-		if nOps-done < n {
-			n = nOps - done
-		}
-		done += n
-		stagger()
-		for _, op := range apps.RandomWorkload(ref, n, rng) {
-			opNo++
-			sess := sessions[rng.Intn(len(sessions))]
-			if isInsert(op.SQL) {
-				// Writes land on the primary — always the newest state, so
-				// they must match the reference byte for byte.
-				if op.Batch() {
-					wantVals, wantErrs := ref.ExecBatch(query.BatchReq("w", op.SQL, op.ArgSets)).Pair()
-					gotVals, gotErrs := g.ExecBatch(query.BatchReq("w", op.SQL, op.ArgSets).WithSession(sess)).Pair()
-					for j := range op.ArgSets {
-						if want, got := fmtOut(wantVals[j], wantErrs[j]), fmtOut(gotVals[j], gotErrs[j]); want != got {
-							t.Fatalf("seed %d op %d write %q binding %d:\n  group:  %s\n  single: %s",
-								seed, opNo, op.SQL, j, got, want)
-						}
-					}
-				} else {
-					wantV, wantErr := ref.Exec(query.Req("w", op.SQL, op.ArgSets[0])).Pair()
-					gotV, gotErr := g.Exec(query.Req("w", op.SQL, op.ArgSets[0]).WithSession(sess)).Pair()
-					if want, got := fmtOut(wantV, wantErr), fmtOut(gotV, gotErr); want != got {
-						t.Fatalf("seed %d op %d write %q:\n  group:  %s\n  single: %s",
-							seed, opNo, op.SQL, got, want)
-					}
-				}
-				continue
-			}
-			commit := g.CommitLSN()
-			var gotVals []any
-			var gotErrs []error
-			if op.Batch() {
-				gotVals, gotErrs = g.ExecBatch(query.BatchReq("q", op.SQL, op.ArgSets).WithSession(sess)).Pair()
-			} else {
-				v, err := g.Exec(query.Req("q", op.SQL, op.ArgSets[0]).WithSession(sess)).Pair()
-				gotVals, gotErrs = []any{v}, []error{err}
-			}
-			at := sess.LastServedLSN()
-			if at < 0 || at > commit {
-				t.Fatalf("seed %d op %d: served LSN %d outside [0, %d]", seed, opNo, at, commit)
-			}
-			if at < lastAt {
-				// Group-wide floor: weaker than per-session monotonicity, so
-				// it must hold across sessions too.
-				t.Fatalf("seed %d op %d: reads moved backwards (%d after %d)", seed, opNo, at, lastAt)
-			}
-			lastAt = at
-			if cons == query.BoundedStaleness && at < commit-bound {
-				t.Fatalf("seed %d op %d: served LSN %d violates bound (commit %d, bound %d)",
-					seed, opNo, at, commit, bound)
-			}
-			if cons == query.ReadYourWrites && at < sess.LastWriteLSN() {
-				t.Fatalf("seed %d op %d: served LSN %d behind session write %d",
-					seed, opNo, at, sess.LastWriteLSN())
-			}
-			if at < commit {
-				staleServed++
-			}
-			// The read must equal the single-server state at exactly the
-			// prefix it was served from.
-			advance(at)
-			if op.Batch() {
-				wantVals, wantErrs := checker.ExecBatch(query.BatchReq("q", op.SQL, op.ArgSets)).Pair()
-				for j := range op.ArgSets {
-					if want, got := fmtOut(wantVals[j], wantErrs[j]), fmtOut(gotVals[j], gotErrs[j]); want != got {
-						t.Fatalf("seed %d op %d read %q binding %d at LSN %d:\n  group:   %s\n  checker: %s",
-							seed, opNo, op.SQL, j, at, got, want)
-					}
-				}
-			} else {
-				wantV, wantErr := checker.Exec(query.Req("q", op.SQL, op.ArgSets[0])).Pair()
-				if want, got := fmtOut(wantV, wantErr), fmtOut(gotVals[0], gotErrs[0]); want != got {
-					t.Fatalf("seed %d op %d read %q at LSN %d:\n  group:   %s\n  checker: %s",
-						seed, opNo, op.SQL, at, got, want)
-				}
-			}
-		}
-	}
-	var replicaReads int64
-	for _, c := range g.ReadCounts() {
-		replicaReads += c
-	}
-	if replicaReads == 0 {
-		t.Fatalf("seed %d: no read rode a replica; staleness untested", seed)
-	}
-	if staleServed == 0 {
-		t.Fatalf("seed %d: every read saw the newest state; staleness untested", seed)
-	}
-}
-
-// TestDifferentialBoundedStaleness: async replicas, reads at most 6
-// acknowledged writes behind, every read a prefix-consistent state.
-func TestDifferentialBoundedStaleness(t *testing.T) {
-	runStalenessDifferential(t, query.BoundedStaleness, 6, 1)
-}
-
-// TestDifferentialReadYourWrites: async replicas, three interleaved sessions,
-// every read a prefix-consistent state covering the session's own writes.
-func TestDifferentialReadYourWrites(t *testing.T) {
-	runStalenessDifferential(t, query.ReadYourWrites, 4, 3)
 }

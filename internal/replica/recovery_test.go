@@ -6,7 +6,6 @@ import (
 	"repro/internal/query"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/interp"
 	"repro/internal/server"
@@ -21,10 +20,10 @@ func mustInsert(t *testing.T, g *Group, id int64) {
 	}
 }
 
-// wantVal asserts a read (optionally session-scoped) returns v<id>.
-func wantVal(t *testing.T, g *Group, sess *query.Session, id int64) {
+// wantVal asserts a read returns v<id>.
+func wantVal(t *testing.T, g *Group, id int64) {
 	t.Helper()
-	v, err := g.Exec(query.Req("q", sel, []any{id}).WithSession(sess)).Pair()
+	v, err := g.Exec(query.Req("q", sel, []any{id})).Pair()
 	if err != nil {
 		t.Fatalf("read %d: %v", id, err)
 	}
@@ -32,14 +31,6 @@ func wantVal(t *testing.T, g *Group, sess *query.Session, id int64) {
 	if rs, ok := v.(interp.Rows); !ok || len(rs) != 1 || rs[0]["val"] != want {
 		t.Fatalf("read %d: got %v, want val=%s", id, interp.Format(v), want)
 	}
-}
-
-func sumReads(g *Group) int64 {
-	var n int64
-	for _, c := range g.ReadCounts() {
-		n += c
-	}
-	return n
 }
 
 func TestCrashRestartKeepsAcknowledgedWrites(t *testing.T) {
@@ -59,7 +50,7 @@ func TestCrashRestartKeepsAcknowledgedWrites(t *testing.T) {
 		t.Fatalf("write while down: %v, want ErrPrimaryDown", err)
 	}
 	// Sync replicas hold the full prefix and keep serving reads.
-	wantVal(t, g, nil, 110)
+	wantVal(t, g, 110)
 
 	if err := g.RestartPrimary(); err != nil {
 		t.Fatal(err)
@@ -86,7 +77,7 @@ func TestCrashRestartKeepsAcknowledgedWrites(t *testing.T) {
 	if g.CommitLSN() != 21 {
 		t.Fatalf("post-restart commit LSN = %d, want 21", g.CommitLSN())
 	}
-	wantVal(t, g, nil, 120)
+	wantVal(t, g, 120)
 }
 
 func TestRestartPrimaryWhenUpIsNoop(t *testing.T) {
@@ -160,7 +151,7 @@ func TestRecoverHealthyReplicaIsNoop(t *testing.T) {
 			t.Fatalf("healthy flags disturbed: %v", g.Healthy())
 		}
 	}
-	wantVal(t, g, nil, 104)
+	wantVal(t, g, 104)
 }
 
 func TestRecoverReplayFaultMidBacklog(t *testing.T) {
@@ -230,129 +221,36 @@ func TestConcurrentRecoverIsSafe(t *testing.T) {
 		}
 	}
 	for i := int64(0); i < 30; i++ {
-		wantVal(t, g, nil, i%110)
+		wantVal(t, g, i%110)
 	}
 }
 
-func TestAsyncApplierCatchesUp(t *testing.T) {
-	g := newGroupOpts(t, Options{Replicas: 2, Async: true})
-	for i := int64(100); i < 110; i++ {
-		mustInsert(t, g, i)
+// replicate applies a record to the replicas in parallel, so one replica can
+// serve LSN n while another is still at n-1. Once a read was served at n, the
+// group's served floor keeps every later read off the replica at n-1 until
+// its watermark reaches n: reads never travel backwards.
+func TestServedFloorHoldsOffALaggingReplica(t *testing.T) {
+	g := newGroup(t, 2)
+	mustInsert(t, g, 100)
+	n := g.CommitLSN()
+	// Replica 1's apply of LSN n is still in flight, as replicate leaves it.
+	g.states[1].applied.Store(n - 1)
+	for first := g.ReadCounts()[0]; g.ReadCounts()[0] == first; {
+		wantVal(t, g, 100)
 	}
-	g.WaitApplied(0, 10)
-	g.WaitApplied(1, 10)
-	before := sumReads(g)
-	wantVal(t, g, nil, 105) // Strong: replicas qualify once caught up
-	if sumReads(g) != before+1 {
-		t.Fatalf("caught-up async replica should have served the read: %v", g.ReadCounts())
+	lagging := g.ReadCounts()[1]
+	for k := 0; k < 8; k++ {
+		wantVal(t, g, 100)
 	}
-}
-
-func TestCheckpointTruncationForcesFullResync(t *testing.T) {
-	g := newGroupOpts(t, Options{Replicas: 1, Async: true})
-	g.HoldApply(0, true)
-	for i := int64(100); i < 110; i++ {
-		mustInsert(t, g, i)
+	if got := g.ReadCounts()[1]; got != lagging {
+		t.Fatalf("replica at LSN %d served %d reads after a read was served at %d", n-1, got-lagging, n)
 	}
-	if err := g.Checkpoint(); err != nil { // truncates the log past applied=0
-		t.Fatal(err)
+	// The apply lands: replica 1 qualifies again.
+	g.states[1].applied.Store(n)
+	for k := 0; k < 2; k++ {
+		wantVal(t, g, 100)
 	}
-	g.HoldApply(0, false)
-	// The applier discovers its prefix predates the log's memory and fails
-	// the replica out.
-	deadline := time.Now().Add(5 * time.Second)
-	for g.Healthy()[0] {
-		if time.Now().After(deadline) {
-			t.Fatal("applier never failed out after truncation")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := g.Recover(0); err != nil {
-		t.Fatal(err)
-	}
-	if a := g.AppliedLSNs()[0]; a != 10 {
-		t.Fatalf("resynced replica applied = %d, want snapshot LSN 10", a)
-	}
-	if n := rows("kv", g.Replicas()[0]); n != 110 {
-		t.Fatalf("resynced replica has %d rows, want 110", n)
-	}
-	before := sumReads(g)
-	wantVal(t, g, nil, 109)
-	if sumReads(g) != before+1 {
-		t.Fatalf("resynced replica should serve reads: %v", g.ReadCounts())
-	}
-}
-
-func TestBoundedStalenessFloor(t *testing.T) {
-	g := newGroupOpts(t, Options{
-		Replicas: 2, Async: true, Consistency: query.BoundedStaleness, Bound: 5,
-	})
-	g.HoldApply(0, true)
-	g.HoldApply(1, true)
-	for i := int64(100); i < 103; i++ {
-		mustInsert(t, g, i)
-	}
-	// commit=3, bound=5: a replica frozen at LSN 0 is still within bound.
-	wantVal(t, g, nil, 0)
-	if sumReads(g) != 1 {
-		t.Fatalf("within-bound read should ride a replica: %v", g.ReadCounts())
-	}
-	for i := int64(103); i < 106; i++ {
-		mustInsert(t, g, i)
-	}
-	// commit=6: frozen replicas are now out of bound — the primary serves,
-	// and the group's served floor advances to commit.
-	wantVal(t, g, nil, 105)
-	if sumReads(g) != 1 {
-		t.Fatalf("out-of-bound read must not ride a stale replica: %v", g.ReadCounts())
-	}
-	// Monotonic reads: having observed LSN 6, even base rows may no longer
-	// be served from the frozen replicas.
-	wantVal(t, g, nil, 1)
-	if sumReads(g) != 1 {
-		t.Fatalf("served floor violated: %v", g.ReadCounts())
-	}
-	g.HoldApply(0, false)
-	g.HoldApply(1, false)
-	g.WaitApplied(0, 6)
-	g.WaitApplied(1, 6)
-	wantVal(t, g, nil, 105)
-	if sumReads(g) != 2 {
-		t.Fatalf("caught-up replica should serve again: %v", g.ReadCounts())
-	}
-}
-
-func TestReadYourWritesSession(t *testing.T) {
-	g := newGroupOpts(t, Options{
-		Replicas: 1, Async: true, Consistency: query.ReadYourWrites,
-	})
-	g.HoldApply(0, true)
-	// Sessionless reads carry no token: the frozen replica serves them.
-	wantVal(t, g, nil, 7)
-	if sumReads(g) != 1 {
-		t.Fatalf("sessionless read should ride the replica: %v", g.ReadCounts())
-	}
-	sess := query.NewSession()
-	if _, err := g.Exec(query.Req("w", ins, []any{int64(200), "v200"}).WithSession(sess)).Pair(); err != nil {
-		t.Fatal(err)
-	}
-	if sess.LastWriteLSN() != 1 {
-		t.Fatalf("session write token = %d, want 1", sess.LastWriteLSN())
-	}
-	// The session must see its own write even though the replica has not
-	// applied it: the primary serves, and the session records what it saw.
-	wantVal(t, g, sess, 200)
-	if sumReads(g) != 1 {
-		t.Fatalf("read-your-writes must not ride the stale replica: %v", g.ReadCounts())
-	}
-	if sess.LastServedLSN() < sess.LastWriteLSN() {
-		t.Fatalf("session served %d < its own write %d",
-			sess.LastServedLSN(), sess.LastWriteLSN())
-	}
-	g.HoldApply(0, false)
-	g.WaitApplied(0, 1)
-	wantVal(t, g, sess, 200)
-	if sumReads(g) != 2 {
-		t.Fatalf("caught-up replica satisfies the session token: %v", g.ReadCounts())
+	if g.ReadCounts()[1] == lagging {
+		t.Fatalf("replica 1 caught up to LSN %d but served no read: %v", n, g.ReadCounts())
 	}
 }

@@ -11,26 +11,23 @@
 //     CrashPrimary + RestartPrimary via snapshot + log replay, on the
 //     original row ids — the property the scatter-gather merge's global
 //     row-order maps depend on.
-//   - Synchronous groups (the default) replicate every committed write to
-//     every healthy replica under one group-wide write lock, so reads from
-//     any copy are byte-identical to a single server. A replica that faults
-//     is failed out; Recover replays the log suffix it missed and readmits
-//     it byte-identical.
-//   - Asynchronous groups (Options.Async) ship the durable log to replicas
-//     in the background: each replica applies a prefix of the commit order
-//     and reads carry explicit staleness semantics — Strong,
-//     BoundedStaleness(d) (at most d acknowledged writes behind), or
-//     ReadYourWrites (session LSN tokens). The group maintains a monotonic
-//     "served" floor so successive reads never travel backwards in time.
+//   - Every committed write is replicated to every healthy replica under one
+//     group-wide write lock, before it is acknowledged, so reads from any
+//     copy are byte-identical to a single server. A replica that faults is
+//     failed out; Recover replays the log suffix it missed and readmits it
+//     byte-identical.
+//   - Replication applies a record to the replicas in parallel, so for a
+//     moment one replica can serve LSN n while another still holds n-1. The
+//     group keeps a monotonic "served" floor, and a read goes only to a copy
+//     that has reached it, so successive reads never travel backwards.
 //
 // The Group implements query.Executor — the same Exec(Request)/
 // ExecBatch(BatchRequest) pair as server.Server — and satisfies
 // shard.Backend, so a Router over replica groups is a drop-in for a Router
-// over bare servers. Request context consumed here: Session (read-your-
-// writes tokens), Consistency (per-request override of the group level),
-// Span (write-lock / replication / wal-commit children) and Deadline
-// (writes are rejected before the primary executes or abandoned at the
-// commit wait — never half-acked).
+// over bare servers. Request context consumed here: Span (write-lock /
+// replication / wal-commit children) and Deadline (writes are rejected
+// before the primary executes or abandoned at the commit wait — never
+// half-acked).
 package replica
 
 import (
@@ -47,8 +44,8 @@ import (
 	"repro/internal/wal"
 )
 
-// ErrPrimaryDown is returned for writes (and reads no copy can serve at the
-// required consistency) while the primary is crashed and not yet restarted.
+// ErrPrimaryDown is returned for writes (and reads no replica can serve)
+// while the primary is crashed and not yet restarted.
 var ErrPrimaryDown = errors.New("replica: primary down")
 
 // Options configure a group.
@@ -60,17 +57,6 @@ type Options struct {
 	// write-ahead log. The zero value is wal.Group: acknowledged writes are
 	// durable, with the fsync amortized across concurrent commits.
 	Durability wal.Mode
-	// Async switches replicas from synchronous replication to background
-	// log shipping with Consistency/Bound read semantics.
-	Async bool
-	// Consistency is the read consistency of an Async group (the zero
-	// value, ConsistencyDefault, means Strong). Requests may override it
-	// per call via query.Request.Consistency.
-	Consistency query.Consistency
-	// Bound is the query.BoundedStaleness lag, in acknowledged writes: the
-	// bound is counted in writes (LSNs), not wall time, so it is
-	// deterministic under the simulated clock.
-	Bound int64
 	// Store is the WAL's persistence backend (nil: in-memory).
 	Store wal.Store
 	// Hedge, when positive, arms hedged reads: if a replica read has not
@@ -103,23 +89,10 @@ type state struct {
 	// the watermark.
 	tainted atomic.Bool
 
-	// mu/cond coordinate the async applier with HoldApply/WaitApplied and
-	// Recover; sync groups use them only for WaitApplied.
-	mu   sync.Mutex
-	cond *sync.Cond
-	held bool // HoldApply freeze: the applier parks, applied stays exact
-
 	// bmu/bstate are the replica's circuit breaker (see resilience.go);
 	// bstate only changes when Options.Breaker is set.
 	bmu    sync.Mutex
 	bstate int32
-}
-
-func (st *state) setApplied(lsn int64) {
-	st.mu.Lock()
-	st.applied.Store(lsn)
-	st.cond.Broadcast()
-	st.mu.Unlock()
 }
 
 // Group is one replicated shard: a primary owning writes, a write-ahead log
@@ -146,20 +119,15 @@ type Group struct {
 	rr atomic.Uint64 // round-robin cursor
 
 	// wmu serializes writes (and crash/recovery transitions) across the
-	// whole group: the primary, the log and every synchronous replica see
-	// one global write order, keeping row ids identical on all copies.
+	// whole group: the primary, the log and every replica see one global
+	// write order, keeping row ids identical on all copies.
 	wmu sync.Mutex
 
 	commit atomic.Int64 // highest acknowledged write LSN
 	served atomic.Int64 // monotonic floor of LSNs reads were served at
 
 	closed  atomic.Bool
-	wg      sync.WaitGroup // async appliers
 	zombies []*server.Server
-
-	async       bool
-	consistency query.Consistency
-	bound       int64
 
 	// Resilience layer (see resilience.go): hedged reads, per-replica
 	// circuit breakers, and injected replica crashes.
@@ -185,23 +153,19 @@ func NewGroup(prof server.Profile, scale float64, opts Options) *Group {
 		n = 1
 	}
 	g := &Group{
-		prof:        prof,
-		scale:       scale,
-		primary:     server.New(prof, scale),
-		replicas:    make([]*server.Server, n),
-		states:      make([]*state, n),
-		async:       opts.Async,
-		consistency: opts.Consistency,
-		bound:       opts.Bound,
-		hedge:       opts.Hedge,
-		breaker:     opts.Breaker,
-		fault:       opts.Fault,
-		stop:        make(chan struct{}),
+		prof:     prof,
+		scale:    scale,
+		primary:  server.New(prof, scale),
+		replicas: make([]*server.Server, n),
+		states:   make([]*state, n),
+		hedge:    opts.Hedge,
+		breaker:  opts.Breaker,
+		fault:    opts.Fault,
+		stop:     make(chan struct{}),
 	}
 	for i := range g.states {
 		g.replicas[i] = server.New(prof, scale)
 		g.states[i] = &state{}
-		g.states[i].cond = sync.NewCond(&g.states[i].mu)
 		g.states[i].healthy.Store(true)
 	}
 	store := opts.Store
@@ -212,12 +176,6 @@ func NewGroup(prof server.Profile, scale float64, opts Options) *Group {
 		store = fault.NewStore(store, opts.Fault)
 	}
 	g.log = wal.New(wal.Options{Mode: opts.Durability, Store: store, Syncer: groupSyncer{g}})
-	if g.async {
-		for i := range g.replicas {
-			g.wg.Add(1)
-			go g.applier(i)
-		}
-	}
 	return g
 }
 
@@ -305,8 +263,8 @@ func (g *Group) ReadCounts() []int64 {
 }
 
 // Faults reports how many times the health tracker has failed each replica
-// out (failOut: a faulted read, a failed apply, a checkpoint that overran
-// its applier). Administrative FailOut and crash taints are not counted.
+// out (failOut: a faulted read or a failed apply). Administrative FailOut and
+// crash taints are not counted.
 func (g *Group) Faults() []int64 {
 	out := make([]int64, len(g.states))
 	for i, st := range g.states {
@@ -319,34 +277,10 @@ func (g *Group) Faults() []int64 {
 // health tracker does this automatically on an observed fault).
 func (g *Group) FailOut(i int) { g.states[i].healthy.Store(false) }
 
-// HoldApply freezes (or thaws) replica i's async applier without taking it
-// out of the read rotation: the replica keeps serving its current prefix
-// while held. Tests use this to pin applied LSNs exactly.
-func (g *Group) HoldApply(i int, held bool) {
-	st := g.states[i]
-	st.mu.Lock()
-	st.held = held
-	st.cond.Broadcast()
-	st.mu.Unlock()
-}
-
-// WaitApplied blocks until replica i's applied prefix reaches lsn (or the
-// group closes).
-func (g *Group) WaitApplied(i int, lsn int64) {
-	st := g.states[i]
-	st.mu.Lock()
-	for st.applied.Load() < lsn && !g.closed.Load() {
-		st.cond.Wait()
-	}
-	st.mu.Unlock()
-}
-
-// Recover brings replica i back into the read rotation (catchUp): a
-// synchronous group replays the log suffix the replica missed before
-// readmitting it (a replay fault keeps it down, suffix intact); an async
-// group readmits at once and lets the applier catch up. Recovering a healthy
-// replica is a no-op. Safe to call concurrently; calls serialize on the
-// group write lock.
+// Recover brings replica i back into the read rotation (catchUp): the log
+// suffix the replica missed is replayed before it is readmitted (a replay
+// fault keeps it down, suffix intact). Recovering a healthy replica is a
+// no-op. Safe to call concurrently; calls serialize on the group write lock.
 func (g *Group) Recover(i int) error {
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
@@ -360,10 +294,9 @@ func (g *Group) Recover(i int) error {
 const primaryCopy = -1
 
 // catchUp is the one way a copy comes back (caller holds wmu; a replica is
-// out of rotation, so its applier is parked): if the copy is a crashed
-// primary, is tainted, or the log's memory starts after its applied LSN,
-// rebuild it from the latest snapshot; then — unless it is an async replica,
-// whose applier does this — replay the durable suffix; then readmit it. A
+// out of rotation): if the copy is a crashed primary, is tainted, or the
+// log's memory starts after its applied LSN, rebuild it from the latest
+// snapshot; then replay the durable suffix; then readmit it. A
 // rebuilt replica takes its slot before the replay, so a replay fault leaves
 // its watermark on what its server really holds; a rebuilt primary takes
 // over only after it, so the crashed one's catalog (index statistics,
@@ -393,25 +326,23 @@ func (g *Group) catchUp(i int) error {
 			g.zombies = append(g.zombies, g.replicas[i])
 			g.replicas[i] = s
 			g.rmu.Unlock()
-			st.setApplied(at)
+			st.applied.Store(at)
 			st.tainted.Store(false)
 		}
 	}
-	if primary || !g.async {
-		fail := func(err error) error {
-			if primary {
-				s.Close() // never installed; a replica's copy is already in its slot
-			}
-			return err
+	fail := func(err error) error {
+		if primary {
+			s.Close() // never installed; a replica's copy is already in its slot
 		}
-		recs, ok := g.log.RecordsAfter(at)
-		if !ok {
-			return fail(errors.New("replica: snapshot older than log memory"))
-		}
-		for _, r := range recs {
-			if err := g.apply(nil, i, s, r); err != nil {
-				return fail(err)
-			}
+		return err
+	}
+	recs, ok := g.log.RecordsAfter(at)
+	if !ok {
+		return fail(errors.New("replica: snapshot older than log memory"))
+	}
+	for _, r := range recs {
+		if err := g.apply(nil, i, s, r); err != nil {
+			return fail(err)
 		}
 	}
 	if primary {
@@ -421,10 +352,7 @@ func (g *Group) catchUp(i int) error {
 		g.commit.Store(g.log.DurableLSN())
 		return nil
 	}
-	st.mu.Lock()
 	st.healthy.Store(true)
-	st.cond.Broadcast() // wakes the parked applier
-	st.mu.Unlock()
 	return nil
 }
 
@@ -523,41 +451,6 @@ func (g *Group) ensureBaseSnapshot(p *server.Server) {
 	_ = g.log.WriteSnapshot(wal.Capture(p.Catalog(), 0))
 }
 
-// applier is one async replica's log-shipping loop: tail the durable log,
-// apply records in LSN order, park while held, failed out, or caught up.
-func (g *Group) applier(i int) {
-	defer g.wg.Done()
-	st := g.states[i]
-	for {
-		st.mu.Lock()
-		for !g.closed.Load() && (st.held || !st.healthy.Load()) {
-			st.cond.Wait()
-		}
-		st.mu.Unlock()
-		if g.closed.Load() {
-			return
-		}
-		recs, ok, logClosed := g.log.WaitRecordsAfter(st.applied.Load())
-		if logClosed || g.closed.Load() {
-			return
-		}
-		if !ok {
-			// A checkpoint truncated past this replica: it cannot catch up
-			// from the log. Fail out; Recover rebuilds it from the snapshot.
-			g.failOut(i)
-			continue
-		}
-		for _, r := range recs {
-			st.mu.Lock()
-			parked := st.held || !st.healthy.Load()
-			st.mu.Unlock()
-			if parked || g.closed.Load() || g.apply(nil, i, g.replica(i), r) != nil {
-				break
-			}
-		}
-	}
-}
-
 func firstErr(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
@@ -582,30 +475,6 @@ func (g *Group) pick(min int64, except int) int {
 	return -1
 }
 
-// minLSN computes the commit-order prefix a read must observe under the
-// effective consistency: the request's override when set, else the group
-// level (ConsistencyDefault meaning Strong).
-func (g *Group) minLSN(sess *query.Session, c query.Consistency) int64 {
-	if !g.async {
-		return 0 // synchronous replicas always hold the newest state
-	}
-	if c == query.ConsistencyDefault {
-		c = g.consistency
-	}
-	switch c {
-	case query.BoundedStaleness:
-		m := g.commit.Load() - g.bound
-		if m < 0 {
-			m = 0
-		}
-		return m
-	case query.ReadYourWrites:
-		return sess.LastWriteLSN()
-	default: // Strong (or ConsistencyDefault at the group level)
-		return g.commit.Load()
-	}
-}
-
 // bumpServed raises the group's monotonic served floor.
 func (g *Group) bumpServed(lsn int64) {
 	for {
@@ -617,12 +486,11 @@ func (g *Group) bumpServed(lsn int64) {
 }
 
 // Exec routes one statement: writes through the primary + log, reads to a
-// copy that satisfies the effective consistency (the group level, or the
-// request's override). The request's Span grows per-attempt "replica.read"
-// children for reads (labelled with the copy that served) and a
-// "write.lock" / replication / "wal.commit" chain for writes; its Session
-// collects write/served LSN tokens; its Deadline rejects a write before
-// the primary executes or abandons the acknowledgement at the commit wait.
+// healthy replica that has reached the group's served floor. The request's
+// Span grows per-attempt "replica.read" children for reads (labelled with the
+// copy that served) and a "write.lock" / replication / "wal.commit" chain for
+// writes; its Deadline rejects a write before the primary executes or
+// abandons the acknowledgement at the commit wait.
 // The result's Info carries the execution trace the shard router's
 // scatter-gather merge consumes — from whichever copy served a read, from
 // the primary for a write (row ids agree across copies by the
@@ -635,7 +503,7 @@ func (g *Group) Exec(req query.Request) query.Result {
 
 // ExecBatch is the set-oriented path: a write batch commits as one log
 // record (one commit wait, like one round trip), a read batch rides one
-// round trip to one qualifying copy. Request context is honoured as in
+// round trip to one replica. Request context is honoured as in
 // Exec, batch-wide. For write batches the result's Info.InsertRids is the
 // primary's trace (the shard router's insertion-order bookkeeping consumes
 // it).
@@ -653,29 +521,27 @@ func (g *Group) Do(c *query.Call, rep *query.Reply) {
 		g.write(c, rep)
 		return
 	}
-	g.read(c, g.minLSN(c.Session, c.Consistency), rep)
+	g.read(c, rep)
 }
 
 // read serves one read call with failover: injected faults fail the replica
 // out (tripping its breaker when one is configured) and retry on a surviving
 // copy; statement errors return immediately (every copy reproduces them
 // identically). With Options.Hedge set, a slow attempt races a delayed
-// second attempt on another copy (see resilience.go). The effective floor
-// is the maximum of the consistency requirement and the group's served
-// floor, so reads are monotonic. When no replica qualifies the primary
-// (always newest) serves. A batch rides one round trip to one copy.
-func (g *Group) read(c *query.Call, min int64, rep *query.Reply) {
-	if s := g.served.Load(); s > min {
-		min = s
-	}
-	// The copy's call carries only the statement, the span its attempts hang
-	// off and the deadline — session bookkeeping belongs to this layer.
+// second attempt on another copy (see resilience.go). Only a replica that
+// has reached the group's served floor may serve, so reads are monotonic
+// while a write is still being applied to the replicas in parallel. When no
+// replica qualifies the primary (always newest) serves. A batch rides one
+// round trip to one copy.
+func (g *Group) read(c *query.Call, rep *query.Reply) {
+	// The copy's call carries the statement, the span its attempts hang off
+	// and the deadline.
 	sub := query.Call{
 		Request: query.Request{Name: c.Name, SQL: c.SQL, Args: c.Args, Span: c.Span, Deadline: c.Deadline},
 		ArgSets: c.ArgSets,
 	}
-	if a, ok := g.readLoop(min, sub); ok {
-		g.noteServed(c.Session, a.at)
+	if a, ok := g.readLoop(g.served.Load(), sub); ok {
+		g.bumpServed(a.at)
 		*rep = a.rep
 		return
 	}
@@ -692,7 +558,7 @@ func (g *Group) read(c *query.Call, min int64, rep *query.Reply) {
 	sub.Span = rd
 	p.Do(&sub, rep)
 	rd.End()
-	g.noteServed(c.Session, at)
+	g.bumpServed(at)
 }
 
 // readOn runs one read attempt of sub on replica i, under a "replica.read"
@@ -719,13 +585,8 @@ func (g *Group) readOn(sub query.Call, i int, hedged bool) attempt {
 	return a
 }
 
-func (g *Group) noteServed(sess *query.Session, at int64) {
-	g.bumpServed(at)
-	sess.NoteServed(at)
-}
-
-// write commits one call: primary execution, WAL append, durability wait,
-// synchronous replication (sync groups). The bindings the primary accepted
+// write commits one call: primary execution, WAL append, replication,
+// durability wait. The bindings the primary accepted
 // become one log record and share one durability wait; a primary error —
 // transport fault or per-binding validation — never enters the log (only
 // acknowledged rows replicate or replay), and neither does a call whose
@@ -787,20 +648,16 @@ func (g *Group) write(c *query.Call, rep *query.Reply) {
 				rep.Values[i], rep.Errs[i] = nil, err
 			}
 		}
-		return
 	}
-	c.Session.NoteWrite(lsn)
 }
 
-// stageRecord logs one committed write and replicates it synchronously (sync
-// groups). Caller holds wmu, which is what keeps the per-replica apply order
-// equal to LSN order. The durability wait happens in awaitCommit, outside
-// the lock, so concurrent commits share fsyncs (group commit).
+// stageRecord logs one committed write and replicates it. Caller holds wmu,
+// which is what keeps the per-replica apply order equal to LSN order. The
+// durability wait happens in awaitCommit, outside the lock, so concurrent
+// commits share fsyncs (group commit).
 func (g *Group) stageRecord(sp *obs.Span, name, sql string, argSets [][]any) int64 {
 	lsn := g.log.Append(name, sql, argSets)
-	if !g.async {
-		g.replicate(sp, wal.Record{LSN: lsn, Name: name, SQL: sql, ArgSets: argSets})
-	}
+	g.replicate(sp, wal.Record{LSN: lsn, Name: name, SQL: sql, ArgSets: argSets})
 	return lsn
 }
 
@@ -863,8 +720,8 @@ func (g *Group) replicate(sp *obs.Span, rec wal.Record) {
 	}
 }
 
-// apply is the one way a log record reaches a copy — synchronous
-// replication, the async applier, suffix replay and primary restart alike:
+// apply is the one way a log record reaches a copy — replication, suffix
+// replay and primary restart alike:
 // rec re-executes on s as one ExecBatch. When s is replica i, the first error
 // fails it out with its watermark unchanged, so a later catch-up replays
 // exactly what it missed, and success advances the watermark; the primary
@@ -885,7 +742,7 @@ func (g *Group) apply(sp *obs.Span, i int, s *server.Server, rec wal.Record) err
 		g.failOut(i)
 		return err
 	}
-	g.states[i].setApplied(rec.LSN)
+	g.states[i].applied.Store(rec.LSN)
 	return nil
 }
 
@@ -920,8 +777,8 @@ func (g *Group) ColdStart() {
 	}
 }
 
-// Close stops the appliers, drains and closes the log, then shuts down
-// every copy (crashed/resynced ones included).
+// Close stops the resilience goroutines, drains and closes the log, then
+// shuts down every copy (crashed/resynced ones included).
 func (g *Group) Close() {
 	if g.closed.Swap(true) {
 		return
@@ -934,12 +791,6 @@ func (g *Group) Close() {
 	g.bgMu.Unlock()
 	g.bgWg.Wait()
 	g.log.Close()
-	for _, st := range g.states {
-		st.mu.Lock()
-		st.cond.Broadcast()
-		st.mu.Unlock()
-	}
-	g.wg.Wait()
 	for _, s := range g.Copies() {
 		s.Close()
 	}

@@ -92,8 +92,8 @@ func (g *Group) crashMaybe(i int) {
 }
 
 // failOut is the one way the health tracker takes replica i out of rotation
-// — read's faulted attempt, apply's first error and the applier's overrun by
-// a checkpoint all land here — so Faults counts every one and, when the
+// — read's faulted attempt and apply's first error both land here — so
+// Faults counts every one and, when the
 // breaker is armed (Options.Breaker), every one trips it and schedules the
 // half-open probe. Only a closed breaker trips (and counts); an open or
 // half-open one already has a probe in flight. (Administrative FailOut and

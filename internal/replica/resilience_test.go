@@ -210,13 +210,10 @@ func TestBreakerDisabledKeepsReplicaDown(t *testing.T) {
 	}
 }
 
-// A replica failed out off the read path — by a synchronous write apply, by
-// the async applier, or by a checkpoint overrunning a held applier — trips
-// its breaker like a faulted read does and is probed back in byte-identical.
-// At the parent commit only read faults reached the breaker: with it enabled
-// these replicas stayed down forever. With it disabled the historical
-// contract holds for every one of them: out, no breaker activity, until
-// Recover.
+// A replica failed out off the read path — by a write apply that faults —
+// trips its breaker like a faulted read does and is probed back in
+// byte-identical. With the breaker disabled the historical contract holds:
+// out, no breaker activity, until Recover.
 func TestBreakerSeesEveryFailOut(t *testing.T) {
 	faultNextApply := func(t *testing.T, g *Group) {
 		g.Replicas()[0].FailNext(1)
@@ -224,21 +221,9 @@ func TestBreakerSeesEveryFailOut(t *testing.T) {
 	}
 	cases := []struct {
 		name    string
-		async   bool
 		failOut func(t *testing.T, g *Group)
 	}{
-		{"sync write apply", false, faultNextApply},
-		{"async applier", true, faultNextApply},
-		{"applier overrun by a checkpoint", true, func(t *testing.T, g *Group) {
-			g.HoldApply(0, true)
-			for i := int64(100); i < 110; i++ {
-				mustInsert(t, g, i)
-			}
-			if err := g.Checkpoint(); err != nil { // truncates past applied = 0
-				t.Fatal(err)
-			}
-			g.HoldApply(0, false)
-		}},
+		{"sync write apply", faultNextApply},
 	}
 	// await polls cond: the fail-out and the probe run on other goroutines.
 	await := func(t *testing.T, what string, cond func() bool) {
@@ -256,7 +241,7 @@ func TestBreakerSeesEveryFailOut(t *testing.T) {
 				if enabled {
 					cooldown = time.Millisecond
 				}
-				g := newGroupOpts(t, Options{Replicas: 2, Async: c.async, Breaker: cooldown})
+				g := newGroupOpts(t, Options{Replicas: 2, Breaker: cooldown})
 				c.failOut(t, g)
 				await(t, "the fail-out", func() bool { return g.Faults()[0] == 1 })
 				if !enabled {
@@ -271,7 +256,11 @@ func TestBreakerSeesEveryFailOut(t *testing.T) {
 				if st := g.Resilience(); enabled && st.BreakerTrips < 1 {
 					t.Fatalf("fail-out never tripped the breaker: %+v", st)
 				}
-				g.WaitApplied(0, g.CommitLSN())
+				for i, a := range g.AppliedLSNs() {
+					if a != g.CommitLSN() {
+						t.Fatalf("replica %d applied LSN %d, commit LSN %d", i, a, g.CommitLSN())
+					}
+				}
 				got := wal.Capture(g.Replicas()[0].Catalog(), 0)
 				if want := wal.Capture(g.Primary().Catalog(), 0); !reflect.DeepEqual(got, want) {
 					t.Fatalf("readmitted replica differs from the primary:\n got %+v\nwant %+v", got, want)

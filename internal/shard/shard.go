@@ -17,10 +17,8 @@
 // ExecBatch(BatchRequest) pair as its backends — so exec.Service, the
 // internal/batch coalescer, the network front door and transformed
 // programs run unchanged on top of it. Request context fans out with the
-// dispatch: every shard leg gets a "shard.exec"/"shard.batch" span child,
-// the per-shard child of the request's Session (each shard's replica group
-// has its own LSN space), and the request's Deadline and Consistency
-// verbatim.
+// dispatch: every shard leg gets a "shard.exec"/"shard.batch" span child and
+// the request's Deadline verbatim.
 package shard
 
 import (
@@ -43,8 +41,8 @@ import (
 // Backend is one shard's execution engine: a bare server.Server, or a
 // replica.Group fronting a primary with R read replicas (Options.Group).
 // One interface covers everything the router needs: Request-based statement
-// execution (query.Executor — span, session, consistency and deadline all
-// ride the request; the result's Info feeds the scatter-gather merge), the
+// execution (query.Executor — span and deadline ride the request; the
+// result's Info feeds the scatter-gather merge), the
 // servers that hold its data, the planner's index statistics, cache and
 // lifecycle control, and the obs metrics hookup. A backend's simulated-latency
 // scale is fixed when it is built.
@@ -396,21 +394,21 @@ func (r *Router) route(st *sqlmini.Stmt, ti *tableInfo, args []any) (dest int, k
 }
 
 // dispatch sends one call to shard i, re-scoped for the leg with the shard's
-// span child ("shard.exec" / "shard.batch", labelled with the shard) and the
-// session's per-shard child; deadline and consistency pass through verbatim.
-// The call is re-scoped in place and put back: a copy would have to live on
-// the heap, because the backend is called through an interface.
+// span child ("shard.exec" / "shard.batch", labelled with the shard); the
+// deadline passes through verbatim. The call is re-scoped in place and put
+// back: a copy would have to live on the heap, because the backend is called
+// through an interface.
 func (r *Router) dispatch(c *query.Call, i int, rep *query.Reply) {
 	what := "shard.exec"
 	if c.Batch() {
 		what = "shard.batch"
 	}
-	span, sess := c.Span, c.Session
+	span := c.Span
 	sp := span.Child(what)
 	sp.SetDetail(obs.ShardLabel(i))
-	c.Span, c.Session = sp, sess.Sub(i)
+	c.Span = sp
 	c.On(r.backends[i], rep)
-	c.Span, c.Session = span, sess
+	c.Span = span
 	sp.End()
 }
 
@@ -827,8 +825,8 @@ func (r *Router) ExecBatch(req query.BatchRequest) query.BatchResult {
 // everything back into binding order. Each sub-batch pays its shard one round
 // trip and one planning charge, so an N-shard cluster executes a large batch
 // roughly N-way parallel. Sub-batches hang "shard.batch" children off the
-// request's span, scatter fallbacks hang "shard.exec" legs; session, deadline
-// and consistency fan out with them.
+// request's span, scatter fallbacks hang "shard.exec" legs; the deadline fans
+// out with them.
 func (r *Router) split(c *query.Call, st *sqlmini.Stmt, ti *tableInfo, dests []int, rep *query.Reply) {
 	n := len(dests)
 	counts := make([]int, len(r.backends)) // what each shard receives

@@ -5,15 +5,10 @@
 // concurrent commits share one fsync — group commit, the same amortization
 // the paper's batched submission applies to network round trips.
 //
-// The log also powers recovery and replication:
-//
-//   - Snapshot + replay crash recovery: a checkpoint (Snapshot) plus the
-//     durable record suffix rebuilds a crashed primary byte-identically —
-//     row ids included, because the log is the total write order.
-//   - Log shipping: asynchronous replicas tail the durable prefix
-//     (WaitRecordsAfter) and apply behind the primary with bounded
-//     staleness. Only durable records ship, so a crash can never leave a
-//     replica ahead of the recovered primary.
+// The log also powers recovery: a checkpoint (Snapshot) plus the durable
+// record suffix rebuilds a crashed primary or a lagging replica
+// byte-identically — row ids included, because the log is the total write
+// order.
 //
 // Crash() models the loss a real crash causes: the in-memory tail beyond
 // the last fsync is dropped. Writes acknowledged under Group or Strict mode
@@ -160,7 +155,7 @@ type Log struct {
 
 	mu       sync.Mutex
 	flush    sync.Cond // wakes the flusher when unsynced records exist
-	durable  sync.Cond // wakes commit waiters / shipping tails / Crash
+	durable  sync.Cond // wakes commit waiters / Crash
 	snap     *Snapshot // latest checkpoint; nil before the first
 	tail     []Record  // records with LSN > snapshot LSN, synced and not; LSN-dense (see span)
 	next     int64     // next LSN to assign
@@ -405,27 +400,6 @@ func (l *Log) RecordsAfter(after int64) (recs []Record, ok bool) {
 	return l.recordsAfterLocked(after)
 }
 
-// WaitRecordsAfter blocks until durable records past `after` exist (or the
-// log closes / truncates past the caller). closed reports log shutdown — the
-// shipping tail should exit.
-func (l *Log) WaitRecordsAfter(after int64) (recs []Record, ok, closed bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		if l.snap != nil && after < l.snap.LSN {
-			return nil, false, false
-		}
-		if l.synced > after {
-			recs, ok = l.recordsAfterLocked(after)
-			return recs, ok, false
-		}
-		if l.closed {
-			return nil, true, true
-		}
-		l.durable.Wait()
-	}
-}
-
 func (l *Log) recordsAfterLocked(after int64) ([]Record, bool) {
 	if l.snap != nil && after < l.snap.LSN {
 		return nil, false
@@ -452,7 +426,6 @@ func (l *Log) WriteSnapshot(snap *Snapshot) error {
 	// A fresh array, never a compaction of the old one: the flusher may be
 	// reading its batch out of the old storage right now.
 	l.tail = append([]Record(nil), l.span(snap.LSN, l.next-1)...)
-	l.durable.Broadcast() // truncation is visible to shipping tails
 	l.mu.Unlock()
 	return nil
 }

@@ -446,22 +446,3 @@ func TestParseMode(t *testing.T) {
 		t.Fatal("want error for unknown mode")
 	}
 }
-
-func TestWaitRecordsAfterUnblocksOnAppend(t *testing.T) {
-	l := wal.New(wal.Options{})
-	defer l.Close()
-	got := make(chan []wal.Record, 1)
-	go func() {
-		recs, ok, closed := l.WaitRecordsAfter(0)
-		if !ok || closed {
-			got <- nil
-			return
-		}
-		got <- recs
-	}()
-	l.Commit(l.Append("w", "INSERT", [][]any{{int64(1)}}))
-	recs := <-got
-	if len(recs) != 1 || recs[0].LSN != 1 {
-		t.Fatalf("shipped records = %v", recs)
-	}
-}
