@@ -113,7 +113,6 @@ func TestChaosDifferential(t *testing.T) {
 				func(query.BatchRequest) query.BatchResult) {
 				group = replica.NewGroup(prof, 0.02, replica.Options{
 					Replicas: 2,
-					Hedge:    5 * time.Millisecond,
 					Breaker:  2 * time.Millisecond,
 					Fault:    inj,
 				})

@@ -72,13 +72,12 @@ type LoadReport struct {
 
 	// Resilience accounting. Retries/Reconnects aggregate over the pool's
 	// clients; RetryBudget echoes the per-client lifetime cap (0 =
-	// unlimited) so Check can hold retries to it. Hedges/BreakerTrips are
-	// server-side counters the caller fills in when it owns the backend
-	// (see the chaos figure); a plain remote loadgen run leaves them zero.
+	// unlimited) so Check can hold retries to it. BreakerTrips is a
+	// server-side counter the caller fills in when it owns the backend (see
+	// the chaos figure); a plain remote loadgen run leaves it zero.
 	Retries      int64
 	Reconnects   int64
 	RetryBudget  int64
-	Hedges       int64
 	BreakerTrips int64
 
 	// Latency percentiles over successful requests, milliseconds.

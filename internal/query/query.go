@@ -157,8 +157,11 @@ type Doer interface {
 //
 // The layers pass a Call and its Reply down by pointer: by value, every hop
 // would put both structs (a Call is 112 bytes) in every frame, and requests
-// run on goroutines whose stacks grow by copying (see GrowStack). The one
-// copy is the replica group's, one per read attempt.
+// run on goroutines whose stacks grow by copying (see GrowStack). A layer
+// that re-scopes a call for one hop (its span) does so in place and puts it
+// back; a copy is made only where it must differ for longer: the router's
+// fan-out legs, each with its own bindings, and the replica group's primary
+// write, which carries no deadline.
 type Call struct {
 	Request
 	ArgSets [][]any

@@ -7,9 +7,9 @@ import (
 )
 
 // Closures on the request path (the front door's handler goroutine, the
-// replica group's read attempt, the router's fan-out legs) capture a Call by
-// value; the compiler does that without a heap allocation only up to 128
-// bytes, and the benchmark's allocs_per_op gate has no room for one more.
+// router's fan-out legs) capture a Call by value; the compiler does that
+// without a heap allocation only up to 128 bytes, and the benchmark's
+// allocs_per_op gate has no room for one more.
 func TestCallStaysCapturableByValue(t *testing.T) {
 	if n := unsafe.Sizeof(Call{}); n > 128 {
 		t.Fatalf("Call is %d bytes; closures capture at most 128 by value", n)

@@ -54,11 +54,12 @@ func TestReplicatedInsertAllocations(t *testing.T) {
 	}
 }
 
-// TestReadAllocations pins what one point read costs the heap in the group,
-// unhedged: the serving server's columnar result (its column list, selection
-// and view) and nothing of the group's own. It was five while the attempt was
-// a closure the hedged path's goroutines and the plain path shared, and the
-// result a copied column beside a separate Matched trace.
+// TestReadAllocations pins what one point read costs the heap in the group:
+// the serving server's columnar result (its column list, selection and view)
+// and nothing of the group's own, which re-scopes the call in place instead
+// of copying it. It was five while every attempt was a closure that could
+// also run on a second, racing goroutine, and the result a copied column
+// beside a separate Matched trace.
 func TestReadAllocations(t *testing.T) {
 	g := newGroupOpts(t, Options{Replicas: 1})
 	c := &query.Call{Request: query.Req("point", sel, []any{int64(42)})}
@@ -71,6 +72,6 @@ func TestReadAllocations(t *testing.T) {
 		t.Fatalf("read answered %v, %v; want a 1-row *interp.RowSet", rep.Value, rep.Err)
 	}
 	if got > 3 {
-		t.Errorf("an unhedged point read allocates %.2f objects, want at most 3", got)
+		t.Errorf("a point read allocates %.2f objects, want at most 3", got)
 	}
 }

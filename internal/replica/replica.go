@@ -59,19 +59,14 @@ type Options struct {
 	Durability wal.Mode
 	// Store is the WAL's persistence backend (nil: in-memory).
 	Store wal.Store
-	// Hedge, when positive, arms hedged reads: if a replica read has not
-	// answered within this delay, a second attempt launches on another
-	// qualifying replica and the first non-faulted answer wins. Writes are
-	// never hedged (they are not idempotent at this layer).
-	Hedge time.Duration
 	// Breaker, when positive, arms the per-replica circuit breaker with this
 	// cooldown (see failOut): a replica the health tracker fails out is
 	// probed back in after it, instead of waiting for an explicit Recover.
 	// Zero keeps the historical contract: out until Recover.
 	Breaker time.Duration
 	// Fault, when set, injects ReplicaCrash decisions ahead of replica read
-	// attempts (the crashed attempt faults, and the fail-out / breaker /
-	// hedge machinery absorbs it) and fsync stalls and errors into the
+	// attempts (the crashed attempt faults, and the fail-out / breaker
+	// machinery absorbs it) and fsync stalls and errors into the
 	// group's log store (fault.NewStore). Nil means no injection.
 	Fault *fault.Injector
 }
@@ -129,9 +124,8 @@ type Group struct {
 	closed  atomic.Bool
 	zombies []*server.Server
 
-	// Resilience layer (see resilience.go): hedged reads, per-replica
-	// circuit breakers, and injected replica crashes.
-	hedge   time.Duration
+	// Resilience layer (see resilience.go): per-replica circuit breakers
+	// and injected replica crashes.
 	breaker time.Duration // cooldown; 0 = no breaker
 	fault   *fault.Injector
 
@@ -141,7 +135,7 @@ type Group struct {
 
 	stop chan struct{}  // closed by Close: unblocks sleeping probes
 	bgMu sync.Mutex     // guards bgWg.Add vs Close
-	bgWg sync.WaitGroup // breaker probes + hedge lanes
+	bgWg sync.WaitGroup // breaker probes
 }
 
 // NewGroup starts a primary and opts.Replicas fresh replicas of the given
@@ -158,7 +152,6 @@ func NewGroup(prof server.Profile, scale float64, opts Options) *Group {
 		primary:  server.New(prof, scale),
 		replicas: make([]*server.Server, n),
 		states:   make([]*state, n),
-		hedge:    opts.Hedge,
 		breaker:  opts.Breaker,
 		fault:    opts.Fault,
 		stop:     make(chan struct{}),
@@ -461,14 +454,13 @@ func firstErr(errs []error) error {
 }
 
 // pick returns the next healthy replica in round-robin order whose applied
-// prefix reaches min, or -1 when none qualifies. except (-1 for none) is a
-// replica to pass over: the lane a hedge already runs on.
-func (g *Group) pick(min int64, except int) int {
+// prefix reaches min, or -1 when none qualifies.
+func (g *Group) pick(min int64) int {
 	n := len(g.states)
 	start := int(g.rr.Add(1) % uint64(n))
 	for k := 0; k < n; k++ {
 		i := (start + k) % n
-		if i != except && g.states[i].healthy.Load() && g.states[i].applied.Load() >= min {
+		if g.states[i].healthy.Load() && g.states[i].applied.Load() >= min {
 			return i
 		}
 	}
@@ -487,7 +479,7 @@ func (g *Group) bumpServed(lsn int64) {
 
 // Exec routes one statement: writes through the primary + log, reads to a
 // healthy replica that has reached the group's served floor. The request's
-// Span grows per-attempt "replica.read" children for reads (labelled with the
+// Span grows one "replica.read" child per attempt for reads (labelled with the
 // copy that served) and a "write.lock" / replication / "wal.commit" chain for
 // writes; its Deadline rejects a write before the primary executes or
 // abandons the acknowledgement at the commit wait.
@@ -524,25 +516,30 @@ func (g *Group) Do(c *query.Call, rep *query.Reply) {
 	g.read(c, rep)
 }
 
-// read serves one read call with failover: injected faults fail the replica
-// out (tripping its breaker when one is configured) and retry on a surviving
-// copy; statement errors return immediately (every copy reproduces them
-// identically). With Options.Hedge set, a slow attempt races a delayed
-// second attempt on another copy (see resilience.go). Only a replica that
+// read serves one read call with failover: it picks a replica, and an
+// injected fault fails that replica out (tripping its breaker when one is
+// configured) and picks again among the survivors; statement errors return
+// immediately (every copy reproduces them identically). Only a replica that
 // has reached the group's served floor may serve, so reads are monotonic
 // while a write is still being applied to the replicas in parallel. When no
 // replica qualifies the primary (always newest) serves. A batch rides one
 // round trip to one copy.
 func (g *Group) read(c *query.Call, rep *query.Reply) {
-	// The copy's call carries the statement, the span its attempts hang off
-	// and the deadline.
-	sub := query.Call{
-		Request: query.Request{Name: c.Name, SQL: c.SQL, Args: c.Args, Span: c.Span, Deadline: c.Deadline},
-		ArgSets: c.ArgSets,
-	}
-	if a, ok := g.readLoop(g.served.Load(), sub); ok {
-		g.bumpServed(a.at)
-		*rep = a.rep
+	min := g.served.Load()
+	for i := g.pick(min); i >= 0; i = g.pick(min) {
+		st := g.states[i]
+		at := st.applied.Load()
+		g.crashMaybe(i)
+		readOn(c, g.replica(i), obs.ReplicaLabel(i), rep)
+		// The server fails a whole call before executing any binding, so a
+		// faulted attempt is safe to retry elsewhere.
+		if server.IsFault(rep.FirstErr()) {
+			*rep = query.Reply{}
+			g.failOut(i)
+			continue
+		}
+		st.reads.Add(int64(c.Units()))
+		g.bumpServed(at)
 		return
 	}
 	g.pmu.RLock()
@@ -553,36 +550,21 @@ func (g *Group) read(c *query.Call, rep *query.Reply) {
 		return
 	}
 	at := g.commit.Load()
-	rd := sub.Span.Child("replica.read")
-	rd.SetDetail("primary")
-	sub.Span = rd
-	p.Do(&sub, rep)
-	rd.End()
+	readOn(c, p, "primary", rep)
 	g.bumpServed(at)
 }
 
-// readOn runs one read attempt of sub on replica i, under a "replica.read"
-// child of sub.Span. sub is the attempt's own copy: hedge lanes run
-// concurrently, each with its own span.
-func (g *Group) readOn(sub query.Call, i int, hedged bool) attempt {
-	st := g.states[i]
-	at := st.applied.Load()
-	rd := sub.Span.Child("replica.read")
-	rd.SetDetail(obs.ReplicaLabel(i))
-	g.crashMaybe(i)
-	a := attempt{at: at, hedged: hedged}
-	sub.Span = rd
-	g.replica(i).Do(&sub, &a.rep)
+// readOn runs one read attempt of c on copy s under a "replica.read" child of
+// c.Span labelled with the copy. The call is re-scoped in place and put back,
+// as Router.dispatch does.
+func readOn(c *query.Call, s *server.Server, label string, rep *query.Reply) {
+	span := c.Span
+	rd := span.Child("replica.read")
+	rd.SetDetail(label)
+	c.Span = rd
+	s.Do(c, rep)
+	c.Span = span
 	rd.End()
-	// The server fails a whole call before executing any binding, so a
-	// faulted attempt is safe to retry elsewhere.
-	if server.IsFault(a.rep.FirstErr()) {
-		a.faulted = true
-		g.failOut(i)
-	} else {
-		st.reads.Add(int64(sub.Units()))
-	}
-	return a
 }
 
 // write commits one call: primary execution, WAL append, replication,
@@ -777,15 +759,15 @@ func (g *Group) ColdStart() {
 	}
 }
 
-// Close stops the resilience goroutines, drains and closes the log, then
+// Close stops the breaker probes, drains and closes the log, then
 // shuts down every copy (crashed/resynced ones included).
 func (g *Group) Close() {
 	if g.closed.Swap(true) {
 		return
 	}
-	// Stop the resilience goroutines first: sleeping probes wake via stop,
-	// in-flight probes and hedge lanes finish against the still-open log and
-	// copies, and guardGo refuses new ones once closed is set.
+	// Stop the breaker probes first: sleeping probes wake via stop,
+	// in-flight ones finish against the still-open log and copies, and
+	// guardGo refuses new ones once closed is set.
 	g.bgMu.Lock()
 	close(g.stop)
 	g.bgMu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/query"
 )
 
 // Breaker states. The per-replica state lives in state.bstate, guarded by
@@ -23,27 +22,21 @@ const (
 type resCounters struct {
 	breakerTrips  atomic.Int64
 	breakerProbes atomic.Int64
-	hedgeLaunched atomic.Int64
-	hedgeWins     atomic.Int64
 }
 
-// ResilienceStats is a snapshot of the group's breaker and hedging activity.
+// ResilienceStats is a snapshot of the group's breaker activity.
 type ResilienceStats struct {
-	BreakerTrips   int64 // fail-outs that tripped a closed breaker open
-	BreakerProbes  int64 // half-open probes fired (each probe is a Recover)
-	HedgesLaunched int64 // second read attempts launched after the hedge delay
-	HedgeWins      int64 // hedged attempts that answered before the first
-	OpenBreakers   int64 // breakers currently open or half-open
+	BreakerTrips  int64 // fail-outs that tripped a closed breaker open
+	BreakerProbes int64 // half-open probes fired (each probe is a Recover)
+	OpenBreakers  int64 // breakers currently open or half-open
 }
 
-// Resilience returns the group's breaker/hedge counters.
+// Resilience returns the group's breaker counters.
 func (g *Group) Resilience() ResilienceStats {
 	return ResilienceStats{
-		BreakerTrips:   g.res.breakerTrips.Load(),
-		BreakerProbes:  g.res.breakerProbes.Load(),
-		HedgesLaunched: g.res.hedgeLaunched.Load(),
-		HedgeWins:      g.res.hedgeWins.Load(),
-		OpenBreakers:   g.openBreakers.Load(),
+		BreakerTrips:  g.res.breakerTrips.Load(),
+		BreakerProbes: g.res.breakerProbes.Load(),
+		OpenBreakers:  g.openBreakers.Load(),
 	}
 }
 
@@ -64,12 +57,12 @@ func (g *Group) setOpenGauge() {
 
 // guardGo spawns a group-owned goroutine tracked by bgWg, refusing once the
 // group is closed (Close waits for every goroutine spawned this way before
-// tearing down the log and the copies). Reports whether fn was launched.
-func (g *Group) guardGo(fn func()) bool {
+// tearing down the log and the copies).
+func (g *Group) guardGo(fn func()) {
 	g.bgMu.Lock()
 	if g.closed.Load() {
 		g.bgMu.Unlock()
-		return false
+		return
 	}
 	g.bgWg.Add(1)
 	g.bgMu.Unlock()
@@ -77,13 +70,11 @@ func (g *Group) guardGo(fn func()) bool {
 		defer g.bgWg.Done()
 		fn()
 	}()
-	return true
 }
 
 // crashMaybe consults the group's fault injector before a read attempt on
 // replica i: a ReplicaCrash decision arms the replica to fail its next
-// request, which the normal fail-out / breaker / hedge machinery then
-// absorbs. Injection happens before the replica executes, so a crashed
+// request, which the normal fail-out / breaker machinery then absorbs. Injection happens before the replica executes, so a crashed
 // attempt has no side effects to undo.
 func (g *Group) crashMaybe(i int) {
 	if g.fault.Should(fault.ReplicaCrash) {
@@ -163,80 +154,4 @@ func (g *Group) probe(i int) {
 	}
 	g.openBreakers.Add(-1)
 	g.setOpenGauge()
-}
-
-// attempt is the outcome of one replica read attempt.
-type attempt struct {
-	rep     query.Reply
-	at      int64 // the replica's applied LSN when the attempt started
-	hedged  bool  // this was the delayed second attempt
-	faulted bool  // the attempt died to an injected fault (replica failed out)
-}
-
-// readLoop drives read's pick / hedge / failover loop over attempts of sub
-// (readOn); ok=false means no replica could serve (the caller falls back to
-// the primary). An unhedged attempt is a direct call: only the hedged path
-// hands attempts to goroutines, so only it builds a closure (runOn).
-func (g *Group) readLoop(min int64, sub query.Call) (attempt, bool) {
-	for {
-		i := g.pick(min, -1)
-		if i < 0 {
-			return attempt{}, false
-		}
-		if g.hedge <= 0 {
-			a := g.readOn(sub, i, false)
-			if a.faulted {
-				continue
-			}
-			return a, true
-		}
-		if a, ok := g.hedgedAttempt(i, min, g.runOn(sub)); ok {
-			return a, true
-		}
-		// Every lane faulted: pick again over whatever copies survive.
-	}
-}
-
-// runOn is readOn over sub as the function hedgedAttempt's lanes run.
-func (g *Group) runOn(sub query.Call) func(int, bool) attempt {
-	return func(i int, hedged bool) attempt { return g.readOn(sub, i, hedged) }
-}
-
-// hedgedAttempt runs the first attempt on replica i in the background; if it
-// has not answered within the hedge delay, a second attempt launches on a
-// different qualifying replica. The first non-faulted answer wins — the
-// loser finishes in the background (its result is discarded, its fail-out
-// bookkeeping still counts). ok=false means every launched lane faulted.
-func (g *Group) hedgedAttempt(i int, min int64, run func(int, bool) attempt) (attempt, bool) {
-	ch := make(chan attempt, 2)
-	if !g.guardGo(func() { ch <- run(i, false) }) {
-		// Shutting down: degrade to the plain in-line path.
-		a := run(i, false)
-		return a, !a.faulted
-	}
-	pending := 1
-	timer := time.NewTimer(g.hedge)
-	defer timer.Stop()
-	for pending > 0 {
-		select {
-		case a := <-ch:
-			pending--
-			if !a.faulted {
-				if a.hedged {
-					g.bump(&g.res.hedgeWins, "replica.hedge.wins")
-				}
-				return a, true
-			}
-		case <-timer.C:
-			j := g.pick(min, i)
-			if j < 0 {
-				continue // no second lane available; keep waiting on the first
-			}
-			if g.guardGo(func() { ch <- run(j, true) }) {
-				pending++
-				g.bump(&g.res.hedgeLaunched, "replica.hedge.launched")
-			}
-		}
-	}
-	return attempt{}, false
 }

@@ -1,8 +1,10 @@
 package replica
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"regexp"
 	"testing"
 	"time"
 
@@ -13,94 +15,42 @@ import (
 	"repro/internal/wal"
 )
 
-// A slow first lane loses to the delayed hedge: the second attempt launches
-// after the hedge delay, answers first, and is counted as a hedge win.
-func TestHedgedAttemptSecondLaneWins(t *testing.T) {
-	g := newGroupOpts(t, Options{Replicas: 2, Hedge: 2 * time.Millisecond})
-	run := func(i int, hedged bool) attempt {
-		if !hedged {
-			time.Sleep(50 * time.Millisecond) // the lane the hedge rescues
-		}
-		return attempt{rep: query.Reply{Value: int64(i)}, hedged: hedged}
+// A traced read that fails over hangs one "replica.read" child per attempt
+// off the caller's span — siblings, labelled with the faulted replica and
+// then the copy that served — and leaves the caller's span on the call:
+// readOn re-scopes the call in place and must put the span back before the
+// next attempt.
+func TestFailoverReadSpansAreSiblings(t *testing.T) {
+	g := newGroup(t, 2)
+	g.rr.Store(0) // the next pick starts at replica 1
+	g.Replicas()[1].FailNext(1)
+	tr := obs.NewTracer(nil)
+	var slow bytes.Buffer
+	tr.SetSlowLog(1, &slow) // renders every root's tree with its labels
+	root := tr.Start("request")
+	c := &query.Call{Request: query.Req("q", sel, []any{int64(7)}).WithSpan(root)}
+	var rep query.Reply
+	g.Do(c, &rep)
+	if c.Span != root {
+		t.Fatal("the call does not carry the caller's span after Do")
 	}
-	a, ok := g.hedgedAttempt(0, 0, run)
-	if !ok {
-		t.Fatal("hedged attempt should produce an answer")
+	root.End()
+	if rep.Err != nil {
+		t.Fatalf("read must fail over, got %v", rep.Err)
 	}
-	if !a.hedged {
-		t.Fatal("the delayed second lane should have answered first")
+	kids := root.Children()
+	if len(kids) != 2 || kids[0].Name() != "replica.read" || kids[1].Name() != "replica.read" {
+		t.Fatalf("caller's span has %d children, want two replica.read siblings:\n%s", len(kids), slow.String())
 	}
-	st := g.Resilience()
-	if st.HedgesLaunched != 1 || st.HedgeWins != 1 {
-		t.Fatalf("launched=%d wins=%d, want 1/1", st.HedgesLaunched, st.HedgeWins)
+	var labels []string
+	for _, m := range regexp.MustCompile(`(?m)^    replica\.read .*\[(.*)\]$`).FindAllStringSubmatch(slow.String(), -1) {
+		labels = append(labels, m[1])
 	}
-}
-
-// A fast first lane answers before the hedge delay: no second attempt is
-// ever launched.
-func TestHedgedAttemptFirstLaneWinsWithoutHedge(t *testing.T) {
-	g := newGroupOpts(t, Options{Replicas: 2, Hedge: 50 * time.Millisecond})
-	run := func(i int, hedged bool) attempt {
-		return attempt{rep: query.Reply{Value: int64(i)}, hedged: hedged}
+	if want := []string{"replica 1", "replica 0"}; !reflect.DeepEqual(labels, want) {
+		t.Fatalf("replica.read labels %q, want %q:\n%s", labels, want, slow.String())
 	}
-	a, ok := g.hedgedAttempt(0, 0, run)
-	if !ok || a.hedged {
-		t.Fatalf("first lane should win in place: ok=%v hedged=%v", ok, a.hedged)
-	}
-	if st := g.Resilience(); st.HedgesLaunched != 0 {
-		t.Fatalf("hedges launched %d, want 0", st.HedgesLaunched)
-	}
-}
-
-// The hedge's second lane passes over the replica the first lane runs on:
-// with the round-robin cursor set so the next pick would be replica 0 (the
-// held first lane), the hedge lands on replica 1.
-func TestHedgeAvoidsFirstLane(t *testing.T) {
-	g := newGroupOpts(t, Options{Replicas: 3, Hedge: time.Millisecond})
-	g.rr.Store(2)
-	release := make(chan struct{})
-	run := func(i int, hedged bool) attempt {
-		if !hedged {
-			<-release // the first lane answers only after the hedge has
-		}
-		return attempt{rep: query.Reply{Value: int64(i)}, hedged: hedged}
-	}
-	a, ok := g.hedgedAttempt(0, 0, run)
-	close(release)
-	if !ok || !a.hedged {
-		t.Fatalf("the hedge should have answered: ok=%v hedged=%v", ok, a.hedged)
-	}
-	if a.rep.Value != int64(1) {
-		t.Fatalf("hedge ran on replica %v, want replica 1", a.rep.Value)
-	}
-}
-
-// When every lane faults the hedged attempt reports no answer, and the
-// outer read loop falls back to picking again (ultimately the primary).
-func TestHedgedAttemptAllLanesFault(t *testing.T) {
-	g := newGroupOpts(t, Options{Replicas: 2, Hedge: time.Millisecond})
-	run := func(i int, hedged bool) attempt {
-		time.Sleep(5 * time.Millisecond) // let the hedge launch
-		return attempt{faulted: true, hedged: hedged}
-	}
-	if _, ok := g.hedgedAttempt(0, 0, run); ok {
-		t.Fatal("all-faulted lanes must report no answer")
-	}
-}
-
-// End-to-end hedging: reads with a hedge configured still answer correctly
-// on instant replicas (the hedge never needs to fire).
-func TestHedgedReadsAnswerCorrectly(t *testing.T) {
-	g := newGroupOpts(t, Options{Replicas: 2, Hedge: 20 * time.Millisecond})
-	for i := int64(0); i < 20; i++ {
-		v, err := g.Exec(query.Req("q", sel, []any{i % 100})).Pair()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := fmt.Sprintf("v%d", i%100)
-		if rs, ok := v.(interp.Rows); !ok || len(rs) != 1 || rs[0]["val"] != want {
-			t.Fatalf("read %d: got %v, want val=%s", i, interp.Format(v), want)
-		}
+	if tr.Open() != 0 {
+		t.Fatalf("%d spans left open", tr.Open())
 	}
 }
 
