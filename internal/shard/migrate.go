@@ -185,12 +185,14 @@ func (r *Router) migrate(op string, next *Ranges, count *atomic.Int64, moved int
 		if tis[i].key == "" {
 			copied += int64(src.View.NumRows * len(fresh))
 		}
+		tis[i].mu.RLock()
 		for d, rids := range kept[i] {
 			for _, rid := range rids {
 				globs[d][src.Name] = append(globs[d][src.Name], tis[i].globalPos(from[i], rid))
 			}
 			copied += int64(len(rids))
 		}
+		tis[i].mu.RUnlock()
 	}
 	for _, b := range fresh {
 		b.Warm()
@@ -264,11 +266,14 @@ func (r *Router) applyPending(dsts [][]*server.Server, place func(*tableInfo, *s
 		return fmt.Errorf("shard: migrate: double-write: %w", err)
 	}
 	for i, p := range pending {
+		ti := r.table(p.table)
+		ti.mu.RLock()
 		for d, ks := range kept[i] {
 			if len(ks) > 0 {
-				globs[d][p.table] = append(globs[d][p.table], r.table(p.table).globalPos(p.src, p.srcRid))
+				globs[d][p.table] = append(globs[d][p.table], ti.globalPos(p.src, p.srcRid))
 			}
 		}
+		ti.mu.RUnlock()
 	}
 	return nil
 }

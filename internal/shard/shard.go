@@ -117,10 +117,9 @@ func (ti *tableInfo) notePos(shard, rid int) {
 // their recorded position; rows the router never saw insert (both the
 // routed and the batched insert paths trace positions, so only rows
 // inserted behind the router's back land here) sort after every known row
-// in a deterministic (local rid, shard) order.
+// in a deterministic (local rid, shard) order. The caller holds ti.mu's read
+// lock, once for every row it maps.
 func (ti *tableInfo) globalPos(shard, rid int) int {
-	ti.mu.RLock()
-	defer ti.mu.RUnlock()
 	if shard < len(ti.global) && rid < len(ti.global[shard]) && ti.global[shard][rid] >= 0 {
 		return ti.global[shard][rid]
 	}
@@ -759,12 +758,17 @@ func mergeRows(ti *tableInfo, targets []int, legs []fanLeg) (any, error) {
 			if matched := rep.Info.Matched; j < len(matched) {
 				rid = matched[j]
 			}
-			order = append(order, ref{pos: ti.globalPos(targets[k], rid), leg: k, row: rs.At(j)})
+			order = append(order, ref{pos: rid, leg: k, row: rs.At(j)}) // pos is set below
 		}
 	}
 	if shape == nil {
 		return part(0), nil
 	}
+	ti.mu.RLock()
+	for i, o := range order {
+		order[i].pos = ti.globalPos(targets[o.leg], o.pos)
+	}
+	ti.mu.RUnlock()
 	slices.SortFunc(order, func(a, b ref) int {
 		if a.pos != b.pos {
 			return cmp.Compare(a.pos, b.pos)

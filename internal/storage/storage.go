@@ -15,6 +15,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -160,12 +161,12 @@ type Table struct {
 // key" without touching a data page, which the shard router's scatter
 // pruning consults.
 //
-// A key maps to one int, so an int-keyed map holds no pointers: v >= 0 is the
-// key's only rid, and v < 0 names lists[^v], the rids of a key with several.
-// A key of the column's declared type lives in the typed map, if the index
-// has one (it has none when built on a degraded column), hashed and compared
-// unboxed; any other key lives in boxed. Together they answer exactly as one
-// map[any][]int under interface equality.
+// A key maps to one int, so neither table nor map holds pointers: v >= 0 is
+// the key's only rid, and v < 0 names lists[^v], the rids of a key with
+// several. A key of the column's declared type lives in the typed table or
+// map, if the index has one (it has none when built on a degraded column),
+// hashed and compared unboxed; any other key lives in boxed. Together they
+// answer exactly as one map[any][]int under interface equality.
 type Index struct {
 	Column string
 	Unique bool
@@ -173,7 +174,7 @@ type Index struct {
 	Pages  int // bucket pages
 
 	ci    int            // Column's schema position
-	ints  map[int64]int  // the typed map of a TInt column
+	ints  intTable       // the typed table of a TInt column; no slots otherwise
 	strs  map[string]int // the typed map of a TString column
 	boxed map[any]int    // nil until a key of another type arrives
 	lists [][]int        // the rid lists of keys with several rows
@@ -183,8 +184,10 @@ type Index struct {
 func (ix *Index) add(key any, rid int) {
 	switch k := key.(type) {
 	case int64:
-		if ix.ints != nil {
-			addTo(ix, ix.ints, k, rid)
+		if ix.ints.slots != nil {
+			if v, fresh := ix.ints.upsert(k, rid); !fresh {
+				ix.push(v, rid)
+			}
 			return
 		}
 	case string:
@@ -199,18 +202,25 @@ func (ix *Index) add(key any, rid int) {
 	addTo(ix, ix.boxed, key, rid)
 }
 
-// addTo appends rid to k's rids in m: a key's second rid turns its entry into
-// a list, and a full list moves on append, never into its neighbour's window.
+// addTo appends rid to k's rids in m.
 func addTo[K comparable](ix *Index, m map[K]int, k K, rid int) {
-	switch v, ok := m[k]; {
-	case !ok:
-		m[k] = rid
-	case v >= 0:
-		m[k] = ^len(ix.lists)
-		ix.lists = append(ix.lists, []int{v, rid})
-	default:
-		ix.lists[^v] = append(ix.lists[^v], rid)
+	v, ok := m[k]
+	if ok {
+		ix.push(&v, rid)
+		rid = v
 	}
+	m[k] = rid
+}
+
+// push appends rid to the rids of a key whose value is *v: its second rid makes
+// v a list, and a full list moves on append, never into its neighbour's window.
+func (ix *Index) push(v *int, rid int) {
+	if *v >= 0 {
+		ix.lists = append(ix.lists, []int{*v, rid})
+		*v = ^(len(ix.lists) - 1)
+		return
+	}
+	ix.lists[^*v] = append(ix.lists[^*v], rid)
 }
 
 // rids returns key's rids, ascending: a list of the index's own, or the one
@@ -220,7 +230,7 @@ func (ix *Index) rids(key any, one *[1]int) []int {
 	var ok bool
 	switch k := key.(type) {
 	case int64:
-		v, ok = ix.ints[k]
+		v, ok = ix.ints.get(k)
 	case string:
 		v, ok = ix.strs[k]
 	}
@@ -235,6 +245,78 @@ func (ix *Index) rids(key any, one *[1]int) []int {
 		return one[:]
 	}
 	return ix.lists[^v]
+}
+
+// intTable is an int column's key table: one power-of-two array of slots, a
+// Fibonacci-hashed home slot and linear probing, at most 7/8 full, no
+// pointers. A slot is free when its value is free, which no index value is (a
+// rid is >= 0, a list ^i > math.MinInt), so every int64 is a key.
+type intTable struct {
+	slots []slot
+	n     int  // keys held
+	shift uint // 64 - log2(len(slots)): home keeps a hash's top bits
+}
+
+type slot struct {
+	key int64
+	v   int
+}
+
+const free = math.MinInt
+
+// newIntTable returns an empty table with room for keys keys before it grows.
+func newIntTable(keys int) intTable {
+	size, shift := 8, uint(61)
+	for size/8*7 < keys {
+		size, shift = 2*size, shift-1
+	}
+	t := intTable{slots: make([]slot, size), shift: shift}
+	for i := range t.slots {
+		t.slots[i].v = free
+	}
+	return t
+}
+
+// home is k's first slot: the top bits of k times 2^64 over the golden ratio.
+func (t *intTable) home(k int64) int { return int(uint64(k) * 0x9e3779b97f4a7c15 >> t.shift) }
+
+// get returns k's value.
+func (t *intTable) get(k int64) (v int, ok bool) {
+	mask := len(t.slots) - 1
+	for i := t.home(k); t.n > 0 && t.slots[i].v != free; i = (i + 1) & mask { // the zero table has no slots
+		if t.slots[i].key == k {
+			return t.slots[i].v, true
+		}
+	}
+	return 0, false
+}
+
+// upsert finds k, returning its value to update in place, or inserts it with
+// value v and reports fresh, doubling the table once it is over 7/8 full.
+func (t *intTable) upsert(k int64, v int) (val *int, fresh bool) {
+	mask := len(t.slots) - 1
+	i := t.home(k)
+	for ; t.slots[i].v != free; i = (i + 1) & mask {
+		if t.slots[i].key == k {
+			return &t.slots[i].v, false
+		}
+	}
+	t.slots[i] = slot{k, v}
+	if t.n++; t.n > len(t.slots)/8*7 {
+		t.grow()
+	}
+	return nil, true
+}
+
+// grow moves every key into a table twice the size.
+func (t *intTable) grow() {
+	old := t.slots
+	*t = newIntTable(t.n)
+	for _, s := range old {
+		if s.v != free {
+			t.upsert(s.key, s.v)
+		}
+	}
 }
 
 // NewTable creates an empty table. Extents are assigned by the catalog.
@@ -269,48 +351,53 @@ func (t *Table) RowsPerPage() int {
 	return t.rowsPerPage
 }
 
-// build indexes keys by rid in one counting pass: a key's first rid is its
-// map value, and a key seen again gets the next list number and a count. The
-// lists are then capacity-limited windows of one slab, sized by the counts and
-// filled by a second walk of the rows, so a later insert that appends to a
-// full list moves that list alone. A unique column's map is sized up front.
-func build[K comparable](ix *Index, keys []K, unique bool) map[K]int {
-	size := 0
-	if unique {
-		size = len(keys)
-	}
-	m := make(map[K]int, size)
+// buildInts indexes an int column's keys by rid in one counting pass: a key's
+// first rid is its value, and a key seen again gets the next list number and
+// a count. The lists are then capacity-limited windows of one slab, sized by
+// the counts and filled by a second walk of the rows, so a later insert that
+// appends to a full list moves that list alone. size is the keys the table
+// starts with room for.
+func buildInts(ix *Index, keys []int64, size int) intTable {
+	t := newIntTable(size)
 	var counts []int
 	for rid, k := range keys {
-		switch v, ok := m[k]; {
-		case !ok:
-			m[k] = rid
-		case v >= 0:
-			m[k] = ^len(counts)
+		switch v, fresh := t.upsert(k, rid); {
+		case fresh:
+		case *v >= 0:
+			*v = ^len(counts)
 			counts = append(counts, 2)
 		default:
-			counts[^v]++
+			counts[^*v]++
 		}
 	}
 	if len(counts) == 0 {
-		return m
+		return t
 	}
 	ix.lists = make([][]int, len(counts))
-	slab := make([]int, len(keys)-len(m)+len(counts)) // every rid but the single keys'
+	slab := make([]int, len(keys)-t.n+len(counts)) // every rid but the single keys'
 	for i, c := range counts {
 		ix.lists[i], slab = slab[:0:c], slab[c:]
 	}
 	for rid, k := range keys {
-		if v := m[k]; v < 0 {
+		if v, _ := t.get(k); v < 0 {
 			ix.lists[^v] = append(ix.lists[^v], rid)
 		}
+	}
+	return t
+}
+
+// addAll indexes keys by rid one by one: the build of a map-keyed index.
+func addAll[K comparable](ix *Index, keys []K, size int) map[K]int {
+	m := make(map[K]int, size)
+	for rid, k := range keys {
+		addTo(ix, m, k, rid)
 	}
 	return m
 }
 
 // AddIndex creates a hash index over an existing column, building it from
-// current rows by build: from the typed vector, or for a column that has
-// degraded from the boxed one, every key then living in the boxed map.
+// current rows: from the typed vector, or for a column that has degraded from
+// the boxed one, every key then living in the boxed map.
 func (t *Table) AddIndex(column string, unique bool, extent, pages int) error {
 	ci := t.Schema.ColIndex(column)
 	if ci < 0 {
@@ -320,13 +407,17 @@ func (t *Table) AddIndex(column string, unique bool, extent, pages int) error {
 	defer t.mu.Unlock()
 	c := &t.cols[ci]
 	ix := &Index{Column: column, Unique: unique, Extent: extent, Pages: pages, ci: ci}
+	size := 0 // the keys a build makes room for: one a row for a unique column
+	if unique {
+		size = t.numRows
+	}
 	switch {
 	case c.degraded():
-		ix.boxed = build(ix, c.anys[:t.numRows], unique)
+		ix.boxed = addAll(ix, c.anys[:t.numRows], size)
 	case c.kind == TInt:
-		ix.ints = build(ix, c.ints[:t.numRows], unique)
+		ix.ints = buildInts(ix, c.ints[:t.numRows], size)
 	default:
-		ix.strs = build(ix, c.strs[:t.numRows], unique)
+		ix.strs = addAll(ix, c.strs[:t.numRows], size)
 	}
 	t.indexes[column] = ix
 	return nil

@@ -393,13 +393,15 @@ func appendIndex(t *Table, column string) map[any][]int {
 	return model
 }
 
-// lists is every key's rids in ix, whichever map holds it, as the model has
-// them.
+// lists is every key's rids in ix, whichever table or map holds it, as the
+// model has them.
 func lists(ix *Index) map[any][]int {
 	out := map[any][]int{}
 	var one [1]int
-	for k := range ix.ints {
-		out[k] = slices.Clone(ix.rids(k, &one))
+	for _, s := range ix.ints.slots {
+		if s.v != free {
+			out[s.key] = slices.Clone(ix.rids(s.key, &one))
+		}
 	}
 	for k := range ix.strs {
 		out[k] = slices.Clone(ix.rids(k, &one))
@@ -408,6 +410,122 @@ func lists(ix *Index) map[any][]int {
 		out[k] = slices.Clone(ix.rids(k, &one))
 	}
 	return out
+}
+
+// TestModelIndexTable holds the int table to a map[int64]int model under a
+// seeded mix of upserts and gets, from an empty table through several
+// doublings: random keys, a small domain that repeats, the keys 0, -1,
+// MinInt64 and MaxInt64, and a run of keys built to share one home slot at
+// every size the table reaches. Values are rids and list numbers, the
+// extremes included. A found key's value is updated in place, as the index
+// does when a key gains a rid. Gets cover the zero and the empty table and
+// absent keys whose home is inside the full run.
+func TestModelIndexTable(t *testing.T) {
+	seed := testSeed(t)
+	rng := rand.New(rand.NewSource(seed))
+	var zero intTable
+	if v, ok := zero.get(0); ok {
+		t.Fatalf("get(0) on the zero table = %d, found", v)
+	}
+	tbl := newIntTable(0)
+	edges := []int64{0, -1, math.MinInt64, math.MaxInt64}
+	for _, k := range edges {
+		if v, ok := tbl.get(k); ok {
+			t.Fatalf("get(%d) on an empty table = %d, found", k, v)
+		}
+	}
+	// k*phi's top 16 bits pick k's home at every size up to 1<<16, so keys
+	// whose products share them share a home until then: k = p * phi^-1.
+	inv := uint64(0x9e3779b97f4a7c15)
+	for i := 0; i < 6; i++ {
+		inv *= 2 - 0x9e3779b97f4a7c15*inv
+	}
+	home := uint64(rng.Intn(1<<16)) << 48
+	var run, absent []int64
+	for j := uint64(1); j <= 80; j++ {
+		k := int64((home | j<<20) * inv)
+		if j%2 == 0 {
+			run = append(run, k)
+		} else {
+			absent = append(absent, k) // never inserted: a get walks the run
+		}
+	}
+	model := map[int64]int{}
+	check := func(step int, k int64) {
+		v, ok := tbl.get(k)
+		if want, in := model[k]; ok != in || v != want {
+			t.Fatalf("step %d: get(%d) = %d %v, model %d %v", step, k, v, ok, want, in)
+		}
+	}
+	var sizes []int
+	const steps = 20_000
+	for step := 0; step < steps; step++ {
+		var k int64
+		switch r := rng.Intn(10); {
+		case r < 4:
+			k = int64(rng.Uint64())
+		case r < 7:
+			k = int64(rng.Intn(3000) - 1500)
+		case r < 8:
+			k = edges[rng.Intn(len(edges))]
+		case r < 9:
+			k = run[rng.Intn(len(run))]
+		default:
+			check(step, absent[rng.Intn(len(absent))])
+			continue
+		}
+		if rng.Intn(3) == 0 {
+			check(step, k)
+			continue
+		}
+		v := rng.Intn(1 << 40)
+		switch rng.Intn(8) {
+		case 0:
+			v = []int{0, -1, math.MaxInt, math.MinInt + 1}[rng.Intn(4)] // every value but the free mark
+		case 1, 2, 3:
+			v = ^v // a list number
+		}
+		val, fresh := tbl.upsert(k, v)
+		old, in := model[k]
+		switch {
+		case fresh == in:
+			t.Fatalf("step %d: upsert(%d) fresh %v, model has it: %v", step, k, fresh, in)
+		case !fresh && *val != old:
+			t.Fatalf("step %d: upsert(%d) found %d, model %d", step, k, *val, old)
+		case !fresh:
+			*val = v
+		}
+		model[k] = v
+		if tbl.n != len(model) || tbl.n > len(tbl.slots)/8*7 {
+			t.Fatalf("step %d: %d keys in %d slots, model %d", step, tbl.n, len(tbl.slots), len(model))
+		}
+		if len(sizes) == 0 || sizes[len(sizes)-1] != len(tbl.slots) {
+			sizes = append(sizes, len(tbl.slots))
+		}
+	}
+	for k := range model {
+		check(steps, k)
+	}
+	for _, k := range append(edges, absent...) {
+		check(steps, k)
+	}
+	held := 0
+	for _, s := range tbl.slots {
+		if s.v != free {
+			if held++; model[s.key] != s.v {
+				t.Fatalf("slot of key %d holds %d, model %d", s.key, s.v, model[s.key])
+			}
+		}
+	}
+	if held != len(model) || len(sizes) < 6 || len(tbl.slots) > 1<<16 {
+		t.Fatalf("%d slots held for %d keys; sizes %v: want several doublings below 1<<16", held, len(model), sizes)
+	}
+	// The run is full: its keys and the absent ones share a home slot.
+	for _, k := range append(run, absent...) {
+		if tbl.home(k) != tbl.home(run[0]) {
+			t.Fatalf("key %d's home is %d, the run's %d", k, tbl.home(k), tbl.home(run[0]))
+		}
+	}
 }
 
 // TestModelIndexBuild holds AddIndex to the append model, over unique and
@@ -630,4 +748,46 @@ func BenchmarkProbe(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkIndexGrow is the path an index takes when it starts empty and
+// inserts fill it, as the benchmark's events table and its unique eid index
+// do: 1 000 000 Inserts into an empty table with an index on its int column,
+// the key table doubling as it fills. It reports ns per insert and, as
+// grow-ms, the longest single Insert that doubled the table: the pause a
+// writer holds the table's lock for.
+//
+//	go test -run XXX -bench IndexGrow -benchmem ./internal/storage/
+func BenchmarkIndexGrow(b *testing.B) {
+	const n = 1_000_000
+	keys := make([]any, n)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	var worst time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tbl := NewTable("events", NewSchema(Column{Name: "eid", Type: TInt}), 0)
+		if err := tbl.AddIndex("eid", true, 1, 64); err != nil {
+			b.Fatal(err)
+		}
+		ix := tbl.Index("eid")
+		row := []any{nil}
+		for _, k := range keys {
+			row[0] = k
+			if ix.ints.n < len(ix.ints.slots)/8*7 {
+				tbl.Insert(row)
+				continue
+			}
+			start := time.Now() // this insert doubles the table
+			tbl.Insert(row)
+			worst = max(worst, time.Since(start))
+		}
+		if ix.ints.n != n {
+			b.Fatalf("%d keys indexed, want %d", ix.ints.n, n)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/insert")
+	b.ReportMetric(float64(worst.Microseconds())/1000, "grow-ms")
 }
