@@ -114,11 +114,10 @@ func (ti *tableInfo) notePos(shard, rid int) {
 }
 
 // globalPos returns the merge key of one shard-local row: mapped rows carry
-// their recorded position; rows the router never saw insert (both the
-// routed and the batched insert paths trace positions, so only rows
-// inserted behind the router's back land here) sort after every known row
-// in a deterministic (local rid, shard) order. The caller holds ti.mu's read
-// lock, once for every row it maps.
+// their recorded position; rows the router never saw insert (both the routed
+// and the batched insert paths trace positions, so only rows inserted behind
+// the router's back land here) sort after every known row in a deterministic
+// (local rid, shard) order. The caller holds ti.mu's read lock.
 func (ti *tableInfo) globalPos(shard, rid int) int {
 	if shard < len(ti.global) && rid < len(ti.global[shard]) && ti.global[shard][rid] >= 0 {
 		return ti.global[shard][rid]

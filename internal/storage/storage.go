@@ -16,6 +16,7 @@ package storage
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"sort"
 	"strconv"
@@ -204,8 +205,7 @@ func (ix *Index) add(key any, rid int) {
 
 // addTo appends rid to k's rids in m.
 func addTo[K comparable](ix *Index, m map[K]int, k K, rid int) {
-	v, ok := m[k]
-	if ok {
+	if v, ok := m[k]; ok {
 		ix.push(&v, rid)
 		rid = v
 	}
@@ -226,8 +226,7 @@ func (ix *Index) push(v *int, rid int) {
 // rids returns key's rids, ascending: a list of the index's own, or the one
 // rid in the caller's one.
 func (ix *Index) rids(key any, one *[1]int) []int {
-	var v int
-	var ok bool
+	v, ok := 0, false
 	switch k := key.(type) {
 	case int64:
 		v, ok = ix.ints.get(k)
@@ -253,8 +252,9 @@ func (ix *Index) rids(key any, one *[1]int) []int {
 // rid is >= 0, a list ^i > math.MinInt), so every int64 is a key.
 type intTable struct {
 	slots []slot
-	n     int  // keys held
-	shift uint // 64 - log2(len(slots)): home keeps a hash's top bits
+	n     int    // keys held
+	shift uint   // 64 - log2(len(slots)): home keeps a hash's top bits
+	seed  uint64 // per table: clients cannot choose keys that share a home
 }
 
 type slot struct {
@@ -265,20 +265,22 @@ type slot struct {
 const free = math.MinInt
 
 // newIntTable returns an empty table with room for keys keys before it grows.
-func newIntTable(keys int) intTable {
+func newIntTable(keys int, seed uint64) intTable {
 	size, shift := 8, uint(61)
 	for size/8*7 < keys {
 		size, shift = 2*size, shift-1
 	}
-	t := intTable{slots: make([]slot, size), shift: shift}
+	t := intTable{slots: make([]slot, size), shift: shift, seed: seed}
 	for i := range t.slots {
 		t.slots[i].v = free
 	}
 	return t
 }
 
-// home is k's first slot: the top bits of k times 2^64 over the golden ratio.
-func (t *intTable) home(k int64) int { return int(uint64(k) * 0x9e3779b97f4a7c15 >> t.shift) }
+// home is k's first slot: the top bits of k^seed times 2^64 over the golden ratio.
+func (t *intTable) home(k int64) int {
+	return int((uint64(k) ^ t.seed) * 0x9e3779b97f4a7c15 >> t.shift)
+}
 
 // get returns k's value.
 func (t *intTable) get(k int64) (v int, ok bool) {
@@ -294,9 +296,8 @@ func (t *intTable) get(k int64) (v int, ok bool) {
 // upsert finds k, returning its value to update in place, or inserts it with
 // value v and reports fresh, doubling the table once it is over 7/8 full.
 func (t *intTable) upsert(k int64, v int) (val *int, fresh bool) {
-	mask := len(t.slots) - 1
 	i := t.home(k)
-	for ; t.slots[i].v != free; i = (i + 1) & mask {
+	for mask := len(t.slots) - 1; t.slots[i].v != free; i = (i + 1) & mask {
 		if t.slots[i].key == k {
 			return &t.slots[i].v, false
 		}
@@ -311,7 +312,7 @@ func (t *intTable) upsert(k int64, v int) (val *int, fresh bool) {
 // grow moves every key into a table twice the size.
 func (t *intTable) grow() {
 	old := t.slots
-	*t = newIntTable(t.n)
+	*t = newIntTable(t.n, t.seed)
 	for _, s := range old {
 		if s.v != free {
 			t.upsert(s.key, s.v)
@@ -358,7 +359,7 @@ func (t *Table) RowsPerPage() int {
 // appends to a full list moves that list alone. size is the keys the table
 // starts with room for.
 func buildInts(ix *Index, keys []int64, size int) intTable {
-	t := newIntTable(size)
+	t := newIntTable(size, rand.Uint64())
 	var counts []int
 	for rid, k := range keys {
 		switch v, fresh := t.upsert(k, rid); {

@@ -415,11 +415,12 @@ func lists(ix *Index) map[any][]int {
 // TestModelIndexTable holds the int table to a map[int64]int model under a
 // seeded mix of upserts and gets, from an empty table through several
 // doublings: random keys, a small domain that repeats, the keys 0, -1,
-// MinInt64 and MaxInt64, and a run of keys built to share one home slot at
-// every size the table reaches. Values are rids and list numbers, the
-// extremes included. A found key's value is updated in place, as the index
-// does when a key gains a rid. Gets cover the zero and the empty table and
-// absent keys whose home is inside the full run.
+// MinInt64 and MaxInt64, and a run of keys built from the table's seed to
+// share one home slot at every size the table reaches (so grow keeps it).
+// Values are rids and list numbers, the extremes included. A found key's value
+// is updated in place, as the index does when a key gains a rid. Gets cover
+// the zero and the empty table and absent keys whose home is inside the full
+// run.
 func TestModelIndexTable(t *testing.T) {
 	seed := testSeed(t)
 	rng := rand.New(rand.NewSource(seed))
@@ -427,15 +428,19 @@ func TestModelIndexTable(t *testing.T) {
 	if v, ok := zero.get(0); ok {
 		t.Fatalf("get(0) on the zero table = %d, found", v)
 	}
-	tbl := newIntTable(0)
+	tbl := newIntTable(0, rng.Uint64())
 	edges := []int64{0, -1, math.MinInt64, math.MaxInt64}
 	for _, k := range edges {
 		if v, ok := tbl.get(k); ok {
 			t.Fatalf("get(%d) on an empty table = %d, found", k, v)
 		}
 	}
-	// k*phi's top 16 bits pick k's home at every size up to 1<<16, so keys
-	// whose products share them share a home until then: k = p * phi^-1.
+	if x, y := buildInts(&Index{}, nil, 0), buildInts(&Index{}, nil, 0); x.seed == y.seed {
+		t.Fatalf("two builds share the hash seed %#x", x.seed)
+	}
+	// (k^seed)*phi's top 16 bits pick k's home at every size up to 1<<16, so
+	// keys whose products share them share a home until then, and only a
+	// caller that knows the table's seed can build them: k = p*phi^-1 ^ seed.
 	inv := uint64(0x9e3779b97f4a7c15)
 	for i := 0; i < 6; i++ {
 		inv *= 2 - 0x9e3779b97f4a7c15*inv
@@ -443,7 +448,7 @@ func TestModelIndexTable(t *testing.T) {
 	home := uint64(rng.Intn(1<<16)) << 48
 	var run, absent []int64
 	for j := uint64(1); j <= 80; j++ {
-		k := int64((home | j<<20) * inv)
+		k := int64((home|j<<20)*inv ^ tbl.seed)
 		if j%2 == 0 {
 			run = append(run, k)
 		} else {
