@@ -280,14 +280,6 @@ func TestDifferentialCopyDoors(t *testing.T) {
 				d.rows["logs"][2] = append([][]any(nil), d.rows["logs"][0]...)
 			})
 		}},
-		{"Merge destination", func(d *doors) {
-			d.migrateUnderWrites(func() error { return d.rt.Merge(1, 0) }, func(*shard.Ranges) {
-				// Reference form: the lower slot's rows, then the higher's; the
-				// merged-away slot keeps only the replicated tables.
-				u := d.rows["users"]
-				u[1], u[0] = append(append([][]any(nil), u[0]...), u[1]...), nil
-			})
-		}},
 		{"Recover by suffix", func(d *doors) {
 			g := d.groups()[0]
 			g.FailOut(0)

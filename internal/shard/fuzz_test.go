@@ -2,12 +2,13 @@ package shard
 
 import "testing"
 
-// FuzzPartition drives the range map through arbitrary split/merge
-// histories and checks, at every generation, that an arbitrary key hashes
-// into exactly one owned range (by linear scan, independently of the
-// binary-search Owner), that the structural invariants hold, and that
-// deliberately corrupted variants — overlapping or gapped range sets — are
-// rejected by Validate.
+// FuzzPartition drives the range map through arbitrary split histories and
+// checks, at every generation, that an arbitrary key hashes into exactly one
+// owned range (by linear scan, independently of the binary-search Owner),
+// that the structural invariants hold, that every backend 0..n−1 owns
+// exactly one entry and Owners() is 0..n−1 ascending (the scatter and
+// broadcast target set), and that deliberately corrupted variants —
+// overlapping or gapped range sets — are rejected by Validate.
 func FuzzPartition(f *testing.F) {
 	f.Add(int64(42), uint8(3), uint64(0xBEEF))
 	f.Add(int64(-1), uint8(1), uint64(0))
@@ -38,6 +39,24 @@ func FuzzPartition(f *testing.F) {
 			if got := rg.Owner(h); got != owner {
 				t.Fatalf("step %d: Owner(%#x) = %d, linear scan says %d", step, h, got, owner)
 			}
+			entriesOf := make([]int, backends)
+			for _, e := range entries {
+				entriesOf[e.Owner]++
+			}
+			for b, n := range entriesOf {
+				if n != 1 {
+					t.Fatalf("step %d: backend %d owns %d entries, want exactly 1 (%v)", step, b, n, entries)
+				}
+			}
+			owners := rg.Owners()
+			if len(owners) != backends {
+				t.Fatalf("step %d: Owners() = %v, want 0..%d", step, owners, backends-1)
+			}
+			for i, o := range owners {
+				if o != i {
+					t.Fatalf("step %d: Owners() = %v, want 0..%d", step, owners, backends-1)
+				}
+			}
 			// Corrupted variants must not validate: duplicate a start
 			// (overlap) and drop the ring bottom (gap).
 			if len(entries) > 1 {
@@ -55,26 +74,13 @@ func FuzzPartition(f *testing.F) {
 
 		check(0)
 		for i := 0; i < 16; i++ {
-			op := (ops >> (uint(i) * 4)) & 0xF
-			target := int(op>>1) % backends
-			if op&1 == 0 {
-				next, _, err := rg.Split(target, backends)
-				if err != nil {
-					continue // rangeless or unsplittable target: map unchanged
-				}
-				rg = next
-				backends++
-			} else {
-				other := (target + 1 + int(op>>2)) % backends
-				if other == target {
-					continue
-				}
-				next, _, err := rg.Merge(target, other)
-				if err != nil {
-					continue
-				}
-				rg = next
+			target := int((ops>>(uint(i)*4))&0xF) % backends
+			next, _, err := rg.Split(target)
+			if err != nil { // 16 halvings leave every range far wider than one hash
+				t.Fatalf("step %d: split %d: %v", i+1, target, err)
 			}
+			rg = next
+			backends++
 			check(i + 1)
 		}
 	})

@@ -2,39 +2,40 @@ package shard
 
 import (
 	"fmt"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
-// This file implements online re-sharding: Router.Split and Router.Merge
-// move hash-range ownership between backends while traffic keeps flowing.
+// This file implements online re-sharding: Router.Split moves the upper
+// half of one backend's hash range onto a new backend while traffic keeps
+// flowing.
 //
 // Storage is append-only (no row deletion), so a migration never carves
-// rows out of a live backend; it builds replacement backends and retires
-// the old ones whole. The protocol, for either operation:
+// rows out of a live backend; it builds two backends — the source's
+// replacement and the new one — and retires the source whole. The protocol:
 //
 //  1. Barrier (mig write lock, no statement in flight): take per-table
-//     views, cut off at their row counts, of the source shards and arm
+//     views, cut off at their row counts, of the source shard and arm
 //     double-write capture. Every row below a cutoff is a fully
 //     acknowledged, position-mapped row; every insert acknowledged after the
 //     barrier is captured, as a one-row view, in the pending buffer.
-//  2. Copy (no router locks, traffic flowing): build the replacement
-//     backends from the cutoff prefixes in one wal.Copy — the sources' DDL
-//     order, every row to its owner under the next-generation range map,
-//     indexes — then warm them. New backends are invisible to routing.
+//  2. Copy (no router locks, traffic flowing): build both backends from the
+//     cutoff prefixes in one wal.Copy — the source's DDL order, every row to
+//     its owner under the next-generation range map, indexes — then warm
+//     them. New backends are invisible to routing.
 //  3. Flip (mig write lock again): apply the pending double-writes to the
-//     replacements in capture order, splice the replacements into the
-//     backend set, install the next-generation range map, disarm capture.
-//     Readers drain before the lock and re-route after it, so no statement
-//     ever observes a partial move.
-//  4. Retire: close the old backends. (A replacement replica group needs no
+//     new backends in capture order, put the replacement in the source's
+//     slot and append the other, install the next-generation range map,
+//     disarm capture. Readers drain before the lock and re-route after it,
+//     so no statement ever observes a partial move.
+//  4. Retire: close the source backend. (A new replica group needs no
 //     checkpoint: like any bulk-loaded group it snapshots its base state
 //     before its first logged write and inside CrashPrimary.)
 //
-// The flip never asks the source backends for a row — pending rows are views,
+// The flip never asks the source backend for a row — pending rows are views,
 // taken at capture, of append-only vectors — so a source primary crash
 // between copy and flip cannot lose or duplicate an acknowledged write:
 // everything acknowledged before the barrier is below a cutoff, everything
@@ -42,11 +43,9 @@ import (
 
 // MigrationStats counts the re-sharding machinery's work to date.
 type MigrationStats struct {
-	Generation   int64 // range-map generation (Split/Merge steps applied)
+	Generation   int64 // range-map generation (Split steps applied)
 	Splits       int64
-	Merges       int64
-	RangesMoved  int64 // hash ranges that changed owner
-	RowsCopied   int64 // rows bulk-copied onto replacement backends
+	RowsCopied   int64 // rows bulk-copied onto new backends
 	DoubleWrites int64 // inserts captured and replayed by migrations
 }
 
@@ -55,8 +54,6 @@ func (r *Router) MigrationStats() MigrationStats {
 	return MigrationStats{
 		Generation:   r.ranges.Load().Generation(),
 		Splits:       r.splits.Load(),
-		Merges:       r.merges.Load(),
-		RangesMoved:  r.rangesMoved.Load(),
 		RowsCopied:   r.rowsCopied.Load(),
 		DoubleWrites: r.doubleWrites.Load(),
 	}
@@ -73,85 +70,57 @@ func (r *Router) SetMigrationHook(fn func(phase string)) {
 	r.mig.Unlock()
 }
 
-// Split halves the widest hash range of shard s: a fresh backend is
-// appended to the cluster and takes ownership of the upper half, while a
-// rebuilt shard s keeps the lower half (and any other ranges s owns).
-// Traffic keeps flowing throughout; the routing change is atomic under the
-// next range-map generation.
+// Split halves shard s's hash range: a fresh backend is appended to the
+// cluster and takes ownership of the upper half, while a rebuilt shard s
+// keeps the lower half. Traffic keeps flowing throughout; the routing change
+// is atomic under the next range-map generation.
 func (r *Router) Split(s int) error {
 	r.migMu.Lock()
 	defer r.migMu.Unlock()
 	if s < 0 || s >= len(r.backends) {
 		return fmt.Errorf("shard: split: no shard %d", s)
 	}
-	newIdx := len(r.backends)
-	next, _, err := r.ranges.Load().Split(s, newIdx)
+	next, _, err := r.ranges.Load().Split(s)
 	if err != nil {
 		return err
 	}
-	return r.migrate("split", next, &r.splits, 1, []int{s, newIdx}, []int{s})
+	return r.migrate(s, next)
 }
 
-// Merge folds shard b into shard a: a rebuilt shard a takes ownership of
-// every range b owned (plus its own), and slot b is replaced by a fresh
-// backend holding only the replicated tables — it stays a full broadcast
-// participant but owns no hash range and holds no sharded rows. Traffic
-// keeps flowing throughout; the routing change is atomic under the next
-// range-map generation.
-func (r *Router) Merge(a, b int) error {
-	r.migMu.Lock()
-	defer r.migMu.Unlock()
-	if a < 0 || a >= len(r.backends) || b < 0 || b >= len(r.backends) {
-		return fmt.Errorf("shard: merge: no shard pair (%d,%d)", a, b)
-	}
-	next, moved, err := r.ranges.Load().Merge(a, b)
-	if err != nil {
-		return err
-	}
-	return r.migrate("merge", next, &r.merges, moved, []int{a, b}, []int{min(a, b), max(a, b)})
-}
-
-// migrate runs the protocol at the top of this file for one Split or Merge:
-// slots are the backend slots it rebuilds (len(backends) appends a shard),
-// srcs — ascending — the slots whose rows the replacements inherit, next the
-// range map the flip installs, and count / moved the operation's counters.
-// Every sharded row of a source goes to the slot that owns it under next;
-// replicated tables are copied to every replacement from the lowest source
-// (shard 0 serves all replicated-table reads, so whenever it is rebuilt its
-// replacement keeps its own row order). Callers hold migMu.
-func (r *Router) migrate(op string, next *Ranges, count *atomic.Int64, moved int, slots, srcs []int) error {
+// migrate runs the protocol at the top of this file for one Split of slot
+// src: fresh[0] replaces src, fresh[1] is appended at slot len(backends),
+// and next is the range map the flip installs. Every sharded row of src goes
+// to the slot that owns it under next; replicated tables are copied to both.
+// Callers hold migMu.
+func (r *Router) migrate(src int, next *Ranges) error {
 	if r.mk == nil {
-		return fmt.Errorf("shard: %s: no backend factory (router wraps external backends; call SetBackendFactory)", op)
+		return fmt.Errorf("shard: split: no backend factory (router wraps external backends; call SetBackendFactory)")
 	}
-	fresh := make([]Backend, len(slots))
-	globs := make([]map[string][]int, len(slots)) // per replacement: table -> global positions in rid order
-	dstOf := map[int]int{}                        // slot -> its replacement's index in fresh
-	for k, slot := range slots {
-		fresh[k], globs[k], dstOf[slot] = r.mk(), map[string][]int{}, k
-	}
+	added := len(r.backends)
+	fresh := []Backend{r.mk(), r.mk()}
+	globs := []map[string][]int{{}, {}} // per new backend: table -> global positions in rid order
 	dsts := copySets(fresh)
 	// place is the ownership rule of both the copy and the flip.
 	place := func(ti *tableInfo, v *storage.View, rid int) int {
 		if ti.key == "" {
 			return wal.All
 		}
-		if d, ok := dstOf[next.ownerOfRow(v, ti.keyPos, rid)]; ok {
-			return d
+		switch next.ownerOfRow(v, ti.keyPos, rid) {
+		case src:
+			return 0
+		case added:
+			return 1
 		}
-		return len(fresh) // a slot this migration does not rebuild: the copier refuses it
+		return len(fresh) // not this split's row: the copier refuses it
 	}
 
-	// Barrier: arm double-write capture and take the copy cutoffs — each
+	// Barrier: arm double-write capture and take the copy cutoffs — the
 	// source's own tables as they stand — with no statement in flight, so
 	// every row below a cutoff is fully acknowledged and position-mapped, and
 	// every insert acknowledged afterward lands in the double-write buffer.
 	r.mig.Lock()
-	live := make([][]wal.TableSource, len(srcs))
-	sources := map[int]bool{}
-	for k, s := range srcs {
-		live[k], sources[s] = wal.LiveTables(catalog(r.backends[s])), true
-	}
-	r.migActive, r.migSources, r.pending = true, sources, nil
+	live := wal.LiveTables(catalog(r.backends[src]))
+	r.migActive, r.migSource, r.pending = true, src, nil
 	hook := r.migHook
 	r.mig.Unlock()
 
@@ -160,35 +129,24 @@ func (r *Router) migrate(op string, next *Ranges, count *atomic.Int64, moved int
 	}
 	// The copy runs with traffic flowing: storage is append-only, so the rows
 	// below the barrier's cutoffs are immutable.
-	var list []wal.TableSource
-	var from []int // list[i]'s source slot
-	var tis []*tableInfo
-	for t, src := range live[0] {
-		ti, n := r.table(src.Name), len(srcs)
-		if ti.key == "" {
-			n = 1
-		}
-		for k := 0; k < n; k++ {
-			if src = live[k][t]; k > 0 {
-				src.Schema, src.Indexes = nil, nil // the table's second source: rows only
-			}
-			list, from, tis = append(list, src), append(from, srcs[k]), append(tis, ti)
-		}
+	tis := make([]*tableInfo, len(live))
+	for i, t := range live {
+		tis[i] = r.table(t.Name)
 	}
-	kept, err := wal.Copy(dsts, list, func(src, rid int, v *storage.View) int { return place(tis[src], v, rid) })
+	kept, err := wal.Copy(dsts, live, func(i, rid int, v *storage.View) int { return place(tis[i], v, rid) })
 	if err != nil {
 		r.abortMigration(fresh)
 		return fmt.Errorf("shard: migrate: %w", err)
 	}
 	var copied int64
-	for i, src := range list {
+	for i, t := range live {
 		if tis[i].key == "" {
-			copied += int64(src.View.NumRows * len(fresh))
+			copied += int64(t.View.NumRows * len(fresh))
 		}
 		tis[i].mu.RLock()
 		for d, rids := range kept[i] {
 			for _, rid := range rids {
-				globs[d][src.Name] = append(globs[d][src.Name], tis[i].globalPos(from[i], rid))
+				globs[d][t.Name] = append(globs[d][t.Name], tis[i].globalPos(src, rid))
 			}
 			copied += int64(len(rids))
 		}
@@ -207,16 +165,9 @@ func (r *Router) migrate(op string, next *Ranges, count *atomic.Int64, moved int
 		r.abortMigration(fresh)
 		return err
 	}
-	nb := append([]Backend(nil), r.backends...)
-	var retired []Backend
-	for k, slot := range slots {
-		if slot == len(nb) {
-			nb = append(nb, nil)
-		} else {
-			retired = append(retired, nb[slot])
-		}
-		nb[slot] = fresh[k]
-	}
+	retired := r.backends[src]
+	nb := append(slices.Clone(r.backends), fresh[1])
+	nb[src] = fresh[0]
 	r.tmu.RLock()
 	for name, ti := range r.tables {
 		ti.mu.Lock()
@@ -224,29 +175,24 @@ func (r *Router) migrate(op string, next *Ranges, count *atomic.Int64, moved int
 			ti.global = append(ti.global, nil)
 		}
 		if ti.key != "" {
-			for k, slot := range slots {
-				ti.global[slot] = globs[k][name]
-			}
+			ti.global[src], ti.global[added] = globs[0][name], globs[1][name]
 		}
 		ti.mu.Unlock()
 	}
 	r.tmu.RUnlock()
 	r.backends = nb
 	r.ranges.Store(next)
-	r.migActive, r.migSources, r.pending = false, nil, nil
-	count.Add(1)
-	r.rangesMoved.Add(int64(moved))
+	r.migActive, r.pending = false, nil
+	r.splits.Add(1)
 	r.rowsCopied.Add(copied)
 	r.registerMetricsLocked()
 	r.mig.Unlock()
 
-	for _, b := range retired {
-		b.Close()
-	}
+	retired.Close()
 	return nil
 }
 
-// applyPending replays the double-write buffer onto the replacements in
+// applyPending replays the double-write buffer onto the new backends in
 // capture order — through the copier, one rows-only source per captured row.
 // Called under the mig write lock — the barrier guarantees every captured
 // insert's position map entry is complete — and never asks a source backend
@@ -278,12 +224,11 @@ func (r *Router) applyPending(dsts [][]*server.Server, place func(*tableInfo, *s
 	return nil
 }
 
-// abortMigration disarms double-write capture and discards the replacement
-// backends after a failed copy or flip, leaving the cluster exactly as it
-// was.
+// abortMigration disarms double-write capture and discards the new backends
+// after a failed copy or flip, leaving the cluster exactly as it was.
 func (r *Router) abortMigration(fresh []Backend) {
 	r.mig.Lock()
-	r.migActive, r.migSources, r.pending = false, nil, nil
+	r.migActive, r.pending = false, nil
 	r.mig.Unlock()
 	for _, b := range fresh {
 		b.Close()

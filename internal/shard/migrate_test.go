@@ -156,7 +156,7 @@ func TestSplitUnderTrafficMatchesSingleServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := r.MigrationStats()
-	if ms.Splits != 1 || ms.RangesMoved != 1 {
+	if ms.Splits != 1 {
 		t.Fatalf("migration stats after split: %+v", ms)
 	}
 	if ms.RowsCopied == 0 {
@@ -178,60 +178,6 @@ func TestSplitUnderTrafficMatchesSingleServer(t *testing.T) {
 			"select name from users where uid = ?", []any{uid})
 	}
 	assertConservation(t, ref, r, "post-split inserts")
-}
-
-func TestMergeUnderTrafficMatchesSingleServer(t *testing.T) {
-	ref, r := newFixture(t, 3)
-	compareAll(t, ref, r, "pre-merge")
-
-	copyKeys := migrationKeys(r, 10_000, []int{0, 1}, 6)
-	flipKeys := migrationKeys(r, 20_000, []int{0, 1}, 4)
-	insert := func(keys []int64, label string) {
-		for _, uid := range keys {
-			applyBoth(t, ref, r, fmt.Sprintf("%s insert uid=%d", label, uid),
-				"insert into users values (?, ?, ?)", []any{uid, fmt.Sprintf("m%d", uid), uid % 21})
-		}
-	}
-	err := orchestrate(t, r, func() error { return r.Merge(0, 1) },
-		func() { insert(copyKeys, "during-copy") },
-		func() { insert(flipKeys, "during-flip") })
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-
-	if got := r.Shards(); got != 3 {
-		t.Fatalf("merge must not drop backend slots, got %d", got)
-	}
-	rg := r.Ranges()
-	if rg.Owns(1) {
-		t.Fatal("merged-away shard still owns a range")
-	}
-	if got := rg.Owners(); len(got) != 2 {
-		t.Fatalf("owners after merge: %v", got)
-	}
-	ms := r.MigrationStats()
-	if ms.Merges != 1 || ms.RangesMoved == 0 || ms.RowsCopied == 0 {
-		t.Fatalf("migration stats after merge: %+v", ms)
-	}
-	if ms.DoubleWrites == 0 {
-		t.Fatalf("merge captured no double-writes: %+v", ms)
-	}
-	// The retired slot keeps the replicated tables (it still serves
-	// broadcasts) but holds no sharded rows.
-	if got := numRows(r.Backends()[1], "users"); got != 0 {
-		t.Fatalf("merged-away shard still holds %d users rows", got)
-	}
-	assertConservation(t, ref, r, "post-merge")
-	compareAll(t, ref, r, "post-merge")
-
-	// Keys that belonged to the merged-away shard now route to the target.
-	for _, uid := range migrationKeys(r, 30_000, []int{0}, 3) {
-		applyBoth(t, ref, r, fmt.Sprintf("post-merge insert uid=%d", uid),
-			"insert into users values (?, ?, ?)", []any{uid, fmt.Sprintf("p%d", uid), int64(3)})
-		applyBoth(t, ref, r, fmt.Sprintf("post-merge readback uid=%d", uid),
-			"select name from users where uid = ?", []any{uid})
-	}
-	assertConservation(t, ref, r, "post-merge inserts")
 }
 
 // emptyFixture builds a reference and router whose only sharded table has
@@ -264,24 +210,6 @@ func TestSplitShardWhoseRangeHoldsZeroRows(t *testing.T) {
 	// The split shard's (empty) range still routes inserts correctly.
 	for i := int64(0); i < 30; i++ {
 		applyBoth(t, ref, r, fmt.Sprintf("post-split insert %d", i),
-			"insert into empty values (?, ?)", []any{i, fmt.Sprintf("t%d", i)})
-	}
-	applyBoth(t, ref, r, "post-insert scan", "select count(eid) from empty", nil)
-	assertEmptyConservation(t, ref, r)
-}
-
-func TestMergeTwoEmptyShards(t *testing.T) {
-	ref, r := emptyFixture(t, 2)
-	if err := r.Merge(1, 0); err != nil {
-		t.Fatalf("empty merge: %v", err)
-	}
-	rg := r.Ranges()
-	if rg.Owns(0) || !rg.Owns(1) {
-		t.Fatalf("ownership after empty merge: %v", rg.Owners())
-	}
-	applyBoth(t, ref, r, "post-merge scan", "select count(eid) from empty", nil)
-	for i := int64(0); i < 30; i++ {
-		applyBoth(t, ref, r, fmt.Sprintf("post-merge insert %d", i),
 			"insert into empty values (?, ?)", []any{i, fmt.Sprintf("t%d", i)})
 	}
 	applyBoth(t, ref, r, "post-insert scan", "select count(eid) from empty", nil)
@@ -403,9 +331,6 @@ func TestMigrationWithoutFactoryFails(t *testing.T) {
 	t.Cleanup(r.Close)
 	if err := r.Split(0); err == nil {
 		t.Fatal("split without a backend factory must fail")
-	}
-	if err := r.Merge(0, 1); err == nil {
-		t.Fatal("merge without a backend factory must fail")
 	}
 	r.SetBackendFactory(func() Backend { return server.New(server.SYS1(), 0) })
 	if err := r.Split(0); err != nil {

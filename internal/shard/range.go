@@ -69,23 +69,23 @@ type RangeEntry struct {
 
 // Ranges is an immutable snapshot of hash-range ownership: a sorted,
 // gap-free, non-overlapping cover of the full 64-bit ring, plus the
-// generation counter that advances on every Split/Merge. Routers swap
-// whole snapshots atomically, so a reader always sees one consistent
-// generation.
+// generation counter that advances on every Split. Split is the only
+// ownership change, so backend i of an n-backend cluster owns exactly one
+// entry and the owners are 0..n−1. Routers swap whole snapshots atomically,
+// so a reader always sees one consistent generation.
 type Ranges struct {
 	entries []RangeEntry
 	gen     int64
-	owners  []int // sorted distinct owners, computed when the snapshot is built
+	owners  []int // 0..len(entries)−1, built with the snapshot
 }
 
 // newRanges builds the snapshot over entries at generation gen.
 func newRanges(entries []RangeEntry, gen int64) *Ranges {
-	owners := make([]int, 0, len(entries))
-	for _, e := range entries {
-		owners = append(owners, e.Owner)
+	owners := make([]int, len(entries))
+	for i := range owners {
+		owners[i] = i
 	}
-	slices.Sort(owners)
-	return &Ranges{entries: entries, gen: gen, owners: slices.Compact(owners)}
+	return &Ranges{entries: entries, gen: gen, owners: owners}
 }
 
 // NewRanges builds the generation-0 map of a fresh n-way cluster: shard i
@@ -102,8 +102,8 @@ func NewRanges(n int) *Ranges {
 	return newRanges(entries, 0)
 }
 
-// Generation returns the number of Split/Merge steps this map is away from
-// its generation-0 ancestor.
+// Generation returns the number of Split steps this map is away from its
+// generation-0 ancestor.
 func (rg *Ranges) Generation() int64 { return rg.gen }
 
 // Entries returns a copy of the range set in ring order.
@@ -134,20 +134,10 @@ func (rg *Ranges) ownerOfRow(v *storage.View, col, rid int) int {
 	return rg.OwnerOf(c.Any(rid))
 }
 
-// Owners returns the sorted distinct backend indices that own at least one
+// Owners returns the backend indices 0..n−1, every one of which owns a
 // range — the scatter target set. The slice belongs to the snapshot: callers
 // must not modify it.
 func (rg *Ranges) Owners() []int { return rg.owners }
-
-// Owns reports whether backend s owns at least one range.
-func (rg *Ranges) Owns(s int) bool {
-	for _, e := range rg.entries {
-		if e.Owner == s {
-			return true
-		}
-	}
-	return false
-}
 
 // span returns the width of entry k (0 means the full 2⁶⁴ ring).
 func (rg *Ranges) span(k int) uint64 {
@@ -158,66 +148,26 @@ func (rg *Ranges) span(k int) uint64 {
 	return next - rg.entries[k].Start
 }
 
-// Split halves owner's widest range, keeping the lower half on owner and
-// assigning the upper half to newOwner, and returns the next-generation map
-// plus the split point. The receiver is unchanged.
-func (rg *Ranges) Split(owner, newOwner int) (*Ranges, uint64, error) {
-	widest, found := -1, false
-	var wspan uint64
-	for k := range rg.entries {
-		if rg.entries[k].Owner != owner {
-			continue
-		}
-		sp := rg.span(k)
-		// span 0 is the full ring — wider than any nonzero span.
-		if !found || sp == 0 || (wspan != 0 && sp > wspan) {
-			widest, wspan, found = k, sp, true
-		}
-		if wspan == 0 {
-			break
-		}
-	}
-	if !found {
+// Split halves owner's range, keeping the lower half on owner and assigning
+// the upper half to a new backend, len(entries) — the index the router
+// appends it at — and returns the next-generation map plus the split point.
+// The receiver is unchanged.
+func (rg *Ranges) Split(owner int) (*Ranges, uint64, error) {
+	k := slices.IndexFunc(rg.entries, func(e RangeEntry) bool { return e.Owner == owner })
+	if k < 0 {
 		return nil, 0, fmt.Errorf("shard: split: shard %d owns no range", owner)
 	}
-	half := wspan / 2
-	if wspan == 0 {
+	sp := rg.span(k)
+	half := sp / 2
+	if sp == 0 { // the full ring
 		half = 1 << 63
 	}
 	if half == 0 {
-		return nil, 0, fmt.Errorf("shard: split: shard %d's widest range is a single hash", owner)
+		return nil, 0, fmt.Errorf("shard: split: shard %d's range is a single hash", owner)
 	}
-	mid := rg.entries[widest].Start + half
-	entries := make([]RangeEntry, 0, len(rg.entries)+1)
-	entries = append(entries, rg.entries[:widest+1]...)
-	entries = append(entries, RangeEntry{Start: mid, Owner: newOwner})
-	entries = append(entries, rg.entries[widest+1:]...)
+	mid := rg.entries[k].Start + half
+	entries := slices.Insert(slices.Clone(rg.entries), k+1, RangeEntry{Start: mid, Owner: len(rg.entries)})
 	return newRanges(entries, rg.gen+1), mid, nil
-}
-
-// Merge reassigns every range owned by b to a, coalescing adjacent
-// same-owner ranges, and returns the next-generation map plus the number of
-// ranges that moved. The receiver is unchanged; b owns nothing afterward.
-func (rg *Ranges) Merge(a, b int) (*Ranges, int, error) {
-	if a == b {
-		return nil, 0, fmt.Errorf("shard: merge: shard %d into itself", a)
-	}
-	moved := 0
-	entries := make([]RangeEntry, 0, len(rg.entries))
-	for _, e := range rg.entries {
-		if e.Owner == b {
-			e.Owner = a
-			moved++
-		}
-		if n := len(entries); n > 0 && entries[n-1].Owner == e.Owner {
-			continue // coalesce: previous entry already covers through here
-		}
-		entries = append(entries, e)
-	}
-	if moved == 0 {
-		return nil, 0, fmt.Errorf("shard: merge: shard %d owns no range", b)
-	}
-	return newRanges(entries, rg.gen+1), moved, nil
 }
 
 // Validate checks the structural invariants the router depends on: a

@@ -57,7 +57,7 @@ func TestRangeBoundaryKeysAreOwnedInclusively(t *testing.T) {
 	// A split point is itself a range edge: the midpoint belongs to the new
 	// owner, the hash just below it stays with the old one.
 	rg := NewRanges(2)
-	next, mid, err := rg.Split(0, 2)
+	next, mid, err := rg.Split(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,60 +69,25 @@ func TestRangeBoundaryKeysAreOwnedInclusively(t *testing.T) {
 	}
 }
 
-func TestSplitMergeRoundTripCoalesces(t *testing.T) {
-	rg := NewRanges(3)
-	split, _, err := rg.Split(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if split.Generation() != 1 {
-		t.Fatalf("generation after split: %d", split.Generation())
-	}
-	if err := split.Validate(4); err != nil {
-		t.Fatal(err)
-	}
-	if got := split.Owners(); len(got) != 4 {
-		t.Fatalf("owners after split: %v", got)
-	}
-	back, moved, err := split.Merge(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 1 {
-		t.Fatalf("ranges moved by merge: %d", moved)
-	}
-	if err := back.Validate(4); err != nil {
-		t.Fatal(err)
-	}
-	// The merged halves are adjacent and same-owner again: they coalesce
-	// back to the original range count.
-	if got, want := len(back.Entries()), len(rg.Entries()); got != want {
-		t.Fatalf("entries after round trip: %d, want %d", got, want)
-	}
-	if back.Owns(3) {
-		t.Fatal("merged-away shard still owns a range")
-	}
-	for i := int64(0); i < 500; i++ {
-		if back.OwnerOf(i) != rg.OwnerOf(i) {
-			t.Fatalf("key %d changed owner across split+merge round trip", i)
+func TestSplitErrors(t *testing.T) {
+	rg := NewRanges(2)
+	for _, s := range []int{-1, 2} {
+		if _, _, err := rg.Split(s); err == nil {
+			t.Fatalf("splitting shard %d of 2 must fail", s)
 		}
 	}
-}
-
-func TestSplitMergeErrors(t *testing.T) {
-	rg := NewRanges(2)
-	if _, _, err := rg.Merge(0, 0); err == nil {
-		t.Fatal("merge of a shard into itself must fail")
+	// Each split halves shard 0's range: after 64 it is a single hash, which
+	// cannot be halved again.
+	rg = NewRanges(1)
+	for i := 0; i < 64; i++ {
+		next, _, err := rg.Split(0)
+		if err != nil {
+			t.Fatalf("split %d: %v", i+1, err)
+		}
+		rg = next
 	}
-	merged, _, err := rg.Merge(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := merged.Merge(0, 1); err == nil {
-		t.Fatal("merging a rangeless shard must fail")
-	}
-	if _, _, err := merged.Split(1, 5); err == nil {
-		t.Fatal("splitting a rangeless shard must fail")
+	if _, _, err := rg.Split(0); err == nil {
+		t.Fatal("splitting a single-hash range must fail")
 	}
 }
 

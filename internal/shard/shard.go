@@ -152,23 +152,23 @@ type Router struct {
 	// path holds the read side for its full duration, so the migration's
 	// cutoff and flip steps (write side) see no statement mid-dispatch.
 	mig sync.RWMutex
-	// migMu serializes whole migrations (one Split/Merge at a time).
+	// migMu serializes whole migrations (one Split at a time).
 	migMu sync.Mutex
 	// Double-write capture state, installed and cleared under mig's write
 	// lock, read by execution paths under the read lock.
-	migActive  bool
-	migSources map[int]bool
-	pendingMu  sync.Mutex
-	pending    []pendingWrite
-	migHook    func(phase string)
+	migActive bool
+	migSource int // the slot being split, while migActive
+	pendingMu sync.Mutex
+	pending   []pendingWrite
+	migHook   func(phase string)
 
 	// mk builds one more backend identical to the originals (nil when the
-	// router wraps caller-supplied backends; Split/Merge then need
+	// router wraps caller-supplied backends; Split then needs
 	// SetBackendFactory).
 	mk func() Backend
 
 	// Migration counters (MigrationStats, shard.migrations metrics).
-	splits, merges, rangesMoved, rowsCopied, doubleWrites atomic.Int64
+	splits, rowsCopied, doubleWrites atomic.Int64
 
 	// Metrics hookup remembered so migrations can re-register swapped and
 	// appended backends; guarded by mig.
@@ -237,8 +237,7 @@ func (r *Router) SetBackendFactory(mk func() Backend) { r.mk = mk }
 // Ranges returns the current hash-range ownership snapshot.
 func (r *Router) Ranges() *Ranges { return r.ranges.Load() }
 
-// Shards returns the number of backends (including backends that currently
-// own no hash range after a merge).
+// Shards returns the number of backends.
 func (r *Router) Shards() int {
 	r.mig.RLock()
 	defer r.mig.RUnlock()
@@ -448,12 +447,10 @@ func (r *Router) fanout(c *query.Call, targets []int, subs [][][]any) []fanLeg {
 // identical. Shard 0's reply speaks for all, except that a binding any shard
 // failed reports that shard's error. Acknowledged bindings are staged for
 // double-writing (in binding order) while a migration's copy phase runs.
+// The targets are the range map's owners, which are every backend: the map
+// and the backends are swapped together under the migration write lock.
 func (r *Router) broadcast(c *query.Call, table string, rep *query.Reply) {
-	all := make([]int, len(r.backends))
-	for i := range all {
-		all[i] = i
-	}
-	legs := r.fanout(c, all, nil)
+	legs := r.fanout(c, r.ranges.Load().Owners(), nil)
 	*rep = legs[0].rep
 	for k := range legs[1:] {
 		o := &legs[1+k].rep
@@ -565,9 +562,9 @@ func (r *Router) Do(c *query.Call, rep *query.Reply) {
 // and is applied to the new backends at flip, after the copied prefix, in
 // capture order. Only acknowledged inserts are staged — a failed insert
 // never reaches the buffer, so the flip cannot manufacture writes. Callers
-// hold the migration read lock, so migActive/migSources are stable.
+// hold the migration read lock, so migActive/migSource are stable.
 func (r *Router) stagePending(table string, src, rid int, repl bool) {
-	if !r.migActive || (!repl && !r.migSources[src]) {
+	if !r.migActive || (!repl && src != r.migSource) {
 		return
 	}
 	var v storage.View
@@ -584,8 +581,7 @@ func (r *Router) stagePending(table string, src, rid int, repl bool) {
 // shard's index key statistics (the rid-count map every insert maintains)
 // and skips shards holding zero matching keys. The peek models a statistics
 // cache on the router — no round trip is charged, which is the point.
-// Candidates are the range map's active owners (a merged-away backend holds
-// no sharded rows and is never a candidate). It returns the shard ids to
+// Candidates are the range map's owners. It returns the shard ids to
 // visit, or nil when no indexed predicate prunes. An empty result still
 // keeps one representative shard so validation errors (which are
 // schema-determined and identical everywhere) surface exactly as a full
@@ -637,7 +633,7 @@ func (r *Router) ScatterPruned() int64 { return r.pruned.Load() }
 // scatter runs one statement on every shard holding candidate rows — in
 // parallel — and merges the partial results into exactly what a single
 // server holding all the data would return. The candidate set is the range
-// map's active owners, read from one snapshot so the target list and the
+// map's owners, read from one snapshot so the target list and the
 // pruning accounting agree on a single generation even while a migration
 // runs. Shards the index statistics prove empty for the predicate are
 // skipped (pruneTargets); an empty shard's contribution to every merge is
@@ -910,10 +906,10 @@ func (r *Router) BatchGroup(name, sql string, args []any) int {
 // sources: one "shard<i>." subtree per backend (server or replica-group
 // stats plus WAL state), a router-level source for the scatter planner, and
 // a "shard.migrations" source for the re-sharding machinery (generation,
-// splits, merges, ranges moved, rows copied, double-writes); replica-group
-// backends also land their fsync histograms in reg. The hookup is
-// remembered: a migration re-registers swapped and appended backends under
-// their shard index on flip.
+// splits, rows copied, double-writes); replica-group backends also land
+// their fsync histograms in reg. The hookup is remembered: a migration
+// re-registers swapped and appended backends under their shard index on
+// flip.
 func (r *Router) RegisterMetrics(reg *obs.Registry, prefix string) {
 	r.mig.Lock()
 	defer r.mig.Unlock()
@@ -939,8 +935,6 @@ func (r *Router) registerMetricsLocked() {
 		return map[string]float64{
 			"generation":    float64(ms.Generation),
 			"splits":        float64(ms.Splits),
-			"merges":        float64(ms.Merges),
-			"ranges.moved":  float64(ms.RangesMoved),
 			"rows.copied":   float64(ms.RowsCopied),
 			"double.writes": float64(ms.DoubleWrites),
 		}
