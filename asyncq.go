@@ -43,12 +43,10 @@
 package asyncq
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/batch"
 	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -135,45 +133,6 @@ func TransformWithOptions(src string, opt Options) (string, *Report, error) {
 		return "", nil, err
 	}
 	return ir.Print(out), convertReport(rep), nil
-}
-
-// Analyze reports applicability without returning rewritten code.
-func Analyze(src string, opt Options) (*Report, error) {
-	proc, err := minilang.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	rep := core.Analyze(proc, core.Options{
-		Registry:    buildRegistry(opt.Funcs),
-		OnlyQueries: opt.OnlyQueries,
-	})
-	return convertReport(rep), nil
-}
-
-// DDG returns the Graphviz dot rendering of the data dependence graph of
-// the n-th loop (0-based) in src, including external and loop-carried
-// dependences — the paper's Figure 1 view.
-func DDG(src string, loopIndex int) (string, error) {
-	proc, err := minilang.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	reg := ir.NewRegistry()
-	n := -1
-	var out string
-	ir.WalkStmts(proc.Body, func(s ir.Stmt) {
-		switch s.(type) {
-		case *ir.While, *ir.ForEach, *ir.Scan:
-			n++
-			if n == loopIndex && out == "" {
-				out = dataflow.BuildLoop(s, reg).Dot(fmt.Sprintf("%s_loop%d", proc.Name, n))
-			}
-		}
-	})
-	if out == "" {
-		return "", fmt.Errorf("asyncq: no loop %d in %s", loopIndex, proc.Name)
-	}
-	return out, nil
 }
 
 func buildRegistry(funcs []FuncSig) *ir.Registry {
@@ -280,21 +239,6 @@ func NewBatchedPool(workers int, run Runner, runBatch BatchRunner, maxBatch int)
 // List builds a mini-language list value for program arguments.
 func List(items ...Value) Value { return interp.NewList(items...) }
 
-// Row builds a mini-language row value (query-result record).
-func Row(fields map[string]Value) Value {
-	r := interp.Row{}
-	for k, v := range fields {
-		r[k] = v
-	}
-	return r
-}
-
-// Rows builds a list-of-rows value.
-func Rows(rows ...interp.Row) Value { return interp.Rows(rows) }
-
-// FormatValue renders a value deterministically.
-func FormatValue(v Value) string { return interp.Format(v) }
-
 // RunResult is the outcome of running a program.
 type RunResult struct {
 	Returned []Value
@@ -307,12 +251,12 @@ type RunResult struct {
 // backed by a pool (NewPool). Programs are parsed and slot-compiled once
 // per distinct source and cached, so callers that run the same program
 // millions of times pay compilation on the first call only.
-func Run(src string, args []Value, svc QueryService, funcs ...FuncSig) (*RunResult, error) {
+func Run(src string, args []Value, svc QueryService) (*RunResult, error) {
 	prog, err := compiledProgram(src)
 	if err != nil {
 		return nil, err
 	}
-	in := interp.New(buildRegistry(funcs), svc)
+	in := interp.New(ir.NewRegistry(), svc)
 	res, err := in.RunProgram(prog, args)
 	if err != nil {
 		return nil, err

@@ -184,17 +184,38 @@ func main() {
 }
 
 // defaultArgs supplies simple arguments so -run works on programs with
-// integer or list parameters: integers get 20, lists get [1..12].
+// integer or list parameters: a parameter that is a foreach collection or an
+// argument of empty, first, removeFirst or size gets [1..12], any other 20.
 func defaultArgs(p *ir.Proc) []interp.Value {
-	args := make([]interp.Value, len(p.Params))
-	for i := range args {
-		items := make([]interp.Value, 12)
-		for j := range items {
-			items[j] = int64(j + 1)
+	lists := map[string]bool{}
+	mark := func(e ir.Expr) {
+		if v, ok := e.(*ir.Var); ok {
+			lists[v.Name] = true
 		}
-		if i%2 == 0 {
-			args[i] = int64(20)
-		} else {
+	}
+	ir.WalkStmts(p.Body, func(s ir.Stmt) {
+		if f, ok := s.(*ir.ForEach); ok {
+			mark(f.Coll)
+		}
+		ir.WalkExprs(s, func(e ir.Expr) {
+			if c, ok := e.(*ir.Call); ok {
+				switch c.Fn {
+				case "empty", "first", "removeFirst", "size":
+					for _, a := range c.Args {
+						mark(a)
+					}
+				}
+			}
+		})
+	})
+	args := make([]interp.Value, len(p.Params))
+	for i, name := range p.Params {
+		args[i] = int64(20)
+		if lists[name] {
+			items := make([]interp.Value, 12)
+			for j := range items {
+				items[j] = int64(j + 1)
+			}
 			args[i] = interp.NewList(items...)
 		}
 	}

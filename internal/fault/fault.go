@@ -68,15 +68,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Kinds lists every fault kind (iteration in logs and sweeps).
-func Kinds() []Kind {
-	out := make([]Kind, numKinds)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
-}
-
 // ErrInjected is the root of every injected error; layers test provenance
 // with errors.Is(err, fault.ErrInjected).
 var ErrInjected = errors.New("fault: injected")
@@ -127,8 +118,8 @@ func (in *Injector) Rate(k Kind, p float64) *Injector {
 
 // RateAll arms every kind at probability p. Chainable.
 func (in *Injector) RateAll(p float64) *Injector {
-	for _, k := range Kinds() {
-		in.Rate(k, p)
+	for k := range in.kinds {
+		in.Rate(Kind(k), p)
 	}
 	return in
 }
@@ -205,20 +196,6 @@ func (in *Injector) Fired(k Kind) int64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.kinds[k].fired
-}
-
-// TotalFired sums firings across all kinds (nil-safe).
-func (in *Injector) TotalFired() int64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var n int64
-	for k := range in.kinds {
-		n += in.kinds[k].fired
-	}
-	return n
 }
 
 // Counts snapshots fired/seen per kind for logging ("conn-reset": fired).

@@ -149,13 +149,13 @@ proc q(n) {
 }
 
 func TestRecordFieldSetTwiceKeepsOneEntry(t *testing.T) {
-	r := NewRecord()
+	r := &Record{}
 	r.Set("a", int64(1))
 	r.Set("a", int64(2))
 	if got := Format(r); got != "record{a=2}" {
 		t.Fatalf("got %s", got)
 	}
-	want := NewRecord()
+	want := &Record{}
 	want.Set("a", int64(2))
 	if !Equivalent(r, want) {
 		t.Fatal("record set twice is not equivalent to one set once")
@@ -170,7 +170,7 @@ func TestRecordFieldSetTwiceKeepsOneEntry(t *testing.T) {
 // Format of a record sorts its keys, whatever order they were set in, and
 // reads as it did when a record was a map.
 func TestRecordFormat(t *testing.T) {
-	r := NewRecord()
+	r := &Record{}
 	if got := Format(r); got != "record{}" {
 		t.Fatalf("empty record: %s", got)
 	}
@@ -191,7 +191,7 @@ func TestRecordFormat(t *testing.T) {
 
 func TestRecordEquivalenceIgnoresSetOrder(t *testing.T) {
 	build := func(kv ...Value) *Record {
-		r := NewRecord()
+		r := &Record{}
 		for i := 0; i < len(kv); i += 2 {
 			r.Set(kv[i].(string), kv[i+1])
 		}

@@ -197,7 +197,7 @@ func (in *Interp) execStmt(s ir.Stmt, env map[string]Value, queries map[string]s
 		env[x.Name] = &Table{}
 		return nil, nil
 	case *ir.NewRecord:
-		env[x.Name] = NewRecord()
+		env[x.Name] = &Record{}
 		return nil, nil
 	case *ir.SetField:
 		rec, err := in.record(x.Record, env)

@@ -174,6 +174,9 @@ func TestFormatDeterminism(t *testing.T) {
 	if Format(r) != "{a=1, b=2, c=x}" {
 		t.Fatalf("row format not sorted: %s", Format(r))
 	}
+	if got := Format(Rows{}); got != "rows()" {
+		t.Fatalf("empty rows format: %s", got)
+	}
 }
 
 func TestEqualValues(t *testing.T) {

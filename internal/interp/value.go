@@ -58,9 +58,6 @@ type field struct {
 	val  Value
 }
 
-// NewRecord returns an empty record.
-func NewRecord() *Record { return &Record{} }
-
 // Set stores a field (copying list values).
 func (r *Record) Set(name string, v Value) {
 	v = copyValue(v)

@@ -4,8 +4,6 @@
 // the data dependence graph is built and the transformation rules operate.
 package ir
 
-import "fmt"
-
 // Proc is a procedure: the unit of analysis and transformation.
 // It corresponds to a Java method body in the paper's tool.
 type Proc struct {
@@ -20,16 +18,6 @@ type Proc struct {
 type QueryDecl struct {
 	Name string
 	SQL  string
-}
-
-// QueryByName returns the SQL text of a declared query, or "" if absent.
-func (p *Proc) QueryByName(name string) string {
-	for _, q := range p.Queries {
-		if q.Name == name {
-			return q.SQL
-		}
-	}
-	return ""
 }
 
 // Block is an ordered statement list.
@@ -441,7 +429,3 @@ func WalkStmts(b *Block, fn func(Stmt)) {
 		}
 	}
 }
-
-// String implements fmt.Stringer for debugging; the full pretty-printer is
-// in print.go.
-func (p *Proc) GoString() string { return fmt.Sprintf("proc %s/%d", p.Name, len(p.Params)) }

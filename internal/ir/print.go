@@ -20,13 +20,6 @@ func Print(p *Proc) string {
 	return b.String()
 }
 
-// PrintBlock renders just a block (used by tests and debug dumps).
-func PrintBlock(blk *Block) string {
-	var b strings.Builder
-	printBlock(&b, blk, 0)
-	return b.String()
-}
-
 // PrintStmt renders a single statement on one line (compound statements are
 // rendered multi-line).
 func PrintStmt(s Stmt) string {

@@ -37,8 +37,8 @@ proc q(x) {
 	if len(p.Queries) != 2 {
 		t.Fatalf("want 2 queries, got %d", len(p.Queries))
 	}
-	if p.QueryByName("q1") == "" || p.QueryByName("nope") != "" {
-		t.Fatal("QueryByName misbehaves")
+	if q := p.Queries[0]; q.Name != "q1" || q.SQL != "select a from t where k = ?" {
+		t.Fatalf("first query declaration = %+v", q)
 	}
 	eq := p.Body.Stmts[0].(*ir.ExecQuery)
 	if eq.Kind != ir.QuerySelect || eq.Lhs != "v" {

@@ -303,7 +303,7 @@ func TestTornFrameCutsAnywhere(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if _, _, err := ReadFrame(conn); err == nil && WriteFrame(conn, MsgHelloAck, EncodeHelloAck()) == nil {
+			if _, _, err := readFrame(conn, nil); err == nil && WriteFrame(conn, MsgHelloAck, EncodeHelloAck()) == nil {
 				n, _ := io.Copy(io.Discard, conn)
 				torn <- int(n)
 			}

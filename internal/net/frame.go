@@ -49,12 +49,6 @@ func WriteFrame(w io.Writer, msgType byte, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, returning its type and payload. It reads exactly
-// the frame's bytes from r.
-func ReadFrame(r io.Reader) (byte, []byte, error) {
-	return readFrame(r, nil)
-}
-
 // readFrame reads one frame from r into buf's storage, growing it as needed,
 // and returns the type and the payload (which aliases that storage). The
 // connections pass a bufio.Reader, so a frame — or a burst of pipelined

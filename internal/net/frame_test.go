@@ -79,7 +79,7 @@ func TestReadFrameDoesNotTrustLengthPrefix(t *testing.T) {
 	hdr[4] = MsgResult
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := ReadFrame(bytes.NewReader(hdr[:]))
+	_, _, err := readFrame(bytes.NewReader(hdr[:]), nil)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("got %v, want an early-EOF error", err)
@@ -122,7 +122,7 @@ func TestDecodedValuesDoNotAliasPayload(t *testing.T) {
 	var last stmtNames
 	var names []string
 	for name, frame := range validFrames(t) {
-		msgType, payload, err := ReadFrame(bytes.NewReader(frame))
+		msgType, payload, err := readFrame(bytes.NewReader(frame), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -312,7 +312,7 @@ func TestServerRejectsExpiredDeadline(t *testing.T) {
 	if err := WriteFrame(conn, MsgHello, EncodeHello()); err != nil {
 		t.Fatal(err)
 	}
-	if msgType, _, err := ReadFrame(conn); err != nil || msgType != MsgHelloAck {
+	if msgType, _, err := readFrame(conn, nil); err != nil || msgType != MsgHelloAck {
 		t.Fatalf("handshake: %d %v", msgType, err)
 	}
 	req := query.Req("late", "q", nil)
@@ -324,7 +324,7 @@ func TestServerRejectsExpiredDeadline(t *testing.T) {
 	if err := WriteFrame(conn, MsgExec, payload); err != nil {
 		t.Fatal(err)
 	}
-	msgType, respPayload, err := ReadFrame(conn)
+	msgType, respPayload, err := readFrame(conn, nil)
 	if err != nil || msgType != MsgResult {
 		t.Fatalf("response: %d %v", msgType, err)
 	}
@@ -353,7 +353,7 @@ func TestVersionMismatchClosesConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := ReadFrame(conn); err == nil {
+	if _, _, err := readFrame(conn, nil); err == nil {
 		t.Fatal("server answered a mismatched version")
 	}
 }

@@ -61,7 +61,7 @@ func decodePayload(msgType byte, payload []byte) error {
 		_, _, err := DecodeExec(payload)
 		return err
 	case MsgExecBatch:
-		_, _, err := DecodeExecBatch(payload)
+		_, _, err := decodeExecBatch(payload, &stmtNames{})
 		return err
 	case MsgResult:
 		_, _, err := DecodeResult(payload)
@@ -73,14 +73,14 @@ func decodePayload(msgType byte, payload []byte) error {
 	return nil
 }
 
-// Every strict prefix of a valid frame must make ReadFrame return an error —
+// Every strict prefix of a valid frame must make readFrame return an error —
 // an EOF-class error or ErrBadFrame — never a panic and never a bogus frame.
 // This is every early-EOF point a torn write can produce: mid-header,
 // header-only, and every partial-payload length.
 func TestReadFrameEveryEarlyEOF(t *testing.T) {
 	for name, frame := range validFrames(t) {
 		for cut := 0; cut < len(frame); cut++ {
-			_, _, err := ReadFrame(bytes.NewReader(frame[:cut]))
+			_, _, err := readFrame(bytes.NewReader(frame[:cut]), nil)
 			if err == nil {
 				t.Fatalf("%s frame cut at %d/%d bytes read successfully", name, cut, len(frame))
 			}
@@ -89,7 +89,7 @@ func TestReadFrameEveryEarlyEOF(t *testing.T) {
 			}
 		}
 		// The intact frame still reads, so the loop above tested real prefixes.
-		if _, _, err := ReadFrame(bytes.NewReader(frame)); err != nil {
+		if _, _, err := readFrame(bytes.NewReader(frame), nil); err != nil {
 			t.Fatalf("%s frame unreadable intact: %v", name, err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestReadFrameEveryEarlyEOF(t *testing.T) {
 // truncation boundary.
 func TestDecodersRejectEveryTruncatedPayload(t *testing.T) {
 	for name, frame := range validFrames(t) {
-		msgType, payload, err := ReadFrame(bytes.NewReader(frame))
+		msgType, payload, err := readFrame(bytes.NewReader(frame), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -119,7 +119,7 @@ func TestDecodersRejectEveryTruncatedPayload(t *testing.T) {
 }
 
 // FuzzTruncatedFrame is the torn-write fuzzer: it takes frame bytes and a
-// cut point, feeds the truncated stream to ReadFrame, and — when a frame
+// cut point, feeds the truncated stream to readFrame, and — when a frame
 // does survive — feeds its payload through the message decoders. Nothing in
 // this path may panic or misread, no matter where the connection died.
 func FuzzTruncatedFrame(f *testing.F) {
@@ -135,13 +135,13 @@ func FuzzTruncatedFrame(f *testing.F) {
 			cut = len(data)
 		}
 		r := bytes.NewReader(data[:cut])
-		msgType, payload, err := ReadFrame(r)
+		msgType, payload, err := readFrame(r, nil)
 		if err != nil {
 			return // rejected — that's fine, it just must not panic
 		}
 		// A frame that did decode must have been fully present.
 		if len(payload)+5 > cut {
-			t.Fatalf("ReadFrame over-read: %d payload bytes from a %d byte stream",
+			t.Fatalf("readFrame over-read: %d payload bytes from a %d byte stream",
 				len(payload), cut)
 		}
 		// And the message layer must reject or decode without panicking,
@@ -163,7 +163,7 @@ func relayTo(t *testing.T, s *Server, mangle func(msgType byte, payload []byte) 
 	relay := func(dst, src stdnet.Conn, mangle func(byte, []byte) []byte) {
 		defer dst.Close()
 		for {
-			msgType, payload, err := ReadFrame(src)
+			msgType, payload, err := readFrame(src, nil)
 			if err != nil {
 				return
 			}

@@ -668,12 +668,8 @@ func EncodeExecBatch(reqID uint64, req query.BatchRequest) ([]byte, error) {
 	return appendExecBatch(make([]byte, 0, 128), reqID, req)
 }
 
-// DecodeExecBatch decodes a MsgExecBatch payload.
-func DecodeExecBatch(b []byte) (uint64, query.BatchRequest, error) {
-	var last stmtNames
-	return decodeExecBatch(b, &last)
-}
-
+// decodeExecBatch decodes a MsgExecBatch payload, reading its statement
+// through last.
 func decodeExecBatch(b []byte, last *stmtNames) (uint64, query.BatchRequest, error) {
 	r := &reader{b: b}
 	id, h := r.header(last)

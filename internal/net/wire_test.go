@@ -112,7 +112,7 @@ func TestExecBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, got, err := DecodeExecBatch(payload)
+	id, got, err := decodeExecBatch(payload, &stmtNames{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := WriteFrame(&buf, MsgExec, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	msgType, payload, err := ReadFrame(&buf)
+	msgType, payload, err := readFrame(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestReservedHeaderByteMustBeZero(t *testing.T) {
 	}
 	decode := map[string]func([]byte) error{
 		"exec":  func(p []byte) error { _, _, err := DecodeExec(p); return err },
-		"batch": func(p []byte) error { _, _, err := DecodeExecBatch(p); return err },
+		"batch": func(p []byte) error { _, _, err := decodeExecBatch(p, &stmtNames{}); return err },
 	}
 	for name, payload := range map[string][]byte{"exec": exec, "batch": batch} {
 		at := reservedAt(payload)
@@ -338,7 +338,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err := WriteFrame(&buf, msgType, payload); err != nil {
 			t.Skip() // oversized
 		}
-		gotType, gotPayload, err := ReadFrame(&buf)
+		gotType, gotPayload, err := readFrame(&buf, nil)
 		if err != nil {
 			t.Fatalf("own frame unreadable: %v", err)
 		}
@@ -369,7 +369,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				t.Fatalf("unstable round trip: %+v vs %+v", req, req2)
 			}
 		case MsgExecBatch:
-			id, req, err := DecodeExecBatch(payload)
+			id, req, err := decodeExecBatch(payload, &stmtNames{})
 			if err != nil {
 				return
 			}
@@ -380,7 +380,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			if payload[reservedAt(payload)] != 0 || re[reservedAt(re)] != 0 {
 				t.Fatalf("accepted reserved byte %d, re-encoded %d", payload[reservedAt(payload)], re[reservedAt(re)])
 			}
-			if _, req2, err := DecodeExecBatch(re); err != nil || len(req2.ArgSets) != len(req.ArgSets) {
+			if _, req2, err := decodeExecBatch(re, &stmtNames{}); err != nil || len(req2.ArgSets) != len(req.ArgSets) {
 				t.Fatalf("unstable batch round trip: %v", err)
 			}
 		case MsgResult:

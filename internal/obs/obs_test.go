@@ -289,10 +289,10 @@ func TestNilSafety(t *testing.T) {
 	}
 	c.End()
 	sp.End()
-	if tr.Started() != 0 || tr.Ended() != 0 || tr.Open() != 0 || tr.Registry() != nil {
+	if tr.Started() != 0 || tr.Ended() != 0 || tr.Open() != 0 {
 		t.Fatal("nil tracer accounting not zero")
 	}
-	if sp.Name() != "" || sp.Wall() != 0 || sp.Sim() != 0 || sp.SimTotal() != 0 || sp.Children() != nil {
+	if sp.Name() != "" || sp.Sim() != 0 || sp.SimTotal() != 0 || sp.Children() != nil {
 		t.Fatal("nil span accessors not zero")
 	}
 }

@@ -105,14 +105,6 @@ func (s *Span) Name() string {
 	return s.name
 }
 
-// Wall returns the wall-clock duration (valid after End).
-func (s *Span) Wall() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.wall
-}
-
 // Sim returns the simulated charge attributed directly to this span.
 func (s *Span) Sim() time.Duration {
 	if s == nil {
@@ -170,14 +162,6 @@ func NewTracer(reg *Registry) *Tracer {
 		reg = NewRegistry()
 	}
 	return &Tracer{reg: reg}
-}
-
-// Registry returns the tracer's metric registry.
-func (t *Tracer) Registry() *Registry {
-	if t == nil {
-		return nil
-	}
-	return t.reg
 }
 
 // SetSlowLog enables slow-query logging: any root span whose wall time

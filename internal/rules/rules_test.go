@@ -165,7 +165,7 @@ proc e8(start) {
 	}
 	// Expected (paper Example 8): stub; category = getParent(category);
 	// icount = q(stub); sum = sum + icount.
-	got := ir.PrintBlock(body)
+	got := printBlock(body)
 	lines := strings.Split(strings.TrimSpace(got), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("want 4 statements after reorder, got:\n%s", got)
@@ -323,7 +323,7 @@ proc r(x) {
 	}
 	want := "assign,if,if,assign,return"
 	if strings.Join(kinds, ",") != want {
-		t.Fatalf("got %v want %s:\n%s", kinds, want, ir.PrintBlock(p.Body))
+		t.Fatalf("got %v want %s:\n%s", kinds, want, printBlock(p.Body))
 	}
 	firstIf := p.Body.Stmts[1].(*ir.If)
 	if len(firstIf.Then.Stmts) != 2 {
@@ -379,6 +379,17 @@ proc m(stack) {
 	}
 	g := loopGraph(loop, reg)
 	if edges := g.CrossingLCFD(indexOf(body, sq)); len(edges) != 0 {
-		t.Errorf("crossing LCFD remain after reorder: %v\n%s", edges, ir.PrintBlock(body))
+		t.Errorf("crossing LCFD remain after reorder: %v\n%s", edges, printBlock(body))
 	}
+}
+
+// printBlock renders blk one statement per line, for the reorder assertions
+// and failure messages.
+func printBlock(blk *ir.Block) string {
+	var b strings.Builder
+	for _, s := range blk.Stmts {
+		b.WriteString(ir.PrintStmt(s))
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

@@ -1,6 +1,9 @@
 package shard
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzPartition drives the range map through arbitrary split histories and
 // checks, at every generation, that an arbitrary key hashes into exactly one
@@ -23,7 +26,7 @@ func FuzzPartition(f *testing.F) {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			h := Hash64(key)
-			entries := rg.Entries()
+			entries := rg.entries
 			owned, owner := 0, -1
 			for k, e := range entries {
 				inUpper := k == len(entries)-1 || h < entries[k+1].Start
@@ -60,12 +63,12 @@ func FuzzPartition(f *testing.F) {
 			// Corrupted variants must not validate: duplicate a start
 			// (overlap) and drop the ring bottom (gap).
 			if len(entries) > 1 {
-				overlap := &Ranges{entries: rg.Entries()}
+				overlap := &Ranges{entries: slices.Clone(rg.entries)}
 				overlap.entries[1].Start = overlap.entries[0].Start
 				if overlap.Validate(backends) == nil {
 					t.Fatalf("step %d: Validate accepted overlapping ranges", step)
 				}
-				gapped := &Ranges{entries: rg.Entries()[1:]}
+				gapped := &Ranges{entries: slices.Clone(rg.entries[1:])}
 				if gapped.Validate(backends) == nil {
 					t.Fatalf("step %d: Validate accepted a gapped range set", step)
 				}

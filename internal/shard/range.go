@@ -106,13 +106,6 @@ func NewRanges(n int) *Ranges {
 // generation-0 ancestor.
 func (rg *Ranges) Generation() int64 { return rg.gen }
 
-// Entries returns a copy of the range set in ring order.
-func (rg *Ranges) Entries() []RangeEntry {
-	out := make([]RangeEntry, len(rg.entries))
-	copy(out, rg.entries)
-	return out
-}
-
 // Owner returns the backend index owning hash h: the last entry whose
 // Start is ≤ h.
 func (rg *Ranges) Owner(h uint64) int {
