@@ -54,8 +54,7 @@ func (c *RowCol) Cell(i int) Value {
 // vectors as of the statement's snapshot and Sel lists the matching row ids,
 // so no cell is copied until the wire encoder writes it or Rows boxes it. That
 // is safe because storage is append-only — a row is never updated or deleted,
-// an insert only extends a vector, and a column that degrades to boxed cells
-// is copied into a new slice — so the aliased prefix holds exactly the
+// and an insert only extends a vector — so the aliased prefix holds exactly the
 // snapshot's values for as long as the set is held. A RowSet is immutable once
 // built, and a result from Do is held only until it is encoded or boxed: it
 // pins the table vectors of its snapshot, not a copy of them.

@@ -27,11 +27,12 @@ func (s *byteSrc) next() int {
 }
 
 // rowSetsFrom builds a table of up to four columns and eleven rows from data
-// — typed cells, and now and then a null or a cell of the other type, either
-// of which degrades its column to boxed storage — and returns what a real
-// server answers a handful of selects over it in the columnar form: select *,
-// a select list that may name a column twice, a predicate no row matches, and
-// a batch whose bindings are views into one block.
+// and returns what a real server answers a handful of selects over it in the
+// columnar form: select *, a select list that may name a column twice, a
+// predicate no row matches, and a batch whose bindings are views into one
+// block. A table's columns are typed, so the last set is the table's rows
+// boxed, now and then a cell made null or of the other type, and lifted
+// (interp.LiftRows): the one producer of boxed columns.
 func rowSetsFrom(t testing.TB, data []byte) []*interp.RowSet {
 	t.Helper()
 	src := &byteSrc{b: data}
@@ -47,22 +48,30 @@ func rowSetsFrom(t testing.TB, data []byte) []*interp.RowSet {
 	ints := func() any { return int64(int8(src.next())) * 1000003 }
 	strs := func() any { return []string{"", "a", "naïve", "日本", "x y"}[src.next()%5] }
 	var keys []any
+	var mixed interp.Rows
 	for r, n := 0, src.next()%12; r < n; r++ {
-		row := make([]any, len(cols))
+		row, cells := make([]any, len(cols)), make(interp.Row, len(cols))
 		for i, c := range cols {
-			switch sel := src.next() % 8; {
-			case sel == 0:
-				row[i] = nil
-			case (sel == 1) != (c.Type == storage.TInt):
+			sel := src.next() % 8
+			if c.Type == storage.TInt {
 				row[i] = ints()
-			default:
+			} else {
 				row[i] = strs()
+			}
+			switch cells[c.Name] = row[i]; {
+			case sel == 0:
+				cells[c.Name] = nil
+			case sel == 1 && c.Type == storage.TInt:
+				cells[c.Name] = strs()
+			case sel == 1:
+				cells[c.Name] = ints()
 			}
 		}
 		if _, err := tbl.Insert(row); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, row[0])
+		mixed = append(mixed, cells)
 	}
 	srv.FinishLoad()
 	if src.next()%2 == 0 {
@@ -108,7 +117,11 @@ func rowSetsFrom(t testing.TB, data []byte) []*interp.RowSet {
 			add(rep.Values[i], rep.Errs[i])
 		}
 	}
-	return out
+	lifted, ok := interp.LiftRows(mixed)
+	if !ok {
+		t.Fatalf("rows of one table do not lift: %s", interp.Format(mixed))
+	}
+	return append(out, lifted)
 }
 
 // checkRowSetWire holds a columnar result to the codec's oracle: its bytes are

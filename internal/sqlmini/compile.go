@@ -85,20 +85,17 @@ func (p *stmtPlan) project(st *Stmt, t *storage.Table) {
 }
 
 // condFilter is one binding's residual filter, specialized by column type:
-// equality against int columns compares int64 vectors, string columns
-// compare string vectors, and degraded columns fall back to the boxed
-// comparison the row-wise heap used. A predicate whose bound value cannot
-// match its column's type (an int column compared to a string, say) makes
-// the whole conjunction constant-false — exactly what interface inequality
-// produced before, row by row.
+// equality against int columns compares int64 vectors, and string columns
+// compare string vectors. A predicate whose bound value is not of its
+// column's type (an int column compared to a string, say) makes the whole
+// conjunction constant-false: a column holds values of its type only, so no
+// row could match.
 type condFilter struct {
 	constFalse bool
 	intCols    [][]int64
 	intV       []int64
 	strCols    [][]string
 	strV       []string
-	anyCols    [][]any
-	anyV       []any
 }
 
 func (f *condFilter) reset() {
@@ -107,8 +104,6 @@ func (f *condFilter) reset() {
 	f.intV = f.intV[:0]
 	f.strCols = f.strCols[:0]
 	f.strV = f.strV[:0]
-	f.anyCols = f.anyCols[:0]
-	f.anyV = f.anyV[:0]
 }
 
 // validateWhere reports the statement's first unknown predicate column, in
@@ -132,11 +127,7 @@ func (f *condFilter) bind(st *Stmt, plan *stmtPlan, view *storage.View, args []a
 	for i := range st.Where {
 		v, _ := st.Where[i].Value(args) // arity is validated before any bind
 		col := &view.Cols[plan.whereCI[i]]
-		switch {
-		case col.Anys != nil:
-			f.anyCols = append(f.anyCols, col.Anys)
-			f.anyV = append(f.anyV, v)
-		case col.Kind == storage.TInt:
+		if col.Kind == storage.TInt {
 			iv, ok := v.(int64)
 			if !ok {
 				f.constFalse = true
@@ -144,7 +135,7 @@ func (f *condFilter) bind(st *Stmt, plan *stmtPlan, view *storage.View, args []a
 			}
 			f.intCols = append(f.intCols, col.Ints)
 			f.intV = append(f.intV, iv)
-		default:
+		} else {
 			sv, ok := v.(string)
 			if !ok {
 				f.constFalse = true
@@ -159,13 +150,9 @@ func (f *condFilter) bind(st *Stmt, plan *stmtPlan, view *storage.View, args []a
 // release drops the filter's references into table storage so a pooled
 // filter does not pin column vectors — the full capacity is cleared because
 // earlier, wider binds may have left stale headers past the current length.
-// (The plain value slices hold no pointers worth clearing except the boxed
-// anyV.)
 func (f *condFilter) release() {
 	clear(f.intCols[:cap(f.intCols)])
 	clear(f.strCols[:cap(f.strCols)])
-	clear(f.anyCols[:cap(f.anyCols)])
-	clear(f.anyV[:cap(f.anyV)])
 	f.reset()
 }
 
@@ -181,11 +168,6 @@ func (f *condFilter) match(rid int) bool {
 			return false
 		}
 	}
-	for k, col := range f.anyCols {
-		if col[rid] != f.anyV[k] {
-			return false
-		}
-	}
 	return true
 }
 
@@ -196,7 +178,7 @@ func (f *condFilter) appendMatches(matched, rids []int) []int {
 	}
 	// Single-int-predicate fast path: the dominant shape (point and
 	// category lookups) runs as one typed sweep.
-	if len(f.intCols) == 1 && len(f.strCols) == 0 && len(f.anyCols) == 0 {
+	if len(f.intCols) == 1 && len(f.strCols) == 0 {
 		col, want := f.intCols[0], f.intV[0]
 		for _, rid := range rids {
 			if col[rid] == want {
@@ -219,7 +201,7 @@ func (f *condFilter) appendScanMatches(matched []int, n int) []int {
 	if f.constFalse {
 		return matched
 	}
-	if len(f.intCols) == 1 && len(f.strCols) == 0 && len(f.anyCols) == 0 {
+	if len(f.intCols) == 1 && len(f.strCols) == 0 {
 		col, want := f.intCols[0], f.intV[0]
 		for rid, v := range col[:n] {
 			if v == want {
@@ -228,7 +210,7 @@ func (f *condFilter) appendScanMatches(matched []int, n int) []int {
 		}
 		return matched
 	}
-	if len(f.strCols) == 1 && len(f.intCols) == 0 && len(f.anyCols) == 0 {
+	if len(f.strCols) == 1 && len(f.intCols) == 0 {
 		col, want := f.strCols[0], f.strV[0]
 		for rid, v := range col[:n] {
 			if v == want {

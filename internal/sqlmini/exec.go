@@ -288,12 +288,9 @@ func (sc *scratch) run(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSet
 	n := sc.view.NumRows
 	cols := make([]interp.RowCol, len(plan.cols))
 	for k, ci := range plan.cols {
-		switch c := &sc.view.Cols[ci]; {
-		case c.Anys != nil:
-			cols[k].Anys = c.Anys[:n:n]
-		case c.Kind == storage.TInt:
+		if c := &sc.view.Cols[ci]; c.Kind == storage.TInt {
 			cols[k].Ints = c.Ints[:n:n]
-		default:
+		} else {
 			cols[k].Strs = c.Strs[:n:n]
 		}
 	}
@@ -362,45 +359,25 @@ func aggregate(st *Stmt, plan *stmtPlan, view *storage.View, rids []int) (any, e
 	if ci < 0 {
 		return nil, fmt.Errorf("sqlmini: %s: no column %q", plan.table.Name, st.AggCol)
 	}
-	var sum int64
-	var best int64
-	have := false
+	// Over a string column the aggregate fails once a row matches; with none
+	// it answers as over an empty int column.
 	col := &view.Cols[ci]
-	if col.Anys == nil && col.Kind == storage.TInt {
-		// Typed path: sum/extremes over the int vector, no boxing.
-		ints := col.Ints
-		for _, rid := range rids {
-			v := ints[rid]
-			sum += v
-			if !have {
-				best = v
-				have = true
-			} else if (st.Agg == AggMax && v > best) || (st.Agg == AggMin && v < best) {
-				best = v
-			}
-		}
-	} else {
-		// String or degraded column: the boxed check (and its error) fires
-		// per matched row, exactly as the row-wise evaluator did.
-		for _, rid := range rids {
-			v, ok := col.Any(rid).(int64)
-			if !ok {
-				return nil, fmt.Errorf("sqlmini: aggregate over non-int column %q", st.AggCol)
-			}
-			sum += v
-			if !have {
-				best = v
-				have = true
-			} else if (st.Agg == AggMax && v > best) || (st.Agg == AggMin && v < best) {
-				best = v
-			}
+	if col.Kind != storage.TInt && len(rids) > 0 {
+		return nil, fmt.Errorf("sqlmini: aggregate over non-int column %q", st.AggCol)
+	}
+	var sum, best int64
+	for i, rid := range rids {
+		v := col.Ints[rid]
+		sum += v
+		if i == 0 || (st.Agg == AggMax && v > best) || (st.Agg == AggMin && v < best) {
+			best = v
 		}
 	}
 	switch st.Agg {
 	case AggSum:
 		return storage.BoxInt(sum), nil
 	case AggMax, AggMin:
-		if !have {
+		if len(rids) == 0 {
 			return nil, nil
 		}
 		return storage.BoxInt(best), nil

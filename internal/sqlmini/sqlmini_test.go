@@ -92,9 +92,9 @@ func testEnv(t *testing.T) (*storage.Catalog, *buffer.Pool, func()) {
 	return cat, pool, func() { d.Close() }
 }
 
-// boxed is a result in the interpreter's vocabulary: a row result as the
+// asValue is a result in the interpreter's vocabulary: a row result as the
 // interp.Rows the layers' public Exec returns it as (query.Reply.Result).
-func boxed(v any) any {
+func asValue(v any) any {
 	if rs, ok := v.(*interp.RowSet); ok {
 		return rs.Rows()
 	}
@@ -111,7 +111,7 @@ func exec(t *testing.T, cat *storage.Catalog, pool *buffer.Pool, sql string, arg
 	if err != nil {
 		t.Fatal(err)
 	}
-	return boxed(v), info
+	return asValue(v), info
 }
 
 func TestExecuteCountWithIndex(t *testing.T) {
@@ -250,7 +250,7 @@ func TestExecuteBatchMatchesExecute(t *testing.T) {
 				}
 				continue
 			}
-			if got, want := boxed(vals[i]), boxed(wantV); !interp.Equal(got, want) {
+			if got, want := asValue(vals[i]), asValue(wantV); !interp.Equal(got, want) {
 				t.Errorf("%s binding %d: %v, want %v", c.sql, i,
 					interp.Format(got), interp.Format(want))
 			}
@@ -423,7 +423,7 @@ func TestExecInfoMatchedIsOwned(t *testing.T) {
 	if rs := v1.(*interp.RowSet); &rs.Sel[0] != &info1.Matched[0] {
 		t.Fatal("a row select's Matched is not its result's selection vector")
 	}
-	v1 = boxed(v1)
+	v1 = asValue(v1)
 	for i := range info1.Matched {
 		info1.Matched[i] = -999 // scribble all over the trace
 	}
@@ -431,7 +431,7 @@ func TestExecInfoMatchedIsOwned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2 = boxed(v2); !interp.Equal(v1, v2) {
+	if v2 = asValue(v2); !interp.Equal(v1, v2) {
 		t.Fatalf("re-execution diverged after mutating Matched:\n%s\nvs\n%s",
 			interp.Format(v1), interp.Format(v2))
 	}
@@ -586,7 +586,7 @@ func TestUnknownSelectColumnNeedsAMatch(t *testing.T) {
 		hit, miss := []any{int64(3)}, []any{int64(999)}
 
 		v, info, err := Execute(st, cat, pool, miss)
-		if rows, ok := boxed(v).(interp.Rows); err != nil || !ok || len(rows) != 0 || info.RowsReturned != 0 {
+		if rows, ok := asValue(v).(interp.Rows); err != nil || !ok || len(rows) != 0 || info.RowsReturned != 0 {
 			t.Errorf("select %s, no match: %v, %v (%d returned); want no rows", c.list, v, err, info.RowsReturned)
 		}
 		if v, _, err := Execute(st, cat, pool, hit); err == nil || err.Error() != want || v != nil {
@@ -595,7 +595,7 @@ func TestUnknownSelectColumnNeedsAMatch(t *testing.T) {
 
 		vals, errs, agg := ExecuteBatch(st, cat, pool, [][]any{miss, hit, miss, hit})
 		for i, matches := range []bool{false, true, false, true} {
-			rows, ok := boxed(vals[i]).(interp.Rows)
+			rows, ok := asValue(vals[i]).(interp.Rows)
 			switch {
 			case matches && (errs[i] == nil || errs[i].Error() != want || vals[i] != nil):
 				t.Errorf("select %s, batch binding %d: %v, %v; want error %q", c.list, i, vals[i], errs[i], want)

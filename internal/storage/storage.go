@@ -7,10 +7,10 @@
 //
 // Rows are stored column-wise: each column keeps a typed vector ([]int64 or
 // []string), so execution reads unboxed values with no per-row slice or
-// interface dispatch. The []any-based accessors (Insert, Row) remain as the
-// compatibility boundary toward the interpreter's value vocabulary; the hot
-// path uses View instead. See README.md for the layout and the accessor
-// contract.
+// interface dispatch. Insert takes a row in the interpreter's []any
+// vocabulary and rejects a value that is not of its column's type; Row boxes
+// one back; the hot path reads through View instead. See README.md for the
+// layout and the accessor contract.
 package storage
 
 import (
@@ -32,6 +32,25 @@ const (
 	// TString is a string column.
 	TString
 )
+
+// String names the Go type of a column's values.
+func (c ColType) String() string {
+	if c == TInt {
+		return "int64"
+	}
+	return "string"
+}
+
+// fits reports whether v is a value of type c.
+func (c ColType) fits(v any) bool {
+	switch v.(type) {
+	case int64:
+		return c == TInt
+	case string:
+		return c == TString
+	}
+	return false
+}
 
 // Column describes one column.
 type Column struct {
@@ -84,59 +103,20 @@ func BoxInt(v int64) any {
 	return v
 }
 
-// colVec is one column's storage. The declared type picks the typed vector;
-// if a value that does not match the declared type is ever inserted the
-// column degrades to the boxed vector (anys), which preserves the exact
-// semantics the old row-wise []any storage had for type-confused data. The
-// evaluation apps never degrade a column, so the typed path is the only one
-// that runs hot.
+// colVec is one column's storage: the typed vector its declared type picks.
 type colVec struct {
 	kind ColType
 	ints []int64
 	strs []string
-	anys []any // non-nil once degraded; then ints/strs are stale
 }
 
-func (c *colVec) degraded() bool { return c.anys != nil }
-
-// degrade switches the column to boxed storage, copying the typed prefix.
-func (c *colVec) degrade(n int) {
-	if c.anys != nil {
-		return
+// append stores one value, which Insert has checked is of the column's type.
+func (c *colVec) append(v any) {
+	if c.kind == TInt {
+		c.ints = append(c.ints, v.(int64))
+	} else {
+		c.strs = append(c.strs, v.(string))
 	}
-	anys := make([]any, 0, n+1)
-	switch c.kind {
-	case TInt:
-		for _, v := range c.ints[:n] {
-			anys = append(anys, BoxInt(v))
-		}
-	case TString:
-		for _, v := range c.strs[:n] {
-			anys = append(anys, v)
-		}
-	}
-	c.anys = anys
-}
-
-// append stores one boxed value, degrading on type mismatch. n is the row
-// count before the append.
-func (c *colVec) append(v any, n int) {
-	if c.anys == nil {
-		switch c.kind {
-		case TInt:
-			if iv, ok := v.(int64); ok {
-				c.ints = append(c.ints, iv)
-				return
-			}
-		case TString:
-			if sv, ok := v.(string); ok {
-				c.strs = append(c.strs, sv)
-				return
-			}
-		}
-		c.degrade(n)
-	}
-	c.anys = append(c.anys, v)
 }
 
 // DefaultRowsPerPage is the page fanout used when a table does not override
@@ -164,10 +144,9 @@ type Table struct {
 //
 // A key maps to one int, so neither table nor map holds pointers: v >= 0 is
 // the key's only rid, and v < 0 names lists[^v], the rids of a key with
-// several. A key of the column's declared type lives in the typed table or
-// map, if the index has one (it has none when built on a degraded column),
-// hashed and compared unboxed; any other key lives in boxed. Together they
-// answer exactly as one map[any][]int under interface equality.
+// several. Every key is of the column's declared type and lives in the typed
+// table or map, hashed and compared unboxed; a probe with a key of another
+// type finds nothing.
 type Index struct {
 	Column string
 	Unique bool
@@ -177,30 +156,18 @@ type Index struct {
 	ci    int            // Column's schema position
 	ints  intTable       // the typed table of a TInt column; no slots otherwise
 	strs  map[string]int // the typed map of a TString column
-	boxed map[any]int    // nil until a key of another type arrives
 	lists [][]int        // the rid lists of keys with several rows
 }
 
-// add appends rid to key's rids.
+// add appends rid to key's rids; key is of the column's type.
 func (ix *Index) add(key any, rid int) {
-	switch k := key.(type) {
-	case int64:
-		if ix.ints.slots != nil {
-			if v, fresh := ix.ints.upsert(k, rid); !fresh {
-				ix.push(v, rid)
-			}
-			return
+	if k, ok := key.(int64); ok {
+		if v, fresh := ix.ints.upsert(k, rid); !fresh {
+			ix.push(v, rid)
 		}
-	case string:
-		if ix.strs != nil {
-			addTo(ix, ix.strs, k, rid)
-			return
-		}
+		return
 	}
-	if ix.boxed == nil {
-		ix.boxed = make(map[any]int)
-	}
-	addTo(ix, ix.boxed, key, rid)
+	addTo(ix, ix.strs, key.(string), rid)
 }
 
 // addTo appends rid to k's rids in m.
@@ -232,9 +199,6 @@ func (ix *Index) rids(key any, one *[1]int) []int {
 		v, ok = ix.ints.get(k)
 	case string:
 		v, ok = ix.strs[k]
-	}
-	if !ok {
-		v, ok = ix.boxed[key]
 	}
 	switch {
 	case !ok:
@@ -397,8 +361,7 @@ func addAll[K comparable](ix *Index, keys []K, size int) map[K]int {
 }
 
 // AddIndex creates a hash index over an existing column, building it from
-// current rows: from the typed vector, or for a column that has degraded from
-// the boxed one, every key then living in the boxed map.
+// the column's typed vector.
 func (t *Table) AddIndex(column string, unique bool, extent, pages int) error {
 	ci := t.Schema.ColIndex(column)
 	if ci < 0 {
@@ -412,12 +375,9 @@ func (t *Table) AddIndex(column string, unique bool, extent, pages int) error {
 	if unique {
 		size = t.numRows
 	}
-	switch {
-	case c.degraded():
-		ix.boxed = addAll(ix, c.anys[:t.numRows], size)
-	case c.kind == TInt:
+	if c.kind == TInt {
 		ix.ints = buildInts(ix, c.ints[:t.numRows], size)
-	default:
+	} else {
 		ix.strs = addAll(ix, c.strs[:t.numRows], size)
 	}
 	t.indexes[column] = ix
@@ -445,20 +405,25 @@ func (t *Table) Indexes() []*Index {
 	return out
 }
 
-// Insert appends a row, maintaining indexes, and returns its row id. Values
-// matching the declared column types are stored unboxed; a mismatched value
-// degrades its column to boxed storage rather than erroring, preserving the
-// permissive semantics of the row-wise heap. The row slice is not retained.
+// Insert appends a row, maintaining indexes, and returns its row id. Every
+// value must be of its column's type (int64 or string): a row holding one
+// that is not — nil, a bool, a string in an int column — is an error, and
+// nothing of it is stored. The row slice is not retained.
 func (t *Table) Insert(row []any) (int, error) {
 	if len(row) != len(t.Schema.Cols) {
 		return 0, fmt.Errorf("storage: %s: insert arity %d, want %d",
 			t.Name, len(row), len(t.Schema.Cols))
 	}
+	for i, c := range t.Schema.Cols {
+		if !c.Type.fits(row[i]) {
+			return 0, fmt.Errorf("storage: %s: column %q holds %s, not %T", t.Name, c.Name, c.Type, row[i])
+		}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rid := t.numRows
 	for i := range t.cols {
-		t.cols[i].append(row[i], rid)
+		t.cols[i].append(row[i])
 	}
 	t.numRows++
 	for _, ix := range t.indexes {
@@ -468,26 +433,26 @@ func (t *Table) Insert(row []any) (int, error) {
 }
 
 // AppendRows appends rows rids of v, in order, gathering each column once,
-// typed vector to typed vector; a column degraded on either side, or of
-// another type in v, goes value by value through Insert's degrade rule.
-// Existing indexes are maintained. v is not retained.
+// typed vector to typed vector. A column of v whose type is not the table's
+// is an error, and nothing is appended. Existing indexes are maintained. v is
+// not retained.
 func (t *Table) AppendRows(v *View, rids []int) error {
 	if len(v.Cols) != len(t.cols) {
 		return fmt.Errorf("storage: %s: append arity %d, want %d", t.Name, len(v.Cols), len(t.cols))
+	}
+	for i, c := range t.Schema.Cols {
+		if v.Cols[i].Kind != c.Type {
+			return fmt.Errorf("storage: %s: column %q holds %s, not %s", t.Name, c.Name, c.Type, v.Cols[i].Kind)
+		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	base := t.numRows
 	for i := range t.cols {
 		c, s := &t.cols[i], &v.Cols[i]
-		switch {
-		case c.degraded() || s.Anys != nil || s.Kind != c.kind:
-			for k, rid := range rids {
-				c.append(s.Any(rid), base+k)
-			}
-		case c.kind == TInt:
+		if c.kind == TInt {
 			c.ints = gather(c.ints, s.Ints, rids)
-		default:
+		} else {
 			c.strs = gather(c.strs, s.Strs, rids)
 		}
 	}
@@ -521,20 +486,16 @@ func (t *Table) Row(rid int) []any {
 	return out
 }
 
-// ColView is one column of a View: exactly one of Ints, Strs, Anys is
-// non-nil (Anys for degraded columns).
+// ColView is one column of a View: Ints for a TInt column, Strs for a
+// TString one.
 type ColView struct {
 	Kind ColType
 	Ints []int64
 	Strs []string
-	Anys []any
 }
 
 // Any returns the boxed value at rid (small ints interned).
 func (c *ColView) Any(rid int) any {
-	if c.Anys != nil {
-		return c.Anys[rid]
-	}
 	if c.Kind == TInt {
 		return BoxInt(c.Ints[rid])
 	}
@@ -544,9 +505,9 @@ func (c *ColView) Any(rid int) any {
 // View is a consistent read snapshot of a table: a row count and the column
 // vectors as of one instant. Reads through a View take no locks; the vectors
 // are append-only, so indexes below NumRows stay valid even while concurrent
-// inserts extend the table or a column degrades. Views are cheap (slice
-// headers only); a copy or a snapshot keeps one as its zero-copy image of the
-// rows below its cutoff. A View is read, never appended to.
+// inserts extend the table. Views are cheap (slice headers only); a copy or a
+// snapshot keeps one as its zero-copy image of the rows below its cutoff. A
+// View is read, never appended to.
 type View struct {
 	NumRows int
 	Cols    []ColView
@@ -563,13 +524,8 @@ func (t *Table) ViewInto(v *View) {
 	} else {
 		v.Cols = v.Cols[:len(t.cols)]
 	}
-	for i := range t.cols {
-		c := &t.cols[i]
-		v.Cols[i] = ColView{Kind: c.kind, Anys: c.anys}
-		if c.anys == nil {
-			v.Cols[i].Ints = c.ints
-			v.Cols[i].Strs = c.strs
-		}
+	for i, c := range t.cols {
+		v.Cols[i] = ColView{Kind: c.kind, Ints: c.ints, Strs: c.strs}
 	}
 }
 
@@ -579,12 +535,9 @@ func (v *View) Slice(lo, hi int) View {
 	out := View{NumRows: hi - lo, Cols: make([]ColView, len(v.Cols))}
 	for i, c := range v.Cols {
 		out.Cols[i].Kind = c.Kind
-		switch {
-		case c.Anys != nil:
-			out.Cols[i].Anys = c.Anys[lo:hi:hi]
-		case c.Kind == TInt:
+		if c.Kind == TInt {
 			out.Cols[i].Ints = c.Ints[lo:hi:hi]
-		default:
+		} else {
 			out.Cols[i].Strs = c.Strs[lo:hi:hi]
 		}
 	}

@@ -147,10 +147,10 @@ func TestColumnarTypedAccessors(t *testing.T) {
 	if v.NumRows != 10 {
 		t.Fatalf("view rows: %d", v.NumRows)
 	}
-	if k := &v.Cols[0]; len(k.Ints) < 10 || k.Ints[3] != 6 || k.Strs != nil || k.Anys != nil {
+	if k := &v.Cols[0]; len(k.Ints) < 10 || k.Ints[3] != 6 || k.Strs != nil {
 		t.Fatalf("int column view: %+v", k)
 	}
-	if c := &v.Cols[1]; c.Strs[0] != "x" || c.Ints != nil || c.Anys != nil {
+	if c := &v.Cols[1]; c.Strs[0] != "x" || c.Ints != nil {
 		t.Fatalf("string column view: %+v", c)
 	}
 	tbl.Insert([]any{int64(100), "y"}) // grows past the snapshot
@@ -171,29 +171,63 @@ func TestColumnarTypedAccessors(t *testing.T) {
 	}
 }
 
-// TestColumnDegradation: inserting a value that mismatches the declared type
-// degrades the column to boxed storage with identical read semantics — the
-// permissive behaviour the row-wise heap had.
-func TestColumnDegradation(t *testing.T) {
-	tbl := newKV(t)
-	tbl.Insert([]any{int64(1), "a"})
-	tbl.Insert([]any{"oops", "b"}) // string into the int column
-	tbl.Insert([]any{int64(3), "c"})
-	if tbl.Row(0)[0] != int64(1) || tbl.Row(1)[0] != "oops" || tbl.Row(2)[0] != int64(3) {
-		t.Fatal("degraded column lost values")
+// TestInsertRejectsMistypedValue: a column holds values of its declared type
+// only. A row with a value of another type — nil, a bool, an int where a
+// string goes or a string where an int goes — in its first, middle or last
+// cell is an error naming the table, the column and the value's type, and it
+// leaves the row count, every column and every index as they were: the next
+// good row lands at the next rid.
+func TestInsertRejectsMistypedValue(t *testing.T) {
+	tbl := NewTable("t", NewSchema(
+		Column{Name: "a", Type: TInt},
+		Column{Name: "b", Type: TString},
+		Column{Name: "c", Type: TInt},
+	), 0)
+	good := func(i int) []any { return []any{int64(i % 7), "b" + strconv.Itoa(i%5), int64(i)} }
+	for i := 0; i < 20; i++ {
+		if _, err := tbl.Insert(good(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var v View
-	tbl.ViewInto(&v)
-	if v.Cols[0].Anys == nil || v.Cols[0].Any(1) != "oops" {
-		t.Fatal("view must expose the boxed vector for a degraded column")
+	for _, col := range []string{"a", "b", "c"} {
+		if err := tbl.AddIndex(col, col == "c", 1, 4); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Indexes still work over mixed values.
-	if err := tbl.AddIndex("k", false, 1, 4); err != nil {
-		t.Fatal(err)
+	state := func() (View, []map[any][]int) {
+		var v View
+		tbl.ViewInto(&v) // every column's vector at its full length
+		var ixs []map[any][]int
+		for _, ix := range tbl.Indexes() {
+			ixs = append(ixs, lists(ix))
+		}
+		return v, ixs
 	}
-	rids, _, ok := tbl.Lookup("k", "oops")
-	if !ok || len(rids) != 1 || rids[0] != 1 {
-		t.Fatalf("Lookup on degraded: %v", rids)
+	next := 20
+	for pos, col := range tbl.Schema.Cols {
+		for _, bad := range []any{nil, true, 2.5, int(3), "s", int64(4)} {
+			if col.Type.fits(bad) {
+				continue
+			}
+			beforeV, beforeIx := state()
+			row := good(next)
+			row[pos] = bad
+			rid, err := tbl.Insert(row)
+			wantErr := fmt.Sprintf("storage: t: column %q holds %s, not %T", col.Name, []string{"int64", "string"}[col.Type], bad)
+			if err == nil || err.Error() != wantErr {
+				t.Fatalf("insert of %#v: rid %d, error %v; want %q", row, rid, err, wantErr)
+			}
+			if afterV, afterIx := state(); !reflect.DeepEqual(afterV, beforeV) || !reflect.DeepEqual(afterIx, beforeIx) {
+				t.Fatalf("rejected insert of %#v changed the table:\n got %+v %v\nwant %+v %v", row, afterV, afterIx, beforeV, beforeIx)
+			}
+			if rid, err := tbl.Insert(good(next)); err != nil || rid != next {
+				t.Fatalf("good row after a rejected one: rid %d, %v; want rid %d", rid, err, next)
+			}
+			next++
+		}
+	}
+	if rids, _, _ := tbl.Lookup("c", int64(next-1)); len(rids) != 1 || rids[0] != next-1 {
+		t.Fatalf("index on c after the rejections: %v, want [%d]", rids, next-1)
 	}
 }
 
@@ -285,23 +319,25 @@ func testSeed(t *testing.T) int64 {
 // TestModelIndexMatchesBoxedMap holds the typed index to the map[any][]int it
 // replaced: a seeded load of keys — of the column's type, then of every type
 // (int64(5), int(5), "5" and nil are four keys under interface equality) —
-// with the index added before the load, mid-load before the column degrades,
-// and after it has. Lookup, the set probe and IndexKeyCount must answer as the
-// one boxed map does, rid for rid.
+// with the index added before the load and mid-load, before or after the
+// first key of another type is offered. Insert rejects such a key and the
+// rows it accepts keep consecutive rids. Lookup, the set probe and
+// IndexKeyCount, probed with keys of every type, must answer as one boxed map
+// of the accepted rows does, rid for rid.
 func TestModelIndexMatchesBoxedMap(t *testing.T) {
 	seed := testSeed(t)
 	const rows = 400
 	mixed := []any{int64(5), int(5), "5", nil, int32(5), 2.5, true, "", int64(-1)}
 	for _, kind := range []ColType{TInt, TString} {
 		for _, tc := range []struct {
-			name               string
-			indexAt, degradeAt int // row counts; degradeAt > rows: never
+			name           string
+			indexAt, mixAt int // offers; mixAt > rows: never a key of another type
 		}{
 			{"indexed empty, never degrades", 0, rows + 1},
 			{"indexed mid-load, never degrades", 150, rows + 1},
-			{"degrades after AddIndex", 100, 250},
-			{"degrades mid-load, then indexed", 250, 100},
-			{"degrades on the first row", 50, 0},
+			{"mistyped keys after AddIndex", 100, 250},
+			{"mistyped keys mid-load, then indexed", 250, 100},
+			{"mistyped key on the first row", 50, 0},
 		} {
 			t.Run(fmt.Sprintf("kind=%d/%s", kind, tc.name), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
@@ -317,6 +353,7 @@ func TestModelIndexMatchesBoxedMap(t *testing.T) {
 					probes = append(probes, int64(i), strconv.Itoa(i))
 				}
 				ref := make(map[any][]int)
+				accepted := 0
 				check := func(n int) {
 					if n < tc.indexAt {
 						if _, _, ok := tbl.Lookup("k", probes[0]); ok {
@@ -353,29 +390,27 @@ func TestModelIndexMatchesBoxedMap(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					if n%25 == 0 || n == tc.indexAt || n == tc.degradeAt+1 {
+					if n%25 == 0 || n == tc.indexAt || n == tc.mixAt+1 {
 						check(n)
 					}
 					if n == rows {
 						break
 					}
 					k := typed()
-					if n == tc.degradeAt || (n > tc.degradeAt && rng.Intn(2) == 0) {
+					if n == tc.mixAt || (n > tc.mixAt && rng.Intn(2) == 0) {
 						k = mixed[rng.Intn(len(mixed))]
-						if n == tc.degradeAt && kind == TInt {
-							k = "5" // a key of the other type, so the column degrades on this row
+						if n == tc.mixAt {
+							k = map[ColType]any{TInt: "5", TString: int64(5)}[kind] // a key of the other type
 						}
 					}
 					rid, err := tbl.Insert([]any{k})
-					if err != nil || rid != n {
-						t.Fatalf("insert %d: rid %d, %v", n, rid, err)
+					if (err == nil) != kind.fits(k) || (err == nil && rid != accepted) {
+						t.Fatalf("offer %d of %#v: rid %d, %v; %d rows accepted", n, k, rid, err, accepted)
 					}
-					ref[k] = append(ref[k], rid)
-				}
-				var v View
-				tbl.ViewInto(&v)
-				if typedCol := v.Cols[0].Anys == nil; kind == TInt && typedCol != (tc.degradeAt > rows) {
-					t.Fatalf("column typed = %v with degradeAt %d", typedCol, tc.degradeAt)
+					if err == nil {
+						ref[k] = append(ref[k], rid)
+						accepted++
+					}
 				}
 			})
 		}
@@ -404,9 +439,6 @@ func lists(ix *Index) map[any][]int {
 		}
 	}
 	for k := range ix.strs {
-		out[k] = slices.Clone(ix.rids(k, &one))
-	}
-	for k := range ix.boxed {
 		out[k] = slices.Clone(ix.rids(k, &one))
 	}
 	return out
@@ -534,10 +566,11 @@ func TestModelIndexTable(t *testing.T) {
 }
 
 // TestModelIndexBuild holds AddIndex to the append model, over unique and
-// non-unique columns, duplicate keys under a unique flag, a degraded column,
-// string columns and an empty table — and then inserts past the build (a
-// duplicate key into a unique index first): after every insert the inserted
-// key's list gained exactly its rid and every other key's list is what it was.
+// non-unique columns, duplicate keys under a unique flag, string columns and
+// an empty table — and then inserts past the build (a duplicate key into a
+// unique index first, keys of the other type among them): after every insert
+// the inserted key's list gained exactly its rid and every other key's list
+// is what it was, and a rejected insert changes no list.
 // A slab window that ran into its neighbour would change the neighbour; the
 // neighbours case inserts into the middle one of three counted windows of the
 // slab and then into each side of it.
@@ -554,12 +587,6 @@ func TestModelIndexBuild(t *testing.T) {
 		{"unique int", TInt, true, 300, func(_ *rand.Rand, i int) any { return int64(i * 7919 % 1000) }, nil},
 		{"non-unique int", TInt, false, 300, func(rng *rand.Rand, _ int) any { return int64(rng.Intn(9)) }, nil},
 		{"duplicates under a unique flag", TInt, true, 300, func(rng *rand.Rand, _ int) any { return int64(rng.Intn(150)) }, nil},
-		{"degraded column", TInt, false, 300, func(rng *rand.Rand, i int) any {
-			if i == 40 {
-				return "oops"
-			}
-			return int64(rng.Intn(20))
-		}, nil},
 		{"unique string", TString, true, 300, func(_ *rand.Rand, i int) any { return "u" + strconv.Itoa(i) }, nil},
 		{"non-unique string", TString, false, 300, func(rng *rand.Rand, _ int) any { return strconv.Itoa(rng.Intn(9)) }, nil},
 		{"empty table", TInt, true, 0, nil, nil},
@@ -597,10 +624,12 @@ func TestModelIndexBuild(t *testing.T) {
 					k = keys[rng.Intn(len(keys))]
 				}
 				rid, err := tbl.Insert([]any{k})
-				if err != nil {
-					t.Fatal(err)
+				if (err == nil) != tc.kind.fits(k) {
+					t.Fatalf("insert of %#v into a %s column: %v", k, tc.kind, err)
 				}
-				want[k] = append(slices.Clone(want[k]), rid)
+				if err == nil {
+					want[k] = append(slices.Clone(want[k]), rid)
+				}
 				if got := lists(ix); !reflect.DeepEqual(got, want) {
 					t.Fatalf("insert of %#v at rid %d: index\n got %v\nwant %v", k, rid, got, want)
 				}
@@ -610,60 +639,65 @@ func TestModelIndexBuild(t *testing.T) {
 }
 
 // AppendRows must land exactly what Insert of the same rows, boxed, lands: in
-// the columns (typed, or degraded at the same row) and in the indexes a
-// destination already has. The source's string column is degraded, and one
-// source has its two columns the other way round.
+// the columns and in the indexes a destination already has. A source whose
+// columns are of other types (its two columns the other way round) is an
+// error, and nothing of it lands.
 func TestAppendRowsMatchesInsert(t *testing.T) {
 	src := newKV(t)
 	for i := 0; i < 60; i++ {
-		v := any("s" + strconv.Itoa(i))
-		if i == 25 {
-			v = int64(25) // degrades the source's string column
-		}
-		if _, err := src.Insert([]any{int64(i % 13), v}); err != nil {
+		if _, err := src.Insert([]any{int64(i % 13), "s" + strconv.Itoa(i)}); err != nil {
 			t.Fatal(err)
+		}
+	}
+	var sv View
+	src.ViewInto(&sv)
+	every := make([]int, sv.NumRows)
+	for i := range every {
+		every[i] = i
+	}
+	for _, rids := range [][]int{every, {}, {3, 7, 7, 59}, {30, 25, 1}, {0, 1, 2}} {
+		for _, indexed := range []bool{false, true} {
+			got, want := newKV(t), newKV(t)
+			for _, tbl := range []*Table{got, want} {
+				tbl.Insert([]any{int64(99), "pre"})
+				if indexed {
+					tbl.AddIndex("k", false, 1, 4)
+					tbl.AddIndex("v", true, 2, 4)
+				}
+			}
+			if err := got.AppendRows(&sv, rids); err != nil {
+				t.Fatal(err)
+			}
+			for _, rid := range rids {
+				want.Insert(src.Row(rid))
+			}
+			var gv, wv View
+			got.ViewInto(&gv)
+			want.ViewInto(&wv)
+			if !reflect.DeepEqual(gv, wv) {
+				t.Fatalf("%s rids %v indexed %v: columns\n got %+v\nwant %+v", src.Name, rids, indexed, gv, wv)
+			}
+			for _, col := range []string{"k", "v"} {
+				if g, w := got.Index(col), want.Index(col); indexed && !reflect.DeepEqual(lists(g), lists(w)) {
+					t.Fatalf("%s rids %v: index on %s\n got %v\nwant %v", src.Name, rids, col, lists(g), lists(w))
+				}
+			}
 		}
 	}
 	swapped := NewTable("vk", NewSchema(Column{Name: "v", Type: TString}, Column{Name: "k", Type: TInt}), 0)
 	for i := 0; i < 60; i++ {
 		swapped.Insert([]any{"w" + strconv.Itoa(i), int64(i)})
 	}
-	for _, s := range []*Table{src, swapped} {
-		var sv View
-		s.ViewInto(&sv)
-		every := make([]int, sv.NumRows)
-		for i := range every {
-			every[i] = i
-		}
-		for _, rids := range [][]int{every, {}, {3, 7, 7, 59}, {30, 25, 1}, {0, 1, 2}} {
-			for _, indexed := range []bool{false, true} {
-				got, want := newKV(t), newKV(t)
-				for _, tbl := range []*Table{got, want} {
-					tbl.Insert([]any{int64(99), "pre"})
-					if indexed {
-						tbl.AddIndex("k", false, 1, 4)
-						tbl.AddIndex("v", true, 2, 4)
-					}
-				}
-				if err := got.AppendRows(&sv, rids); err != nil {
-					t.Fatal(err)
-				}
-				for _, rid := range rids {
-					want.Insert(s.Row(rid))
-				}
-				var gv, wv View
-				got.ViewInto(&gv)
-				want.ViewInto(&wv)
-				if !reflect.DeepEqual(gv, wv) {
-					t.Fatalf("%s rids %v indexed %v: columns\n got %+v\nwant %+v", s.Name, rids, indexed, gv, wv)
-				}
-				for _, col := range []string{"k", "v"} {
-					if g, w := got.Index(col), want.Index(col); indexed && !reflect.DeepEqual(lists(g), lists(w)) {
-						t.Fatalf("%s rids %v: index on %s\n got %v\nwant %v", s.Name, rids, col, lists(g), lists(w))
-					}
-				}
-			}
-		}
+	var wv View
+	swapped.ViewInto(&wv)
+	dst := newKV(t)
+	dst.Insert([]any{int64(99), "pre"})
+	dst.AddIndex("k", false, 1, 4)
+	if err := dst.AppendRows(&wv, []int{0, 1, 2}); err == nil {
+		t.Fatal("AppendRows of a (string, int) view into an (int, string) table: want a type error")
+	}
+	if got := lists(dst.Index("k")); dst.NumRows() != 1 || !reflect.DeepEqual(got, map[any][]int{int64(99): {0}}) {
+		t.Fatalf("a rejected AppendRows landed rows: %d rows, index %v", dst.NumRows(), got)
 	}
 	narrow := NewTable("n", NewSchema(Column{Name: "k", Type: TInt}), 0)
 	narrow.Insert([]any{int64(1)})

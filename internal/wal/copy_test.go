@@ -28,8 +28,7 @@ var (
 
 // copyFixture is a reference server in the shape a shard load copies: a
 // sharded users table (unique uid, a secondary rating of ≈ 6 rows a key) and a
-// replicated cats table whose label column degraded (an int landed in it) and
-// is indexed anyway.
+// replicated cats table with an index on its string label column.
 func copyFixture(t *testing.T) *server.Server {
 	t.Helper()
 	s := server.New(server.SYS1(), 0)
@@ -46,11 +45,7 @@ func copyFixture(t *testing.T) *server.Server {
 		}
 	}
 	for id := 0; id < 30; id++ {
-		label := any("c" + strconv.Itoa(id%9))
-		if id == 12 {
-			label = int64(12)
-		}
-		if err := s.InsertRow("cats", []any{int64(id), label}); err != nil {
+		if err := s.InsertRow("cats", []any{int64(id), "c" + strconv.Itoa(id%9)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,15 +12,20 @@ import (
 )
 
 // marshalRecord is the encoder EncodeRecord replaced, kept here as the
-// reference: json.Marshal over the wire struct DecodeRecord still reads.
+// reference: json.Marshal over the wire struct DecodeRecord still reads. A
+// record's values are int64s and strings (genRecord makes no others).
 func marshalRecord(r Record) ([]byte, error) {
 	w := wireRecord{LSN: r.LSN, Name: r.Name, SQL: r.SQL, Args: make([][]wireVal, len(r.ArgSets))}
 	for i, set := range r.ArgSets {
-		vs, err := encodeVals(set)
-		if err != nil {
-			return nil, err
+		w.Args[i] = make([]wireVal, len(set))
+		for j, v := range set {
+			switch x := v.(type) {
+			case int64:
+				w.Args[i][j].I = &x
+			case string:
+				w.Args[i][j].S = &x
+			}
 		}
-		w.Args[i] = vs
 	}
 	b, err := json.Marshal(w)
 	if err != nil {

@@ -27,10 +27,9 @@ type IndexDef struct {
 
 // Capture takes a snapshot of cat as of lsn: each table's View, cut off at
 // its current row count. Nothing is copied or boxed — storage is append-only,
-// so the rows below a cutoff never change while the table grows (or one of
-// its columns degrades) behind them. The caller must guarantee no writes are
-// in flight (internal/replica holds its group write lock) and that every
-// record ≤ lsn is applied to cat.
+// so the rows below a cutoff never change while the table grows behind them.
+// The caller must guarantee no writes are in flight (internal/replica holds
+// its group write lock) and that every record ≤ lsn is applied to cat.
 func Capture(cat *storage.Catalog, lsn int64) *Snapshot {
 	return &Snapshot{LSN: lsn, Tables: LiveTables(cat)}
 }
@@ -206,8 +205,8 @@ type wireSnapshot struct {
 }
 
 // wire renders the snapshot row by row, reading each cell from its typed
-// vector in place: a typed cell's wire value points into the view.
-func (s *Snapshot) wire() (wireSnapshot, error) {
+// vector in place: a cell's wire value points into the view.
+func (s *Snapshot) wire() wireSnapshot {
 	w := wireSnapshot{LSN: s.LSN}
 	for _, ts := range s.Tables {
 		wt := wireTable{Name: ts.Name, RowsPerPage: ts.RowsPerPage, Extent: ts.Extent, Indexes: ts.Indexes}
@@ -218,16 +217,9 @@ func (s *Snapshot) wire() (wireSnapshot, error) {
 		for rid := 0; rid < v.NumRows; rid++ {
 			row := make([]wireVal, len(v.Cols))
 			for i := range v.Cols {
-				switch c := &v.Cols[i]; {
-				case c.Anys != nil:
-					vs, err := encodeVals(c.Anys[rid : rid+1])
-					if err != nil {
-						return w, err
-					}
-					row[i] = vs[0]
-				case c.Kind == storage.TInt:
+				if c := &v.Cols[i]; c.Kind == storage.TInt {
 					row[i].I = &c.Ints[rid]
-				default:
+				} else {
 					row[i].S = &c.Strs[rid]
 				}
 			}
@@ -235,12 +227,12 @@ func (s *Snapshot) wire() (wireSnapshot, error) {
 		}
 		w.Tables = append(w.Tables, wt)
 	}
-	return w, nil
+	return w
 }
 
 // snapshot decodes a wire snapshot, each table's rows landing in a temporary
-// table whose View the source keeps (Insert applies the same
-// degrade-on-mismatch rule the captured table did).
+// table whose View the source keeps. A cell that is not of its column's type
+// fails the decode, as Insert rejects it.
 func (w wireSnapshot) snapshot() (*Snapshot, error) {
 	s := &Snapshot{LSN: w.LSN}
 	for _, wt := range w.Tables {

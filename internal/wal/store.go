@@ -41,21 +41,6 @@ type wireRecord struct {
 	Args [][]wireVal `json:"args"`
 }
 
-func encodeVals(vals []any) ([]wireVal, error) {
-	out := make([]wireVal, len(vals))
-	for i, v := range vals {
-		switch x := v.(type) {
-		case int64:
-			out[i].I = &x
-		case string:
-			out[i].S = &x
-		default:
-			return nil, fmt.Errorf("wal: cannot encode %T value", v)
-		}
-	}
-	return out, nil
-}
-
 func decodeVals(ws []wireVal) []any {
 	out := make([]any, len(ws))
 	for i, w := range ws {
@@ -313,11 +298,7 @@ func (s *FileStore) replaceFile(name string, write func(w *bufio.Writer) error) 
 // interrupts, the directory holds a loadable pair with every synced record
 // past the snapshot in it, and the store keeps appending to the log it has.
 func (s *FileStore) WriteSnapshot(snap *Snapshot) error {
-	w, err := snap.wire()
-	if err != nil {
-		return err
-	}
-	b, err := json.Marshal(w)
+	b, err := json.Marshal(snap.wire())
 	if err != nil {
 		return err
 	}
