@@ -17,8 +17,8 @@ func warmPool(b *testing.B) *Pool {
 	return p
 }
 
-// BenchmarkGetHit is one warm page touch: the cost sqlmini pays per distinct
-// bucket and data page of a statement.
+// BenchmarkGetHit is one warm touch of a set of one page: what sqlmini pays
+// per extent of a one-binding statement (its bucket page, then its data page).
 //
 //	go test -run XXX -bench GetHit -benchmem ./internal/buffer/
 func BenchmarkGetHit(b *testing.B) {
@@ -26,7 +26,27 @@ func BenchmarkGetHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Get(PageID{Extent: i & 1, Page: (i * 7) & (benchPages - 1)})
+		p.Get(i&1, []int{(i * 7) & (benchPages - 1)})
+	}
+	if _, misses := p.Stats(); misses != 0 {
+		b.Fatalf("%d misses on a warm pool", misses)
+	}
+}
+
+// BenchmarkGetHit64 is one warm touch of 64 ascending distinct pages of one
+// extent, the data pages of a 64-binding batch; ns/op is per call.
+func BenchmarkGetHit64(b *testing.B) {
+	p := warmPool(b)
+	sets := make([][]int, benchPages/64)
+	for k := range sets {
+		for j := 0; j < 64; j++ {
+			sets[k] = append(sets[k], j*(benchPages/64)+k)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Get(i&1, sets[i%len(sets)])
 	}
 	if _, misses := p.Stats(); misses != 0 {
 		b.Fatalf("%d misses on a warm pool", misses)
@@ -43,7 +63,7 @@ func BenchmarkGetHitParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := int(seed.Add(1)) * 1009
 		for pb.Next() {
-			p.Get(PageID{Extent: i & 1, Page: (i * 7) & (benchPages - 1)})
+			p.Get(i&1, []int{(i * 7) & (benchPages - 1)})
 			i++
 		}
 	})

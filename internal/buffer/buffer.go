@@ -11,13 +11,13 @@
 // over a flat frame slice. Residency lives in a directly addressed page
 // directory, not a hash map: per extent, a two-level radix table of atomic
 // slots, one per page, allocated on demand and never moved. A slot holds its
-// page's frame index plus one and the CLOCK reference bit, so a warm page
-// touch is a slot load, an atomic Or only when the bit is clear, and a counter
-// add: no mutex, no key hashed, no allocation. Whatever changes which page a
-// frame holds (a miss's or GetBatch's insert, eviction, Put, Preload, Reset)
-// runs under the stripe mutex. A hit that races the eviction of its page
-// counts as a hit just before it; the reference bit it may leave on the
-// emptied slot is overwritten by the page's next insert.
+// page's frame index plus one and the CLOCK reference bit. A warm Get of a set
+// of pages costs one directory walk and one counter add per call, not per
+// page, and a slot load per page: no mutex, no allocation. Whatever changes
+// which page a frame holds (a miss's or GetBatch's insert, eviction, Put,
+// Preload, Reset) runs under the stripe mutex. A hit that races the eviction
+// of its page counts as a hit just before it; the reference bit it may leave
+// on the emptied slot is overwritten by the page's next insert.
 package buffer
 
 import (
@@ -106,7 +106,7 @@ type stripe struct {
 	capacity int
 	frames   []*slot // grows to capacity, then CLOCK recycles in place
 	hand     int
-	hits     atomic.Int64 // bumped by lock-free hits
+	hits     atomic.Int64 // a Get adds its warm hits to its first page's stripe
 	misses   atomic.Int64
 	pending  map[PageID]*sync.WaitGroup // in-flight reads, to dedupe
 	_        [56]byte                   // rounds the struct to 128 bytes (two lines)
@@ -215,15 +215,33 @@ func (p *Pool) track(id PageID) int {
 	return id.Page
 }
 
-// Get faults the page in if needed (paying disk time on miss) and gives it a
-// CLOCK second chance. Concurrent misses on the same page coalesce into one
-// disk read. A hit returns without taking the stripe mutex.
-func (p *Pool) Get(id PageID) {
-	s := p.stripeOf(id)
-	if sl := p.slot(id, false); sl != nil && touch(sl) {
-		s.hits.Add(1)
-		return
+// Get touches a set of one extent's pages, ascending and distinct (what an
+// index access computes): one directory walk, a CLOCK second chance per
+// resident page, one counter add for the call's hits, and the miss path, disk
+// time included, for each other page. Hits, misses, reference bits, residency
+// and disk reads are those of one call per page, in order. A hit takes no mutex.
+func (p *Pool) Get(extent int, pages []int) {
+	var hits int64
+	e, li, l := p.extents.at(extent), -1, (*leaf)(nil)
+	for _, pg := range pages {
+		if pg>>leafBits != li && e != nil {
+			li, l = pg>>leafBits, e.leaves.at(pg>>leafBits)
+		}
+		if l != nil && touch(&l[pg&(1<<leafBits-1)]) {
+			hits++
+			continue
+		}
+		p.fault(PageID{Extent: extent, Page: pg})
+		e, li, l = p.extents.at(extent), -1, nil // the miss may have grown the directory
 	}
+	if hits > 0 {
+		p.stripeOf(PageID{Extent: extent, Page: pages[0]}).hits.Add(hits)
+	}
+}
+
+// fault is Get's miss path: concurrent misses on a page share one disk read.
+func (p *Pool) fault(id PageID) {
+	s := p.stripeOf(id)
 	s.mu.Lock()
 	sl := p.slot(id, true)
 	if wg, reading := s.pending[id]; reading || touch(sl) {

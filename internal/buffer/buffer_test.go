@@ -41,8 +41,8 @@ func TestHitMiss(t *testing.T) {
 	p, d := newPool(16)
 	defer d.Close()
 	id := PageID{Extent: 0, Page: 3}
-	p.Get(id)
-	p.Get(id)
+	p.Get(id.Extent, []int{id.Page})
+	p.Get(id.Extent, []int{id.Page})
 	hits, misses := p.Stats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", hits, misses)
@@ -59,9 +59,9 @@ func TestClockEviction(t *testing.T) {
 	p, d := newPool1(3)
 	defer d.Close()
 	for i := 0; i < 3; i++ {
-		p.Get(PageID{Extent: 0, Page: i})
+		p.Get(0, []int{i})
 	}
-	p.Get(PageID{Extent: 0, Page: 9}) // sweep clears all refs, evicts page 0
+	p.Get(0, []int{9}) // sweep clears all refs, evicts page 0
 	if p.Resident(PageID{Extent: 0, Page: 0}) {
 		t.Fatal("oldest page not evicted")
 	}
@@ -79,14 +79,14 @@ func TestClockSecondChance(t *testing.T) {
 	p, d := newPool1(3)
 	defer d.Close()
 	for _, pg := range []int{0, 1, 2} {
-		p.Get(PageID{Extent: 0, Page: pg})
+		p.Get(0, []int{pg})
 	}
 	// Fault 3: the sweep clears refs on 0,1,2 and replaces 0. Hand now at 1.
-	p.Get(PageID{Extent: 0, Page: 3})
+	p.Get(0, []int{3})
 	// Touch 2: its reference bit is set again.
-	p.Get(PageID{Extent: 0, Page: 2})
+	p.Get(0, []int{2})
 	// Fault 4: hand finds 1 with ref clear — 2's second chance holds.
-	p.Get(PageID{Extent: 0, Page: 4})
+	p.Get(0, []int{4})
 	if p.Resident(PageID{Extent: 0, Page: 1}) {
 		t.Fatal("unreferenced page survived the sweep")
 	}
@@ -102,7 +102,7 @@ func TestPreloadWarmsWithoutDisk(t *testing.T) {
 	defer d.Close()
 	p.Preload(0, 0, 32)
 	for i := 0; i < 32; i++ {
-		p.Get(PageID{Extent: 0, Page: i})
+		p.Get(0, []int{i})
 	}
 	hits, misses := p.Stats()
 	if misses != 0 || hits != 32 {
@@ -116,7 +116,7 @@ func TestPreloadWarmsWithoutDisk(t *testing.T) {
 func TestReset(t *testing.T) {
 	p, d := newPool(8)
 	defer d.Close()
-	p.Get(PageID{Extent: 0, Page: 1})
+	p.Get(0, []int{1})
 	p.Reset()
 	if p.Len() != 0 {
 		t.Fatal("reset did not empty pool")
@@ -129,7 +129,7 @@ func TestReset(t *testing.T) {
 
 func TestGetBatchSequential(t *testing.T) {
 	p, d := newPool(128)
-	p.Get(PageID{Extent: 0, Page: 2}) // one page already resident
+	p.Get(0, []int{2}) // one page already resident
 	before := d.Stats().Requests
 	p.GetBatch(0, 0, 10)
 	after := d.Stats().Requests
@@ -151,7 +151,7 @@ func TestPutDirtyNoDisk(t *testing.T) {
 	if st := d.Stats(); st.Requests != 0 {
 		t.Fatal("Put must not read from disk (write-back model)")
 	}
-	p.Get(PageID{Extent: 1, Page: 5})
+	p.Get(1, []int{5})
 	hits, misses := p.Stats()
 	if hits != 1 || misses != 0 {
 		t.Fatalf("dirty page should hit: %d/%d", hits, misses)
@@ -168,7 +168,7 @@ func TestConcurrentMissCoalescing(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				p.Get(PageID{Extent: 0, Page: 7})
+				p.Get(0, []int{7})
 			}()
 		}
 		wg.Wait()
@@ -189,7 +189,7 @@ func TestConcurrentGetsRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				p.Get(PageID{Extent: g % 2, Page: i % 40})
+				p.Get(g%2, []int{i % 40})
 			}
 		}(g)
 	}
@@ -228,7 +228,7 @@ func TestConcurrentMixedOpsUnderEviction(t *testing.T) {
 				case 2:
 					p.Put(PageID{Extent: 1, Page: rng.Intn(200)})
 				default:
-					p.Get(PageID{Extent: 0, Page: rng.Intn(200)})
+					p.Get(0, []int{rng.Intn(200)})
 				}
 			}
 		}(g)
@@ -244,7 +244,7 @@ func TestConcurrentMixedOpsUnderEviction(t *testing.T) {
 	// After the dust settles, a touched page must be resident again and
 	// count exactly one access.
 	p.Reset()
-	p.Get(PageID{Extent: 0, Page: 1})
+	p.Get(0, []int{1})
 	hits, misses = p.Stats()
 	if hits != 0 || misses != 1 || !p.Resident(PageID{Extent: 0, Page: 1}) {
 		t.Fatalf("post-reset state wrong: hits=%d misses=%d", hits, misses)
@@ -319,7 +319,7 @@ func TestTraceEquivalenceWithLRU(t *testing.T) {
 				ref.touch(PageID{Extent: 0, Page: pg}, true)
 			}
 		default: // point get
-			p.Get(PageID{Extent: 0, Page: o.a})
+			p.Get(0, []int{o.a})
 			ref.touch(PageID{Extent: 0, Page: o.a}, true)
 		}
 	}
@@ -351,10 +351,10 @@ func TestStripedCountersSumAcrossStripes(t *testing.T) {
 		t.Fatalf("expected a striped pool, got %d stripes", len(p.stripes))
 	}
 	for i := 0; i < 100; i++ {
-		p.Get(PageID{Extent: 0, Page: i})
+		p.Get(0, []int{i})
 	}
 	for i := 0; i < 100; i++ {
-		p.Get(PageID{Extent: 0, Page: i})
+		p.Get(0, []int{i})
 	}
 	hits, misses := p.Stats()
 	if hits != 100 || misses != 100 {
@@ -380,7 +380,7 @@ func TestSharedAccessCounters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Get(id)
+			p.Get(id.Extent, []int{id.Page})
 		}()
 	}
 	wg.Wait()
@@ -589,7 +589,7 @@ func TestModelTraceMatchesMapDirectory(t *testing.T) {
 				switch k := rng.Intn(1000); {
 				case k < 600:
 					op = "Get"
-					p.Get(id)
+					p.Get(id.Extent, []int{id.Page})
 					ref.Get(id)
 				case k < 750:
 					op = "GetBatch"
@@ -645,13 +645,13 @@ func TestConcurrentHitRacesEviction(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < hotCalls; i++ {
-			p.Get(hot)
+			p.Get(hot.Extent, []int{hot.Page})
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < coldCalls; i++ {
-			p.Get(PageID{Extent: 0, Page: 100 + i%coldPages})
+			p.Get(0, []int{100 + i%coldPages})
 		}
 	}()
 	wg.Wait()
@@ -677,5 +677,85 @@ func TestConcurrentHitRacesEviction(t *testing.T) {
 	}
 	if resident != 2 {
 		t.Fatalf("%d pages resident in a two-frame pool", resident)
+	}
+}
+
+// TestSetGetMatchesPageAtATime drives two pools with one seeded page
+// sequence: one takes it a page per Get, the other in the ascending distinct
+// sets an index access passes. Sets cross from one directory leaf into the
+// next, whose pages sit at the same offsets (a set that kept the first leaf
+// would touch the wrong slots), one extent is never mapped (its directory is
+// first allocated by a miss inside a set), and the four-frame pools evict in
+// the middle of a wide set; half the sets are one to three pages of a hot
+// eight, so that even those pools hit. After every set the hit and miss
+// counts, Len, the disk reads and every page's slot — frame and reference
+// bit — must agree.
+func TestSetGetMatchesPageAtATime(t *testing.T) {
+	seed := testSeed(t)
+	const steps = 3000
+	var pages, hot []int // ascending: the last 24 slots of leaf 0, then of leaf 1
+	for leaf := 1; leaf <= 2; leaf++ {
+		for pg := leaf<<leafBits - 24; pg < leaf<<leafBits; pg++ {
+			pages = append(pages, pg)
+			if pg >= leaf<<leafBits-4 {
+				hot = append(hot, pg)
+			}
+		}
+	}
+	for _, shape := range []struct{ capacity, stripes int }{{4, 1}, {4, 4}, {64, 8}} {
+		t.Run(fmt.Sprintf("capacity=%d/stripes=%d", shape.capacity, shape.stripes), func(t *testing.T) {
+			var pools [2]*Pool
+			var disks [2]*disk.Disk
+			for i := range pools {
+				disks[i] = disk.New(disk.DefaultParams(), simclock.New(0))
+				defer disks[i].Close()
+				pools[i] = NewPoolStripes(shape.capacity, shape.stripes, disks[i])
+				pools[i].MapExtent(0, 0)
+				pools[i].MapExtent(1, 2048) // extent 2 is never mapped
+			}
+			one, set := pools[0], pools[1]
+			state := func(p *Pool, id PageID) int32 {
+				if sl := p.slot(id, false); sl != nil {
+					return sl.Load()
+				}
+				return 0
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for step := 0; step < steps; step++ {
+				ext := rng.Intn(3)
+				from, odds := pages, 4 // a wide set
+				if rng.Intn(2) == 0 {
+					from, odds = hot, 3
+				}
+				var pgs []int
+				for _, pg := range from {
+					if rng.Intn(odds) == 0 {
+						pgs = append(pgs, pg)
+					}
+				}
+				for _, pg := range pgs {
+					one.Get(ext, []int{pg})
+				}
+				set.Get(ext, pgs)
+				h1, m1 := one.Stats()
+				h2, m2 := set.Stats()
+				r1, r2 := disks[0].Stats().Requests, disks[1].Stats().Requests
+				if h1 != h2 || m1 != m2 || one.Len() != set.Len() || r1 != r2 {
+					t.Fatalf("step %d (extent %d, %d pages): page at a time hits/misses/len/reads %d/%d/%d/%d, set %d/%d/%d/%d",
+						step, ext, len(pgs), h1, m1, one.Len(), r1, h2, m2, set.Len(), r2)
+				}
+				for e := 0; e < 3; e++ {
+					for _, pg := range pages {
+						id := PageID{Extent: e, Page: pg}
+						if a, b := state(one, id), state(set, id); a != b {
+							t.Fatalf("step %d: slot of %+v is %#x page at a time, %#x by set", step, id, a, b)
+						}
+					}
+				}
+			}
+			if h, m := set.Stats(); h == 0 || m == 0 {
+				t.Fatalf("trace exercised hits %d, misses %d: want both", h, m)
+			}
+		})
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // benchUsers loads 65536 users indexed by uid into a warm pool and returns a
 // row select by that key with one binding per row, in a scattered key order.
-func benchUsers(b *testing.B) (*storage.Catalog, *buffer.Pool, *Stmt, [][]any) {
+func benchUsers(b testing.TB) (*storage.Catalog, *buffer.Pool, *Stmt, [][]any) {
 	const rows = 1 << 16
 	cat := storage.NewCatalog()
 	d := disk.New(disk.DefaultParams(), simclock.New(0))

@@ -119,12 +119,17 @@ func validateWhere(st *Stmt, plan *stmtPlan) error {
 }
 
 // bind substitutes the call's parameters into the statement's predicates,
-// type-specializing each comparison against the view's column kinds. The
+// type-specializing each comparison against the view's column kinds, all but
+// the driving one (skip, -1 for a scan): a probe returns exactly the rows
+// holding its key (storage.Table.Probe), so that one needs no re-check. The
 // caller must have run validateWhere first; the view must be snapshotted
 // after the access path's index probes so every candidate rid is in bounds.
-func (f *condFilter) bind(st *Stmt, plan *stmtPlan, view *storage.View, args []any) {
+func (f *condFilter) bind(st *Stmt, plan *stmtPlan, view *storage.View, args []any, skip int) {
 	f.reset()
 	for i := range st.Where {
+		if i == skip {
+			continue
+		}
 		v, _ := st.Where[i].Value(args) // arity is validated before any bind
 		col := &view.Cols[plan.whereCI[i]]
 		if col.Kind == storage.TInt {
@@ -171,20 +176,9 @@ func (f *condFilter) match(rid int) bool {
 	return true
 }
 
-// appendMatches filters an explicit candidate list into matched.
+// appendMatches filters an index probe's candidates into matched.
 func (f *condFilter) appendMatches(matched, rids []int) []int {
 	if f.constFalse {
-		return matched
-	}
-	// Single-int-predicate fast path: the dominant shape (point and
-	// category lookups) runs as one typed sweep.
-	if len(f.intCols) == 1 && len(f.strCols) == 0 {
-		col, want := f.intCols[0], f.intV[0]
-		for _, rid := range rids {
-			if col[rid] == want {
-				matched = append(matched, rid)
-			}
-		}
 		return matched
 	}
 	for _, rid := range rids {

@@ -135,14 +135,16 @@ func ExecuteBatch(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSets [][
 // What the bindings share is everything but their values: the table and plan
 // lookup, the statement-wide validation, one driving index resolved once and
 // probed with every live binding's key under one table lock
-// (storage.Table.Probe), each distinct bucket and data page touched once — or
-// one scan of the table that every binding partitions — and, for a row select,
-// one projected block that each binding views. A binding that fails drops out
-// of the shared phases with its own error and charges no rows (Server.Do
-// charges no CPU for a call none of whose bindings succeeded). The returned
-// ExecInfo covers the whole set; sc.matched is left holding the surviving row
-// ids, binding after binding (for an insert, each binding's new row id or -1),
-// for the entry points to copy out of the pooled scratch.
+// (storage.Table.Probe), each distinct bucket and data page touched once in
+// one walk per extent — or one scan of the table that every binding
+// partitions — and, for a row select, one projected block that each binding
+// views. A probe is exact, so a binding's residual filter is every predicate
+// but the driving one. A binding that fails drops out of the shared phases
+// with its own error and charges no rows (Server.Do charges no CPU for a call
+// none of whose bindings succeeded). The returned ExecInfo covers the whole
+// set; sc.matched is left holding the surviving row ids, binding after binding
+// (for an insert, each binding's new row id or -1), for the entry points to
+// copy out of the pooled scratch.
 func (sc *scratch) run(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSets [][]any, results []any, errs []error) (info ExecInfo) {
 	sc.matched = sc.matched[:0]
 	t := cat.Table(st.Table)
@@ -245,15 +247,20 @@ func (sc *scratch) run(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSet
 		if errs[i] != nil {
 			continue
 		}
-		filters[i].bind(st, plan, &sc.view, argSets[i])
 		examined := scanN
-		if ix != nil {
+		if ix == nil {
+			filters[i].bind(st, plan, &sc.view, argSets[i], -1)
+			sc.matched = filters[i].appendScanMatches(sc.matched, scanN)
+		} else {
 			cand := sc.probed.Key(probed)
 			probed++
 			examined = len(cand)
-			sc.matched = filters[i].appendMatches(sc.matched, cand)
-		} else {
-			sc.matched = filters[i].appendScanMatches(sc.matched, scanN)
+			if len(st.Where) == 1 {
+				sc.matched = append(sc.matched, cand...)
+			} else {
+				filters[i].bind(st, plan, &sc.view, argSets[i], driver)
+				sc.matched = filters[i].appendMatches(sc.matched, cand)
+			}
 		}
 		mine := sc.matched[sc.offs[i]:]
 		returned := len(mine)
@@ -308,9 +315,9 @@ func (sc *scratch) run(st *Stmt, cat *storage.Catalog, pool *buffer.Pool, argSet
 }
 
 // fetch is the index access path: it probes ix with sc.keys under one table
-// lock, touches the distinct bucket pages and the distinct data pages of the
-// candidates once each in ascending order (the shared, RID-ordered fetch the
-// paper cites, §I), snapshots the table into sc.view and returns the pages
+// lock, touches the distinct bucket pages, then the distinct data pages of the
+// candidates, ascending, in one Pool.Get each (the shared, RID-ordered fetch
+// the paper cites, §I), snapshots the table into sc.view and returns the pages
 // touched. The candidate rids (sc.probed, a run per key) are copies the
 // scratch owns. Insert publishes column values before index rids under one
 // table lock, so the snapshot, taken after the probe, holds every candidate.
@@ -321,13 +328,11 @@ func (sc *scratch) fetch(t *storage.Table, ix *storage.Index, pool *buffer.Pool)
 	for _, rid := range sc.probed.Rids {
 		sc.pages = append(sc.pages, rid/rpp)
 	}
-	buckets, data := sortDedupe(sc.probed.Buckets), sortDedupe(sc.pages)
-	for _, pg := range buckets {
-		pool.Get(buffer.PageID{Extent: ix.Extent, Page: pg})
-	}
-	for _, pg := range data {
-		pool.Get(buffer.PageID{Extent: t.Extent, Page: pg})
-	}
+	slices.Sort(sc.probed.Buckets)
+	slices.Sort(sc.pages)
+	buckets, data := slices.Compact(sc.probed.Buckets), slices.Compact(sc.pages)
+	pool.Get(ix.Extent, buckets)
+	pool.Get(t.Extent, data)
 	t.ViewInto(&sc.view)
 	return len(buckets) + len(data)
 }
@@ -342,13 +347,6 @@ func pickDriver(t *storage.Table, conds []Cond) (int, *storage.Index) {
 		}
 	}
 	return -1, nil
-}
-
-// sortDedupe sorts ps in place and compacts away duplicates, returning the
-// distinct prefix — the allocation-free replacement for the page-set maps.
-func sortDedupe(ps []int) []int {
-	slices.Sort(ps)
-	return slices.Compact(ps)
 }
 
 func aggregate(st *Stmt, plan *stmtPlan, view *storage.View, rids []int) (any, error) {

@@ -574,7 +574,8 @@ func (p *Probed) Key(i int) []int { return p.Rids[p.Offs[i]:p.Offs[i+1]] }
 // Probe is the index lookup, set-oriented: under one read lock it copies, for
 // every key in order, the matching row ids and the bucket page the key hashes
 // to into p, resetting it first. ix must be one of t's indexes. Nothing in p
-// aliases the index.
+// aliases the index. Every rid returned holds the key (an index is typed like
+// its column and rows never change), so the probe is the driving predicate.
 func (t *Table) Probe(ix *Index, keys []any, p *Probed) {
 	p.Rids, p.Offs, p.Buckets = p.Rids[:0], append(p.Offs[:0], 0), p.Buckets[:0]
 	var one [1]int
