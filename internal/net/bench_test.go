@@ -113,3 +113,53 @@ func BenchmarkFrameWriteRead(b *testing.B) {
 		}
 	}
 }
+
+// batchReply is a 64-binding point-select reply, one (nickname, rating) row a
+// binding: columnar, as a query.Doer backend answers, with the bindings split
+// over two headers as two shards' plans hold them, or boxed.
+func batchReply(boxed bool) *query.Reply {
+	cols := []interp.RowCol{{Strs: make([]string, 64)}, {Ints: make([]int64, 64)}}
+	for i := range 64 {
+		cols[0].Strs[i], cols[1].Ints[i] = "user"+string(rune('A'+i%26))+"xyz", int64(i%32)
+	}
+	hdrs := []*interp.RowHeader{interp.NewRowHeader([]string{"nickname", "rating"}), interp.NewRowHeader([]string{"nickname", "rating"})}
+	rep := &query.Reply{Values: make([]any, 64), Errs: make([]error, 64)}
+	for i := range rep.Values {
+		rs := &interp.RowSet{Header: hdrs[i%2], Cols: cols, Sel: []int{i}, N: 1}
+		if rep.Values[i] = rs; boxed {
+			rep.Values[i] = rs.Rows()
+		}
+	}
+	return rep
+}
+
+// BenchmarkBatchReplyCodec encodes and decodes batchReply's two shapes, as the
+// server writes it into a reused frame buffer and as a client reads it.
+//
+//	go test -run XXX -bench BatchReplyCodec -benchmem ./internal/net/
+func BenchmarkBatchReplyCodec(b *testing.B) {
+	for _, shape := range []string{"columnar", "boxed"} {
+		rep := batchReply(shape == "boxed")
+		frame, err := appendReply(nil, 1, true, rep)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("encode/"+shape, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if frame, err = appendReply(frame[:0], uint64(i), true, rep); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("decode/"+shape, func(b *testing.B) {
+			b.ReportAllocs()
+			var names []string
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeReply(MsgBatchResult, frame[frameHeader:], &names); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -32,8 +32,10 @@ import (
 const (
 	// Magic opens every hello frame: "ASQW" (asynchronous query wire).
 	Magic uint32 = 0x41535157
-	// Version is the protocol version this build speaks.
-	Version uint16 = 1
+	// Version is the protocol version this build speaks. Version 2: a reply
+	// states its string cells' bytes after the request id, and a row set that
+	// repeats the reply's previous column list does not list it again.
+	Version uint16 = 2
 	// MaxFrame bounds a single frame's payload. Large result sets are the
 	// legitimate case (a full-scan read returns its rows in one frame);
 	// anything beyond this is a corrupt length prefix, and rejecting it
@@ -110,16 +112,17 @@ type reader struct {
 	b   []byte
 	err error
 
-	// What the results of one reply repeat: the column names of the last row
-	// set decoded (see columns; a client's call keeps them across replies),
-	// the storage its row sets' headers are carved from (see rowSlab), sized
-	// for the results still to come, and the one string its string cells are
-	// substrings of (see reply).
+	// What the results of one reply repeat: the last column names decoded
+	// (see columns; a client's call keeps them across replies), whether this
+	// reply listed them and whether a row set around this one reads them; the
+	// storage its row sets are carved from (see rowSlab), sized for the
+	// results still to come; the one string its cells are cut from (see reply).
 	keys   []string
+	listed bool
+	inUse  bool
 	slab   interp.Rows
 	left   int
 	cells  strings.Builder
-	carved bool
 
 	// The storage a batch request's bindings are carved from (see args).
 	argSlab []any
@@ -187,56 +190,15 @@ func (r *reader) stringInto(last *string) {
 	}
 }
 
-// cell reads a string value: a substring of the reply's one cell string once
-// reply has made room for it, else a copy of its own.
+// cell reads a string value: a substring of the reply's one cell string while
+// the room reply made in it lasts, else a copy of its own.
 func (r *reader) cell() string {
-	if !r.carved {
-		return r.string()
+	b := r.bytes()
+	if lo := r.cells.Len(); lo+len(b) <= r.cells.Cap() {
+		r.cells.Write(b)
+		return r.cells.String()[lo:]
 	}
-	lo := r.cells.Len()
-	r.cells.Write(r.bytes())
-	return r.cells.String()[lo:]
-}
-
-// skip walks one value without building it and returns the bytes its string
-// cells hold: how reply sizes the one string its cells are cut from.
-func (r *reader) skip() (n int) {
-	switch r.byte() {
-	case tagInt:
-		r.varint()
-	case tagString:
-		n = len(r.bytes())
-	case tagBool:
-		r.byte()
-	case tagList:
-		n = r.skipN(r.count("list"), false)
-	case tagRow:
-		n = r.skipN(r.count("row"), true)
-	case tagRows:
-		rows := r.count("rows")
-		if rows > 0 && r.bool() { // columnar: the names, then the cells
-			cols := r.count("columns")
-			for i := 0; i < cols; i++ {
-				r.bytes()
-			}
-			return r.skipN(rows*cols, false)
-		}
-		for ; rows > 0 && r.err == nil; rows-- {
-			n += r.skipN(r.count("row"), true)
-		}
-	}
-	return n
-}
-
-// skipN is skip over n values, each after its key when keyed.
-func (r *reader) skipN(n int, keyed bool) (cells int) {
-	for ; n > 0 && r.err == nil; n-- {
-		if keyed {
-			r.bytes()
-		}
-		cells += r.skip()
-	}
-	return cells
+	return string(b)
 }
 
 func (r *reader) byte() byte {
@@ -291,6 +253,20 @@ func (r *reader) count(what string) int {
 // else is an encoding error — the front door refuses to silently stringify a
 // value the other side could not reconstruct.
 func AppendValue(b []byte, v any) ([]byte, error) {
+	var e encoder
+	return e.value(b, v)
+}
+
+// encoder writes the values of one message. What they share is the column
+// list of the last columnar row set written: a row set whose list reads the
+// same does not list it again (see columns).
+type encoder struct {
+	last   colList
+	listed bool
+	twin   *interp.RowHeader // another header whose list reads as last's
+}
+
+func (e *encoder) value(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
 		return append(b, tagNil), nil
@@ -304,44 +280,44 @@ func AppendValue(b []byte, v any) ([]byte, error) {
 		b = putUvarint(append(b, tagList), uint64(len(x.Items)))
 		var err error
 		for _, it := range x.Items {
-			if b, err = AppendValue(b, it); err != nil {
+			if b, err = e.value(b, it); err != nil {
 				return nil, err
 			}
 		}
 		return b, nil
 	case interp.Row:
-		return appendRow(append(b, tagRow), x)
+		return e.row(append(b, tagRow), x)
 	case interp.Rows:
-		return appendRows(append(b, tagRows), x)
+		return e.rows(append(b, tagRows), x)
 	case *interp.RowSet:
-		return appendRowSet(append(b, tagRows), x)
+		return e.rowSet(append(b, tagRows), x)
 	default:
 		return nil, fmt.Errorf("net: cannot encode %T", v)
 	}
 }
 
-// appendRow writes a row as sorted (key, value) pairs — sorted so the
-// encoding is deterministic, matching the deterministic Format order the
-// differential harness compares.
-func appendRow(b []byte, row interp.Row) ([]byte, error) {
+// row writes a row as sorted (key, value) pairs — sorted so the encoding is
+// deterministic, matching the deterministic Format order the differential
+// harness compares.
+func (e *encoder) row(b []byte, row interp.Row) ([]byte, error) {
 	keys := sortedRowKeys(row)
 	b = putUvarint(b, uint64(len(keys)))
 	var err error
 	for _, k := range keys {
 		b = putString(b, k)
-		if b, err = AppendValue(b, row[k]); err != nil {
+		if b, err = e.value(b, row[k]); err != nil {
 			return nil, err
 		}
 	}
 	return b, nil
 }
 
-// appendRows writes a result set. The common case — every row shares the
-// same columns — is encoded columnar: the sorted key set once, then values
-// row-major, which is the batch-aware encode that keeps wide result sets
-// from repeating column names per row. Heterogeneous row sets fall back to
-// per-row encoding.
-func appendRows(b []byte, rows interp.Rows) ([]byte, error) {
+// rows writes a result set. The common case — every row shares the same
+// columns — is encoded columnar: the sorted key set once (see columns), then
+// values row-major, which is the batch-aware encode that keeps wide result
+// sets from repeating column names per row. Heterogeneous row sets fall back
+// to per-row encoding (flag 0).
+func (e *encoder) rows(b []byte, rows interp.Rows) ([]byte, error) {
 	b = putUvarint(b, uint64(len(rows)))
 	if len(rows) == 0 {
 		return b, nil
@@ -356,14 +332,10 @@ func appendRows(b []byte, rows interp.Rows) ([]byte, error) {
 	}
 	var err error
 	if shared {
-		b = append(b, 1) // columnar: shared sorted key set
-		b = putUvarint(b, uint64(len(keys)))
-		for _, k := range keys {
-			b = putString(b, k)
-		}
+		b = e.columns(b, colList{keys: keys})
 		for _, row := range rows {
 			for _, k := range keys {
-				if b, err = AppendValue(b, row[k]); err != nil {
+				if b, err = e.value(b, row[k]); err != nil {
 					return nil, err
 				}
 			}
@@ -372,34 +344,31 @@ func appendRows(b []byte, rows interp.Rows) ([]byte, error) {
 	}
 	b = append(b, 0) // row-major fallback: each row carries its keys
 	for _, row := range rows {
-		if b, err = appendRow(b, row); err != nil {
+		if b, err = e.row(b, row); err != nil {
 			return nil, err
 		}
 	}
 	return b, nil
 }
 
-// appendRowSet writes a columnar result as appendRows writes its boxed form:
-// always the shared-key-set encoding, the names in the header's precomputed
-// order, the cells straight from the typed vectors through the selection —
-// for a select, the table's own vectors: this is the one copy a cell makes.
-func appendRowSet(b []byte, rs *interp.RowSet) ([]byte, error) {
+// rowSet writes a columnar result as rows writes its boxed form: always the
+// shared-key-set encoding, the names in the header's precomputed order, the
+// cells straight from the typed vectors through the selection — for a select,
+// the table's own vectors: this is the one copy a cell makes.
+func (e *encoder) rowSet(b []byte, rs *interp.RowSet) ([]byte, error) {
 	b = putUvarint(b, uint64(rs.N))
 	if rs.N == 0 {
 		return b, nil
 	}
 	wire := rs.Header.Wire
-	b = putUvarint(append(b, 1), uint64(len(wire)))
-	for _, k := range wire {
-		b = putString(b, rs.Header.Names[k])
-	}
+	b = e.columns(b, colList{rs.Header, rs.Header.Names})
 	var err error
 	for j := 0; j < rs.N; j++ {
 		i := rs.At(j)
 		for _, k := range wire {
 			switch c := &rs.Cols[k]; {
 			case c.Anys != nil:
-				if b, err = AppendValue(b, c.Anys[i]); err != nil {
+				if b, err = e.value(b, c.Anys[i]); err != nil {
 					return nil, err
 				}
 			case c.Ints != nil:
@@ -410,6 +379,46 @@ func appendRowSet(b []byte, rs *interp.RowSet) ([]byte, error) {
 		}
 	}
 	return b, nil
+}
+
+// colList is a sorted column list: keys in the order hdr.Wire gives, or as
+// they are when hdr is nil (boxed rows).
+type colList struct {
+	hdr  *interp.RowHeader
+	keys []string
+}
+
+func (l colList) at(i int) string {
+	if l.hdr != nil {
+		return l.keys[l.hdr.Wire[i]]
+	}
+	return l.keys[i]
+}
+
+// columns writes a columnar row set's flag and column list: flag 1 and the
+// list, or flag 2 alone when the list reads the same as the last one this
+// message wrote. Two shards' results carry equal lists in different headers,
+// so the lists are compared by name.
+func (e *encoder) columns(b []byte, l colList) []byte {
+	same := e.listed && l.hdr != nil && (l.hdr == e.last.hdr || l.hdr == e.twin)
+	if !same && e.listed && len(l.keys) == len(e.last.keys) {
+		same = true
+		for i := 0; same && i < len(l.keys); i++ {
+			same = l.at(i) == e.last.at(i)
+		}
+		if same {
+			e.twin = l.hdr
+		}
+	}
+	if same {
+		return append(b, 2)
+	}
+	e.last, e.listed, e.twin = l, true, nil
+	b = putUvarint(append(b, 1), uint64(len(l.keys)))
+	for i := range l.keys {
+		b = putString(b, l.at(i))
+	}
+	return b
 }
 
 func sortedRowKeys(row interp.Row) []string {
@@ -478,8 +487,9 @@ func (r *reader) rows() interp.Rows {
 		return interp.Rows{}
 	}
 	rows := r.rowSlab(n)
-	if r.bool() { // columnar
-		keys := r.columns()
+	if flag := r.byte(); flag != 0 { // columnar
+		keys, outer := r.columns(flag), r.inUse
+		r.inUse = true
 		for i := 0; i < n && r.err == nil; i++ {
 			row := make(interp.Row, len(keys))
 			for _, k := range keys {
@@ -487,6 +497,7 @@ func (r *reader) rows() interp.Rows {
 			}
 			rows = append(rows, row)
 		}
+		r.inUse = outer
 		return rows
 	}
 	for i := 0; i < n && r.err == nil; i++ {
@@ -495,18 +506,29 @@ func (r *reader) rows() interp.Rows {
 	return rows
 }
 
-// columns reads a row set's column names. The bindings of a batch reply carry
+// columns reads a columnar row set's column names after its flag (read
+// without error): 1 lists them, 2 repeats the reply's last list, which is an
+// error before the reply has listed one. The bindings of a batch reply carry
 // the same names one after the other, and a client's next reply on the same
 // call usually does too, so the slice and every name that reads the same as
-// last time are reused; no result holds the slice (a row map holds the
-// strings, which do not change).
-func (r *reader) columns() []string {
-	if nk := r.count("columns"); nk != len(r.keys) {
+// last time are reused — but not a slice a row set around this one is still
+// reading. No result holds the slice (a row map holds the strings, which do
+// not change).
+func (r *reader) columns(flag byte) []string {
+	if flag == 2 && r.listed {
+		return r.keys
+	}
+	if flag != 1 {
+		r.err = fmt.Errorf("%w: row set flag %d", ErrBadFrame, flag)
+		return nil
+	}
+	if nk := r.count("columns"); nk != len(r.keys) || r.inUse {
 		r.keys = make([]string, nk)
 	}
 	for i := range r.keys {
 		r.stringInto(&r.keys[i])
 	}
+	r.listed = true
 	return r.keys
 }
 
@@ -728,31 +750,36 @@ func (r *reader) errSlot() error {
 // value + error).
 func appendResult(b []byte, reqID uint64, v any, err error) ([]byte, error) {
 	b = binary.BigEndian.AppendUint64(b, reqID)
-	b = appendErr(b, err)
 	if err != nil {
-		return b, nil
+		return appendErr(putUvarint(b, 0), err), nil
 	}
-	return AppendValue(reserve(b, v), v)
+	var e encoder
+	return e.value(append(reserve(b, v), errNone), v)
 }
 
-// reserve grows b for the string cells of the row results among vs before any
-// is written. A select's cells are read from its table's vectors, at rows far
+// reserve writes the bytes the string cells among vs hold, which a reply
+// states after its request id, and grows b by as much before any value is
+// written. A select's cells are read from its table's vectors, at rows far
 // apart: the loads of this pass do not depend on each other, so their cache
-// misses overlap here instead of stalling the encoder one row at a time.
+// misses overlap here instead of stalling the encoder one row at a time. It
+// counts only strings and typed string columns: a boxed cell (in rows, a
+// list or a lifted column), which only a backend that is not a query.Doer
+// answers in, gets a string of its own from the decoder.
 func reserve(b []byte, vs ...any) []byte {
 	need := 0
 	for _, v := range vs {
-		rs, ok := v.(*interp.RowSet)
-		if !ok {
-			continue
-		}
-		for _, c := range rs.Cols {
-			for j := 0; j < rs.N && c.Strs != nil; j++ {
-				need += len(c.Strs[rs.At(j)])
+		switch x := v.(type) {
+		case string:
+			need += len(x)
+		case *interp.RowSet:
+			for _, c := range x.Cols {
+				for j := 0; j < x.N && c.Strs != nil; j++ {
+					need += len(c.Strs[x.At(j)])
+				}
 			}
 		}
 	}
-	return slices.Grow(b, need)
+	return putUvarint(slices.Grow(b, need), uint64(need))
 }
 
 // EncodeResult encodes one Result under reqID.
@@ -775,13 +802,14 @@ func appendBatchResult(b []byte, reqID uint64, values []any, errs []error) ([]by
 	}
 	b = binary.BigEndian.AppendUint64(b, reqID)
 	b = putUvarint(reserve(b, values...), uint64(len(values)))
+	var e encoder
 	var err error
 	for i := range values {
 		b = appendErr(b, errs[i])
 		if errs[i] != nil {
 			continue
 		}
-		if b, err = AppendValue(b, values[i]); err != nil {
+		if b, err = e.value(b, values[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -800,28 +828,21 @@ func DecodeBatchResult(b []byte) (uint64, query.BatchResult, error) {
 	return id, query.BatchResult{Values: rep.Values, Errs: rep.Errs}, r.err
 }
 
-// reply reads a MsgResult payload, or a MsgBatchResult one: its slots, an
-// error or a value each, after their count. The string cells of its values
-// are substrings of one string of exactly their bytes, which a first walk over
-// the slots sizes: one allocation a reply, and no cell a view of the pooled
-// payload. Cells that hold more than maxRetained between them keep a string
-// each, so one retained cell never pins a large reply.
+// reply reads a MsgResult payload, or a MsgBatchResult one: the bytes its
+// string cells hold, then its slots, an error or a value each, after their
+// count. The string cells are substrings of one string with room for the bytes
+// the reply states, but not beyond the bytes that follow, so no cell is a view
+// of the pooled payload and the reply is read once. A cell that does not fit
+// the room left is a string of its own, as is every cell of a reply that
+// states more than maxRetained bytes, so one retained cell never pins a large
+// reply: a wrong total costs allocations, never a wrong value.
 func (r *reader) reply(batch bool) (uint64, query.Reply) {
 	id, n := r.u64(), 1
+	if cells := r.uvarint(); cells <= maxRetained {
+		r.cells.Grow(int(min(cells, uint64(len(r.b)))))
+	}
 	if batch {
 		n = r.count("batch result")
-	}
-	sizer, cells := reader{b: r.b}, 0
-	for i := 0; i < n && sizer.err == nil; i++ {
-		switch sizer.byte() {
-		case errNone:
-			cells += sizer.skip()
-		case errGeneric:
-			sizer.bytes()
-		}
-	}
-	if r.carved = cells <= maxRetained; r.carved {
-		r.cells.Grow(cells)
 	}
 	var rep query.Reply
 	if !batch {

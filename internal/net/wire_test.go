@@ -330,6 +330,12 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	seedBR, _ := EncodeBatchResult(4, query.BatchResult{
 		Values: []any{nil, int64(9)}, Errs: []error{query.ErrDeadlineExceeded, nil}})
 	f.Add(MsgBatchResult, seedBR)
+	// Version 2: bindings whose row sets share columns (flag 2), and a reply
+	// that states more cell bytes than it holds.
+	shared, _ := EncodeBatchResult(5, query.BatchResult{
+		Values: []any{rows, interp.Rows{{"a": int64(3)}}, interp.Rows{{"a": "s"}}}, Errs: make([]error, 3)})
+	f.Add(MsgBatchResult, shared)
+	f.Add(MsgBatchResult, withCellBytes(shared, 1000))
 	f.Add(byte(200), []byte{0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, msgType byte, payload []byte) {

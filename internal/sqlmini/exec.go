@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -41,16 +42,17 @@ type ExecInfo struct {
 
 // scratch holds the pooled per-execution buffers: the table view, bound
 // filters, probe keys, the probed candidate rids and bucket pages, the data
-// page list and the batch's matched-rid buffer. Everything in it is reset on
-// reuse; nothing in it may escape through results: a select's selection
-// vector (which is also Execute's Matched) is a fresh copy of matched, and
-// its column list is fresh too, holding the table's vectors themselves.
+// page list, the page-set bitmap and the batch's matched-rid buffer. All of
+// it is reset on reuse; nothing in it may escape through results: a select's
+// selection vector (which is also Execute's Matched) is a fresh copy of
+// matched, and its column list is fresh too, holding the table's vectors.
 type scratch struct {
 	view    storage.View
 	filters []condFilter
 	matched []int
 	offs    []int
 	pages   []int
+	bits    []uint64
 	keys    []any
 	probed  storage.Probed
 	row     []any
@@ -328,13 +330,41 @@ func (sc *scratch) fetch(t *storage.Table, ix *storage.Index, pool *buffer.Pool)
 	for _, rid := range sc.probed.Rids {
 		sc.pages = append(sc.pages, rid/rpp)
 	}
-	slices.Sort(sc.probed.Buckets)
-	slices.Sort(sc.pages)
-	buckets, data := slices.Compact(sc.probed.Buckets), slices.Compact(sc.pages)
+	buckets, data := sc.pageSet(sc.probed.Buckets), sc.pageSet(sc.pages)
 	pool.Get(ix.Extent, buckets)
 	pool.Get(t.Extent, data)
 	t.ViewInto(&sc.view)
 	return len(buckets) + len(data)
+}
+
+// pageSet is slices.Compact of ids sorted, in place, without the sort: each id
+// sets its bit in a bitmap over the ids' range, whose words are read back in
+// ascending order and cleared as they are read (the bitmap is all zero between
+// calls). A range of more than eight words an id is sorted instead.
+func (sc *scratch) pageSet(ids []int) []int {
+	if len(ids) < 2 {
+		return ids
+	}
+	lo, hi := slices.Min(ids), slices.Max(ids)
+	words := (hi-lo)>>6 + 1
+	if words > 8*len(ids) {
+		slices.Sort(ids)
+		return slices.Compact(ids)
+	}
+	if len(sc.bits) < words {
+		sc.bits = make([]uint64, words)
+	}
+	for _, id := range ids {
+		sc.bits[(id-lo)>>6] |= 1 << ((id - lo) & 63)
+	}
+	out := ids[:0]
+	for w, word := range sc.bits[:words] {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, lo+w<<6+bits.TrailingZeros64(word))
+			sc.bits[w] = 0
+		}
+	}
+	return out
 }
 
 // pickDriver returns the position of the first predicate whose column is
