@@ -105,6 +105,34 @@ func TestDecodeReplyAllocations(t *testing.T) {
 	}
 }
 
+// TestDecodeBoxedReplyAllocations pins what a 64-binding reply in boxed rows
+// costs to decode, one (nickname, rating) row a binding, on a call that read
+// the names before. The stated total counts no boxed cell, so each string
+// cell is a string of its own: 63 objects more than the one string that
+// Version 1's sizing walk cut them all from.
+func TestDecodeBoxedReplyAllocations(t *testing.T) {
+	rep := &query.Reply{Values: make([]any, 64), Errs: make([]error, 64)}
+	for i := range rep.Values {
+		rep.Values[i] = interp.Rows{{"nickname": "user" + string(rune('A'+i%26)), "rating": int64(i % 32)}}
+	}
+	payload := must(t)(appendReply(nil, 1, true, rep))[frameHeader:]
+	var names []string
+	if _, err := decodeReply(MsgBatchResult, payload, &names); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		keep := names
+		if _, err := decodeReply(MsgBatchResult, payload, &keep); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Two slot slices and the slab; per binding a box, a map, and the
+	// string cell's box and bytes (a rating below 256 is boxed statically).
+	if want := 2 + 1 + 64*(1+2+1+1); got > float64(want) {
+		t.Errorf("decoding a 64-binding boxed reply allocates %.2f objects, want at most %d", got, want)
+	}
+}
+
 // TestRowSetEncodeAllocations pins the columnar arm of the encoder at nothing:
 // into a buffer with room, a row result goes onto the wire from its typed
 // vectors and its header's precomputed name order. (The interp.Rows arm sorts

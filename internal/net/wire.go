@@ -263,7 +263,6 @@ func AppendValue(b []byte, v any) ([]byte, error) {
 type encoder struct {
 	last   colList
 	listed bool
-	twin   *interp.RowHeader // another header whose list reads as last's
 }
 
 func (e *encoder) value(b []byte, v any) ([]byte, error) {
@@ -400,20 +399,17 @@ func (l colList) at(i int) string {
 // message wrote. Two shards' results carry equal lists in different headers,
 // so the lists are compared by name.
 func (e *encoder) columns(b []byte, l colList) []byte {
-	same := e.listed && l.hdr != nil && (l.hdr == e.last.hdr || l.hdr == e.twin)
+	same := e.listed && l.hdr != nil && l.hdr == e.last.hdr
 	if !same && e.listed && len(l.keys) == len(e.last.keys) {
 		same = true
 		for i := 0; same && i < len(l.keys); i++ {
 			same = l.at(i) == e.last.at(i)
 		}
-		if same {
-			e.twin = l.hdr
-		}
 	}
 	if same {
 		return append(b, 2)
 	}
-	e.last, e.listed, e.twin = l, true, nil
+	e.last, e.listed = l, true
 	b = putUvarint(append(b, 1), uint64(len(l.keys)))
 	for i := range l.keys {
 		b = putString(b, l.at(i))
@@ -762,9 +758,9 @@ func appendResult(b []byte, reqID uint64, v any, err error) ([]byte, error) {
 // written. A select's cells are read from its table's vectors, at rows far
 // apart: the loads of this pass do not depend on each other, so their cache
 // misses overlap here instead of stalling the encoder one row at a time. It
-// counts only strings and typed string columns: a boxed cell (in rows, a
-// list or a lifted column), which only a backend that is not a query.Doer
-// answers in, gets a string of its own from the decoder.
+// counts only strings and typed string columns; a boxed cell gets a string of
+// its own from the decoder: rows' and lists' (a backend not a query.Doer) and
+// Anys columns' (lifted, or shard.Router's merge of legs unlike in form).
 func reserve(b []byte, vs ...any) []byte {
 	need := 0
 	for _, v := range vs {

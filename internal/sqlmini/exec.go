@@ -339,8 +339,9 @@ func (sc *scratch) fetch(t *storage.Table, ix *storage.Index, pool *buffer.Pool)
 
 // pageSet is slices.Compact of ids sorted, in place, without the sort: each id
 // sets its bit in a bitmap over the ids' range, whose words are read back in
-// ascending order and cleared as they are read (the bitmap is all zero between
-// calls). A range of more than eight words an id is sorted instead.
+// ascending order and cleared (all zero between calls). A range of more than
+// eight words an id is sorted: a scatter's or a transformed loop's few data
+// pages; a batch call's bucket and data pages take the bitmap.
 func (sc *scratch) pageSet(ids []int) []int {
 	if len(ids) < 2 {
 		return ids
