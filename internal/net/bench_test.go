@@ -95,10 +95,10 @@ func BenchmarkFrameWriteRead(b *testing.B) {
 	var last stmtNames
 	for i := 0; i < b.N; i++ {
 		var err error
-		if frame, err = appendExec(beginFrame(frame, MsgExec), uint64(i), req); err != nil {
+		if frame, err = appendExec(beginFrame(frame[:0], MsgExec), uint64(i), req); err != nil {
 			b.Fatal(err)
 		}
-		if frame, err = finishFrame(frame); err != nil {
+		if frame, err = finishFrame(frame, 0); err != nil {
 			b.Fatal(err)
 		}
 		if _, err = fw.send(frame); err != nil {
@@ -108,7 +108,7 @@ func BenchmarkFrameWriteRead(b *testing.B) {
 		if msgType, payload, err = readFrame(br, payload); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err = decodeCall(msgType, payload, &last); err != nil {
+		if _, _, err = decodeCall(msgType, payload, &last, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -560,7 +560,7 @@ func (c *Client) do(cl *call, frame []byte, sql string, sp *obs.Span, dl query.D
 		return query.Reply{}, query.ErrDeadlineExceeded
 	}
 	var err error
-	if cl.frame, err = finishFrame(frame); err != nil {
+	if cl.frame, err = finishFrame(frame, 0); err != nil {
 		return query.Reply{}, err
 	}
 	isWrite := c.isWrite(sql)
@@ -597,7 +597,7 @@ func otherShape(rep query.Reply, what string) error {
 func (c *Client) Exec(req query.Request) query.Result {
 	cl := callPool.Get().(*call)
 	defer putCall(cl)
-	frame, err := appendExec(beginFrame(cl.frame, MsgExec), 0, req)
+	frame, err := appendExec(beginFrame(cl.frame[:0], MsgExec), 0, req)
 	var rep query.Reply
 	if err == nil {
 		rep, err = c.do(cl, frame, req.SQL, req.Span, req.Deadline)
@@ -617,7 +617,7 @@ func (c *Client) ExecBatch(req query.BatchRequest) query.BatchResult {
 	n := len(req.ArgSets)
 	cl := callPool.Get().(*call)
 	defer putCall(cl)
-	frame, err := appendExecBatch(beginFrame(cl.frame, MsgExecBatch), 0, req)
+	frame, err := appendExecBatch(beginFrame(cl.frame[:0], MsgExecBatch), 0, req)
 	var rep query.Reply
 	if err == nil {
 		rep, err = c.do(cl, frame, req.SQL, req.Span, req.Deadline)

@@ -290,7 +290,7 @@ func TestAbandonedRequestNeverAnswersALaterOne(t *testing.T) {
 // header as well as inside the payload, never an empty or a whole frame.
 func TestTornFrameCutsAnywhere(t *testing.T) {
 	req := query.Req("q", testSelect, []any{int64(1)})
-	whole := must(t)(finishFrame(must(t)(appendExec(beginFrame(nil, MsgExec), 1, req))))
+	whole := must(t)(finishFrame(must(t)(appendExec(beginFrame(nil, MsgExec), 1, req)), 0))
 	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

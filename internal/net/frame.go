@@ -21,19 +21,21 @@ const readAhead = 1 << 20
 // its size on every connection it crossed.
 const maxRetained = 64 << 10
 
-// beginFrame starts a frame of msgType in b's storage: the five header bytes,
-// which the codec appends the payload to and finishFrame completes.
+// beginFrame starts a frame of msgType at the end of b: the five header bytes,
+// which the codec appends the payload to and finishFrame completes. Frames
+// begun one after another in one buffer lie back to back, ready for one Write.
 func beginFrame(b []byte, msgType byte) []byte {
-	return append(b[:0], 0, 0, 0, 0, msgType)
+	return append(b, 0, 0, 0, 0, msgType)
 }
 
-// finishFrame fills in the length prefix of the frame that occupies b.
-func finishFrame(b []byte) ([]byte, error) {
-	n := len(b) - 4 // type byte + payload
+// finishFrame fills in the length prefix of the frame that occupies b from
+// offset start to its end.
+func finishFrame(b []byte, start int) ([]byte, error) {
+	n := len(b) - start - 4 // type byte + payload
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: %d byte payload exceeds MaxFrame", ErrBadFrame, n-1)
 	}
-	binary.BigEndian.PutUint32(b, uint32(n))
+	binary.BigEndian.PutUint32(b[start:], uint32(n))
 	return b, nil
 }
 
@@ -41,7 +43,7 @@ func finishFrame(b []byte) ([]byte, error) {
 // Write.
 func WriteFrame(w io.Writer, msgType byte, payload []byte) error {
 	b := make([]byte, 0, frameHeader+len(payload))
-	frame, err := finishFrame(append(beginFrame(b, msgType), payload...))
+	frame, err := finishFrame(append(beginFrame(b, msgType), payload...), 0)
 	if err != nil {
 		return err
 	}

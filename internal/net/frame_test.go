@@ -33,7 +33,7 @@ func TestFrameGoldenBytes(t *testing.T) {
 	must := must(t)
 	finished := func(b []byte, err error) []byte {
 		t.Helper()
-		return must(finishFrame(must(b, err)))
+		return must(finishFrame(must(b, err), 0))
 	}
 	cases := []struct {
 		name    string
@@ -129,7 +129,7 @@ func TestDecodedValuesDoNotAliasPayload(t *testing.T) {
 		decode := func(b []byte) any {
 			switch msgType {
 			case MsgExec, MsgExecBatch:
-				id, c, err := decodeCall(msgType, b, &last)
+				id, c, err := decodeCall(msgType, b, &last, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -158,7 +158,7 @@ func TestDecodedValuesDoNotAliasPayload(t *testing.T) {
 	last = stmtNames{}
 	for round := 0; round < 3; round++ {
 		payload := must(t)(EncodeExec(uint64(round), req))
-		_, c, err := decodeCall(MsgExec, payload, &last)
+		_, c, err := decodeCall(MsgExec, payload, &last, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestFrameWriterCombinesQueuedFrames(t *testing.T) {
 	var fw frameWriter
 	fw.init(g)
 	frame := func(i int) []byte {
-		return must(t)(finishFrame(append(beginFrame(nil, MsgResult), byte(i), byte(i), byte(i))))
+		return must(t)(finishFrame(append(beginFrame(nil, MsgResult), byte(i), byte(i), byte(i)), 0))
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -246,7 +246,7 @@ func TestFrameWriterSettlesSentAndUnsent(t *testing.T) {
 	g.failAt = 2
 	var fw frameWriter
 	fw.init(g)
-	frame := must(t)(finishFrame(append(beginFrame(nil, MsgExec), "abcdefgh"...)))
+	frame := must(t)(finishFrame(append(beginFrame(nil, MsgExec), "abcdefgh"...), 0))
 	leader := make(chan error, 1)
 	var first uint64
 	go func() {

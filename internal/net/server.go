@@ -2,6 +2,8 @@ package net
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	stdnet "net"
@@ -27,7 +29,12 @@ type ServerOptions struct {
 // against a query.Executor — any layer of the stack, from a bare
 // server.Server to a sharded replicated group. Requests on one connection
 // execute concurrently (pipelining), and responses carry the request id they
-// answer, so slow requests never head-of-line-block fast ones.
+// answer, so slow requests never head-of-line-block fast ones. The one
+// exception is a set: batch frames of one statement, with no deadline, that
+// are in the read buffer together run as one call, and their replies leave in
+// one write. A member then waits for its set-mates' bindings, of its own
+// statement, as if one batch had carried them all. A single request never
+// joins a set, so it never waits on another request's execution.
 type Server struct {
 	backend   query.Executor
 	admission *Admission
@@ -43,6 +50,7 @@ type Server struct {
 
 	requests *obs.Counter // admitted Exec requests
 	batches  *obs.Counter // admitted ExecBatch requests
+	joined   *obs.Counter // admitted ExecBatch requests that rode another's call
 	expired  *obs.Counter // rejected before execution: deadline already past
 }
 
@@ -64,6 +72,7 @@ func NewServer(backend query.Executor, opts ServerOptions) *Server {
 	}
 	s.requests = reg.Counter("net.requests")
 	s.batches = reg.Counter("net.batches")
+	s.joined = reg.Counter("net.batches.joined")
 	s.expired = reg.Counter("net.deadline.rejected")
 	return s
 }
@@ -150,8 +159,9 @@ func (s *Server) Close() {
 
 // idleWorkers is how many of a connection's workers stay parked between
 // requests. It covers the pipelining depth the client runtime produces by
-// default (a pool of four) without a goroutine being started per request;
-// whatever a deeper burst adds exits as the burst drains.
+// default (a pool of four) without a goroutine being started per request —
+// the pool's batches of one statement that arrive together are one set and
+// take one worker; whatever a deeper burst adds exits as the burst drains.
 const idleWorkers = 4
 
 // srvConn is the per-connection state: the flush-combining reply writer and
@@ -167,10 +177,18 @@ type srvConn struct {
 	workers sync.WaitGroup
 }
 
-// job is one admitted request on its way to a worker.
+// job is one admitted request on its way to a worker, or a set of them: call
+// then holds every member's bindings in frame order.
 type job struct {
 	id   uint64
 	call query.Call
+	set  []member // nil for a set of one
+}
+
+// member is a request of a set and how many of its bindings are its own.
+type member struct {
+	id uint64
+	n  int
 }
 
 func (s *Server) serveConn(c stdnet.Conn) {
@@ -219,24 +237,81 @@ func (s *Server) serveConn(c stdnet.Conn) {
 		if msgType != MsgExec && msgType != MsgExecBatch {
 			return // protocol violation: unknown frame kills the connection
 		}
-		id, call, err := decodeCall(msgType, payload, &last)
-		if err != nil {
-			// How many bindings the frame meant to carry is unknowable, so the
-			// answer is a scalar error; the client surfaces it on either call.
-			s.send(sc, id, false, &query.Reply{Err: fmt.Errorf("net: bad request: %w", err)})
+		mates, frames, sets := company(br, msgType, payload)
+		id, call, ok := s.take(sc, msgType, payload, &last, sets)
+		if !ok {
 			continue
 		}
-		// A request past its deadline or beyond the budget is answered on the
-		// read loop — rejection must not cost a worker — and never reaches the
-		// backend.
-		if err := s.admit(call); err != nil {
-			var rep query.Reply
-			call.Fail(err, &rep)
-			s.send(sc, id, call.Batch(), &rep)
-			continue
+		j := job{id: id, call: call}
+		if frames > 0 {
+			j.set = append(make([]member, 0, 1+frames), member{id, len(call.ArgSets)})
+			s.gather(sc, &j, mates, &last)
+			br.Discard(len(mates))
 		}
-		s.dispatch(sc, job{id, call})
+		s.dispatch(sc, j)
 	}
+}
+
+// company returns the frames already wholly in br's buffer that join the
+// request in payload — batches of its statement with no deadline, like it
+// (batchKey) — their count, and a list with room for the set's bindings.
+// Nothing waits for a frame, and a single request has none: it would wait on
+// another's execution.
+func company(br *bufio.Reader, msgType byte, payload []byte) (mates []byte, frames int, sets [][]any) {
+	key, bindings, ok := batchKey(msgType, payload)
+	if !ok {
+		return nil, 0, nil
+	}
+	buf, _ := br.Peek(br.Buffered())
+	end := 0
+	for len(buf)-end >= frameHeader {
+		size := 4 + int(binary.BigEndian.Uint32(buf[end:]))
+		if size < frameHeader || size > len(buf)-end {
+			break
+		}
+		k, n, ok := batchKey(buf[end+4], buf[end+frameHeader:end+size])
+		if !ok || !bytes.Equal(k, key) {
+			break
+		}
+		end, frames, bindings = end+size, frames+1, bindings+n
+	}
+	return buf[:end], frames, make([][]any, 0, bindings)
+}
+
+// gather decodes the frames in mates onto j's bindings, admitting each on its
+// own: a member that does not decode or is refused is answered here and left
+// out of the set.
+func (s *Server) gather(sc *srvConn, j *job, mates []byte, last *stmtNames) {
+	for len(mates) > 0 {
+		size := 4 + int(binary.BigEndian.Uint32(mates))
+		if id, m, ok := s.take(sc, MsgExecBatch, mates[frameHeader:size], last, j.call.ArgSets); ok {
+			j.call.ArgSets = append(j.call.ArgSets, m.ArgSets...) // in place: m's bindings lie there already
+			j.set = append(j.set, member{id, len(m.ArgSets)})
+			s.joined.Add(1)
+		}
+		mates = mates[size:]
+	}
+}
+
+// take decodes one request frame, its bindings behind sets', and admits it. A
+// request that does not decode, is past its deadline or is beyond the budget
+// is answered on the read loop — rejection must not cost a worker — and never
+// reaches the backend; take then reports false.
+func (s *Server) take(sc *srvConn, msgType byte, payload []byte, last *stmtNames, sets [][]any) (uint64, query.Call, bool) {
+	id, call, err := decodeCall(msgType, payload, last, sets)
+	if err != nil {
+		// How many bindings the frame meant to carry is unknowable, so the
+		// answer is a scalar error; the client surfaces it on either call.
+		s.send(sc, &job{id: id}, &query.Reply{Err: fmt.Errorf("net: bad request: %w", err)})
+		return id, call, false
+	}
+	if err := s.admit(call); err != nil {
+		var rep query.Reply
+		call.Fail(err, &rep)
+		s.send(sc, &job{id: id, call: call}, &rep)
+		return id, call, false
+	}
+	return id, call, true
 }
 
 // dispatch hands j to a parked worker, or starts one when none is waiting: the
@@ -263,7 +338,7 @@ func (s *Server) work(sc *srvConn, j job) {
 	query.GrowStack()
 	var rep query.Reply
 	for ok := true; ok; {
-		s.serve(sc, j.id, &j.call, &rep)
+		s.serve(sc, &j, &rep)
 		// A parked worker must not pin its last request's bindings or results.
 		j, rep = job{}, query.Reply{}
 		if sc.idle.Add(1) > idleWorkers {
@@ -291,35 +366,51 @@ func (s *Server) admit(c query.Call) error {
 	return nil
 }
 
-// serve executes one admitted call against the backend and answers it from
-// rep (zero on entry).
-func (s *Server) serve(sc *srvConn, id uint64, c *query.Call, rep *query.Reply) {
-	c.On(s.backend, rep)
+// serve executes one admitted call — a set's, once for all its members —
+// against the backend and answers it from rep (zero on entry).
+func (s *Server) serve(sc *srvConn, j *job, rep *query.Reply) {
+	j.call.On(s.backend, rep)
 	// Release before the response write: the units' work is done, and a
 	// client that fires its next request the instant the response lands must
 	// find the slot free (a closed loop with conns == budget must never shed).
-	s.admission.Release(c.Units())
-	s.send(sc, id, c.Batch(), rep)
+	s.admission.Release(j.call.Units())
+	s.send(sc, j, rep)
 }
 
-// send encodes the response frame for a call of the given shape into a pooled
-// buffer and queues it on the connection's writer, which copies it: the buffer
-// goes straight back to the pool.
-func (s *Server) send(sc *srvConn, id uint64, batch bool, rep *query.Reply) {
+// send encodes the response frames for j — one a member of its set, with the
+// member's slots of rep — into a pooled buffer and queues them on the
+// connection's writer at once; the writer copies them, so the buffer goes
+// straight back to the pool.
+func (s *Server) send(sc *srvConn, j *job, rep *query.Reply) {
 	fb := getBuf()
 	defer putBuf(fb)
-	frame, err := appendReply(fb.b, id, batch, rep)
-	if err != nil {
-		// The value could not cross the wire; the client still gets an
-		// answer (an error) rather than a hung request id.
-		fail := query.FailAll(len(rep.Errs), err)
-		rep = &query.Reply{Err: err, Values: fail.Values, Errs: fail.Errs}
-		if frame, err = appendReply(fb.b, id, batch, rep); err != nil {
-			return
-		}
+	if n := j.call.Units(); j.set != nil && (len(rep.Values) != n || len(rep.Errs) != n) {
+		j.call.Fail(fmt.Errorf("net: batch result shape: %d values, %d errs for %d bindings", len(rep.Values), len(rep.Errs), n), rep)
 	}
-	fb.b = frame
-	if _, err := sc.w.send(frame); err != nil {
+	b, off := fb.b[:0], 0
+	if j.set == nil {
+		b = answer(b, j.id, j.call.Batch(), rep)
+	}
+	for _, m := range j.set {
+		b = answer(b, m.id, true, &query.Reply{Values: rep.Values[off : off+m.n], Errs: rep.Errs[off : off+m.n]})
+		off += m.n
+	}
+	fb.b = b
+	if _, err := sc.w.send(b); err != nil {
 		sc.c.Close() // writer failed: kill the conn so the read loop exits
 	}
+}
+
+// answer appends to b the frame answering request id with rep. A value that
+// cannot cross the wire is answered with the error instead, so the client
+// still gets an answer rather than a hung request id.
+func answer(b []byte, id uint64, batch bool, rep *query.Reply) []byte {
+	frame, err := appendReply(b, id, batch, rep)
+	if err != nil {
+		fail := query.FailAll(len(rep.Errs), err)
+		if frame, err = appendReply(b, id, batch, &query.Reply{Err: err, Values: fail.Values, Errs: fail.Errs}); err != nil {
+			return b
+		}
+	}
+	return frame
 }

@@ -686,19 +686,42 @@ func EncodeExecBatch(reqID uint64, req query.BatchRequest) ([]byte, error) {
 	return appendExecBatch(make([]byte, 0, 128), reqID, req)
 }
 
-// decodeExecBatch decodes a MsgExecBatch payload, reading its statement
-// through last.
-func decodeExecBatch(b []byte, last *stmtNames) (uint64, query.BatchRequest, error) {
+// decodeBatchOnto decodes a MsgExecBatch payload, reading its statement
+// through last and writing its bindings behind those of sets, in sets' storage
+// when it has the room; req.ArgSets is that run of them alone. The front door
+// decodes a set's requests onto one list.
+func decodeBatchOnto(b []byte, last *stmtNames, sets [][]any) (uint64, query.BatchRequest, error) {
 	r := &reader{b: b}
 	id, h := r.header(last)
 	req := query.BatchRequest{Name: h.Name, SQL: h.SQL, Deadline: h.Deadline}
 	n := r.count("argsets")
-	req.ArgSets = make([][]any, 0, n)
+	req.ArgSets = slices.Grow(sets, n)[len(sets):len(sets)]
 	for i := 0; i < n && r.err == nil; i++ {
 		r.left = n - i
 		req.ArgSets = append(req.ArgSets, r.args("argset"))
 	}
 	return id, req, r.err
+}
+
+// batchKey reads, without allocating, what decides whether a request payload
+// of msgType joins a set: for a MsgExecBatch with no deadline, its name and
+// SQL as written, and its binding count. ok is false for any other request,
+// for a batch of no bindings (which holds a unit of the budget all the same,
+// see Admission) and for a header that does not read.
+func batchKey(msgType byte, p []byte) (key []byte, n int, ok bool) {
+	if msgType != MsgExecBatch {
+		return nil, 0, false
+	}
+	r := reader{b: p}
+	if r.u64(); r.varint() != 0 || r.byte() != 0 {
+		return nil, 0, false
+	}
+	stmt := r.b
+	r.bytes()
+	r.bytes()
+	key = stmt[:len(stmt)-len(r.b)]
+	n = r.count("argsets")
+	return key, n, n > 0 && r.err == nil
 }
 
 // appendErr writes one error slot: a code byte, plus the text for generic
@@ -867,10 +890,11 @@ func decodeReply(msgType byte, payload []byte, names *[]string) (query.Reply, er
 	return rep, r.err
 }
 
-// appendReply builds, in b's storage, the whole response frame answering a
-// call of the given shape with rep, whose row results are encoded as they are:
+// appendReply appends to b the whole response frame answering a call of the
+// given shape with rep, whose row results are encoded as they are:
 // columnar from a backend that is a query.Doer, never boxed on the way.
 func appendReply(b []byte, reqID uint64, batch bool, rep *query.Reply) ([]byte, error) {
+	start := len(b)
 	var err error
 	if batch {
 		b, err = appendBatchResult(beginFrame(b, MsgBatchResult), reqID, rep.Values, rep.Errs)
@@ -880,16 +904,17 @@ func appendReply(b []byte, reqID uint64, batch bool, rep *query.Reply) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	return finishFrame(b)
+	return finishFrame(b, start)
 }
 
 // decodeCall decodes a request frame of either kind; last is the read loop's
-// memory of the previous request's statement.
-func decodeCall(msgType byte, payload []byte, last *stmtNames) (uint64, query.Call, error) {
+// memory of the previous request's statement, and a batch's bindings are
+// written behind sets' (see decodeBatchOnto).
+func decodeCall(msgType byte, payload []byte, last *stmtNames, sets [][]any) (uint64, query.Call, error) {
 	if msgType == MsgExec {
 		id, req, err := decodeExec(payload, last)
 		return id, query.Call{Request: req}, err
 	}
-	id, req, err := decodeExecBatch(payload, last)
+	id, req, err := decodeBatchOnto(payload, last, sets)
 	return id, query.BatchCall(req), err
 }

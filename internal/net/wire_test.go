@@ -7,7 +7,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"repro/internal/interp"
 	"repro/internal/query"
@@ -104,6 +103,11 @@ func TestExecRoundTrip(t *testing.T) {
 	if len(got.Args) != 2 || !interp.Equal(got.Args[0], int64(5)) || !interp.Equal(got.Args[1], "x") {
 		t.Fatalf("args mismatch: %v", got.Args)
 	}
+}
+
+// decodeExecBatch decodes one MsgExecBatch payload onto a list of its own.
+func decodeExecBatch(b []byte, last *stmtNames) (uint64, query.BatchRequest, error) {
+	return decodeBatchOnto(b, last, nil)
 }
 
 func TestExecBatchRoundTrip(t *testing.T) {
@@ -225,23 +229,28 @@ func TestBatchResultRowSetsAreIndependent(t *testing.T) {
 
 // A reply's string cells are cut from one string only while they hold at most
 // maxRetained bytes between them; past that each cell is a string of its own,
-// so keeping one cell does not keep the whole reply.
+// so keeping one cell does not keep the whole reply. Two cells of
+// maxRetained/2 bytes share one allocation, and one byte more each takes two:
+// the decode costs exactly one more object. (Where two separately allocated
+// strings land says nothing: the allocator may place them side by side.)
 func TestLargeReplyCellsAreApart(t *testing.T) {
-	for _, size := range []int{maxRetained / 2, maxRetained/2 + 1} {
+	var allocs [2]float64
+	for i, size := range []int{maxRetained / 2, maxRetained/2 + 1} {
 		a, b := strings.Repeat("a", size), strings.Repeat("b", size)
 		payload, err := EncodeBatchResult(1, query.BatchResult{Values: []any{a, b}, Errs: make([]error, 2)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, err := DecodeBatchResult(payload)
-		if err != nil || got.Values[0] != a || got.Values[1] != b {
-			t.Fatalf("%d-byte cells decoded wrong (%v)", size, err)
-		}
-		ga, gb := got.Values[0].(string), got.Values[1].(string)
-		adjacent := unsafe.Pointer(unsafe.StringData(gb)) == unsafe.Add(unsafe.Pointer(unsafe.StringData(ga)), len(ga))
-		if want := 2*size <= maxRetained; adjacent != want {
-			t.Errorf("two %d-byte cells: cut from one string %v, want %v", size, adjacent, want)
-		}
+		allocs[i] = testing.AllocsPerRun(20, func() {
+			_, got, err := DecodeBatchResult(payload)
+			if err != nil || got.Values[0] != a || got.Values[1] != b {
+				t.Fatalf("%d-byte cells decoded wrong (%v)", size, err)
+			}
+		})
+	}
+	if allocs[1] != allocs[0]+1 {
+		t.Errorf("two cells of %d bytes decode in %.1f objects and of %d bytes in %.1f, want exactly one more",
+			maxRetained/2, allocs[0], maxRetained/2+1, allocs[1])
 	}
 }
 

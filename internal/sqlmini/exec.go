@@ -340,8 +340,10 @@ func (sc *scratch) fetch(t *storage.Table, ix *storage.Index, pool *buffer.Pool)
 // pageSet is slices.Compact of ids sorted, in place, without the sort: each id
 // sets its bit in a bitmap over the ids' range, whose words are read back in
 // ascending order and cleared (all zero between calls). A range of more than
-// eight words an id is sorted: a scatter's or a transformed loop's few data
-// pages; a batch call's bucket and data pages take the bitmap.
+// eight words an id is sorted: a scatter's few data pages, and those of the
+// half of a transformed loop's calls that carry fewest bindings; bucket pages,
+// a batch call's data pages and the rest of the loop's take the bitmap
+// (counted per workload in PERF.md § PR 47).
 func (sc *scratch) pageSet(ids []int) []int {
 	if len(ids) < 2 {
 		return ids
