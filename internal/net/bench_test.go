@@ -108,7 +108,7 @@ func BenchmarkFrameWriteRead(b *testing.B) {
 		if msgType, payload, err = readFrame(br, payload); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err = decodeCall(msgType, payload, &last, nil); err != nil {
+		if _, _, err = decodeOne(msgType, payload, &last); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -129,7 +129,7 @@ func TestDecodedValuesDoNotAliasPayload(t *testing.T) {
 		decode := func(b []byte) any {
 			switch msgType {
 			case MsgExec, MsgExecBatch:
-				id, c, err := decodeCall(msgType, b, &last, nil)
+				id, c, err := decodeOne(msgType, b, &last)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -158,7 +158,7 @@ func TestDecodedValuesDoNotAliasPayload(t *testing.T) {
 	last = stmtNames{}
 	for round := 0; round < 3; round++ {
 		payload := must(t)(EncodeExec(uint64(round), req))
-		_, c, err := decodeCall(MsgExec, payload, &last, nil)
+		_, c, err := decodeOne(MsgExec, payload, &last)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -125,7 +125,7 @@ func TestBatchArgWindowsAreNotRetained(t *testing.T) {
 
 	sets := [][]any{{int64(1), "a"}, {int64(2), "b"}, {int64(3), "c"}}
 	payload := must(t)(EncodeExecBatch(1, query.BatchReq("ins", "insert into t values (?, ?)", sets)))
-	_, c, err := decodeCall(MsgExecBatch, payload, &stmtNames{}, nil)
+	_, c, err := decodeOne(MsgExecBatch, payload, &stmtNames{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	stdnet "net"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -167,14 +166,9 @@ const idleWorkers = 4
 // srvConn is the per-connection state: the flush-combining reply writer and
 // the worker set that executes the connection's requests.
 type srvConn struct {
-	c stdnet.Conn
-	w frameWriter
-
-	// jobs is unbuffered: the read loop's send succeeds only into a worker
-	// that is already waiting, so a request never queues behind a busy one.
-	jobs    chan job
-	idle    atomic.Int32 // workers waiting on jobs, or about to
-	workers sync.WaitGroup
+	c       stdnet.Conn
+	w       frameWriter
+	workers *query.Workers[job]
 }
 
 // job is one admitted request on its way to a worker, or a set of them: call
@@ -214,7 +208,8 @@ func (s *Server) serveConn(c stdnet.Conn) {
 	if err != nil || ver != Version {
 		return
 	}
-	sc := &srvConn{c: c, jobs: make(chan job)}
+	sc := &srvConn{c: c}
+	sc.workers = query.NewWorkers(idleWorkers, func(j job) { s.work(sc, j) })
 	sc.w.init(c)
 	if WriteFrame(c, MsgHelloAck, EncodeHelloAck()) != nil {
 		return
@@ -222,10 +217,9 @@ func (s *Server) serveConn(c stdnet.Conn) {
 
 	// Request loop: decode, admit, hand to a worker. The loop goroutine owns
 	// reads; workers own their response (queued on sc.w); the deferred conn
-	// close unblocks the read on server shutdown, and closing jobs releases
-	// the parked workers.
-	defer sc.workers.Wait()
-	defer close(sc.jobs)
+	// close unblocks the read on server shutdown, and closing the worker set
+	// releases the parked workers.
+	defer sc.workers.Close()
 	var last stmtNames
 	for {
 		// The payload storage is reused frame to frame: every decoder copies
@@ -238,17 +232,16 @@ func (s *Server) serveConn(c stdnet.Conn) {
 			return // protocol violation: unknown frame kills the connection
 		}
 		mates, frames, sets := company(br, msgType, payload)
-		id, call, ok := s.take(sc, msgType, payload, &last, sets)
-		if !ok {
+		var j job
+		if !s.take(sc, msgType, payload, &last, sets, &j) {
 			continue
 		}
-		j := job{id: id, call: call}
 		if frames > 0 {
-			j.set = append(make([]member, 0, 1+frames), member{id, len(call.ArgSets)})
+			j.set = append(make([]member, 0, 1+frames), member{j.id, len(j.call.ArgSets)})
 			s.gather(sc, &j, mates, &last)
 			br.Discard(len(mates))
 		}
-		s.dispatch(sc, j)
+		sc.workers.Go(&j)
 	}
 }
 
@@ -284,74 +277,50 @@ func company(br *bufio.Reader, msgType byte, payload []byte) (mates []byte, fram
 func (s *Server) gather(sc *srvConn, j *job, mates []byte, last *stmtNames) {
 	for len(mates) > 0 {
 		size := 4 + int(binary.BigEndian.Uint32(mates))
-		if id, m, ok := s.take(sc, MsgExecBatch, mates[frameHeader:size], last, j.call.ArgSets); ok {
-			j.call.ArgSets = append(j.call.ArgSets, m.ArgSets...) // in place: m's bindings lie there already
-			j.set = append(j.set, member{id, len(m.ArgSets)})
+		var m job
+		if s.take(sc, MsgExecBatch, mates[frameHeader:size], last, j.call.ArgSets, &m) {
+			j.call.ArgSets = append(j.call.ArgSets, m.call.ArgSets...) // in place: m's bindings lie there already
+			j.set = append(j.set, member{m.id, len(m.call.ArgSets)})
 			s.joined.Add(1)
 		}
 		mates = mates[size:]
 	}
 }
 
-// take decodes one request frame, its bindings behind sets', and admits it. A
-// request that does not decode, is past its deadline or is beyond the budget
-// is answered on the read loop — rejection must not cost a worker — and never
-// reaches the backend; take then reports false.
-func (s *Server) take(sc *srvConn, msgType byte, payload []byte, last *stmtNames, sets [][]any) (uint64, query.Call, bool) {
-	id, call, err := decodeCall(msgType, payload, last, sets)
-	if err != nil {
+// take decodes one request frame into the zero job j, its bindings behind
+// sets', and admits it. A request that does not decode, is past its deadline
+// or is beyond the budget is answered on the read loop — rejection must not
+// cost a worker — and never reaches the backend; take then reports false.
+func (s *Server) take(sc *srvConn, msgType byte, payload []byte, last *stmtNames, sets [][]any, j *job) bool {
+	var err error
+	if j.id, err = decodeCall(msgType, payload, last, sets, &j.call); err != nil {
 		// How many bindings the frame meant to carry is unknowable, so the
 		// answer is a scalar error; the client surfaces it on either call.
-		s.send(sc, &job{id: id}, &query.Reply{Err: fmt.Errorf("net: bad request: %w", err)})
-		return id, call, false
+		s.send(sc, &job{id: j.id}, &query.Reply{Err: fmt.Errorf("net: bad request: %w", err)})
+		return false
 	}
-	if err := s.admit(call); err != nil {
+	if err := s.admit(&j.call); err != nil {
 		var rep query.Reply
-		call.Fail(err, &rep)
-		s.send(sc, &job{id: id, call: call}, &rep)
-		return id, call, false
+		j.call.Fail(err, &rep)
+		s.send(sc, j, &rep)
+		return false
 	}
-	return id, call, true
+	return true
 }
 
-// dispatch hands j to a parked worker, or starts one when none is waiting: the
-// set grows with the number of requests in flight, so a slow request never
-// holds up the one behind it. (A worker between finishing and parking is
-// missed and a spare one started; it exits again below.)
-func (s *Server) dispatch(sc *srvConn, j job) {
-	select {
-	case sc.jobs <- j:
-	default:
-		sc.workers.Add(1)
-		go s.work(sc, j)
-	}
-}
-
-// work runs one worker: j, then whatever the read loop hands it while it is
-// parked. It parks only while fewer than idleWorkers others do — which is how
-// the set shrinks when a burst ends — and exits when the connection closes.
-// The stack is sized once per worker, not per request, and so are the call and
-// the reply: the backend takes them by pointer through an interface, which
-// puts them on the heap.
+// work runs one worker of the connection's set: j, then each request Park
+// gives it. The call and the reply live as long as the worker, not a request:
+// the backend takes them by pointer through an interface (the heap).
 func (s *Server) work(sc *srvConn, j job) {
-	defer sc.workers.Done()
-	query.GrowStack()
 	var rep query.Reply
-	for ok := true; ok; {
+	for ok := true; ok; ok = sc.workers.Park(&j) {
 		s.serve(sc, &j, &rep)
-		// A parked worker must not pin its last request's bindings or results.
-		j, rep = job{}, query.Reply{}
-		if sc.idle.Add(1) > idleWorkers {
-			sc.idle.Add(-1)
-			return
-		}
-		j, ok = <-sc.jobs
-		sc.idle.Add(-1)
+		rep = query.Reply{} // a parked worker must not pin its last results
 	}
 }
 
 // admit applies the deadline-and-budget gate, counting what it lets through.
-func (s *Server) admit(c query.Call) error {
+func (s *Server) admit(c *query.Call) error {
 	switch {
 	case c.Deadline.Expired():
 		s.expired.Add(1)

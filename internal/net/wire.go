@@ -601,18 +601,18 @@ func appendArgs(b []byte, args []any) ([]byte, error) {
 // a request that repeats the last one reuses its strings.
 type stmtNames struct{ name, sql string }
 
-// header reads what appendHeader wrote, through last. A non-zero reserved
-// byte is a malformed frame.
-func (r *reader) header(last *stmtNames) (uint64, query.Request) {
+// header reads what appendHeader wrote into req, through last, and returns
+// the request id. A non-zero reserved byte is a malformed frame.
+func (r *reader) header(last *stmtNames, req *query.Request) uint64 {
 	id := r.u64()
-	req := query.Request{Deadline: query.FromUnixNanos(r.varint())}
+	req.Deadline = query.FromUnixNanos(r.varint())
 	if c := r.byte(); c != 0 {
 		r.err = fmt.Errorf("%w: reserved header byte %d", ErrBadFrame, c)
 	}
 	r.stringInto(&last.name)
 	r.stringInto(&last.sql)
 	req.Name, req.SQL = last.name, last.sql
-	return id, req
+	return id
 }
 
 // args reads one binding (nil when empty) into a capacity-limited window of
@@ -657,15 +657,9 @@ func EncodeExec(reqID uint64, req query.Request) ([]byte, error) {
 
 // DecodeExec decodes a MsgExec payload.
 func DecodeExec(b []byte) (uint64, query.Request, error) {
-	var last stmtNames
-	return decodeExec(b, &last)
-}
-
-func decodeExec(b []byte, last *stmtNames) (uint64, query.Request, error) {
-	r := &reader{b: b}
-	id, req := r.header(last)
-	req.Args = r.args("args")
-	return id, req, r.err
+	var c query.Call
+	id, err := decodeCall(MsgExec, b, &stmtNames{}, nil, &c)
+	return id, c.Request, err
 }
 
 // appendExecBatch appends the MsgExecBatch payload for req under reqID.
@@ -684,23 +678,6 @@ func appendExecBatch(b []byte, reqID uint64, req query.BatchRequest) ([]byte, er
 // EncodeExecBatch encodes a BatchRequest under reqID.
 func EncodeExecBatch(reqID uint64, req query.BatchRequest) ([]byte, error) {
 	return appendExecBatch(make([]byte, 0, 128), reqID, req)
-}
-
-// decodeBatchOnto decodes a MsgExecBatch payload, reading its statement
-// through last and writing its bindings behind those of sets, in sets' storage
-// when it has the room; req.ArgSets is that run of them alone. The front door
-// decodes a set's requests onto one list.
-func decodeBatchOnto(b []byte, last *stmtNames, sets [][]any) (uint64, query.BatchRequest, error) {
-	r := &reader{b: b}
-	id, h := r.header(last)
-	req := query.BatchRequest{Name: h.Name, SQL: h.SQL, Deadline: h.Deadline}
-	n := r.count("argsets")
-	req.ArgSets = slices.Grow(sets, n)[len(sets):len(sets)]
-	for i := 0; i < n && r.err == nil; i++ {
-		r.left = n - i
-		req.ArgSets = append(req.ArgSets, r.args("argset"))
-	}
-	return id, req, r.err
 }
 
 // batchKey reads, without allocating, what decides whether a request payload
@@ -907,14 +884,26 @@ func appendReply(b []byte, reqID uint64, batch bool, rep *query.Reply) ([]byte, 
 	return finishFrame(b, start)
 }
 
-// decodeCall decodes a request frame of either kind; last is the read loop's
-// memory of the previous request's statement, and a batch's bindings are
-// written behind sets' (see decodeBatchOnto).
-func decodeCall(msgType byte, payload []byte, last *stmtNames, sets [][]any) (uint64, query.Call, error) {
+// decodeCall decodes a request frame of either kind into the zero call c and
+// returns its id; last is the read loop's memory of the previous request's
+// statement. A batch's bindings are written behind those of sets, in sets'
+// storage when it has the room, and c.ArgSets is that run of them alone: the
+// front door decodes a set's requests onto one list.
+func decodeCall(msgType byte, payload []byte, last *stmtNames, sets [][]any, c *query.Call) (uint64, error) {
+	r := &reader{b: payload}
+	id := r.header(last, &c.Request)
 	if msgType == MsgExec {
-		id, req, err := decodeExec(payload, last)
-		return id, query.Call{Request: req}, err
+		c.Args = r.args("args")
+		return id, r.err
 	}
-	id, req, err := decodeBatchOnto(payload, last, sets)
-	return id, query.BatchCall(req), err
+	n := r.count("argsets")
+	c.ArgSets = slices.Grow(sets, n)[len(sets):len(sets)]
+	for i := 0; i < n && r.err == nil; i++ {
+		r.left = n - i
+		c.ArgSets = append(c.ArgSets, r.args("argset"))
+	}
+	if c.ArgSets == nil {
+		c.ArgSets = [][]any{} // what tells a batch call of no bindings from a single one
+	}
+	return id, r.err
 }

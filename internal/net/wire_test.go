@@ -105,9 +105,17 @@ func TestExecRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeOne decodes one request payload into a call of its own.
+func decodeOne(msgType byte, b []byte, last *stmtNames) (uint64, query.Call, error) {
+	var c query.Call
+	id, err := decodeCall(msgType, b, last, nil, &c)
+	return id, c, err
+}
+
 // decodeExecBatch decodes one MsgExecBatch payload onto a list of its own.
 func decodeExecBatch(b []byte, last *stmtNames) (uint64, query.BatchRequest, error) {
-	return decodeBatchOnto(b, last, nil)
+	id, c, err := decodeOne(MsgExecBatch, b, last)
+	return id, query.BatchRequest{Name: c.Name, SQL: c.SQL, ArgSets: c.ArgSets, Deadline: c.Deadline}, err
 }
 
 func TestExecBatchRoundTrip(t *testing.T) {

@@ -19,6 +19,8 @@ package query
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/interp"
 	"repro/internal/obs"
@@ -275,11 +277,12 @@ const requestStack = 12 << 10
 
 // GrowStack sizes the calling goroutine's stack for a request in one step.
 // A goroutine starts with 2 KB and doubles by copying every time a call
-// finds no room, so a goroutine that runs requests (a front-door worker, a
-// fan-out leg) would copy its stack at 2, 4 and 8 KB of depth — the last copy
-// alone costs microseconds. Asking for the whole depth while the stack is
-// still nearly empty makes that one cheap copy. (Not inlined: the reserve
-// must be gone from the stack again by the time the request runs.)
+// finds no room, so a goroutine that runs requests would copy its stack at 2,
+// 4 and 8 KB of depth — the last copy alone costs microseconds. Asking for
+// the whole depth while the stack is still nearly empty makes that one cheap
+// copy, which a Workers worker pays once for all the requests it runs. (Not
+// inlined: the reserve must be gone from the stack again by the time the
+// request runs.)
 //
 //go:noinline
 func GrowStack() {
@@ -289,3 +292,62 @@ func GrowStack() {
 
 //go:noinline
 func keepStack(*[requestStack]byte) {}
+
+// Workers is a set of goroutines that run jobs of type J and park between
+// them (a door connection's requests, a router's fan-out legs). Go hands a job
+// to a parked worker or starts one; a worker sizes its stack once, runs its
+// first job and each one Park gives it, and parks only while fewer than idle
+// others do: the set grows with a burst and shrinks after it.
+type Workers[J any] struct {
+	work   func(first J)
+	idle   int32
+	jobs   chan J // unbuffered: a send succeeds only into a parked worker
+	parked atomic.Int32
+	closed atomic.Bool
+	wg     sync.WaitGroup
+}
+
+// NewWorkers returns an empty set of workers that run work, at most idle parked.
+func NewWorkers[J any](idle int, work func(first J)) *Workers[J] {
+	return &Workers[J]{work: work, idle: int32(idle), jobs: make(chan J)}
+}
+
+// Go hands a copy of *j to a parked worker, or starts a worker with it. It
+// must not run concurrently with Close; after it, each job gets a worker.
+func (w *Workers[J]) Go(j *J) {
+	if !w.closed.Load() {
+		select {
+		case w.jobs <- *j:
+			return
+		default:
+		}
+	}
+	w.wg.Add(1)
+	go w.start(*j)
+}
+
+func (w *Workers[J]) start(j J) {
+	defer w.wg.Done()
+	GrowStack()
+	w.work(j)
+}
+
+// Park clears *j (a parked worker pins nothing) and waits for the next job.
+// False means return: idle others are parked already, or the set is closed.
+func (w *Workers[J]) Park(j *J) (ok bool) {
+	*j = *new(J)
+	if w.parked.Add(1) <= w.idle {
+		*j, ok = <-w.jobs
+	}
+	w.parked.Add(-1)
+	return ok
+}
+
+// Close releases the parked workers and waits until every worker has
+// returned; one running a job finishes it first.
+func (w *Workers[J]) Close() {
+	if w.closed.CompareAndSwap(false, true) {
+		close(w.jobs)
+	}
+	w.wg.Wait()
+}

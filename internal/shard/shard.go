@@ -174,6 +174,8 @@ type Router struct {
 	// appended backends; guarded by mig.
 	reg       *obs.Registry
 	regPrefix string
+
+	legs *query.Workers[*fanLeg] // the fan-out legs their callers hand off
 }
 
 // pendingWrite is one acknowledged insert captured during a migration's
@@ -227,6 +229,11 @@ func NewWithBackends(backends []Backend, keys map[string]string) *Router {
 		tables:   map[string]*tableInfo{},
 	}
 	r.ranges.Store(NewRanges(len(backends)))
+	r.legs = query.NewWorkers(parkedLegs, func(l *fanLeg) {
+		for ok := true; ok; ok = r.legs.Park(&l) {
+			l.run(r)
+		}
+	})
 	return r
 }
 
@@ -409,38 +416,67 @@ func (r *Router) dispatch(c *query.Call, i int, rep *query.Reply) {
 	sp.End()
 }
 
-// fanLeg is one leg of a fan-out: its own copy of the call, and its reply.
+// parkedLegs is how many of a router's leg workers stay parked between
+// fan-outs: a few concurrent callers' worth, as the door's idleWorkers.
+const parkedLegs = 4
+
+// fanLeg is one leg of a fan-out: its shard, its own copy of the call, its
+// reply, and the claim that runs it once, on whichever goroutine takes it.
 type fanLeg struct {
-	call query.Call
-	rep  query.Reply
+	fan   *fan
+	shard int
+	taken atomic.Bool
+	call  query.Call
+	rep   query.Reply
+}
+
+// fan is one fan-out: its legs and the join its caller waits on, in one
+// object; a fan-out over two shards, the usual one, keeps its legs inside it.
+type fan struct {
+	join sync.WaitGroup // the legs taken and not finished yet
+	legs []fanLeg
+	two  [2]fanLeg
 }
 
 // fanout dispatches one call to several shards in parallel: leg k goes to
 // shard targets[k], carrying subs[k] in place of the call's own bindings
-// when subs is given (split's per-shard sub-batches); the last leg runs on
-// the caller's goroutine, which would otherwise only wait. Span.Child is
-// concurrency-safe, so each leg hangs its own child off the call's span.
+// when subs is given (split's per-shard sub-batches). Every leg but the last
+// is handed to a leg worker (r.legs); the caller runs the last, then every
+// leg no worker has taken yet, and waits for the rest: a help-first join, so
+// no leg waits for a worker to be scheduled while its caller idles.
+// Span.Child is concurrency-safe, so each leg hangs its own child off the
+// call's span.
 func (r *Router) fanout(c *query.Call, targets []int, subs [][][]any) []fanLeg {
-	legs := make([]fanLeg, len(targets))
-	var wg sync.WaitGroup
-	for k, s := range targets {
-		legs[k].call = *c
-		if subs != nil {
-			legs[k].call.ArgSets = subs[k]
-		}
-		if k == len(targets)-1 {
-			r.dispatch(&legs[k].call, s, &legs[k].rep)
-			break
-		}
-		wg.Add(1)
-		go func(leg *fanLeg, s int) {
-			defer wg.Done()
-			query.GrowStack()
-			r.dispatch(&leg.call, s, &leg.rep)
-		}(&legs[k], s)
+	f := new(fan)
+	if n := len(targets); n <= len(f.two) {
+		f.legs = f.two[:n]
+	} else {
+		f.legs = make([]fanLeg, n)
 	}
-	wg.Wait()
-	return legs
+	f.join.Add(len(targets))
+	for k, s := range targets {
+		l := &f.legs[k]
+		l.fan, l.shard, l.call = f, s, *c
+		if subs != nil {
+			l.call.ArgSets = subs[k]
+		}
+		if k < len(targets)-1 {
+			r.legs.Go(&l)
+		}
+	}
+	for k := len(targets) - 1; k >= 0; k-- { // the last is the caller's own
+		f.legs[k].run(r)
+	}
+	f.join.Wait()
+	return f.legs
+}
+
+// run runs the leg unless another goroutine has taken it.
+func (l *fanLeg) run(r *Router) {
+	if l.taken.CompareAndSwap(false, true) {
+		r.dispatch(&l.call, l.shard, &l.rep)
+		l.fan.join.Done()
+	}
 }
 
 // broadcast runs a replicated-table write on every shard so the copies stay
@@ -582,11 +618,12 @@ func (r *Router) stagePending(table string, src, rid int, repl bool) {
 // and skips shards holding zero matching keys. The peek models a statistics
 // cache on the router — no round trip is charged, which is the point.
 // Candidates are the range map's owners. It returns the shard ids to
-// visit, or nil when no indexed predicate prunes. An empty result still
-// keeps one representative shard so validation errors (which are
-// schema-determined and identical everywhere) surface exactly as a full
-// scatter would, and a zero-match execution stays observable.
-func (r *Router) pruneTargets(st *sqlmini.Stmt, args []any, owners []int) []int {
+// visit, in buf's storage while it has the room, or nil when no indexed
+// predicate prunes. An empty result still keeps one representative shard so
+// validation errors (which are schema-determined and identical everywhere)
+// surface exactly as a full scatter would, and a zero-match execution stays
+// observable.
+func (r *Router) pruneTargets(st *sqlmini.Stmt, args []any, owners, buf []int) []int {
 	var targets []int
 	for _, c := range st.Where {
 		v, ok := c.Value(args)
@@ -607,7 +644,7 @@ func (r *Router) pruneTargets(st *sqlmini.Stmt, args []any, owners []int) []int 
 			continue // no statistics to prune by
 		}
 		if targets == nil {
-			targets = make([]int, 0, len(owners))
+			targets = buf[:0]
 		}
 		kept := targets[:0]
 		if n > 0 {
@@ -640,7 +677,8 @@ func (r *Router) ScatterPruned() int64 { return r.pruned.Load() }
 // the identity, so pruning is invisible in the results.
 func (r *Router) scatter(c *query.Call, st *sqlmini.Stmt, ti *tableInfo) (any, error) {
 	owners := r.ranges.Load().Owners()
-	targets := r.pruneTargets(st, c.Args, owners)
+	var buf [8]int // the pruned target list stays on the stack
+	targets := r.pruneTargets(st, c.Args, owners, buf[:])
 	if targets == nil {
 		targets = owners
 	} else if skipped := len(owners) - len(targets); skipped > 0 {
@@ -959,8 +997,9 @@ func (r *Router) ColdStart() {
 	}
 }
 
-// Close shuts down every backend.
+// Close stops the leg workers and every backend; no call may be in flight.
 func (r *Router) Close() {
+	r.legs.Close()
 	r.mig.RLock()
 	defer r.mig.RUnlock()
 	for _, b := range r.backends {
