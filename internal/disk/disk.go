@@ -1,14 +1,20 @@
-// Package disk simulates a single rotating disk with positional seek costs
-// and elevator (SCAN) scheduling of queued requests. This is the mechanism
-// behind the paper's observation that concurrently submitted queries let the
-// database "reorder disk IO requests to minimize seeks" (§I): when many
-// requests are queued, the disk services them in head-position order, so the
-// average seek distance — and therefore the per-request latency — drops as
-// concurrency rises. A cold buffer pool funnels page misses here, making the
-// disk the bottleneck the paper's cold-cache experiments exercise.
+// Package disk simulates a set of rotating drives (spindles) with
+// positional seek costs and elevator scheduling of queued requests. This is
+// the mechanism behind the paper's observation that concurrently submitted
+// queries let the database "reorder disk IO requests to minimize seeks"
+// (§I): when many requests are queued on a spindle, it services them nearest
+// head position first, so the average seek distance — and therefore the
+// per-request latency — drops as concurrency rises. A cold buffer pool
+// funnels page misses here, making the disk the bottleneck the paper's
+// cold-cache experiments exercise.
+//
+// A request is served on the goroutine that submits it; the disk starts none.
+// One that finds its spindle idle takes it at once (first-come), so at a zero
+// clock nothing queues; one that finds it busy waits until handed the spindle.
 package disk
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -54,29 +60,35 @@ func DefaultParams() Params {
 	}
 }
 
-// Request is one batched IO: transfer `Pages` pages starting at track
-// `Track`. Reads and writes ride the same elevator; `write` only switches
-// which activity counter the transfer lands in.
+// request is one IO. A queued one waits for its spindle: the request that
+// hands it over fills in seek, depth and start, then closes ready.
 type request struct {
 	track int
-	pages int
-	write bool
-	done  chan struct{}
+	seek  time.Duration
+	depth int
+	start time.Time // the hand-off; zero for a request that found its spindle idle
+	ready chan struct{}
 }
 
-// Disk services requests in elevator order, one in flight per spindle.
+// spindle is one drive: its head position, whether a request is in service
+// on it, and the requests waiting for it in arrival order.
+type spindle struct {
+	head  int
+	busy  bool
+	queue []*request
+}
+
+// Disk services requests in elevator order, one in service per spindle. A
+// request runs on the goroutine that submits it; the disk starts none.
 type Disk struct {
-	params Params
-	clock  *simclock.Clock
+	params   Params
+	clock    *simclock.Clock
+	spindles []spindle
+	wg       sync.WaitGroup // requests in service or queued, for Close
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*request
-	heads  []int // per-spindle head position
-	closed bool
-	wg     sync.WaitGroup
-
-	statMu       sync.Mutex
+	mu           sync.Mutex // guards everything below and every spindle
+	closed       bool
+	waiting      int // requests queued or starting service, on any spindle
 	requests     int64
 	pagesRead    int64
 	writes       int64
@@ -87,18 +99,10 @@ type Disk struct {
 	totalQueue   int64
 }
 
-// New starts the disk's service goroutines (one per spindle).
+// New returns an idle disk. It starts no goroutine.
 func New(params Params, clock *simclock.Clock) *Disk {
-	if params.Spindles < 1 {
-		params.Spindles = 1
-	}
-	d := &Disk{params: params, clock: clock, heads: make([]int, params.Spindles)}
-	d.cond = sync.NewCond(&d.mu)
-	d.wg.Add(params.Spindles)
-	for i := 0; i < params.Spindles; i++ {
-		go d.serve(i)
-	}
-	return d
+	params.Spindles = max(params.Spindles, 1)
+	return &Disk{params: params, clock: clock, spindles: make([]spindle, params.Spindles)}
 }
 
 // Read blocks until the disk has serviced a batched read of pages pages
@@ -112,6 +116,8 @@ func (d *Disk) Read(track, pages int) { d.submit(track, pages, false) }
 // across queued reads.
 func (d *Disk) Write(track, pages int) { d.submit(track, pages, true) }
 
+// submit serves one request on the caller's goroutine. A request on track t
+// belongs to spindle t mod Spindles (striping).
 func (d *Disk) submit(track, pages int, write bool) {
 	if pages <= 0 {
 		return
@@ -119,30 +125,75 @@ func (d *Disk) submit(track, pages int, write bool) {
 	if d.params.Tracks > 0 {
 		track = ((track % d.params.Tracks) + d.params.Tracks) % d.params.Tracks
 	}
-	r := &request{track: track, pages: pages, write: write, done: make(chan struct{})}
+	sp := &d.spindles[track%d.params.Spindles]
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		return
 	}
-	d.queue = append(d.queue, r)
-	if len(d.queue) > d.maxQueue {
-		d.maxQueue = len(d.queue)
+	d.wg.Add(1)
+	d.waiting++
+	d.maxQueue = max(d.maxQueue, d.waiting)
+	r := request{track: track}
+	if !sp.busy {
+		sp.busy = true
+		r.seek, r.depth = d.startLocked(sp, track)
+		d.mu.Unlock()
+	} else {
+		// Only a queued request is on the heap: the idle path allocates
+		// nothing.
+		q := &request{track: track, ready: make(chan struct{})}
+		sp.queue = append(sp.queue, q)
+		d.mu.Unlock()
+		<-q.ready
+		r = *q
 	}
-	// Broadcast, not Signal: requests are striped across spindles and a
-	// single Signal could wake a spindle that has no work for this track.
-	d.cond.Broadcast()
+
+	service := r.seek + time.Duration(pages)*d.params.TransferPerPage
+	if write {
+		service += d.params.WriteSettle
+	}
+	// A handed request's service began at the hand-off, however late its
+	// goroutine woke, so the spindle serves its queue back to back.
+	d.clock.SleepFrom(r.start, service)
+
+	d.mu.Lock()
+	d.requests++
+	if write {
+		d.writes++
+		d.pagesWritten += int64(pages)
+	} else {
+		d.pagesRead += int64(pages)
+	}
+	d.seekTime += r.seek
+	d.busyTime += service
+	d.totalQueue += int64(r.depth)
+	d.handOffLocked(sp)
 	d.mu.Unlock()
-	<-r.done
+	d.wg.Done()
 }
 
-// Close stops the service goroutine after draining the queue.
+// startLocked starts a request on track: it moves sp's head there and
+// returns the positioning cost and the queue depth the request starts
+// service at (itself included).
+func (d *Disk) startLocked(sp *spindle, track int) (time.Duration, int) {
+	seek := time.Duration(d.dist(sp, track))*d.params.SeekPerTrack + d.params.SeekMin
+	sp.head = track / d.params.Spindles
+	d.waiting--
+	return seek, d.waiting + 1
+}
+
+// dist is the head movement from sp's head to track.
+func (d *Disk) dist(sp *spindle, track int) int {
+	n := track/d.params.Spindles - sp.head
+	return max(n, -n)
+}
+
+// Close refuses new requests, which then return at once uncounted, and
+// waits until every request in service or queued behind one has finished.
 func (d *Disk) Close() {
 	d.mu.Lock()
-	if !d.closed {
-		d.closed = true
-		d.cond.Broadcast()
-	}
+	d.closed = true
 	d.mu.Unlock()
 	d.wg.Wait()
 }
@@ -161,8 +212,8 @@ type Stats struct {
 
 // Stats returns a snapshot.
 func (d *Disk) Stats() Stats {
-	d.statMu.Lock()
-	defer d.statMu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	s := Stats{
 		Requests:     d.requests,
 		PagesRead:    d.pagesRead,
@@ -178,78 +229,24 @@ func (d *Disk) Stats() Stats {
 	return s
 }
 
-// serve is one spindle's elevator loop: among queued requests for this
-// spindle, pick the one nearest to the spindle's head position (a common
-// SSTF/SCAN hybrid simplification), sleep its service time, complete it.
-// A request on track t belongs to spindle t mod Spindles (striping).
-func (d *Disk) serve(spindle int) {
-	defer d.wg.Done()
-	for {
-		d.mu.Lock()
-		idx := -1
-		for {
-			idx = d.nearestLocked(spindle)
-			if idx >= 0 || d.closed {
-				break
-			}
-			d.cond.Wait()
-		}
-		if idx < 0 && d.closed {
-			d.mu.Unlock()
-			return
-		}
-		r := d.queue[idx]
-		d.queue = append(d.queue[:idx], d.queue[idx+1:]...)
-		depth := len(d.queue) + 1
-		dist := r.track/d.params.Spindles - d.heads[spindle]
-		if dist < 0 {
-			dist = -dist
-		}
-		d.heads[spindle] = r.track / d.params.Spindles
-		d.mu.Unlock()
-
-		seek := time.Duration(dist)*d.params.SeekPerTrack + d.params.SeekMin
-		service := seek + time.Duration(r.pages)*d.params.TransferPerPage
-		if r.write {
-			service += d.params.WriteSettle
-		}
-		d.clock.Sleep(service)
-
-		d.statMu.Lock()
-		d.requests++
-		if r.write {
-			d.writes++
-			d.pagesWritten += int64(r.pages)
-		} else {
-			d.pagesRead += int64(r.pages)
-		}
-		d.seekTime += seek
-		d.busyTime += service
-		d.totalQueue += int64(depth)
-		d.statMu.Unlock()
-
-		close(r.done)
-	}
-}
-
-// nearestLocked returns the index of the queued request for this spindle
-// with the shortest seek from the spindle's head, or -1 when none is
-// queued. Ties resolve to the lowest track so order is deterministic.
-func (d *Disk) nearestLocked(spindle int) int {
-	best := -1
-	bestDist := 1 << 60
-	for i, r := range d.queue {
-		if r.track%d.params.Spindles != spindle {
-			continue
-		}
-		dist := r.track/d.params.Spindles - d.heads[spindle]
-		if dist < 0 {
-			dist = -dist
-		}
-		if dist < bestDist || (dist == bestDist && best >= 0 && r.track < d.queue[best].track) {
-			best = i
-			bestDist = dist
+// handOffLocked gives sp to its queued request with the shortest seek from
+// the head (a common SSTF/SCAN hybrid simplification), or leaves sp idle when
+// none is queued. Ties resolve to the lowest track so order is deterministic.
+func (d *Disk) handOffLocked(sp *spindle) {
+	best, bestDist := -1, 1<<60
+	for i, r := range sp.queue {
+		dist := d.dist(sp, r.track)
+		if dist < bestDist || (dist == bestDist && best >= 0 && r.track < sp.queue[best].track) {
+			best, bestDist = i, dist
 		}
 	}
-	return best
+	if best < 0 {
+		sp.busy = false
+		return
+	}
+	next := sp.queue[best]
+	sp.queue = slices.Delete(sp.queue, best, best+1)
+	next.seek, next.depth = d.startLocked(sp, next.track)
+	next.start = time.Now()
+	close(next.ready)
 }

@@ -145,7 +145,7 @@ func New(p Profile, scale float64) *Server {
 	return s
 }
 
-// Close stops the disk goroutine.
+// Close waits for the disk requests in service or queued and refuses new ones.
 func (s *Server) Close() { s.disk.Close() }
 
 // RegisterMetrics registers the server's stats as a pull source under prefix.

@@ -27,17 +27,23 @@ func New(scale float64) *Clock {
 
 // Sleep pauses for d scaled by the clock's factor and accounts the unscaled
 // virtual time.
-func (c *Clock) Sleep(d time.Duration) {
+func (c *Clock) Sleep(d time.Duration) { c.SleepFrom(time.Time{}, d) }
+
+// SleepFrom is Sleep for a delay that began at start (the zero time: now),
+// for a goroutine woken after its delay began: it sleeps only what is left of
+// d, scaled, and accounts all of d.
+func (c *Clock) SleepFrom(start time.Time, d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	c.spent.Add(int64(d))
-	s := c.scale
-	if s == 0 {
+	if c.scale == 0 {
 		return
 	}
-	scaled := time.Duration(int64(d) * s / 1e6)
-	preciseSleep(scaled)
+	if start.IsZero() {
+		start = time.Now()
+	}
+	preciseSleep(start, time.Duration(int64(d)*c.scale/1e6))
 }
 
 // VirtualSpent reports the total unscaled virtual time slept so far, for
@@ -46,21 +52,17 @@ func (c *Clock) VirtualSpent() time.Duration {
 	return time.Duration(c.spent.Load())
 }
 
-// preciseSleep sleeps with ~10µs accuracy: long waits use time.Sleep, the
-// final stretch spins. The spin ceiling keeps CPU burn bounded. The spin
-// yields the processor on every check: simulated latencies model time
-// passing, not CPU consumption (CPU contention is modelled by core tokens),
-// so concurrent sleeps must make progress together even when the host has
-// fewer cores than sleepers — on a single-core machine a tight spin would
+// preciseSleep sleeps until d after start with ~10µs accuracy: long waits use
+// time.Sleep, the final stretch spins. The spin ceiling keeps CPU burn
+// bounded. The spin yields the processor on every check: simulated latencies
+// model time passing, not CPU consumption (CPU contention is modelled by core
+// tokens), so concurrent sleeps must make progress together even when the host
+// has fewer cores than sleepers — on a single-core machine a tight spin would
 // serialize every overlapping latency and distort all concurrency effects.
-func preciseSleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
+func preciseSleep(start time.Time, d time.Duration) {
 	const spinWindow = 150 * time.Microsecond
-	start := time.Now()
-	if d > spinWindow {
-		time.Sleep(d - spinWindow)
+	if left := d - time.Since(start); left > spinWindow {
+		time.Sleep(left - spinWindow)
 	}
 	for time.Since(start) < d {
 		runtime.Gosched()

@@ -49,3 +49,28 @@ func TestNegativeSleepNoop(t *testing.T) {
 		t.Fatal("negative sleep must be ignored")
 	}
 }
+
+// TestSleepFromCountsTimeAlreadyPassed: a delay that began before the call
+// sleeps only what is left of it, none once it is over, and accounts all of
+// it.
+func TestSleepFromCountsTimeAlreadyPassed(t *testing.T) {
+	c := New(1)
+	start := time.Now()
+	time.Sleep(20 * time.Millisecond)
+	call := time.Now()
+	c.SleepFrom(start, 30*time.Millisecond)
+	if el := time.Since(start); el < 30*time.Millisecond {
+		t.Fatalf("woke %v after start, before the 30ms delay ended", el)
+	}
+	if el := time.Since(call); el > 25*time.Millisecond {
+		t.Fatalf("slept %v for the 10ms left of a 30ms delay", el)
+	}
+	call = time.Now()
+	c.SleepFrom(start, 10*time.Millisecond)
+	if el := time.Since(call); el > 5*time.Millisecond {
+		t.Fatalf("slept %v for a delay already over", el)
+	}
+	if c.VirtualSpent() != 40*time.Millisecond {
+		t.Fatalf("virtual accounting: %v", c.VirtualSpent())
+	}
+}
