@@ -526,7 +526,7 @@ func (c *compiler) expr(e ir.Expr) exprFn {
 	case *ir.Lit:
 		v := x.V // interned: boxed once at compile time
 		if i, ok := v.(int64); ok {
-			v = boxInt(i)
+			v = BoxInt(i)
 		}
 		return func(*machine) (Value, error) { return v, nil }
 
@@ -555,7 +555,7 @@ func (c *compiler) expr(e ir.Expr) exprFn {
 				if !ok {
 					return nil, fmt.Errorf("unary - on %s", TypeName(v))
 				}
-				return boxInt(-i), nil
+				return BoxInt(-i), nil
 			}
 		}
 		op := x.Op
@@ -700,21 +700,21 @@ func applyBin(code binOp, opStr string, lv, rv Value) (Value, error) {
 	}
 	switch code {
 	case opAdd:
-		return boxInt(li + ri), nil
+		return BoxInt(li + ri), nil
 	case opSub:
-		return boxInt(li - ri), nil
+		return BoxInt(li - ri), nil
 	case opMul:
-		return boxInt(li * ri), nil
+		return BoxInt(li * ri), nil
 	case opDiv:
 		if ri == 0 {
 			return nil, fmt.Errorf("division by zero")
 		}
-		return boxInt(li / ri), nil
+		return BoxInt(li / ri), nil
 	case opMod:
 		if ri == 0 {
 			return nil, fmt.Errorf("modulo by zero")
 		}
-		return boxInt(li % ri), nil
+		return BoxInt(li % ri), nil
 	case opLT:
 		return li < ri, nil
 	case opLE:

@@ -3,8 +3,8 @@ package interp
 import "fmt"
 
 // This file holds the runtime half of the slot-compiled evaluator: the flat
-// frame, the execution machine, and the boxed-constant pools. The compiler
-// that produces the closures the machine runs is in compile.go.
+// frame and the execution machine. The compiler that produces the closures
+// the machine runs is in compile.go.
 
 // unsetType marks a frame slot whose variable has not been assigned yet. It
 // plays the role a missing map key plays in the tree-walking evaluator, so
@@ -14,28 +14,6 @@ type unsetType struct{}
 func (unsetType) String() string { return "<unset>" }
 
 var unsetVal Value = unsetType{}
-
-// smallInts interns boxed int64 values so hot arithmetic loops do not
-// allocate on every interface conversion (the Go runtime only caches
-// 0..255, and bools). 8192 covers loop counters and small accumulators,
-// not every benchmark accumulator: RUBiS's total sums up to 2 000 ratings
-// below 1 000, so past its first few iterations it is boxed on every one.
-const smallIntCount = 8192
-
-var smallInts [smallIntCount]Value
-
-func init() {
-	for i := range smallInts {
-		smallInts[i] = int64(i)
-	}
-}
-
-func boxInt(i int64) Value {
-	if i >= 0 && i < smallIntCount {
-		return smallInts[i]
-	}
-	return i
-}
 
 // signal is a compiled statement's control-flow outcome.
 type signal uint8

@@ -241,3 +241,17 @@ proc lr(l) {
 		t.Fatal(err)
 	}
 }
+
+// TestBoxIntInterning: small boxed ints are shared, and values compare
+// equal regardless of interning.
+func TestBoxIntInterning(t *testing.T) {
+	if BoxInt(5) != BoxInt(5) || BoxInt(5) != int64(5) {
+		t.Fatal("interned box must equal a fresh box")
+	}
+	if BoxInt(1<<40) != int64(1<<40) {
+		t.Fatal("large values box by value")
+	}
+	if BoxInt(-3) != int64(-3) {
+		t.Fatal("negative values box by value")
+	}
+}

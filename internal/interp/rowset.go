@@ -1,6 +1,10 @@
 package interp
 
-import "sort"
+import (
+	"maps"
+	"slices"
+	"sort"
+)
 
 // RowHeader is the column list of a row result. It is computed once per
 // prepared statement and shared by every result of that statement.
@@ -22,25 +26,21 @@ func NewRowHeader(names []string) *RowHeader {
 	return h
 }
 
-// RowCol is one column of a RowSet: a typed vector, or boxed cells for a
-// column whose values are not all of one type (the only form that can hold
-// null). At most one of the three is non-nil.
+// RowCol is one column of a RowSet: a typed vector, Ints or Strs, which is
+// all a row result needs, since a storage column holds values of one type and
+// LiftRows lifts only rows whose columns do. In a set with rows exactly one of
+// the two is non-nil.
 type RowCol struct {
 	Ints []int64
 	Strs []string
-	Anys []any
 }
 
 // Cell returns cell i as a Value.
 func (c *RowCol) Cell(i int) Value {
-	switch {
-	case c.Anys != nil:
-		return c.Anys[i]
-	case c.Ints != nil:
-		return boxInt(c.Ints[i])
-	default:
-		return c.Strs[i]
+	if c.Ints != nil {
+		return BoxInt(c.Ints[i])
 	}
+	return c.Strs[i]
 }
 
 // RowSet is a row result in columnar form: what the execution layers hand to
@@ -56,8 +56,9 @@ func (c *RowCol) Cell(i int) Value {
 // is safe because storage is append-only — a row is never updated or deleted,
 // and an insert only extends a vector — so the aliased prefix holds exactly the
 // snapshot's values for as long as the set is held. A RowSet is immutable once
-// built, and a result from Do is held only until it is encoded or boxed: it
-// pins the table vectors of its snapshot, not a copy of them.
+// built (Lift rebuilds one its caller owns), and a result from Do is held only
+// until it is encoded or boxed: it pins the table vectors of its snapshot, not
+// a copy of them.
 //
 // A RowSet is not part of the interpreter's value vocabulary: Rows turns it
 // into one, and the execution layers' public Exec/ExecBatch do that for every
@@ -90,35 +91,60 @@ func (rs *RowSet) Rows() Rows {
 	return out
 }
 
-// LiftRows is the inverse of RowSet.Rows, for a result that arrives boxed:
-// every column holds the boxed cells, in ascending name order, and the
-// selection is the identity. It reports false when the rows do not all have
-// the same columns.
+// LiftRows is the inverse of RowSet.Rows, for a result that arrives boxed from
+// a backend that is not a query.Doer: the columns in ascending name order, a
+// column Ints when every cell of it is an int64 and Strs when every cell is a
+// string, and the identity selection. It reports false for rows that do not
+// all have the same columns, that have none, or that hold a cell of any other
+// type (nil, a bool, a list, a row, or both types in one column): no typed
+// result boxes to those.
 func LiftRows(rows Rows) (*RowSet, bool) {
+	rs := new(RowSet)
+	return rs, rs.Lift(rows)
+}
+
+// Lift is LiftRows into rs, reusing its storage: its header while the rows'
+// column names are the header's (a header is never changed once built, so
+// whoever still holds the old one reads the old names), its column list and
+// its vectors while they have the room. After false rs holds no result.
+func (rs *RowSet) Lift(rows Rows) bool {
+	rs.Sel, rs.N = nil, len(rows)
 	if len(rows) == 0 {
-		return &RowSet{Header: &RowHeader{}}, true
+		rs.Header, rs.Cols = &RowHeader{}, rs.Cols[:0]
+		return true
 	}
-	names := make([]string, 0, len(rows[0]))
-	for name := range rows[0] {
-		names = append(names, name)
+	if h := rs.Header; h == nil || len(h.Names) != len(rows[0]) || slices.ContainsFunc(h.Names, func(name string) bool {
+		_, ok := rows[0][name]
+		return !ok
+	}) {
+		rs.Header = NewRowHeader(slices.Sorted(maps.Keys(rows[0])))
 	}
-	sort.Strings(names)
-	cells := make([]any, len(names)*len(rows))
-	cols := make([]RowCol, len(names))
-	for k := range cols {
-		cols[k].Anys = cells[k*len(rows) : (k+1)*len(rows)]
+	names := rs.Header.Names
+	if len(names) == 0 || slices.ContainsFunc(rows, func(row Row) bool { return len(row) != len(names) }) {
+		return false
 	}
-	for i, row := range rows {
-		if len(row) != len(names) {
-			return nil, false
-		}
-		for k, name := range names {
-			v, ok := row[name]
-			if !ok {
-				return nil, false
+	rs.Cols = slices.Grow(rs.Cols[:0], len(names))[:len(names)]
+	for k, name := range names {
+		c := &rs.Cols[k]
+		ints, strs := c.Ints[:0], c.Strs[:0]
+		for _, row := range rows {
+			switch v := row[name].(type) { // a missing name reads nil
+			case int64:
+				ints = append(ints, v)
+			case string:
+				strs = append(strs, v)
+			default:
+				return false
 			}
-			cols[k].Anys[i] = v
+		}
+		switch {
+		case len(ints) == len(rows):
+			c.Ints, c.Strs = ints, nil
+		case len(strs) == len(rows):
+			c.Ints, c.Strs = nil, strs
+		default:
+			return false
 		}
 	}
-	return &RowSet{Header: NewRowHeader(names), Cols: cols, N: len(rows)}, true
+	return true
 }

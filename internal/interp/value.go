@@ -15,6 +15,28 @@ import (
 // *Table, Row, Rows, or a query Handle.
 type Value = any
 
+// smallInts interns boxed int64 values, so neither hot arithmetic loops nor
+// typed columns read back into this vocabulary allocate on every conversion
+// (the Go runtime caches only 0..255). 8192 covers loop counters, row ids,
+// counts and category keys, not RUBiS's total of up to 2 000 ratings.
+const smallIntCount = 8192
+
+var smallInts [smallIntCount]Value
+
+func init() {
+	for i := range smallInts {
+		smallInts[i] = int64(i)
+	}
+}
+
+// BoxInt boxes an int64 as a Value, interning small values.
+func BoxInt(i int64) Value {
+	if i >= 0 && i < smallIntCount {
+		return smallInts[i]
+	}
+	return i
+}
+
 // List is a mutable sequence. The mini-language has VALUE semantics for
 // lists: assignment, record-field capture and record-field restore all copy,
 // so the reader/writer stubs of Rule C are sound for list-valued variables

@@ -7,6 +7,8 @@
 package net
 
 import (
+	"bytes"
+	"encoding/binary"
 	"slices"
 	"testing"
 	"unsafe"
@@ -16,15 +18,16 @@ import (
 )
 
 // TestRoundTripAllocations pins what one no-op Exec costs the heap, client and
-// server together: 8 objects, every one of them part of a decoded value (the
+// server together: 7 objects, every one of them part of a decoded value (the
 // request's args on the server — its name and SQL repeat the request before
 // and are reused; the reply's row set, its map and its one string of cells on
-// the client — the column names repeat the call's last reply and are reused)
-// or the sorted key slice the row encoder builds for a backend that answers in
-// interp.Rows, as this one does. The frame buffers, the response slot, the
-// payload storage of both read loops, the worker and its call and reply are
-// reused. (11 while every reply allocated its names; the commit before this
-// path was rebuilt paid 26: the measured value is the ceiling.)
+// the client — the column names repeat the call's last reply and are reused).
+// The frame buffers, the response slot, the payload storage of both read
+// loops, the worker and its call and reply are reused, and so is the row set
+// the encoder lifts this backend's interp.Rows into (8 while the encoder
+// sorted each result's keys into a fresh slice, 11 while every reply
+// allocated its names; the commit before this path was rebuilt paid 26: the
+// measured value is the ceiling.)
 func TestRoundTripAllocations(t *testing.T) {
 	c := benchPair(t)
 	args := []any{int64(42)}
@@ -33,8 +36,8 @@ func TestRoundTripAllocations(t *testing.T) {
 			t.Fatal(res.Err)
 		}
 	})
-	if got > 8 {
-		t.Errorf("a no-op round trip allocates %.2f objects, want at most 8", got)
+	if got > 7 {
+		t.Errorf("a no-op round trip allocates %.2f objects, want at most 7", got)
 	}
 }
 
@@ -107,15 +110,22 @@ func TestDecodeReplyAllocations(t *testing.T) {
 
 // TestDecodeBoxedReplyAllocations pins what a 64-binding reply in boxed rows
 // costs to decode, one (nickname, rating) row a binding, on a call that read
-// the names before. The stated total counts no boxed cell, so each string
-// cell is a string of its own: 63 objects more than the one string that
-// Version 1's sizing walk cut them all from.
+// the names before. The rows are lifted as they are written, so the reply is
+// the one their lifted sets make but for the cell bytes it states: that total
+// counts no boxed cell, so each string cell is a string of its own, 63 objects
+// more than the typed reply's one string.
 func TestDecodeBoxedReplyAllocations(t *testing.T) {
 	rep := &query.Reply{Values: make([]any, 64), Errs: make([]error, 64)}
+	lifted := &query.Reply{Values: make([]any, 64), Errs: make([]error, 64)}
 	for i := range rep.Values {
-		rep.Values[i] = interp.Rows{{"nickname": "user" + string(rune('A'+i%26)), "rating": int64(i % 32)}}
+		rows := interp.Rows{{"nickname": "user" + string(rune('A'+i%26)), "rating": int64(i % 32)}}
+		rep.Values[i], lifted.Values[i] = rows, liftOf(t, rows)
 	}
 	payload := must(t)(appendReply(nil, 1, true, rep))[frameHeader:]
+	typed := must(t)(appendReply(nil, 1, true, lifted))[frameHeader:]
+	if cells, _ := binary.Uvarint(typed[8:]); !bytes.Equal(withCellBytes(payload, cells), typed) {
+		t.Fatalf("boxed rows are written\n%v\nand their lifted sets\n%v", payload, typed)
+	}
 	var names []string
 	if _, err := decodeReply(MsgBatchResult, payload, &names); err != nil {
 		t.Fatal(err)
@@ -131,6 +141,15 @@ func TestDecodeBoxedReplyAllocations(t *testing.T) {
 	if want := 2 + 1 + 64*(1+2+1+1); got > float64(want) {
 		t.Errorf("decoding a 64-binding boxed reply allocates %.2f objects, want at most %d", got, want)
 	}
+}
+
+func liftOf(t *testing.T, rows interp.Rows) *interp.RowSet {
+	t.Helper()
+	rs, ok := interp.LiftRows(rows)
+	if !ok {
+		t.Fatalf("%s does not lift", interp.Format(rows))
+	}
+	return rs
 }
 
 // TestRowSetEncodeAllocations pins the columnar arm of the encoder at nothing:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	stdnet "net"
 	"testing"
 	"time"
@@ -95,7 +96,7 @@ func TestRowSetFlagTwoNeedsAnEarlierList(t *testing.T) {
 		return []byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 1, errNone, tagRows, 1, flag, tagInt, 2}
 	}
 	names := []string{"id"} // what the call's last reply listed
-	for _, flag := range []byte{2, 3} {
+	for _, flag := range []byte{0, 2, 3} {
 		if _, err := decodeReply(MsgBatchResult, oneRow(flag), &names); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("flag %d first in a reply decoded to %v, want ErrBadFrame", flag, err)
 		}
@@ -161,26 +162,43 @@ func TestCellBytesAreOnlyAHint(t *testing.T) {
 	}
 }
 
-// A row set nested in a cell of a columnar row set lists its own columns; the
-// outer set keeps reading its own, whether the two lists are as long or not,
-// and a later set that repeats the last list repeats the nested one.
-func TestNestedRowSetsKeepTheirColumns(t *testing.T) {
+// A row set's cells are ints and strings (Version 3): rows with a row set in
+// a cell are not encoded, and a reply that nests one, or a cell of any other
+// tag, is a malformed frame. Row sets side by side in a list each read their
+// own column list, and a later one repeats the last.
+func TestNestedRowSetsAreRefused(t *testing.T) {
 	inner := func(k string, v int64) interp.Rows { return interp.Rows{{k: v}} }
 	for _, v := range []any{
 		interp.Rows{{"a": inner("b", 1)}, {"a": inner("b", 2)}},
-		interp.Rows{{"a": inner("a", 1), "c": "s"}, {"a": inner("b", 2), "c": "t"}},
-		interp.NewList(interp.Rows{{"a": inner("b", 1)}}, inner("b", 2), interp.Rows{{"a": int64(3)}}),
+		interp.NewList(interp.Rows{{"a": inner("a", 1), "c": "s"}}),
 	} {
-		if got := roundTripValue(t, v); !interp.Equal(got, v) {
-			t.Errorf("round trip changed value: %s -> %s", interp.Format(v), interp.Format(got))
+		if b, err := AppendValue(nil, v); err == nil {
+			t.Errorf("%s was encoded: %x", interp.Format(v), b)
 		}
+	}
+	// One row of one column "a", whose cell is the given value.
+	for _, cell := range [][]byte{{tagRows, 1, 1, 1, 1, 'b', tagInt, 2}, {tagNil}, {tagBool, 1}, {tagList, 0}, {tagRow, 0}} {
+		single := append([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, errNone, tagRows, 1, 1, 1, 1, 'a'}, cell...)
+		if _, _, err := DecodeResult(single); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("a row set cell %v decoded to %v, want ErrBadFrame", cell, err)
+		}
+	}
+	v := interp.NewList(interp.Rows{{"a": int64(1)}}, interp.Rows{{"b": int64(2)}, {"b": int64(3)}}, interp.Rows{{"b": int64(4)}})
+	if got := roundTripValue(t, v); !interp.Equal(got, v) {
+		t.Errorf("round trip changed value: %s -> %s", interp.Format(v), interp.Format(got))
 	}
 }
 
-// A peer of the first protocol version is refused at the handshake, in both
+// A peer of an earlier protocol version is refused at the handshake, in both
 // directions: the server closes on its hello, and a client answered by such a
 // server fails with ErrVersionMismatch.
-func TestVersionOnePeerIsRefused(t *testing.T) {
+func TestOlderPeerIsRefused(t *testing.T) {
+	for _, version := range []uint16{1, 2} {
+		t.Run(fmt.Sprint("version ", version), func(t *testing.T) { refusesPeer(t, version) })
+	}
+}
+
+func refusesPeer(t *testing.T, version uint16) {
 	s := startServer(t, echoBackend(), ServerOptions{})
 	conn, err := stdnet.Dial("tcp", s.Addr())
 	if err != nil {
@@ -188,13 +206,13 @@ func TestVersionOnePeerIsRefused(t *testing.T) {
 	}
 	defer conn.Close()
 	hello := EncodeHello()
-	binary.BigEndian.PutUint16(hello[4:6], 1)
+	binary.BigEndian.PutUint16(hello[4:6], version)
 	if err := WriteFrame(conn, MsgHello, hello); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, _, err := readFrame(conn, nil); err == nil {
-		t.Fatal("server answered a version 1 hello")
+		t.Fatalf("server answered a version %d hello", version)
 	}
 
 	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
@@ -209,13 +227,13 @@ func TestVersionOnePeerIsRefused(t *testing.T) {
 		}
 		defer c.Close()
 		if _, _, err := readFrame(c, nil); err == nil {
-			WriteFrame(c, MsgHelloAck, binary.BigEndian.AppendUint16(nil, 1))
+			WriteFrame(c, MsgHelloAck, binary.BigEndian.AppendUint16(nil, version))
 		}
 	}()
 	if c, err := Dial(ln.Addr().String()); !errors.Is(err, ErrVersionMismatch) {
 		if c != nil {
 			c.Close()
 		}
-		t.Fatalf("dialling a version 1 server: %v, want ErrVersionMismatch", err)
+		t.Fatalf("dialling a version %d server: %v, want ErrVersionMismatch", version, err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/interp"
@@ -30,10 +31,11 @@ func (s *byteSrc) next() int {
 // and returns what a real server answers a handful of selects over it in the
 // columnar form: select *, a select list that may name a column twice, a
 // predicate no row matches, and a batch whose bindings are views into one
-// block. A table's columns are typed, so the last set is the table's rows
-// boxed, now and then a cell made null or of the other type, and lifted
-// (interp.LiftRows): the one producer of boxed columns.
-func rowSetsFrom(t testing.TB, data []byte) []*interp.RowSet {
+// block. It also returns the table's rows boxed, now and then a cell made
+// null, of the other type or left out: rows a backend that is not a
+// query.Doer might answer, which lift to typed columns only while each column
+// keeps one type (liftable).
+func rowSetsFrom(t testing.TB, data []byte) ([]*interp.RowSet, interp.Rows) {
 	t.Helper()
 	src := &byteSrc{b: data}
 	srv := server.New(server.SYS1(), 0)
@@ -48,11 +50,11 @@ func rowSetsFrom(t testing.TB, data []byte) []*interp.RowSet {
 	ints := func() any { return int64(int8(src.next())) * 1000003 }
 	strs := func() any { return []string{"", "a", "naïve", "日本", "x y"}[src.next()%5] }
 	var keys []any
-	var mixed interp.Rows
+	var boxed interp.Rows
 	for r, n := 0, src.next()%12; r < n; r++ {
 		row, cells := make([]any, len(cols)), make(interp.Row, len(cols))
 		for i, c := range cols {
-			sel := src.next() % 8
+			sel := src.next() % 16
 			if c.Type == storage.TInt {
 				row[i] = ints()
 			} else {
@@ -65,13 +67,15 @@ func rowSetsFrom(t testing.TB, data []byte) []*interp.RowSet {
 				cells[c.Name] = strs()
 			case sel == 1:
 				cells[c.Name] = ints()
+			case sel == 2:
+				delete(cells, c.Name)
 			}
 		}
 		if _, err := tbl.Insert(row); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, row[0])
-		mixed = append(mixed, cells)
+		boxed = append(boxed, cells)
 	}
 	srv.FinishLoad()
 	if src.next()%2 == 0 {
@@ -117,11 +121,61 @@ func rowSetsFrom(t testing.TB, data []byte) []*interp.RowSet {
 			add(rep.Values[i], rep.Errs[i])
 		}
 	}
-	lifted, ok := interp.LiftRows(mixed)
-	if !ok {
-		t.Fatalf("rows of one table do not lift: %s", interp.Format(mixed))
+	return out, boxed
+}
+
+// liftable is interp.LiftRows' oracle: rows lift when every row has the first
+// one's names, there is at least one, and each column's cells are all int64
+// or all strings.
+func liftable(rows interp.Rows) bool {
+	for _, row := range rows {
+		if len(row) != len(rows[0]) || len(row) == 0 {
+			return false
+		}
+		for name, v := range row {
+			first, ok := rows[0][name]
+			switch v.(type) {
+			case int64, string:
+			default:
+				return false
+			}
+			if !ok || reflect.TypeOf(v) != reflect.TypeOf(first) {
+				return false
+			}
+		}
 	}
-	return append(out, lifted)
+	return true
+}
+
+// checkBoxedRows holds boxed rows to the lift's oracle: rows that lift are
+// encoded as their lifted set is and decode to themselves, alone or as a
+// binding of a batch; rows that do not are refused by both encoders. It
+// returns whether they lifted.
+func checkBoxedRows(t testing.TB, rows interp.Rows) bool {
+	t.Helper()
+	lifted, ok := interp.LiftRows(rows)
+	if ok != liftable(rows) {
+		t.Fatalf("LiftRows(%s) reports %v", interp.Format(rows), ok)
+	}
+	got, err := AppendValue(nil, rows)
+	_, batchErr := EncodeBatchResult(1, query.BatchResult{Values: []any{int64(1), rows}, Errs: make([]error, 2)})
+	if !ok {
+		if err == nil || batchErr == nil {
+			t.Fatalf("rows that do not lift were encoded (%v, %v): %s", err, batchErr, interp.Format(rows))
+		}
+		return false
+	}
+	if err != nil || batchErr != nil {
+		t.Fatalf("encoding %s: %v, %v", interp.Format(rows), err, batchErr)
+	}
+	if want, _ := AppendValue(nil, lifted); !bytes.Equal(got, want) {
+		t.Fatalf("boxed encoding of %s:\n got %x\nwant %x", interp.Format(rows), got, want)
+	}
+	r := &reader{b: got}
+	if back := r.value(); r.err != nil || len(r.b) != 0 || !interp.Equal(back, rows) {
+		t.Fatalf("decoded %s (%d bytes left, %v), want %s", interp.Format(back), len(r.b), r.err, interp.Format(rows))
+	}
+	return true
 }
 
 // checkRowSetWire holds a columnar result to the codec's oracle: its bytes are
@@ -156,7 +210,8 @@ func checkRowSetWire(t testing.TB, rs *interp.RowSet) {
 
 // TestRowSetWireMatchesRows is the property the front door's unchanged bytes
 // rest on: over random schemas and rows, the columnar arm of the encoder
-// writes what the interp.Rows arm writes for the boxed form.
+// writes what the interp.Rows arm writes for the boxed form, and boxed rows
+// that are not typed columns are refused.
 func TestRowSetWireMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(20110411))
 	shapes := map[string]bool{}
@@ -164,7 +219,21 @@ func TestRowSetWireMatchesRows(t *testing.T) {
 		data := make([]byte, 160)
 		rng.Read(data)
 		var last *interp.RowSet
-		for _, rs := range rowSetsFrom(t, data) {
+		sets, boxed := rowSetsFrom(t, data)
+		if checkBoxedRows(t, boxed) {
+			shapes["boxed rows lift"] = shapes["boxed rows lift"] || len(boxed) > 0
+		} else {
+			for _, row := range boxed {
+				for name, v := range row {
+					shapes["refused: null cell"] = shapes["refused: null cell"] || v == nil
+					_, ok := boxed[0][name]
+					shapes["refused: names differ"] = shapes["refused: names differ"] || len(row) != len(boxed[0]) || !ok
+					shapes["refused: a column of two types"] = shapes["refused: a column of two types"] ||
+						(ok && v != nil && boxed[0][name] != nil && reflect.TypeOf(v) != reflect.TypeOf(boxed[0][name]))
+				}
+			}
+		}
+		for _, rs := range sets {
 			checkRowSetWire(t, rs)
 			if rs.N == 0 {
 				shapes["no rows"] = true
@@ -179,28 +248,29 @@ func TestRowSetWireMatchesRows(t *testing.T) {
 			for _, c := range rs.Cols {
 				shapes["ints"] = shapes["ints"] || (rs.N > 0 && c.Ints != nil)
 				shapes["strs"] = shapes["strs"] || (rs.N > 0 && c.Strs != nil)
-				shapes["boxed"] = shapes["boxed"] || (rs.N > 0 && c.Anys != nil)
-				for j := 0; j < rs.N && c.Anys != nil; j++ {
-					shapes["null cell"] = shapes["null cell"] || c.Anys[rs.At(j)] == nil
-				}
 			}
 		}
 	}
-	for _, shape := range []string{"no rows", "view into a block", "selection skips rows", "ints", "strs", "boxed", "null cell"} {
+	for _, shape := range []string{"no rows", "view into a block", "selection skips rows", "ints", "strs",
+		"boxed rows lift", "refused: null cell", "refused: names differ", "refused: a column of two types"} {
 		if !shapes[shape] {
 			t.Errorf("300 random tables never produced a result with: %s", shape)
 		}
 	}
 }
 
-// FuzzRowSetWire holds the same oracle over the fuzzer's tables.
+// FuzzRowSetWire holds the same oracles over the fuzzer's tables: typed
+// results encode as their boxed rows do, and boxed rows that do not lift are
+// refused.
 func FuzzRowSetWire(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 'n', 1, 'u', 0, 'r', 0, 5, 2, 7, 2, 1, 2, 9, 0, 0, 1, 3, 2, 4})
 	f.Add(bytes.Repeat([]byte{1, 0, 7}, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, rs := range rowSetsFrom(t, data) {
+		sets, boxed := rowSetsFrom(t, data)
+		for _, rs := range sets {
 			checkRowSetWire(t, rs)
 		}
+		checkBoxedRows(t, boxed)
 	})
 }

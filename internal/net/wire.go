@@ -17,9 +17,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/interp"
 	"repro/internal/query"
@@ -35,7 +36,9 @@ const (
 	// Version is the protocol version this build speaks. Version 2: a reply
 	// states its string cells' bytes after the request id, and a row set that
 	// repeats the reply's previous column list does not list it again.
-	Version uint16 = 2
+	// Version 3: a row set's cells are ints and strings only, and there is no
+	// row-major form.
+	Version uint16 = 3
 	// MaxFrame bounds a single frame's payload. Large result sets are the
 	// legitimate case (a full-scan read returns its rows in one frame);
 	// anything beyond this is a corrupt length prefix, and rejecting it
@@ -113,13 +116,12 @@ type reader struct {
 	err error
 
 	// What the results of one reply repeat: the last column names decoded
-	// (see columns; a client's call keeps them across replies), whether this
-	// reply listed them and whether a row set around this one reads them; the
-	// storage its row sets are carved from (see rowSlab), sized for the
-	// results still to come; the one string its cells are cut from (see reply).
+	// (see columns; a client's call keeps them across replies) and whether
+	// this reply listed them; the storage its row sets are carved from (see
+	// rowSlab), sized for the results still to come; the one string its cells
+	// are cut from (see reply).
 	keys   []string
 	listed bool
-	inUse  bool
 	slab   interp.Rows
 	left   int
 	cells  strings.Builder
@@ -251,18 +253,18 @@ func (r *reader) count(what string) int {
 // interp.Rows — and *interp.RowSet, the columnar form a row result has inside
 // the server process, whose bytes are those of its boxed interp.Rows. Anything
 // else is an encoding error — the front door refuses to silently stringify a
-// value the other side could not reconstruct.
+// value the other side could not reconstruct — and so are rows that do not
+// lift to typed columns (interp.LiftRows).
 func AppendValue(b []byte, v any) ([]byte, error) {
 	var e encoder
 	return e.value(b, v)
 }
 
 // encoder writes the values of one message. What they share is the column
-// list of the last columnar row set written: a row set whose list reads the
-// same does not list it again (see columns).
+// list of the last row set written: a row set whose list reads the same does
+// not list it again (see columns).
 type encoder struct {
-	last   colList
-	listed bool
+	last *interp.RowHeader // nil until a row set lists its columns
 }
 
 func (e *encoder) value(b []byte, v any) ([]byte, error) {
@@ -287,9 +289,9 @@ func (e *encoder) value(b []byte, v any) ([]byte, error) {
 	case interp.Row:
 		return e.row(append(b, tagRow), x)
 	case interp.Rows:
-		return e.rows(append(b, tagRows), x)
+		return e.lifted(append(b, tagRows), x)
 	case *interp.RowSet:
-		return e.rowSet(append(b, tagRows), x)
+		return e.rowSet(append(b, tagRows), x), nil
 	default:
 		return nil, fmt.Errorf("net: cannot encode %T", v)
 	}
@@ -299,7 +301,7 @@ func (e *encoder) value(b []byte, v any) ([]byte, error) {
 // deterministic, matching the deterministic Format order the differential
 // harness compares.
 func (e *encoder) row(b []byte, row interp.Row) ([]byte, error) {
-	keys := sortedRowKeys(row)
+	keys := slices.Sorted(maps.Keys(row))
 	b = putUvarint(b, uint64(len(keys)))
 	var err error
 	for _, k := range keys {
@@ -311,131 +313,64 @@ func (e *encoder) row(b []byte, row interp.Row) ([]byte, error) {
 	return b, nil
 }
 
-// rows writes a result set. The common case — every row shares the same
-// columns — is encoded columnar: the sorted key set once (see columns), then
-// values row-major, which is the batch-aware encode that keeps wide result
-// sets from repeating column names per row. Heterogeneous row sets fall back
-// to per-row encoding (flag 0).
-func (e *encoder) rows(b []byte, rows interp.Rows) ([]byte, error) {
-	b = putUvarint(b, uint64(len(rows)))
-	if len(rows) == 0 {
-		return b, nil
+// lifts holds the row sets boxed rows are lifted into on their way to the
+// wire, so a backend that answers in interp.Rows (it is not a query.Doer)
+// costs the encoder no allocation while its results keep their shape.
+var lifts = sync.Pool{New: func() any { return new(interp.RowSet) }}
+
+// lifted writes boxed rows as the row set they lift to: what a typed backend
+// answering the same rows writes. Rows that do not lift are not encoded.
+func (e *encoder) lifted(b []byte, rows interp.Rows) ([]byte, error) {
+	rs := lifts.Get().(*interp.RowSet)
+	defer lifts.Put(rs)
+	if !rs.Lift(rows) {
+		return nil, errors.New("net: cannot encode rows whose columns differ or are not all ints or all strings")
 	}
-	keys := sortedRowKeys(rows[0])
-	shared := true
-	for _, row := range rows[1:] {
-		if !sameKeys(row, keys) {
-			shared = false
-			break
-		}
-	}
-	var err error
-	if shared {
-		b = e.columns(b, colList{keys: keys})
-		for _, row := range rows {
-			for _, k := range keys {
-				if b, err = e.value(b, row[k]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return b, nil
-	}
-	b = append(b, 0) // row-major fallback: each row carries its keys
-	for _, row := range rows {
-		if b, err = e.row(b, row); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
+	return e.rowSet(b, rs), nil
 }
 
-// rowSet writes a columnar result as rows writes its boxed form: always the
-// shared-key-set encoding, the names in the header's precomputed order, the
-// cells straight from the typed vectors through the selection — for a select,
-// the table's own vectors: this is the one copy a cell makes.
-func (e *encoder) rowSet(b []byte, rs *interp.RowSet) ([]byte, error) {
+// rowSet writes a row result: its count, its column list (see columns) in the
+// header's precomputed name order, then its cells row by row, straight from
+// the typed vectors through the selection — for a select, the table's own
+// vectors: this is the one copy a cell makes.
+func (e *encoder) rowSet(b []byte, rs *interp.RowSet) []byte {
 	b = putUvarint(b, uint64(rs.N))
 	if rs.N == 0 {
-		return b, nil
+		return b
 	}
 	wire := rs.Header.Wire
-	b = e.columns(b, colList{rs.Header, rs.Header.Names})
-	var err error
+	b = e.columns(b, rs.Header)
 	for j := 0; j < rs.N; j++ {
 		i := rs.At(j)
 		for _, k := range wire {
-			switch c := &rs.Cols[k]; {
-			case c.Anys != nil:
-				if b, err = e.value(b, c.Anys[i]); err != nil {
-					return nil, err
-				}
-			case c.Ints != nil:
+			if c := &rs.Cols[k]; c.Ints != nil {
 				b = putVarint(append(b, tagInt), c.Ints[i])
-			default:
+			} else {
 				b = putString(append(b, tagString), c.Strs[i])
 			}
 		}
 	}
-	return b, nil
+	return b
 }
 
-// colList is a sorted column list: keys in the order hdr.Wire gives, or as
-// they are when hdr is nil (boxed rows).
-type colList struct {
-	hdr  *interp.RowHeader
-	keys []string
-}
-
-func (l colList) at(i int) string {
-	if l.hdr != nil {
-		return l.keys[l.hdr.Wire[i]]
-	}
-	return l.keys[i]
-}
-
-// columns writes a columnar row set's flag and column list: flag 1 and the
-// list, or flag 2 alone when the list reads the same as the last one this
-// message wrote. Two shards' results carry equal lists in different headers,
-// so the lists are compared by name.
-func (e *encoder) columns(b []byte, l colList) []byte {
-	same := e.listed && l.hdr != nil && l.hdr == e.last.hdr
-	if !same && e.listed && len(l.keys) == len(e.last.keys) {
-		same = true
-		for i := 0; same && i < len(l.keys); i++ {
-			same = l.at(i) == e.last.at(i)
-		}
+// columns writes a row set's flag and column list: flag 1 and the list, or
+// flag 2 alone when the list reads the same as the last one this message
+// wrote. Two shards' results carry equal lists in different headers, so the
+// lists are compared by name.
+func (e *encoder) columns(b []byte, h *interp.RowHeader) []byte {
+	same := e.last != nil && len(e.last.Wire) == len(h.Wire)
+	for i := 0; same && e.last != h && i < len(h.Wire); i++ {
+		same = h.Names[h.Wire[i]] == e.last.Names[e.last.Wire[i]]
 	}
 	if same {
 		return append(b, 2)
 	}
-	e.last, e.listed = l, true
-	b = putUvarint(append(b, 1), uint64(len(l.keys)))
-	for i := range l.keys {
-		b = putString(b, l.at(i))
+	e.last = h
+	b = putUvarint(append(b, 1), uint64(len(h.Wire)))
+	for _, k := range h.Wire {
+		b = putString(b, h.Names[k])
 	}
 	return b
-}
-
-func sortedRowKeys(row interp.Row) []string {
-	keys := make([]string, 0, len(row))
-	for k := range row {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sameKeys(row interp.Row, keys []string) bool {
-	if len(row) != len(keys) {
-		return false
-	}
-	for _, k := range keys {
-		if _, ok := row[k]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 func (r *reader) value() any {
@@ -483,42 +418,45 @@ func (r *reader) rows() interp.Rows {
 		return interp.Rows{}
 	}
 	rows := r.rowSlab(n)
-	if flag := r.byte(); flag != 0 { // columnar
-		keys, outer := r.columns(flag), r.inUse
-		r.inUse = true
-		for i := 0; i < n && r.err == nil; i++ {
-			row := make(interp.Row, len(keys))
-			for _, k := range keys {
-				row[k] = r.value()
-			}
-			rows = append(rows, row)
-		}
-		r.inUse = outer
-		return rows
-	}
+	keys := r.columns(r.byte())
 	for i := 0; i < n && r.err == nil; i++ {
-		rows = append(rows, r.row())
+		row := make(interp.Row, len(keys))
+		for _, k := range keys {
+			row[k] = r.typedCell()
+		}
+		rows = append(rows, row)
 	}
 	return rows
 }
 
-// columns reads a columnar row set's column names after its flag (read
-// without error): 1 lists them, 2 repeats the reply's last list, which is an
-// error before the reply has listed one. The bindings of a batch reply carry
-// the same names one after the other, and a client's next reply on the same
-// call usually does too, so the slice and every name that reads the same as
-// last time are reused — but not a slice a row set around this one is still
-// reading. No result holds the slice (a row map holds the strings, which do
-// not change).
+// typedCell reads a row set's cell, an int or a string.
+func (r *reader) typedCell() any {
+	switch tag := r.byte(); {
+	case tag == tagInt:
+		return r.varint()
+	case tag != tagString && r.err == nil:
+		r.err = fmt.Errorf("%w: row set cell tag %d", ErrBadFrame, tag)
+	}
+	return r.cell()
+}
+
+// columns reads a row set's column names after its flag: 1 lists them, 2
+// repeats the reply's last list, which is an error before the reply has listed
+// one. The bindings of a batch reply carry the same names one after the other,
+// and a client's next reply on the same call usually does too, so the slice
+// and every name that reads the same as last time are reused. No result holds
+// the slice (a row map holds the strings, which do not change).
 func (r *reader) columns(flag byte) []string {
 	if flag == 2 && r.listed {
 		return r.keys
 	}
 	if flag != 1 {
-		r.err = fmt.Errorf("%w: row set flag %d", ErrBadFrame, flag)
+		if r.err == nil {
+			r.err = fmt.Errorf("%w: row set flag %d", ErrBadFrame, flag)
+		}
 		return nil
 	}
-	if nk := r.count("columns"); nk != len(r.keys) || r.inUse {
+	if nk := r.count("columns"); nk != len(r.keys) {
 		r.keys = make([]string, nk)
 	}
 	for i := range r.keys {
@@ -758,9 +696,9 @@ func appendResult(b []byte, reqID uint64, v any, err error) ([]byte, error) {
 // written. A select's cells are read from its table's vectors, at rows far
 // apart: the loads of this pass do not depend on each other, so their cache
 // misses overlap here instead of stalling the encoder one row at a time. It
-// counts only strings and typed string columns; a boxed cell gets a string of
-// its own from the decoder: rows' and lists' (a backend not a query.Doer) and
-// Anys columns' (lifted, or shard.Router's merge of legs unlike in form).
+// counts only strings and row sets' string columns; the decoder gives every
+// other string cell a string of its own: boxed rows' (lifted as they are
+// written, from a backend not a query.Doer) and lists'.
 func reserve(b []byte, vs ...any) []byte {
 	need := 0
 	for _, v := range vs {

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/interp"
@@ -41,16 +43,11 @@ func TestValueRoundTrip(t *testing.T) {
 		interp.Row{},
 		interp.Row{"id": int64(7), "name": "x"},
 		interp.Rows{},
-		// homogeneous rows: exercises the columnar encoding
+		// rows of typed columns: the only rows the wire carries
 		interp.Rows{
 			{"id": int64(1), "name": "a"},
 			{"id": int64(2), "name": "b"},
 			{"id": int64(3), "name": "c"},
-		},
-		// heterogeneous rows: exercises the per-row fallback
-		interp.Rows{
-			{"id": int64(1)},
-			{"id": int64(2), "extra": "y"},
 		},
 	}
 	for _, v := range cases {
@@ -60,10 +57,62 @@ func TestValueRoundTrip(t *testing.T) {
 				interp.Format(v), interp.Format(got))
 		}
 	}
+	for _, v := range untypedRows {
+		if b, err := AppendValue(nil, v); err == nil {
+			t.Errorf("rows that are not typed columns were encoded: %s -> %x", interp.Format(v), b)
+		}
+	}
+}
+
+// untypedRows are rows that do not lift to typed columns, which the wire
+// refuses: heterogeneous rows, rows of no columns (a count of them the
+// decoder would take for more rows than the bytes left can hold), a null
+// cell, a column of two types, and a cell that is neither an int nor a
+// string.
+var untypedRows = []any{
+	interp.Rows{{"id": int64(1)}, {"id": int64(2), "extra": "y"}},
+	interp.Rows{{"id": int64(1)}, {"other": int64(2)}},
+	interp.Rows{{}, {"id": int64(1)}},
+	interp.Rows{{}, {}, {}, {}, {}},
+	interp.Rows{{"id": int64(1), "name": nil}},
+	interp.Rows{{"id": int64(1)}, {"id": "two"}},
+	interp.Rows{{"id": true}},
+	interp.NewList(interp.Rows{{"id": interp.NewList()}}),
+}
+
+// Boxed rows are lifted into pooled row sets on their way to the wire:
+// encoders on several goroutines at once, of rows with differing columns,
+// each write their own rows.
+func TestConcurrentLiftsAreIndependent(t *testing.T) {
+	values := []any{
+		interp.Rows{{"a": int64(1), "b": "x"}},
+		interp.Rows{{"c": "y"}, {"c": "z"}},
+		interp.Rows{{"a": int64(2), "b": "w"}, {"a": int64(3), "b": "v"}},
+		interp.Rows{{"a": "s", "b": int64(4)}},
+	}
+	want := make([][]byte, len(values))
+	for i, v := range values {
+		want[i] = must(t)(AppendValue(nil, v))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				k := (g + i) % len(values)
+				if got, err := AppendValue(nil, values[k]); err != nil || !bytes.Equal(got, want[k]) {
+					t.Errorf("%s encoded as %x (%v), want %x", interp.Format(values[k]), got, err, want[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestRowsColumnarEncodingIsCompact(t *testing.T) {
-	// 100 homogeneous rows must not pay 100 copies of the column names.
+	// 100 rows pay one copy of the column names, not 100.
 	rows := make(interp.Rows, 100)
 	for i := range rows {
 		rows[i] = interp.Row{"somewhat_long_column_name": int64(i), "another_column_name": "v"}
@@ -72,16 +121,16 @@ func TestRowsColumnarEncodingIsCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hetero := make(interp.Rows, len(rows))
-	copy(hetero, rows)
-	hetero[50] = interp.Row{"different": int64(1)} // forces per-row fallback
-	perRow, err := AppendValue(nil, hetero)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"somewhat_long_column_name", "another_column_name"} {
+		if n := bytes.Count(columnar, []byte(name)); n != 1 {
+			t.Errorf("column %q is written %d times in %d rows", name, n, len(rows))
+		}
 	}
-	if len(columnar) >= len(perRow) {
-		t.Fatalf("columnar encoding (%dB) not smaller than per-row (%dB)",
-			len(columnar), len(perRow))
+	// One row of other columns leaves no form to write the rows in.
+	hetero := slices.Clone(rows)
+	hetero[50] = interp.Row{"different": int64(1)}
+	if b, err := AppendValue(nil, hetero); err == nil {
+		t.Fatalf("heterogeneous rows were encoded in %d bytes", len(b))
 	}
 }
 
@@ -205,8 +254,8 @@ func TestBatchResultRowSetsAreIndependent(t *testing.T) {
 			nil,
 			interp.Rows{},
 			interp.Rows{ab(5), ab(6), ab(7), ab(8), ab(9)}, // outgrows the first slab
-			interp.Rows{{"z": nil}},
-			interp.Rows{{"a": int64(1)}, {"b": int64(2)}}, // row-major fallback
+			interp.Rows{{"z": "one column"}},
+			interp.Rows{{"b": int64(1)}, {"b": int64(2)}},
 			interp.Rows{ab(10)},
 			&interp.List{Items: []any{"x", true, interp.Row{"k": "v"}, &interp.List{Items: []any{"y"}}}},
 		},
@@ -232,6 +281,14 @@ func TestBatchResultRowSetsAreIndependent(t *testing.T) {
 	}
 	if got.Errs[3] == nil || got.Errs[3].Error() != "boom" {
 		t.Errorf("binding 3: error %v, want boom", got.Errs[3])
+	}
+	// A binding of rows that are not typed columns fails the whole reply's
+	// encoding (the door answers every binding with that error instead).
+	for _, v := range untypedRows {
+		values := append(slices.Clone(res.Values[:3]), v)
+		if _, err := EncodeBatchResult(1, query.BatchResult{Values: values, Errs: make([]error, 4)}); err == nil {
+			t.Errorf("a batch reply with a binding of %s was encoded", interp.Format(v))
+		}
 	}
 }
 

@@ -444,15 +444,6 @@ func (g *Group) ensureBaseSnapshot(p *server.Server) {
 	_ = g.log.WriteSnapshot(wal.Capture(p.Catalog(), 0))
 }
 
-func firstErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // pick returns the next healthy replica in round-robin order whose applied
 // prefix reaches min, or -1 when none qualifies.
 func (g *Group) pick(min int64) int {
@@ -704,7 +695,7 @@ func (g *Group) replicate(sp *obs.Span, rec wal.Record) {
 
 // apply is the one way a log record reaches a copy — replication, suffix
 // replay and primary restart alike:
-// rec re-executes on s as one ExecBatch. When s is replica i, the first error
+// rec re-executes on s as one batch call. When s is replica i, the first error
 // fails it out with its watermark unchanged, so a later catch-up replays
 // exactly what it missed, and success advances the watermark; the primary
 // (primaryCopy) has neither.
@@ -713,9 +704,10 @@ func (g *Group) apply(sp *obs.Span, i int, s *server.Server, rec wal.Record) err
 	if ap != nil {
 		ap.SetDetail(obs.ReplicaLabel(i))
 	}
-	sub := rec.Request()
-	sub.Span = ap
-	err := firstErr(s.ExecBatch(sub).Errs)
+	c, rep := query.BatchCall(rec.Request()), query.Reply{}
+	c.Span = ap
+	s.Do(&c, &rep)
+	err := rep.FirstErr()
 	ap.End()
 	if i == primaryCopy {
 		return err

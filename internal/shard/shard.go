@@ -749,9 +749,10 @@ func mergeAgg(kind sqlmini.AggKind, legs []fanLeg) (any, error) {
 // names the shard each leg went to (a pruned scatter visits a subset), in
 // ascending order. The merge is a typed gather: the legs' columnar results are
 // read in place through their selections, (leg, row) pairs are sorted by
-// global position, and every cell is copied once into the merged columns. A
-// backend that only has the public Exec answers in interp.Rows, which is
-// lifted first: there is one merge.
+// global position, and every cell is copied once into the merged columns, each
+// in the form the first leg with rows has it. A backend that only has the
+// public Exec answers in interp.Rows, which is lifted first: there is one
+// merge.
 func mergeRows(ti *tableInfo, targets []int, legs []fanLeg) (any, error) {
 	type ref struct{ pos, leg, row int }
 	var buf [32]ref // the usual merge is a few rows: sort it on the stack
@@ -762,7 +763,7 @@ func mergeRows(ti *tableInfo, targets []int, legs []fanLeg) (any, error) {
 		rep := &legs[k].rep
 		if rows, ok := rep.Value.(interp.Rows); ok {
 			if rep.Value, ok = interp.LiftRows(rows); !ok {
-				return nil, fmt.Errorf("shard: row merge: shard %d returned rows of differing columns", targets[k])
+				return nil, fmt.Errorf("shard: row merge: shard %d returned rows that are not typed columns", targets[k])
 			}
 		}
 		rs, ok := rep.Value.(*interp.RowSet)
@@ -783,6 +784,13 @@ func mergeRows(ti *tableInfo, targets []int, legs []fanLeg) (any, error) {
 		}) {
 			return nil, fmt.Errorf("shard: row merge: shard %d returned columns %v, want %v",
 				targets[k], rs.Header.Names, shape.Header.Names)
+		}
+		// The gather reads each column in the form shape has it.
+		for w, c := range rs.Header.Wire {
+			if (rs.Cols[c].Ints != nil) != (shape.Cols[shape.Header.Wire[w]].Ints != nil) {
+				return nil, fmt.Errorf("shard: row merge: shard %d returned column %q of another type",
+					targets[k], rs.Header.Names[c])
+			}
 		}
 		for j := 0; j < rs.N; j++ {
 			// The executor reports one matched rid per returned row; the
@@ -811,36 +819,20 @@ func mergeRows(ti *tableInfo, targets []int, legs []fanLeg) (any, error) {
 
 	n := len(order)
 	cols := make([]interp.RowCol, len(shape.Cols))
-	var sbuf [8]*interp.RowCol
 	for w, k := range shape.Header.Wire {
-		// The column in each leg that has rows. The merged column keeps a
-		// typed vector when all of them have it in that form, and holds boxed
-		// cells otherwise.
-		src := sbuf[:0]
-		ints, strs := true, true
-		for leg := range legs {
-			var c *interp.RowCol
-			if rs := part(leg); rs.N > 0 {
-				c = &rs.Cols[rs.Header.Wire[w]]
-				ints, strs = ints && c.Ints != nil, strs && c.Strs != nil
-			}
-			src = append(src, c)
+		col := func(leg int) *interp.RowCol {
+			rs := part(leg)
+			return &rs.Cols[rs.Header.Wire[w]]
 		}
-		switch {
-		case ints:
+		if shape.Cols[k].Ints != nil {
 			cols[k].Ints = make([]int64, n)
 			for i, o := range order {
-				cols[k].Ints[i] = src[o.leg].Ints[o.row]
+				cols[k].Ints[i] = col(o.leg).Ints[o.row]
 			}
-		case strs:
+		} else {
 			cols[k].Strs = make([]string, n)
 			for i, o := range order {
-				cols[k].Strs[i] = src[o.leg].Strs[o.row]
-			}
-		default:
-			cols[k].Anys = make([]any, n)
-			for i, o := range order {
-				cols[k].Anys[i] = src[o.leg].Cell(o.row)
+				cols[k].Strs[i] = col(o.leg).Strs[o.row]
 			}
 		}
 	}

@@ -384,7 +384,7 @@ func pickDriver(t *storage.Table, conds []Cond) (int, *storage.Index) {
 
 func aggregate(st *Stmt, plan *stmtPlan, view *storage.View, rids []int) (any, error) {
 	if st.Agg == AggCount {
-		return storage.BoxInt(int64(len(rids))), nil
+		return interp.BoxInt(int64(len(rids))), nil
 	}
 	ci := plan.aggCI
 	if ci < 0 {
@@ -406,12 +406,12 @@ func aggregate(st *Stmt, plan *stmtPlan, view *storage.View, rids []int) (any, e
 	}
 	switch st.Agg {
 	case AggSum:
-		return storage.BoxInt(sum), nil
+		return interp.BoxInt(sum), nil
 	case AggMax, AggMin:
 		if len(rids) == 0 {
 			return nil, nil
 		}
-		return storage.BoxInt(best), nil
+		return interp.BoxInt(best), nil
 	}
 	return nil, fmt.Errorf("sqlmini: unsupported aggregate")
 }

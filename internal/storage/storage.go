@@ -21,6 +21,8 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+
+	"repro/internal/interp"
 )
 
 // ColType is a column's type.
@@ -79,28 +81,6 @@ func (s *Schema) ColIndex(name string) int {
 		return i
 	}
 	return -1
-}
-
-// smallBoxCount mirrors the interpreter's small-integer interning: boxing an
-// int64 below this bound returns a shared, preallocated interface value, so
-// reading typed columns back into the []any vocabulary does not allocate for
-// the row ids, counts and category keys the workloads traffic in.
-const smallBoxCount = 8192
-
-var smallBox [smallBoxCount]any
-
-func init() {
-	for i := range smallBox {
-		smallBox[i] = int64(i)
-	}
-}
-
-// BoxInt boxes an int64 into an interface value, interning small values.
-func BoxInt(v int64) any {
-	if v >= 0 && v < smallBoxCount {
-		return smallBox[v]
-	}
-	return v
 }
 
 // colVec is one column's storage: the typed vector its declared type picks.
@@ -497,7 +477,7 @@ type ColView struct {
 // Any returns the boxed value at rid (small ints interned).
 func (c *ColView) Any(rid int) any {
 	if c.Kind == TInt {
-		return BoxInt(c.Ints[rid])
+		return interp.BoxInt(c.Ints[rid])
 	}
 	return c.Strs[rid]
 }

@@ -256,20 +256,6 @@ func TestIndexKeyCount(t *testing.T) {
 	}
 }
 
-// TestBoxIntInterning: small boxed ints are shared, and values compare
-// equal regardless of interning.
-func TestBoxIntInterning(t *testing.T) {
-	if BoxInt(5) != BoxInt(5) || BoxInt(5) != int64(5) {
-		t.Fatal("interned box must equal a fresh box")
-	}
-	if BoxInt(1<<40) != int64(1<<40) {
-		t.Fatal("large values box by value")
-	}
-	if BoxInt(-3) != int64(-3) {
-		t.Fatal("negative values box by value")
-	}
-}
-
 // TestBucketOfMatchesFormattedHash pins the bucket page of every kind of key
 // to what hashing its "%v" form gives — the one definition there was before
 // int64 and string keys took a route that does not format. The simulated page
