@@ -2,6 +2,7 @@ package net
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -273,4 +274,46 @@ func FuzzRowSetWire(f *testing.F) {
 		}
 		checkBoxedRows(t, boxed)
 	})
+}
+
+// TestRowSetWithNoColumnsIsRefused: a flag-1 row set that lists no columns is
+// a frame no encoder writes (rows without columns do not lift), and would
+// otherwise decode into as many empty rows as it states, up to the bytes left.
+// It is refused in a single reply and in a batch reply; the same bytes with
+// one column listed decode.
+func TestRowSetWithNoColumnsIsRefused(t *testing.T) {
+	rowSet := func(cols ...string) []byte {
+		b := []byte{tagRows, 3, 1, byte(len(cols))} // three rows, flag 1
+		for _, c := range cols {
+			b = putString(b, c)
+		}
+		return append(b, tagInt, 2, tagInt, 4, tagInt, 6) // one cell a row for one column
+	}
+	header := func(batch bool) []byte {
+		b := append(make([]byte, 8), 0) // request id, no cell bytes
+		if batch {
+			b = append(b, 1) // one binding
+		}
+		return append(b, errNone)
+	}
+	for _, batch := range []bool{false, true} {
+		decode := func(p []byte) (any, error) {
+			if batch {
+				_, res, err := DecodeBatchResult(p)
+				if err != nil {
+					return nil, err
+				}
+				return res.Values[0], nil
+			}
+			_, res, err := DecodeResult(p)
+			return res.Value, err
+		}
+		if v, err := decode(append(header(batch), rowSet()...)); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("batch %v: a row set with no columns decoded to %v, %v; want ErrBadFrame", batch, v, err)
+		}
+		v, err := decode(append(header(batch), rowSet("a")...))
+		if rows, ok := v.(interp.Rows); err != nil || !ok || len(rows) != 3 || rows[2]["a"] != int64(3) {
+			t.Errorf("batch %v: a row set with one column decoded to %v, %v; want three rows", batch, v, err)
+		}
+	}
 }

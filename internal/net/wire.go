@@ -440,7 +440,8 @@ func (r *reader) typedCell() any {
 	return r.cell()
 }
 
-// columns reads a row set's column names after its flag: 1 lists them, 2
+// columns reads a row set's column names after its flag: 1 lists them, at
+// least one (rows without columns do not lift, so no encoder writes them), 2
 // repeats the reply's last list, which is an error before the reply has listed
 // one. The bindings of a batch reply carry the same names one after the other,
 // and a client's next reply on the same call usually does too, so the slice
@@ -456,7 +457,11 @@ func (r *reader) columns(flag byte) []string {
 		}
 		return nil
 	}
-	if nk := r.count("columns"); nk != len(r.keys) {
+	nk := r.count("columns")
+	if nk == 0 && r.err == nil {
+		r.err = fmt.Errorf("%w: row set with no columns", ErrBadFrame)
+	}
+	if nk != len(r.keys) {
 		r.keys = make([]string, nk)
 	}
 	for i := range r.keys {

@@ -98,7 +98,7 @@ func (r *Router) migrate(src int, next *Ranges) error {
 	}
 	added := len(r.backends)
 	fresh := []Backend{r.mk(), r.mk()}
-	globs := []map[string][]int{{}, {}} // per new backend: table -> global positions in rid order
+	globs := []map[string][]int32{{}, {}} // per new backend: table -> global positions in rid order
 	dsts := copySets(fresh)
 	// place is the ownership rule of both the copy and the flip.
 	place := func(ti *tableInfo, v *storage.View, rid int) int {
@@ -146,7 +146,7 @@ func (r *Router) migrate(src int, next *Ranges) error {
 		tis[i].mu.RLock()
 		for d, rids := range kept[i] {
 			for _, rid := range rids {
-				globs[d][t.Name] = append(globs[d][t.Name], tis[i].globalPos(src, rid))
+				globs[d][t.Name] = append(globs[d][t.Name], int32(tis[i].globalPos(src, rid)))
 			}
 			copied += int64(len(rids))
 		}
@@ -199,7 +199,7 @@ func (r *Router) migrate(src int, next *Ranges) error {
 // for a row (the views were taken at capture), so it tolerates a source
 // primary crash during the copy phase. globs gains the applied rows' global
 // positions.
-func (r *Router) applyPending(dsts [][]*server.Server, place func(*tableInfo, *storage.View, int) int, globs []map[string][]int) error {
+func (r *Router) applyPending(dsts [][]*server.Server, place func(*tableInfo, *storage.View, int) int, globs []map[string][]int32) error {
 	r.pendingMu.Lock()
 	pending := r.pending
 	r.pendingMu.Unlock()
@@ -216,7 +216,7 @@ func (r *Router) applyPending(dsts [][]*server.Server, place func(*tableInfo, *s
 		ti.mu.RLock()
 		for d, ks := range kept[i] {
 			if len(ks) > 0 {
-				globs[d][p.table] = append(globs[d][p.table], ti.globalPos(p.src, p.srcRid))
+				globs[d][p.table] = append(globs[d][p.table], int32(ti.globalPos(p.src, p.srcRid)))
 			}
 		}
 		ti.mu.RUnlock()

@@ -90,8 +90,9 @@ type tableInfo struct {
 	// inserted at runtime through Exec are appended by notePos in completion
 	// order (exact for sequential programs; under concurrent submission the
 	// interleaving is as undefined as insertion order on one concurrent
-	// server). -1 marks a slot whose insert has not been observed yet.
-	global [][]int
+	// server). -1 marks a slot whose insert has not been observed yet. A
+	// position is an int32: a table holds at most math.MaxInt32 rows.
+	global [][]int32
 	loaded int // rows distributed by LoadFrom
 	noted  int // runtime inserts recorded by notePos
 }
@@ -106,7 +107,7 @@ func (ti *tableInfo) notePos(shard, rid int) {
 		g = append(g, -1)
 	}
 	if g[rid] < 0 {
-		g[rid] = ti.loaded + ti.noted
+		g[rid] = int32(ti.loaded + ti.noted)
 		ti.noted++
 	}
 	ti.global[shard] = g
@@ -120,7 +121,7 @@ func (ti *tableInfo) notePos(shard, rid int) {
 // (local rid, shard) order. The caller holds ti.mu's read lock.
 func (ti *tableInfo) globalPos(shard, rid int) int {
 	if shard < len(ti.global) && rid < len(ti.global[shard]) && ti.global[shard][rid] >= 0 {
-		return ti.global[shard][rid]
+		return int(ti.global[shard][rid])
 	}
 	return ti.loaded + ti.noted + rid*len(ti.global) + shard
 }
@@ -322,7 +323,13 @@ func (r *Router) LoadFrom(ref *server.Server) error {
 	}
 	r.tmu.Lock()
 	for i, t := range srcs {
-		infos[i].global = kept[i] // per shard, the reference rids it holds
+		infos[i].global = make([][]int32, len(kept[i])) // per shard, the reference rids it holds
+		for d, rids := range kept[i] {
+			infos[i].global[d] = make([]int32, len(rids))
+			for j, rid := range rids {
+				infos[i].global[d][j] = int32(rid)
+			}
+		}
 		r.tables[t.Name] = infos[i]
 	}
 	r.tmu.Unlock()

@@ -337,23 +337,31 @@ func (sc *scratch) fetch(t *storage.Table, ix *storage.Index, pool *buffer.Pool)
 	return len(buckets) + len(data)
 }
 
-// pageSet is slices.Compact of ids sorted, in place, without the sort: each id
-// sets its bit in a bitmap over the ids' range, whose words are read back in
-// ascending order and cleared (all zero between calls). A range of more than
-// eight words an id is sorted: a scatter's few data pages, and those of the
-// half of a transformed loop's calls that carry fewest bindings; bucket pages,
-// a batch call's data pages and the rest of the loop's take the bitmap
-// (counted per workload in PERF.md § PR 47).
+// pageSet is slices.Compact of ids sorted, in place. A set of at least
+// bitmapFloor ids whose range is at most eight words an id takes the bitmap
+// (bitmap), and any other is sorted: a scatter's few data pages, and those of
+// the half of a transformed loop's calls that carry fewest bindings; bucket
+// pages, a batch call's data pages and the rest of the loop's take the bitmap
+// (counted per workload in PERF.md § PR 47). Below the floor the sort is as
+// fast or faster whatever the range (PERF.md § PR 53).
 func (sc *scratch) pageSet(ids []int) []int {
-	if len(ids) < 2 {
-		return ids
+	if len(ids) >= bitmapFloor {
+		lo, hi := slices.Min(ids), slices.Max(ids)
+		if words := (hi-lo)>>6 + 1; words <= 8*len(ids) {
+			return sc.bitmap(ids, lo, words)
+		}
 	}
-	lo, hi := slices.Min(ids), slices.Max(ids)
-	words := (hi-lo)>>6 + 1
-	if words > 8*len(ids) {
-		slices.Sort(ids)
-		return slices.Compact(ids)
-	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// bitmapFloor is the fewest ids pageSet orders through the bitmap.
+const bitmapFloor = 12
+
+// bitmap is pageSet without the sort: each id sets its bit in a bitmap of
+// words words from lo, whose words are read back in ascending order and
+// cleared (all zero between calls).
+func (sc *scratch) bitmap(ids []int, lo, words int) []int {
 	if len(sc.bits) < words {
 		sc.bits = make([]uint64, words)
 	}

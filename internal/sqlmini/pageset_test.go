@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,8 +10,9 @@ import (
 // TestPageSetMatchesSortCompact holds the bitmap page set to what it replaces,
 // slices.Sort then slices.Compact: random sets over narrow and wide ranges,
 // repeats, the range's first and last ids, a span wide enough to take the sort
-// fallback. After every call the bitmap is all zero, and the scratch's bitmap
-// is reused from call to call rather than allocated again.
+// fallback, and sets on both sides of bitmapFloor. After every call the bitmap
+// is all zero, and the scratch's bitmap is reused from call to call rather
+// than allocated again.
 func TestPageSetMatchesSortCompact(t *testing.T) {
 	const limit = 1 << 12 // the extent's pages: ids are 0..limit-1
 	rng := rand.New(rand.NewSource(20110411))
@@ -48,7 +50,11 @@ func TestPageSetMatchesSortCompact(t *testing.T) {
 	cases = append(cases, wide)
 
 	sc := new(scratch)
+	sides := map[bool]int{} // sets narrow enough for the bitmap, by len >= bitmapFloor
 	for _, ids := range cases {
+		if len(ids) > 1 && (slices.Max(ids)-slices.Min(ids))>>6+1 <= 8*len(ids) {
+			sides[len(ids) >= bitmapFloor]++
+		}
 		want := slices.Compact(slices.Sorted(slices.Values(ids)))
 		if got := sc.pageSet(slices.Clone(ids)); !slices.Equal(got, want) {
 			t.Fatalf("pageSet(%v) = %v, want %v", ids, got, want)
@@ -60,9 +66,13 @@ func TestPageSetMatchesSortCompact(t *testing.T) {
 		}
 	}
 
+	if sides[false] == 0 || sides[true] == 0 {
+		t.Fatalf("narrow sets below and at bitmapFloor: %d and %d, want both", sides[false], sides[true])
+	}
+
 	// A warm scratch sorts a set that fits its bitmap without allocating, in
 	// the same bitmap.
-	ids := []int{0, 1000, 17, 17, 900} // 16 words for 5 ids: the bitmap
+	ids := []int{0, 1000, 17, 17, 900, 5, 60, 61, 300, 999, 2, 3} // 16 words for 12 ids: the bitmap
 	sc.pageSet(slices.Clone(ids))
 	bitmap := &sc.bits[0]
 	work := make([]int, len(ids))
@@ -71,5 +81,42 @@ func TestPageSetMatchesSortCompact(t *testing.T) {
 	}
 	if &sc.bits[0] != bitmap {
 		t.Error("pageSet replaced a bitmap that had room")
+	}
+}
+
+// BenchmarkPageSet times the two ways pageSet orders a set of 2 to 16 ids, the
+// bitmap and the sort, at three widths: a range of one, two and eight words an
+// id, the widest the bitmap takes. bitmapFloor is the smallest set the
+// bitmap is not slower on.
+//
+//	go test -run XXX -bench PageSet ./internal/sqlmini/
+func BenchmarkPageSet(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, wide := range []int{1, 2, 8} {
+		for n := 2; n <= 16; n += 2 {
+			sets := make([][]int, 64)
+			for i := range sets {
+				for j := 0; j < n; j++ {
+					sets[i] = append(sets[i], 1000+rng.Intn(wide*n*64))
+				}
+			}
+			work := make([]int, n)
+			for _, way := range []string{"bitmap", "sort"} {
+				b.Run(fmt.Sprintf("words=%dn/ids=%d/%s", wide, n, way), func(b *testing.B) {
+					sc := new(scratch)
+					for i := 0; i < b.N; i++ {
+						ids := sets[i%len(sets)]
+						copy(work, ids)
+						if way == "sort" {
+							slices.Sort(work)
+							_ = slices.Compact(work)
+						} else {
+							lo := slices.Min(work)
+							sc.bitmap(work, lo, (slices.Max(work)-lo)>>6+1)
+						}
+					}
+				})
+			}
+		}
 	}
 }

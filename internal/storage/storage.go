@@ -18,8 +18,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
-	"sort"
-	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/interp"
@@ -113,7 +112,7 @@ type Table struct {
 	rowsPerPage int
 	numRows     int
 	cols        []colVec
-	indexes     map[string]*Index
+	indexes     []*Index // sorted by column
 }
 
 // Index is a hash index on one column. IndexExtent pages are modelled as
@@ -122,58 +121,73 @@ type Table struct {
 // key" without touching a data page, which the shard router's scatter
 // pruning consults.
 //
-// A key maps to one int, so neither table nor map holds pointers: v >= 0 is
-// the key's only rid, and v < 0 names lists[^v], the rids of a key with
-// several. Every key is of the column's declared type and lives in the typed
-// table or map, hashed and compared unboxed; a probe with a key of another
-// type finds nothing.
+// A key maps to one int32, and nothing in an index holds a pointer besides
+// its slices' own arrays: v >= 0 is the key's only rid, and v < 0 names
+// wins[^v], a window of slab holding the rids of a key with several. Every key
+// is of the column's declared type and lives in the typed table or map, hashed
+// and compared unboxed; a probe with a key of another type finds nothing. A
+// rid is an int32 because a table holds at most math.MaxInt32 rows (Insert and
+// AppendRows refuse one more).
 type Index struct {
 	Column string
 	Unique bool
 	Extent int
 	Pages  int // bucket pages
 
-	ci    int            // Column's schema position
-	ints  intTable       // the typed table of a TInt column; no slots otherwise
-	strs  map[string]int // the typed map of a TString column
-	lists [][]int        // the rid lists of keys with several rows
+	ci   int              // Column's schema position
+	ints intTable         // the typed table of a TInt column; no slots otherwise
+	strs map[string]int32 // the typed map of a TString column
+	wins []window         // the rid lists of keys with several rows, in slab
+	slab []int32
 }
+
+// window is one key's rids: slab[off:off+n], with room up to off+cap.
+type window struct{ off, n, cap int32 }
 
 // add appends rid to key's rids; key is of the column's type.
 func (ix *Index) add(key any, rid int) {
 	if k, ok := key.(int64); ok {
-		if v, fresh := ix.ints.upsert(k, rid); !fresh {
-			ix.push(v, rid)
+		if v, fresh := ix.ints.upsert(k, int32(rid)); !fresh {
+			ix.push(v, int32(rid))
 		}
 		return
 	}
-	addTo(ix, ix.strs, key.(string), rid)
+	ix.addString(key.(string), int32(rid))
 }
 
-// addTo appends rid to k's rids in m.
-func addTo[K comparable](ix *Index, m map[K]int, k K, rid int) {
-	if v, ok := m[k]; ok {
+// addString appends rid to k's rids in the string map.
+func (ix *Index) addString(k string, rid int32) {
+	if v, ok := ix.strs[k]; ok {
 		ix.push(&v, rid)
 		rid = v
 	}
-	m[k] = rid
+	ix.strs[k] = rid
 }
 
 // push appends rid to the rids of a key whose value is *v: its second rid makes
-// v a list, and a full list moves on append, never into its neighbour's window.
-func (ix *Index) push(v *int, rid int) {
+// v a window, and a full window moves to the slab's end with twice the room,
+// never into its neighbour.
+func (ix *Index) push(v *int32, rid int32) {
 	if *v >= 0 {
-		ix.lists = append(ix.lists, []int{*v, rid})
-		*v = ^(len(ix.lists) - 1)
+		ix.wins = append(ix.wins, window{int32(len(ix.slab)), 2, 2})
+		ix.slab = append(ix.slab, *v, rid)
+		*v = ^int32(len(ix.wins) - 1)
 		return
 	}
-	ix.lists[^*v] = append(ix.lists[^*v], rid)
+	w := &ix.wins[^*v]
+	if w.n == w.cap {
+		off := int32(len(ix.slab))
+		ix.slab = append(append(ix.slab, ix.slab[w.off:w.off+w.n]...), make([]int32, w.n)...)
+		w.off, w.cap = off, 2*w.n
+	}
+	ix.slab[w.off+w.n] = rid
+	w.n++
 }
 
-// rids returns key's rids, ascending: a list of the index's own, or the one
+// rids returns key's rids, ascending: a window of the index's slab, or the one
 // rid in the caller's one.
-func (ix *Index) rids(key any, one *[1]int) []int {
-	v, ok := 0, false
+func (ix *Index) rids(key any, one *[1]int32) []int32 {
+	v, ok := int32(0), false
 	switch k := key.(type) {
 	case int64:
 		v, ok = ix.ints.get(k)
@@ -187,13 +201,16 @@ func (ix *Index) rids(key any, one *[1]int) []int {
 		one[0] = v
 		return one[:]
 	}
-	return ix.lists[^v]
+	w := ix.wins[^v]
+	return ix.slab[w.off : w.off+w.n]
 }
 
-// intTable is an int column's key table: one power-of-two array of slots, a
-// Fibonacci-hashed home slot and linear probing, at most 7/8 full, no
-// pointers. A slot is free when its value is free, which no index value is (a
-// rid is >= 0, a list ^i > math.MinInt), so every int64 is a key.
+// intTable is an int column's key table: one power-of-two array of 12-byte
+// slots, a Fibonacci-hashed home slot and linear probing, at most 7/8 full, no
+// pointers. A slot holds its key as two halves, so no field is 8-byte aligned
+// and no slot is padded. A slot is free when its value is free, which no index
+// value is (a rid is >= 0, a window ^i > math.MinInt32), so every int64 is a
+// key.
 type intTable struct {
 	slots []slot
 	n     int    // keys held
@@ -202,11 +219,13 @@ type intTable struct {
 }
 
 type slot struct {
-	key int64
-	v   int
+	lo, hi uint32 // the key's low and high halves
+	v      int32
 }
 
-const free = math.MinInt
+func (s *slot) key() int64 { return int64(uint64(s.hi)<<32 | uint64(s.lo)) }
+
+const free = math.MinInt32
 
 // newIntTable returns an empty table with room for keys keys before it grows.
 func newIntTable(keys int, seed uint64) intTable {
@@ -227,10 +246,10 @@ func (t *intTable) home(k int64) int {
 }
 
 // get returns k's value.
-func (t *intTable) get(k int64) (v int, ok bool) {
+func (t *intTable) get(k int64) (v int32, ok bool) {
 	mask := len(t.slots) - 1
 	for i := t.home(k); t.n > 0 && t.slots[i].v != free; i = (i + 1) & mask { // the zero table has no slots
-		if t.slots[i].key == k {
+		if t.slots[i].key() == k {
 			return t.slots[i].v, true
 		}
 	}
@@ -239,14 +258,14 @@ func (t *intTable) get(k int64) (v int, ok bool) {
 
 // upsert finds k, returning its value to update in place, or inserts it with
 // value v and reports fresh, doubling the table once it is over 7/8 full.
-func (t *intTable) upsert(k int64, v int) (val *int, fresh bool) {
+func (t *intTable) upsert(k int64, v int32) (val *int32, fresh bool) {
 	i := t.home(k)
 	for mask := len(t.slots) - 1; t.slots[i].v != free; i = (i + 1) & mask {
-		if t.slots[i].key == k {
+		if t.slots[i].key() == k {
 			return &t.slots[i].v, false
 		}
 	}
-	t.slots[i] = slot{k, v}
+	t.slots[i] = slot{uint32(k), uint32(k >> 32), v}
 	if t.n++; t.n > len(t.slots)/8*7 {
 		t.grow()
 	}
@@ -259,7 +278,7 @@ func (t *intTable) grow() {
 	*t = newIntTable(t.n, t.seed)
 	for _, s := range old {
 		if s.v != free {
-			t.upsert(s.key, s.v)
+			t.upsert(s.key(), s.v)
 		}
 	}
 }
@@ -276,7 +295,6 @@ func NewTable(name string, schema *Schema, extent int) *Table {
 		Extent:      extent,
 		rowsPerPage: DefaultRowsPerPage,
 		cols:        cols,
-		indexes:     make(map[string]*Index),
 	}
 }
 
@@ -297,51 +315,42 @@ func (t *Table) RowsPerPage() int {
 }
 
 // buildInts indexes an int column's keys by rid in one counting pass: a key's
-// first rid is its value, and a key seen again gets the next list number and
-// a count. The lists are then capacity-limited windows of one slab, sized by
-// the counts and filled by a second walk of the rows, so a later insert that
-// appends to a full list moves that list alone. size is the keys the table
-// starts with room for.
+// first rid is its value, and a key seen again gets the next window and a
+// count, its window's cap. The windows are then laid out back to back in one
+// slab, exactly as large as the counts, and filled by a second walk of the
+// rows, so a later insert that appends to a full window moves that window
+// alone. size is the keys the table starts with room for.
 func buildInts(ix *Index, keys []int64, size int) intTable {
 	t := newIntTable(size, rand.Uint64())
-	var counts []int
 	for rid, k := range keys {
-		switch v, fresh := t.upsert(k, rid); {
+		switch v, fresh := t.upsert(k, int32(rid)); {
 		case fresh:
 		case *v >= 0:
-			*v = ^len(counts)
-			counts = append(counts, 2)
+			*v = ^int32(len(ix.wins))
+			ix.wins = append(ix.wins, window{cap: 2})
 		default:
-			counts[^*v]++
+			ix.wins[^*v].cap++
 		}
 	}
-	if len(counts) == 0 {
+	if len(ix.wins) == 0 {
 		return t
 	}
-	ix.lists = make([][]int, len(counts))
-	slab := make([]int, len(keys)-t.n+len(counts)) // every rid but the single keys'
-	for i, c := range counts {
-		ix.lists[i], slab = slab[:0:c], slab[c:]
+	off := int32(0)
+	for i := range ix.wins {
+		ix.wins[i].off, off = off, off+ix.wins[i].cap
 	}
+	ix.slab = make([]int32, off) // every rid but the single keys'
 	for rid, k := range keys {
 		if v, _ := t.get(k); v < 0 {
-			ix.lists[^v] = append(ix.lists[^v], rid)
+			w := &ix.wins[^v]
+			ix.slab[w.off+w.n], w.n = int32(rid), w.n+1
 		}
 	}
 	return t
 }
 
-// addAll indexes keys by rid one by one: the build of a map-keyed index.
-func addAll[K comparable](ix *Index, keys []K, size int) map[K]int {
-	m := make(map[K]int, size)
-	for rid, k := range keys {
-		addTo(ix, m, k, rid)
-	}
-	return m
-}
-
 // AddIndex creates a hash index over an existing column, building it from
-// the column's typed vector.
+// the column's typed vector; it replaces an index the column has.
 func (t *Table) AddIndex(column string, unique bool, extent, pages int) error {
 	ci := t.Schema.ColIndex(column)
 	if ci < 0 {
@@ -358,9 +367,13 @@ func (t *Table) AddIndex(column string, unique bool, extent, pages int) error {
 	if c.kind == TInt {
 		ix.ints = buildInts(ix, c.ints[:t.numRows], size)
 	} else {
-		ix.strs = addAll(ix, c.strs[:t.numRows], size)
+		ix.strs = make(map[string]int32, size)
+		for rid, k := range c.strs[:t.numRows] {
+			ix.addString(k, int32(rid))
+		}
 	}
-	t.indexes[column] = ix
+	t.indexes = append(slices.DeleteFunc(t.indexes, func(o *Index) bool { return o.Column == column }), ix)
+	slices.SortFunc(t.indexes, func(a, b *Index) int { return strings.Compare(a.Column, b.Column) })
 	return nil
 }
 
@@ -368,7 +381,12 @@ func (t *Table) AddIndex(column string, unique bool, extent, pages int) error {
 func (t *Table) Index(column string) *Index {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.indexes[column]
+	for _, ix := range t.indexes {
+		if ix.Column == column {
+			return ix
+		}
+	}
+	return nil
 }
 
 // Indexes lists the table's indexes sorted by column name, so callers that
@@ -377,18 +395,23 @@ func (t *Table) Index(column string) *Index {
 func (t *Table) Indexes() []*Index {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]*Index, 0, len(t.indexes))
-	for _, ix := range t.indexes {
-		out = append(out, ix)
+	return slices.Clone(t.indexes)
+}
+
+// room refuses n more rows past math.MaxInt32, the rows an index's int32 rids
+// can name. The caller holds t.mu.
+func (t *Table) room(n int) error {
+	if t.numRows+n > math.MaxInt32 {
+		return fmt.Errorf("storage: %s: %d rows and %d more exceed %d", t.Name, t.numRows, n, math.MaxInt32)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Column < out[j].Column })
-	return out
+	return nil
 }
 
 // Insert appends a row, maintaining indexes, and returns its row id. Every
 // value must be of its column's type (int64 or string): a row holding one
 // that is not — nil, a bool, a string in an int column — is an error, and
-// nothing of it is stored. The row slice is not retained.
+// nothing of it is stored; so is a row past math.MaxInt32. The row slice is
+// not retained.
 func (t *Table) Insert(row []any) (int, error) {
 	if len(row) != len(t.Schema.Cols) {
 		return 0, fmt.Errorf("storage: %s: insert arity %d, want %d",
@@ -401,6 +424,9 @@ func (t *Table) Insert(row []any) (int, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if err := t.room(1); err != nil {
+		return 0, err
+	}
 	rid := t.numRows
 	for i := range t.cols {
 		t.cols[i].append(row[i])
@@ -414,8 +440,8 @@ func (t *Table) Insert(row []any) (int, error) {
 
 // AppendRows appends rows rids of v, in order, gathering each column once,
 // typed vector to typed vector. A column of v whose type is not the table's
-// is an error, and nothing is appended. Existing indexes are maintained. v is
-// not retained.
+// is an error, as are rows past math.MaxInt32, and nothing is appended.
+// Existing indexes are maintained. v is not retained.
 func (t *Table) AppendRows(v *View, rids []int) error {
 	if len(v.Cols) != len(t.cols) {
 		return fmt.Errorf("storage: %s: append arity %d, want %d", t.Name, len(v.Cols), len(t.cols))
@@ -427,6 +453,9 @@ func (t *Table) AppendRows(v *View, rids []int) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if err := t.room(len(rids)); err != nil {
+		return err
+	}
 	base := t.numRows
 	for i := range t.cols {
 		c, s := &t.cols[i], &v.Cols[i]
@@ -558,10 +587,12 @@ func (p *Probed) Key(i int) []int { return p.Rids[p.Offs[i]:p.Offs[i+1]] }
 // its column and rows never change), so the probe is the driving predicate.
 func (t *Table) Probe(ix *Index, keys []any, p *Probed) {
 	p.Rids, p.Offs, p.Buckets = p.Rids[:0], append(p.Offs[:0], 0), p.Buckets[:0]
-	var one [1]int
+	var one [1]int32
 	t.mu.RLock()
 	for _, k := range keys {
-		p.Rids = append(p.Rids, ix.rids(k, &one)...)
+		for _, rid := range ix.rids(k, &one) {
+			p.Rids = append(p.Rids, int(rid))
+		}
 		p.Offs = append(p.Offs, len(p.Rids))
 	}
 	t.mu.RUnlock()
@@ -576,17 +607,19 @@ func (t *Table) Probe(ix *Index, keys []any, p *Probed) {
 func (t *Table) IndexKeyCount(column string, value any) (n int, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	ix := t.indexes[column]
-	if ix == nil {
-		return 0, false
+	for _, ix := range t.indexes {
+		if ix.Column == column {
+			var one [1]int32
+			return len(ix.rids(value, &one)), true
+		}
 	}
-	var one [1]int
-	return len(ix.rids(value, &one)), true
+	return 0, false
 }
 
 // bucketOf maps an index key to its bucket page: FNV-1a over the key as "%v"
 // prints it. Keys are almost always int64 or string, which are hashed without
-// being formatted onto the heap; the page ids are the same either way, so the
+// being formatted onto the heap (an int64's decimal digits are written into a
+// stack buffer from its end); the page ids are the same either way, so the
 // simulated buffer and disk behaviour does not depend on the route taken.
 func bucketOf(v any, pages int) int {
 	if pages <= 0 {
@@ -596,7 +629,22 @@ func bucketOf(v any, pages int) int {
 	switch x := v.(type) {
 	case int64:
 		var buf [20]byte // len("-9223372036854775808")
-		h = fnv1a(strconv.AppendInt(buf[:0], x, 10))
+		i, u := len(buf), uint64(x)
+		if x < 0 {
+			u = -u
+		}
+		for {
+			i--
+			buf[i] = byte('0' + u%10)
+			if u /= 10; u == 0 {
+				break
+			}
+		}
+		if x < 0 {
+			i--
+			buf[i] = '-'
+		}
+		h = fnv1a(buf[i:])
 	case string:
 		h = fnv1a(x)
 	default:

@@ -1,11 +1,13 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
@@ -414,18 +416,23 @@ func appendIndex(t *Table, column string) map[any][]int {
 	return model
 }
 
-// lists is every key's rids in ix, whichever table or map holds it, as the
-// model has them.
+// lists is every key's rids in ix, whichever table or map holds it, widened
+// to ints as the model has them.
 func lists(ix *Index) map[any][]int {
 	out := map[any][]int{}
-	var one [1]int
+	widen := func(k any) {
+		var one [1]int32
+		for _, rid := range ix.rids(k, &one) {
+			out[k] = append(out[k], int(rid))
+		}
+	}
 	for _, s := range ix.ints.slots {
 		if s.v != free {
-			out[s.key] = slices.Clone(ix.rids(s.key, &one))
+			widen(s.key())
 		}
 	}
 	for k := range ix.strs {
-		out[k] = slices.Clone(ix.rids(k, &one))
+		widen(k)
 	}
 	return out
 }
@@ -473,7 +480,7 @@ func TestModelIndexTable(t *testing.T) {
 			absent = append(absent, k) // never inserted: a get walks the run
 		}
 	}
-	model := map[int64]int{}
+	model := map[int64]int32{}
 	check := func(step int, k int64) {
 		v, ok := tbl.get(k)
 		if want, in := model[k]; ok != in || v != want {
@@ -501,10 +508,10 @@ func TestModelIndexTable(t *testing.T) {
 			check(step, k)
 			continue
 		}
-		v := rng.Intn(1 << 40)
+		v := rng.Int31n(math.MaxInt32)
 		switch rng.Intn(8) {
 		case 0:
-			v = []int{0, -1, math.MaxInt, math.MinInt + 1}[rng.Intn(4)] // every value but the free mark
+			v = []int32{0, -1, math.MaxInt32, math.MinInt32 + 1}[rng.Intn(4)] // every value but the free mark
 		case 1, 2, 3:
 			v = ^v // a list number
 		}
@@ -535,8 +542,8 @@ func TestModelIndexTable(t *testing.T) {
 	held := 0
 	for _, s := range tbl.slots {
 		if s.v != free {
-			if held++; model[s.key] != s.v {
-				t.Fatalf("slot of key %d holds %d, model %d", s.key, s.v, model[s.key])
+			if held++; model[s.key()] != s.v {
+				t.Fatalf("slot of key %d holds %d, model %d", s.key(), s.v, model[s.key()])
 			}
 		}
 	}
@@ -815,4 +822,181 @@ func BenchmarkIndexGrow(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/insert")
 	b.ReportMetric(float64(worst.Microseconds())/1000, "grow-ms")
+}
+
+// TestIndexFootprint pins what an index costs a row, on the shape of the
+// benchmark's users table: 100 000 rows, a unique int index and a non-unique
+// int index of about five rows a key. The cost is the live heap the two builds
+// add, measured across runtime.GC. A slot is 12 bytes and a rid in a window 4
+// (plus 12 a window), so the pair costs about 26 bytes a row; the bound is
+// that plus 10 %.
+func TestIndexFootprint(t *testing.T) {
+	const rows, limit = 100_000, 29.0 // bytes a row: the layout's 26 plus 10 %
+	tbl := NewTable("users", NewSchema(Column{Name: "uid", Type: TInt}, Column{Name: "rating", Type: TInt}), 0)
+	rng := rand.New(rand.NewSource(1))
+	for uid := 0; uid < rows; uid++ {
+		if _, err := tbl.Insert([]any{int64(uid), int64(rng.Intn(rows / 5))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := live()
+	if err := tbl.AddIndex("uid", true, 1, 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.AddIndex("rating", false, 2, 64); err != nil {
+		t.Fatal(err)
+	}
+	perRow := float64(live()-before) / rows
+	runtime.KeepAlive(tbl)
+	t.Logf("indexes: %.1f bytes a row", perRow)
+	if perRow > limit {
+		t.Errorf("a unique and a non-unique int index cost %.1f bytes a row, want at most %.0f", perRow, limit)
+	}
+}
+
+// TestRowBound: a table holds at most math.MaxInt32 rows, the rids an index's
+// int32 windows and slots can name. Insert and AppendRows take rows up to the
+// bound and refuse the next, leaving the row count as it was. The row count is
+// set in place of loading 2^31 rows.
+func TestRowBound(t *testing.T) {
+	src := newKV(t)
+	src.Insert([]any{int64(1), "x"})
+	var sv View
+	src.ViewInto(&sv)
+	tbl := newKV(t)
+	tbl.numRows = math.MaxInt32 - 3
+	if err := tbl.AppendRows(&sv, []int{0, 0}); err != nil {
+		t.Fatalf("AppendRows up to %d rows: %v", math.MaxInt32-1, err)
+	}
+	if err := tbl.AppendRows(&sv, []int{0, 0}); err == nil || tbl.NumRows() != math.MaxInt32-1 {
+		t.Fatalf("AppendRows past %d rows: %v, %d rows", math.MaxInt32, err, tbl.NumRows())
+	}
+	if rid, err := tbl.Insert([]any{int64(2), "y"}); err != nil || rid != math.MaxInt32-1 {
+		t.Fatalf("Insert of the last row: rid %d, %v", rid, err)
+	}
+	if _, err := tbl.Insert([]any{int64(3), "z"}); err == nil || tbl.NumRows() != math.MaxInt32 {
+		t.Fatalf("Insert past %d rows: %v, %d rows", math.MaxInt32, err, tbl.NumRows())
+	}
+	if err := tbl.AppendRows(&sv, []int{0}); err == nil || tbl.NumRows() != math.MaxInt32 {
+		t.Fatalf("AppendRows past %d rows: %v, %d rows", math.MaxInt32, err, tbl.NumRows())
+	}
+}
+
+// TestBucketOfIntMatchesDecimal holds an int key's bucket page to the formula
+// it has always had, FNV-1a over the key's decimal digits as strconv writes
+// them, at three page counts: 0, ±1, the extremes, every power of ten, its
+// negation and their neighbours, and 10^6 seeded random keys of every size.
+func TestBucketOfIntMatchesDecimal(t *testing.T) {
+	keys := []int64{0, 1, -1, math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1}
+	for p := int64(10); p <= 1e18; p *= 10 {
+		keys = append(keys, p-1, p, p+1, -p+1, -p, -p-1)
+	}
+	rng := rand.New(rand.NewSource(testSeed(t)))
+	for i := 0; i < 1_000_000; i++ {
+		keys = append(keys, int64(rng.Uint64())>>rng.Intn(64))
+	}
+	for _, k := range keys {
+		h := fnv1a(strconv.AppendInt(nil, k, 10))
+		for _, pages := range []int{7, 64, 3125} {
+			if got, want := bucketOf(k, pages), int(h%uint64(pages)); got != want {
+				t.Fatalf("bucketOf(%d, %d) = %d, want %d", k, pages, got, want)
+			}
+		}
+	}
+}
+
+// FuzzIndexModel holds the index layout to a map[any][]int model through
+// inserts after the build. A seeded column of int keys and a string column
+// derived from it are loaded and indexed (unique flag from the input), then
+// each op byte inserts one row, a run of rows of one key (a window that fills
+// and moves) or a run of fresh keys (the int table doubles), and probes. Keys
+// come from a palette led by math.MinInt64 (also math.MinInt, the old free
+// mark), math.MaxInt64, -1 and 0. Every op probes the key it inserted and the
+// palette through Probe and IndexKeyCount; every 32nd op and the last compare
+// every key the index holds.
+func FuzzIndexModel(f *testing.F) {
+	f.Add(uint16(0), false, []byte{})
+	f.Add(uint16(300), false, []byte{0x80, 0x81, 0x40, 0x41, 0x42, 0x43, 0xff})
+	f.Add(uint16(200), true, bytes.Repeat([]byte{0x83, 0xc0 | 20, 0x01}, 12)) // one key's window moves, doublings
+	f.Add(uint16(2000), false, []byte{0x00, 0x01, 0x02, 0x03, 0x04, 0xbf, 0xc0 | 63, 0x84, 0x44})
+	f.Fuzz(func(t *testing.T, seed uint16, unique bool, ops []byte) {
+		palette := []int64{math.MinInt64, int64(math.MinInt), math.MaxInt64, -1, 0}
+		for i := int64(1); len(palette) < 64; i++ {
+			palette = append(palette, i, -i*1000003)
+		}
+		rng := rand.New(rand.NewSource(int64(seed)))
+		tbl := NewTable("t", NewSchema(Column{Name: "k", Type: TInt}, Column{Name: "s", Type: TString}), 0)
+		model := map[string]map[any][]int{"k": {}, "s": {}}
+		insert := func(k int64) {
+			row := []any{k, "s" + strconv.FormatInt(k%50, 10)}
+			rid, err := tbl.Insert(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model["k"][row[0]] = append(model["k"][row[0]], rid)
+			model["s"][row[1]] = append(model["s"][row[1]], rid)
+		}
+		for i := 0; i < int(seed%2048); i++ {
+			insert(palette[rng.Intn(len(palette))] + int64(rng.Intn(int(seed%7)+1)))
+		}
+		for _, col := range []string{"k", "s"} {
+			if err := tbl.AddIndex(col, unique, 1, 7); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(step int, keys ...any) {
+			for _, col := range []string{"k", "s"} {
+				for _, k := range keys {
+					if col == "s" {
+						k = "s" + strconv.FormatInt(k.(int64)%50, 10)
+					}
+					want := model[col][k]
+					rids, _, _ := tbl.Lookup(col, k)
+					if n, _ := tbl.IndexKeyCount(col, k); !slices.Equal(rids, want) || n != len(want) {
+						t.Fatalf("op %d: %s = %#v: rids %v, count %d; model %v", step, col, k, rids, n, want)
+					}
+				}
+			}
+		}
+		fresh := int64(1 << 40)
+		for step, op := range ops {
+			k := palette[op&63]
+			switch op >> 6 {
+			case 0, 1:
+				insert(k)
+			case 2:
+				for i := 0; i < 1+int(op&15)*4; i++ {
+					insert(k)
+				}
+			default:
+				for i := 0; i < int(op&63)*8; i++ {
+					insert(fresh)
+					fresh++
+				}
+				k = fresh - 1
+			}
+			check(step, append([]any{k}, anys(palette)...)...)
+			if step%32 == 31 || step == len(ops)-1 {
+				for _, col := range []string{"k", "s"} {
+					if got := lists(tbl.Index(col)); !reflect.DeepEqual(got, model[col]) {
+						t.Fatalf("op %d: index on %s differs from the model:\n got %v\nwant %v", step, col, got, model[col])
+					}
+				}
+			}
+		}
+	})
+}
+
+func anys(keys []int64) []any {
+	out := make([]any, len(keys))
+	for i, k := range keys {
+		out[i] = k
+	}
+	return out
 }
