@@ -46,6 +46,11 @@ func (s *Store) WriteSnapshot(snap *wal.Snapshot) error {
 	return s.inner.WriteSnapshot(snap)
 }
 
+// Records forwards to the inner store.
+func (s *Store) Records(after, upto int64) ([]wal.Record, error) {
+	return s.inner.Records(after, upto)
+}
+
 // Load forwards to the inner store.
 func (s *Store) Load() (*wal.Snapshot, []wal.Record, error) {
 	return s.inner.Load()

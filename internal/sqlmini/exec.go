@@ -338,16 +338,16 @@ func (sc *scratch) fetch(t *storage.Table, ix *storage.Index, pool *buffer.Pool)
 }
 
 // pageSet is slices.Compact of ids sorted, in place. A set of at least
-// bitmapFloor ids whose range is at most eight words an id takes the bitmap
-// (bitmap), and any other is sorted: a scatter's few data pages, and those of
-// the half of a transformed loop's calls that carry fewest bindings; bucket
-// pages, a batch call's data pages and the rest of the loop's take the bitmap
-// (counted per workload in PERF.md § PR 47). Below the floor the sort is as
-// fast or faster whatever the range (PERF.md § PR 53).
+// bitmapFloor ids whose range is at most bitmapWidth words an id takes the
+// bitmap (bitmap), and any other is sorted: below the floor the sort is as
+// fast or faster whatever the range, and past the width it is up to 32 ids
+// (BenchmarkPageSet). The bucket pages of a batch call or a transformed
+// loop's call take the bitmap, and their data pages mostly the sort (PERF.md
+// counts them per workload).
 func (sc *scratch) pageSet(ids []int) []int {
 	if len(ids) >= bitmapFloor {
 		lo, hi := slices.Min(ids), slices.Max(ids)
-		if words := (hi-lo)>>6 + 1; words <= 8*len(ids) {
+		if words := (hi-lo)>>6 + 1; words <= bitmapWidth*len(ids) {
 			return sc.bitmap(ids, lo, words)
 		}
 	}
@@ -355,8 +355,12 @@ func (sc *scratch) pageSet(ids []int) []int {
 	return slices.Compact(ids)
 }
 
-// bitmapFloor is the fewest ids pageSet orders through the bitmap.
-const bitmapFloor = 12
+// bitmapFloor is the fewest ids pageSet orders through the bitmap, and
+// bitmapWidth the most bitmap words an id it lets the set's range take.
+const (
+	bitmapFloor = 12
+	bitmapWidth = 2
+)
 
 // bitmap is pageSet without the sort: each id sets its bit in a bitmap of
 // words words from lo, whose words are read back in ascending order and

@@ -52,7 +52,7 @@ func TestPageSetMatchesSortCompact(t *testing.T) {
 	sc := new(scratch)
 	sides := map[bool]int{} // sets narrow enough for the bitmap, by len >= bitmapFloor
 	for _, ids := range cases {
-		if len(ids) > 1 && (slices.Max(ids)-slices.Min(ids))>>6+1 <= 8*len(ids) {
+		if len(ids) > 1 && (slices.Max(ids)-slices.Min(ids))>>6+1 <= bitmapWidth*len(ids) {
 			sides[len(ids) >= bitmapFloor]++
 		}
 		want := slices.Compact(slices.Sorted(slices.Values(ids)))
@@ -84,16 +84,16 @@ func TestPageSetMatchesSortCompact(t *testing.T) {
 	}
 }
 
-// BenchmarkPageSet times the two ways pageSet orders a set of 2 to 16 ids, the
-// bitmap and the sort, at three widths: a range of one, two and eight words an
-// id, the widest the bitmap takes. bitmapFloor is the smallest set the
-// bitmap is not slower on.
+// BenchmarkPageSet times the two ways pageSet orders a set of 2 to 64 ids, the
+// bitmap and the sort, at four widths: a range of one, two, four and eight
+// words an id. bitmapFloor is the smallest set the bitmap is not slower on,
+// and bitmapWidth the widest range it is not slower on up to 32 ids.
 //
 //	go test -run XXX -bench PageSet ./internal/sqlmini/
 func BenchmarkPageSet(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	for _, wide := range []int{1, 2, 8} {
-		for n := 2; n <= 16; n += 2 {
+	for _, wide := range []int{1, 2, 4, 8} {
+		for _, n := range []int{2, 4, 8, 12, 16, 32, 64} {
 			sets := make([][]int, 64)
 			for i := range sets {
 				for j := 0; j < n; j++ {

@@ -7,7 +7,7 @@ import (
 )
 
 // holdSyncer blocks the flusher inside its first fsync until released. The
-// test lives in-package so it can watch the crashing flag and release the
+// test lives in-package so it can watch the hold Crash puts on the flusher and release the
 // fsync only once Crash is provably waiting on it — the loss of the unsynced
 // tail is then deterministic, not a scheduling accident.
 type holdSyncer struct {
@@ -26,7 +26,7 @@ func (h *holdSyncer) Sync(bytes int) {
 func (l *Log) crashPending() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.crashing
+	return l.held > 0
 }
 
 func TestCrashLosesUnsyncedTailUnderOff(t *testing.T) {

@@ -9,13 +9,21 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"unicode/utf8"
 )
 
 // marshalRecord is the encoder EncodeRecord replaced, kept here as the
-// reference: json.Marshal over the wire struct DecodeRecord still reads. A
-// record's values are int64s and strings (genRecord makes no others).
+// reference: json.Marshal over the wire struct DecodeRecord still reads,
+// with a string that is not valid UTF-8 in its []byte field. A record's
+// values are int64s and strings (genRecord makes no others).
 func marshalRecord(r Record) ([]byte, error) {
 	w := wireRecord{LSN: r.LSN, Name: r.Name, SQL: r.SQL, Args: make([][]wireVal, len(r.ArgSets))}
+	if !utf8.ValidString(r.Name) {
+		w.Name, w.NameB = "", []byte(r.Name)
+	}
+	if !utf8.ValidString(r.SQL) {
+		w.SQL, w.SQLB = "", []byte(r.SQL)
+	}
 	for i, set := range r.ArgSets {
 		w.Args[i] = make([]wireVal, len(set))
 		for j, v := range set {
@@ -23,7 +31,11 @@ func marshalRecord(r Record) ([]byte, error) {
 			case int64:
 				w.Args[i][j].I = &x
 			case string:
-				w.Args[i][j].S = &x
+				if utf8.ValidString(x) {
+					w.Args[i][j].S = &x
+				} else {
+					w.Args[i][j].B = []byte(x)
+				}
 			}
 		}
 	}
@@ -112,6 +124,33 @@ func TestEncodeRecordMatchesJSONMarshal(t *testing.T) {
 	}
 }
 
+// A line decodes to the record it was encoded from, whatever bytes its
+// strings hold; only a nil ArgSets comes back as an empty list.
+func TestRecordLineRoundTripsExactly(t *testing.T) {
+	seed := testSeed(t)
+	rng := rand.New(rand.NewSource(seed))
+	recs := goldenRecords()
+	for i := 0; i < 4000; i++ {
+		recs = append(recs, genRecord(rng))
+	}
+	for _, r := range recs {
+		line, err := EncodeRecord(nil, r)
+		if err != nil {
+			t.Fatalf("seed %d: encode %+v: %v", seed, r, err)
+		}
+		got, err := DecodeRecord(line)
+		if err != nil {
+			t.Fatalf("seed %d: decode %q: %v", seed, line, err)
+		}
+		if r.ArgSets == nil {
+			r.ArgSets = [][]any{}
+		}
+		if !reflect.DeepEqual(got, r) {
+			t.Fatalf("seed %d: line %q decoded as\n%+v\nwant\n%+v", seed, line, got, r)
+		}
+	}
+}
+
 func TestEncodeRecordRejectsUnknownType(t *testing.T) {
 	dst := []byte("kept")
 	got, err := EncodeRecord(dst, Record{LSN: 1, ArgSets: [][]any{{int64(1), 3.5}}})
@@ -123,9 +162,11 @@ func TestEncodeRecordRejectsUnknownType(t *testing.T) {
 	}
 }
 
-// testdata/wal.log was written by the parent commit's json.Marshal encoder.
-// The new encoder must reproduce it byte for byte from the same records, and
-// the new Load must read it back.
+// testdata/wal.log was written by an earlier json.Marshal encoder, which
+// wrote the invalid UTF-8 argument of LSN 6 as U+FFFD. The encoder must
+// reproduce every other line byte for byte from the same records and write
+// that argument's bytes instead; Load must read the old file as it stands,
+// and read back what the encoder writes exactly.
 func TestGoldenLogReadAndReproduced(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "wal.log"))
 	if err != nil {
@@ -140,29 +181,42 @@ func TestGoldenLogReadAndReproduced(t *testing.T) {
 		}
 		return out
 	}
-	if got := encode(goldenRecords()); !bytes.Equal(got, golden) {
-		t.Fatalf("encoder output differs from the parent's file\n got %q\nwant %q", got, golden)
+	lossy := []byte(`{"s":"bad\ufffd\ufffdutf8\ufffd"}`)
+	exact := []byte(`{"b":"YmFk//51dGY4ww=="}`)
+	if bytes.Count(golden, lossy) != 1 {
+		t.Fatalf("golden log does not hold LSN 6's argument as %s once", lossy)
+	}
+	encoded := encode(goldenRecords())
+	if want := bytes.Replace(golden, lossy, exact, 1); !bytes.Equal(encoded, want) {
+		t.Fatalf("encoder output differs from the parent's file\n got %q\nwant %q", encoded, want)
 	}
 
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "wal.log"), golden, 0o644); err != nil {
-		t.Fatal(err)
+	load := func(log []byte) []Record {
+		t.Helper()
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "wal.log"), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := NewFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		_, recs, err := st.Load()
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		return recs
 	}
-	st, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	_, recs, err := st.Load()
-	if err != nil {
-		t.Fatalf("load golden log: %v", err)
-	}
-	// What decoding cannot give back: invalid UTF-8 was written as U+FFFD,
-	// and nil arg sets as an empty list.
+	// Nil arg sets come back as an empty list, from either file.
 	want := goldenRecords()
-	want[5].ArgSets[0][0] = "bad\ufffd\ufffdutf8\ufffd"
 	want[6].ArgSets = [][]any{}
-	if !reflect.DeepEqual(recs, want) {
+	if recs := load(encoded); !reflect.DeepEqual(recs, want) {
+		t.Fatalf("encoded log loaded as\n%+v\nwant\n%+v", recs, want)
+	}
+	// The old file holds U+FFFD where the bytes were, and reads as that.
+	want[5].ArgSets[0][0] = "bad\ufffd\ufffdutf8\ufffd"
+	if recs := load(golden); !reflect.DeepEqual(recs, want) {
 		t.Fatalf("golden log loaded as\n%+v\nwant\n%+v", recs, want)
 	}
 }

@@ -151,6 +151,12 @@ func (s *spyStore) WriteSnapshot(snap *Snapshot) error {
 	return s.inner.WriteSnapshot(snap)
 }
 
+func (s *spyStore) Records(after, upto int64) ([]Record, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.Records(after, upto)
+}
+
 func (s *spyStore) Load() (*Snapshot, []Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/storage"
 )
@@ -205,7 +206,8 @@ type wireSnapshot struct {
 }
 
 // wire renders the snapshot row by row, reading each cell from its typed
-// vector in place: a cell's wire value points into the view.
+// vector in place: a cell's wire value points into the view (a string that
+// is not valid UTF-8 is copied out as its bytes).
 func (s *Snapshot) wire() wireSnapshot {
 	w := wireSnapshot{LSN: s.LSN}
 	for _, ts := range s.Tables {
@@ -219,8 +221,10 @@ func (s *Snapshot) wire() wireSnapshot {
 			for i := range v.Cols {
 				if c := &v.Cols[i]; c.Kind == storage.TInt {
 					row[i].I = &c.Ints[rid]
-				} else {
+				} else if utf8.ValidString(c.Strs[rid]) {
 					row[i].S = &c.Strs[rid]
+				} else {
+					row[i].B = []byte(c.Strs[rid]) // lossless, as in a record
 				}
 			}
 			wt.Rows = append(wt.Rows, row)

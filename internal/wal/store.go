@@ -3,8 +3,10 @@ package wal
 import (
 	"bufio"
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -15,30 +17,41 @@ import (
 // records — recs is a range of the log's own tail, lent for the call: read
 // it, keep and change nothing of it; Sync makes everything staged so far
 // durable (the fsync whose cost the Syncer charges); WriteSnapshot atomically
-// replaces the checkpoint and drops the records it covers. Load returns the
-// durable state — what a process restart would find.
+// replaces the checkpoint and drops the records it covers. Records decodes
+// the synced records with LSN in (after, upto] — the log asks only for a
+// range it has synced, with no store call in flight; a later record of an
+// LSN replaces the earlier one and those past it, as a re-issue after a
+// Crash did. Load returns the durable state — what a process restart would
+// find.
 type Store interface {
 	AppendRecords(recs []Record) (bytes int, err error)
 	Sync() error
 	WriteSnapshot(snap *Snapshot) error
+	Records(after, upto int64) ([]Record, error)
 	Load() (*Snapshot, []Record, error)
 	Close() error
 }
 
 // wire formats. Values are tagged so int64/string fidelity survives JSON
 // ({"i":…} vs {"s":…}): a bare JSON number would come back float64 and break
-// the byte-identical differential contract.
+// the byte-identical differential contract. A string that is not valid UTF-8
+// is its bytes in base64 — a value {"b":…}, a name or statement an empty
+// string and "name_b" or "sql_b" after it: JSON text cannot carry those
+// bytes, and a quoted string would come back with U+FFFD in their place.
 
 type wireVal struct {
 	I *int64  `json:"i,omitempty"`
 	S *string `json:"s,omitempty"`
+	B []byte  `json:"b,omitempty"`
 }
 
 type wireRecord struct {
-	LSN  int64       `json:"lsn"`
-	Name string      `json:"name"`
-	SQL  string      `json:"sql"`
-	Args [][]wireVal `json:"args"`
+	LSN   int64       `json:"lsn"`
+	Name  string      `json:"name"`
+	NameB []byte      `json:"name_b,omitempty"`
+	SQL   string      `json:"sql"`
+	SQLB  []byte      `json:"sql_b,omitempty"`
+	Args  [][]wireVal `json:"args"`
 }
 
 func decodeVals(ws []wireVal) []any {
@@ -48,6 +61,8 @@ func decodeVals(ws []wireVal) []any {
 			out[i] = *w.I
 		} else if w.S != nil {
 			out[i] = *w.S
+		} else if w.B != nil {
+			out[i] = string(w.B)
 		}
 	}
 	return out
@@ -56,7 +71,8 @@ func decodeVals(ws []wireVal) []any {
 // EncodeRecord appends one record's JSON line to dst and returns the
 // extended slice (shared by both stores so MemStore's byte accounting matches
 // what FileStore would have written). The line is byte for byte what
-// json.Marshal renders for wireRecord — DecodeRecord, which still goes through
+// json.Marshal renders for wireRecord (each string in its B field when it is
+// not valid UTF-8) — DecodeRecord, which still goes through
 // encoding/json, and every wal.log already on disk read it unchanged — but it
 // is written straight into the caller's buffer: no reflection, no per-value
 // pointers, and no garbage when dst has room. On error dst comes back at its
@@ -65,10 +81,8 @@ func EncodeRecord(dst []byte, r Record) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, `{"lsn":`...)
 	dst = strconv.AppendInt(dst, r.LSN, 10)
-	dst = append(dst, `,"name":`...)
-	dst = appendJSONString(dst, r.Name)
-	dst = append(dst, `,"sql":`...)
-	dst = appendJSONString(dst, r.SQL)
+	dst = appendText(dst, "name", r.Name)
+	dst = appendText(dst, "sql", r.SQL)
 	dst = append(dst, `,"args":[`...)
 	for i, set := range r.ArgSets {
 		if i > 0 {
@@ -84,8 +98,13 @@ func EncodeRecord(dst []byte, r Record) ([]byte, error) {
 				dst = append(dst, `{"i":`...)
 				dst = strconv.AppendInt(dst, x, 10)
 			case string:
-				dst = append(dst, `{"s":`...)
-				dst = appendJSONString(dst, x)
+				if utf8.ValidString(x) {
+					dst = append(dst, `{"s":`...)
+					dst = appendJSONString(dst, x)
+				} else {
+					dst = append(dst, `{"b":`...)
+					dst = appendBase64(dst, x)
+				}
 			default:
 				return dst[:start], fmt.Errorf("wal: cannot encode %T value", v)
 			}
@@ -96,10 +115,27 @@ func EncodeRecord(dst []byte, r Record) ([]byte, error) {
 	return append(dst, "]}\n"...), nil
 }
 
-// appendJSONString appends s as json.Marshal quotes it: the two-character
-// escapes for `"`, `\` and \b \f \n \r \t, \u00XX for the other control
-// bytes and for < > & (Marshal's HTML-safe default), \u2028 and \u2029
-// escaped, and each invalid UTF-8 byte replaced by \ufffd.
+// appendText appends the record field key holding s: s quoted, or, when s
+// is not valid UTF-8, an empty string and key_b holding its bytes.
+func appendText(dst []byte, key, s string) []byte {
+	dst = append(append(append(dst, `,"`...), key...), `":`...)
+	if utf8.ValidString(s) {
+		return appendJSONString(dst, s)
+	}
+	dst = append(append(append(dst, `"","`...), key...), `_b":`...)
+	return appendBase64(dst, s)
+}
+
+// appendBase64 appends s's bytes as json.Marshal renders a []byte.
+func appendBase64(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	return append(base64.StdEncoding.AppendEncode(dst, []byte(s)), '"')
+}
+
+// appendJSONString appends s, valid UTF-8, as json.Marshal quotes it: the
+// two-character escapes for `"`, `\` and \b \f \n \r \t, \u00XX for the
+// other control bytes and for < > & (Marshal's HTML-safe default), and
+// \u2028 and \u2029 escaped.
 func appendJSONString(dst []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	dst = append(dst, '"')
@@ -132,12 +168,7 @@ func appendJSONString(dst []byte, s string) []byte {
 			continue
 		}
 		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-			start = i + size
-		case c == '\u2028' || c == '\u2029':
+		if c == '\u2028' || c == '\u2029' {
 			dst = append(dst, s[start:i]...)
 			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xf])
 			start = i + size
@@ -155,6 +186,12 @@ func DecodeRecord(line []byte) (Record, error) {
 		return Record{}, err
 	}
 	r := Record{LSN: w.LSN, Name: w.Name, SQL: w.SQL, ArgSets: make([][]any, len(w.Args))}
+	if w.NameB != nil {
+		r.Name = string(w.NameB)
+	}
+	if w.SQLB != nil {
+		r.SQL = string(w.SQLB)
+	}
 	for i, set := range w.Args {
 		r.ArgSets[i] = decodeVals(set)
 	}
@@ -163,25 +200,54 @@ func DecodeRecord(line []byte) (Record, error) {
 
 // MemStore keeps the durable state in memory — the default backend for
 // simulated durability, where the cost model (Syncer) matters but process
-// restarts do not. Crash recovery against a MemStore works because the Log
-// itself only exposes the synced prefix.
+// restarts do not. A record is kept as the line EncodeRecord wrote for it —
+// the bytes a FileStore would have written, whose length the Syncer is
+// charged — not as a Record: the lines sit back to back in chunks of
+// memChunkSize that are never reallocated, and Records decodes a range of
+// them. Crash recovery against a MemStore works because the Log itself only
+// asks for the synced prefix.
 type MemStore struct {
-	snap *Snapshot
-	recs []Record // LSN-dense, like the log's tail
-	buf  []byte   // encode scratch, reused: only the encoded length is kept
+	snap   *Snapshot
+	first  int64 // LSN of the first kept line; the lines are LSN-dense
+	n      int64 // lines kept
+	chunks []memChunk
+	buf    []byte // encode scratch: a line is copied into its chunk whole
+}
+
+// memChunkSize is a MemStore chunk's capacity. A line that does not fit in
+// the last chunk starts the next, and a line longer than a chunk gets one of
+// its own length, so a line never spans two chunks.
+const memChunkSize = 64 << 10
+
+// memChunk holds whole lines: line i is lines[ends[i-1]:ends[i]].
+type memChunk struct {
+	lines []byte
+	ends  []int32
+}
+
+func (c *memChunk) start(i int) int32 {
+	if i == 0 {
+		return 0
+	}
+	return c.ends[i-1]
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{} }
 
-// AppendRecords stages the records as handed over — Log.Append already took
-// the copy that detaches them from the caller's arguments — and reports their
-// encoded size. A batch that starts at or below the last staged LSN re-issues
+// AppendRecords encodes the records and keeps their lines, reporting their
+// encoded size. A batch that starts at or below the last kept LSN re-issues
 // LSNs a Crash took back from a tail that was staged but never synced; it
 // replaces that tail, as recovery's truncation would have on disk.
 func (m *MemStore) AppendRecords(recs []Record) (int, error) {
-	if n := len(m.recs); n > 0 && len(recs) > 0 && recs[0].LSN <= m.recs[n-1].LSN {
-		m.recs = m.recs[:recs[0].LSN-m.recs[0].LSN]
+	if len(recs) == 0 {
+		return 0, nil
+	}
+	if k := recs[0].LSN - m.first; m.n > 0 && k < m.n {
+		m.cut(max(k, 0))
+	}
+	if m.n == 0 {
+		m.first = recs[0].LSN
 	}
 	bytes := 0
 	for _, r := range recs {
@@ -190,27 +256,104 @@ func (m *MemStore) AppendRecords(recs []Record) (int, error) {
 			return bytes, err
 		}
 		bytes += len(m.buf)
-		m.recs = append(m.recs, r)
+		m.add(m.buf)
 	}
 	return bytes, nil
+}
+
+func (m *MemStore) add(line []byte) {
+	last := len(m.chunks) - 1
+	if last < 0 || len(m.chunks[last].lines)+len(line) > cap(m.chunks[last].lines) {
+		m.chunks = append(m.chunks, memChunk{
+			lines: make([]byte, 0, max(memChunkSize, len(line))),
+			ends:  make([]int32, 0, memChunkSize/128), // a benchmark insert's line is 134 bytes
+		})
+		last++
+	}
+	c := &m.chunks[last]
+	c.lines = append(c.lines, line...)
+	c.ends = append(c.ends, int32(len(c.lines)))
+	m.n++
+}
+
+// at locates kept line k (k < n): its chunk and its index there.
+func (m *MemStore) at(k int64) (c, i int) {
+	for c = range m.chunks {
+		if k < int64(len(m.chunks[c].ends)) {
+			return c, int(k)
+		}
+		k -= int64(len(m.chunks[c].ends))
+	}
+	return len(m.chunks), 0
+}
+
+// cut keeps the first k lines (k < n); the chunk that line k was in keeps
+// its storage for the lines that replace it.
+func (m *MemStore) cut(k int64) {
+	c, i := m.at(k)
+	ch := &m.chunks[c]
+	ch.lines, ch.ends = ch.lines[:ch.start(i)], ch.ends[:i]
+	clear(m.chunks[c+1:])
+	m.chunks, m.n = m.chunks[:c+1], k
+}
+
+// each calls f on kept lines k to k+n-1, in order.
+func (m *MemStore) each(k, n int64, f func(line []byte) error) error {
+	for c, i := m.at(k); n > 0; n, i = n-1, i+1 {
+		for i == len(m.chunks[c].ends) {
+			c, i = c+1, 0
+		}
+		ch := &m.chunks[c]
+		if err := f(ch.lines[ch.start(i):ch.ends[i]]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Sync is a no-op: staged records are already in memory.
 func (m *MemStore) Sync() error { return nil }
 
-// WriteSnapshot replaces the checkpoint and truncates covered records.
+// WriteSnapshot replaces the checkpoint and drops the lines it covers,
+// copying the rest into fresh chunks.
 func (m *MemStore) WriteSnapshot(snap *Snapshot) error {
 	m.snap = snap
-	if len(m.recs) > 0 {
-		covered := min(max(snap.LSN+1-m.recs[0].LSN, 0), int64(len(m.recs)))
-		m.recs = append([]Record(nil), m.recs[covered:]...)
+	drop := min(snap.LSN+1-m.first, m.n)
+	if m.n == 0 || drop <= 0 {
+		return nil
 	}
-	return nil
+	old := *m
+	m.chunks, m.first, m.n = nil, snap.LSN+1, 0
+	return old.each(drop, old.n-drop, func(line []byte) error {
+		m.add(line)
+		return nil
+	})
+}
+
+// Records decodes the kept lines with LSN in (after, upto].
+func (m *MemStore) Records(after, upto int64) ([]Record, error) {
+	if upto <= after {
+		return nil, nil
+	}
+	if after+1 < m.first || upto >= m.first+m.n {
+		return nil, fmt.Errorf("wal: store holds LSNs %d to %d, not %d to %d", m.first, m.first+m.n-1, after+1, upto)
+	}
+	recs := make([]Record, 0, upto-after)
+	err := m.each(after+1-m.first, upto-after, func(line []byte) error {
+		r, err := DecodeRecord(line)
+		recs = append(recs, r)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return recs, nil
 }
 
 // Load returns the stored snapshot and record suffix.
 func (m *MemStore) Load() (*Snapshot, []Record, error) {
-	return m.snap, append([]Record(nil), m.recs...), nil
+	recs, err := m.Records(m.first-1, m.first+m.n-1)
+	return m.snap, recs, err
 }
 
 // Close is a no-op.
@@ -337,6 +480,67 @@ func (s *FileStore) WriteSnapshot(snap *Snapshot) error {
 	return nil
 }
 
+// Records decodes the records with LSN in (after, upto] from wal.log as it
+// stands: the log asks only for what it has synced, so a torn final segment
+// is past that range, and truncating it stays with Load.
+func (s *FileStore) Records(after, upto int64) ([]Record, error) {
+	if upto <= after {
+		return nil, nil
+	}
+	data, err := os.ReadFile(filepath.Join(s.dir, "wal.log"))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	recs, err := decodeLines(data, after, upto)
+	if err == nil && int64(len(recs)) != upto-after {
+		err = fmt.Errorf("wal: wal.log holds LSNs %d to %d, not to %d", after+1, after+int64(len(recs)), upto)
+	}
+	return recs, err
+}
+
+// decodeLines decodes the whole lines of a wal.log with LSN in (after, upto],
+// which must be dense from after+1. A later line of an LSN replaces the
+// earlier one and those after it: a Crash dropped them, and the LSN was
+// issued again.
+func decodeLines(data []byte, after, upto int64) ([]Record, error) {
+	var recs []Record
+	for len(data) > 0 {
+		line, rest, whole := bytes.Cut(data, []byte{'\n'})
+		if data = rest; !whole || len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		if lsn, ok := lineLSN(line); ok && (lsn <= after || lsn > upto) {
+			continue
+		}
+		r, err := DecodeRecord(line)
+		if err != nil {
+			return nil, err
+		}
+		if r.LSN <= after || r.LSN > upto {
+			continue
+		}
+		switch k := int(r.LSN - after - 1); {
+		case k > len(recs):
+			return nil, fmt.Errorf("wal: wal.log skips from LSN %d to %d", after+int64(len(recs)), r.LSN)
+		case k < len(recs):
+			recs = recs[:k]
+		}
+		recs = append(recs, r)
+	}
+	return recs, nil
+}
+
+// lineLSN reads the LSN EncodeRecord writes first in a line, without
+// decoding the rest; ok is false when the line does not start that way.
+func lineLSN(line []byte) (lsn int64, ok bool) {
+	digits, found := bytes.CutPrefix(line, []byte(`{"lsn":`))
+	if end := bytes.IndexByte(digits, ','); found && end > 0 {
+		lsn, err := strconv.ParseInt(string(digits[:end]), 10, 64)
+		return lsn, err == nil
+	}
+	return 0, false
+}
+
 // Load reads the durable snapshot and records from disk. A process that died
 // between AppendRecords and Sync can leave part of a record behind (the write
 // buffer spills to the file whenever it fills): a final segment with no
@@ -373,21 +577,13 @@ func (s *FileStore) Load() (*Snapshot, []Record, error) {
 		}
 		data = data[:whole]
 	}
-	var recs []Record
-	for len(data) > 0 {
-		line, rest, _ := bytes.Cut(data, []byte{'\n'})
-		data = rest
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		r, err := DecodeRecord(line)
-		if err != nil {
-			return nil, nil, err
-		}
-		if snap != nil && r.LSN <= snap.LSN {
-			continue
-		}
-		recs = append(recs, r)
+	after := int64(0)
+	if snap != nil {
+		after = snap.LSN
+	}
+	recs, err := decodeLines(data, after, math.MaxInt64)
+	if err != nil {
+		return nil, nil, err
 	}
 	return snap, recs, nil
 }

@@ -19,7 +19,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,18 +152,18 @@ type Log struct {
 	store  Store
 	syncer Syncer
 
-	mu       sync.Mutex
-	flush    sync.Cond // wakes the flusher when unsynced records exist
-	durable  sync.Cond // wakes commit waiters / Crash
-	snap     *Snapshot // latest checkpoint; nil before the first
-	tail     []Record  // records with LSN > snapshot LSN, synced and not; LSN-dense (see span)
-	next     int64     // next LSN to assign
-	synced   int64     // highest durable LSN
-	syncing  bool      // a flusher fsync is in flight (Crash waits it out)
-	crashing bool      // Crash in progress: the flusher must not start a new fsync
-	backoff  bool      // the flusher is waiting out a failed fsync (Close and Crash cut it short)
-	closed   bool
-	done     chan struct{}
+	mu      sync.Mutex
+	flush   sync.Cond // wakes the flusher when unsynced records exist
+	durable sync.Cond // wakes commit waiters, Crash and RecordsAfter
+	snap    *Snapshot // latest checkpoint; nil before the first
+	tail    []Record  // the records not yet durable (LSN > synced); LSN-dense (see span)
+	next    int64     // next LSN to assign
+	synced  int64     // highest durable LSN
+	syncing bool      // a flusher fsync is in flight (Crash and RecordsAfter wait it out)
+	held    int       // Crash or RecordsAfter in progress: the flusher must not start a new fsync
+	backoff bool      // the flusher is waiting out a failed fsync (Close and Crash cut it short)
+	closed  bool
+	done    chan struct{}
 
 	// appended is the highest LSN handed to store.AppendRecords (≥ synced:
 	// a failed Sync leaves records appended but not durable). The flusher's
@@ -254,7 +253,8 @@ func New(opts Options) *Log {
 
 // Open starts a log over a store that already holds a snapshot and records —
 // the recovery path after a real (process-level) crash. Everything loaded is
-// durable by definition; appending resumes after the last record.
+// durable by definition and stays in the store; appending resumes after the
+// last record.
 func Open(opts Options) (*Log, error) {
 	if opts.Store == nil {
 		return nil, errors.New("wal: Open needs a store")
@@ -268,7 +268,6 @@ func Open(opts Options) (*Log, error) {
 		store:  opts.Store,
 		syncer: opts.Syncer,
 		snap:   snap,
-		tail:   recs,
 		next:   1,
 		done:   make(chan struct{}),
 	}
@@ -276,7 +275,7 @@ func Open(opts Options) (*Log, error) {
 		l.synced = snap.LSN
 		l.next = snap.LSN + 1
 	}
-	// Every walk over the tail is offset arithmetic (see span), so a store
+	// A catch-up asks the store for an LSN range (RecordsAfter), so a store
 	// that hands back a gapped or repeated suffix must be refused here.
 	for i, r := range recs {
 		if want := l.next + int64(i); r.LSN != want {
@@ -356,8 +355,8 @@ func (l *Log) Snapshot() *Snapshot {
 	return l.snap
 }
 
-// TailStart returns the LSN the retained record suffix starts after: records
-// with LSN ≤ TailStart live only inside the snapshot.
+// TailStart returns the LSN the record suffix the store keeps starts after:
+// records with LSN ≤ TailStart live only inside the snapshot.
 func (l *Log) TailStart() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -371,12 +370,12 @@ func (l *Log) tailStartLocked() int64 {
 	return l.snap.LSN
 }
 
-// span returns the retained records with LSN in (after, upto]. The tail is
+// span returns the tail's records with LSN in (after, upto]. The tail is
 // LSN-dense — tail[i].LSN == tail[0].LSN+i — so the range is two offsets
 // from tail[0].LSN, never a scan. The result aliases the tail's storage:
-// the flusher reads its batch through it with the lock released, which is
-// why no truncation may move records within that storage (see
-// WriteSnapshot and Crash). Caller holds mu.
+// the flusher reads its batch through it with the lock released, so only
+// the flusher moves records within that storage, once it is done with them
+// (see flusher). Caller holds mu.
 func (l *Log) span(after, upto int64) []Record {
 	if len(l.tail) == 0 {
 		return nil
@@ -390,26 +389,39 @@ func (l *Log) span(after, upto int64) []Record {
 	return l.tail[lo:hi]
 }
 
-// RecordsAfter returns copies of the durable records with LSN in
-// (after, DurableLSN]. ok is false when a checkpoint truncated past `after`
-// — the caller's state is older than the log's memory and must resync from
-// Snapshot().
+// RecordsAfter returns the durable records with LSN in (after, DurableLSN],
+// decoded from the store. ok is false when a checkpoint truncated past
+// `after` — the caller's state is older than the log's memory and must
+// resync from Snapshot() — and when the store cannot give the range back.
+// The store is read under the lock once no fsync is in flight, and the
+// flusher starts none until the read is done, so no store call overlaps it
+// and a staged but unsynced record is never returned.
 func (l *Log) RecordsAfter(after int64) (recs []Record, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.recordsAfterLocked(after)
-}
-
-func (l *Log) recordsAfterLocked(after int64) ([]Record, bool) {
 	if l.snap != nil && after < l.snap.LSN {
 		return nil, false
 	}
-	return append([]Record(nil), l.span(after, l.synced)...), true
+	l.held++
+	for l.syncing {
+		l.durable.Wait()
+	}
+	recs, err := l.store.Records(after, l.synced)
+	l.release()
+	return recs, err == nil
 }
 
-// WriteSnapshot installs a checkpoint and truncates the records it covers.
-// The snapshot must only cover durable state: call SyncTo(snap.LSN) first
-// (Checkpoint in internal/replica does).
+// release ends a hold on the flusher. Caller holds mu.
+func (l *Log) release() {
+	if l.held--; l.held == 0 {
+		l.flush.Signal()
+	}
+}
+
+// WriteSnapshot installs a checkpoint; the store drops the records it
+// covers. The snapshot must only cover durable state: call SyncTo(snap.LSN)
+// first (Checkpoint in internal/replica does), so the tail holds none of
+// them.
 func (l *Log) WriteSnapshot(snap *Snapshot) error {
 	l.mu.Lock()
 	if snap.LSN > l.synced {
@@ -423,9 +435,6 @@ func (l *Log) WriteSnapshot(snap *Snapshot) error {
 	}
 	l.mu.Lock()
 	l.snap = snap
-	// A fresh array, never a compaction of the old one: the flusher may be
-	// reading its batch out of the old storage right now.
-	l.tail = append([]Record(nil), l.span(snap.LSN, l.next-1)...)
 	l.mu.Unlock()
 	return nil
 }
@@ -438,22 +447,22 @@ func (l *Log) Crash() {
 	l.mu.Lock()
 	// Stop the flusher from starting another group commit, then wait out the
 	// fsync already in flight: it represents real bits reaching the platter.
-	l.crashing = true
+	l.held++
 	for l.syncing {
 		l.durable.Wait()
 	}
-	// Capacity clipped to the kept prefix: the next Append reallocates
-	// instead of writing over the dropped records' slots.
-	l.tail = slices.Clip(l.span(0, l.synced))
+	// The tail is exactly the records past the last fsync. No fsync is in
+	// flight, so nobody reads its slots: the next Append reuses them.
+	clear(l.tail)
+	l.tail = l.tail[:0]
 	l.next = l.synced + 1
 	// Records appended to the store but never fsynced are part of the torn
 	// tail a real crash leaves behind; reset the watermark so re-assigned
 	// LSNs append fresh (recovery reads only the durable prefix).
 	l.appended = l.synced
 	l.appendedBytes = 0
-	l.crashing = false
 	l.backoff = false // the machine restarted: retry the store at once
-	l.flush.Signal()
+	l.release()
 	// Wake commit waiters stranded on truncated records; they observe
 	// DurableLSN < their lsn and report the loss.
 	l.durable.Broadcast()
@@ -503,10 +512,10 @@ func (l *Log) flusher() {
 	defer close(l.done)
 	l.mu.Lock()
 	for {
-		for !l.closed && (l.crashing || l.synced == l.next-1) {
+		for l.held > 0 || (!l.closed && l.synced == l.next-1) {
 			l.flush.Wait()
 		}
-		if l.closed && (l.crashing || l.synced == l.next-1) {
+		if l.closed && l.synced == l.next-1 {
 			l.mu.Unlock()
 			return
 		}
@@ -553,6 +562,12 @@ func (l *Log) flusher() {
 		}
 		l.appendedBytes += int64(bytes)
 		if err == nil {
+			// The batch is durable, so it lives on in the store alone. The
+			// flusher was the one reader of its slots with the lock
+			// released: the records appended since slide to the front.
+			n := copy(l.tail, l.span(upto, l.next-1))
+			clear(l.tail[n:])
+			l.tail = l.tail[:n]
 			l.synced = upto
 			l.syncs++
 			l.syncedRecs += records

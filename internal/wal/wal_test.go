@@ -299,6 +299,60 @@ func TestFileStoreSurvivesReopen(t *testing.T) {
 	}
 }
 
+// A string that is not valid UTF-8 comes back from a FileStore cold start
+// with its bytes, whether the log or the snapshot carried it: the recovered
+// copy equals the primary that executed the writes.
+func TestFileStoreColdStartKeepsInvalidUTF8(t *testing.T) {
+	dir := t.TempDir()
+	primary := newKVServer(t, 3)
+	st, err := wal.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := wal.New(wal.Options{Store: st})
+	insert := func(id int64, val string) {
+		t.Helper()
+		args := []any{id, val}
+		if _, err := primary.Exec(query.Req("w", "INSERT INTO kv VALUES (?, ?)", args)).Pair(); err != nil {
+			t.Fatal(err)
+		}
+		l.Commit(l.Append("w", "INSERT INTO kv VALUES (?, ?)", [][]any{args}))
+	}
+	insert(3, "bad\xff\xfe")
+	if err := l.WriteSnapshot(wal.Capture(primary.Catalog(), l.DurableLSN())); err != nil {
+		t.Fatal(err)
+	}
+	insert(4, "\xc3tail\xe2\x80")
+	insert(5, "fine")
+	l.Close()
+
+	st2, err := wal.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := wal.Open(wal.Options{Store: st2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	cold := server.New(server.SYS1(), 0)
+	t.Cleanup(cold.Close)
+	snap := l2.Snapshot()
+	if err := snap.RestoreTo(cold); err != nil {
+		t.Fatal(err)
+	}
+	recs, ok := l2.RecordsAfter(snap.LSN)
+	if !ok || len(recs) != 2 {
+		t.Fatalf("records past the snapshot: %d, ok=%v; want 2", len(recs), ok)
+	}
+	if err := replay(cold, recs); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := wal.Capture(cold.Catalog(), 0), wal.Capture(primary.Catalog(), 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cold start differs from the primary:\n%s\nwant\n%s", dump(t, cold, 6), dump(t, primary, 6))
+	}
+}
+
 // A checkpoint that dies part-way must not take durable records with it: the
 // log rewrite is made to fail (wal.log.tmp exists as a directory, so it cannot
 // be opened as a file) and both the live log and a reopen of the directory
