@@ -11,21 +11,16 @@ import (
 // deep queue) and then a SyncErr decision point (firing returns ErrSync
 // *before* the inner Sync runs, so an injected failure has no side
 // effects — the WAL's flusher retries, and the append watermark guarantees
-// the retry never duplicates records in the store). Appends and snapshots
-// pass through untouched.
+// the retry never duplicates records in the store). Every other method is
+// the embedded store's own.
 type Store struct {
-	inner wal.Store
-	inj   *Injector
+	wal.Store
+	inj *Injector
 }
 
 // NewStore wraps inner; a nil injector still wraps (inert).
 func NewStore(inner wal.Store, inj *Injector) *Store {
-	return &Store{inner: inner, inj: inj}
-}
-
-// AppendRecords forwards to the inner store.
-func (s *Store) AppendRecords(recs []wal.Record) (int, error) {
-	return s.inner.AppendRecords(recs)
+	return &Store{Store: inner, inj: inj}
 }
 
 // Sync stalls and/or fails per the injector, else fsyncs the inner store.
@@ -38,23 +33,5 @@ func (s *Store) Sync() error {
 	if s.inj.Should(SyncErr) {
 		return ErrSync
 	}
-	return s.inner.Sync()
+	return s.Store.Sync()
 }
-
-// WriteSnapshot forwards to the inner store.
-func (s *Store) WriteSnapshot(snap *wal.Snapshot) error {
-	return s.inner.WriteSnapshot(snap)
-}
-
-// Records forwards to the inner store.
-func (s *Store) Records(after, upto int64) ([]wal.Record, error) {
-	return s.inner.Records(after, upto)
-}
-
-// Load forwards to the inner store.
-func (s *Store) Load() (*wal.Snapshot, []wal.Record, error) {
-	return s.inner.Load()
-}
-
-// Close forwards to the inner store.
-func (s *Store) Close() error { return s.inner.Close() }

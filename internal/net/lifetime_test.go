@@ -144,8 +144,8 @@ func TestBatchArgWindowsAreNotRetained(t *testing.T) {
 		}
 	}
 
-	recs, ok := g.Log().RecordsAfter(0)
-	if !ok || len(recs) != 1 || !interp.Equal(anySets(recs[0].ArgSets), anySets(sets)) {
+	recs, err := g.Log().RecordsAfter(0)
+	if err != nil || len(recs) != 1 || !interp.Equal(anySets(recs[0].ArgSets), anySets(sets)) {
 		t.Fatalf("log holds %+v, want one record of %v", recs, sets)
 	}
 	for k, s := range g.Copies() {

@@ -97,9 +97,9 @@ func TestCatchUpReadsTheStoreUnderWrites(t *testing.T) {
 				for n := 0; n == 0 || !stopped.Load(); n++ {
 					time.Sleep(200 * time.Microsecond)
 					after := max(l.DurableLSN()-16, l.TailStart())
-					recs, ok := l.RecordsAfter(after)
+					recs, err := l.RecordsAfter(after)
 					durable := l.DurableLSN()
-					if !ok {
+					if err != nil {
 						t.Errorf("RecordsAfter(%d) refused with no checkpoint past it", after)
 						return
 					}
@@ -139,5 +139,31 @@ func TestCatchUpReadsTheStoreUnderWrites(t *testing.T) {
 				t.Fatalf("primary holds %d rows, want %d", n, w)
 			}
 		})
+	}
+}
+
+// errRecords is the read failure of failRecords.
+var errRecords = errors.New("injected store read failure")
+
+// failRecords is a store that cannot read a range back.
+type failRecords struct{ wal.Store }
+
+func (failRecords) Records(after, upto int64) ([]wal.Record, error) { return nil, errRecords }
+
+// A catch-up whose store read fails returns the store's error: the
+// replica stands past the snapshot, so it is not a checkpoint's doing.
+func TestRecoverReturnsTheStoreError(t *testing.T) {
+	g := newGroupOpts(t, Options{Replicas: 2, Store: failRecords{wal.NewMemStore()}})
+	g.FailOut(0)
+	for id := int64(100); id < 110; id++ {
+		if _, err := g.Exec(query.Req("w", ins, []any{id, "v"})).Pair(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Recover(0); !errors.Is(err, errRecords) {
+		t.Fatalf("Recover = %v, want the store's error", err)
+	}
+	if g.Healthy()[0] {
+		t.Fatal("a replica whose catch-up failed is back in rotation")
 	}
 }

@@ -32,6 +32,7 @@ package replica
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -329,9 +330,9 @@ func (g *Group) catchUp(i int) error {
 		}
 		return err
 	}
-	recs, ok := g.log.RecordsAfter(at)
-	if !ok {
-		return fail(errors.New("replica: snapshot older than log memory"))
+	recs, err := g.log.RecordsAfter(at)
+	if err != nil {
+		return fail(fmt.Errorf("replica: catch up from LSN %d: %w", at, err))
 	}
 	for _, r := range recs {
 		if err := g.apply(nil, i, s, r); err != nil {

@@ -1,9 +1,11 @@
 package rules
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/minilang"
 )
@@ -380,6 +382,25 @@ proc m(stack) {
 	g := loopGraph(loop, reg)
 	if edges := g.CrossingLCFD(indexOf(body, sq)); len(edges) != 0 {
 		t.Errorf("crossing LCFD remain after reorder: %v\n%s", edges, printBlock(body))
+	}
+}
+
+// pickEdge orders edges by From, then To, then Loc, whatever order they
+// come in: among edges from one statement the lowest To wins even when its
+// Loc sorts last, and Loc breaks a tie on To.
+func TestPickEdgeOrdersByFromToLoc(t *testing.T) {
+	want := dataflow.Edge{From: 1, To: 2, Loc: "y"}
+	edges := []dataflow.Edge{
+		{From: 2, To: 0, Loc: "a"},
+		{From: 1, To: 3, Loc: "a"},
+		{From: 1, To: 2, Loc: "z"},
+		want,
+	}
+	for range 2 {
+		if got := pickEdge(slices.Clone(edges)); got != want {
+			t.Errorf("pickEdge(%v) = %v, want %v", edges, got, want)
+		}
+		slices.Reverse(edges)
 	}
 }
 

@@ -85,8 +85,8 @@ func TestCheckpointDuringInFlightFsyncLeavesBatchIntact(t *testing.T) {
 	if next != 10 {
 		t.Fatalf("store received records through LSN %d, want 9", next-1)
 	}
-	recs, ok := l.RecordsAfter(1)
-	if !ok || len(recs) != 8 || recs[0].LSN != 2 || recs[7].LSN != 9 {
-		t.Fatalf("RecordsAfter(1) after the checkpoint: %d records, ok=%v", len(recs), ok)
+	recs, err := l.RecordsAfter(1)
+	if err != nil || len(recs) != 8 || recs[0].LSN != 2 || recs[7].LSN != 9 {
+		t.Fatalf("RecordsAfter(1) after the checkpoint: %d records, err=%v", len(recs), err)
 	}
 }

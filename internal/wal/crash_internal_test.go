@@ -58,8 +58,8 @@ func TestCrashLosesUnsyncedTailUnderOff(t *testing.T) {
 		t.Fatalf("post-crash append LSN = %d, want 2", lsn)
 	}
 	l.SyncTo(lsn)
-	recs, ok := l.RecordsAfter(0)
-	if !ok || len(recs) != 2 || recs[0].LSN != 1 {
-		t.Fatalf("records after crash: %v ok=%v", recs, ok)
+	recs, err := l.RecordsAfter(0)
+	if err != nil || len(recs) != 2 || recs[0].LSN != 1 {
+		t.Fatalf("records after crash: %v err=%v", recs, err)
 	}
 }

@@ -276,10 +276,10 @@ func runModel(t *testing.T, seed int64, mode Mode) {
 			fail("TailStart %d, want %d", got, m.snapLSN())
 		}
 		for k := max(m.snapLSN()-2, 0); k <= m.next; k++ {
-			got, ok := l.RecordsAfter(k)
+			got, err := l.RecordsAfter(k)
 			want, wantOK := m.recordsAfter(k)
-			if ok != wantOK || !reflect.DeepEqual(got, want) {
-				fail("RecordsAfter(%d) = %+v, %v; reference %+v, %v", k, got, ok, want, wantOK)
+			if (err == nil) != wantOK || !reflect.DeepEqual(got, want) {
+				fail("RecordsAfter(%d) = %+v, %v; reference %+v, %v", k, got, err, want, wantOK)
 			}
 		}
 		store.mu.Lock()

@@ -6,7 +6,6 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -22,7 +21,8 @@ import (
 // range it has synced, with no store call in flight; a later record of an
 // LSN replaces the earlier one and those past it, as a re-issue after a
 // Crash did. Load returns the durable state — what a process restart would
-// find.
+// find. Both stores keep the lines in memory (MemStore), and a FileStore
+// also writes them to a file, which only its Load reads.
 type Store interface {
 	AppendRecords(recs []Record) (bytes int, err error)
 	Sync() error
@@ -69,8 +69,8 @@ func decodeVals(ws []wireVal) []any {
 }
 
 // EncodeRecord appends one record's JSON line to dst and returns the
-// extended slice (shared by both stores so MemStore's byte accounting matches
-// what FileStore would have written). The line is byte for byte what
+// extended slice: the line a MemStore keeps, whose length the Syncer is
+// charged, and the one a FileStore writes. The line is byte for byte what
 // json.Marshal renders for wireRecord (each string in its B field when it is
 // not valid UTF-8) — DecodeRecord, which still goes through
 // encoding/json, and every wal.log already on disk read it unchanged — but it
@@ -200,12 +200,12 @@ func DecodeRecord(line []byte) (Record, error) {
 
 // MemStore keeps the durable state in memory — the default backend for
 // simulated durability, where the cost model (Syncer) matters but process
-// restarts do not. A record is kept as the line EncodeRecord wrote for it —
-// the bytes a FileStore would have written, whose length the Syncer is
-// charged — not as a Record: the lines sit back to back in chunks of
-// memChunkSize that are never reallocated, and Records decodes a range of
-// them. Crash recovery against a MemStore works because the Log itself only
-// asks for the synced prefix.
+// restarts do not, and the memory side of a FileStore. A record is kept as
+// the line EncodeRecord wrote for it — the bytes a FileStore writes, whose
+// length the Syncer is charged — not as a Record: the lines sit back to
+// back in chunks of memChunkSize that are never reallocated, and Records
+// decodes a range of them. Crash recovery against a MemStore works because
+// the Log itself only asks for the synced prefix.
 type MemStore struct {
 	snap   *Snapshot
 	first  int64 // LSN of the first kept line; the lines are LSN-dense
@@ -236,19 +236,8 @@ func (c *memChunk) start(i int) int32 {
 func NewMemStore() *MemStore { return &MemStore{} }
 
 // AppendRecords encodes the records and keeps their lines, reporting their
-// encoded size. A batch that starts at or below the last kept LSN re-issues
-// LSNs a Crash took back from a tail that was staged but never synced; it
-// replaces that tail, as recovery's truncation would have on disk.
+// encoded size.
 func (m *MemStore) AppendRecords(recs []Record) (int, error) {
-	if len(recs) == 0 {
-		return 0, nil
-	}
-	if k := recs[0].LSN - m.first; m.n > 0 && k < m.n {
-		m.cut(max(k, 0))
-	}
-	if m.n == 0 {
-		m.first = recs[0].LSN
-	}
 	bytes := 0
 	for _, r := range recs {
 		var err error
@@ -256,9 +245,24 @@ func (m *MemStore) AppendRecords(recs []Record) (int, error) {
 			return bytes, err
 		}
 		bytes += len(m.buf)
-		m.add(m.buf)
+		m.put(r.LSN, m.buf)
 	}
 	return bytes, nil
+}
+
+// put keeps line as the record of LSN lsn. An LSN at or below the last kept
+// one was issued again after a Crash took back a tail that was staged but
+// never synced: its line replaces the kept line of that LSN and every line
+// after it, whether it comes from an append or from recovery reading
+// wal.log.
+func (m *MemStore) put(lsn int64, line []byte) {
+	if k := lsn - m.first; m.n > 0 && k < m.n {
+		m.cut(max(k, 0))
+	}
+	if m.n == 0 {
+		m.first = lsn
+	}
+	m.add(line)
 }
 
 func (m *MemStore) add(line []byte) {
@@ -297,14 +301,15 @@ func (m *MemStore) cut(k int64) {
 	m.chunks, m.n = m.chunks[:c+1], k
 }
 
-// each calls f on kept lines k to k+n-1, in order.
-func (m *MemStore) each(k, n int64, f func(line []byte) error) error {
+// each calls f on kept lines k to k+n-1, in order. f has the shape of a
+// Write, so a writer's Write can take the lines.
+func (m *MemStore) each(k, n int64, f func(line []byte) (int, error)) error {
 	for c, i := m.at(k); n > 0; n, i = n-1, i+1 {
 		for i == len(m.chunks[c].ends) {
 			c, i = c+1, 0
 		}
 		ch := &m.chunks[c]
-		if err := f(ch.lines[ch.start(i):ch.ends[i]]); err != nil {
+		if _, err := f(ch.lines[ch.start(i):ch.ends[i]]); err != nil {
 			return err
 		}
 	}
@@ -324,9 +329,9 @@ func (m *MemStore) WriteSnapshot(snap *Snapshot) error {
 	}
 	old := *m
 	m.chunks, m.first, m.n = nil, snap.LSN+1, 0
-	return old.each(drop, old.n-drop, func(line []byte) error {
+	return old.each(drop, old.n-drop, func(line []byte) (int, error) {
 		m.add(line)
-		return nil
+		return len(line), nil
 	})
 }
 
@@ -339,10 +344,10 @@ func (m *MemStore) Records(after, upto int64) ([]Record, error) {
 		return nil, fmt.Errorf("wal: store holds LSNs %d to %d, not %d to %d", m.first, m.first+m.n-1, after+1, upto)
 	}
 	recs := make([]Record, 0, upto-after)
-	err := m.each(after+1-m.first, upto-after, func(line []byte) error {
+	err := m.each(after+1-m.first, upto-after, func(line []byte) (int, error) {
 		r, err := DecodeRecord(line)
 		recs = append(recs, r)
-		return err
+		return len(line), err
 	})
 	if err != nil {
 		return nil, err
@@ -359,14 +364,16 @@ func (m *MemStore) Load() (*Snapshot, []Record, error) {
 // Close is a no-op.
 func (m *MemStore) Close() error { return nil }
 
-// FileStore persists the log under a directory: records as JSON lines in
-// wal.log, the checkpoint in snapshot.json. Both are only ever replaced
-// whole (replaceFile), so a torn checkpoint never corrupts recovery.
+// FileStore is a MemStore that also writes its lines under a directory:
+// each line it keeps goes to wal.log as well, and the checkpoint to
+// snapshot.json. Reads are the MemStore's, so a catch-up never reads the
+// file; only Load does. Both files are only ever replaced whole
+// (replaceFile), so a torn checkpoint never corrupts recovery.
 type FileStore struct {
+	MemStore
 	dir string
 	f   *os.File
 	w   *bufio.Writer
-	buf []byte // encode scratch, reused across records
 }
 
 // NewFileStore opens (creating if needed) a file-backed store in dir.
@@ -381,25 +388,16 @@ func NewFileStore(dir string) (*FileStore, error) {
 	return &FileStore{dir: dir, f: f, w: bufio.NewWriter(f)}, nil
 }
 
-// AppendRecords stages encoded records in the write buffer.
+// AppendRecords keeps the records' lines, as a MemStore does, and stages
+// the lines it just kept in the write buffer. A batch that fails to encode
+// stages nothing: the flusher hands it over again, and the lines kept of it
+// are replaced then.
 func (s *FileStore) AppendRecords(recs []Record) (int, error) {
-	bytes := 0
-	for _, r := range recs {
-		n, err := s.writeRecord(s.w, r)
-		bytes += n
-		if err != nil {
-			return bytes, err
-		}
+	bytes, err := s.MemStore.AppendRecords(recs)
+	if err != nil {
+		return bytes, err
 	}
-	return bytes, nil
-}
-
-func (s *FileStore) writeRecord(w *bufio.Writer, r Record) (int, error) {
-	var err error
-	if s.buf, err = EncodeRecord(s.buf[:0], r); err != nil {
-		return 0, err
-	}
-	return w.Write(s.buf)
+	return bytes, s.each(s.n-int64(len(recs)), int64(len(recs)), s.w.Write)
 }
 
 // Sync flushes the buffer and fsyncs the log file.
@@ -435,11 +433,13 @@ func (s *FileStore) replaceFile(name string, write func(w *bufio.Writer) error) 
 	return os.Rename(tmp, filepath.Join(s.dir, name))
 }
 
-// WriteSnapshot replaces the checkpoint, then rewrites wal.log with only the
-// records past it — each through replaceFile, snapshot first. Load skips
-// records at or below the snapshot, so whichever step a crash (or an error)
-// interrupts, the directory holds a loadable pair with every synced record
-// past the snapshot in it, and the store keeps appending to the log it has.
+// WriteSnapshot replaces snapshot.json, rewrites wal.log from the kept lines
+// past the checkpoint — each file through replaceFile, snapshot first — and
+// then drops the covered lines from memory. Load skips records at or below
+// the snapshot, so whichever step a crash (or an error) interrupts, the
+// directory holds a loadable pair with every synced record past the
+// snapshot in it, and a store whose rewrite failed keeps appending to the
+// log it has and still reads every line it held.
 func (s *FileStore) WriteSnapshot(snap *Snapshot) error {
 	b, err := json.Marshal(snap.wire())
 	if err != nil {
@@ -449,24 +449,12 @@ func (s *FileStore) WriteSnapshot(snap *Snapshot) error {
 		_, err := w.Write(b)
 		return err
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		err = s.replaceFile("wal.log", func(w *bufio.Writer) error {
+			k := min(max(snap.LSN+1-s.first, 0), s.n)
+			return s.each(k, s.n-k, w.Write)
+		})
 	}
-	if err := s.Sync(); err != nil {
-		return err
-	}
-	_, recs, err := s.Load() // the suffix past the snapshot just installed
-	if err != nil {
-		return err
-	}
-	err = s.replaceFile("wal.log", func(w *bufio.Writer) error {
-		for _, r := range recs {
-			if _, err := s.writeRecord(w, r); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 	if err != nil {
 		return err
 	}
@@ -475,59 +463,9 @@ func (s *FileStore) WriteSnapshot(snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	s.f.Close() // flushed and synced above; nothing reads the unlinked file
+	s.f.Close() // the lines still in its buffer are in the new file
 	s.f, s.w = f, bufio.NewWriter(f)
-	return nil
-}
-
-// Records decodes the records with LSN in (after, upto] from wal.log as it
-// stands: the log asks only for what it has synced, so a torn final segment
-// is past that range, and truncating it stays with Load.
-func (s *FileStore) Records(after, upto int64) ([]Record, error) {
-	if upto <= after {
-		return nil, nil
-	}
-	data, err := os.ReadFile(filepath.Join(s.dir, "wal.log"))
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-	recs, err := decodeLines(data, after, upto)
-	if err == nil && int64(len(recs)) != upto-after {
-		err = fmt.Errorf("wal: wal.log holds LSNs %d to %d, not to %d", after+1, after+int64(len(recs)), upto)
-	}
-	return recs, err
-}
-
-// decodeLines decodes the whole lines of a wal.log with LSN in (after, upto],
-// which must be dense from after+1. A later line of an LSN replaces the
-// earlier one and those after it: a Crash dropped them, and the LSN was
-// issued again.
-func decodeLines(data []byte, after, upto int64) ([]Record, error) {
-	var recs []Record
-	for len(data) > 0 {
-		line, rest, whole := bytes.Cut(data, []byte{'\n'})
-		if data = rest; !whole || len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		if lsn, ok := lineLSN(line); ok && (lsn <= after || lsn > upto) {
-			continue
-		}
-		r, err := DecodeRecord(line)
-		if err != nil {
-			return nil, err
-		}
-		if r.LSN <= after || r.LSN > upto {
-			continue
-		}
-		switch k := int(r.LSN - after - 1); {
-		case k > len(recs):
-			return nil, fmt.Errorf("wal: wal.log skips from LSN %d to %d", after+int64(len(recs)), r.LSN)
-		case k < len(recs):
-			recs = recs[:k]
-		}
-		recs = append(recs, r)
-	}
-	return recs, nil
+	return s.MemStore.WriteSnapshot(snap)
 }
 
 // lineLSN reads the LSN EncodeRecord writes first in a line, without
@@ -541,34 +479,31 @@ func lineLSN(line []byte) (lsn int64, ok bool) {
 	return 0, false
 }
 
-// Load reads the durable snapshot and records from disk. A process that died
-// between AppendRecords and Sync can leave part of a record behind (the write
-// buffer spills to the file whenever it fills): a final segment with no
-// newline after it was never synced, so never acknowledged, and is not a
-// record — a record's newline leaves in the same write as its last byte. Load
-// drops it and truncates wal.log back to the last whole line, so the next
-// append does not land behind the garbage. A newline-terminated line that
-// does not decode is corruption inside the durable prefix and stays an error.
+// Load rebuilds the store from disk: the snapshot, then each whole line of
+// wal.log past it, kept by its leading LSN (put), and returns what
+// MemStore.Load decodes of them. A process that died between AppendRecords
+// and Sync can leave part of a record behind (the write buffer spills to
+// the file whenever it fills): a final segment with no newline after it was
+// never synced, so never acknowledged, and is not a record — a record's
+// newline leaves in the same write as its last byte. Load drops it and
+// truncates wal.log back to the last whole line, so the next append does
+// not land behind the garbage. A newline-terminated line that does not
+// decode is corruption inside the durable prefix and stays an error.
 func (s *FileStore) Load() (*Snapshot, []Record, error) {
-	var snap *Snapshot
+	s.MemStore = MemStore{}
 	if b, err := os.ReadFile(filepath.Join(s.dir, "snapshot.json")); err == nil {
 		var w wireSnapshot
 		if err := json.Unmarshal(b, &w); err != nil {
 			return nil, nil, err
 		}
-		sn, err := w.snapshot()
-		if err != nil {
+		if s.snap, err = w.snapshot(); err != nil {
 			return nil, nil, err
 		}
-		snap = sn
 	} else if !os.IsNotExist(err) {
 		return nil, nil, err
 	}
 	data, err := os.ReadFile(filepath.Join(s.dir, "wal.log"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return snap, nil, nil
-		}
+	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, err
 	}
 	if whole := bytes.LastIndexByte(data, '\n') + 1; whole < len(data) {
@@ -577,15 +512,19 @@ func (s *FileStore) Load() (*Snapshot, []Record, error) {
 		}
 		data = data[:whole]
 	}
-	after := int64(0)
-	if snap != nil {
-		after = snap.LSN
+	for len(data) > 0 {
+		end := bytes.IndexByte(data, '\n') + 1
+		line := data[:end]
+		data = data[end:]
+		switch lsn, ok := lineLSN(line); {
+		case len(bytes.TrimSpace(line)) == 0:
+		case !ok:
+			return nil, nil, fmt.Errorf("wal: wal.log line %q does not start with its LSN", line)
+		case s.snap == nil || lsn > s.snap.LSN:
+			s.put(lsn, line)
+		}
 	}
-	recs, err := decodeLines(data, after, math.MaxInt64)
-	if err != nil {
-		return nil, nil, err
-	}
-	return snap, recs, nil
+	return s.MemStore.Load()
 }
 
 // Close flushes and closes the log file.

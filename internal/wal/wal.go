@@ -390,17 +390,17 @@ func (l *Log) span(after, upto int64) []Record {
 }
 
 // RecordsAfter returns the durable records with LSN in (after, DurableLSN],
-// decoded from the store. ok is false when a checkpoint truncated past
-// `after` — the caller's state is older than the log's memory and must
-// resync from Snapshot() — and when the store cannot give the range back.
-// The store is read under the lock once no fsync is in flight, and the
-// flusher starts none until the read is done, so no store call overlaps it
-// and a staged but unsynced record is never returned.
-func (l *Log) RecordsAfter(after int64) (recs []Record, ok bool) {
+// decoded from the store. It fails when a checkpoint truncated past `after`
+// — the caller's state is older than the log's memory and must resync from
+// Snapshot() — and with the store's error when the store cannot give the
+// range back. The store is read under the lock once no fsync is in flight,
+// and the flusher starts none until the read is done, so no store call
+// overlaps it and a staged but unsynced record is never returned.
+func (l *Log) RecordsAfter(after int64) ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.snap != nil && after < l.snap.LSN {
-		return nil, false
+		return nil, errors.New("wal: snapshot older than log memory")
 	}
 	l.held++
 	for l.syncing {
@@ -408,7 +408,7 @@ func (l *Log) RecordsAfter(after int64) (recs []Record, ok bool) {
 	}
 	recs, err := l.store.Records(after, l.synced)
 	l.release()
-	return recs, err == nil
+	return recs, err
 }
 
 // release ends a hold on the flusher. Caller holds mu.

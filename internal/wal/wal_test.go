@@ -203,9 +203,9 @@ func TestReplayAfterSnapshotRebuildsState(t *testing.T) {
 	if err := snap.RestoreTo(dst); err != nil {
 		t.Fatal(err)
 	}
-	recs, ok := l.RecordsAfter(snap.LSN)
-	if !ok || len(recs) != 10 {
-		t.Fatalf("records after snapshot: %d ok=%v", len(recs), ok)
+	recs, err := l.RecordsAfter(snap.LSN)
+	if err != nil || len(recs) != 10 {
+		t.Fatalf("records after snapshot: %d err=%v", len(recs), err)
 	}
 	if err := replay(dst, recs); err != nil {
 		t.Fatal(err)
@@ -226,12 +226,12 @@ func TestCheckpointTruncatesAndInvalidatesOldTails(t *testing.T) {
 	if err := l.WriteSnapshot(wal.Capture(src.Catalog(), 8)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := l.RecordsAfter(3); ok {
+	if _, err := l.RecordsAfter(3); err == nil {
 		t.Fatal("tail older than the checkpoint should be invalid")
 	}
-	recs, ok := l.RecordsAfter(8)
-	if !ok || len(recs) != 2 {
-		t.Fatalf("retained suffix: %d records, ok=%v (want 2, true)", len(recs), ok)
+	recs, err := l.RecordsAfter(8)
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("retained suffix: %d records, err=%v (want 2, true)", len(recs), err)
 	}
 	if l.TailStart() != 8 {
 		t.Fatalf("TailStart = %d, want 8", l.TailStart())
@@ -286,8 +286,8 @@ func TestFileStoreSurvivesReopen(t *testing.T) {
 	if err := snap.RestoreTo(dst); err != nil {
 		t.Fatal(err)
 	}
-	recs, ok := l2.RecordsAfter(snap.LSN)
-	if !ok {
+	recs, err := l2.RecordsAfter(snap.LSN)
+	if err != nil {
 		t.Fatal("reopened tail invalid")
 	}
 	if err := replay(dst, recs); err != nil {
@@ -341,9 +341,9 @@ func TestFileStoreColdStartKeepsInvalidUTF8(t *testing.T) {
 	if err := snap.RestoreTo(cold); err != nil {
 		t.Fatal(err)
 	}
-	recs, ok := l2.RecordsAfter(snap.LSN)
-	if !ok || len(recs) != 2 {
-		t.Fatalf("records past the snapshot: %d, ok=%v; want 2", len(recs), ok)
+	recs, err := l2.RecordsAfter(snap.LSN)
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("records past the snapshot: %d, err=%v; want 2", len(recs), err)
 	}
 	if err := replay(cold, recs); err != nil {
 		t.Fatal(err)
@@ -375,7 +375,11 @@ func TestFileStoreCheckpointIsCrashAtomic(t *testing.T) {
 	if err := l.WriteSnapshot(wal.Capture(src.Catalog(), 4)); err == nil {
 		t.Fatal("checkpoint with an unwritable wal.log.tmp reported success")
 	}
-	// The failed checkpoint left the running log whole and appendable.
+	// The failed checkpoint left the running log whole, readable from its
+	// start, and appendable.
+	if recs, err := l.RecordsAfter(0); err != nil || len(recs) != 10 {
+		t.Fatalf("records after a failed checkpoint: %d, err=%v; want 10", len(recs), err)
+	}
 	l.Commit(l.Append("w", "INSERT INTO kv VALUES (?, ?)", [][]any{{int64(13), "v13"}}))
 	l.Close()
 
@@ -392,9 +396,9 @@ func TestFileStoreCheckpointIsCrashAtomic(t *testing.T) {
 	if snap == nil || snap.LSN != 4 {
 		t.Fatalf("reopened snapshot = %+v, want the one at LSN 4 (it was renamed into place)", snap)
 	}
-	recs, ok := l2.RecordsAfter(snap.LSN)
-	if !ok || len(recs) != 7 {
-		t.Fatalf("records past the snapshot after reopen: %d ok=%v, want 7 (LSN 5..11)", len(recs), ok)
+	recs, err := l2.RecordsAfter(snap.LSN)
+	if err != nil || len(recs) != 7 {
+		t.Fatalf("records past the snapshot after reopen: %d err=%v, want 7 (LSN 5..11)", len(recs), err)
 	}
 	for i, r := range recs {
 		if r.LSN != int64(5+i) {
@@ -454,8 +458,8 @@ func TestFileStoreDropsTornFinalRecord(t *testing.T) {
 	appendRaw(`{"lsn":4,"name":"w","sql":"INSERT INTO kv VAL`)
 
 	l = open()
-	if recs, ok := l.RecordsAfter(0); !ok || len(recs) != 3 || l.LastLSN() != 3 {
-		t.Fatalf("after a torn tail: %d records, ok=%v, last LSN %d; want 3, true, 3", len(recs), ok, l.LastLSN())
+	if recs, err := l.RecordsAfter(0); err != nil || len(recs) != 3 || l.LastLSN() != 3 {
+		t.Fatalf("after a torn tail: %d records, err=%v, last LSN %d; want 3, true, 3", len(recs), err, l.LastLSN())
 	}
 	if lsn := l.Append("w", "INSERT INTO kv VALUES (?, ?)", [][]any{{int64(4), "v"}}); lsn != 4 {
 		t.Fatalf("append after a torn tail got LSN %d, want 4", lsn)
@@ -464,9 +468,9 @@ func TestFileStoreDropsTornFinalRecord(t *testing.T) {
 	l.Close()
 
 	l = open()
-	recs, ok := l.RecordsAfter(0)
-	if !ok || len(recs) != 4 || recs[3].LSN != 4 || !reflect.DeepEqual(recs[3].ArgSets, [][]any{{int64(4), "v"}}) {
-		t.Fatalf("after appending past the torn tail: %+v, ok=%v; want LSNs 1..4", recs, ok)
+	recs, err := l.RecordsAfter(0)
+	if err != nil || len(recs) != 4 || recs[3].LSN != 4 || !reflect.DeepEqual(recs[3].ArgSets, [][]any{{int64(4), "v"}}) {
+		t.Fatalf("after appending past the torn tail: %+v, err=%v; want LSNs 1..4", recs, err)
 	}
 	l.Close()
 
