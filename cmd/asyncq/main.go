@@ -165,7 +165,7 @@ func main() {
 			same = same && interp.Equal(r1.Returned[i], r2.Returned[i])
 		}
 		fmt.Fprintf(os.Stderr, "\n-- run: results identical: %v; returns: %v\n",
-			same, formatVals(r1.Returned))
+			same, interp.Format(interp.NewList(r1.Returned...)))
 		if batches, avg := svc.BatchStats(); batches > 0 {
 			submitted, _ := svc.Stats()
 			fmt.Fprintf(os.Stderr, "-- batch: %d submissions coalesced into %d batches (avg size %.1f)\n",
@@ -220,17 +220,6 @@ func defaultArgs(p *ir.Proc) []interp.Value {
 		}
 	}
 	return args
-}
-
-func formatVals(vals []interp.Value) string {
-	out := "["
-	for i, v := range vals {
-		if i > 0 {
-			out += ", "
-		}
-		out += interp.Format(v)
-	}
-	return out + "]"
 }
 
 func printDDGs(proc *ir.Proc) {

@@ -435,8 +435,8 @@ func TestReplicatedBackendRoundTripsMatchSingleServer(t *testing.T) {
 
 	singleTrips := single.Stats().NetRequests
 	var groupTrips int64
-	for _, s := range group.CopyStats() {
-		groupTrips += s.NetRequests
+	for _, s := range group.Copies() {
+		groupTrips += s.Stats().NetRequests
 	}
 	if singleTrips != 5 || groupTrips != singleTrips {
 		t.Fatalf("round trips: single %d, replicated group %d (want 5 and equal)", singleTrips, groupTrips)

@@ -150,13 +150,12 @@ func build(stmts []ir.Stmt, header *Sets, reg *ir.Registry) *Graph {
 		for loc := range st.Kills {
 			killPos[loc] = append(killPos[loc], i+1)
 		}
-		_ = stmts[i]
 	}
 	// killedIn reports whether loc is definitely killed at any body position
 	// in the half-open circular window (fromPos, n] ∪ [0, toPos).
 	killedIn := func(loc string, fromPos, toPos int) bool {
 		ks := killPos[loc]
-		if len(ks) == 0 || IsExternal(loc) {
+		if len(ks) == 0 {
 			return false
 		}
 		if ks[len(ks)-1] > fromPos { // a kill after fromPos up to n
@@ -167,7 +166,7 @@ func build(stmts []ir.Stmt, header *Sets, reg *ir.Registry) *Graph {
 	// killedBetween reports a definite kill strictly between two positions.
 	killedBetween := func(loc string, fromPos, toPos int) bool {
 		ks := killPos[loc]
-		if len(ks) == 0 || IsExternal(loc) {
+		if len(ks) == 0 {
 			return false
 		}
 		i := sort.SearchInts(ks, fromPos+1)

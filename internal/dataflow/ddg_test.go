@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ir"
@@ -315,4 +316,109 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
+}
+
+// TestNoExternalKill: a definite kill names a program variable, never $db or
+// $io. Kills come only from a statement's own identifiers (assignment
+// targets, table and record names) and a foreach/scan header variable, and
+// the lexer admits no '$', so the DDG's kill windows need no external-location
+// exemption. Every statement kind is built, each simple one also guarded, and
+// each loop header.
+func TestNoExternalKill(t *testing.T) {
+	if _, err := minilang.Parse(`proc p() { $db = 1; return 1; }`); err == nil {
+		t.Fatal("the lexer admitted '$' in an identifier")
+	}
+	p := minilang.MustParse(`
+proc all(l, n) {
+  query q = "select v from t where k = ?";
+  query u = "insert into t values (?)";
+  g = n > 0;
+  table t;
+  g ? table t2;
+  record r;
+  !g ? record r2;
+  a = removeFirst(l);
+  g ? a2 = removeFirst(l);
+  v = execQuery(q, a);
+  g ? v2 = execQuery(q, a);
+  execUpdate(u, a);
+  !g ? execUpdate(u, a);
+  h = submit(q, a);
+  g ? h2 = submit(q, a);
+  hu = submitUpdate(u, a);
+  g ? hu2 = submitUpdate(u, a);
+  w = fetch(h);
+  g ? w2 = fetch(h2);
+  fetch(hu);
+  g ? fetch(hu2);
+  print(v);
+  g ? print(v2);
+  r.f = v;
+  g ? r.f2 = v;
+  append(t, r);
+  g ? append(t2, r);
+  load x = r.f;
+  g ? load x2 = r.f;
+  copy r2.f = r.f;
+  g ? copy r2.f2 = r.f;
+  while (n > 0) {
+    n = n - 1;
+    execUpdate(u, n);
+  }
+  if (g) {
+    print(a);
+  } else {
+    execUpdate(u, a);
+  }
+  foreach e in l {
+    print(e);
+  }
+  scan s in t {
+    print(s);
+  }
+  return v;
+}`)
+	reg := ir.NewRegistry()
+	noExternal := func(what string, s *Sets) {
+		for loc := range s.Kills {
+			if IsExternal(loc) {
+				t.Errorf("%s kills %s", what, loc)
+			}
+		}
+	}
+	kinds := map[string]bool{}
+	externalWrites := map[string]bool{}
+	ir.WalkStmts(p.Body, func(s ir.Stmt) {
+		kind := fmt.Sprintf("%T", s)
+		if s.GetGuard() != nil {
+			kind += " guarded"
+		}
+		kinds[kind] = true
+		sets := StmtSets(s, reg)
+		noExternal(kind, sets)
+		for loc := range sets.Writes {
+			if IsExternal(loc) {
+				externalWrites[loc] = true
+			}
+		}
+		if ir.LoopBody(s) != nil {
+			noExternal(kind+" header", BuildLoop(s, reg).HeaderSets)
+		}
+	})
+	if !externalWrites[LocDB] || !externalWrites[LocIO] {
+		t.Errorf("no statement writes both external locations: %v", externalWrites)
+	}
+	for _, k := range []string{"Assign", "ExecQuery", "Submit", "Fetch", "CallStmt",
+		"DeclTable", "NewRecord", "SetField", "AppendRecord", "LoadField", "CopyField"} {
+		for _, kind := range []string{"*ir." + k, "*ir." + k + " guarded"} {
+			if !kinds[kind] {
+				t.Errorf("no %s statement built", kind)
+			}
+		}
+	}
+	for _, kind := range []string{"*ir.Return", "*ir.While", "*ir.If", "*ir.ForEach", "*ir.Scan"} {
+		if !kinds[kind] {
+			t.Errorf("no %s statement built", kind)
+		}
+	}
 }

@@ -281,10 +281,17 @@ func (h *Harness) run(c Config, pp *procPair, m Mode, rec *Run) (*interp.Result,
 		c.App.Bind(in, apps.SeededRand())
 	}
 	args := c.App.Args(c.Iterations, rand.New(rand.NewSource(h.Seed+int64(c.Iterations)+7)))
-	var beforeShard []server.Stats
-	var beforeReads [][]int64
+	// Each part's count before the run; after it, rec keeps the difference.
+	var shards []shard.Backend
+	var groups []*replica.Group // nil over bare servers
 	if rt != nil {
-		beforeShard, beforeReads = rt.ShardStats(), rt.ReplicaReads()
+		shards, groups = rt.Backends(), rt.Groups()
+		for _, b := range shards {
+			rec.ShardQueries = append(rec.ShardQueries, b.Stats().Queries)
+		}
+		for _, g := range groups {
+			rec.ReplicaReads = append(rec.ReplicaReads, g.ReadCounts())
+		}
 	}
 	before := tgt.Stats().NetRequests
 	start := time.Now()
@@ -299,15 +306,12 @@ func (h *Harness) run(c Config, pp *procPair, m Mode, rec *Run) (*interp.Result,
 	}
 	rec.RoundTrips = tgt.Stats().NetRequests - before
 	rec.Batches, rec.AvgBatch = svc.BatchStats()
-	if rt != nil {
-		for i, s := range rt.ShardStats() {
-			rec.ShardQueries = append(rec.ShardQueries, s.Queries-beforeShard[i].Queries)
-		}
-		for s, reads := range rt.ReplicaReads() {
-			for i := range reads {
-				reads[i] -= beforeReads[s][i]
-			}
-			rec.ReplicaReads = append(rec.ReplicaReads, reads)
+	for i, b := range shards {
+		rec.ShardQueries[i] = b.Stats().Queries - rec.ShardQueries[i]
+	}
+	for s, g := range groups {
+		for i, n := range g.ReadCounts() {
+			rec.ReplicaReads[s][i] = n - rec.ReplicaReads[s][i]
 		}
 	}
 	return res, nil

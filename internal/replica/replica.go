@@ -781,20 +781,11 @@ func (g *Group) Close() {
 // WALStats returns the log's counters (fsync count, group-commit factor).
 func (g *Group) WALStats() wal.Stats { return g.log.Stats() }
 
-// CopyStats returns per-copy counters, primary first.
-func (g *Group) CopyStats() []server.Stats {
-	out := make([]server.Stats, 0, 1+len(g.states))
-	for _, s := range g.Copies() {
-		out = append(out, s.Stats())
-	}
-	return out
-}
-
 // Stats aggregates the group's per-copy counters (server.Stats.Add).
 func (g *Group) Stats() server.Stats {
 	var agg server.Stats
-	for _, s := range g.CopyStats() {
-		agg.Add(s)
+	for _, s := range g.Copies() {
+		agg.Add(s.Stats())
 	}
 	return agg
 }

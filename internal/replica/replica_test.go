@@ -384,7 +384,8 @@ func TestStatsCarriesRequestWeightedAvgQueue(t *testing.T) {
 		}
 	}
 	var depth, requests float64
-	for _, s := range g.CopyStats() {
+	for _, c := range g.Copies() {
+		s := c.Stats()
 		depth += s.Disk.AvgQueue * float64(s.Disk.Requests)
 		requests += float64(s.Disk.Requests)
 	}

@@ -277,21 +277,6 @@ func (r *Router) Groups() []*replica.Group {
 	return out
 }
 
-// ReplicaReads returns per-shard read counts served by each replica for
-// replicated backends (the read-balancing evidence), or nil for bare
-// servers.
-func (r *Router) ReplicaReads() [][]int64 {
-	groups := r.Groups()
-	if groups == nil {
-		return nil
-	}
-	out := make([][]int64, len(groups))
-	for i, g := range groups {
-		out[i] = g.ReadCounts()
-	}
-	return out
-}
-
 // LoadFrom partitions a fully loaded reference server across the backends —
 // wal.Copy with the ownership rule: every table is recreated with the same
 // schema, page fanout and indexes; sharded tables send each row to its key's
@@ -1006,23 +991,14 @@ func (r *Router) Close() {
 	}
 }
 
-// ShardStats returns each backend's counters, in shard order.
-func (r *Router) ShardStats() []server.Stats {
-	r.mig.RLock()
-	defer r.mig.RUnlock()
-	out := make([]server.Stats, len(r.backends))
-	for i, b := range r.backends {
-		out[i] = b.Stats()
-	}
-	return out
-}
-
 // Stats returns cluster-aggregate counters over the shards
 // (server.Stats.Add).
 func (r *Router) Stats() server.Stats {
+	r.mig.RLock()
+	defer r.mig.RUnlock()
 	var agg server.Stats
-	for _, s := range r.ShardStats() {
-		agg.Add(s)
+	for _, b := range r.backends {
+		agg.Add(b.Stats())
 	}
 	return agg
 }

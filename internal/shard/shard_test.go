@@ -143,15 +143,17 @@ func TestPointQueryRoutesToOwningShard(t *testing.T) {
 	if n := r.Stats().NetRequests; n != 100 {
 		t.Fatalf("expected 100 round trips for 100 point queries, got %d", n)
 	}
-	perShard := r.ShardStats()
+	var perShard []int64
 	var spread int
-	for _, s := range perShard {
-		if s.Queries > 0 {
+	for _, b := range r.Backends() {
+		q := b.Stats().Queries
+		perShard = append(perShard, q)
+		if q > 0 {
 			spread++
 		}
 	}
 	if spread < 2 {
-		t.Fatalf("expected point queries spread over shards, got %+v", perShard)
+		t.Fatalf("expected point queries spread over shards, got per-shard queries %v", perShard)
 	}
 }
 
@@ -324,13 +326,13 @@ func TestStatsAggregateAndWarm(t *testing.T) {
 	if agg.Queries != 1 || agg.NetRequests != 1 {
 		t.Fatalf("aggregate stats: %+v", agg)
 	}
-	per := r.ShardStats()
+	per := r.Backends()
 	if len(per) != 2 {
-		t.Fatalf("want 2 shard stats, got %d", len(per))
+		t.Fatalf("want 2 shards, got %d", len(per))
 	}
 	var q int64
-	for _, s := range per {
-		q += s.Queries
+	for _, b := range per {
+		q += b.Stats().Queries
 	}
 	if q != agg.Queries {
 		t.Fatalf("per-shard queries %d != aggregate %d", q, agg.Queries)
@@ -467,8 +469,8 @@ func TestReplicatedBackendsMatchSingleServer(t *testing.T) {
 	if len(groups) != 3 {
 		t.Fatalf("expected 3 replica groups, got %v", groups)
 	}
-	if cs := groups[0].CopyStats(); len(cs) != 3 {
-		t.Fatalf("CopyStats shape: %d copies per shard, want primary + 2 replicas", len(cs))
+	if cs := groups[0].Copies(); len(cs) != 3 {
+		t.Fatalf("Copies shape: %d copies per shard, want primary + 2 replicas", len(cs))
 	}
 
 	battery := func(label string) {
@@ -521,9 +523,12 @@ func TestReplicatedBackendsMatchSingleServer(t *testing.T) {
 	battery("replica 1 down, 0 rejoined")
 
 	// The rejoined replicas hold the writes they missed while down.
-	reads := r.ReplicaReads()
+	var reads [][]int64
+	for _, g := range r.Groups() {
+		reads = append(reads, g.ReadCounts())
+	}
 	if len(reads) != 3 {
-		t.Fatalf("ReplicaReads shape: %v", reads)
+		t.Fatalf("read counts shape: %v", reads)
 	}
 }
 
@@ -554,8 +559,8 @@ func TestScatterPrunesBySecondaryIndexStats(t *testing.T) {
 
 	netReqs := func() []int64 {
 		out := make([]int64, 0, 4)
-		for _, s := range r.ShardStats() {
-			out = append(out, s.NetRequests)
+		for _, b := range r.Backends() {
+			out = append(out, b.Stats().NetRequests)
 		}
 		return out
 	}
