@@ -7,9 +7,6 @@ import "testing"
 // that historically broke the transformation (stale conditional captures,
 // output-dependence split variables, live-in snapshots, stub cascades).
 func TestPropertyScanWide(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wide scan skipped in -short mode")
-	}
 	for seed := int64(0); seed < 1500; seed++ {
 		if err := checkEquivalence(seed); err != nil {
 			t.Fatal(err)

@@ -7,7 +7,8 @@ import (
 	"repro/internal/ir"
 )
 
-// EdgeKind enumerates the dependence kinds of §III-A.
+// EdgeKind enumerates the dependence kinds of §III-A. Each group lists flow,
+// anti and output in that order, which depEdges relies on.
 type EdgeKind int
 
 const (
@@ -67,172 +68,101 @@ func (e Edge) String() string {
 	return fmt.Sprintf("s%d -%s(%s)-> s%d", e.From, e.Kind, e.Loc, e.To)
 }
 
-// Graph is the DDG of one loop body (or straight-line block).
+// Graph is the DDG of one loop body, with the loop header as a pseudo-node.
 type Graph struct {
 	Stmts []ir.Stmt
 	Sets  []*Sets // Sets[i] belongs to Stmts[i]
 	// HeaderSets describes the loop header: condition reads for while,
-	// element-variable write for foreach/scan. Nil for plain blocks.
+	// element-variable write for foreach/scan.
 	HeaderSets *Sets
 	Edges      []Edge
-	Reg        *ir.Registry
 }
 
 // BuildLoop builds the DDG of a loop's body, including the header pseudo-node
 // and loop-carried edges.
 func BuildLoop(loop ir.Stmt, reg *ir.Registry) *Graph {
+	h := newSets()
 	switch l := loop.(type) {
 	case *ir.While:
-		h := newSets()
 		collectExpr(l.Cond, reg, h, true)
-		return build(l.Body.Stmts, h, reg)
 	case *ir.ForEach:
-		h := newSets()
 		collectExpr(l.Coll, reg, h, true)
 		h.kill(l.Var)
-		return build(l.Body.Stmts, h, reg)
 	case *ir.Scan:
-		h := newSets()
 		h.read(l.Table)
 		h.kill(l.Record)
-		return build(l.Body.Stmts, h, reg)
+	default:
+		panic(fmt.Sprintf("dataflow: BuildLoop on non-loop %T", loop))
 	}
-	panic(fmt.Sprintf("dataflow: BuildLoop on non-loop %T", loop))
-}
-
-// BuildBlock builds the DDG of a straight-line statement list with no
-// header and no loop-carried edges (used for whole-procedure-body analysis).
-func BuildBlock(stmts []ir.Stmt, reg *ir.Registry) *Graph {
-	g := build(stmts, nil, reg)
-	return g
-}
-
-func build(stmts []ir.Stmt, header *Sets, reg *ir.Registry) *Graph {
-	g := &Graph{Stmts: stmts, HeaderSets: header, Reg: reg}
-	g.Sets = make([]*Sets, len(stmts))
+	stmts := ir.LoopBody(loop).Stmts
+	// at[p] holds the Sets at body position p: the header at 0, statement i
+	// at i+1. Position p is node id p-1, since Header is -1.
+	at := make([]*Sets, len(stmts)+1)
+	at[0] = h
 	for i, s := range stmts {
-		g.Sets[i] = StmtSets(s, reg)
+		at[i+1] = StmtSets(s, reg)
 	}
-	n := len(stmts)
-
-	// pos maps node id to loop-body position: header at 0, stmt i at i+1.
-	// node retrieves the Sets for a node id.
-	nodeSets := func(id int) *Sets {
-		if id == Header {
-			return header
-		}
-		return g.Sets[id]
-	}
-	ids := make([]int, 0, n+1)
-	if header != nil {
-		ids = append(ids, Header)
-	}
-	for i := range stmts {
-		ids = append(ids, i)
-	}
-	pos := func(id int) int {
-		if id == Header {
-			return 0
-		}
-		return id + 1
-	}
+	g := &Graph{Stmts: stmts, Sets: at[1:], HeaderSets: h}
 
 	// killPos maps each location to the sorted body positions that
-	// definitely kill it (header at position 0, statement i at i+1), so the
-	// window checks below are O(1)/O(log k) instead of O(n).
+	// definitely kill it, so each window check below is O(1) or O(log k).
 	killPos := map[string][]int{}
-	if header != nil {
-		for loc := range header.Kills {
-			killPos[loc] = append(killPos[loc], 0)
-		}
-	}
-	for i, st := range g.Sets {
+	for p, st := range at {
 		for loc := range st.Kills {
-			killPos[loc] = append(killPos[loc], i+1)
+			killPos[loc] = append(killPos[loc], p)
 		}
 	}
-	// killedIn reports whether loc is definitely killed at any body position
-	// in the half-open circular window (fromPos, n] ∪ [0, toPos).
-	killedIn := func(loc string, fromPos, toPos int) bool {
-		ks := killPos[loc]
-		if len(ks) == 0 {
-			return false
-		}
-		if ks[len(ks)-1] > fromPos { // a kill after fromPos up to n
-			return true
-		}
-		return ks[0] < toPos // a kill before toPos from the loop top
-	}
-	// killedBetween reports a definite kill strictly between two positions.
-	killedBetween := func(loc string, fromPos, toPos int) bool {
-		ks := killPos[loc]
-		if len(ks) == 0 {
-			return false
-		}
-		i := sort.SearchInts(ks, fromPos+1)
-		return i < len(ks) && ks[i] < toPos
-	}
-
-	seen := map[Edge]bool{}
-	emit := func(e Edge) {
-		if !seen[e] {
-			seen[e] = true
-			g.Edges = append(g.Edges, e)
-		}
-	}
-
-	for _, a := range ids {
-		sa := nodeSets(a)
-		for _, b := range ids {
-			sb := nodeSets(b)
-			// Intra-iteration edges require forward control flow.
-			if pos(a) < pos(b) {
-				for loc := range sa.Writes {
-					if sb.Reads[loc] && !killedBetween(loc, pos(a), pos(b)) {
-						emit(Edge{From: a, To: b, Kind: FD, Loc: loc})
-					}
-				}
-				for loc := range sa.Reads {
-					if sb.Writes[loc] {
-						emit(Edge{From: a, To: b, Kind: AD, Loc: loc})
-					}
-				}
-				for loc := range sa.Writes {
-					if sb.Writes[loc] {
-						emit(Edge{From: a, To: b, Kind: OD, Loc: loc})
-					}
-				}
+	for pa, sa := range at {
+		for pb, sb := range at {
+			// Intra-iteration edges require forward control flow; a definite
+			// kill strictly between the two positions cuts a flow.
+			if pa < pb {
+				g.Edges = depEdges(g.Edges, pa-1, pb-1, sa, sb, FD, func(loc string) bool {
+					ks := killPos[loc]
+					i := sort.SearchInts(ks, pa+1)
+					return i < len(ks) && ks[i] < pb
+				})
 			}
 			// Loop-carried edges: any pair (including self), value crossing
-			// the back edge; pruned by definite kills along the wrap-around
-			// window. Only built when a header exists (i.e. this is a loop).
-			if header == nil {
-				continue
-			}
-			// The header cannot be a carried-edge source: its writes (the
-			// foreach element variable) are re-killed at the top of every
-			// iteration before any body statement runs.
-			if a == Header {
-				continue
-			}
-			for loc := range sa.Writes {
-				if sb.Reads[loc] && !killedIn(loc, pos(a), pos(b)) {
-					emit(Edge{From: a, To: b, Kind: LCFD, Loc: loc})
-				}
-			}
-			for loc := range sa.Reads {
-				if sb.Writes[loc] {
-					emit(Edge{From: a, To: b, Kind: LCAD, Loc: loc})
-				}
-			}
-			for loc := range sa.Writes {
-				if sb.Writes[loc] {
-					emit(Edge{From: a, To: b, Kind: LCOD, Loc: loc})
-				}
+			// the back edge; a definite kill in the wrap-around window
+			// (pa, n] ∪ [0, pb) cuts a flow. The header cannot be a
+			// carried-edge source: its writes (the foreach element variable)
+			// are re-killed at the top of every iteration before any body
+			// statement runs.
+			if pa > 0 {
+				g.Edges = depEdges(g.Edges, pa-1, pb-1, sa, sb, LCFD, func(loc string) bool {
+					ks := killPos[loc]
+					return len(ks) > 0 && (ks[len(ks)-1] > pa || ks[0] < pb)
+				})
 			}
 		}
 	}
 	return g
+}
+
+// depEdges appends the dependences from node a to node b, with a executing
+// first: flow edges of kind flow (FD or LCFD) for each location a writes and
+// b reads, unless killed (when not nil) reports a definite kill between
+// them; then the anti and output edges of the kinds that follow flow in
+// EdgeKind, for each location a reads or writes and b writes. Each location
+// yields at most one edge of a kind, so no edge repeats.
+func depEdges(out []Edge, a, b int, sa, sb *Sets, flow EdgeKind, killed func(loc string) bool) []Edge {
+	for loc := range sa.Writes {
+		if sb.Reads[loc] && (killed == nil || !killed(loc)) {
+			out = append(out, Edge{From: a, To: b, Kind: flow, Loc: loc})
+		}
+	}
+	for loc := range sa.Reads {
+		if sb.Writes[loc] {
+			out = append(out, Edge{From: a, To: b, Kind: flow + 1, Loc: loc})
+		}
+	}
+	for loc := range sa.Writes {
+		if sb.Writes[loc] {
+			out = append(out, Edge{From: a, To: b, Kind: flow + 2, Loc: loc})
+		}
+	}
+	return out
 }
 
 // PairEdges computes the intra-iteration dependences between two ADJACENT
@@ -240,65 +170,29 @@ func build(stmts []ir.Stmt, header *Sets, reg *ir.Registry) *Graph {
 // because nothing executes between them). Edges use From=0 for a, To=1 for
 // b. This is the cheap primitive the moveAfter procedure leans on.
 func PairEdges(a, b ir.Stmt, reg *ir.Registry) []Edge {
-	sa := StmtSets(a, reg)
-	sb := StmtSets(b, reg)
-	var out []Edge
-	for loc := range sa.Writes {
-		if sb.Reads[loc] {
-			out = append(out, Edge{From: 0, To: 1, Kind: FD, Loc: loc})
-		}
-	}
-	for loc := range sa.Reads {
-		if sb.Writes[loc] {
-			out = append(out, Edge{From: 0, To: 1, Kind: AD, Loc: loc})
-		}
-	}
-	for loc := range sa.Writes {
-		if sb.Writes[loc] {
-			out = append(out, Edge{From: 0, To: 1, Kind: OD, Loc: loc})
-		}
-	}
-	return out
+	return depEdges(nil, 0, 1, StmtSets(a, reg), StmtSets(b, reg), FD, nil)
 }
 
-// TrueDepPath reports whether a path of FD/LCFD edges leads from node a to
-// node b (Definition 4.1). a == b asks for a cycle through a.
+// TrueDepPath reports whether a path of one or more FD/LCFD edges leads from
+// node a to node b (Definition 4.1). a == b asks for a cycle through a.
 func (g *Graph) TrueDepPath(a, b int) bool {
-	adj := map[int][]int{}
+	succ := map[int][]int{}
 	for _, e := range g.Edges {
 		if e.Kind.IsFlow() {
-			adj[e.From] = append(adj[e.From], e.To)
+			succ[e.From] = append(succ[e.From], e.To)
 		}
 	}
-	visited := map[int]bool{}
-	var dfs func(x int) bool
-	var started bool
-	var target int = b
-	dfs = func(x int) bool {
-		if x == target && started {
+	seen := map[int]bool{}
+	work := append([]int(nil), succ[a]...)
+	for len(work) > 0 {
+		x := work[len(work)-1]
+		work = work[:len(work)-1]
+		if x == b {
 			return true
 		}
-		if visited[x] {
-			return false
-		}
-		visited[x] = true
-		for _, y := range adj[x] {
-			started = true
-			if y == target {
-				return true
-			}
-			if dfs(y) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, y := range adj[a] {
-		if y == b {
-			return true
-		}
-		if dfs(y) {
-			return true
+		if !seen[x] {
+			seen[x] = true
+			work = append(work, succ[x]...)
 		}
 	}
 	return false

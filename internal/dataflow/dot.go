@@ -13,9 +13,7 @@ import (
 func (g *Graph) Dot(title string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n  rankdir=TB;\n  node [shape=box, fontsize=10];\n", title)
-	if g.HeaderSets != nil {
-		fmt.Fprintf(&b, "  h [label=\"header (cond)\"];\n")
-	}
+	fmt.Fprintf(&b, "  h [label=\"header (cond)\"];\n")
 	for i, s := range g.Stmts {
 		label := ir.PrintStmt(s)
 		label = strings.ReplaceAll(label, "\"", "\\\"")

@@ -1,9 +1,9 @@
 // Package dataflow computes statement-level read/write sets and builds the
-// Data Dependence Graph (DDG) of §III-A of the paper: flow (FD), anti (AD)
-// and output (OD) dependences, their loop-carried counterparts
-// (LCFD/LCAD/LCOD), and external dependences through the database and the
-// output stream, modelled conservatively as the pseudo-locations LocDB and
-// LocIO.
+// Data Dependence Graph (DDG) of §III-A of the paper for a loop body, with
+// the loop header as a pseudo-node: flow (FD), anti (AD) and output (OD)
+// dependences, their loop-carried counterparts (LCFD/LCAD/LCOD), and
+// external dependences through the database and the output stream, modelled
+// conservatively as the pseudo-locations LocDB and LocIO.
 package dataflow
 
 import (

@@ -104,9 +104,7 @@ func (g *Graph) CrossingLCFD(k int) []Edge {
 // fetch: it writes the result and re-reads the query's guard.
 func (g *Graph) SplitVars(k int) []string {
 	first, second := map[string]bool{}, map[string]bool{}
-	if g.HeaderSets != nil {
-		addVars(first, g.HeaderSets.Writes)
-	}
+	addVars(first, g.HeaderSets.Writes)
 	for i, s := range g.Sets {
 		switch {
 		case i < k:

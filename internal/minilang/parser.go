@@ -22,8 +22,10 @@ import (
 //	          | "table" IDENT | "record" IDENT
 //	          | "append" "(" IDENT "," IDENT ")"
 //	          | "load" IDENT "=" IDENT "." IDENT
+//	          | "copy" IDENT "." IDENT "=" IDENT "." IDENT
 //	          | "return" [expr {"," expr}]
 //	          | "execUpdate" "(" IDENT {"," expr} ")"
+//	          | "fetch" "(" expr ")"
 //	          | IDENT "." IDENT "=" expr
 //	          | identlist "=" rhs
 //	          | call

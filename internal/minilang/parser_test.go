@@ -234,6 +234,25 @@ func TestRoundTrip(t *testing.T) {
   }
   return x;
 }`,
+		`proc d(n) {
+  query u = "update t set v = v + 1 where k = ?";
+  table t0;
+  i = 0;
+  while (i < n) {
+    record r0;
+    h = submitUpdate(u, i);
+    r0.h = h;
+    append(t0, r0);
+    i = i + 1;
+  }
+  scan r in t0 {
+    record r1;
+    copy r1.h = r.h;
+    load h = r1.h;
+    fetch(h);
+  }
+  return i;
+}`,
 	}
 	for _, src := range srcs {
 		p1 := MustParse(src)

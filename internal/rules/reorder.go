@@ -76,10 +76,10 @@ func Reorder(loop, pivot ir.Stmt, reg *ir.Registry, gen *ir.NameGen) (bool, erro
 	}
 	n := len(body.Stmts) + 2
 	maxIter := 8*n + 32
-	// budget bounds the total work (adjacent swaps, stub insertions, and
-	// dependence-graph rebuilds) across the whole reordering, and maxStmts
-	// bounds body growth from Rule C stubs, so pathological dependence
-	// shapes fail cleanly with ReasonUnresolvable instead of thrashing.
+	// budget bounds the total work (adjacent swaps, stub insertions and
+	// srcDeps steps) across the whole reordering, and maxStmts bounds body
+	// growth from Rule C stubs, so pathological dependence shapes fail
+	// cleanly with ReasonUnresolvable instead of thrashing.
 	// Failing is safe: the site is simply reported untransformable. Real
 	// programs (all of §VI's applications and every paper example) stay far
 	// below these caps.
@@ -148,9 +148,6 @@ func movePastWithDeps(body *ir.Block, stmtToMove, target, pivot ir.Stmt, reg *ir
 		if *budget < 0 {
 			return notApplicable("reorder", ReasonUnresolvable, "reordering budget exhausted")
 		}
-		// Adjacency decisions need no loop-carried edges and no header: a
-		// plain block graph suffices.
-		g := dataflow.BuildBlock(body.Stmts, reg)
 		si := indexOf(body, stmtToMove)
 		ti := indexOf(body, target)
 		if si < 0 || ti < 0 {
@@ -159,7 +156,7 @@ func movePastWithDeps(body *ir.Block, stmtToMove, target, pivot ir.Stmt, reg *ir
 		if si > ti {
 			return nil // already past
 		}
-		dep := closestSrcDep(g, si, ti)
+		dep := closestSrcDep(body.Stmts, reg, si, ti)
 		if dep < 0 {
 			break
 		}
@@ -171,28 +168,31 @@ func movePastWithDeps(body *ir.Block, stmtToMove, target, pivot ir.Stmt, reg *ir
 }
 
 // closestSrcDep finds the statement between si and ti (exclusive) nearest to
-// ti that has an intra-iteration flow-dependence path from si.
-func closestSrcDep(g *dataflow.Graph, si, ti int) int {
-	// Forward FD reachability from si among body statements.
-	reach := map[int]bool{si: true}
-	for {
-		grew := false
-		for _, e := range g.Edges {
-			if e.Kind == dataflow.FD && e.From >= 0 && e.To >= 0 && reach[e.From] && !reach[e.To] {
-				reach[e.To] = true
-				grew = true
+// ti that has an intra-iteration flow-dependence path from si. Flow edges go
+// forward, and a definite kill strictly between writer and reader cuts one,
+// so one pass suffices: live holds the locations a statement on a path wrote
+// that nothing since has killed, and a statement is on a path when it reads
+// one of them.
+func closestSrcDep(stmts []ir.Stmt, reg *ir.Registry, si, ti int) int {
+	live := dataflow.StmtSets(stmts[si], reg).Writes
+	dep := -1
+	for j := si + 1; j < ti; j++ {
+		sj := dataflow.StmtSets(stmts[j], reg)
+		onPath := false
+		for loc := range sj.Reads {
+			onPath = onPath || live[loc]
+		}
+		for loc := range sj.Kills {
+			delete(live, loc)
+		}
+		if onPath {
+			dep = j
+			for loc := range sj.Writes {
+				live[loc] = true
 			}
 		}
-		if !grew {
-			break
-		}
 	}
-	for j := ti - 1; j > si; j-- {
-		if reach[j] {
-			return j
-		}
-	}
-	return -1
+	return dep
 }
 
 // moveAfter implements procedure moveAfter of Figure 4: move statement s to
